@@ -17,7 +17,11 @@ bench:
 # breakage, an interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters), a trace smoke step (emit a JSONL trace and validate it
-# against the schema with datalog-trace-check), and a parallel smoke
+# against the schema with datalog-trace-check, then pipe a -j 4 trace
+# through the checker and require the same tally, so the sharded loop's
+# round spans are schema-checked and match the sequential ones; the
+# installed binaries are invoked directly so the pipe never contends
+# for the dune lock), and a parallel smoke
 # step: run the same program at -j 4, check the output is byte-identical
 # to the sequential run and carries the expected fact count, and run the
 # cross-jobs determinism property suite. The FO smoke step answers a
@@ -29,8 +33,8 @@ bench:
 # annotated tree shows a join operator with an actual rows-out figure.
 # The shard smoke step runs the sharded (default) parallel path at -j 4,
 # checks byte-identity against the sequential output, and greps the
-# stats for par.exchanged_tuples — proof the exchange, not the old
-# global merge, carried the cross-shard traffic. The serve smoke step
+# stats for par.exchanged_tuples — proof the exchange carried the
+# cross-shard traffic. The serve smoke step
 # starts a resident server on a Unix-domain socket, asserts a batch and
 # checks the new derived fact is queryable, retracts it and checks the
 # view shrank back (DRed), greps serve.requests out of the stats op,
@@ -57,7 +61,9 @@ ci:
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats | grep -q 'intern.values'
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --trace _ci_tc.jsonl > /dev/null
-	dune exec -- datalog-trace-check _ci_tc.jsonl
+	dune exec -- datalog-trace-check _ci_tc.jsonl > _ci_seq.check
+	_build/install/default/bin/datalog-unchained run -s seminaive -j 4 _ci_tc.dl --trace /dev/fd/3 3>&1 > /dev/null \
+	  | _build/install/default/bin/datalog-trace-check - | cmp - _ci_seq.check
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl > _ci_seq.out
 	dune exec -- datalog-unchained run -s seminaive -j 4 _ci_tc.dl > _ci_par.out
 	cmp _ci_seq.out _ci_par.out
@@ -85,7 +91,7 @@ ci:
 	client shutdown | grep -q 'server stopped' && \
 	wait && grep -q 'listening on' _ci_srv.out
 	dune exec -- datalog-unchained run _ci_srv.dl -f _ci_srv.facts -a T --annot why | grep -Fq 'T(a, c). % G(a, b)*G(b, c)'
-	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.out _ci_par.out _ci_fo.facts _ci_demand.out _ci_explain.out \
+	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_seq.out _ci_par.out _ci_fo.facts _ci_demand.out _ci_explain.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out
 
 clean:

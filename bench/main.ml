@@ -20,7 +20,6 @@
      e17 safe-range compilation: FO calculus and while, naive vs compiled
      e18 demand-driven compilation vs full materialization
      e19 operator-profiling overhead, disabled vs enabled
-     e20 sharded exchange vs barrier merge (parallel semi-naive TC)
      e21 resident serve: incremental maintenance vs recompute-from-scratch
      e22 semiring annotations: Boolean guard, counting deletion, tropical
 
@@ -102,9 +101,8 @@ let record ?(metrics = []) ?annot ~experiment ~case ~n ~engine ~wall_ms
    evaluation: fixpoint shape and index behaviour (see lib/observe). *)
 let metric_keys =
   [ "fixpoint.rounds"; "fixpoint.delta_max"; "db.index_builds";
-    "db.index_memo_hits"; "par.domains"; "par.tasks"; "par.merge_ms";
-    "par.exchange_ms"; "par.exchanged_tuples"; "par.shard_skew";
-    "par.pool.fallbacks";
+    "db.index_memo_hits"; "par.domains"; "par.tasks"; "par.exchange_ms";
+    "par.exchanged_tuples"; "par.shard_skew"; "par.pool.fallbacks";
     "fo.plan.compiled"; "fo.plan.fallback_vars"; "fp.rounds"; "fp.fallback";
     "ra.join.probes"; "demand.rounds"; "demand.tuples_derived";
     "demand.plan.compiled"; "demand.plan.hits"; "demand.cache.hits";
@@ -1188,95 +1186,6 @@ let e19 () =
      with many\n  cheap executions (fixpoint deltas); EXPERIMENTS.md E19 \
      records the numbers\n"
 
-(* ---------------------------------------------------------------- E20 *)
-
-(* Sharded exchange vs barrier merge: the two parallel semi-naive
-   strategies on the same graph, swept over the job count. The merge
-   strategy re-dedups every worker's full output against the global Db
-   under a lock ([par.merge_ms]); the sharded strategy dedups locally
-   per shard and only ships cross-shard tuples ([par.exchange_ms],
-   [par.exchanged_tuples]). Both must print byte-identical instances at
-   every job count. Engines are recorded as "seminaive-<strategy>-jN". *)
-let e20 () =
-  header "E20 | sharded exchange vs barrier merge (parallel semi-naive TC)";
-  let saved_jobs = Parallel.Pool.jobs () in
-  let saved_strat = Datalog.Eval_util.par_strategy () in
-  Fun.protect
-    ~finally:(fun () ->
-      Parallel.Pool.set_jobs saved_jobs;
-      Datalog.Eval_util.set_par_strategy saved_strat)
-  @@ fun () ->
-  row "  %-16s %4s %-6s | %9s | %8s %8s %8s | %s\n" "graph" "j" "strat"
-    "semi ms" "merge" "exch" "shipped" "identical";
-  List.iter
-    (fun (name, n, inst) ->
-      let baseline = ref None in
-      List.iter
-        (fun jobs ->
-          List.iter
-            (fun (sname, strat) ->
-              Parallel.Pool.set_jobs jobs;
-              Datalog.Eval_util.set_par_strategy strat;
-              let rs, ts =
-                time (fun () -> Datalog.Seminaive.eval tc_program inst)
-              in
-              let out = Instance.to_string rs.Datalog.Seminaive.instance in
-              let same =
-                match !baseline with
-                | None ->
-                    baseline := Some out;
-                    true
-                | Some out1 -> String.equal out out1
-              in
-              assert same;
-              let tfacts =
-                Relation.cardinal
-                  (Instance.find "T" rs.Datalog.Seminaive.instance)
-              in
-              (* timing counters (merge_ms / exchange_ms) are as noisy as
-                 wall clock, so keep the best-of-reps run: the one whose
-                 sync cost is lowest *)
-              let cost m =
-                (match List.assoc_opt "par.merge_ms" m with
-                | Some v -> v
-                | None -> 0)
-                +
-                match List.assoc_opt "par.exchange_ms" m with
-                | Some v -> v
-                | None -> 0
-              in
-              let metrics = ref None in
-              for _ = 1 to max 1 !reps do
-                let m =
-                  collect_metrics (fun trace ->
-                      Datalog.Seminaive.eval ~trace tc_program inst)
-                in
-                match !metrics with
-                | Some best when cost best <= cost m -> ()
-                | _ -> metrics := Some m
-              done;
-              let metrics = Option.get !metrics in
-              let metric k =
-                match List.assoc_opt k metrics with Some v -> v | None -> 0
-              in
-              record ~experiment:"e20" ~case:name ~n
-                ~engine:(Printf.sprintf "seminaive-%s-j%d" sname jobs)
-                ~wall_ms:(1000. *. ts) ~stages:rs.Datalog.Seminaive.stages
-                ~facts:tfacts ~metrics ();
-              row "  %-16s %4d %-6s | %s | %8d %8d %8d | %b\n" name jobs sname
-                (ms ts)
-                (metric "par.merge_ms")
-                (metric "par.exchange_ms")
-                (metric "par.exchanged_tuples")
-                same)
-            [ ("merge", Datalog.Eval_util.Merge);
-              ("shard", Datalog.Eval_util.Sharded) ])
-        [ 1; 2; 4; 8 ])
-    [ ("random-300x900", 300, Graph_gen.random ~seed:12 300 900) ];
-  row "  shape: merge pays the global re-dedup on every derived tuple; \
-       exchange\n  only touches the cross-shard slice, so its cost stays \
-       below merge at j >= 2\n"
-
 (* ---------------------------------------------------------------- E21 *)
 
 (* The resident server: one long-lived materialization maintained
@@ -1679,7 +1588,7 @@ let all =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20);
+    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19);
     ("e21", e21); ("e22", e22);
   ]
 

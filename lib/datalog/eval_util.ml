@@ -92,9 +92,7 @@ let with_delta_preds prepared delta_preds =
    flat hash set for within-round dedup. The delta never takes the shape
    of a persistent relation — building one costs a path copy per fact,
    and nothing downstream (indexing, absorbing) needs more than the
-   list. The same shape serves as the global accumulator of both
-   fixpoint paths and as the worker-private buffers of the parallel
-   one. *)
+   list. *)
 type fresh_tbl = (string, Tuple.t list ref * unit Matcher.IdTbl.t) Hashtbl.t
 
 let pred_state (tbl : fresh_tbl) p =
@@ -105,17 +103,66 @@ let pred_state (tbl : fresh_tbl) p =
       Hashtbl.add tbl p s;
       s
 
-(* drain an accumulator into an assoc list (pred-name order, so round
-   processing stays deterministic) and reset it for the next round *)
-let take_fresh (tbl : fresh_tbl) =
+(* Add the fact [ids] to one predicate's accumulator unless [seen]
+   already holds it. [ids] may be a matcher scratch buffer: it is copied
+   into a tuple only when the fact is new. *)
+let add_unseen lst seen ids =
+  if not (Matcher.IdTbl.mem seen ids) then (
+    let t = Tuple.of_ids (Array.copy ids) in
+    Matcher.IdTbl.replace seen (Tuple.ids t) ();
+    lst := t :: !lst)
+
+(* drain per-predicate fact lists into an assoc list (pred-name order,
+   so round processing stays deterministic) and reset the table for the
+   next round; [facts] reads one predicate's list out of its entry *)
+let drain (tbl : (string, 'a) Hashtbl.t) facts =
   let per =
-    Hashtbl.fold (fun p (lst, _) acc -> (p, List.rev !lst) :: acc) tbl []
+    Hashtbl.fold (fun p s acc -> (p, List.rev (facts s)) :: acc) tbl []
   in
   Hashtbl.reset tbl;
   List.sort (fun (a, _) (b, _) -> String.compare a b) per
 
+let take_fresh (tbl : fresh_tbl) = drain tbl (fun (lst, _) -> !lst)
+
 let total_fresh delta =
   List.fold_left (fun n (_, ts) -> n + List.length ts) 0 delta
+
+(* The round skeleton every fixpoint loop here shares. Each application
+   of Γ is one "round" span whose close records the size of the delta it
+   produced, and which feeds the [fixpoint.rounds], [fixpoint.delta_max]
+   and [fixpoint.delta_total] counters; the loop stops after the first
+   round that produced nothing. [stages] counts the applications of Γ
+   that inferred new facts, so every loop agrees with the naive engine's
+   count.
+
+   A loop supplies only how one round derives its facts: [step s]
+   applies Γ once to the state [s] the previous round left and returns
+   the next state with the size of its delta. [first] is what enters
+   the loop: [`Round0 f] runs [f ()] as round 0 (the initial full
+   evaluation), [`Delta (s, n)] is a caller-supplied delta of size [n]
+   that replaces round 0 and opens no span. Returns the last state and
+   the stage count. *)
+let rounds ~trace ~first ~step =
+  let tracing = Observe.Trace.enabled trace in
+  let round_no = ref 0 in
+  let round f x =
+    if tracing then (
+      Observe.Trace.open_span trace ~kind:"round" (string_of_int !round_no);
+      Stdlib.incr round_no);
+    let ((_, d) as r) = f x in
+    if tracing then (
+      Observe.Trace.incr trace "fixpoint.rounds";
+      Observe.Trace.gauge_max trace "fixpoint.delta_max" d;
+      Observe.Trace.add trace "fixpoint.delta_total" d;
+      Observe.Trace.close_span trace
+        ~fields:[ Observe.Trace.fint "delta" d ]
+        ());
+    r
+  in
+  let rec loop (s, d) stages =
+    if d = 0 then (s, stages) else loop (round step s) (stages + 1)
+  in
+  loop (match first with `Round0 f -> round f () | `Delta sd -> sd) 0
 
 (* One Db for the whole fixpoint: each stage feeds its delta back with
    [Db.absorb], so join indexes are built once and extended
@@ -130,7 +177,6 @@ let seminaive_seq ~trace ?neg_db ?initial ?on_delta ~with_dps ~dom db =
   let tracing = Observe.Trace.enabled trace in
   let fresh_tbl : fresh_tbl = Hashtbl.create 4 in
   let pred_state p = pred_state fresh_tbl p in
-  let take_fresh () = take_fresh fresh_tbl in
   (* one firing pass for a rule: fresh positive consequences accumulate
      into the round accumulator (a set, so the unspecified enumeration
      order of [iter_firings] cannot leak) *)
@@ -154,262 +200,62 @@ let seminaive_seq ~trace ?neg_db ?initial ?on_delta ~with_dps ~dom db =
             else (
               if tracing then Observe.Trace.incr trace "fixpoint.tuples_derived";
               let lst, seen = Option.get !cur_state in
-              if not (Matcher.IdTbl.mem seen ids) then (
-                let t = Tuple.of_ids (Array.copy ids) in
-                Matcher.IdTbl.replace seen (Tuple.ids t) ();
-                lst := t :: !lst))))
+              add_unseen lst seen ids)))
     in
     if tracing then count_firings db label n
   in
-  (* Each application of Γ is one "round" span; its close records the
-     delta it produced (round 0 = the initial full evaluation). *)
-  let round_no = ref 0 in
-  let open_round () =
-    if tracing then (
-      Observe.Trace.open_span trace ~kind:"round" (string_of_int !round_no);
-      Stdlib.incr round_no)
+  let take () =
+    let d = take_fresh fresh_tbl in
+    (d, total_fresh d)
   in
-  let close_round d =
-    if tracing then (
-      Observe.Trace.incr trace "fixpoint.rounds";
-      Observe.Trace.gauge_max trace "fixpoint.delta_max" d;
-      Observe.Trace.add trace "fixpoint.delta_total" d;
-      Observe.Trace.close_span trace
-        ~fields:[ Observe.Trace.fint "delta" d ]
-        ())
-  in
-  (* stage 1: full evaluation (unless a caller-supplied delta replaces
+  (* round 0: full evaluation (unless a caller-supplied delta replaces
      it); the facts not already present form Δ⁰ *)
-  let delta0 =
+  let first =
     match initial with
-    | Some d -> d
+    | Some d -> `Delta (d, total_fresh d)
     | None ->
-        open_round ();
-        List.iter (fun (_rule, plan, _, label) -> fire_fresh plan label) with_dps;
-        let d = take_fresh () in
-        close_round (total_fresh d);
-        d
+        `Round0
+          (fun () ->
+            List.iter
+              (fun (_rule, plan, _, label) -> fire_fresh plan label)
+              with_dps;
+            take ())
   in
-  (* [stages] counts the applications of Γ that inferred new facts, to
-     agree with the naive engine's count. *)
-  let rec loop delta stages =
-    if total_fresh delta = 0 then (Matcher.Db.instance db, stages)
-    else (
-      open_round ();
-      (* observers (the counting-maintenance sweep) see each round's
-         delta just before it is absorbed, i.e. exactly the facts that
-         are new this round *)
-      (match on_delta with Some f -> f delta | None -> ());
-      List.iter (fun (p, ts) -> Matcher.Db.absorb_new db p ts) delta;
-      List.iter
-        (fun (_rule, plan, dps, label) ->
-          List.iter
-            (fun pred ->
-              match List.assoc_opt pred delta with
-              | None | Some [] -> ()
-              | Some dts -> fire_fresh ~delta:(pred, dts) plan label)
-            dps)
-        with_dps;
-      let fresh = take_fresh () in
-      close_round (total_fresh fresh);
-      loop fresh (stages + 1))
+  let step delta =
+    (* observers (the counting-maintenance sweep) see each round's delta
+       just before it is absorbed, i.e. exactly the facts that are new
+       this round *)
+    (match on_delta with Some f -> f delta | None -> ());
+    List.iter (fun (p, ts) -> Matcher.Db.absorb_new db p ts) delta;
+    List.iter
+      (fun (_rule, plan, dps, label) ->
+        List.iter
+          (fun pred ->
+            match List.assoc_opt pred delta with
+            | None | Some [] -> ()
+            | Some dts -> fire_fresh ~delta:(pred, dts) plan label)
+          dps)
+      with_dps;
+    take ()
   in
-  loop delta0 0
+  let _, stages = rounds ~trace ~first ~step in
+  (Matcher.Db.instance db, stages)
 
-(* Parallel semi-naive rounds. The round structure (and hence the least
-   fixpoint, stage count and every instance-visible result) is the same
-   as [seminaive_seq]: workers only split the *firing* work inside one
-   application of Γ. Each round:
-
-   - the coordinator absorbs the previous delta and cuts the work into
-     tasks — one per rule on round 0, one per (rule, delta-pred,
-     delta-slice) afterwards, so a two-rule program still spreads a
-     large delta over every domain;
-   - workers fire tasks against read-only views of the shared database
-     ([Matcher.prewarm] ran every lazy build up front), deduplicate
-     against the frozen membership sets, and push fresh facts into
-     worker-private accumulators;
-   - at the barrier the coordinator folds the private buffers into the
-     round accumulator in worker order, dropping cross-worker
-     duplicates with one flat hash set per predicate.
-
-   Correctness of slicing: a semi-naive pass is a union over matches
-   with the delta atom ranging over the delta list and every other atom
-   over the full (already absorbed) database, so a union over slices of
-   the delta list is the same set of matches; duplicates across slices
-   collapse in the merge. Derivation-order effects cannot leak: all
-   accumulators are sets, and relations are persistent tries whose
-   printed form is sorted. Trace *counters* are still merged from the
-   workers (sums, gauges by max), but their values can differ from a
-   sequential run — two workers may both derive a fact that the merge
-   then dedups — which is why determinism is asserted on instances, not
-   counters. *)
-let seminaive_par ~trace ?neg_db ~pool ~with_dps ~dom db =
-  let tracing = Observe.Trace.enabled trace in
-  let nw = Parallel.Pool.size pool in
-  (* force every lazy structure the plans can touch; after this, workers
-     only read the shared hash tables *)
-  List.iter (fun (_rule, plan, _, _) -> Matcher.prewarm ?neg_db plan db) with_dps;
-  let wctx =
-    Array.init nw (fun _ ->
-        if tracing then Observe.Trace.make ~sinks:[] () else Observe.Trace.null)
-  in
-  let wdb = Array.init nw (fun w -> Matcher.Db.with_trace db wctx.(w)) in
-  let wacc : fresh_tbl array = Array.init nw (fun _ -> Hashtbl.create 8) in
-  let fresh_tbl : fresh_tbl = Hashtbl.create 4 in
-  let merge_s = ref 0.0 in
-  (* one firing task on worker [w]: like the sequential [fire_fresh] but
-     accumulating into the worker's private buffer and counting into the
-     worker's private context *)
-  let fire_task w (plan, label, delta) =
-    let vdb = wdb.(w) in
-    let wtr = wctx.(w) in
-    let t0 = if tracing then Observe.Trace.now () else 0. in
-    let acc = wacc.(w) in
-    let cur_p = ref "" in
-    let cur_mem = ref None in
-    let cur_state = ref None in
-    let have = ref false in
-    let n =
-      Matcher.iter_firings ?delta ?neg_db ~dom plan vdb (fun ~pos p ids ->
-          if pos then (
-            if not (!have && String.equal !cur_p p) then (
-              have := true;
-              cur_p := p;
-              cur_mem := Some (Matcher.Db.memset vdb p);
-              cur_state := Some (pred_state acc p));
-            if Matcher.Db.memset_mem (Option.get !cur_mem) ids then (
-              if tracing then Observe.Trace.incr wtr "fixpoint.tuples_deduped")
-            else (
-              if tracing then Observe.Trace.incr wtr "fixpoint.tuples_derived";
-              let lst, seen = Option.get !cur_state in
-              if not (Matcher.IdTbl.mem seen ids) then (
-                let t = Tuple.of_ids (Array.copy ids) in
-                Matcher.IdTbl.replace seen (Tuple.ids t) ();
-                lst := t :: !lst))))
-    in
-    if tracing then (
-      Observe.Trace.add wtr ("rule_firings." ^ label) n;
-      (* per-task latency, recorded in the worker's private context; the
-         barrier merge pools the workers' histograms, so the reported
-         par.task distribution spans every domain *)
-      Observe.Trace.observe_s wtr "par.task" (Observe.Trace.now () -. t0))
-  in
-  (* barrier: fold worker buffers into the round accumulator (worker
-     order), dropping facts another worker also derived *)
-  let merge_round () =
-    let t0 = Observe.Trace.now () in
-    Array.iter
-      (fun acc ->
-        if Hashtbl.length acc > 0 then (
-          List.iter
-            (fun (p, ts) ->
-              let glst, gseen = pred_state fresh_tbl p in
-              List.iter
-                (fun t ->
-                  let ids = Tuple.ids t in
-                  if not (Matcher.IdTbl.mem gseen ids) then (
-                    Matcher.IdTbl.replace gseen ids ();
-                    glst := t :: !glst))
-                ts)
-            (take_fresh acc)))
-      wacc;
-    merge_s := !merge_s +. (Observe.Trace.now () -. t0)
-  in
-  let run_tasks tasks =
-    let ntasks = Array.length tasks in
-    if tracing then Observe.Trace.add trace "par.tasks" ntasks;
-    Parallel.Pool.run pool (fun w ->
-        let i = ref w in
-        while !i < ntasks do
-          fire_task w tasks.(!i);
-          i := !i + nw
-        done);
-    merge_round ()
-  in
-  (* cut one delta list into at most [4 * nw] contiguous slices of at
-     least 64 tuples, so small deltas stay one task while large ones
-     feed (and load-balance across) every worker *)
-  let slices dts =
-    let arr = Array.of_list dts in
-    let len = Array.length arr in
-    let nslices = max 1 (min (4 * nw) (len / 64)) in
-    let chunk = (len + nslices - 1) / nslices in
-    List.init nslices (fun s ->
-        let lo = s * chunk in
-        let hi = min len (lo + chunk) in
-        Array.to_list (Array.sub arr lo (hi - lo)))
-  in
-  let round_no = ref 0 in
-  let open_round () =
-    if tracing then (
-      Observe.Trace.open_span trace ~kind:"round" (string_of_int !round_no);
-      Stdlib.incr round_no)
-  in
-  let close_round d =
-    if tracing then (
-      Observe.Trace.incr trace "fixpoint.rounds";
-      Observe.Trace.gauge_max trace "fixpoint.delta_max" d;
-      Observe.Trace.add trace "fixpoint.delta_total" d;
-      Observe.Trace.close_span trace
-        ~fields:[ Observe.Trace.fint "delta" d ]
-        ())
-  in
-  (* stage 1: full evaluation, one task per rule *)
-  open_round ();
-  run_tasks
-    (Array.of_list
-       (List.map (fun (_rule, plan, _, label) -> (plan, label, None)) with_dps));
-  let delta0 = take_fresh fresh_tbl in
-  close_round (total_fresh delta0);
-  let rec loop delta stages =
-    if total_fresh delta = 0 then (Matcher.Db.instance db, stages)
-    else (
-      open_round ();
-      List.iter (fun (p, ts) -> Matcher.Db.absorb_new db p ts) delta;
-      let sliced =
-        List.map (fun (p, ts) -> (p, slices ts)) delta
-      in
-      let tasks =
-        List.concat_map
-          (fun (_rule, plan, dps, label) ->
-            List.concat_map
-              (fun pred ->
-                match List.assoc_opt pred sliced with
-                | None -> []
-                | Some sl ->
-                    List.map (fun s -> (plan, label, Some (pred, s))) sl)
-              dps)
-          with_dps
-      in
-      run_tasks (Array.of_list tasks);
-      let fresh = take_fresh fresh_tbl in
-      close_round (total_fresh fresh);
-      loop fresh (stages + 1))
-  in
-  let result = loop delta0 0 in
-  if tracing then (
-    Observe.Trace.gauge_max trace "par.domains" nw;
-    Observe.Trace.add trace "par.merge_ms"
-      (int_of_float (!merge_s *. 1000.));
-    Array.iter (fun c -> Observe.Trace.merge_counters trace c) wctx);
-  result
-
-(* Shard-owned semi-naive rounds (Slog-style hash partitioning). Where
-   [seminaive_par] shares one dedup state and pays a sequential global
-   merge at every barrier, here each worker domain OWNS a disjoint shard
-   of every head predicate — ownership decided by [Matcher.Shard.owner]
-   on the first-column id — and freshness is decided locally:
+(* Shard-owned semi-naive rounds (Slog-style hash partitioning): each
+   worker domain OWNS a disjoint shard of every head predicate —
+   ownership decided by [Matcher.Shard.owner] on the first-column id —
+   and freshness is decided locally, with no global merge:
 
    - seed: every worker folds its partition of the head-predicate
      relations into per-shard membership sets (one parallel pass);
    - derive: worker [w] fires each rule restricted to its OWN delta
      slices (the previous round's owned-fresh facts — ownership IS the
-     slicing, no repartitioning) against the shared read-only database.
-     A derived fact it owns is deduped against its shard set and kept; a
-     fact owned elsewhere is pre-filtered against the frozen global
-     membership set and posted to the owner's outbox
-     ([Parallel.Exchange], per-edge duplicate suppression);
+     slicing, no repartitioning) against the shared read-only database
+     ([Matcher.prewarm] ran every lazy build up front). A derived fact
+     it owns is deduped against its shard set and kept; a fact owned
+     elsewhere is pre-filtered against the frozen global membership set
+     and posted to the owner's outbox ([Parallel.Exchange], per-edge
+     duplicate suppression);
    - exchange (second phase of the same [Pool.run_phases] fan-out): each
      owner drains its inboxes in deterministic source order, dedups
      against its shard set, and appends the survivors to its fresh list;
@@ -421,11 +267,12 @@ let seminaive_par ~trace ?neg_db ~pool ~with_dps ~dom db =
    routed to exactly one owner whose membership set is complete for its
    partition), so the round structure, stage count and final instance
    are identical to [seminaive_seq] — and the instance prints sorted, so
-   the output is byte-identical. What changed is the cost model: the
-   global merge ([par.merge_ms]) is gone, replaced by the exchange of
-   only the cross-shard tuples ([par.exchange_ms] critical-path time,
-   [par.exchanged_tuples] volume, [par.shard_skew] balance — 100 means
-   perfectly balanced, [100 * nw] means one shard owns everything). *)
+   the output is byte-identical. Only the cross-shard tuples move
+   ([par.exchange_ms] critical-path time, [par.exchanged_tuples] volume,
+   [par.shard_skew] balance — 100 means perfectly balanced, [100 * nw]
+   means one shard owns everything). Trace counters are merged from the
+   workers (sums, gauges by max); derivation counts can differ from a
+   sequential run, which is why determinism is asserted on instances. *)
 let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
   let tracing = Observe.Trace.enabled trace in
   let nw = Parallel.Pool.size pool in
@@ -556,23 +403,14 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
           ts);
     exch_s.(w) <- Observe.Trace.now () -. t0
   in
+  (* one round on the pool, then drain the workers' fresh buffers into
+     per-worker sorted assoc lists and record the balance *)
   let run_round derive =
     Parallel.Pool.run_phases pool [| derive; exchange |];
     (* exchange cost on the critical path: the slowest worker's drain *)
     exchange_s := !exchange_s +. Array.fold_left Float.max 0.0 exch_s;
-    Array.fill exch_s 0 nw 0.0
-  in
-  (* drain the workers' fresh buffers into per-worker sorted assoc lists
-     (round processing stays deterministic), and record the balance *)
-  let collect_round () =
-    let per_w =
-      Array.map
-        (fun tbl ->
-          let l = Hashtbl.fold (fun p lst acc -> (p, List.rev !lst) :: acc) tbl [] in
-          Hashtbl.reset tbl;
-          List.sort (fun (a, _) (b, _) -> String.compare a b) l)
-        wfresh
-    in
+    Array.fill exch_s 0 nw 0.0;
+    let per_w = Array.map (fun tbl -> drain tbl ( ! )) wfresh in
     let wtot = Array.map total_fresh per_w in
     let total = Array.fold_left ( + ) 0 wtot in
     if tracing && total > 0 && nw > 1 then (
@@ -604,36 +442,14 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
         List.iter (fun (p, ts) -> Matcher.Shard.set_delta shards.(w) p ts) fr)
       per_w
   in
-  let round_no = ref 0 in
-  let open_round () =
-    if tracing then (
-      Observe.Trace.open_span trace ~kind:"round" (string_of_int !round_no);
-      Stdlib.incr round_no)
+  let _, stages =
+    rounds ~trace
+      ~first:(`Round0 (fun () -> run_round derive_full))
+      ~step:(fun per_w ->
+        absorb_and_install per_w;
+        run_round derive_delta)
   in
-  let close_round d =
-    if tracing then (
-      Observe.Trace.incr trace "fixpoint.rounds";
-      Observe.Trace.gauge_max trace "fixpoint.delta_max" d;
-      Observe.Trace.add trace "fixpoint.delta_total" d;
-      Observe.Trace.close_span trace
-        ~fields:[ Observe.Trace.fint "delta" d ]
-        ())
-  in
-  open_round ();
-  run_round derive_full;
-  let per_w0, total0 = collect_round () in
-  close_round total0;
-  let rec loop per_w total stages =
-    if total = 0 then (Matcher.Db.instance db, stages)
-    else (
-      open_round ();
-      absorb_and_install per_w;
-      run_round derive_delta;
-      let per_w', total' = collect_round () in
-      close_round total';
-      loop per_w' total' (stages + 1))
-  in
-  let result = loop per_w0 total0 0 in
+  let result = (Matcher.Db.instance db, stages) in
   if tracing then (
     Observe.Trace.gauge_max trace "par.domains" nw;
     Observe.Trace.add trace "par.exchange_ms"
@@ -643,15 +459,6 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
     Array.iter (fun c -> Observe.Trace.merge_counters trace c) wctx);
   result
 
-(* Which parallel driver [seminaive_fixpoint_db] dispatches to. Sharded
-   is the default; the barrier-merge driver is kept for comparison
-   (bench e20 measures exchange vs merge on the same workload). *)
-type par_strategy = Sharded | Merge
-
-let strategy = ref Sharded
-let set_par_strategy s = strategy := s
-let par_strategy () = !strategy
-
 let seminaive_fixpoint_db ?(trace = Observe.Trace.null) ?neg_db prepared
     ~delta_preds ~dom db =
   let with_dps = with_delta_preds prepared delta_preds in
@@ -659,10 +466,7 @@ let seminaive_fixpoint_db ?(trace = Observe.Trace.null) ?neg_db prepared
   | Some pool ->
       Fun.protect
         ~finally:(fun () -> Parallel.Pool.release pool)
-        (fun () ->
-          match !strategy with
-          | Sharded -> seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db
-          | Merge -> seminaive_par ~trace ?neg_db ~pool ~with_dps ~dom db)
+        (fun () -> seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db)
   | None ->
       (* jobs > 1 but the pool is held by an enclosing fixpoint: count
          the degradation instead of hiding it *)
@@ -770,9 +574,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
           (fun t ->
             if Matcher.Db.mem db p t then (
               let lst, seen = pred_state tmp p in
-              if not (Matcher.IdTbl.mem seen (Tuple.ids t)) then (
-                Matcher.IdTbl.replace seen (Tuple.ids t) ();
-                lst := t :: !lst)))
+              add_unseen lst seen (Tuple.ids t)))
           ts)
       deletions;
     take_fresh tmp
@@ -822,16 +624,15 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                            pos
                            && Matcher.Db.memset_mem (Matcher.Db.memset db p)
                                 ids
-                           && not (Matcher.IdTbl.mem (seen_of p) ids)
-                         then (
-                           let t = Tuple.of_ids (Array.copy ids) in
-                           Matcher.IdTbl.replace (seen_of p) (Tuple.ids t) ();
-                           let lst, _ = pred_state fresh p in
-                           lst := t :: !lst)))
+                         then
+                           add_unseen (fst (pred_state fresh p)) (seen_of p)
+                             ids))
             )
             dps)
         dprep.dr_with_dps;
-      let next = take_fresh fresh in
+      (* a predicate whose firings were all seen before leaves an empty
+         entry; dropping it keeps the loop's exit test exact *)
+      let next = List.filter (fun (_, ts) -> ts <> []) (take_fresh fresh) in
       List.iter (fun (p, ts) -> add_cone p ts) next;
       frontier := next
     done;
@@ -848,17 +649,14 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
       cone_preds;
     (* phase 3: re-derivation seed *)
     let r0 : fresh_tbl = Hashtbl.create 4 in
-    let add_r0 p t =
+    let add_r0 p ids =
       let lst, rseen = pred_state r0 p in
-      let ids = Tuple.ids t in
-      if not (Matcher.IdTbl.mem rseen ids) then (
-        Matcher.IdTbl.replace rseen ids ();
-        lst := t :: !lst)
+      add_unseen lst rseen ids
     in
     List.iter
       (fun p ->
         List.iter
-          (fun t -> if Instance.mem_fact p t edb then add_r0 p t)
+          (fun t -> if Instance.mem_fact p t edb then add_r0 p (Tuple.ids t))
           !(Hashtbl.find cone p))
       cone_preds;
     List.iter
@@ -875,7 +673,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                      pos
                      && not
                           (Matcher.Db.memset_mem (Matcher.Db.memset db p) ids)
-                   then add_r0 p (Tuple.of_ids (Array.copy ids)))))
+                   then add_r0 p ids)))
       dprep.dr_guards;
     (* phase 4: propagate the survivors *)
     let seed = take_fresh r0 in
@@ -893,25 +691,12 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
     { overdeleted = !overdeleted; rederived; cone_rounds = !cone_rounds })
 
 let naive_fixpoint ?(trace = Observe.Trace.null) prepared ~dom inst =
-  let tracing = Observe.Trace.enabled trace in
-  let rec loop current stages =
-    if tracing then
-      Observe.Trace.open_span trace ~kind:"round" (string_of_int stages);
+  let step current =
     let db = Matcher.Db.of_instance ~trace current in
-    let derived = consequences_db prepared db ~dom in
-    let next = Instance.union current derived in
-    if tracing then (
-      let d = Instance.total_facts next - Instance.total_facts current in
-      Observe.Trace.incr trace "fixpoint.rounds";
-      Observe.Trace.gauge_max trace "fixpoint.delta_max" d;
-      Observe.Trace.add trace "fixpoint.delta_total" d;
-      Observe.Trace.close_span trace
-        ~fields:[ Observe.Trace.fint "delta" d ]
-        ());
-    if Instance.equal next current then (current, stages)
-    else loop next (stages + 1)
+    let next = Instance.union current (consequences_db prepared db ~dom) in
+    (next, Instance.total_facts next - Instance.total_facts current)
   in
-  loop inst 0
+  rounds ~trace ~first:(`Round0 (fun () -> step inst)) ~step
 
 let stage_trace prepared ~dom inst =
   let db = Matcher.Db.of_instance inst in

@@ -79,30 +79,26 @@ val consequences_signed :
 
     When the global {!Parallel.Pool} is available (jobs > 1 and not held
     by an enclosing fixpoint), each round's firing work runs on the
-    pool's domains under the strategy selected by {!set_par_strategy}:
+    pool's domains: every worker owns a hash-partitioned shard of each
+    head predicate ({!Matcher.Shard}); it derives from its own delta
+    slices, dedups owned facts locally, and routes foreign facts through
+    a batched {!Parallel.Exchange} drained in a second phase of the same
+    fan-out — there is no global merge. Counters: [par.domains] (gauge),
+    [par.tasks], [par.exchange_ms] (critical-path drain time),
+    [par.exchanged_tuples] (cross-shard traffic) and [par.shard_skew]
+    (gauge; [100] = balanced, [100 * domains] = one shard owns every
+    fresh fact). Otherwise the rounds run sequentially.
 
-    - {!Sharded} (default): every worker owns a hash-partitioned shard
-      of each head predicate ({!Matcher.Shard}); it derives from its own
-      delta slices, dedups owned facts locally, and routes foreign facts
-      through a batched {!Parallel.Exchange} drained in a second phase
-      of the same fan-out — there is no global merge. Counters:
-      [par.domains] (gauge), [par.tasks], [par.exchange_ms]
-      (critical-path drain time), [par.exchanged_tuples] (cross-shard
-      traffic) and [par.shard_skew] (gauge; [100] = balanced,
-      [100 * domains] = one shard owns every fresh fact).
-    - {!Merge}: the earlier barrier-merge driver — per rule on round 0,
-      per (rule, delta-pred, delta-slice) afterwards, worker-private
-      buffers folded into one accumulator at the barrier; its merge cost
-      is [par.merge_ms].
-
-    Both preserve the round structure, so the returned instance and
-    stage count are identical to a sequential run (and the printed
-    instance byte-identical); worker-side counters are folded in at the
-    end, and their totals may legitimately differ from a sequential run
-    (e.g. two workers deriving a fact the routing then dedups). When
-    jobs > 1 but the pool is held by an enclosing fixpoint, the run
-    degrades to sequential and counts [par.pool.fallbacks] (see also
-    {!Parallel.Pool.fallback_count}). *)
+    The sharded rounds have the same structure as the sequential ones:
+    the per-round delta set, and hence the [round] spans and the
+    [fixpoint.rounds], [fixpoint.delta_max] and [fixpoint.delta_total]
+    counters, the returned instance and the stage count are identical
+    (and the printed instance byte-identical). Worker-side counters are
+    folded in at the end; derivation counts may legitimately differ
+    from a sequential run (e.g. two workers deriving a fact the routing
+    then dedups). When jobs > 1 but the pool is held by an enclosing
+    fixpoint, the run degrades to sequential and counts
+    [par.pool.fallbacks] (see also {!Parallel.Pool.fallback_count}). *)
 val seminaive_fixpoint :
   ?trace:Observe.Trace.ctx ->
   ?neg_db:Matcher.Db.t ->
@@ -201,16 +197,6 @@ val dred :
   Matcher.Db.t ->
   (string * Tuple.t list) list ->
   dred_stats
-
-(** The parallel execution strategy of {!seminaive_fixpoint} (see
-    there). Process-global, like the pool itself. *)
-type par_strategy =
-  | Sharded  (** shard-owned state + batched exchange (default) *)
-  | Merge  (** shared state + sequential barrier merge (kept for
-               comparison; bench e20) *)
-
-val set_par_strategy : par_strategy -> unit
-val par_strategy : unit -> par_strategy
 
 (** [naive_fixpoint prepared ~dom inst] is the same fixpoint computed by
     full re-evaluation at every stage — the reference strategy. [trace]

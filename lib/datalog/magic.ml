@@ -35,6 +35,13 @@ let rewrite p (query : Ast.atom) =
       (Ast.Check_error
          (Printf.sprintf "Magic.rewrite: %s is not an idb predicate"
             query.Ast.pred));
+  let arity = Schema.arity_of query.Ast.pred (Ast.infer_schema p) in
+  let given = List.length query.Ast.args in
+  if given <> arity then
+    raise
+      (Ast.Check_error
+         (Printf.sprintf "Magic.rewrite: %s has arity %d, query gives %d"
+            query.Ast.pred arity given));
   let query_adornment = adorn [] query in
   let out_rules = ref [] in
   let done_adornments = Hashtbl.create 16 in

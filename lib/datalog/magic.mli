@@ -31,8 +31,9 @@ type rewritten = {
     constant arguments are the bound positions. An all-free query is
     rewritten too (its magic guard is the 0-ary seed, so the rewriting is
     a no-op up to reachability of rules from the query).
-    @raise Ast.Check_error if [p] is not pure Datalog or [query]'s
-    predicate is not an idb predicate of [p]. *)
+    @raise Ast.Check_error if [p] is not pure Datalog, [query]'s
+    predicate is not an idb predicate of [p], or [query]'s arity differs
+    from the predicate's. *)
 val rewrite : Ast.program -> Ast.atom -> rewritten
 
 (** A query session: one persistent {!Matcher.Db} plus rewrites memoized

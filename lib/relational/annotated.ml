@@ -1,18 +1,10 @@
 (* Semiring-annotated relations: a plain [Relation.t] (the support)
    plus a side-car map from interned-id vectors to annotation values.
 
-   The side-car shape is the tentpole's zero-regression story: the trie,
-   its memoized sorted views and every set engine stay byte-identical —
+   The side-car shape keeps the set core untouched: the trie, its
+   memoized sorted views and every set engine stay byte-identical —
    Boolean evaluation never allocates or consults a map — while the
-   annotated paths carry the same tuples with their values alongside.
-
-   The operators mirror the positive fragment of {!Algebra}:
-   union combines coinciding tuples with ⊕, join/product combine the
-   matched operands with ⊗, and projection ⊕-aggregates the tuples that
-   collapse onto one output row — the K-relation semantics of Green,
-   Karvounarakis & Tannen carried over the interned core. These
-   interpreters favor clarity over fusion: the annotated paths serve
-   provenance queries and oracles, not the fixpoint hot loop. *)
+   annotated paths carry the same tuples with their values alongside. *)
 
 module KTbl = Hashtbl.Make (struct
   type t = int array
@@ -48,10 +40,6 @@ let cardinal (m : map) = KTbl.length m
 
 type rel = { rel : Relation.t; ann : map }
 
-let annotation sr r tup = find sr r.ann (Tuple.ids tup)
-
-let empty = { rel = Relation.empty; ann = KTbl.create 1 }
-
 let of_relation (sr : Semiring.t) rel f =
   let ann = KTbl.create (max 16 (2 * Relation.cardinal rel)) in
   Relation.unordered_iter
@@ -65,141 +53,3 @@ let of_relation (sr : Semiring.t) rel f =
     else Relation.filter (fun t -> KTbl.mem ann (Tuple.ids t)) rel
   in
   { rel; ann }
-
-let union sr a b =
-  let ann = KTbl.create (max 16 (cardinal a.ann + cardinal b.ann)) in
-  KTbl.iter (fun ids v -> KTbl.replace ann ids v) a.ann;
-  KTbl.iter (fun ids v -> combine sr ann ids v) b.ann;
-  { rel = Relation.union a.rel b.rel; ann }
-
-let select pred a =
-  let rel = Relation.filter pred a.rel in
-  if Relation.cardinal rel = Relation.cardinal a.rel then a
-  else
-    let ann = KTbl.create (max 16 (2 * Relation.cardinal rel)) in
-    Relation.unordered_iter
-      (fun t ->
-        match KTbl.find_opt a.ann (Tuple.ids t) with
-        | Some v -> KTbl.replace ann (Tuple.ids t) v
-        | None -> ())
-      rel;
-    { rel; ann }
-
-let project sr cols a =
-  let cols = Array.of_list cols in
-  let ann = KTbl.create (max 16 (2 * Relation.cardinal a.rel)) in
-  Relation.unordered_iter
-    (fun t ->
-      let out = Array.map (fun c -> Tuple.id t c) cols in
-      combine sr ann out (find sr a.ann (Tuple.ids t)))
-    a.rel;
-  let rel =
-    Relation.of_distinct (KTbl.fold (fun ids _ acc -> Tuple.of_ids ids :: acc) ann [])
-  in
-  { rel; ann }
-
-(* Hash join on [pairs], full-width output (left ++ right), annotations
-   combined with ⊗. [Product] is the [pairs = []] case: every right
-   tuple matches the one empty key. *)
-let join sr pairs a b =
-  match (Relation.arity a.rel, Relation.arity b.rel) with
-  | None, _ | _, None -> empty
-  | Some _, Some _ ->
-      let lcols = Array.of_list (List.map fst pairs)
-      and rcols = Array.of_list (List.map snd pairs) in
-      let index : Tuple.t list KTbl.t = KTbl.create 64 in
-      Relation.unordered_iter
-        (fun t ->
-          let k = Array.map (fun c -> Tuple.id t c) rcols in
-          KTbl.replace index k
-            (t :: (try KTbl.find index k with Not_found -> [])))
-        b.rel;
-      let out = ref [] in
-      let ann = KTbl.create 64 in
-      Relation.unordered_iter
-        (fun lt ->
-          let k = Array.map (fun c -> Tuple.id lt c) lcols in
-          match KTbl.find_opt index k with
-          | None -> ()
-          | Some rts ->
-              let lv = find sr a.ann (Tuple.ids lt) in
-              List.iter
-                (fun rt ->
-                  let t = Tuple.concat lt rt in
-                  out := t :: !out;
-                  KTbl.replace ann (Tuple.ids t)
-                    (sr.Semiring.times lv (find sr b.ann (Tuple.ids rt))))
-                rts)
-        a.rel;
-      { rel = Relation.of_distinct !out; ann }
-
-let product sr a b = join sr [] a b
-
-(* Intersection = join over all columns projected back: coinciding
-   tuples combine with ⊗. *)
-let inter sr a b =
-  let rel = Relation.inter a.rel b.rel in
-  let ann = KTbl.create (max 16 (2 * Relation.cardinal rel)) in
-  Relation.unordered_iter
-    (fun t ->
-      let ids = Tuple.ids t in
-      KTbl.replace ann ids
-        (sr.Semiring.times (find sr a.ann ids) (find sr b.ann ids)))
-    rel;
-  { rel; ann }
-
-(* Semijoin is a support filter: surviving left tuples keep their own
-   annotation (bag semantics — the right side contributes existence,
-   not multiplicity). This matches how the demand compiler uses
-   semijoins as guards. *)
-let semijoin pairs a b =
-  let lcols = Array.of_list (List.map fst pairs)
-  and rcols = Array.of_list (List.map snd pairs) in
-  let index : unit KTbl.t = KTbl.create 64 in
-  Relation.unordered_iter
-    (fun t -> KTbl.replace index (Array.map (fun c -> Tuple.id t c) rcols) ())
-    b.rel;
-  select (fun lt -> KTbl.mem index (Array.map (fun c -> Tuple.id lt c) lcols)) a
-
-(* --- annotated evaluation of Algebra plans ------------------------- *)
-
-exception Unsupported of string
-
-(* The positive (monotone) fragment generalizes; the non-monotone
-   operators have no K-relation semantics for an arbitrary semiring
-   (difference needs additive inverses), so under a non-Boolean
-   instance they raise — the explicit, tested boundary. Under [Bool]
-   the whole expression delegates to the untouched set evaluator and
-   every tuple is annotated [true]: the set semantics IS the Boolean
-   instance, monomorphized. *)
-let eval (sr : Semiring.t) ~leaf inst e =
-  if sr.Semiring.tag = Semiring.Bool then
-    of_relation sr (Algebra.eval inst e) (fun _ -> Semiring.B true)
-  else
-    let rec ev (e : Algebra.expr) =
-      match e with
-      | Algebra.Rel name ->
-          let r = Instance.find name inst in
-          of_relation sr r (leaf name)
-      | Algebra.Const r -> of_relation sr r (fun _ -> sr.Semiring.one)
-      | Algebra.Project (cols, e0) -> project sr cols (ev e0)
-      | Algebra.Select (c, e0) -> select (Algebra.holds_cond c) (ev e0)
-      | Algebra.Product (l, r) -> product sr (ev l) (ev r)
-      | Algebra.Join (pairs, l, r) -> join sr pairs (ev l) (ev r)
-      | Algebra.Union (l, r) -> union sr (ev l) (ev r)
-      | Algebra.Inter (l, r) -> inter sr (ev l) (ev r)
-      | Algebra.Semijoin (pairs, l, r) -> semijoin pairs (ev l) (ev r)
-      | Algebra.Diff _ -> unsupported "difference"
-      | Algebra.Antijoin _ -> unsupported "antijoin"
-      | Algebra.Complement _ -> unsupported "complement"
-      | Algebra.Adom -> unsupported "adom"
-    and unsupported op =
-      raise
-        (Unsupported
-           (Printf.sprintf
-              "Annotated.eval: %s has no %s-semiring semantics (only the \
-               positive fragment annotates; use --annot bool)"
-              op
-              (Semiring.name_of sr.Semiring.tag)))
-    in
-    ev e

@@ -1,13 +1,9 @@
 (** Semiring-annotated relations: a {!Relation.t} support plus a
-    side-car map from interned-id vectors to {!Semiring.v} values, and
-    the K-relation operators over them (union ⊕, join/product ⊗,
-    projection ⊕-aggregation).
+    side-car map from interned-id vectors to {!Semiring.v} values — the
+    storage of {!Datalog.Annot_eval}'s annotated fixpoint.
 
     The side-car representation keeps the set core untouched: Boolean
-    evaluation never sees these maps, so the hot path cannot regress.
-    The annotated interpreters favor clarity over fusion — they serve
-    provenance queries and test oracles, not the fixpoint loop (which
-    goes through {!Datalog.Annot_eval}'s derivation-graph iteration). *)
+    evaluation never sees these maps, so the hot path cannot regress. *)
 
 type map
 (** Mutable annotation map keyed by interned-id vectors. Tuples absent
@@ -26,50 +22,9 @@ val fold : (int array -> Semiring.v -> 'a -> 'a) -> map -> 'a -> 'a
 val cardinal : map -> int
 
 type rel = { rel : Relation.t; ann : map }
-(** An annotated relation. Invariant maintained by the operators:
-    every tuple of [rel] has a non-[zero] entry in [ann]. *)
-
-val empty : rel
-
-(** [annotation sr r t] is [t]'s annotation in [r] (or [sr.zero]). *)
-val annotation : Semiring.t -> rel -> Tuple.t -> Semiring.v
+(** An annotated relation: every tuple of [rel] has a non-[zero] entry
+    in [ann]. *)
 
 (** [of_relation sr r f] annotates each tuple of [r] with [f t],
     dropping tuples annotated [zero]. *)
 val of_relation : Semiring.t -> Relation.t -> (Tuple.t -> Semiring.v) -> rel
-
-val union : Semiring.t -> rel -> rel -> rel
-val select : (Tuple.t -> bool) -> rel -> rel
-
-(** ⊕-aggregates the input tuples collapsing onto one output row. *)
-val project : Semiring.t -> int list -> rel -> rel
-
-(** Equijoin on column pairs, full-width output, annotations ⊗-combined.
-    [product] is the empty-pairs case. *)
-val join : Semiring.t -> (int * int) list -> rel -> rel -> rel
-
-val product : Semiring.t -> rel -> rel -> rel
-
-(** Coinciding tuples ⊗-combine. *)
-val inter : Semiring.t -> rel -> rel -> rel
-
-(** A support filter: survivors keep their left annotation (the right
-    operand contributes existence, not multiplicity — the demand
-    compiler's guard semantics). *)
-val semijoin : (int * int) list -> rel -> rel -> rel
-
-exception Unsupported of string
-
-(** [eval sr ~leaf inst e] evaluates an {!Algebra} expression with
-    annotations: base facts of relation [p] get [leaf p t]. Under
-    [Bool] the whole expression delegates to {!Algebra.eval} (the set
-    semantics {e is} the Boolean instance) and every tuple is [B true].
-    @raise Unsupported when a non-monotone operator (difference,
-    antijoin, complement, adom) appears under a non-Boolean instance —
-    those need additive inverses no semiring here has. *)
-val eval :
-  Semiring.t ->
-  leaf:(string -> Tuple.t -> Semiring.v) ->
-  Instance.t ->
-  Algebra.expr ->
-  rel

@@ -4,7 +4,9 @@
    count, the computed instances must be byte-identical to a sequential
    run. Trace counters are explicitly NOT part of that contract (e.g.
    [fixpoint.tuples_derived] may double-count across workers before the
-   merge dedup), so these tests compare instances only. *)
+   owner's dedup), so these tests compare instances — except for the
+   round-shape counters, which the shared round skeleton makes
+   deterministic. *)
 
 open Relational
 open Helpers
@@ -318,53 +320,48 @@ let test_determinism_wellfounded () =
     [ 9; 17 ]
 
 (* ------------------------------------------------------------------ *)
-(* Sharded vs merge strategies                                         *)
+(* Round structure across job counts                                   *)
 (* ------------------------------------------------------------------ *)
 
-let with_strategy s f =
-  let saved = Datalog.Eval_util.par_strategy () in
-  Datalog.Eval_util.set_par_strategy s;
-  Fun.protect ~finally:(fun () -> Datalog.Eval_util.set_par_strategy saved) f
+(* The sharded and sequential loops share one round skeleton and derive
+   the same delta set per round, so the round-shape counters and the
+   number of "round" spans are deterministic across job counts (unlike
+   derivation counts, which may double-count across workers). *)
+let round_shape run =
+  let trace = Observe.Trace.make ~sinks:[] () in
+  run trace;
+  let spans =
+    List.fold_left
+      (fun n (kind, k, _) -> if kind = "round" then n + k else n)
+      0
+      (Observe.Trace.span_aggregates trace)
+  in
+  List.map
+    (fun c -> (c, Observe.Trace.counter trace c))
+    [ "fixpoint.rounds"; "fixpoint.delta_total"; "fixpoint.delta_max" ]
+  @ [ ("round spans", spans) ]
 
-let test_strategy_equivalence () =
-  (* Both parallel strategies must print byte-identical instances to the
-     sequential run, for every engine, at every job count. *)
+let test_round_counters_across_jobs () =
   let tc_inst = Graph_gen.random ~seed:42 40 100 in
   let comp_inst = with_vertices (Graph_gen.random ~seed:11 30 70) in
-  let win_inst = Graph_gen.random ~name:"Moves" ~seed:17 20 40 in
-  let renders =
+  List.iter
+    (fun (name, run) ->
+      let baseline = round_shape run in
+      List.iter
+        (fun j ->
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%s: round shape at -j %d matches -j 1" name j)
+            baseline
+            (with_jobs j (fun () -> round_shape run)))
+        [ 2; 4 ])
     [
       ( "seminaive tc",
-        fun () ->
-          Instance.to_string (Datalog.Seminaive.eval tc_program tc_inst).instance
+        fun trace -> ignore (Datalog.Seminaive.eval ~trace tc_program tc_inst)
       );
       ( "stratified comp",
-        fun () ->
-          Instance.to_string
-            (Datalog.Stratified.eval comp_program comp_inst).instance );
-      ( "wellfounded win",
-        fun () ->
-          let r = Datalog.Wellfounded.eval win_program win_inst in
-          Instance.to_string r.true_facts ^ "\n---\n"
-          ^ Instance.to_string r.possible );
+        fun trace ->
+          ignore (Datalog.Stratified.eval ~trace comp_program comp_inst) );
     ]
-  in
-  List.iter
-    (fun (name, render) ->
-      let baseline = render () in
-      List.iter
-        (fun (sname, strat) ->
-          with_strategy strat (fun () ->
-              List.iter
-                (fun j ->
-                  let out = with_jobs j render in
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s: %s at -j %d matches sequential" name
-                       sname j)
-                    baseline out)
-                [ 2; 4 ]))
-        [ ("merge", Datalog.Eval_util.Merge); ("shard", Datalog.Eval_util.Sharded) ])
-    renders
 
 let test_fallback_traced () =
   (* With the pool held, a parallel-eligible run falls back to
@@ -486,8 +483,8 @@ let suite =
       test_determinism_waves;
     Alcotest.test_case "determinism: well-founded" `Quick
       test_determinism_wellfounded;
-    Alcotest.test_case "strategies: shard == merge == sequential" `Quick
-      test_strategy_equivalence;
+    Alcotest.test_case "round counters agree across jobs" `Quick
+      test_round_counters_across_jobs;
     Alcotest.test_case "held pool: traced fallback" `Quick
       test_fallback_traced;
     Alcotest.test_case "hub graph: shard skew reported" `Quick

@@ -1,5 +1,5 @@
-(* Semiring-annotated evaluation: the law battery per instance, the
-   annotated algebra operators, and the Annot_eval fixpoint against
+(* Semiring-annotated evaluation: the law battery per instance and the
+   Annot_eval fixpoint against
    independent oracles — path counting for Count, Floyd–Warshall
    min-plus for MinPlus, and the untouched Boolean engines for Bool
    (byte-identical, the no-regression contract). *)
@@ -106,62 +106,6 @@ let test_mixed_instances_rejected () =
   match sr.S.times (S.C 1) (S.W 3) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mixed ⊗ must be rejected"
-
-(* --- annotated algebra operators ---------------------------------------- *)
-
-let csr = S.get S.Count
-
-let annotated_of rows =
-  Annotated.of_relation csr
-    (Relation.of_rows (List.map (fun (r, _) -> r) rows))
-    (fun tup ->
-      let _, n =
-        List.find (fun (r, _) -> Tuple.equal (Tuple.of_list r) tup) rows
-      in
-      S.C n)
-
-let check_ann msg r tup expected =
-  Alcotest.(check bool)
-    msg true
-    (S.equal_v (Annotated.annotation csr r (Tuple.of_list tup)) expected)
-
-let test_annotated_project_aggregates () =
-  let r =
-    annotated_of [ ([ v "a"; v "b" ], 2); ([ v "a"; v "c" ], 3) ]
-  in
-  let p = Annotated.project csr [ 0 ] r in
-  check_rel "support" (unary [ "a" ]) p.Annotated.rel;
-  check_ann "π ⊕-aggregates" p [ v "a" ] (S.C 5)
-
-let test_annotated_join_multiplies () =
-  let l = annotated_of [ ([ v "a"; v "b" ], 2) ] in
-  let r = annotated_of [ ([ v "b"; v "c" ], 3) ] in
-  let j = Annotated.join csr [ (1, 0) ] l r in
-  check_ann "⋈ ⊗-combines" j [ v "a"; v "b"; v "b"; v "c" ] (S.C 6)
-
-let test_annotated_union_adds () =
-  let l = annotated_of [ ([ v "a"; v "b" ], 2) ] in
-  let r = annotated_of [ ([ v "a"; v "b" ], 3); ([ v "b"; v "c" ], 1) ] in
-  let u = Annotated.union csr l r in
-  check_ann "∪ ⊕-combines" u [ v "a"; v "b" ] (S.C 5);
-  check_ann "∪ keeps singletons" u [ v "b"; v "c" ] (S.C 1)
-
-let test_annotated_eval_count () =
-  let inst = facts "G(a, b). G(a, b)." in
-  (* σ-free: a union of the same scan ⊕-doubles every tuple *)
-  let e = Algebra.Union (Algebra.Rel "G", Algebra.Rel "G") in
-  let r = Annotated.eval csr ~leaf:(fun _ _ -> S.C 1) inst e in
-  check_ann "1 ⊕ 1" r [ v "a"; v "b" ] (S.C 2)
-
-let test_annotated_eval_unsupported () =
-  let inst = facts "G(a, b)." in
-  let e = Algebra.Diff (Algebra.Rel "G", Algebra.Rel "G") in
-  (match Annotated.eval csr ~leaf:(fun _ _ -> S.C 1) inst e with
-  | exception Annotated.Unsupported _ -> ()
-  | _ -> Alcotest.fail "difference under Count must be Unsupported");
-  (* under Bool the same expression delegates to the set evaluator *)
-  let b = Annotated.eval (S.get S.Bool) ~leaf:(fun _ _ -> S.B true) inst e in
-  check_rel "Bool delegates" Relation.empty b.Annotated.rel
 
 (* --- Annot_eval vs oracles ----------------------------------------------- *)
 
@@ -324,16 +268,6 @@ let suite =
   @ [
       Alcotest.test_case "mixed instances rejected" `Quick
         test_mixed_instances_rejected;
-      Alcotest.test_case "annotated π ⊕-aggregates" `Quick
-        test_annotated_project_aggregates;
-      Alcotest.test_case "annotated ⋈ ⊗-combines" `Quick
-        test_annotated_join_multiplies;
-      Alcotest.test_case "annotated ∪ ⊕-combines" `Quick
-        test_annotated_union_adds;
-      Alcotest.test_case "annotated eval (Count)" `Quick
-        test_annotated_eval_count;
-      Alcotest.test_case "non-monotone ops Unsupported" `Quick
-        test_annotated_eval_unsupported;
       Alcotest.test_case "why diamond polynomial" `Quick test_why_diamond;
       Alcotest.test_case "count diamond = 2" `Quick test_count_diamond;
       Alcotest.test_case "count cycle = inf" `Quick test_count_cycle_is_inf;

@@ -109,11 +109,14 @@ let test_protocol_roundtrip () =
 
 let test_handle_errors () =
   let eng = E.create tc_program (facts "G(a, b).") in
-  let bad line =
+  let bad ?msg line =
     let resp, keep = Server.Daemon.handle eng line in
     Alcotest.(check bool) ("keeps serving after " ^ line) true keep;
     match P.parse_response resp with
-    | Error _ -> ()
+    | Error e ->
+        Option.iter
+          (fun m -> Alcotest.(check string) ("error for " ^ line) m e)
+          msg
     | Ok _ -> Alcotest.failf "expected a protocol error for %s" line
   in
   bad "this is not json";
@@ -123,6 +126,10 @@ let test_handle_errors () =
   bad {|{"op":"assert","facts":"G(a)."}|};
   bad {|{"op":"query","atom":"T(a, Y)","via":"warp"}|};
   bad {|{"op":"query","atom":"T("}|};
+  (* a wrong-arity atom is a checked error on both demand paths *)
+  let arity = "Magic.rewrite: T has arity 2, query gives 1" in
+  bad ~msg:arity {|{"op":"query","atom":"T(a)","via":"demand"}|};
+  bad ~msg:arity {|{"op":"query","atom":"T(a)","via":"magic"}|};
   (* the engine survived all of it *)
   let resp, keep = Server.Daemon.handle eng {|{"op":"query","atom":"T(a, Y)"}|} in
   Alcotest.(check bool) "alive" true keep;
