@@ -28,7 +28,9 @@ bench:
 # negation query through the safe-range compiler and checks that the
 # compiled path (not a fallback) produced it. The demand smoke step
 # answers a point query twice through the demand compiler and checks
-# that plans were compiled and the repeat was a cache hit. The explain
+# that plans were compiled, the repeat was a cache hit, and the
+# multi-round fixpoint probed memoized stored-relation join indexes
+# (a non-zero ra.index.hits: the memo engaged). The explain
 # smoke step runs --explain on a demand TC query and checks the
 # annotated tree shows a join operator with an actual rows-out figure.
 # The shard smoke step runs the sharded (default) parallel path at -j 4,
@@ -76,6 +78,7 @@ ci:
 	dune exec -- datalog-unchained query _ci_tc.dl -q 'T(a, Y)' -q 'T(a, d)' --demand --stats > _ci_demand.out
 	grep -q 'demand.plan.compiled' _ci_demand.out
 	grep -q 'demand.cache.hits *1' _ci_demand.out
+	grep -qE 'ra\.index\.hits +[1-9]' _ci_demand.out
 	dune exec -- datalog-unchained query _ci_tc.dl -q 'T(a, Y)' --demand --explain > _ci_explain.out
 	grep -qE 'join\[[0-9]+=[0-9]+\].* rows_out=[0-9]+' _ci_explain.out
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\n' > _ci_srv.dl

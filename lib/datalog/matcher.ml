@@ -1,27 +1,10 @@
 open Relational
 
-(* Hashable interned-id vectors: the key type of every secondary index
-   and of the matcher's dedup set. Equality is int-array comparison and
-   hashing a short integer mix — no polymorphic hashing, no value
-   structure walked on the hot path. *)
-module IdKey = struct
-  type t = int array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec eq i =
-      i >= Array.length a
-      || (Array.unsafe_get a i = Array.unsafe_get b i && eq (i + 1))
-    in
-    eq 0
-
-  (* same avalanching mix as [Tuple.hash_ids]: index keys are dense
-     small ids, so a weak polynomial hash would cluster every bucket *)
-  let hash = Tuple.hash_ids
-end
-
-module KTbl = Hashtbl.Make (IdKey)
+(* Interned-id vectors key every secondary index and the matcher's
+   dedup set: equality is int-array comparison and hashing a short
+   avalanching integer mix ({!Tuple.hash_ids}) — no polymorphic hashing,
+   no value structure walked on the hot path. *)
+module KTbl = Tuple.KTbl
 module IdTbl = KTbl
 
 (* The one index-append: cons [t] onto the bucket keyed [k], creating
@@ -827,7 +810,6 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
     (* dedup: different derivations (delta passes, ∀-witnesses) can yield
        the same projected valuation — a hash set over the kept id vectors
        replaces the legacy terminal sort_uniq. *)
-    let module Seen = Hashtbl.Make (IdKey) in
     (* Within one pass, distinct derivation paths always differ at some
        bound slot and [keep] covers every bound slot, so emits are already
        unique: the hash set is needed only when several delta passes can
@@ -845,7 +827,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
             0 prepared.csteps
     in
     let dedup = npasses > 1 || prepared.need_dom in
-    let seen = Seen.create (if dedup then 1024 else 1) in
+    let seen = KTbl.create (if dedup then 1024 else 1) in
     let nresults = ref 0 in
     let nkeep = Array.length prepared.keep in
     let emit () =
@@ -857,8 +839,8 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
               assert (v >= 0);
               v)
         in
-        if not (Seen.mem seen vals) then (
-          Seen.add seen vals ();
+        if not (KTbl.mem seen vals) then (
+          KTbl.add seen vals ();
           incr nresults;
           consume ~tval ~vals:(Some vals)))
       else (

@@ -142,42 +142,8 @@ let rec holds_cond c t =
   | And (a, b) -> holds_cond a t && holds_cond b t
   | Or (a, b) -> holds_cond a t || holds_cond b t
 
-(* Join keys are projected interned-id vectors: hashing and equality are
-   flat int-array operations, never structural walks over values. *)
-module KTbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : int array) b =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec eq i =
-      i = la || (Array.unsafe_get a i = Array.unsafe_get b i && eq (i + 1))
-    in
-    eq 0
-
-  let hash = Tuple.hash_ids
-end)
-
-let key cols t = Array.map (fun c -> Tuple.id t c) cols
-
-(* Single-int keys for one- and two-column keys: interned ids are dense
-   table indices far below 2^31, so a pair packs reversibly into one int
-   on 64-bit hosts — no array allocation per probe or emitted tuple. *)
-let can_pack = Sys.int_size >= 63
-let pack2 a b = (a lsl 31) lor b
-let unpack2_hi k = k lsr 31
-let unpack2_lo k = k land 0x7FFFFFFF
-
-module ITbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash x =
-    let h = x * 0x9E3779B1 in
-    (h lxor (h lsr 29)) land max_int
-end)
+module KTbl = Tuple.KTbl
+module ITbl = Tuple.ITbl
 
 (* Deduplicating collector for bulk-built results: id arrays go through a
    hash set, the relation is constructed in one [of_distinct] pass. *)
@@ -198,56 +164,59 @@ type idset =
 let idset_mem s ids =
   match s with
   | Packed1 t -> ITbl.mem t ids.(0)
-  | Packed2 t -> ITbl.mem t (pack2 ids.(0) ids.(1))
+  | Packed2 t -> ITbl.mem t (Tuple.pack2 ids.(0) ids.(1))
   | Keyed t -> KTbl.mem t ids
 
 let idset_tuples s =
   match s with
   | Packed1 t -> ITbl.fold (fun k () acc -> Tuple.of_ids [| k |] :: acc) t []
   | Packed2 t ->
-      ITbl.fold
-        (fun k () acc -> Tuple.of_ids [| unpack2_hi k; unpack2_lo k |] :: acc)
-        t []
+      ITbl.fold (fun k () acc -> Tuple.of_ids (Tuple.unpack2 k) :: acc) t []
   | Keyed t -> KTbl.fold (fun ids () acc -> Tuple.of_ids ids :: acc) t []
 
-(* Hash join on the given column pairs, indexing the smaller operand and
-   probing with the larger. Single-column keys go through a plain int
-   table. Builds the index once and returns an iterator over matching
-   (left, right) tuple pairs. *)
-let join_matches ~trace pairs left right =
+(* [r]'s index on [cols], and whether it is a memo: [r]'s memoized one
+   when [r] is a stored leaf and the memo is available, else built
+   afresh. *)
+let index_on ~trace stored r cols =
+  match if stored then Relation.index ~trace r cols else None with
+  | Some idx -> (true, idx)
+  | None -> (false, Relation.build_index r cols)
+
+(* Hash join on the given column pairs: whether a memoized index served
+   it, and an iterator over the matching (left, right) tuple pairs.
+   [stored] flags the operands that are stored leaves, whose values
+   persist across executions (see {!Relation.index}). When the larger
+   operand is stored and its memo is available, the smaller probes it;
+   otherwise the smaller operand is indexed — from its own memo when it
+   is stored — and probed with the larger. *)
+let join_matches ~trace ~stored:(ls, rs) pairs left right =
   let lcols = Array.of_list (List.map fst pairs)
   and rcols = Array.of_list (List.map snd pairs) in
   let swap = Relation.cardinal left < Relation.cardinal right in
-  let icols, pcols, indexed, probed =
-    if swap then (lcols, rcols, left, right) else (rcols, lcols, right, left)
+  let small, scols, s_stored, big, bcols, b_stored =
+    if swap then (left, lcols, ls, right, rcols, rs)
+    else (right, rcols, rs, left, lcols, ls)
   in
-  Observe.Trace.add trace "ra.join.probes" (Relation.cardinal probed);
-  let find =
-    if Array.length icols = 1 then (
-      let c = icols.(0) and pc = pcols.(0) in
-      let index : Tuple.t list ITbl.t = ITbl.create 64 in
-      Relation.unordered_iter
-        (fun t ->
-          let k = Tuple.id t c in
-          ITbl.replace index k
-            (t :: (try ITbl.find index k with Not_found -> [])))
-        indexed;
-      fun pt -> try ITbl.find index (Tuple.id pt pc) with Not_found -> [])
-    else (
-      let index : Tuple.t list KTbl.t = KTbl.create 64 in
-      Relation.unordered_iter
-        (fun t ->
-          let k = key icols t in
-          KTbl.replace index k
-            (t :: (try KTbl.find index k with Not_found -> [])))
-        indexed;
-      fun pt -> try KTbl.find index (key pcols pt) with Not_found -> [])
-  in
-  fun f ->
-    Relation.unordered_iter
-      (fun pt ->
-        List.iter (fun it -> if swap then f it pt else f pt it) (find pt))
-      probed
+  match if b_stored then Relation.index ~trace big bcols else None with
+  | Some idx ->
+      Observe.Trace.add trace "ra.join.probes" (Relation.cardinal small);
+      let find = Relation.lookup idx scols in
+      ( true,
+        fun f ->
+          Relation.unordered_iter
+            (fun st ->
+              List.iter (fun bt -> if swap then f st bt else f bt st) (find st))
+            small )
+  | None ->
+      let memoized, idx = index_on ~trace s_stored small scols in
+      Observe.Trace.add trace "ra.join.probes" (Relation.cardinal big);
+      let find = Relation.lookup idx bcols in
+      ( memoized,
+        fun f ->
+          Relation.unordered_iter
+            (fun bt ->
+              List.iter (fun st -> if swap then f st bt else f bt st) (find bt))
+            big )
 
 (* Dense-universe variant of [join_matches] for a single-pair join whose
    indexed keys all lie below [b]: the index is a plain array, one load
@@ -287,69 +256,53 @@ let dense_join_matches ~trace ~b (lc, rc) left right =
 let join_col ~al lt rt c =
   if c < al then Tuple.id lt c else Tuple.id rt (c - al)
 
-let join_set ~trace ~al pairs cols left right =
-  let each = join_matches ~trace pairs left right in
+let join_set ~trace ~stored ~al pairs cols left right =
+  let memo, each = join_matches ~trace ~stored pairs left right in
   let k = Array.length cols in
   let get = join_col ~al in
-  if can_pack && k = 1 then (
-    let s = ITbl.create 256 in
-    let c0 = cols.(0) in
-    each (fun lt rt -> ITbl.replace s (get lt rt c0) ());
-    Packed1 s)
-  else if can_pack && k = 2 then (
-    let s = ITbl.create 256 in
-    let c0 = cols.(0) and c1 = cols.(1) in
-    each (fun lt rt -> ITbl.replace s (pack2 (get lt rt c0) (get lt rt c1)) ());
-    Packed2 s)
-  else (
-    let s = KTbl.create 256 in
-    each (fun lt rt -> KTbl.replace s (Array.map (get lt rt) cols) ());
-    Keyed s)
+  ( memo,
+    if Tuple.can_pack && k = 1 then (
+      let s = ITbl.create 256 in
+      let c0 = cols.(0) in
+      each (fun lt rt -> ITbl.replace s (get lt rt c0) ());
+      Packed1 s)
+    else if Tuple.can_pack && k = 2 then (
+      let s = ITbl.create 256 in
+      let c0 = cols.(0) and c1 = cols.(1) in
+      each (fun lt rt ->
+          ITbl.replace s (Tuple.pack2 (get lt rt c0) (get lt rt c1)) ());
+      Packed2 s)
+    else (
+      let s = KTbl.create 256 in
+      each (fun lt rt -> KTbl.replace s (Array.map (get lt rt) cols) ());
+      Keyed s) )
 
-let equijoin ?(trace = Observe.Trace.null) ?proj pairs left right =
+let equijoin ~trace ~stored ?proj pairs left right =
   match proj with
   | None ->
       (* distinct (lt, rt) pairs concatenate to distinct tuples *)
-      let each = join_matches ~trace pairs left right in
+      let memo, each = join_matches ~trace ~stored pairs left right in
       let out = ref [] in
       each (fun lt rt -> out := Tuple.concat lt rt :: !out);
-      Relation.of_distinct !out
+      (memo, Relation.of_distinct !out)
   | Some cols ->
       let al = match Relation.arity left with Some a -> a | None -> 0 in
-      Relation.of_distinct
-        (idset_tuples (join_set ~trace ~al pairs cols left right))
+      let memo, set = join_set ~trace ~stored ~al pairs cols left right in
+      (memo, Relation.of_distinct (idset_tuples set))
 
-(* Hash semi/antijoin: index the right side's key projection as a set,
-   keep the left tuples that do (resp. do not) find a match. One- and
-   two-column keys go through packed single-int tables, so the common
-   demand-guard semijoins (bound positions of an adorned predicate)
-   probe without allocating a key array per tuple. An empty pair list
-   projects every right tuple onto the same empty key, so the semijoin
-   degenerates into "left if right non-empty" — the compiled guard for
-   quantifiers over variables absent from their body. *)
-let semi ?(trace = Observe.Trace.null) ~anti pairs left right =
+(* Hash semi/antijoin: keep the left tuples that do (resp. do not) find
+   a match in the right side's index, the memo of a stored right operand
+   when available. An empty pair list gives every right tuple the same
+   empty key, so the semijoin degenerates into "left if right non-empty"
+   — the compiled guard for quantifiers over variables absent from their
+   body. *)
+let semi ~trace ~stored ~anti pairs left right =
   let lcols = Array.of_list (List.map fst pairs)
   and rcols = Array.of_list (List.map snd pairs) in
   Observe.Trace.add trace "ra.join.probes" (Relation.cardinal left);
-  if can_pack && Array.length rcols = 1 then (
-    let rc = rcols.(0) and lc = lcols.(0) in
-    let index : unit ITbl.t = ITbl.create 64 in
-    Relation.unordered_iter (fun t -> ITbl.replace index (Tuple.id t rc) ()) right;
-    Relation.filter (fun lt -> ITbl.mem index (Tuple.id lt lc) <> anti) left)
-  else if can_pack && Array.length rcols = 2 then (
-    let rc0 = rcols.(0) and rc1 = rcols.(1) in
-    let lc0 = lcols.(0) and lc1 = lcols.(1) in
-    let index : unit ITbl.t = ITbl.create 64 in
-    Relation.unordered_iter
-      (fun t -> ITbl.replace index (pack2 (Tuple.id t rc0) (Tuple.id t rc1)) ())
-      right;
-    Relation.filter
-      (fun lt -> ITbl.mem index (pack2 (Tuple.id lt lc0) (Tuple.id lt lc1)) <> anti)
-      left)
-  else (
-    let index : unit KTbl.t = KTbl.create 64 in
-    Relation.unordered_iter (fun t -> KTbl.replace index (key rcols t) ()) right;
-    Relation.filter (fun lt -> KTbl.mem index (key lcols lt) <> anti) left)
+  let memo, idx = index_on ~trace stored right rcols in
+  let find = Relation.lookup idx lcols in
+  (memo, Relation.filter (fun lt -> find lt <> [] <> anti) left)
 
 let adom_rel inst =
   Relation.of_distinct
@@ -447,8 +400,8 @@ let projected_join e k =
   match e with
   | Project (pcols, p0) -> (
       match flatten_project e pcols p0 with
-      | cols, Join (pairs, l, r) when List.length cols = k ->
-          Some (cols, pairs, l, r)
+      | cols, (Join (pairs, l, r) as j) when List.length cols = k ->
+          Some (cols, j, pairs, l, r)
       | _ -> None)
   | _ -> None
 
@@ -484,7 +437,15 @@ type mstats = {
    reports what actually ran. *)
 type frame = { mutable f_child : float; mutable f_rows : int }
 
-type profile = { nodes : mstats NodeTbl.t; mutable pstack : frame list }
+(* Per join/semijoin/antijoin node, fused or not: executions, and those
+   a memoized index served. *)
+type mcount = { mutable runs : int; mutable memo_runs : int }
+
+type profile = {
+  nodes : mstats NodeTbl.t;
+  memo : mcount NodeTbl.t;
+  mutable pstack : frame list;
+}
 
 type node_stats = {
   execs : int;
@@ -494,7 +455,8 @@ type node_stats = {
   total_ns : int;
 }
 
-let profile () = { nodes = NodeTbl.create 64; pstack = [] }
+let profile () =
+  { nodes = NodeTbl.create 64; memo = NodeTbl.create 16; pstack = [] }
 
 let profile_stats p e =
   Option.map
@@ -508,7 +470,30 @@ let profile_stats p e =
       })
     (NodeTbl.find_opt p.nodes e)
 
+let profile_memo p e =
+  Option.map (fun m -> (m.memo_runs, m.runs)) (NodeTbl.find_opt p.memo e)
+
+let is_stored = function Rel _ -> true | _ -> false
+
 let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
+  (* record whether a join-like node's execution probed a memo; returns
+     its result *)
+  let noted node (memo, r) =
+    (match prof with
+    | None -> ()
+    | Some p ->
+        let m =
+          match NodeTbl.find_opt p.memo node with
+          | Some m -> m
+          | None ->
+              let m = { runs = 0; memo_runs = 0 } in
+              NodeTbl.add p.memo node m;
+              m
+        in
+        m.runs <- m.runs + 1;
+        if memo then m.memo_runs <- m.memo_runs + 1);
+    r
+  in
   let rec ev e =
     match prof with
     | None -> ev_node e
@@ -573,13 +558,17 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
                   rr)
               rl;
             Relation.of_distinct !out)
-    | Join (pairs, l, r) -> equijoin ~trace pairs (ev l) (ev r)
+    | Join (pairs, l, r) ->
+        noted e
+          (equijoin ~trace ~stored:(is_stored l, is_stored r) pairs (ev l)
+             (ev r))
     | Semijoin (pairs, l, r) -> (
         let rl = ev l and rr = ev r in
         match (Relation.arity rl, Relation.arity rr) with
         | Some k, Some kr when kr = k && identity_pairs pairs k ->
             Relation.inter rl rr
-        | _ -> semi ~trace ~anti:false pairs rl rr)
+        | _ ->
+            noted e (semi ~trace ~stored:(is_stored r) ~anti:false pairs rl rr))
     | Antijoin (pairs, (Complement (k, dome, e0) as c), r)
       when identity_pairs pairs k -> (
         (* (dom^k − e) ▷ r over all columns is dom^k − (e ∪ r): one probe
@@ -592,7 +581,8 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
             type_error c "complement of arity-%d operand at arity %d" a k
         | _ -> ());
         match projected_join r k with
-        | Some (cols, jpairs, jl, jr) -> (
+        | Some (cols, j, jpairs, jl, jr) -> (
+            let stored = (is_stored jl, is_stored jr) in
             let rl = ev jl and rr = ev jr in
             match (Relation.arity rl, Relation.arity rr) with
             | Some al, Some ar -> (
@@ -601,24 +591,28 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
                 let ids = dom_id_array dom in
                 let b = Array.fold_left max (-1) ids + 1 in
                 let cols = Array.of_list cols in
-                if can_pack && k = 2 && b <= dense_bound then (
+                if Tuple.can_pack && k = 2 && b <= dense_bound then (
                   let c0 = cols.(0) and c1 = cols.(1) in
                   complement2_bitset ~ids ~b ~mark:(fun set ->
                       Relation.unordered_iter
                         (fun t -> set (Tuple.id t 0) (Tuple.id t 1))
                         base;
                       let each =
-                        match jpairs with
-                        | [ pair ] -> (
-                            match dense_join_matches ~trace ~b pair rl rr with
-                            | Some each -> each
-                            | None -> join_matches ~trace jpairs rl rr)
-                        | _ -> join_matches ~trace jpairs rl rr
+                        noted j
+                          (match jpairs with
+                          | [ pair ] -> (
+                              match dense_join_matches ~trace ~b pair rl rr with
+                              | Some each -> (false, each)
+                              | None ->
+                                  join_matches ~trace ~stored jpairs rl rr)
+                          | _ -> join_matches ~trace ~stored jpairs rl rr)
                       in
                       each (fun lt rt ->
                           set (join_col ~al lt rt c0) (join_col ~al lt rt c1))))
                 else
-                  let set = join_set ~trace ~al jpairs cols rl rr in
+                  let set =
+                    noted j (join_set ~trace ~stored ~al jpairs cols rl rr)
+                  in
                   complement_probe k dom (fun buf ->
                       Relation.mem_ids buf base || idset_mem set buf))
             | _ -> ev_complement c k dome base (* empty join *))
@@ -630,13 +624,16 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
                 ev_complement_probe c k dome (fun buf ->
                     Relation.mem_ids buf base || Relation.mem_ids buf rr)
             | Some _ ->
-                semi ~trace ~anti:true pairs (ev_complement c k dome base) rr))
+                noted e
+                  (semi ~trace ~stored:(is_stored r) ~anti:true pairs
+                     (ev_complement c k dome base) rr)))
     | Antijoin (pairs, l, r) -> (
         let rl = ev l and rr = ev r in
         match (Relation.arity rl, Relation.arity rr) with
         | Some k, Some kr when kr = k && identity_pairs pairs k ->
             Relation.diff rl rr
-        | _ -> semi ~trace ~anti:true pairs rl rr)
+        | _ ->
+            noted e (semi ~trace ~stored:(is_stored r) ~anti:true pairs rl rr))
     | Union (l, r) -> Relation.union (ev l) (ev r)
     | Diff (l, r) -> Relation.diff (ev l) (ev r)
     | Inter (l, r) -> Relation.inter (ev l) (ev r)
@@ -669,7 +666,9 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
         match (Relation.arity rl, Relation.arity rr) with
         | Some al, Some ar ->
             check_proj_cols orig cols (al + ar);
-            equijoin ~trace ~proj:(Array.of_list cols) pairs rl rr
+            noted e0
+              (equijoin ~trace ~stored:(is_stored l, is_stored r)
+                 ~proj:(Array.of_list cols) pairs rl rr)
         | _ -> Relation.empty)
     | _ ->
         let r = ev e0 in

@@ -98,11 +98,23 @@ val profile : unit -> profile
     identity), or [None] if it never executed under [p]. *)
 val profile_stats : profile -> expr -> node_stats option
 
+(** [profile_memo p e] is [(memo, runs)] for a join, semijoin or
+    antijoin node [e] — fused into a parent or not — that ran a hash
+    join under [p]: of its [runs] executions, [memo] probed a memoized
+    index of a stored operand (see {!Relation.index}). [None] for other
+    nodes and nodes that never ran one. *)
+val profile_memo : profile -> expr -> (int * int) option
+
 (** [eval ?trace ?profile inst e] evaluates [e] against [inst].
     Relations absent from [inst] are empty; in that case column
     references cannot be checked dynamically, so use {!arity} with a
     schema for static checking. When [trace] is enabled, every hash-join
-    probe pass accumulates into the [ra.join.probes] counter. When
+    probe pass accumulates into the [ra.join.probes] counter (tuples
+    that probed an index), and the memoized indexes of stored operands
+    into [ra.index.builds]/[ra.index.hits]. A join, semijoin or antijoin
+    whose operand is a stored leaf ([Rel]) probes that relation value's
+    memoized index once it exists ({!Relation.index}), so an unchanged
+    relation is indexed once across rounds and queries. When
     [profile] is given, every evaluated node records row counts and
     wall time into it; when absent the instrumentation costs one branch
     per node.

@@ -6,20 +6,7 @@
    Boolean evaluation never allocates or consults a map — while the
    annotated paths carry the same tuples with their values alongside. *)
 
-module KTbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : int array) b =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec eq i =
-      i = la || (Array.unsafe_get a i = Array.unsafe_get b i && eq (i + 1))
-    in
-    eq 0
-
-  let hash = Tuple.hash_ids
-end)
+module KTbl = Tuple.KTbl
 
 type map = Semiring.v KTbl.t
 

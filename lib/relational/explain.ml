@@ -97,6 +97,10 @@ let node_line buf ?inst ?profile ~schema ~indent e =
       match scan_rows inst e with
       | Some n -> Buffer.add_string buf (Printf.sprintf " rows=%d" n)
       | None -> ()));
+  (match Option.bind profile (fun p -> A.profile_memo p e) with
+  | Some (memo, runs) ->
+      Buffer.add_string buf (Printf.sprintf " memo=%d/%d" memo runs)
+  | None -> ());
   Buffer.add_char buf '\n'
 
 let text ?inst ?profile e =
@@ -148,6 +152,17 @@ let json ?inst ?profile e =
                   match selectivity st with
                   | Some s -> [ ("selectivity", Json.Float s) ]
                   | None -> []) );
+            ]
+      | None -> base
+    in
+    let base =
+      match Option.bind profile (fun p -> A.profile_memo p e) with
+      | Some (memo, runs) ->
+          base
+          @ [
+              ( "memo",
+                Json.Obj
+                  [ ("runs", Json.Int runs); ("memo_runs", Json.Int memo) ] );
             ]
       | None -> base
     in

@@ -21,7 +21,10 @@
     inside a join's probe loop, complements probed against a join's
     dedup set) carry no measurements of their own: their work is
     reported in the fusing parent's self time
-    (see {!Algebra.profile}). *)
+    (see {!Algebra.profile}). Every join, semijoin and antijoin that
+    ran a hash join — fused or not — ends with [memo=M/N]: [M] of its
+    [N] executions probed a memoized index of a stored relation
+    (see {!Algebra.profile_memo}). *)
 
 (** [text ?inst ?profile e] is the annotated tree, one node per line,
     children indented two spaces, in operand order. *)
@@ -30,7 +33,8 @@ val text : ?inst:Instance.t -> ?profile:Algebra.profile -> Algebra.expr -> strin
 (** [json ?inst ?profile e] is the same tree as JSON: per node ["op"],
     optional ["detail"], ["arity"], ["rows"] (stored cardinality, scans
     only), ["profile"] ([execs], [rows_in], [rows_out], [self_ns],
-    [total_ns], optional [selectivity]), and ["children"]. *)
+    [total_ns], optional [selectivity]), ["memo"] ([runs], [memo_runs];
+    hash-join nodes only), and ["children"]. *)
 val json :
   ?inst:Instance.t -> ?profile:Algebra.profile -> Algebra.expr ->
   Observe.Json.t

@@ -134,7 +134,14 @@ let parse_one_fact lineno stmt i =
                    | v -> v
                    | exception Invalid_argument msg -> fail msg)
         in
-        add_fact name (Tuple.of_list args) i
+        let r = find name i in
+        (match Relation.arity r with
+        | Some a when a <> List.length args ->
+            fail
+              (Printf.sprintf "%s has arity %d, got %d argument(s)" name a
+                 (List.length args))
+        | _ -> ());
+        set name (Relation.add (Tuple.of_list args) r) i
 
 (* Split the text into dot-terminated statements, respecting quoted
    strings: a '.' inside "..." does not terminate a fact, and a '%' or

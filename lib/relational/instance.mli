@@ -88,5 +88,7 @@ val to_string : t -> string
 
 (** [parse_facts text] reads fact lines of the form [pred(v, ...).]
     (trailing dot optional; [%] and [//] start comments; blank lines
-    ignored). @raise Failure with a line number on malformed input. *)
+    ignored). @raise Failure with a line number on malformed input,
+    including a fact whose argument count disagrees with an earlier fact
+    of the same predicate. *)
 val parse_facts : string -> t

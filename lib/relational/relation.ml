@@ -88,6 +88,16 @@ module Imap = struct
         else join p s q t
 end
 
+(* A join index: key -> the tuples carrying it. One- and two-column keys
+   are packed ints, longer keys id vectors. *)
+type index =
+  | Packed of Tuple.t list Tuple.ITbl.t
+  | Keyed of Tuple.t list Tuple.KTbl.t
+
+(* Per column set: [Marked] after the first request, [Built] after the
+   second (see [index]). *)
+type slot = Marked | Built of index
+
 type t = {
   buckets : Tuple.t list Imap.t;
   card : int;
@@ -97,9 +107,16 @@ type t = {
           order (printing, folds, element lists) reads the tuples in
           {!Tuple.compare} order, so output stays byte-identical to the
           former [Set.Make (Tuple)] backing *)
+  mutable memos : (int array * slot) list Atomic.t option;
+      (** memoized join indexes, keyed by column set; the cell is
+          allocated on the first request *)
 }
 
-let empty = { buckets = Imap.Empty; card = 0; ar = 0; sorted = Some [] }
+let empty =
+  { buckets = Imap.Empty; card = 0; ar = 0; sorted = Some []; memos = None }
+
+(* A new relation value: no sorted view, no memos yet. *)
+let make buckets card ar = { buckets; card; ar; sorted = None; memos = None }
 
 let check_homogeneous ts =
   match ts with
@@ -220,7 +237,7 @@ let of_distinct ts =
           let mid = if keys.(!i) land bm = 0 then !i + 1 else !i in
           Imap.Branch (Imap.mask k0 bm, bm, build lo mid, build mid hi)
       in
-      { buckets = build 0 !m; card = n; ar = Tuple.arity t0; sorted = None }
+      make (build 0 !m) n (Tuple.arity t0)
 
 let raw_fold f r acc =
   Imap.fold (fun _ bucket acc -> List.fold_left (fun a t -> f t a) acc bucket)
@@ -272,7 +289,7 @@ let add t r =
       h [ t ] r.buckets
   in
   if !dup then r
-  else { buckets; card = r.card + 1; ar = Tuple.arity t; sorted = None }
+  else make buckets (r.card + 1) (Tuple.arity t)
 
 let singleton t = add t empty
 
@@ -298,7 +315,7 @@ let remove t r =
           if bucket' = [] then Imap.remove h r.buckets
           else Imap.add h bucket' r.buckets
         in
-        { buckets; card = r.card - 1; ar = r.ar; sorted = None }
+        make buckets (r.card - 1) r.ar
 
 let cardinal r = r.card
 let is_empty r = r.card = 0
@@ -328,7 +345,7 @@ let union a b =
         bb ba
     in
     let buckets = Imap.merge merge_buckets a.buckets b.buckets in
-    { buckets; card = a.card + b.card - !dups; ar = a.ar; sorted = None }
+    make buckets (a.card + b.card - !dups) a.ar
 
 let inter a b =
   if a.card = 0 || b.card = 0 then empty
@@ -378,6 +395,85 @@ let values r =
       r VSet.empty
   in
   VSet.elements s
+
+(* --- join indexes --------------------------------------------------- *)
+
+let packs cols =
+  Tuple.can_pack && (Array.length cols = 1 || Array.length cols = 2)
+
+let packed_key cols t =
+  if Array.length cols = 1 then Tuple.id t cols.(0)
+  else Tuple.pack2 (Tuple.id t cols.(0)) (Tuple.id t cols.(1))
+
+let key cols t = Array.map (Tuple.id t) cols
+
+let build_index r cols =
+  if packs cols then (
+    let tbl = Tuple.ITbl.create (max 16 r.card) in
+    unordered_iter
+      (fun t ->
+        let k = packed_key cols t in
+        Tuple.ITbl.replace tbl k
+          (t :: (try Tuple.ITbl.find tbl k with Not_found -> [])))
+      r;
+    Packed tbl)
+  else (
+    let tbl = Tuple.KTbl.create (max 16 r.card) in
+    unordered_iter
+      (fun t ->
+        let k = key cols t in
+        Tuple.KTbl.replace tbl k
+          (t :: (try Tuple.KTbl.find tbl k with Not_found -> [])))
+      r;
+    Keyed tbl)
+
+let lookup idx cols =
+  match idx with
+  | Packed tbl when Array.length cols = 1 -> (
+      let c = cols.(0) in
+      fun t -> try Tuple.ITbl.find tbl (Tuple.id t c) with Not_found -> [])
+  | Packed tbl -> (
+      let c0 = cols.(0) and c1 = cols.(1) in
+      fun t ->
+        try Tuple.ITbl.find tbl (Tuple.pack2 (Tuple.id t c0) (Tuple.id t c1))
+        with Not_found -> [])
+  | Keyed tbl -> (
+      fun t -> try Tuple.KTbl.find tbl (key cols t) with Not_found -> [])
+
+let rec update cell f =
+  let old = Atomic.get cell in
+  if not (Atomic.compare_and_set cell old (f old)) then update cell f
+
+(* The second-probe rule: a value asked once on [cols] is only marked,
+   so a relation rebuilt every round (an IDB, a delta) never pays for an
+   index it will not reuse; the second request builds and publishes it.
+   Relations are persistent — every update returns a record without
+   memos — so an index can never go stale. Concurrent requests (several
+   domains evaluating over a shared instance) are safe: a built table
+   is only read after publication through the atomic cell, and a lost
+   race costs a mark or a rebuild, never a wrong answer. *)
+let index ?(trace = Observe.Trace.null) r cols =
+  let cell =
+    match r.memos with
+    | Some c -> c
+    | None ->
+        let c = Atomic.make [] in
+        r.memos <- Some c;
+        c
+  in
+  match List.assoc_opt cols (Atomic.get cell) with
+  | Some (Built idx) ->
+      Observe.Trace.incr trace "ra.index.hits";
+      Some idx
+  | Some Marked ->
+      let idx = build_index r cols in
+      update cell (fun s -> (cols, Built idx) :: List.remove_assoc cols s);
+      Observe.Trace.incr trace "ra.index.builds";
+      Some idx
+  | None ->
+      update cell (fun s ->
+          if List.mem_assoc cols s then s else (cols, Marked) :: s);
+      None
 
 let pp ppf r =
   Format.fprintf ppf "{@[<hov>%a@]}"

@@ -94,5 +94,27 @@ val choose_opt : t -> Tuple.t option
     domain), as a sorted list without duplicates. *)
 val values : t -> Value.t list
 
+(** {1 Join indexes} *)
+
+(** A hash index of a relation on a column set: key -> the tuples
+    carrying it. *)
+type index
+
+(** [build_index r cols] indexes [r] on [cols], unmemoized. *)
+val build_index : t -> int array -> index
+
+(** [lookup idx cols t] is the indexed tuples whose key equals [t]'s
+    projection on [cols] (same length as the index's columns). Apply it
+    to [idx] and [cols] once, outside a probe loop. *)
+val lookup : index -> int array -> Tuple.t -> Tuple.t list
+
+(** [index ?trace r cols] is [r]'s memoized index on [cols]. The first
+    request for a relation value and column set only marks it and
+    answers [None]; the second builds the index ([ra.index.builds]) and
+    every later one reuses it ([ra.index.hits]). Updates return new
+    values without memos, so an index never goes stale. Safe to call
+    from several domains on a shared value. *)
+val index : ?trace:Observe.Trace.ctx -> t -> int array -> index option
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -32,6 +32,41 @@ let equal_ids t ids =
     i = la || (Array.unsafe_get t.ids i = Array.unsafe_get ids i && eq (i + 1))
   in
   eq 0
+
+(* Hash tables keyed by interned ids: [KTbl] by id vectors (join keys,
+   dedup sets), [ITbl] by one int — a single id, or a pair packed by
+   [pack2]. Interned ids are dense table indices far below 2^31, so a
+   pair packs reversibly into one int on 64-bit hosts: no array
+   allocation per probe. *)
+module KTbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) b =
+    let la = Array.length a in
+    la = Array.length b
+    &&
+    let rec eq i =
+      i = la || (Array.unsafe_get a i = Array.unsafe_get b i && eq (i + 1))
+    in
+    eq 0
+
+  let hash = hash_ids
+end)
+
+module ITbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x9E3779B1 in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+let can_pack = Sys.int_size >= 63
+let pack2 a b = (a lsl 31) lor b
+let unpack2 k = [| k lsr 31; k land 0x7FFFFFFF |]
+
 let make vs = of_ids (Array.map Value.Intern.id vs)
 let of_list vs = of_ids (Array.of_list (List.map Value.Intern.id vs))
 let to_list t = List.map Value.Intern.of_id (Array.to_list t.ids)

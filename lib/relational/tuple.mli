@@ -47,6 +47,24 @@ val hash_ids : int array -> int
     array. *)
 val equal_ids : t -> int array -> bool
 
+(** {1 Id-keyed tables} *)
+
+(** Hash tables keyed by id vectors, hashed like {!hash_ids}. *)
+module KTbl : Hashtbl.S with type key = int array
+
+(** Hash tables keyed by one int: a single id, or two ids packed by
+    {!pack2}. *)
+module ITbl : Hashtbl.S with type key = int
+
+(** [can_pack] holds on hosts whose ints fit two ids ({!pack2}). *)
+val can_pack : bool
+
+(** [pack2 a b] packs two ids into one int, reversibly when
+    {!can_pack}; [unpack2] recovers them as an id array. *)
+val pack2 : int -> int -> int
+
+val unpack2 : int -> int array
+
 (** Lexicographic {!Value.compare} order; tuples of different arities are
     ordered by arity first so that mixed sets behave sanely. *)
 val compare : t -> t -> int

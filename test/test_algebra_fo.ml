@@ -291,6 +291,125 @@ let test_algebra_fo_agree () =
   in
   check_rel "algebra = calculus" via_algebra via_fo
 
+(* --- memoized join indexes ---------------------------------------------- *)
+
+module A = Algebra
+
+(* The same instance with every relation rebuilt: fresh values, no memos,
+   so evaluating on it is the unmemoized reference. *)
+let fresh i =
+  Instance.fold
+    (fun name r acc ->
+      Instance.set name (Relation.of_list (Relation.to_list r)) acc)
+    i Instance.empty
+
+let memo_inst = facts "G(a,b). G(b,c). G(c,d). G(d,a). G(a,c). S(a). S(c)."
+
+(* S is smaller than the stored G, so G's memo serves every join below *)
+let memo_plans =
+  [
+    ("S ⋈ G on G.0", A.Join ([ (0, 0) ], A.Rel "S", A.Rel "G"));
+    ( "S ⋈ G on G.1",
+      A.Project ([ 0; 1 ], A.Join ([ (0, 1) ], A.Rel "S", A.Rel "G")) );
+    ("S ⋉ G on G.1", A.Semijoin ([ (0, 1) ], A.Rel "S", A.Rel "G"));
+    ("S ▷ G on G.0", A.Antijoin ([ (0, 0) ], A.Rel "S", A.Rel "G"));
+  ]
+
+let test_memo_column_sets () =
+  let trace = Observe.Trace.make () in
+  let reference = fresh memo_inst in
+  for run = 1 to 3 do
+    List.iter
+      (fun (name, e) ->
+        check_rel
+          (Printf.sprintf "%s, run %d" name run)
+          (A.eval reference e) (A.eval ~trace memo_inst e))
+      memo_plans
+  done;
+  (* per value and column set: the first request marks, the second
+     builds, every later one hits — G on columns 0 and 1, and S on column
+     0, indexed as the smaller operand while G's memo was only marked *)
+  Alcotest.(check int) "one build per value and column set" 3
+    (Observe.Trace.counter trace "ra.index.builds");
+  Alcotest.(check bool) "later runs hit" true
+    (Observe.Trace.counter trace "ra.index.hits" >= 4)
+
+let test_memo_not_stale () =
+  let e = List.assoc "S ⋈ G on G.0" memo_plans in
+  for _ = 1 to 3 do
+    ignore (A.eval memo_inst e)
+  done;
+  let grown = Instance.add_fact "G" (t [ v "a"; v "z" ]) memo_inst in
+  for _ = 1 to 3 do
+    let r = A.eval grown e in
+    check_rel "the new tuple reaches the join" (A.eval (fresh grown) e) r;
+    Alcotest.(check bool) "(a, a, z) joined" true
+      (Relation.mem (t [ v "a"; v "a"; v "z" ]) r)
+  done;
+  check_rel "the old version still answers without it"
+    (A.eval (fresh memo_inst) e) (A.eval memo_inst e)
+
+let test_memo_explain () =
+  let e = List.assoc "S ⋈ G on G.0" memo_plans in
+  let inst = fresh memo_inst and profile = A.profile () in
+  for _ = 1 to 3 do
+    ignore (A.eval ~profile inst e)
+  done;
+  (* run 1 only marks G, runs 2 and 3 probe its memo *)
+  Alcotest.(check (option (pair int int)))
+    "2 of 3 runs probed a memo" (Some (2, 3)) (A.profile_memo profile e);
+  Alcotest.(check bool)
+    "text marks the join" true
+    (contains ~sub:"join[0=0] arity=3" (Explain.text ~inst ~profile e)
+    && contains ~sub:"memo=2/3" (Explain.text ~inst ~profile e));
+  let memo = Observe.Json.member "memo" (Explain.json ~inst ~profile e) in
+  Alcotest.(check bool)
+    "json carries the counts" true
+    (memo
+    = Some
+        Observe.Json.(Obj [ ("runs", Int 3); ("memo_runs", Int 2) ]))
+
+let prop_memo_runs_equal_naive =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"memoized plans = naive enumerator, 3 runs"
+       Test_properties.fo_rand_arb (fun (f, i) ->
+         let vars = Fo.free_vars f in
+         let expected = Fo.eval_naive i f vars in
+         List.for_all
+           (fun _ -> Relation.equal expected (Fo.eval i f vars))
+           [ 1; 2; 3 ]))
+
+let test_memo_domains () =
+  let g = Graph_gen.random ~name:"G" ~seed:7 60 240 in
+  let inst = Instance.set "S" (Relation.of_rows [ [ Graph_gen.vertex 0 ] ]) g in
+  let two_steps =
+    A.Project
+      ( [ 0; 3 ],
+        A.Join
+          ( [ (1, 0) ],
+            A.Semijoin ([ (0, 0) ], A.Rel "G", A.Rel "S"),
+            A.Rel "G" ) )
+  in
+  let plan =
+    A.Union
+      ( two_steps,
+        A.Project ([ 0; 2 ], A.Join ([ (1, 0) ], A.Rel "G", A.Rel "G")) )
+  in
+  let expected = A.eval (fresh inst) plan in
+  let workers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init 20 (fun _ -> A.eval inst plan)))
+  in
+  List.iteri
+    (fun w d ->
+      List.iteri
+        (fun k r ->
+          check_rel (Printf.sprintf "domain %d, run %d" w k) expected r)
+        (Domain.join d))
+    workers
+
 let suite =
   [
     Alcotest.test_case "projection" `Quick test_project;
@@ -325,6 +444,15 @@ let suite =
     Alcotest.test_case "plan counters and memoization" `Quick
       test_plan_counters;
     Alcotest.test_case "shared syntax collectors" `Quick test_shared_collectors;
+    Alcotest.test_case "memo: two column sets of one value" `Quick
+      test_memo_column_sets;
+    Alcotest.test_case "memo: a grown relation is re-indexed" `Quick
+      test_memo_not_stale;
+    Alcotest.test_case "memo: EXPLAIN counts memoized runs" `Quick
+      test_memo_explain;
+    prop_memo_runs_equal_naive;
+    Alcotest.test_case "memo: 4 domains share one instance" `Quick
+      test_memo_domains;
     Alcotest.test_case "plans survive arity mismatches" `Quick
       test_arity_mismatch_plan;
   ]
