@@ -21,7 +21,11 @@ bench:
 # through the checker and require the same tally, so the sharded loop's
 # round spans are schema-checked and match the sequential ones; the
 # installed binaries are invoked directly so the pipe never contends
-# for the dune lock), and a parallel smoke
+# for the dune lock), an active-domain smoke step (a stratified run of
+# the safe TC program must report no "adom" span — the domain is never
+# materialized — and the same program plus a rule whose head variable
+# only a negative literal binds must report exactly one, with its
+# values= size), and a parallel smoke
 # step: run the same program at -j 4, check the output is byte-identical
 # to the sequential run and carries the expected fact count, and run the
 # cross-jobs determinism property suite. The FO smoke step answers a
@@ -66,6 +70,12 @@ ci:
 	dune exec -- datalog-trace-check _ci_tc.jsonl > _ci_seq.check
 	_build/install/default/bin/datalog-unchained run -s seminaive -j 4 _ci_tc.dl --trace /dev/fd/3 3>&1 > /dev/null \
 	  | _build/install/default/bin/datalog-trace-check - | cmp - _ci_seq.check
+	dune exec -- datalog-unchained run -s stratified _ci_tc.dl --stats > _ci_safe.stats
+	! grep -q '^  adom ' _ci_safe.stats
+	printf 'CT(X, Y) :- !T(X, Y).\n' | cat _ci_tc.dl - > _ci_ct.dl
+	dune exec -- datalog-unchained run -s stratified _ci_ct.dl --stats > _ci_ct.stats
+	grep -c '^  adom ' _ci_ct.stats | grep -qx 1
+	grep -qE '^  adom .* values=4$$' _ci_ct.stats
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl > _ci_seq.out
 	dune exec -- datalog-unchained run -s seminaive -j 4 _ci_tc.dl > _ci_par.out
 	cmp _ci_seq.out _ci_par.out
@@ -94,7 +104,7 @@ ci:
 	client shutdown | grep -q 'server stopped' && \
 	wait && grep -q 'listening on' _ci_srv.out
 	dune exec -- datalog-unchained run _ci_srv.dl -f _ci_srv.facts -a T --annot why | grep -Fq 'T(a, c). % G(a, b)*G(b, c)'
-	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_seq.out _ci_par.out _ci_fo.facts _ci_demand.out _ci_explain.out \
+	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_fo.facts _ci_demand.out _ci_explain.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out
 
 clean:

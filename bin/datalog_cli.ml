@@ -241,6 +241,20 @@ let with_observability ~name ?(force = false) stats trace_path f =
         if stats then Format.printf "%a" Observe.Report.pp_summary ctx;
         r)
 
+(* An engine rejects a program outside its fragment (or a run past its
+   search limit) with an exception; [or_reject f] reports it like the
+   other usage errors — the message on stderr, exit 2 — instead of
+   letting it escape as an internal error. *)
+let or_reject f =
+  try f () with
+  | Datalog.Ast.Check_error msg
+  | Datalog.Stratified.Not_stratifiable msg
+  | Datalog.Semipositive.Not_semipositive msg
+  | Datalog.Annot_eval.Unsupported msg
+  | Failure msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+
 (* --- run ---------------------------------------------------------------- *)
 
 let semantics_name = function
@@ -303,31 +317,27 @@ let run_demand p inst answer explain stats trace_path =
   | None ->
       Printf.eprintf "--demand: %s is not an idb predicate\n" pred;
       exit 2
-  | Some k -> (
+  | Some k ->
       let query =
         Datalog.Ast.atom pred
           (List.init k (fun i -> Datalog.Ast.var (Printf.sprintf "X%d" i)))
       in
-      try
-        with_observability ~name:"demand" ~force:explain stats trace_path
-          (fun trace ->
-            let cache = Datalog.Demand.Cache.create () in
-            let profile =
-              if explain then Some (Algebra.profile ()) else None
-            in
-            let rel =
-              Datalog.Demand.answer ~trace ~cache ?profile p inst query
-            in
-            Relation.iter
-              (fun t -> Format.printf "%a@." Datalog.Pretty.pp_fact (pred, t))
-              rel;
-            Option.iter
-              (fun profile ->
-                print_demand_explain ~trace ~cache ~profile p inst [ query ])
-              profile)
-      with Datalog.Ast.Check_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2)
+      with_observability ~name:"demand" ~force:explain stats trace_path
+        (fun trace ->
+          let cache = Datalog.Demand.Cache.create () in
+          let profile =
+            if explain then Some (Algebra.profile ()) else None
+          in
+          let rel =
+            Datalog.Demand.answer ~trace ~cache ?profile p inst query
+          in
+          Relation.iter
+            (fun t -> Format.printf "%a@." Datalog.Pretty.pp_fact (pred, t))
+            rel;
+          Option.iter
+            (fun profile ->
+              print_demand_explain ~trace ~cache ~profile p inst [ query ])
+            profile)
 
 let run_cmd =
   let run semantics program facts answer ordered demand annot explain stats
@@ -340,6 +350,7 @@ let run_cmd =
     if explain && not demand then (
       Printf.eprintf "--explain requires --demand on this subcommand\n";
       exit 2);
+    or_reject @@ fun () ->
     match annot with
     | Some tag ->
         if demand then (
@@ -350,10 +361,7 @@ let run_cmd =
             "--annot requires the default seminaive semantics\n";
           exit 2);
         with_observability ~name:"annot" stats trace_path (fun trace ->
-            try print_annot_answer (Datalog.Annot_eval.run ~trace tag p inst) answer
-            with Datalog.Annot_eval.Unsupported msg ->
-              Printf.eprintf "%s\n" msg;
-              exit 2)
+            print_annot_answer (Datalog.Annot_eval.run ~trace tag p inst) answer)
     | None ->
     if demand then (
       if semantics <> `Seminaive then (
@@ -607,6 +615,7 @@ let query_cmd =
           "no query: pass -q ATOM or add a ?- directive to the program\n";
         exit 2
     | qs -> (
+        or_reject @@ fun () ->
         match annot with
         | Some tag ->
             if demand then (
@@ -616,18 +625,14 @@ let query_cmd =
                fixpoint: the stored relation filtered by the query's
                constants and repeated variables *)
             with_observability ~name:"annot" stats trace_path (fun trace ->
-                try
-                  let r = Datalog.Annot_eval.run ~trace tag p inst in
-                  List.iter
-                    (fun (q : Datalog.Ast.atom) ->
-                      print_annotated r q.Datalog.Ast.pred
-                        (Relation.filter (atom_matches q)
-                           (Instance.find q.Datalog.Ast.pred
-                              r.Datalog.Annot_eval.instance)))
-                    qs
-                with Datalog.Annot_eval.Unsupported msg ->
-                  Printf.eprintf "%s\n" msg;
-                  exit 2)
+                let r = Datalog.Annot_eval.run ~trace tag p inst in
+                List.iter
+                  (fun (q : Datalog.Ast.atom) ->
+                    print_annotated r q.Datalog.Ast.pred
+                      (Relation.filter (atom_matches q)
+                         (Instance.find q.Datalog.Ast.pred
+                            r.Datalog.Annot_eval.instance)))
+                  qs)
         | None -> (
         let print q rel =
           Relation.iter
@@ -636,29 +641,25 @@ let query_cmd =
                 (q.Datalog.Ast.pred, t))
             rel
         in
-        try
-          with_observability ~name:(if demand then "demand" else "magic")
-            ~force:explain stats trace_path (fun trace ->
-              if demand then (
-                let cache = Datalog.Demand.Cache.create () in
-                let profile =
-                  if explain then Some (Algebra.profile ()) else None
-                in
-                List.iter
-                  (fun q ->
-                    print q
-                      (Datalog.Demand.answer ~trace ~cache ?profile p inst q))
-                  qs;
-                Option.iter
-                  (fun profile ->
-                    print_demand_explain ~trace ~cache ~profile p inst qs)
-                  profile)
-              else
-                let s = Datalog.Magic.session ~trace p inst in
-                List.iter (fun q -> print q (Datalog.Magic.ask s q)) qs)
-        with Datalog.Ast.Check_error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2))
+        with_observability ~name:(if demand then "demand" else "magic")
+          ~force:explain stats trace_path (fun trace ->
+            if demand then (
+              let cache = Datalog.Demand.Cache.create () in
+              let profile =
+                if explain then Some (Algebra.profile ()) else None
+              in
+              List.iter
+                (fun q ->
+                  print q
+                    (Datalog.Demand.answer ~trace ~cache ?profile p inst q))
+                qs;
+              Option.iter
+                (fun profile ->
+                  print_demand_explain ~trace ~cache ~profile p inst qs)
+                profile)
+            else
+              let s = Datalog.Magic.session ~trace p inst in
+              List.iter (fun q -> print q (Datalog.Magic.ask s q)) qs)))
   in
   let doc = "Answer queries with magic-set rewriting" in
   Cmd.v (Cmd.info "query" ~doc)

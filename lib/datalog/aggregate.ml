@@ -15,8 +15,9 @@ exception Agg_error of string
 
 let agg_error fmt = Format.kasprintf (fun s -> raise (Agg_error s)) fmt
 
-let eval_agg db dom (a : agg_rule) =
-  (* collect satisfying substitutions of the body *)
+(* The rule whose body matches enumerate an aggregate's inputs: its head
+   lists the group-by variables, then the aggregated one. *)
+let probe (a : agg_rule) =
   let probe_vars =
     a.group_by
     @ (match a.func with
@@ -32,7 +33,11 @@ let eval_agg db dom (a : agg_rule) =
     }
   in
   Ast.check_safe probe;
-  let substs = Matcher.run ~dom (Matcher.prepare probe) db in
+  Matcher.prepare probe
+
+let eval_agg db dom ((a : agg_rule), plan) =
+  (* collect satisfying substitutions of the body *)
+  let substs = Matcher.run ~dom plan db in
   let groups : (Value.t list, Value.t list list) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -112,18 +117,19 @@ let eval ?(trace = Observe.Trace.null) layers inst =
             (* each layer's rule set must stratify internally *)
             (Stratified.eval ~trace rules current).Stratified.instance
       in
+      let probes = List.map (fun a -> (a, probe a)) aggregates in
       let dom =
-        Eval_util.program_dom
+        Eval_util.program_dom ~trace
           (rules
           @ List.map
               (fun a -> { Ast.head = [ Ast.HPos (Ast.atom a.pred []) ];
                           body = a.body; forall = [] })
               aggregates)
-          current
+          (List.map snd probes) current
       in
       (* one indexed view shared by every aggregate of the layer *)
       let db = Matcher.Db.of_instance ~trace current in
-      let agg_facts = List.concat_map (eval_agg db dom) aggregates in
+      let agg_facts = List.concat_map (eval_agg db dom) probes in
       if tracing then (
         Observe.Trace.add trace "aggregate.rules" (List.length aggregates);
         Observe.Trace.add trace "aggregate.facts" (List.length agg_facts));

@@ -201,8 +201,10 @@ let eval_kleene sr g base =
 let run ?(trace = Observe.Trace.null) tag program edb =
   check_positive tag program;
   let sr = Semiring.get tag in
-  let dom = Eval_util.program_dom program edb in
   let prepared = Eval_util.prepare program in
+  let dom =
+    Eval_util.program_dom ~trace program (Eval_util.plans prepared) edb
+  in
   (* phase one: the Boolean support, on the ordinary (possibly
      parallel) engines *)
   let instance, stages =

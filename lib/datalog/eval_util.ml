@@ -1,16 +1,36 @@
 open Relational
 
-let program_dom p inst =
-  let module VSet = Set.Make (Value) in
-  VSet.elements
-    (VSet.union
-       (VSet.of_list (Ast.adom p))
-       (VSet.of_list (Instance.adom inst)))
+(* Union of two lists sorted by [Value.compare] without duplicates. *)
+let merge_sorted a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], l | l, [] -> List.rev_append acc l
+    | x :: a', y :: b' ->
+        let c = Value.compare x y in
+        if c < 0 then go (x :: acc) a' b
+        else if c > 0 then go (y :: acc) a b'
+        else go (x :: acc) a' b'
+  in
+  go [] a b
+
+(* A range-restricted plan never reads the domain, so most programs skip
+   the scan of K entirely. When a plan does read it, the domain is
+   computed once, under an "adom" span. *)
+let program_dom ?(trace = Observe.Trace.null) p plans inst =
+  if not (List.exists Matcher.needs_dom plans) then []
+  else (
+    Observe.Trace.open_span trace ~kind:"adom" "adom(P, K)";
+    let dom = merge_sorted (Ast.adom p) (Instance.adom inst) in
+    Observe.Trace.close_span trace
+      ~fields:[ Observe.Trace.fint "values" (List.length dom) ]
+      ();
+    dom)
 
 type prepared = (Ast.rule * Matcher.prepared) list
 
 let prepare p = List.map (fun r -> (r, Matcher.prepare r)) p
 let rules p = p
+let plans p = List.map snd p
 
 (* Stable per-rule counter label: position in the prepared program plus
    the head predicate(s) — "r3:T". Firing counters are reported as

@@ -4,16 +4,30 @@
 
 open Relational
 
-(** [program_dom p inst] is [adom(P, K)]: constants of the program plus the
-    active domain of the instance. Computed once per evaluation — for the
-    invention-free languages the domain never grows during the run. *)
-val program_dom : Ast.program -> Instance.t -> Value.t list
+(** [program_dom p plans inst] is the [dom] argument the matcher needs to
+    run [plans], the compiled rules of [p] against [inst]. It is [[]],
+    computed without touching [inst], unless some plan reads the domain
+    ({!Matcher.needs_dom}); then it is [adom(P, K)] — the constants of [p]
+    merged with {!Instance.adom} [inst], sorted and duplicate-free —
+    and, when [trace] is enabled, its computation is an ["adom"] span
+    whose close field [values] is the domain's size. Every engine gets
+    its domain here, once per evaluation: for the invention-free
+    languages the domain never grows during the run. *)
+val program_dom :
+  ?trace:Observe.Trace.ctx ->
+  Ast.program ->
+  Matcher.prepared list ->
+  Instance.t ->
+  Value.t list
 
 (** A prepared program: matcher plans per rule, in program order. *)
 type prepared
 
 val prepare : Ast.program -> prepared
 val rules : prepared -> (Ast.rule * Matcher.prepared) list
+
+(** [plans prepared] is the matcher plans alone, in program order. *)
+val plans : prepared -> Matcher.prepared list
 
 (** [rule_label i rule] is the stable counter label ["r<i>:<heads>"] used
     for per-rule firing counters ([rule_firings.<label>]); [i] is the

@@ -165,7 +165,10 @@ let tokenize src =
         while !i < n && is_digit src.[!i] do
           incr i
         done;
-        push (INT (int_of_string (String.sub src start (!i - start))))
+        let lit = String.sub src start (!i - start) in
+        (match int_of_string_opt lit with
+        | Some n -> push (INT n)
+        | None -> err !line "integer literal %s out of range" lit)
     | c when is_ident_start c ->
         let start = !i in
         while !i < n && is_ident_char src.[!i] do

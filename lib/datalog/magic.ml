@@ -164,22 +164,25 @@ let restrict_to_query (query : Ast.atom) rel =
    adorned facts are genuine facts of their predicate (guards only
    restrict which instantiations fire), so earlier queries leave behind
    a valid partial fixpoint that later fixpoints extend incrementally —
-   a repeat or overlapping query re-derives nothing it already holds. *)
+   a repeat or overlapping query re-derives nothing it already holds.
+   Each memoized rewrite carries the domain its plans need, computed
+   over the session's input instance when the rewrite is built. *)
 type session = {
   sprogram : Ast.program;
+  base : Instance.t;
   db : Matcher.Db.t;
   strace : Observe.Trace.ctx;
-  dom : Value.t list;
-  rewrites : (string * string, rewritten * Eval_util.prepared) Hashtbl.t;
+  rewrites :
+    (string * string, rewritten * Eval_util.prepared * Value.t list) Hashtbl.t;
 }
 
 let session ?(trace = Observe.Trace.null) p inst =
   Ast.check_datalog p;
   {
     sprogram = p;
+    base = inst;
     db = Matcher.Db.of_instance ~trace inst;
     strace = trace;
-    dom = Eval_util.program_dom p inst;
     rewrites = Hashtbl.create 8;
   }
 
@@ -188,7 +191,7 @@ let ask s (query : Ast.atom) =
   if tracing then Observe.Trace.incr s.strace "magic.queries";
   let ad = adorn [] query in
   let key = (query.Ast.pred, ad) in
-  let rw, prepared =
+  let rw, prepared, dom =
     match Hashtbl.find_opt s.rewrites key with
     | Some cached ->
         if tracing then Observe.Trace.incr s.strace "magic.rewrite_memo_hits";
@@ -204,7 +207,12 @@ let ask s (query : Ast.atom) =
                 Observe.Trace.fstr "query_pred" rw.query_pred;
                 Observe.Trace.fint "rules" (List.length rw.program);
               ]);
-        let cached = (rw, Eval_util.prepare rw.program) in
+        let prepared = Eval_util.prepare rw.program in
+        let dom =
+          Eval_util.program_dom ~trace:s.strace s.sprogram
+            (Eval_util.plans prepared) s.base
+        in
+        let cached = (rw, prepared, dom) in
         Hashtbl.add s.rewrites key cached;
         cached
   in
@@ -219,7 +227,7 @@ let ask s (query : Ast.atom) =
   ignore (Matcher.Db.insert s.db (fst rw.seed) seed_tup);
   let res, _stages =
     Eval_util.seminaive_fixpoint_db ~trace:s.strace prepared
-      ~delta_preds:(Ast.idb rw.program) ~dom:s.dom s.db
+      ~delta_preds:(Ast.idb rw.program) ~dom s.db
   in
   let answers = restrict_to_query query (Instance.find rw.query_pred res) in
   if tracing then

@@ -659,6 +659,8 @@ let prepare (rule : Ast.rule) =
     cbodies;
   }
 
+let needs_dom prepared = prepared.need_dom
+
 (* ------------------------------------------------------------------ *)
 
 (* Association-list helpers retained for [satisfies] (the nondeterministic

@@ -11,7 +11,10 @@
     An instantiation of a rule w.r.t. K (paper, §4.1) maps each variable
     into [adom(P, K)]; because our rules are range-restricted (safety
     checks in {!Ast}), enumerating joins over the stored relations produces
-    exactly those valuations without materializing the domain. *)
+    exactly those valuations without materializing the domain. Only the
+    variables no positive atom binds range over [adom(P, K)]; {!needs_dom}
+    tells whether a plan has any, and {!Eval_util.program_dom} computes
+    the domain only then. *)
 
 open Relational
 
@@ -163,6 +166,13 @@ type prepared
 
 (** [prepare rule] plans and compiles the body join. *)
 val prepare : Ast.rule -> prepared
+
+(** [needs_dom prepared] holds iff executing the plan reads the [dom]
+    argument of {!run}/{!iter_firings}: some body variable is bound only
+    by a negative literal or an (in)equality (Example 4.4), or the rule
+    is ∀-quantified. A range-restricted rule never needs it, and a
+    caller may then pass any list, e.g. [[]]. *)
+val needs_dom : prepared -> bool
 
 (** [run prepared db] enumerates all satisfying substitutions for the body.
     Each substitution binds every body variable (and hence every head

@@ -49,14 +49,16 @@ let prepared_step policy prepared dom current =
 
 let step ?(policy = Pos_priority) p inst =
   Ast.check_datalog_negneg p;
-  let dom = Eval_util.program_dom p inst in
-  prepared_step policy (Eval_util.prepare p) dom inst
+  let prepared = Eval_util.prepare p in
+  prepared_step policy prepared
+    (Eval_util.program_dom p (Eval_util.plans prepared) inst)
+    inst
 
 let run ?(policy = Pos_priority) ?(max_stages = 10_000)
     ?(trace = Observe.Trace.null) p inst =
   Ast.check_datalog_negneg p;
-  let dom = Eval_util.program_dom p inst in
   let prepared = Eval_util.prepare p in
+  let dom = Eval_util.program_dom ~trace p (Eval_util.plans prepared) inst in
   let tracing = Observe.Trace.enabled trace in
   let module IMap = Map.Make (struct
     type t = Instance.t

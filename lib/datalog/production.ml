@@ -79,9 +79,13 @@ let run ?(strategy = First) ?(max_cycles = 10_000)
     ?(trace = Observe.Trace.null) p inst =
   Ast.check_ndatalog p;
   let tracing = Observe.Trace.enabled trace in
-  let dom = Eval_util.program_dom p inst in
   let prepared =
     List.mapi (fun i r -> (i, r, Matcher.prepare r)) p
+  in
+  let dom =
+    Eval_util.program_dom ~trace p
+      (List.map (fun (_, _, plan) -> plan) prepared)
+      inst
   in
   let ages : (string * Tuple.t, int) Hashtbl.t = Hashtbl.create 64 in
   Instance.fold

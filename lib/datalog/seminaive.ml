@@ -4,8 +4,8 @@ type result = { instance : Instance.t; stages : int }
 
 let eval ?(trace = Observe.Trace.null) p inst =
   Ast.check_datalog p;
-  let dom = Eval_util.program_dom p inst in
   let prepared = Eval_util.prepare p in
+  let dom = Eval_util.program_dom ~trace p (Eval_util.plans prepared) inst in
   let instance, stages =
     Eval_util.seminaive_fixpoint ~trace prepared ~delta_preds:(Ast.idb p) ~dom
       inst

@@ -11,8 +11,8 @@ let eval ?(trace = Observe.Trace.null) p inst =
       (Not_semipositive
          "program negates an idb predicate; semi-positive Datalog\xc2\xac \
           only negates edb predicates");
-  let dom = Eval_util.program_dom p inst in
   let prepared = Eval_util.prepare p in
+  let dom = Eval_util.program_dom ~trace p (Eval_util.plans prepared) inst in
   let instance, stages =
     Eval_util.seminaive_fixpoint ~trace prepared ~delta_preds:(Ast.idb p) ~dom
       inst

@@ -8,8 +8,8 @@ let gl_prepared prepared delta_preds dom inst context =
 
 let gl p inst context =
   Ast.check_datalog_neg p;
-  let dom = Eval_util.program_dom p inst in
   let prepared = Eval_util.prepare p in
+  let dom = Eval_util.program_dom p (Eval_util.plans prepared) inst in
   gl_prepared prepared (Ast.idb p) dom inst context
 
 let is_stable p inst m = Instance.equal (gl p inst m) m
@@ -29,8 +29,10 @@ let models ?limit ?(trace = Observe.Trace.null) p inst =
   (* prepare once: the candidate enumeration applies GL up to 2^unknowns
      times over the same program and domain *)
   Ast.check_datalog_neg p;
-  let dom = Eval_util.program_dom p inst in
   let prepared = Eval_util.prepare p in
+  (* untraced: [Wellfounded.eval] above already computed this domain
+     under its own span, and [Instance.adom] memoizes it on [inst] *)
+  let dom = Eval_util.program_dom p (Eval_util.plans prepared) inst in
   let delta_preds = Ast.idb p in
   let tracing = Observe.Trace.enabled trace in
   if tracing then

@@ -151,8 +151,16 @@ let eval ?(trace = Observe.Trace.null) p inst =
   | Error msg -> raise (Not_stratifiable msg)
   | Ok { strata; _ } ->
       (* adom(P, K) is shared by all strata: no stratum can invent
-         values, so the domain is fixed up front. *)
-      let dom = Eval_util.program_dom p inst in
+         values, so the domain is fixed up front — and computed only if
+         some stratum's plan reads it. *)
+      let prepared_strata =
+        List.map (fun stratum -> (stratum, Eval_util.prepare stratum)) strata
+      in
+      let dom =
+        Eval_util.program_dom ~trace p
+          (List.concat_map (fun (_, pr) -> Eval_util.plans pr) prepared_strata)
+          inst
+      in
       let tracing = Observe.Trace.enabled trace in
       (* SCC machinery for wave scheduling, consulted only when parallel
          evaluation is on; the joint per-stratum path is untouched at
@@ -169,7 +177,7 @@ let eval ?(trace = Observe.Trace.null) p inst =
       in
       let instance, stages, _ =
         List.fold_left
-          (fun (current, stages, i) stratum ->
+          (fun (current, stages, i) (stratum, prepared) ->
             match stratum with
             | [] -> (current, stages, i + 1)
             | _ ->
@@ -189,7 +197,6 @@ let eval ?(trace = Observe.Trace.null) p inst =
                           (cur', st + s))
                         (current, 0) ws
                   | None ->
-                      let prepared = Eval_util.prepare stratum in
                       Eval_util.seminaive_fixpoint ~trace prepared
                         ~delta_preds:(Ast.idb stratum) ~dom current
                 in
@@ -203,7 +210,7 @@ let eval ?(trace = Observe.Trace.null) p inst =
                       ]
                     ();
                 (next, stages + s, i + 1))
-          (inst, 0, 0) strata
+          (inst, 0, 0) prepared_strata
       in
       { instance; strata = List.length strata; stages }
 

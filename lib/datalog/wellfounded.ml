@@ -22,8 +22,8 @@ let gl_operator ?(trace = Observe.Trace.null) prepared delta_preds dom inst
 
 let sequence ?(trace = Observe.Trace.null) p inst =
   Ast.check_datalog_neg p;
-  let dom = Eval_util.program_dom p inst in
   let prepared = Eval_util.prepare p in
+  let dom = Eval_util.program_dom ~trace p (Eval_util.plans prepared) inst in
   let tracing = Observe.Trace.enabled trace in
   (* One alternating round = two applications of A: the first refines the
      overestimate, the second the underestimate. Each is a "phase" span. *)

@@ -108,7 +108,8 @@ let run ?(schedule = Round_robin) ?(max_rounds = 10_000)
     | Some rules ->
         let plain = List.map (fun (r, _) -> r.rule) rules in
         let dom =
-          Datalog.Eval_util.program_dom plain (Matcher.Db.instance store)
+          Datalog.Eval_util.program_dom ~trace plain (List.map snd rules)
+            (Matcher.Db.instance store)
         in
         let db = store in
         let derived = ref [] in
@@ -271,8 +272,10 @@ let run_bulk ?(max_supersteps = 10_000) ?(trace = Observe.Trace.null) net =
       | [] -> ()
       | rules ->
           let plain = List.map (fun (r, _) -> r.rule) rules in
+          (* untraced: this runs on a pool worker *)
           let dom =
-            Datalog.Eval_util.program_dom plain (Matcher.Db.instance store)
+            Datalog.Eval_util.program_dom plain (List.map snd rules)
+              (Matcher.Db.instance store)
           in
           let local = ref [] in
           List.iter

@@ -41,9 +41,13 @@ let eval ~seed ?(trace = Observe.Trace.null) p inst =
   let tracing = Observe.Trace.enabled trace in
   let rng = Random.State.make [| seed |] in
   let plain = List.map (fun c -> c.rule) p in
-  let dom = Datalog.Eval_util.program_dom plain inst in
   let prepared =
     List.mapi (fun i c -> (i, c, Matcher.prepare c.rule)) p
+  in
+  let dom =
+    Datalog.Eval_util.program_dom ~trace plain
+      (List.map (fun (_, _, plan) -> plan) prepared)
+      inst
   in
   (* committed FDs: (rule index, choice index, x̄ values) -> ȳ values *)
   let committed : (int * int * Value.t list, Value.t list) Hashtbl.t =

@@ -41,9 +41,11 @@ let firings_db prepared dom db =
     prepared
 
 let firings p inst =
-  let dom = Datalog.Eval_util.program_dom p inst in
-  let db = Matcher.Db.of_instance inst in
-  firings_db (List.map (fun r -> (r, Matcher.prepare r)) p) dom db
+  let prepared = List.map (fun r -> (r, Matcher.prepare r)) p in
+  let dom =
+    Datalog.Eval_util.program_dom p (List.map snd prepared) inst
+  in
+  firings_db prepared dom (Matcher.Db.of_instance inst)
 
 let successors p inst =
   let fs = firings p inst in
@@ -87,7 +89,12 @@ let run ~seed ?(max_steps = 100_000) ?(trace = Observe.Trace.null) p inst =
     if steps >= max_steps then
       Out_of_fuel { instance = Matcher.Db.instance db; steps }
     else
-      let dom = Datalog.Eval_util.program_dom p (Matcher.Db.instance db) in
+      (* the state changes every step, so a plan that reads the domain
+         rescans it; a range-restricted program never does *)
+      let dom =
+        Datalog.Eval_util.program_dom ~trace p (List.map snd prepared)
+          (Matcher.Db.instance db)
+      in
       (* candidate firings: state-changing or ⊥-deriving *)
       let candidates =
         List.filter_map

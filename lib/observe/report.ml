@@ -124,7 +124,7 @@ let pp_summary ppf ctx =
       retained);
   let aggs = Trace.span_aggregates ctx in
   let hot =
-    List.filter (fun (k, _, _) -> not (List.mem k [ "run"; "stratum"; "phase" ])) aggs
+    List.filter (fun (k, _, _) -> not (List.mem k Trace.default_retain)) aggs
   in
   if hot <> [] then (
     Format.fprintf ppf "span totals:@.";

@@ -78,10 +78,14 @@ type ctx
     Engines default their [?trace] argument to this. *)
 val null : ctx
 
+(** The span kinds a context retains by default:
+    [["run"; "stratum"; "phase"; "adom"]]. *)
+val default_retain : string list
+
 (** [make ()] is an enabled context. [retain] lists the span kinds whose
     closed spans are kept (with close fields) for the human-readable
     summary, capped at [retain_cap] spans; defaults to
-    [["run"; "stratum"; "phase"]]. *)
+    {!default_retain}. *)
 val make :
   ?sinks:sink list -> ?retain:string list -> ?retain_cap:int -> unit -> ctx
 

@@ -98,17 +98,19 @@ let expect st t what =
 
 let is_var name = name <> "" && (name.[0] = '_' || (name.[0] >= 'A' && name.[0] <= 'Z'))
 
+let constant s =
+  match Value.parse s with
+  | v -> Fo.Cst v
+  | exception Invalid_argument msg -> error "%s" msg
+
 let term_of st =
   match peek st with
   | Ident name ->
       advance st;
-      if is_var name then Fo.Var name else Fo.Cst (Value.parse name)
-  | Str_lit s ->
+      if is_var name then Fo.Var name else constant name
+  | Str_lit s | Int_lit s ->
       advance st;
-      Fo.Cst (Value.parse s)
-  | Int_lit s ->
-      advance st;
-      Fo.Cst (Value.parse s)
+      constant s
   | _ -> error "expected a term"
 
 let keyword = function

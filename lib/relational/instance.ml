@@ -1,5 +1,4 @@
 module SMap = Map.Make (String)
-module VSet = Set.Make (Value)
 
 (* An instance pairs the name -> relation map with a memoized active
    domain, the same order-on-demand view pattern as [Relation]'s sorted
@@ -62,15 +61,10 @@ let adom i =
   match i.adom_memo with
   | Some vs -> vs
   | None ->
-      let s =
-        SMap.fold
-          (fun _ r acc ->
-            List.fold_left
-              (fun acc v -> VSet.add v acc)
-              acc (Relation.values r))
-          i.rels VSet.empty
+      let vs =
+        Value.Intern.decode_distinct (fun f ->
+            SMap.iter (fun _ r -> Relation.iter_ids f r) i.rels)
       in
-      let vs = VSet.elements s in
       i.adom_memo <- Some vs;
       vs
 

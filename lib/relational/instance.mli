@@ -65,7 +65,8 @@ val total_facts : t -> int
     order-on-demand pattern as {!Relation}'s sorted view): the scan over
     all relations runs at most once per instance, and every mutation
     ({!set}, {!add_fact}, {!remove_fact}, ...) yields a fresh instance
-    whose memo is recomputed on first use. *)
+    whose memo is recomputed on first use. The scan walks interned ids
+    and decodes each distinct id once, then sorts the values. *)
 val adom : t -> Value.t list
 
 (** [fold f i acc] folds over [(name, relation)] bindings in name order. *)

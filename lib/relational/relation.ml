@@ -1,5 +1,3 @@
-module VSet = Set.Make (Value)
-
 (* Little-endian Patricia trie keyed by tuple hash (Okasaki & Gill).
    Canonical for a given key set, so structure never depends on insertion
    order; persistent, so [Instance] snapshots stay cheap. Each key maps
@@ -387,14 +385,8 @@ let choose_opt r =
           | _ -> Some t)
         r None
 
-let values r =
-  let s =
-    raw_fold
-      (fun t acc ->
-        Array.fold_left (fun acc v -> VSet.add v acc) acc (Tuple.values t))
-      r VSet.empty
-  in
-  VSet.elements s
+let iter_ids f r = raw_fold (fun t () -> Array.iter f (Tuple.ids t)) r ()
+let values r = Value.Intern.decode_distinct (fun f -> iter_ids f r)
 
 (* --- join indexes --------------------------------------------------- *)
 

@@ -90,8 +90,13 @@ val map : (Tuple.t -> Tuple.t) -> t -> t
 val elements : t -> Tuple.t list
 val choose_opt : t -> Tuple.t option
 
+(** [iter_ids f r] calls [f] on the interned id of every component of
+    every tuple of [r], in unspecified order and with repeats. *)
+val iter_ids : (int -> unit) -> t -> unit
+
 (** [values r] is the set of all values occurring in [r] (its active
-    domain), as a sorted list without duplicates. *)
+    domain), as a sorted list without duplicates. Computed on ids: each
+    distinct id is decoded once ({!Value.Intern.decode_distinct}). *)
 val values : t -> Value.t list
 
 (** {1 Join indexes} *)

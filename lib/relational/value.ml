@@ -37,6 +37,14 @@ let pp ppf = function
 
 let to_string v = Format.asprintf "%a" pp v
 
+(* The program lexer's integer grammar, [-?[0-9]+]: [int_of_string]
+   alone would also read [0x1F], [0b11], [1_000] and [+5]. *)
+let is_int_literal s =
+  let n = String.length s in
+  let start = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let rec digits i = i = n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+  start < n && digits start
+
 let parse s =
   let n = String.length s in
   if n = 0 then invalid_arg "Value.parse: empty string"
@@ -49,8 +57,13 @@ let parse s =
     | Some _ | None ->
         invalid_arg
           (Printf.sprintf "Value.parse: malformed string literal %s" s)
-  else
-    match int_of_string_opt s with Some i -> Int i | None -> Sym s
+  else if is_int_literal s then
+    match int_of_string_opt s with
+    | Some i -> Int i
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Value.parse: integer literal %s out of range" s)
+  else Sym s
 
 module Intern = struct
   module H = Hashtbl.Make (struct
@@ -110,6 +123,20 @@ module Intern = struct
 
   let compare_ids a b = if a = b then 0 else compare (of_id a) (of_id b)
   let size () = Atomic.get count
+
+  (* One byte per id interned so far marks the ids already met, so each
+     distinct id is decoded once and the values are sorted once — no
+     per-occurrence set insertion on decoded values. Every id a caller
+     can hold was interned before this call, hence is below [size ()]. *)
+  let decode_distinct iter =
+    let seen = Bytes.make (size ()) '\000' in
+    let ids = ref [] in
+    iter (fun i ->
+        if Bytes.get seen i = '\000' then (
+          Bytes.set seen i '\001';
+          ids := i :: !ids));
+    List.sort compare (List.rev_map of_id !ids)
+
   let hits () = Atomic.get hit_count
 end
 

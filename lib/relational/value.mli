@@ -40,11 +40,14 @@ val to_string : t -> string
 
 (** [parse s] reads a value back from its surface syntax: an integer literal,
     a quoted string, or a bare symbol. Inverse of [to_string] for
-    non-invented values.
-    @raise Invalid_argument on the empty string and on malformed string
-    literals — an input starting with ['"'] must be a complete quoted
-    literal with nothing after the closing quote (["ab"cd] is rejected,
-    not truncated to [ab]). *)
+    non-invented values. Integer literals follow the program lexer's
+    grammar, [-?[0-9]+]; anything else unquoted ([0x1F], [1_000], [+5])
+    is a symbol.
+    @raise Invalid_argument on the empty string, on an integer literal
+    outside the native int range, and on malformed string literals — an
+    input starting with ['"'] must be a complete quoted literal with
+    nothing after the closing quote (["ab"cd] is rejected, not truncated
+    to [ab]). *)
 val parse : string -> t
 
 (** Process-wide value interning: every constant that enters the
@@ -79,6 +82,12 @@ module Intern : sig
 
   (** [size ()] is the number of distinct values interned so far. *)
   val size : unit -> int
+
+  (** [decode_distinct iter] is the sorted ({!Value.compare}), duplicate-free
+      list of the values denoted by the ids [iter] passes to its callback.
+      Each distinct id is decoded once: a byte set over the interned ids
+      marks the ones already met. *)
+  val decode_distinct : ((int -> unit) -> unit) -> value list
 
   (** [hits ()] counts [id] calls that found an existing entry — the
       intern table's hit counter for the observability layer. *)

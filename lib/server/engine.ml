@@ -20,17 +20,18 @@ type t = {
 }
 
 (* The engine is restricted to pure Datalog, so no plan ever consults
-   the active domain ([need_dom] is false for every range-restricted
-   positive rule) and updates can pass an empty one — recomputing
-   [program_dom] per request would cost a scan of the whole database and
-   defeat incrementality. *)
+   the active domain ([Matcher.needs_dom] is false for every
+   range-restricted positive rule): [create]'s [program_dom] is [[]]
+   without a scan, and updates pass an empty domain directly. *)
 let no_dom : Value.t list = []
 
 let create ?(trace = Observe.Trace.null) ?(maintenance = Dred) program edb =
   Ast.check_datalog program;
   let prepared = Eval_util.prepare program in
   let db = Matcher.Db.of_instance ~trace edb in
-  let dom = Eval_util.program_dom program edb in
+  let dom =
+    Eval_util.program_dom ~trace program (Eval_util.plans prepared) edb
+  in
   ignore
     (Eval_util.seminaive_fixpoint_db ~trace prepared
        ~delta_preds:(Ast.idb program) ~dom db);

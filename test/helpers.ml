@@ -28,6 +28,12 @@ let prog src =
 let facts src =
   try Instance.parse_facts src with Failure msg -> Alcotest.fail msg
 
+(* [contains ~sub s]: [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* Binary relation of sym pairs. *)
 let pairs ps = Relation.of_rows (List.map (fun (a, b) -> [ v a; v b ]) ps)
 

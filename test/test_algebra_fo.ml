@@ -138,11 +138,6 @@ let test_fo_de_morgan () =
 
 (* --- the safe-range compiler --------------------------------------------- *)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_semijoin_antijoin () =
   check_rel "semijoin: G restricted to P-targets"
     (pairs [ ("b", "c"); ("c", "c") ])

@@ -403,6 +403,120 @@ let test_trace_schema_all_engines () =
   in
   List.iter (fun (name, f) -> jsonl_run name f) engines
 
+(* The active domain is materialized only for a plan that reads it: a
+   safe (range-restricted) run records no "adom" span, a run with a
+   variable bound only by negation (Example 4.4) records exactly one,
+   whose [values] field is |adom(P, K)|. *)
+let adom_spans f =
+  let sink, recorded = Observe.Trace.memory_sink () in
+  let trace = Observe.Trace.make ~sinks:[ sink ] () in
+  f trace;
+  Observe.Trace.finish trace;
+  List.filter_map
+    (function
+      | Observe.Trace.Closed (sp, _, fields) when sp.Observe.Trace.kind = "adom"
+        ->
+          Some (List.assoc "values" fields)
+      | _ -> None)
+    (recorded ())
+
+let test_adom_only_when_read () =
+  let tc_input = facts "G(a, b). G(b, c)." in
+  let safe =
+    [
+      ("naive", fun trace -> ignore (Datalog.Naive.eval ~trace tc_program tc_input));
+      ( "seminaive",
+        fun trace -> ignore (Datalog.Seminaive.eval ~trace tc_program tc_input) );
+      ( "stratified",
+        fun trace ->
+          ignore
+            (Datalog.Stratified.eval ~trace
+               (prog "T(X, Y) :- G(X, Y). S(X) :- G(X, Y), !T(Y, X).")
+               tc_input) );
+      ( "semipositive",
+        fun trace ->
+          ignore
+            (Datalog.Semipositive.eval ~trace
+               (prog "S(X) :- G(X, Y), !G(Y, X).") tc_input) );
+      ( "wellfounded",
+        fun trace ->
+          ignore
+            (Datalog.Wellfounded.eval ~trace win_program
+               (facts "moves(a, b). moves(b, a).")) );
+      ( "inflationary",
+        fun trace -> ignore (Datalog.Inflationary.eval ~trace tc_program tc_input) );
+      ( "noninflationary",
+        fun trace ->
+          ignore (Datalog.Noninflationary.run ~trace tc_program tc_input) );
+      ( "production",
+        fun trace ->
+          ignore
+            (Datalog.Production.run ~trace
+               (prog "done(X) :- todo(X), !done(X).")
+               (facts "todo(a). todo(b).")) );
+      ( "annot",
+        fun trace ->
+          ignore (Datalog.Annot_eval.run ~trace Semiring.Count tc_program tc_input)
+      );
+      ( "magic",
+        fun trace ->
+          ignore
+            (Datalog.Magic.answer ~trace tc_program tc_input
+               (Datalog.Ast.atom "T" [ Datalog.Ast.sym "a"; Datalog.Ast.var "Y" ])) );
+      ( "serve",
+        fun trace -> ignore (Server.Engine.create ~trace tc_program tc_input) );
+      ( "nondet",
+        fun trace ->
+          ignore
+            (Nondet.Nd_eval.run ~seed:1 ~trace
+               (prog "!G(X, Y) :- G(X, Y), G(Y, X).")
+               (facts "G(a, b). G(b, a).")) );
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check int) (name ^ ": no adom span") 0 (List.length (adom_spans f)))
+    safe;
+  (* adom(P, K) = {a, b, c} from K plus the program constant d *)
+  let needs =
+    [
+      ( "stratified",
+        fun trace ->
+          ignore
+            (Datalog.Stratified.eval ~trace
+               (prog "T(X, Y) :- G(X, Y). C(X, d) :- !T(X, d).")
+               tc_input) );
+      ( "semipositive",
+        fun trace ->
+          ignore
+            (Datalog.Semipositive.eval ~trace (prog "C(X, d) :- !G(X, d).")
+               tc_input) );
+      ( "wellfounded",
+        fun trace ->
+          ignore
+            (Datalog.Wellfounded.eval ~trace (prog "C(X, d) :- !G(X, d).")
+               tc_input) );
+      ( "inflationary",
+        fun trace ->
+          ignore
+            (Datalog.Inflationary.eval ~trace (prog "C(X, d) :- !G(X, d).")
+               tc_input) );
+      ( "noninflationary",
+        fun trace ->
+          ignore
+            (Datalog.Noninflationary.run ~trace (prog "C(X, d) :- !G(X, d).")
+               tc_input) );
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      match adom_spans f with
+      | [ Observe.Trace.Int n ] -> Alcotest.(check int) (name ^ ": values") 4 n
+      | spans ->
+          Alcotest.failf "%s: %d adom spans, expected one" name
+            (List.length spans))
+    needs
+
 let suite =
   [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
@@ -431,4 +545,6 @@ let suite =
     Alcotest.test_case "rule firings counted" `Quick test_rule_firings_counted;
     Alcotest.test_case "JSONL schema across engines" `Quick
       test_trace_schema_all_engines;
+    Alcotest.test_case "adom computed only when a plan reads it" `Quick
+      test_adom_only_when_read;
   ]

@@ -124,6 +124,36 @@ let test_lexer_errors_have_lines () =
   | exception e -> Alcotest.failf "wrong exception %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "expected lex error on line 2"
 
+(* integer literals are [-?[0-9]+] over the native int range: the
+   extremes parse, one past them is a lex error on its own line (not an
+   escaping [Failure "int_of_string"]) *)
+let test_integer_literals () =
+  let head_args src =
+    match (parse_rule src).Ast.head with
+    | [ Ast.HPos a ] -> a.Ast.args
+    | _ -> Alcotest.fail "bad head"
+  in
+  Alcotest.(check bool)
+    "native range" true
+    (head_args "G(4611686018427387903, -4611686018427387904, -0, 007)."
+    = List.map (fun n -> Ast.Cst (Value.Int n)) [ max_int; min_int; 0; 7 ]);
+  List.iter
+    (fun src ->
+      match Datalog.Parser.parse_program src with
+      | exception Datalog.Lexer.Lex_error (2, msg) ->
+          Alcotest.(check bool)
+            ("message names the range: " ^ msg)
+            true
+            (contains ~sub:"out of range" msg)
+      | exception e ->
+          Alcotest.failf "%S: wrong exception %s" src (Printexc.to_string e)
+      | _ -> Alcotest.failf "%S: expected a lex error on line 2" src)
+    [
+      "p(a).\nG(X, 99999999999999999999) :- H(X).";
+      "p(a).\nG(4611686018427387904).";
+      "p(a).\nG(-4611686018427387905).";
+    ]
+
 (* round-trip: parse (pretty p) = p for a corpus of programs *)
 let corpus =
   [
@@ -172,6 +202,8 @@ let suite =
     Alcotest.test_case "parse errors raised" `Quick test_parse_errors;
     Alcotest.test_case "empty body after arrow" `Quick
       test_empty_body_after_arrow;
+    Alcotest.test_case "integer literals: range and grammar" `Quick
+      test_integer_literals;
     Alcotest.test_case "lex errors carry line numbers" `Quick
       test_lexer_errors_have_lines;
     Alcotest.test_case "pretty/parse roundtrip corpus" `Quick

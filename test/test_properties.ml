@@ -409,6 +409,131 @@ let prop_nd_walks_in_effect =
             (Nondet.Enumerate.terminals p i)
       | _ -> false)
 
+(* --- the active domain, computed on interned ids ------------------------ *)
+
+(* The set-based definitions the id-based ones replaced, kept as
+   oracles: decode every component of every fact into a value set. *)
+module VSet = Set.Make (Value)
+
+let oracle_values r =
+  VSet.elements
+    (Relation.fold
+       (fun t acc -> List.fold_left (fun acc v -> VSet.add v acc) acc (Tuple.to_list t))
+       r VSet.empty)
+
+let oracle_adom inst =
+  VSet.elements
+    (Instance.fold
+       (fun _ r acc -> VSet.union acc (VSet.of_list (oracle_values r)))
+       inst VSet.empty)
+
+let oracle_program_dom p inst =
+  VSet.elements (VSet.union (VSet.of_list (Datalog.Ast.adom p)) (VSet.of_list (oracle_adom inst)))
+
+(* instances mixing every kind of value — ints (negative too), strings,
+   symbols and invented values — so the cross-kind order is exercised,
+   with a few values shared between relations *)
+let mixed_value_gen =
+  Q.Gen.(
+    oneof
+      [
+        map (fun n -> Value.Int n) (-4 -- 4);
+        map (fun n -> Value.Str (String.make 1 (Char.chr (97 + n)))) (0 -- 4);
+        map (fun n -> Value.Sym ("s" ^ string_of_int n)) (0 -- 4);
+        map (fun n -> Value.New n) (0 -- 3);
+      ])
+
+let mixed_inst_gen =
+  Q.Gen.(
+    let rel_gen ar =
+      map
+        (fun rows -> Relation.of_rows rows)
+        (list_size (0 -- 8) (list_size (return ar) mixed_value_gen))
+    in
+    let* a = rel_gen 1 and* b = rel_gen 2 and* c = rel_gen 3 in
+    return (Instance.of_list [] |> Instance.set "a" a |> Instance.set "b" b |> Instance.set "c" c))
+
+(* a program whose first rule reads the domain (X is bound only by a
+   negative literal) and whose constants overlap the instance's values *)
+let dom_program_gen =
+  Q.Gen.(
+    let* k = list_size (0 -- 3) mixed_value_gen in
+    let consts = List.filter (fun v -> not (Value.is_invented v)) k in
+    let rule c =
+      { Datalog.Ast.head = [ Datalog.Ast.HPos (Datalog.Ast.atom "q" [ Datalog.Ast.var "X"; Datalog.Ast.cst c ]) ];
+        body = [ Datalog.Ast.BNeg (Datalog.Ast.atom "a" [ Datalog.Ast.var "X" ]) ];
+        forall = [] }
+    in
+    return (prog "q(X, X) :- !a(X)." @ List.map rule consts))
+
+let prop_domain_oracle =
+  prop "id-based values/adom/program_dom = set-based oracle"
+    (Q.make
+       ~print:(fun (p, i) ->
+         Printf.sprintf "program:\n%s\ninstance:\n%s"
+           (Datalog.Pretty.program_to_string p)
+           (Instance.to_string i))
+       Q.Gen.(pair dom_program_gen mixed_inst_gen))
+    (fun (p, i) ->
+      let plans = Datalog.Eval_util.plans (Datalog.Eval_util.prepare p) in
+      Instance.fold
+        (fun _ r ok -> ok && List.equal Value.equal (Relation.values r) (oracle_values r))
+        i true
+      && List.equal Value.equal (Instance.adom i) (oracle_adom i)
+      && List.equal Value.equal
+           (Datalog.Eval_util.program_dom p plans i)
+           (oracle_program_dom p i)
+      (* a safe program never reads the domain: none is computed *)
+      && Datalog.Eval_util.program_dom tc_program
+           (Datalog.Eval_util.plans (Datalog.Eval_util.prepare tc_program))
+           i
+         = [])
+
+(* --- engines agree on rules that read the domain ------------------------- *)
+
+(* rules whose head variable is bound only by a negative literal
+   (Example 4.4), beside the positive and negated-edb pools; [c] is a
+   program constant that need not occur in the instance *)
+let dom_rule_pool =
+  [
+    "r(X) :- !e(X).";
+    "q(X, Y) :- e(X), !g(X, Y).";
+    "r(Y) :- !g(c, Y).";
+    "s(X) :- !p(X).";
+    "s(Y) :- !q(c, Y), !e(Y).";
+  ]
+
+(* The naive oracle: strata in order, each a naive fixpoint over a
+   domain from the set-based definition. *)
+let naive_strata p inst =
+  match Datalog.Stratify.stratify p with
+  | Error msg -> Q.Test.fail_report msg
+  | Ok { Datalog.Stratify.strata; _ } ->
+      let dom = oracle_program_dom p inst in
+      List.fold_left
+        (fun cur stratum ->
+          fst (Datalog.Eval_util.naive_fixpoint (Datalog.Eval_util.prepare stratum) ~dom cur))
+        inst strata
+
+let prop_dom_engines_agree =
+  prop "seminaive/stratified/semipositive/wellfounded = naive oracle (need_dom rules)"
+    (prog_inst_arb (rule_pool @ dom_rule_pool @ neg_rule_pool))
+    (fun (p, i) ->
+      Q.assume (Datalog.Stratify.is_stratifiable p);
+      let oracle = naive_strata p i in
+      let w = Datalog.Wellfounded.eval p i in
+      Instance.equal oracle (Datalog.Stratified.eval p i).Datalog.Stratified.instance
+      && Datalog.Wellfounded.is_total w
+      && Instance.equal oracle w.Datalog.Wellfounded.true_facts
+      && ((not (Datalog.Stratify.is_semipositive p))
+         || Instance.equal oracle
+              (Datalog.Semipositive.eval p i).Datalog.Semipositive.instance)
+      && (match Datalog.Ast.check_datalog p with
+         | exception Datalog.Ast.Check_error _ -> true
+         | () ->
+             Instance.equal oracle
+               (Datalog.Seminaive.eval p i).Datalog.Seminaive.instance))
+
 (* instance parse/pp roundtrip *)
 let prop_instance_roundtrip =
   prop "instance pp/parse roundtrip" graph_arb (fun (i, _, _, _) ->
@@ -435,4 +560,6 @@ let suite =
     prop_pretty_roundtrip;
     prop_nd_walks_in_effect;
     prop_instance_roundtrip;
+    prop_domain_oracle;
+    prop_dom_engines_agree;
   ]

@@ -36,6 +36,10 @@ let test_value_parse_reject () =
   reject {|"ab|};
   reject {|"|};
   reject {|"a"b"|};
+  (* an integer literal outside the native int range *)
+  reject "99999999999999999999";
+  reject "4611686018427387904";
+  reject "-4611686018427387905";
   (* escaped inner quotes still parse to the full string *)
   Alcotest.check value "escaped quote" (Value.Str "a\"b")
     (Value.parse {|"a\"b"|});
@@ -164,6 +168,41 @@ let test_instance_ops () =
   Alcotest.(check (list string))
     "adom" [ "a"; "b"; "c" ]
     (List.map Value.to_string (Instance.adom i))
+
+(* [Value.parse] reads the program lexer's integer grammar, [-?[0-9]+]:
+   the other forms [int_of_string] accepts stay symbols, as the printer
+   shows them *)
+let test_value_parse_integers () =
+  List.iter
+    (fun (s, want) -> Alcotest.check value s want (Value.parse s))
+    [
+      ("42", Value.Int 42);
+      ("-7", Value.Int (-7));
+      ("-0", Value.Int 0);
+      ("007", Value.Int 7);
+      ("4611686018427387903", Value.Int max_int);
+      ("-4611686018427387904", Value.Int min_int);
+      ("0x1F", Value.Sym "0x1F");
+      ("0b11", Value.Sym "0b11");
+      ("0o17", Value.Sym "0o17");
+      ("1_000", Value.Sym "1_000");
+      ("+5", Value.Sym "+5");
+      ("-", Value.Sym "-");
+      ("1e3", Value.Sym "1e3");
+    ];
+  (* in a facts file the same literal keeps its form end to end *)
+  Alcotest.check instance "facts"
+    (Instance.of_list
+       [ ("G", [ [ v "a"; Value.Sym "0x1F" ]; [ v "b"; Value.Sym "+5" ] ]) ])
+    (facts "G(a, 0x1F). G(b, +5).");
+  match Instance.parse_facts "G(a, 1).\nG(b, 99999999999999999999).\n" with
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "typed error with its line"
+        "facts line 2: Value.parse: integer literal 99999999999999999999 out \
+         of range"
+        msg
+  | _ -> Alcotest.fail "out-of-range decimal accepted"
 
 let test_instance_diff_union () =
   let a = facts "G(a,b). P(a)." and b = facts "G(a,b). Q(z)." in
@@ -295,6 +334,9 @@ let suite =
     Alcotest.test_case "value order" `Quick test_value_order;
     Alcotest.test_case "value parse roundtrip" `Quick
       test_value_parse_roundtrip;
+    Alcotest.test_case "value parse rejects" `Quick test_value_parse_reject;
+    Alcotest.test_case "value parse: integer grammar" `Quick
+      test_value_parse_integers;
     Alcotest.test_case "invented values distinct" `Quick
       test_value_gen_distinct;
     Alcotest.test_case "tuple operations" `Quick test_tuple_ops;
