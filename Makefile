@@ -50,6 +50,9 @@ bench:
 # greps a full provenance polynomial — the facts must come from -f (a
 # real EDB) because inline program facts are empty-body rules whose
 # annotation is the empty product 1.
+# The round-trip smoke step runs a program whose string constants hold
+# a comma, an escaped quote, a '%' and a "//", reloads its printed
+# output with -f, and requires the second run to print the same bytes.
 # The bench-diff step
 # compares the freshly regenerated e2 rows against the committed
 # BENCH_engines.json and GATES: rows from a different machine shape are
@@ -104,8 +107,13 @@ ci:
 	client shutdown | grep -q 'server stopped' && \
 	wait && grep -q 'listening on' _ci_srv.out
 	dune exec -- datalog-unchained run _ci_srv.dl -f _ci_srv.facts -a T --annot why | grep -Fq 'T(a, c). % G(a, b)*G(b, c)'
+	printf 'S("a,b"). S("a\\"b"). S("50%%"). S("x // y").\nQ(X) :- S(X).\n' > _ci_rt.dl
+	dune exec -- datalog-unchained run _ci_rt.dl > _ci_rt1.out
+	dune exec -- datalog-unchained run _ci_rt.dl -f _ci_rt1.out > _ci_rt2.out
+	cmp _ci_rt1.out _ci_rt2.out
+	grep -c '^[QS](' _ci_rt2.out | grep -qx 8
 	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_fo.facts _ci_demand.out _ci_explain.out \
-	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out
+	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_rt.dl _ci_rt1.out _ci_rt2.out
 
 clean:
 	dune clean

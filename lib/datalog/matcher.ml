@@ -27,7 +27,11 @@ module Db = struct
   (* each memoized index stores its constrained positions both as the
      memo key (list) and as a flat array, so per-tuple key extraction is
      a single [Array.map] with no intermediate list *)
-  type memset = unit KTbl.t
+  (* A membership set (id vector -> the tuple), [borrowed] while it is
+     still the table of a loaded relation ({!Relation.loaded_set}): the
+     relation value shares it, so the first write copies it. Handles
+     stay valid across the copy: they hold this record, not the table. *)
+  type memset = { mutable set : Tuple.t KTbl.t; mutable borrowed : bool }
 
   type t = {
     mutable inst : Instance.t;
@@ -42,9 +46,10 @@ module Db = struct
       Hashtbl.t;
     mems : (string, memset) Hashtbl.t;
         (* per-predicate flat hash membership sets, built lazily on first
-           probe and maintained incrementally ever after: a fact check is
-           O(1) array-hash probes, never a walk of the persistent trie
-           (which goes cache-cold once relations outgrow the caches) *)
+           probe (or adopted from a loaded relation) and maintained
+           incrementally ever after: a fact check is O(1) array-hash
+           probes, never a walk of the persistent trie (which goes
+           cache-cold once relations outgrow the caches) *)
     trace : Observe.Trace.ctx;
   }
 
@@ -96,24 +101,42 @@ module Db = struct
 
   let memset db p =
     match Hashtbl.find_opt db.mems p with
-    | Some tb -> tb
+    | Some m -> m
     | None ->
         let rel = relation db p in
-        let tb = KTbl.create (max 64 (2 * Relation.cardinal rel)) in
-        Relation.unordered_iter (fun t -> KTbl.replace tb (Tuple.ids t) ()) rel;
-        Hashtbl.add db.mems p tb;
-        tb
+        let m =
+          match Relation.loaded_set rel with
+          | Some set -> { set; borrowed = true }
+          | None ->
+              let tb = KTbl.create (max 64 (2 * Relation.cardinal rel)) in
+              Relation.unordered_iter
+                (fun t -> KTbl.replace tb (Tuple.ids t) t)
+                rel;
+              { set = tb; borrowed = false }
+        in
+        Hashtbl.add db.mems p m;
+        m
 
-  let memset_mem = KTbl.mem
-  let mem db p tup = KTbl.mem (memset db p) (Tuple.ids tup)
+  let memset_mem m ids = KTbl.mem m.set ids
+  let mem db p tup = memset_mem (memset db p) (Tuple.ids tup)
+
+  (* [p]'s membership set for writing, if it has one *)
+  let writable db p =
+    match Hashtbl.find_opt db.mems p with
+    | None -> None
+    | Some m ->
+        if m.borrowed then (
+          m.set <- KTbl.copy m.set;
+          m.borrowed <- false);
+        Some m.set
 
   let mems_add db p t =
-    match Hashtbl.find_opt db.mems p with
-    | Some tb -> KTbl.replace tb (Tuple.ids t) ()
+    match writable db p with
+    | Some tb -> KTbl.replace tb (Tuple.ids t) t
     | None -> ()
 
   let mems_remove db p t =
-    match Hashtbl.find_opt db.mems p with
+    match writable db p with
     | Some tb -> KTbl.remove tb (Tuple.ids t)
     | None -> ()
 
@@ -267,8 +290,8 @@ module Db = struct
         (match Hashtbl.find_opt db.pending p with
         | Some lst -> lst := List.rev_append news !lst
         | None -> Hashtbl.add db.pending p (ref news));
-        (match Hashtbl.find_opt db.mems p with
-        | Some tb -> List.iter (fun t -> KTbl.replace tb (Tuple.ids t) ()) news
+        (match writable db p with
+        | Some tb -> List.iter (fun t -> KTbl.replace tb (Tuple.ids t) t) news
         | None -> ());
         (match Hashtbl.find_opt db.indexes p with
         | None -> ()
@@ -708,14 +731,14 @@ let prewarm ?neg_db prepared db =
       | CDomain _ -> ())
     prepared.csteps;
   let warm_filter = function
-    | FPos ca -> ignore (Db.memset db ca.cpred : unit KTbl.t)
-    | FNeg ca -> ignore (Db.memset ndb ca.cpred : unit KTbl.t)
+    | FPos ca -> ignore (Db.memset db ca.cpred : Db.memset)
+    | FNeg ca -> ignore (Db.memset ndb ca.cpred : Db.memset)
     | FEq _ | FNeq _ -> ()
   in
   Array.iter (List.iter warm_filter) prepared.filters_after;
   List.iter warm_filter prepared.body_filters;
   List.iter
-    (fun (_, p, _) -> ignore (Db.memset db p : unit KTbl.t))
+    (fun (_, p, _) -> ignore (Db.memset db p : Db.memset))
     prepared.cheads
 
 (* The join loop shared by {!run} and {!iter_firings}. [consume] is

@@ -70,7 +70,11 @@ module Db : sig
       vectors, built lazily on first use and then maintained incrementally
       by {!insert}/{!remove}/{!absorb}. Unlike walking the persistent
       relation trie, probes stay cache-friendly however large the relation
-      grows — fixpoint engines use this for their freshness checks. *)
+      grows — fixpoint engines use this for their freshness checks.
+      A predicate whose relation came straight from the fact loader
+      adopts that relation's table ({!Relation.loaded_set}) instead of
+      building one, and copies it before its first write, so the
+      relation value never changes. *)
   type memset
 
   (** [memset db p] is the membership set of predicate [p] (building it,

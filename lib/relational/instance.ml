@@ -102,75 +102,320 @@ let pp ppf i =
 
 let to_string i = Format.asprintf "%a" pp i
 
-(* --- fact parsing ------------------------------------------------------ *)
+(* --- fact loading ------------------------------------------------------ *)
 
-let parse_one_fact lineno stmt i =
-  let stmt = String.trim stmt in
-  if stmt = "" then i
+(* Per-load token cache: the bytes of a token -> its interned id. Open
+   addressing over parallel arrays, so a lookup hashes and compares the
+   token where it lies in the input, without allocating a substring;
+   [Value.parse] and [Value.Intern.id] run once per distinct token. *)
+module Tokens = struct
+  type t = {
+    mutable keys : string array;
+    mutable hashes : int array;
+    mutable ids : int array;  (** -1 marks an empty slot *)
+    mutable count : int;
+  }
+
+  let create n =
+    let cap = ref 16 in
+    while !cap < 2 * n do
+      cap := 2 * !cap
+    done;
+    {
+      keys = Array.make !cap "";
+      hashes = Array.make !cap 0;
+      ids = Array.make !cap (-1);
+      count = 0;
+    }
+
+  let hash src s e =
+    let h = ref (e - s) in
+    for i = s to e - 1 do
+      let x = (!h lxor Char.code (String.unsafe_get src i)) * 0x9E3779B1 in
+      h := x lxor (x lsr 29)
+    done;
+    !h land max_int
+
+  (* [src.[s..e)] = [key] *)
+  let same src s e key =
+    String.length key = e - s
+    &&
+    let i = ref s in
+    while !i < e && String.unsafe_get src !i = String.unsafe_get key (!i - s) do
+      incr i
+    done;
+    !i = e
+
+  (* The slot of the token [src.[s..e)] with hash [h]: its own if cached,
+     else the empty slot where it would go. *)
+  let slot c src s e h =
+    let mask = Array.length c.ids - 1 in
+    let j = ref (h land mask) in
+    while c.ids.(!j) >= 0 && not (c.hashes.(!j) = h && same src s e c.keys.(!j))
+    do
+      j := (!j + 1) land mask
+    done;
+    !j
+
+  (* the cached id of [src.[s..e)], or -1 *)
+  let find c src s e = c.ids.(slot c src s e (hash src s e))
+
+  let rec add c key id =
+    if 2 * (c.count + 1) > Array.length c.ids then (
+      let keys = c.keys and ids = c.ids in
+      let cap = 2 * Array.length ids in
+      c.keys <- Array.make cap "";
+      c.hashes <- Array.make cap 0;
+      c.ids <- Array.make cap (-1);
+      c.count <- 0;
+      Array.iteri (fun j i -> if i >= 0 then add c keys.(j) i) ids);
+    let n = String.length key in
+    let h = hash key 0 n in
+    let j = slot c key 0 n h in
+    if c.ids.(j) < 0 then (
+      c.keys.(j) <- key;
+      c.hashes.(j) <- h;
+      c.ids.(j) <- id;
+      c.count <- c.count + 1)
+end
+
+(* One predicate's facts so far: the distinct rows, newest first, and
+   the table from their id vectors to them that deduplicates them. The
+   table becomes the relation's membership set ({!Relation.of_loaded}). *)
+type loading = {
+  name : string;
+  arity : int;
+  seen : Tuple.t Tuple.KTbl.t;
+  mutable rows : Tuple.t list;
+}
+
+(* the predicate before the first fact: its empty name matches no span *)
+let no_pred =
+  { name = ""; arity = 0; seen = Tuple.KTbl.create 1; rows = [] }
+
+type loader = {
+  len : int;  (** input length *)
+  tokens : Tokens.t;
+  preds : (string, loading) Hashtbl.t;
+  mutable last : loading;  (** the predicate of the previous fact *)
+  mutable hits : int;  (** tokens the cache resolved *)
+  mutable argv : int array;  (** the argument ids of the fact being read *)
+  mutable nargs : int;
+}
+
+let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+let rec ltrim src s e =
+  if s < e && blank src.[s] then ltrim src (s + 1) e else s
+
+let rec rtrim src s e =
+  if e > s && blank src.[e - 1] then rtrim src s (e - 1) else e
+
+let fail lineno msg = failwith (Printf.sprintf "facts line %d: %s" lineno msg)
+
+(* The argument [src.[s..e)]: its id from the cache, or parsed, interned
+   and cached on its first occurrence in the load. *)
+let arg ld src s e lineno =
+  let s = ltrim src s e in
+  let e = rtrim src s e in
+  if s = e then fail lineno "empty argument";
+  if ld.nargs = Array.length ld.argv then (
+    let bigger = Array.make (2 * ld.nargs) 0 in
+    Array.blit ld.argv 0 bigger 0 ld.nargs;
+    ld.argv <- bigger);
+  let id = Tokens.find ld.tokens src s e in
+  let id =
+    if id >= 0 then (
+      ld.hits <- ld.hits + 1;
+      id)
+    else
+      let key = String.sub src s (e - s) in
+      match Value.parse key with
+      | v ->
+          let id = Value.Intern.id v in
+          Tokens.add ld.tokens key id;
+          id
+      | exception Invalid_argument msg -> fail lineno msg
+  in
+  ld.argv.(ld.nargs) <- id;
+  ld.nargs <- ld.nargs + 1
+
+let predicate ld src s e n ~rest =
+  if Tokens.same src s e ld.last.name then ld.last
   else
-    let fail msg = failwith (Printf.sprintf "facts line %d: %s" lineno msg) in
-    match String.index_opt stmt '(' with
-    | None -> fail (Printf.sprintf "expected pred(args), got %S" stmt)
-    | Some lp ->
-        if stmt.[String.length stmt - 1] <> ')' then
-          fail "expected closing parenthesis";
-        let name = String.trim (String.sub stmt 0 lp) in
-        if name = "" then fail "empty predicate name";
-        let inside = String.sub stmt (lp + 1) (String.length stmt - lp - 2) in
-        let args =
-          if String.trim inside = "" then []
-          else
-            String.split_on_char ',' inside
-            |> List.map (fun s ->
-                   let s = String.trim s in
-                   if s = "" then fail "empty argument";
-                   match Value.parse s with
-                   | v -> v
-                   | exception Invalid_argument msg -> fail msg)
-        in
-        let r = find name i in
-        (match Relation.arity r with
-        | Some a when a <> List.length args ->
-            fail
-              (Printf.sprintf "%s has arity %d, got %d argument(s)" name a
-                 (List.length args))
-        | _ -> ());
-        set name (Relation.add (Tuple.of_list args) r) i
+    let name = String.sub src s (e - s) in
+    match Hashtbl.find_opt ld.preds name with
+    | Some p -> p
+    | None ->
+        let seen = Tuple.KTbl.create (max 8 (rest / 32)) in
+        let p = { name; arity = n; seen; rows = [] } in
+        Hashtbl.add ld.preds name p;
+        p
 
-(* Split the text into dot-terminated statements, respecting quoted
-   strings: a '.' inside "..." does not terminate a fact, and a '%' or
-   "//" inside "..." does not start a comment — comment detection shares
-   the string-state scan instead of running per line up front. *)
-let parse_facts text =
-  let lines = String.split_on_char '\n' text in
-  let buf = Buffer.create 64 in
-  let inst = ref empty in
-  let in_string = ref false in
-  List.iteri
-    (fun idx line ->
-      let lineno = idx + 1 in
-      let n = String.length line in
-      let i = ref 0 in
-      let in_comment = ref false in
-      while (not !in_comment) && !i < n do
-        let c = line.[!i] in
+(* The statement [src.[s..e)], ending on line [lineno] with [rest] input
+   bytes after it. *)
+let fact ld src s e lineno ~rest =
+  let s = ltrim src s e in
+  let e = rtrim src s e in
+  if s < e then begin
+    let lp = ref s in
+    while !lp < e && src.[!lp] <> '(' do
+      incr lp
+    done;
+    let lp = !lp in
+    if lp = e then
+      fail lineno
+        (Printf.sprintf "expected pred(args), got %S"
+           (String.sub src s (e - s)));
+    if src.[e - 1] <> ')' then fail lineno "expected closing parenthesis";
+    let ne = rtrim src s lp in
+    if ne = s then fail lineno "empty predicate name";
+    ld.nargs <- 0;
+    if ltrim src (lp + 1) (e - 1) < e - 1 then begin
+      (* the string state runs from the statement's start, as in the
+         statement scan, even when the first '(' lies inside a string *)
+      let start = ref (lp + 1) and i = ref s and in_string = ref false in
+      while !i < e - 1 do
+        let c = String.unsafe_get src !i in
         if !in_string then (
-          Buffer.add_char buf c;
-          if c = '"' then in_string := false)
-        else if c = '%' || (c = '/' && !i + 1 < n && line.[!i + 1] = '/') then
-          in_comment := true
-        else if c = '"' then (
-          Buffer.add_char buf c;
-          in_string := true)
-        else if c = '.' then (
-          inst := parse_one_fact lineno (Buffer.contents buf) !inst;
-          Buffer.clear buf)
-        else Buffer.add_char buf c;
+          if c = '\\' then incr i else if c = '"' then in_string := false)
+        else if c = '"' then in_string := true
+        else if c = ',' && !i > lp then (
+          arg ld src !start !i lineno;
+          start := !i + 1);
         incr i
       done;
-      Buffer.add_char buf ' ')
-    lines;
-  (if String.trim (Buffer.contents buf) <> "" then
-     let n = List.length lines in
-     inst := parse_one_fact n (Buffer.contents buf) !inst);
-  !inst
+      arg ld src !start (e - 1) lineno
+    end;
+    let n = ld.nargs in
+    let p = predicate ld src s ne n ~rest in
+    ld.last <- p;
+    if p.arity <> n then
+      fail lineno
+        (Printf.sprintf "%s has arity %d, got %d argument(s)" p.name p.arity n);
+    let ids = Array.sub ld.argv 0 n in
+    if not (Tuple.KTbl.mem p.seen ids) then (
+      let t = Tuple.of_ids ids in
+      Tuple.KTbl.add p.seen ids t;
+      p.rows <- t :: p.rows)
+  end
+
+(* The statement [text.[s..e)] as the statement parser must see it:
+   comments dropped and line breaks turned into spaces, strings kept
+   whole. Only a statement that spans lines or holds a comment needs it. *)
+let clean text s e =
+  let b = Buffer.create (e - s) in
+  let i = ref s and in_string = ref false in
+  let put c = Buffer.add_char b (if c = '\n' then ' ' else c) in
+  while !i < e do
+    let c = text.[!i] in
+    if !in_string then (
+      put c;
+      if c = '\\' && !i + 1 < e then (
+        incr i;
+        put text.[!i])
+      else if c = '"' then in_string := false;
+      incr i)
+    else if c = '%' || (c = '/' && !i + 1 < e && text.[!i + 1] = '/') then
+      while !i < e && text.[!i] <> '\n' do
+        incr i
+      done
+    else (
+      if c = '"' then in_string := true;
+      put c;
+      incr i)
+  done;
+  Buffer.contents b
+
+let statement ld text s e ~dirty lineno =
+  if dirty then
+    let src = clean text s e in
+    fact ld src 0 (String.length src) lineno ~rest:(ld.len - e)
+  else fact ld text s e lineno ~rest:(ld.len - e)
+
+(* One pass over the bytes: it tracks the line, the string state (a
+   backslash escapes the next character) and comments, and cuts the text
+   into dot-terminated statements for [fact]. *)
+let scan ld text =
+  let len = ld.len in
+  (* the current statement: its first non-blank offset (-1 while none),
+     the line of its last non-blank character, and whether a line break
+     or a comment lies inside it *)
+  let st = ref (-1) and st_line = ref 1 and dirty = ref false in
+  let pos = ref 0 and line = ref 1 in
+  while !pos < len do
+    (match String.unsafe_get text !pos with
+    | '\n' ->
+        incr line;
+        if !st >= 0 then dirty := true
+    | ' ' | '\t' | '\r' | '\012' -> ()
+    | '.' ->
+        if !st >= 0 then (
+          statement ld text !st !pos ~dirty:!dirty !line;
+          st := -1;
+          dirty := false)
+    | '"' ->
+        if !st < 0 then st := !pos;
+        st_line := !line;
+        (* on to the closing quote *)
+        let closed = ref false in
+        while (not !closed) && !pos + 1 < len do
+          incr pos;
+          match String.unsafe_get text !pos with
+          | '"' ->
+              st_line := !line;
+              closed := true
+          | '\n' ->
+              incr line;
+              dirty := true
+          | '\\' when !pos + 1 < len ->
+              st_line := !line;
+              incr pos;
+              if String.unsafe_get text !pos = '\n' then (
+                incr line;
+                dirty := true)
+          | c -> if not (blank c) then st_line := !line
+        done
+    | c when c = '%' || (c = '/' && !pos + 1 < len && text.[!pos + 1] = '/')
+      ->
+        (* a comment, to the end of the line *)
+        if !st >= 0 then dirty := true;
+        while !pos + 1 < len && String.unsafe_get text (!pos + 1) <> '\n' do
+          incr pos
+        done
+    | _ ->
+        if !st < 0 then st := !pos;
+        st_line := !line);
+    incr pos
+  done;
+  if !st >= 0 then statement ld text !st len ~dirty:!dirty !st_line
+
+(* Facts and arguments are cut as spans of the input; a '.' or ','
+   inside "..." neither ends a fact nor splits an argument, and '%' or
+   "//" inside "..." does not start a comment. Each predicate's facts
+   are deduplicated into one table, which its relation keeps
+   ({!Relation.of_loaded}): no trie is built here. *)
+let parse_facts text =
+  let len = String.length text in
+  let ld =
+    {
+      len;
+      tokens = Tokens.create (len / 64);
+      preds = Hashtbl.create 8;
+      last = no_pred;
+      hits = 0;
+      argv = Array.make 8 0;
+      nargs = 0;
+    }
+  in
+  (match scan ld text with
+  | () -> Value.Intern.add_hits ld.hits
+  | exception e ->
+      Value.Intern.add_hits ld.hits;
+      raise e);
+  if Hashtbl.length ld.preds = 0 then empty
+  else
+    make
+      (Hashtbl.fold
+         (fun name p acc ->
+           SMap.add name (Relation.of_loaded p.rows p.seen) acc)
+         ld.preds SMap.empty)

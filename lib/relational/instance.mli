@@ -89,7 +89,23 @@ val to_string : t -> string
 
 (** [parse_facts text] reads fact lines of the form [pred(v, ...).]
     (trailing dot optional; [%] and [//] start comments; blank lines
-    ignored). @raise Failure with a line number on malformed input,
-    including a fact whose argument count disagrees with an earlier fact
-    of the same predicate. *)
+    ignored; a fact may span lines). Inside a quoted string a [,] splits
+    no arguments, a [.] ends no fact, [%] and [//] start no comment, and
+    a backslash escapes the next character, so every string {!pp} prints
+    reads back unchanged (symbols print bare: one holding a [,], a [.],
+    a double quote, [%] or [//] does not).
+
+    One pass over the bytes: facts and arguments are cut as spans of
+    [text], each distinct token is parsed and interned once (a per-load
+    cache; its hits count into [Value.Intern.hits]), and each
+    predicate's facts are deduplicated into one table from id vectors
+    to tuples. The relations are built with {!Relation.of_loaded}: they
+    keep those rows and that table and build no trie until a trie
+    operation needs one, and [Matcher.Db] adopts the table as the
+    predicate's membership set.
+
+    @raise Failure with a line number on malformed input — the line of
+    the fact's closing dot, or of the last character of an unterminated
+    last fact — including a fact whose argument count disagrees with an
+    earlier fact of the same predicate. *)
 val parse_facts : string -> t

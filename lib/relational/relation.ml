@@ -96,8 +96,19 @@ type index =
    second (see [index]). *)
 type slot = Marked | Built of index
 
+(* The backing store. [Trie] is the canonical hash trie. [Loaded] is a
+   relation straight from the fact loader: its rows, pairwise distinct,
+   and the loader's dedup table (each row's id vector -> the row).
+   Membership reads the table, enumeration reads the rows, and the first
+   trie operation ([add]/[remove]/[union]) builds the trie and replaces
+   the representation with one pointer store, so a domain reading
+   concurrently sees either the rows or a complete trie. *)
+type repr =
+  | Trie of Tuple.t list Imap.t
+  | Loaded of Tuple.t list * Tuple.t Tuple.KTbl.t
+
 type t = {
-  buckets : Tuple.t list Imap.t;
+  mutable repr : repr;
   card : int;
   ar : int;  (** tuple arity; meaningful only when [card > 0] *)
   mutable sorted : Tuple.t list option;
@@ -111,10 +122,11 @@ type t = {
 }
 
 let empty =
-  { buckets = Imap.Empty; card = 0; ar = 0; sorted = Some []; memos = None }
+  { repr = Trie Imap.Empty; card = 0; ar = 0; sorted = Some []; memos = None }
 
 (* A new relation value: no sorted view, no memos yet. *)
-let make buckets card ar = { buckets; card; ar; sorted = None; memos = None }
+let make buckets card ar =
+  { repr = Trie buckets; card; ar; sorted = None; memos = None }
 
 let check_homogeneous ts =
   match ts with
@@ -189,57 +201,99 @@ let sort_by_hash arr =
   in
   qs 0 n
 
+let trie_of_distinct ?(fresh = false) ts =
+  let arr = Array.of_list ts in
+  let n = Array.length arr in
+  sort_by_hash arr;
+  let keys = Array.make n 0 and buckets = Array.make n [] in
+  let m = ref 0 in
+  Array.iter
+    (fun t ->
+      let h = Tuple.hash t in
+      if !m > 0 && keys.(!m - 1) = h then
+        buckets.(!m - 1) <- t :: buckets.(!m - 1)
+      else (
+        keys.(!m) <- h;
+        buckets.(!m) <- [ t ];
+        incr m))
+    arr;
+  (* [lo, hi): at least one key, all agreeing below their lowest
+     differing bit *)
+  let rec build lo hi =
+    if hi - lo = 1 then
+      let b = buckets.(lo) in
+      Imap.Leaf (keys.(lo), if fresh then List.map Tuple.copy b else b)
+    else
+      let k0 = keys.(lo) in
+      let d = ref 0 in
+      for i = lo + 1 to hi - 1 do
+        d := !d lor (keys.(i) lxor k0)
+      done;
+      let bm = Imap.lowest_bit !d in
+      let i = ref lo and j = ref (hi - 1) in
+      while !i < !j do
+        if keys.(!i) land bm = 0 then incr i
+        else if keys.(!j) land bm <> 0 then decr j
+        else (
+          let tk = keys.(!i) in
+          keys.(!i) <- keys.(!j);
+          keys.(!j) <- tk;
+          let tb = buckets.(!i) in
+          buckets.(!i) <- buckets.(!j);
+          buckets.(!j) <- tb)
+      done;
+      let mid = if keys.(!i) land bm = 0 then !i + 1 else !i in
+      Imap.Branch (Imap.mask k0 bm, bm, build lo mid, build mid hi)
+  in
+  if n = 0 then Imap.Empty else build 0 !m
+
 let of_distinct ts =
   match ts with
   | [] -> empty
   | t0 :: _ ->
       check_homogeneous ts;
-      let arr = Array.of_list ts in
-      let n = Array.length arr in
-      sort_by_hash arr;
-      let keys = Array.make n 0 and buckets = Array.make n [] in
-      let m = ref 0 in
-      Array.iter
-        (fun t ->
-          let h = Tuple.hash t in
-          if !m > 0 && keys.(!m - 1) = h then
-            buckets.(!m - 1) <- t :: buckets.(!m - 1)
-          else (
-            keys.(!m) <- h;
-            buckets.(!m) <- [ t ];
-            incr m))
-        arr;
-      (* [lo, hi): at least one key, all agreeing below their lowest
-         differing bit *)
-      let rec build lo hi =
-        if hi - lo = 1 then Imap.Leaf (keys.(lo), buckets.(lo))
-        else
-          let k0 = keys.(lo) in
-          let d = ref 0 in
-          for i = lo + 1 to hi - 1 do
-            d := !d lor (keys.(i) lxor k0)
-          done;
-          let bm = Imap.lowest_bit !d in
-          let i = ref lo and j = ref (hi - 1) in
-          while !i < !j do
-            if keys.(!i) land bm = 0 then incr i
-            else if keys.(!j) land bm <> 0 then decr j
-            else (
-              let tk = keys.(!i) in
-              keys.(!i) <- keys.(!j);
-              keys.(!j) <- tk;
-              let tb = buckets.(!i) in
-              buckets.(!i) <- buckets.(!j);
-              buckets.(!j) <- tb)
-          done;
-          let mid = if keys.(!i) land bm = 0 then !i + 1 else !i in
-          Imap.Branch (Imap.mask k0 bm, bm, build lo mid, build mid hi)
-      in
-      make (build 0 !m) n (Tuple.arity t0)
+      make (trie_of_distinct ts) (List.length ts) (Tuple.arity t0)
+
+let of_loaded rows set =
+  match rows with
+  | [] -> empty
+  | t0 :: _ ->
+      {
+        repr = Loaded (rows, set);
+        card = Tuple.KTbl.length set;
+        ar = Tuple.arity t0;
+        sorted = None;
+        memos = None;
+      }
+
+let loaded_set r =
+  match r.repr with Loaded (_, set) -> Some set | Trie _ -> None
+
+(* The trie, built from the loaded rows on first use. Two domains forcing
+   at once each build the same canonical trie; either store wins.
+
+   The trie holds fresh copies of the rows. The loaded rows sit in
+   memory in load order, unrelated to the trie's hash order, so a walk
+   over a trie of them (every fold and index build, on every later
+   version of the relation, which shares the leaves) would jump to a
+   new cache line for almost every tuple. The copies are young: the
+   minor GC reaches them through the trie and promotes each one next to
+   its leaf. *)
+let trie r =
+  match r.repr with
+  | Trie b -> b
+  | Loaded (rows, _) ->
+      let b = trie_of_distinct ~fresh:true rows in
+      r.repr <- Trie b;
+      b
 
 let raw_fold f r acc =
-  Imap.fold (fun _ bucket acc -> List.fold_left (fun a t -> f t a) acc bucket)
-    r.buckets acc
+  match r.repr with
+  | Trie b ->
+      Imap.fold
+        (fun _ bucket acc -> List.fold_left (fun a t -> f t a) acc bucket)
+        b acc
+  | Loaded (rows, _) -> List.fold_left (fun a t -> f t a) acc rows
 
 let to_list r =
   match r.sorted with
@@ -264,14 +318,20 @@ let check_arity r t =
          (Tuple.arity t))
 
 let mem t r =
-  match Imap.find_opt (Tuple.hash t) r.buckets with
-  | None -> false
-  | Some bucket -> List.exists (Tuple.equal t) bucket
+  match r.repr with
+  | Trie b -> (
+      match Imap.find_opt (Tuple.hash t) b with
+      | None -> false
+      | Some bucket -> List.exists (Tuple.equal t) bucket)
+  | Loaded (_, set) -> Tuple.KTbl.mem set (Tuple.ids t)
 
 let mem_ids ids r =
-  match Imap.find_opt (Tuple.hash_ids ids) r.buckets with
-  | None -> false
-  | Some bucket -> List.exists (fun u -> Tuple.equal_ids u ids) bucket
+  match r.repr with
+  | Trie b -> (
+      match Imap.find_opt (Tuple.hash_ids ids) b with
+      | None -> false
+      | Some bucket -> List.exists (fun u -> Tuple.equal_ids u ids) bucket)
+  | Loaded (_, set) -> Tuple.KTbl.mem set ids
 
 let add t r =
   check_arity r t;
@@ -284,7 +344,7 @@ let add t r =
           dup := true;
           old)
         else t :: old)
-      h [ t ] r.buckets
+      h [ t ] (trie r)
   in
   if !dup then r
   else make buckets (r.card + 1) (Tuple.arity t)
@@ -303,15 +363,15 @@ let of_rows rows = of_list (List.map Tuple.of_list rows)
 
 let remove t r =
   let h = Tuple.hash t in
-  match Imap.find_opt h r.buckets with
+  let b = trie r in
+  match Imap.find_opt h b with
   | None -> r
   | Some bucket ->
       if not (List.exists (Tuple.equal t) bucket) then r
       else
         let bucket' = List.filter (fun u -> not (Tuple.equal u t)) bucket in
         let buckets =
-          if bucket' = [] then Imap.remove h r.buckets
-          else Imap.add h bucket' r.buckets
+          if bucket' = [] then Imap.remove h b else Imap.add h bucket' b
         in
         make buckets (r.card - 1) r.ar
 
@@ -342,7 +402,7 @@ let union a b =
           else t :: acc)
         bb ba
     in
-    let buckets = Imap.merge merge_buckets a.buckets b.buckets in
+    let buckets = Imap.merge merge_buckets (trie a) (trie b) in
     make buckets (a.card + b.card - !dups) a.ar
 
 let inter a b =

@@ -7,7 +7,9 @@
     {!pp} — reads an order-on-demand sorted view ({!Tuple.compare}
     order, memoized per relation value), so printed output and
     enumeration order are identical to the former [Set.Make (Tuple)]
-    representation.
+    representation. A relation straight from the fact loader keeps its
+    rows and the loader's dedup table instead, and builds its trie on the
+    first trie operation ({!of_loaded}).
 
     All operations enforce arity homogeneity: inserting a tuple of a
     different arity than the existing ones raises
@@ -31,6 +33,31 @@ val of_list : Tuple.t list -> t
     root-to-leaf path copy per insertion.
     @raise Invalid_argument on mixed arities. *)
 val of_distinct : Tuple.t list -> t
+
+(** [of_loaded rows set] is the relation of [rows], as the fact loader
+    ({!Instance.parse_facts}) hands it over: [rows] pairwise distinct and
+    of one arity, [set] mapping exactly their id vectors ({!Tuple.ids},
+    the same arrays) to them. No trie is built. Membership ({!mem},
+    {!mem_ids}) reads [set]; folds, index builds and the sorted view read
+    [rows]. The first {!add}, {!remove} or {!union} with a non-empty
+    operand builds the trie once and replaces the rows with it in one
+    pointer store, so a domain that reads the relation meanwhile sees
+    either the rows or the complete trie; the value never changes. The
+    relation takes [set] over: the caller must not write to it
+    afterwards.
+
+    [set] holds each row itself, not [()]: the minor GC promotes a
+    table entry's key and value one after the other, so each tuple
+    lands next to its id vector. A set of bare id vectors would promote
+    every id vector first (the table is old, its entries young) and the
+    tuples far from them, two cache lines per tuple read. *)
+val of_loaded : Tuple.t list -> Tuple.t Tuple.KTbl.t -> t
+
+(** [loaded_set r] is the table of a relation built by {!of_loaded}
+    whose trie has not been built yet, [None] otherwise. It is shared,
+    not copied: a reader may probe it, but must copy it before writing
+    (as [Matcher.Db] does for its membership sets). *)
+val loaded_set : t -> Tuple.t Tuple.KTbl.t option
 
 (** [of_rows rows] builds a relation from value-list rows. *)
 val of_rows : Value.t list list -> t
@@ -73,7 +100,7 @@ val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit
 
 (** [unordered_fold] / [unordered_iter] enumerate in unspecified (hash
-    trie) order without forcing the sorted view — for internal
+    trie, or load) order without forcing the sorted view or the trie — for internal
     order-insensitive consumers (index building, bulk absorption) on the
     hot path. Do not use where enumeration order can reach output. *)
 val unordered_fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a

@@ -138,6 +138,7 @@ module Intern = struct
     List.sort compare (List.rev_map of_id !ids)
 
   let hits () = Atomic.get hit_count
+  let add_hits n = if n > 0 then ignore (Atomic.fetch_and_add hit_count n)
 end
 
 module Gen = struct

@@ -92,6 +92,12 @@ module Intern : sig
   (** [hits ()] counts [id] calls that found an existing entry — the
       intern table's hit counter for the observability layer. *)
   val hits : unit -> int
+
+  (** [add_hits n] counts [n] resolutions to an existing entry that a
+      caller answered from its own cache instead of calling [id] (the
+      fact loader's per-load token cache), so {!hits} keeps counting
+      every token that resolved to an already-interned value. *)
+  val add_hits : int -> unit
 end
 
 (** A fresh-value source for Datalog¬new. Counters are independent; the

@@ -46,3 +46,76 @@ let tc_program =
   |}
 
 let check_rel msg expected actual = Alcotest.check relation msg expected actual
+
+(* The line-based fact parser that [Instance.parse_facts] replaced, kept
+   as the loader's test oracle. It differs from the loader in the two
+   places the loader fixed: it splits arguments on every comma, even
+   inside a string, and it ends a string at any quote, ignoring a
+   backslash escape; and it reports an unterminated last statement on
+   the file's last line, blank or not. *)
+let oracle_parse_facts text =
+  let parse_one_fact lineno stmt i =
+    let stmt = String.trim stmt in
+    if stmt = "" then i
+    else
+      let fail msg = failwith (Printf.sprintf "facts line %d: %s" lineno msg) in
+      match String.index_opt stmt '(' with
+      | None -> fail (Printf.sprintf "expected pred(args), got %S" stmt)
+      | Some lp ->
+          if stmt.[String.length stmt - 1] <> ')' then
+            fail "expected closing parenthesis";
+          let name = String.trim (String.sub stmt 0 lp) in
+          if name = "" then fail "empty predicate name";
+          let inside = String.sub stmt (lp + 1) (String.length stmt - lp - 2) in
+          let args =
+            if String.trim inside = "" then []
+            else
+              String.split_on_char ',' inside
+              |> List.map (fun s ->
+                     let s = String.trim s in
+                     if s = "" then fail "empty argument";
+                     match Value.parse s with
+                     | v -> v
+                     | exception Invalid_argument msg -> fail msg)
+          in
+          let r = Instance.find name i in
+          (match Relation.arity r with
+          | Some a when a <> List.length args ->
+              fail
+                (Printf.sprintf "%s has arity %d, got %d argument(s)" name a
+                   (List.length args))
+          | _ -> ());
+          Instance.set name (Relation.add (Tuple.of_list args) r) i
+  in
+  let lines = String.split_on_char '\n' text in
+  let buf = Buffer.create 64 in
+  let inst = ref Instance.empty in
+  let in_string = ref false in
+  List.iteri
+    (fun idx line ->
+      let lineno = idx + 1 in
+      let n = String.length line in
+      let i = ref 0 in
+      let in_comment = ref false in
+      while (not !in_comment) && !i < n do
+        let c = line.[!i] in
+        if !in_string then (
+          Buffer.add_char buf c;
+          if c = '"' then in_string := false)
+        else if c = '%' || (c = '/' && !i + 1 < n && line.[!i + 1] = '/') then
+          in_comment := true
+        else if c = '"' then (
+          Buffer.add_char buf c;
+          in_string := true)
+        else if c = '.' then (
+          inst := parse_one_fact lineno (Buffer.contents buf) !inst;
+          Buffer.clear buf)
+        else Buffer.add_char buf c;
+        incr i
+      done;
+      Buffer.add_char buf ' ')
+    lines;
+  (if String.trim (Buffer.contents buf) <> "" then
+     let n = List.length lines in
+     inst := parse_one_fact n (Buffer.contents buf) !inst);
+  !inst
