@@ -28,7 +28,10 @@ bench:
 # values= size), and a parallel smoke
 # step: run the same program at -j 4, check the output is byte-identical
 # to the sequential run and carries the expected fact count, and run the
-# cross-jobs determinism property suite. The FO smoke step answers a
+# cross-jobs determinism property suite. The answer-print step checks
+# that `run -a T` prints exactly the T lines of the full output (the
+# program-term and fact-file dialects agree on lower-identifier
+# symbols) and that --stats lists exactly one print span. The FO smoke step answers a
 # negation query through the safe-range compiler and checks that the
 # compiled path (not a fallback) produced it. The demand smoke step
 # answers a point query twice through the demand compiler and checks
@@ -83,6 +86,10 @@ ci:
 	dune exec -- datalog-unchained run -s seminaive -j 4 _ci_tc.dl > _ci_par.out
 	cmp _ci_seq.out _ci_par.out
 	grep -c '^T(' _ci_par.out | grep -qx 6
+	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl -a T > _ci_ans.out
+	grep '^T(' _ci_seq.out | cmp - _ci_ans.out
+	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_print.stats
+	grep -c '^  print ' _ci_print.stats | grep -qx 1
 	dune exec -- datalog-unchained run -s stratified -j 4 _ci_tc.dl --stats | grep -q 'par.domains.*4'
 	dune exec -- datalog-unchained run -s seminaive -j 4 _ci_tc.dl --stats | grep -q 'par.exchanged_tuples'
 	dune exec test/test_main.exe -- test parallel
@@ -112,7 +119,7 @@ ci:
 	dune exec -- datalog-unchained run _ci_rt.dl -f _ci_rt1.out > _ci_rt2.out
 	cmp _ci_rt1.out _ci_rt2.out
 	grep -c '^[QS](' _ci_rt2.out | grep -qx 8
-	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_fo.facts _ci_demand.out _ci_explain.out \
+	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_demand.out _ci_explain.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_rt.dl _ci_rt1.out _ci_rt2.out
 
 clean:

@@ -22,6 +22,7 @@
      e19 operator-profiling overhead, disabled vs enabled
      e21 resident serve: incremental maintenance vs recompute-from-scratch
      e22 semiring annotations: Boolean guard, counting deletion, tropical
+     e25 fact rendering: the sorted view and the full-instance render
 
    `dune exec bench/main.exe` runs everything; pass experiment ids to
    select, or `bechamel` for the micro-benchmark kernels. *)
@@ -1596,6 +1597,41 @@ let bechamel_kernels () =
         results)
     tests
 
+(* ---------------------------------------------------------------- E25 *)
+
+(* What [run] does after the fixpoint: every relation's sorted view
+   (Relation.to_list, the integer-rank sort), then the whole instance
+   rendered into one Buffer in fact-file syntax. The sort is timed on
+   fresh relation values, so each rep sorts cold; the render reads the
+   views the sort left behind. *)
+let e25 () =
+  header "E25 | fact rendering: sorted view and full-instance render";
+  row "  %-18s %8s | %9s %9s | %9s\n" "graph" "facts" "sort ms" "render ms"
+    "bytes";
+  List.iter
+    (fun (name, n, g) ->
+      let inst =
+        (Datalog.Seminaive.eval tc_program g).Datalog.Seminaive.instance
+      in
+      let facts = Instance.total_facts inst in
+      let (), ts =
+        time_on (fresh_copy inst) (fun i ->
+            Instance.fold (fun _ r () -> ignore (Relation.to_list r)) i ())
+      in
+      let text, tr = time (fun () -> Instance.to_string inst) in
+      assert (String.equal text (Format.asprintf "%a" Instance.pp inst));
+      let bytes = String.length text in
+      record ~experiment:"e25" ~case:name ~n ~engine:"sorted-view"
+        ~wall_ms:(1000. *. ts) ~stages:0 ~facts ();
+      record ~experiment:"e25" ~case:name ~n ~engine:"render"
+        ~wall_ms:(1000. *. tr) ~stages:0 ~facts
+        ~metrics:[ ("bytes", bytes) ] ();
+      row "  %-18s %8d | %s %s | %9d\n" name facts (ms ts) (ms tr) bytes)
+    [
+      ("random-300x900", 300, Graph_gen.random ~seed:12 300 900);
+      ("random-1000x5000", 1000, Graph_gen.random ~seed:13 1000 5000);
+    ]
+
 (* ------------------------------------------------------------- driver *)
 
 let all =
@@ -1604,7 +1640,7 @@ let all =
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
     ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19);
-    ("e21", e21); ("e22", e22);
+    ("e21", e21); ("e22", e22); ("e25", e25);
   ]
 
 let () =
@@ -1651,7 +1687,8 @@ let () =
           match List.assoc_opt id all with
           | Some f -> f ()
           | None ->
-              Printf.eprintf "unknown experiment %s (e1..e22, bechamel)\n" id;
+              Printf.eprintf "unknown experiment %s (e1..e22, e25, bechamel)\n"
+                id;
               exit 2)
         ids);
   match json_file with None -> () | Some file -> write_json file

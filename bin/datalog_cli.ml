@@ -26,15 +26,67 @@ let load_facts = function
           Printf.eprintf "%s: %s\n" path msg;
           exit 2)
 
-let print_instance inst = Format.printf "%a@." Instance.pp inst
+(* --- answer output ---------------------------------------------------------
 
-let print_answer inst = function
-  | None -> print_instance inst
-  | Some pred ->
-      Relation.iter
-        (fun t ->
-          Format.printf "%a@." Datalog.Pretty.pp_fact (pred, t))
-        (Instance.find pred inst)
+   Answers are rendered into one buffer that goes to stdout whenever it
+   holds [chunk] bytes and when a printer ends. Format's own queue is
+   flushed first, so the comment lines printed through Format keep
+   their place. A full instance prints in the fact-file dialect (it
+   reloads with -f); -a, query and fo answers in the program-term
+   dialect. *)
+let chunk = 65536
+let out = Buffer.create chunk
+let out_facts = ref 0
+let out_bytes = ref 0
+
+let drain () =
+  Format.pp_print_flush Format.std_formatter ();
+  out_bytes := !out_bytes + Buffer.length out;
+  Buffer.output_buffer stdout out;
+  Buffer.clear out
+
+(* one fact line, with an optional trailing [% comment] *)
+let emit ?comment dialect pred t =
+  Tuple.render_fact dialect out pred t;
+  Option.iter
+    (fun c ->
+      Buffer.add_string out " % ";
+      Buffer.add_string out c)
+    comment;
+  Buffer.add_char out '\n';
+  incr out_facts;
+  if Buffer.length out >= chunk then drain ()
+
+(* [printing ~trace f] runs the printer [f] and sends its output to
+   stdout, under a [print] span closing with the facts and bytes it
+   wrote *)
+let printing ?(trace = Observe.Trace.null) f =
+  Observe.Trace.open_span trace ~kind:"print" "print";
+  let facts0 = !out_facts and bytes0 = !out_bytes in
+  f ();
+  drain ();
+  flush stdout;
+  Observe.Trace.close_span trace
+    ~fields:
+      [
+        Observe.Trace.fint "facts" (!out_facts - facts0);
+        Observe.Trace.fint "bytes" (!out_bytes - bytes0);
+      ]
+    ()
+
+(* the full instance: fact lines, and one empty line when it has none *)
+let print_instance ?trace inst =
+  printing ?trace (fun () ->
+      let facts0 = !out_facts in
+      Instance.iter_facts (emit Value.Fact) inst;
+      if !out_facts = facts0 then Buffer.add_char out '\n')
+
+let print_facts ?trace pred rel =
+  printing ?trace (fun () -> Relation.iter (emit Value.Term pred) rel)
+
+let print_answer ?trace inst = function
+  | None -> print_instance ?trace inst
+  | Some pred -> print_facts ?trace pred (Instance.find pred inst)
 
 (* --- arguments ---------------------------------------------------------- *)
 
@@ -86,20 +138,20 @@ let parse_annot = function
           Printf.eprintf "--annot: %s\n" msg;
           exit 2)
 
-let print_annotated r pred rel =
-  Relation.iter
-    (fun t ->
-      Format.printf "%a %% %s@." Datalog.Pretty.pp_fact (pred, t)
-        (Semiring.to_string (Datalog.Annot_eval.annotation r pred t)))
-    rel
+let emit_annotated r pred t =
+  emit Value.Term pred t
+    ~comment:(Semiring.to_string (Datalog.Annot_eval.annotation r pred t))
 
-let print_annot_answer (r : Datalog.Annot_eval.t) = function
+let print_annotated ?trace r pred rel =
+  printing ?trace (fun () -> Relation.iter (emit_annotated r pred) rel)
+
+let print_annot_answer ~trace (r : Datalog.Annot_eval.t) = function
   | Some pred ->
-      print_annotated r pred (Instance.find pred r.Datalog.Annot_eval.instance)
+      print_annotated ~trace r pred
+        (Instance.find pred r.Datalog.Annot_eval.instance)
   | None ->
-      Instance.fold
-        (fun pred rel () -> print_annotated r pred rel)
-        r.Datalog.Annot_eval.instance ()
+      printing ~trace (fun () ->
+          Instance.iter_facts (emit_annotated r) r.Datalog.Annot_eval.instance)
 
 (* point-query match against a stored relation: constants filter their
    positions, repeated variables force equal ids (same shape as the
@@ -331,9 +383,7 @@ let run_demand p inst answer explain stats trace_path =
           let rel =
             Datalog.Demand.answer ~trace ~cache ?profile p inst query
           in
-          Relation.iter
-            (fun t -> Format.printf "%a@." Datalog.Pretty.pp_fact (pred, t))
-            rel;
+          print_facts ~trace pred rel;
           Option.iter
             (fun profile ->
               print_demand_explain ~trace ~cache ~profile p inst [ query ])
@@ -361,7 +411,9 @@ let run_cmd =
             "--annot requires the default seminaive semantics\n";
           exit 2);
         with_observability ~name:"annot" stats trace_path (fun trace ->
-            print_annot_answer (Datalog.Annot_eval.run ~trace tag p inst) answer)
+            print_annot_answer ~trace
+              (Datalog.Annot_eval.run ~trace tag p inst)
+              answer)
     | None ->
     if demand then (
       if semantics <> `Seminaive then (
@@ -373,29 +425,29 @@ let run_cmd =
       (fun trace ->
         match semantics with
         | `Naive ->
-            print_answer (Datalog.Naive.eval ~trace p inst).Datalog.Naive.instance
-              answer
+            print_answer ~trace
+              (Datalog.Naive.eval ~trace p inst).Datalog.Naive.instance answer
         | `Seminaive ->
-            print_answer
+            print_answer ~trace
               (Datalog.Seminaive.eval ~trace p inst).Datalog.Seminaive.instance
               answer
         | `Stratified ->
-            print_answer
+            print_answer ~trace
               (Datalog.Stratified.eval ~trace p inst).Datalog.Stratified.instance
               answer
         | `Semipositive ->
-            print_answer
+            print_answer ~trace
               (Datalog.Semipositive.eval ~trace p inst)
                 .Datalog.Semipositive.instance answer
         | `Inflationary ->
-            print_answer
+            print_answer ~trace
               (Datalog.Inflationary.eval ~trace p inst)
                 .Datalog.Inflationary.instance answer
         | `Noninflationary -> (
             match Datalog.Noninflationary.run ~trace p inst with
             | Datalog.Noninflationary.Fixpoint { instance; stages } ->
                 Format.printf "%% fixpoint after %d stages@." stages;
-                print_answer instance answer
+                print_answer ~trace instance answer
             | Datalog.Noninflationary.Diverged { period; entered; _ } ->
                 Format.printf
                   "%% diverges: cycle of period %d entered at stage %d@." period
@@ -405,18 +457,18 @@ let run_cmd =
         | `Wellfounded ->
             let res = Datalog.Wellfounded.eval ~trace p inst in
             Format.printf "%% true facts:@.";
-            print_answer res.Datalog.Wellfounded.true_facts answer;
+            print_answer ~trace res.Datalog.Wellfounded.true_facts answer;
             let unk = Datalog.Wellfounded.unknown res in
             if Instance.total_facts unk > 0 then (
               Format.printf "%% unknown facts:@.";
-              print_answer unk answer)
+              print_answer ~trace unk answer)
         | `Stable ->
             let models = Datalog.Stable.models ~trace p inst in
             Format.printf "%% %d stable model(s)@." (List.length models);
             List.iteri
               (fun i m ->
                 Format.printf "%% model %d:@." (i + 1);
-                print_answer m answer)
+                print_answer ~trace m answer)
               models
         | `Invent -> (
             match Datalog.Invent.run ~trace p inst with
@@ -424,7 +476,7 @@ let run_cmd =
                 Format.printf
                   "%% fixpoint after %d stages, %d invented values@." stages
                   invented;
-                print_answer instance answer
+                print_answer ~trace instance answer
             | Datalog.Invent.Out_of_fuel { stages; _ } ->
                 Format.printf "%% out of fuel after %d stages@." stages))
   in
@@ -634,13 +686,7 @@ let query_cmd =
                             r.Datalog.Annot_eval.instance)))
                   qs)
         | None -> (
-        let print q rel =
-          Relation.iter
-            (fun t ->
-              Format.printf "%a@." Datalog.Pretty.pp_fact
-                (q.Datalog.Ast.pred, t))
-            rel
-        in
+        let print q rel = print_facts q.Datalog.Ast.pred rel in
         with_observability ~name:(if demand then "demand" else "magic")
           ~force:explain stats trace_path (fun trace ->
             if demand then (
@@ -731,9 +777,7 @@ let fo_cmd =
                 if naive then Fo.eval_naive inst f vs
                 else Fo.eval ~trace ?profile inst f vs
               in
-              Relation.iter
-                (fun t -> Format.printf "%a@." Datalog.Pretty.pp_fact ("ans", t))
-                r);
+              print_facts "ans" r);
           (* plans are memoized: recompiling returns the same physical
              plan the evaluation just profiled *)
           Option.iter

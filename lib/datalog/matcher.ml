@@ -958,27 +958,14 @@ let run ?delta ?dom ?neg_db prepared db =
         in
         results := vals :: !results)
   in
-  (* explicit value-order sort (no polymorphic compare): the kept slots
-     are name-sorted and identical across results, so ordering by the
-     id vectors decoded through [Value.compare] reproduces the legacy
+  (* value-order sort of the id vectors: the kept slots are name-sorted
+     and identical across results, so it reproduces the legacy
      [List.sort compare] over association lists byte for byte *)
-  let cmp_vals a b =
-    let n = Array.length a in
-    let rec go i =
-      if i = n then 0
-      else
-        let c =
-          Value.Intern.compare_ids (Array.unsafe_get a i) (Array.unsafe_get b i)
-        in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  in
   List.map
     (fun vals ->
       List.init nkeep (fun k ->
           (fst prepared.keep.(k), Value.Intern.of_id vals.(k))))
-    (List.sort cmp_vals !results)
+    (Tuple.rank_sort Fun.id !results)
 
 let iter_firings ?delta ?delta_index ?dom ?neg_db prepared db f =
   (* one scratch id array per head template, reused across matches — the

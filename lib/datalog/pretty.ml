@@ -1,12 +1,5 @@
 open Relational
 
-let is_lower_ident s =
-  String.length s > 0
-  && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-       s
-
 let is_upper_ident s =
   String.length s > 0
   && (match s.[0] with 'A' .. 'Z' | '_' -> true | _ -> false)
@@ -14,13 +7,8 @@ let is_upper_ident s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-let pp_value_term ppf (v : Value.t) =
-  match v with
-  | Value.Sym s when is_lower_ident s -> Format.pp_print_string ppf s
-  | Value.Sym s -> Format.fprintf ppf "'%s'" s
-  | Value.Int n -> Format.pp_print_int ppf n
-  | Value.Str s -> Format.fprintf ppf "%S" s
-  | Value.New n -> Format.fprintf ppf "'\xce\xbd%d'" n
+let pp_value_term ppf v =
+  Format.pp_print_string ppf (Value.to_string_in Value.Term v)
 
 let pp_term ppf (t : Ast.term) =
   match t with
@@ -83,8 +71,4 @@ let program_to_string p = Format.asprintf "@[<v>%a@]" pp_program p
 let rule_to_string r = Format.asprintf "%a" pp_rule r
 
 let pp_fact ppf (pred, tup) =
-  Format.fprintf ppf "%s(%a)." pred
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       pp_value_term)
-    (Tuple.to_list tup)
+  Format.pp_print_string ppf (Tuple.fact_to_string Value.Term pred tup)

@@ -23,5 +23,10 @@ val pp_program : Format.formatter -> Ast.program -> unit
 val program_to_string : Ast.program -> string
 val rule_to_string : Ast.rule -> string
 
-(** [pp_fact ppf (pred, tuple)] prints a ground fact in fact-file syntax. *)
+(** [pp_fact ppf (pred, tuple)] prints a ground fact in program-term
+    syntax ([Value.Term]: non-lower-identifier symbols single-quoted), as
+    one Format token rendered by {!Relational.Tuple.render_fact}. This is
+    the syntax of [run -a], [query] and [serve] answers; unlike
+    {!Relational.Instance.pp}'s fact-file syntax, it does not reload
+    through the fact loader when it quotes a symbol. *)
 val pp_fact : Format.formatter -> string * Tuple.t -> unit

@@ -85,22 +85,27 @@ let schema i =
       | Some a -> Schema.add (Schema.rel name a) acc)
     i.rels Schema.empty
 
+let iter_facts f i = SMap.iter (fun name r -> Relation.iter (f name) r) i.rels
+
 let pp ppf i =
   let first = ref true in
-  SMap.iter
-    (fun name r ->
-      Relation.iter
-        (fun t ->
-          if !first then first := false else Format.fprintf ppf "@\n";
-          Format.fprintf ppf "%s(%a)." name
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-               Value.pp)
-            (Tuple.to_list t))
-        r)
-    i.rels
+  let b = Buffer.create 64 in
+  iter_facts
+    (fun name t ->
+      if !first then first := false else Format.pp_force_newline ppf ();
+      Buffer.clear b;
+      Tuple.render_fact Value.Fact b name t;
+      Format.pp_print_string ppf (Buffer.contents b))
+    i
 
-let to_string i = Format.asprintf "%a" pp i
+let to_string i =
+  let b = Buffer.create 256 in
+  iter_facts
+    (fun name t ->
+      if Buffer.length b > 0 then Buffer.add_char b '\n';
+      Tuple.render_fact Value.Fact b name t)
+    i;
+  Buffer.contents b
 
 (* --- fact loading ------------------------------------------------------ *)
 

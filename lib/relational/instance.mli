@@ -81,10 +81,17 @@ val map_values : (Value.t -> Value.t) -> t -> t
 (** [schema i] infers a schema from the non-empty relations. *)
 val schema : t -> Schema.t
 
+(** [iter_facts f i] calls [f name t] on every fact, relations in name
+    order and each relation's tuples in its sorted view. *)
+val iter_facts : (string -> Tuple.t -> unit) -> t -> unit
+
 (** [pp] prints every relation as [name(v1, ..., vk).] fact lines, sorted —
-    the same surface syntax {!parse_facts} reads. *)
+    the same surface syntax {!parse_facts} reads. Each fact is rendered by
+    {!Tuple.render_fact} in the [Fact] dialect and printed as one Format
+    token, with a forced newline ([@\n]) between facts. *)
 val pp : Format.formatter -> t -> unit
 
+(** [to_string i] is {!pp}'s output: the facts joined by newlines. *)
 val to_string : t -> string
 
 (** [parse_facts text] reads fact lines of the form [pred(v, ...).]

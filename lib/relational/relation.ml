@@ -299,7 +299,7 @@ let to_list r =
   match r.sorted with
   | Some l -> l
   | None ->
-      let l = List.sort Tuple.compare (raw_fold (fun t l -> t :: l) r []) in
+      let l = Tuple.rank_sort Tuple.ids (raw_fold (fun t l -> t :: l) r []) in
       r.sorted <- Some l;
       l
 

@@ -5,7 +5,8 @@
     comparisons, never structural walks over values. Every observer that
     can leak an order — {!to_list}, {!elements}, {!fold}, {!iter},
     {!pp} — reads an order-on-demand sorted view ({!Tuple.compare}
-    order, memoized per relation value), so printed output and
+    order, memoized per relation value; built by {!Tuple.rank_sort}, so
+    each distinct value is decoded once per sort), so printed output and
     enumeration order are identical to the former [Set.Make (Tuple)]
     representation. A relation straight from the fact loader keeps its
     rows and the loader's dedup table instead, and builds its trie on the
@@ -148,5 +149,8 @@ val lookup : index -> int array -> Tuple.t -> Tuple.t list
     from several domains on a shared value. *)
 val index : ?trace:Observe.Trace.ctx -> t -> int array -> index option
 
+(** [pp] prints [{(v1, v2), ...}] in a [hov] box, each tuple one
+    Format token ({!Tuple.pp}), [",@ "] between tuples. *)
 val pp : Format.formatter -> t -> unit
+
 val to_string : t -> string

@@ -53,14 +53,15 @@ module KTbl = Hashtbl.Make (struct
   let hash = hash_ids
 end)
 
+let hash_int x =
+  let h = x * 0x9E3779B1 in
+  (h lxor (h lsr 29)) land max_int
+
 module ITbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-
-  let hash x =
-    let h = x * 0x9E3779B1 in
-    (h lxor (h lsr 29)) land max_int
+  let hash = hash_int
 end)
 
 let can_pack = Sys.int_size >= 63
@@ -83,21 +84,22 @@ let id t i =
 
 let get t i = Value.Intern.of_id (id t i)
 
+(* lexicographic value order of two id vectors of one length *)
+let compare_vectors a b =
+  let n = Array.length a in
+  let rec go i =
+    if i = n then 0
+    else
+      let c =
+        Value.Intern.compare_ids (Array.unsafe_get a i) (Array.unsafe_get b i)
+      in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
 let compare a b =
   let la = Array.length a.ids and lb = Array.length b.ids in
-  if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i = la then 0
-      else
-        let c =
-          Value.Intern.compare_ids
-            (Array.unsafe_get a.ids i)
-            (Array.unsafe_get b.ids i)
-        in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if la <> lb then Int.compare la lb else compare_vectors a.ids b.ids
 
 let equal a b =
   a == b
@@ -119,11 +121,122 @@ let values t = Array.map Value.Intern.of_id t.ids
 let exists p t = Array.exists (fun i -> p (Value.Intern.of_id i)) t.ids
 let rename t perm = of_ids (Array.map (fun i -> id t i) perm)
 
-let pp ppf t =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Value.pp)
-    (values t)
+let render_args dialect b t =
+  Array.iteri
+    (fun i id ->
+      if i > 0 then Buffer.add_string b ", ";
+      Value.render dialect b (Value.Intern.of_id id))
+    t.ids
 
-let to_string t = Format.asprintf "%a" pp t
+let render_fact dialect b pred t =
+  Buffer.add_string b pred;
+  Buffer.add_char b '(';
+  render_args dialect b t;
+  Buffer.add_string b ")."
+
+let fact_to_string dialect pred t =
+  let b = Buffer.create 32 in
+  render_fact dialect b pred t;
+  Buffer.contents b
+
+let to_string t =
+  let b = Buffer.create 32 in
+  Buffer.add_char b '(';
+  render_args Value.Fact b t;
+  Buffer.add_char b ')';
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
+
+(* Dense numbering of the distinct ids among [m] occurrences, in
+   first-seen order: an open-addressing table of numbers ([-1] when
+   free) at most half full, over [met], number -> id. Both are sized by
+   [m], never by the intern table. *)
+type numbering = { cells : int array; met : int array; mutable count : int }
+
+let numbering m =
+  let rec pow2 k = if k >= 2 * m then k else pow2 (2 * k) in
+  { cells = Array.make (pow2 16) (-1); met = Array.make m 0; count = 0 }
+
+let rec probe t id h =
+  let s = Array.unsafe_get t.cells h in
+  if s < 0 || Array.unsafe_get t.met s = id then h
+  else probe t id ((h + 1) land (Array.length t.cells - 1))
+
+let number t id =
+  let h = probe t id (hash_int id land (Array.length t.cells - 1)) in
+  let s = Array.unsafe_get t.cells h in
+  if s >= 0 then s
+  else
+    let s = t.count in
+    t.met.(s) <- id;
+    t.cells.(h) <- s;
+    t.count <- s + 1;
+    s
+
+(* Below this length, a comparison sort that decodes ids in every
+   comparison beats numbering and ranking them: on lists whose values
+   barely repeat, ranking sorts about as many values as there are
+   elements. *)
+let short = 128
+
+(* [rank_sort key xs]: each distinct id is numbered ([numbering]), the
+   numbered values are sorted once, and each number is replaced by its
+   value-order rank; a stable counting sort per column, last column
+   first, then orders the rank rows. *)
+let rank_sort key xs =
+  match xs with
+  | [] | [ _ ] -> xs
+  | x :: _ ->
+      let ar = Array.length (key x) in
+      let ids y =
+        let v = key y in
+        if Array.length v <> ar then
+          invalid_arg "Tuple.rank_sort: id vectors of different lengths";
+        v
+      in
+      if List.compare_length_with xs short < 0 then
+        List.stable_sort (fun a b -> compare_vectors (ids a) (ids b)) xs
+      else
+        let items = Array.of_list xs in
+        let n = Array.length items in
+        let numbers = numbering (n * ar) in
+        let rows = Array.make (n * ar) 0 in
+        Array.iteri
+          (fun i it ->
+            let v = ids it in
+            for c = 0 to ar - 1 do
+              rows.((i * ar) + c) <- number numbers (Array.unsafe_get v c)
+            done)
+          items;
+        let d = numbers.count in
+        let vals = Array.init d (fun j -> Value.Intern.of_id numbers.met.(j)) in
+        let rank = Array.make d 0 in
+        List.iteri
+          (fun r s -> rank.(s) <- r)
+          (List.sort
+             (fun a b -> Value.compare vals.(a) vals.(b))
+             (List.init d Fun.id));
+        Array.iteri (fun j s -> rows.(j) <- rank.(s)) rows;
+        let order = ref (Array.init n Fun.id) and next = ref (Array.make n 0) in
+        let count = Array.make (d + 1) 0 in
+        for c = ar - 1 downto 0 do
+          Array.fill count 0 (d + 1) 0;
+          for i = 0 to n - 1 do
+            let r = rows.((i * ar) + c) in
+            count.(r + 1) <- count.(r + 1) + 1
+          done;
+          for r = 1 to d do
+            count.(r) <- count.(r) + count.(r - 1)
+          done;
+          let src = !order and dst = !next in
+          for k = 0 to n - 1 do
+            let i = src.(k) in
+            let r = rows.((i * ar) + c) in
+            dst.(count.(r)) <- i;
+            count.(r) <- count.(r) + 1
+          done;
+          order := dst;
+          next := src
+        done;
+        Array.fold_right (fun i acc -> items.(i) :: acc) !order []

@@ -97,5 +97,26 @@ val exists : (Value.t -> bool) -> t -> bool
     [perm.(i)] of [t]. *)
 val rename : t -> int array -> t
 
-val pp : Format.formatter -> t -> unit
+(** {1 Sorting} *)
+
+(** [rank_sort key xs] sorts [xs] by their id vectors [key x] in
+    lexicographic {!Value.compare} order — {!compare}'s order — equal
+    vectors keeping their input order. Each distinct id is decoded and
+    ranked once per call; the sort then compares integers. The cost
+    follows the length of [xs], not the size of the intern table.
+    @raise Invalid_argument if the vectors differ in length. *)
+val rank_sort : ('a -> int array) -> 'a list -> 'a list
+
+(** {1 Rendering} — through {!Value.render}. *)
+
+(** [render_fact dialect b pred t] appends [pred(v1, ..., vk).]. *)
+val render_fact : Value.dialect -> Buffer.t -> string -> t -> unit
+
+(** [fact_to_string dialect pred t] is that fact alone. *)
+val fact_to_string : Value.dialect -> string -> t -> string
+
+(** [to_string t] is [(v1, ..., vk)] in the fact-file dialect; [pp]
+    prints it as one Format token. *)
 val to_string : t -> string
+
+val pp : Format.formatter -> t -> unit

@@ -29,13 +29,41 @@ let int n = Int n
 let str s = Str s
 let sym s = Sym s
 
-let pp ppf = function
-  | Int n -> Format.pp_print_int ppf n
-  | Str s -> Format.fprintf ppf "%S" s
-  | Sym s -> Format.pp_print_string ppf s
-  | New n -> Format.fprintf ppf "\xce\xbd%d" n
+type dialect = Fact | Term
 
-let to_string v = Format.asprintf "%a" pp v
+let is_lower_ident s =
+  String.length s > 0
+  && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
+  && String.for_all
+       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
+       s
+
+(* [String.escaped] between double quotes is exactly what [%S] prints,
+   and it returns its argument unchanged when nothing needs escaping. *)
+let render dialect b = function
+  | Int n -> Buffer.add_string b (Int.to_string n)
+  | Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Sym s when dialect = Fact || is_lower_ident s -> Buffer.add_string b s
+  | Sym s ->
+      Buffer.add_char b '\'';
+      Buffer.add_string b s;
+      Buffer.add_char b '\''
+  | New n ->
+      if dialect = Term then Buffer.add_char b '\'';
+      Buffer.add_string b "\xce\xbd";
+      Buffer.add_string b (Int.to_string n);
+      if dialect = Term then Buffer.add_char b '\''
+
+let to_string_in dialect v =
+  let b = Buffer.create 16 in
+  render dialect b v;
+  Buffer.contents b
+
+let to_string v = to_string_in Fact v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 (* The program lexer's integer grammar, [-?[0-9]+]: [int_of_string]
    alone would also read [0x1F], [0b11], [1_000] and [+5]. *)

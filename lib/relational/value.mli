@@ -32,11 +32,35 @@ val int : int -> t
 val str : string -> t
 val sym : string -> t
 
-(** Pretty-printer: symbols print bare, strings quoted, invented values as
-    [ν42]. *)
-val pp : Format.formatter -> t -> unit
+(** {1 Rendering}
 
+    One renderer writes values into a [Buffer.t]; every value and fact
+    printer of the relational and Datalog layers goes through it. It has
+    two dialects:
+    - [Fact], the fact-file syntax {!Instance.parse_facts} reads back:
+      integers in decimal, strings as OCaml's [%S] prints them ([String.escaped]
+      between double quotes), symbols bare, invented values as [ν42];
+    - [Term], the program-term syntax of [Datalog.Pretty]: like [Fact],
+      except that a symbol that is not a lower identifier
+      ([[a-z][a-zA-Z0-9_]*]) is single-quoted, and an invented value
+      prints as ['ν42'].
+
+    Term-syntax facts do not reload through the fact loader: a quoted
+    symbol reads back as a symbol that keeps its quotes. *)
+
+type dialect = Fact | Term
+
+(** [render dialect b v] appends [v] to [b]. *)
+val render : dialect -> Buffer.t -> t -> unit
+
+(** [to_string_in dialect v] is [v] rendered alone. *)
+val to_string_in : dialect -> t -> string
+
+(** [to_string v] is [to_string_in Fact v]. *)
 val to_string : t -> string
+
+(** [pp] prints {!to_string}'s bytes as one Format token. *)
+val pp : Format.formatter -> t -> unit
 
 (** [parse s] reads a value back from its surface syntax: an integer literal,
     a quoted string, or a bare symbol. Inverse of [to_string] for

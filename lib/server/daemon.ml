@@ -83,13 +83,14 @@ let handle ?(trace = Observe.Trace.null) engine line =
                 let q = Parser.parse_atom atom in
                 let via = via_of_string via in
                 let rel = Engine.query engine ~via q in
+                let b = Buffer.create 64 in
                 let facts =
                   List.rev
                     (Relation.fold
                        (fun t acc ->
-                         Observe.Json.Str
-                           (Format.asprintf "%a" Pretty.pp_fact (q.Ast.pred, t))
-                         :: acc)
+                         Buffer.clear b;
+                         Tuple.render_fact Value.Term b q.Ast.pred t;
+                         Observe.Json.Str (Buffer.contents b) :: acc)
                        rel [])
                 in
                 ( Protocol.ok_response

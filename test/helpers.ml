@@ -119,3 +119,62 @@ let oracle_parse_facts text =
      let n = List.length lines in
      inst := parse_one_fact n (Buffer.contents buf) !inst);
   !inst
+
+(* The Format printers the Buffer renderer ([Value.render],
+   [Tuple.render_fact]) replaced, kept as its test oracles: [Value.pp]
+   (fact-file dialect), [Pretty.pp_value_term] and [Pretty.pp_fact]
+   (program-term dialect), [Tuple.pp], [Relation.pp] and [Instance.pp].
+   The relation and instance oracles sort with [List.sort Tuple.compare],
+   independently of the sorted view. *)
+let oracle_pp_value ppf = function
+  | Value.Int n -> Format.pp_print_int ppf n
+  | Value.Str s -> Format.fprintf ppf "%S" s
+  | Value.Sym s -> Format.pp_print_string ppf s
+  | Value.New n -> Format.fprintf ppf "\xce\xbd%d" n
+
+let oracle_is_lower_ident s =
+  String.length s > 0
+  && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
+  && String.for_all
+       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
+       s
+
+let oracle_pp_value_term ppf (v : Value.t) =
+  match v with
+  | Value.Sym s when oracle_is_lower_ident s -> Format.pp_print_string ppf s
+  | Value.Sym s -> Format.fprintf ppf "'%s'" s
+  | Value.Int n -> Format.pp_print_int ppf n
+  | Value.Str s -> Format.fprintf ppf "%S" s
+  | Value.New n -> Format.fprintf ppf "'\xce\xbd%d'" n
+
+let oracle_pp_args pp_value ppf tup =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+    pp_value ppf (Tuple.to_list tup)
+
+let oracle_pp_fact ppf (pred, tup) =
+  Format.fprintf ppf "%s(%a)." pred (oracle_pp_args oracle_pp_value_term) tup
+
+let oracle_pp_tuple ppf tup =
+  Format.fprintf ppf "(%a)" (oracle_pp_args oracle_pp_value) tup
+
+let oracle_sorted r =
+  List.sort Tuple.compare (Relation.unordered_fold List.cons r [])
+
+let oracle_pp_relation ppf r =
+  Format.fprintf ppf "{@[<hov>%a@]}"
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+       oracle_pp_tuple)
+    (oracle_sorted r)
+
+let oracle_pp_instance ppf i =
+  let first = ref true in
+  Instance.fold
+    (fun name r () ->
+      List.iter
+        (fun t ->
+          if !first then first := false else Format.fprintf ppf "@\n";
+          Format.fprintf ppf "%s(%a)." name (oracle_pp_args oracle_pp_value) t)
+        (oracle_sorted r))
+    i ()

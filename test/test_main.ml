@@ -2,6 +2,7 @@ let () =
   Alcotest.run "datalog-unchained"
     [
       ("relational", Test_relational.suite);
+      ("render", Test_render.suite);
       ("loader", Test_loader.suite);
       ("intern", Test_intern.suite);
       ("algebra-fo", Test_algebra_fo.suite);
