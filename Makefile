@@ -45,7 +45,9 @@ bench:
 # stats for par.exchanged_tuples — proof the exchange carried the
 # cross-shard traffic. The serve smoke step
 # starts a resident server on a Unix-domain socket, asserts a batch and
-# checks the new derived fact is queryable, retracts it and checks the
+# checks the new derived fact is queryable, requires the demand query
+# path to print the same answer bytes as the materialized one
+# (--via demand cmp'd against the default), retracts it and checks the
 # view shrank back (DRed), greps serve.requests out of the stats op,
 # and shuts the server down cleanly (the built binary is invoked
 # directly so the background server never contends for the dune lock).
@@ -107,7 +109,8 @@ ci:
 	for _ in $$(seq 1 200); do [ -S _ci_srv.sock ] && break; sleep 0.05; done; \
 	client() { _build/install/default/bin/datalog-unchained client --socket _ci_srv.sock "$$@"; }; \
 	client assert 'G(c, d).' | grep -q 'added 1' && \
-	client query 'T(a, Y)' | grep -q 'T(a, d).' && \
+	client query 'T(a, Y)' > _ci_srv_mat.out && grep -q 'T(a, d).' _ci_srv_mat.out && \
+	client query --via demand 'T(a, Y)' > _ci_srv_dem.out && cmp _ci_srv_mat.out _ci_srv_dem.out && \
 	client retract 'G(c, d).' | grep -q 'removed 1, overdeleted' && \
 	test -z "$$(client query 'T(a, d)')" && \
 	client stats | grep -q 'serve.requests' && \
@@ -120,7 +123,7 @@ ci:
 	cmp _ci_rt1.out _ci_rt2.out
 	grep -c '^[QS](' _ci_rt2.out | grep -qx 8
 	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_demand.out _ci_explain.out \
-	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_rt.dl _ci_rt1.out _ci_rt2.out
+	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out
 
 clean:
 	dune clean

@@ -21,7 +21,7 @@
      e18 demand-driven compilation vs full materialization
      e19 operator-profiling overhead, disabled vs enabled
      e21 resident serve: incremental maintenance vs recompute-from-scratch
-     e22 semiring annotations: Boolean guard, counting deletion, tropical
+     e22 semiring annotations: Boolean guard, tropical
      e25 fact rendering: the sorted view and the full-instance render
 
    `dune exec bench/main.exe` runs everything; pass experiment ids to
@@ -87,7 +87,7 @@ let record ?(metrics = []) ?annot ~experiment ~case ~n ~engine ~wall_ms
              (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) kvs))
   in
   (* semiring rows carry the annotation domain; datalog-bench-diff keys
-     on it so e22's bool/count/minplus rows stay distinct *)
+     on it so e22's bool/minplus rows stay distinct *)
   let annot_json =
     match annot with
     | None -> ""
@@ -123,9 +123,7 @@ let metric_keys =
     "demand.plan.compiled"; "demand.plan.hits"; "demand.cache.hits";
     "demand.cache.misses"; "demand.evictions"; "magic.queries";
     "magic.rewritten_rules"; "dred.batches"; "dred.overdeleted";
-    "dred.rederived"; "dred.cone_rounds"; "counting.batches";
-    "counting.deleted"; "counting.touched"; "counting.closure";
-    "counting.unfounded"; "counting.waves"; "annot.universe";
+    "dred.rederived"; "dred.cone_rounds"; "annot.universe";
     "annot.derivations"; "annot.rounds"; "annot.forced"; "annot.infinite";
     "annot.par.fallbacks" ]
 
@@ -1326,7 +1324,7 @@ let sp_program =
   |}
 
 let e22 () =
-  header "E22 | semiring annotations: Boolean guard, counting deletion, tropical";
+  header "E22 | semiring annotations: Boolean guard, tropical";
   row "  %-22s %-22s | %9s | %s\n" "case" "engine" "wall ms" "check";
   (* a) Boolean guard — --annot bool must ride the untouched engines.
      Same graph as e2's random-300x900; the committed semiring section
@@ -1364,81 +1362,7 @@ let e22 () =
   row "  %-22s %-22s | %s | identical instance (%+.1f%%)\n" "random-300x900"
     "seminaive --annot bool" (ms ta)
     (100. *. (ta -. ts) /. ts);
-  (* b) counting maintenance vs DRed on the e21 dense-TC deletion
-     schedule — DRed's documented worst case: every retraction
-     over-deletes the whole cone and re-derives the survivors, while
-     counting decrements support counts and deletes only the facts that
-     reach zero (plus the well-foundedness check on what it touched) *)
-  List.iter
-    (fun (name, n, edges, seed, nops, retract_share) ->
-      let inst = Graph_gen.random ~seed n edges in
-      let rng = Random.State.make [| 0x5e22; seed; nops |] in
-      let live =
-        ref (Relation.fold (fun t acc -> t :: acc) (Instance.find "G" inst) [])
-      in
-      let vtx () = Graph_gen.vertex (Random.State.int rng (n + 2)) in
-      let edge () = Tuple.of_list [ vtx (); vtx () ] in
-      let ops =
-        List.init nops (fun _ ->
-            if Random.State.int rng 20 < retract_share then (
-              match !live with
-              | [] -> `Retract (edge ())
-              | l ->
-                  let k = Random.State.int rng (List.length l) in
-                  let t = List.nth l k in
-                  live := List.filteri (fun i _ -> i <> k) l;
-                  `Retract t)
-            else
-              let t = edge () in
-              live := t :: !live;
-              `Assert t)
-      in
-      let batch t = Instance.add_fact "G" t Instance.empty in
-      let run maintenance trace =
-        let eng = Server.Engine.create ?trace ~maintenance tc_program inst in
-        List.iter
-          (function
-            | `Assert t -> ignore (Server.Engine.assert_facts eng (batch t))
-            | `Retract t -> ignore (Server.Engine.retract_facts eng (batch t)))
-          ops;
-        eng
-      in
-      let dred_eng, td = time (fun () -> run Server.Engine.Dred None) in
-      let cnt_eng, tc = time (fun () -> run Server.Engine.Counting None) in
-      let same =
-        Instance.equal
-          (Server.Engine.instance dred_eng)
-          (Server.Engine.instance cnt_eng)
-      in
-      assert same;
-      assert (Server.Engine.audit_counts cnt_eng = []);
-      record ~experiment:"e22" ~case:name ~n ~engine:"serve-dred"
-        ~wall_ms:(1000. *. td) ~stages:0
-        ~facts:
-          (Relation.cardinal
-             (Instance.find "T" (Server.Engine.instance dred_eng)))
-        ~metrics:
-          (collect_metrics (fun trace ->
-               ignore (run Server.Engine.Dred (Some trace))))
-        ();
-      record ~experiment:"e22" ~case:name ~n ~engine:"serve-counting"
-        ~annot:"count" ~wall_ms:(1000. *. tc) ~stages:0
-        ~facts:
-          (Relation.cardinal
-             (Instance.find "T" (Server.Engine.instance cnt_eng)))
-        ~metrics:
-          (collect_metrics (fun trace ->
-               ignore (run Server.Engine.Counting (Some trace))))
-        ();
-      row "  %-22s %-22s | %s | identical final state\n" name "serve-dred"
-        (ms td);
-      row "  %-22s %-22s | %s | %.1fx vs DRed, audit clean\n" name
-        "serve-counting" (ms tc) (td /. tc))
-    [
-      ("dense-120x240", 120, 240, 7, 100, 6);
-      ("dense-retract-heavy", 120, 240, 7, 80, 12);
-    ];
-  (* c) tropical shortest path vs a hand-rolled all-pairs Dijkstra on a
+  (* b) tropical shortest path vs a hand-rolled all-pairs Dijkstra on a
      random positively-weighted graph: every T annotation must equal the
      Dijkstra distance, and the supports must coincide with reachability *)
   let wn, wm = 80, 240 in
@@ -1527,9 +1451,8 @@ let e22 () =
     (Printf.sprintf "weighted-%dx%d" wn wm)
     "dijkstra-oracle" (ms tdij);
   row
-    "  shape: --annot bool is the untouched hot path (<5%% gate); counting \
-     deletion\n  skips DRed's over-delete/re-derive churn on dense TC; \
-     MinPlus = Dijkstra\n"
+    "  shape: --annot bool is the untouched hot path (<5%% gate); MinPlus = \
+     Dijkstra\n"
 
 (* ---------------------------------------------------- bechamel kernels *)
 

@@ -807,20 +807,7 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path")
 
 let serve_cmd =
-  let run program facts socket annot stats trace_path =
-    (* the resident server maintains a set (Boolean) materialization;
-       [--annot count] selects counting maintenance for its write path,
-       the other semirings have no incremental story and are refused *)
-    let maintenance =
-      match parse_annot annot with
-      | None | Some Semiring.Bool -> Server.Engine.Dred
-      | Some Semiring.Count -> Server.Engine.Counting
-      | Some (Semiring.MinPlus | Semiring.Why) ->
-          Printf.eprintf
-            "serve supports --annot bool (delete-and-rederive) or count \
-             (counting maintenance) only\n";
-          exit 2
-    in
+  let run program facts socket stats trace_path =
     let { Datalog.Parser.program = p; _ } = load_program program in
     let inst = load_facts facts in
     (* force an enabled context even without --stats: the protocol's
@@ -828,7 +815,7 @@ let serve_cmd =
     with_observability ~name:"serve" ~force:true stats trace_path
       (fun trace ->
         try
-          let engine = Server.Engine.create ~trace ~maintenance p inst in
+          let engine = Server.Engine.create ~trace p inst in
           Server.Daemon.serve ~trace ~socket engine
         with Datalog.Ast.Check_error msg ->
           Printf.eprintf "serve requires pure Datalog: %s\n" msg;
@@ -837,16 +824,15 @@ let serve_cmd =
   let doc =
     "Run a resident server: materialize the program's fixpoint once, then \
      maintain it incrementally (semi-naive insertion, delete-and-rederive \
-     or counting retraction — $(b,--annot count)) across line-JSON \
-     requests on a Unix-domain socket. Requires pure Datalog. With \
-     $(b,--stats), print the run report (request counters, per-command \
-     latency histograms, fixpoint and maintenance counters) after \
-     shutdown"
+     retraction) across line-JSON requests on a Unix-domain socket. \
+     Requires pure Datalog. With $(b,--stats), print the run report \
+     (request counters, per-command latency histograms, fixpoint and \
+     maintenance counters) after shutdown"
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ program_arg $ facts_arg $ socket_arg $ annot_arg
-      $ stats_arg $ trace_arg)
+      const run $ program_arg $ facts_arg $ socket_arg $ stats_arg
+      $ trace_arg)
 
 let client_cmd =
   let command_arg =
@@ -878,18 +864,12 @@ let client_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("materialized", "materialized");
-               ("demand", "demand");
-               ("magic", "magic");
-             ])
+          (enum [ ("materialized", "materialized"); ("demand", "demand") ])
           "materialized"
       & info [ "via" ] ~docv:"PATH"
           ~doc:
             "Query path: $(b,materialized) (indexed lookup on the \
-             maintained fixpoint), $(b,demand) (demand compiler) or \
-             $(b,magic) (magic-sets session)")
+             maintained fixpoint) or $(b,demand) (demand compiler)")
   in
   let run socket command payload via =
     let need what =

@@ -193,7 +193,7 @@ let rounds ~trace ~first ~step =
    [initial] skips the round-0 full evaluation and starts the delta loop
    from the given fresh facts (not yet in [db], pairwise distinct) — the
    incremental-insertion entry point of the resident server. *)
-let seminaive_seq ~trace ?neg_db ?initial ?on_delta ~with_dps ~dom db =
+let seminaive_seq ~trace ?neg_db ?initial ~with_dps ~dom db =
   let tracing = Observe.Trace.enabled trace in
   let fresh_tbl : fresh_tbl = Hashtbl.create 4 in
   let pred_state p = pred_state fresh_tbl p in
@@ -242,10 +242,6 @@ let seminaive_seq ~trace ?neg_db ?initial ?on_delta ~with_dps ~dom db =
             take ())
   in
   let step delta =
-    (* observers (the counting-maintenance sweep) see each round's delta
-       just before it is absorbed, i.e. exactly the facts that are new
-       this round *)
-    (match on_delta with Some f -> f delta | None -> ());
     List.iter (fun (p, ts) -> Matcher.Db.absorb_new db p ts) delta;
     List.iter
       (fun (_rule, plan, dps, label) ->
@@ -505,13 +501,13 @@ let seminaive_fixpoint ?(trace = Observe.Trace.null) ?neg_db prepared
    loop started from the fresh facts; deletion is DRed
    (delete-and-rederive). *)
 
-let seminaive_increment_db ?(trace = Observe.Trace.null) ?neg_db ?on_delta
-    prepared ~delta_preds ~dom db delta =
+let seminaive_increment_db ?(trace = Observe.Trace.null) ?neg_db prepared
+    ~delta_preds ~dom db delta =
   match List.filter (fun (_, ts) -> ts <> []) delta with
   | [] -> (Matcher.Db.instance db, 0)
   | delta ->
       let with_dps = with_delta_preds prepared delta_preds in
-      seminaive_seq ~trace ?neg_db ~initial:delta ?on_delta ~with_dps ~dom db
+      seminaive_seq ~trace ?neg_db ~initial:delta ~with_dps ~dom db
 
 (* DRed needs two compiled artifacts beyond the ordinary plans: the
    delta-pred table over every positive body predicate (the cone and the
@@ -559,8 +555,6 @@ let prepare_dred prepared =
       prepared
   in
   { dr_with_dps = with_delta_preds prepared body_preds; dr_guards = guards }
-
-let dred_guards dprep = dprep.dr_guards
 
 type dred_stats = { overdeleted : int; rederived : int; cone_rounds : int }
 

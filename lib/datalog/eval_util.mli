@@ -149,16 +149,10 @@ val seminaive_fixpoint_db :
     in [db]) and pairwise distinct — the caller checks with
     {!Matcher.Db.mem}. Cost is proportional to the consequences of the
     delta, not to the database. Returns the new instance and the number
-    of propagation stages.
-
-    [on_delta] observes each propagation round's fresh facts (the
-    caller-supplied delta included) just before they are absorbed into
-    [db] — the counting-maintenance sweep of {!module:Server.Engine}
-    uses this to enumerate the new firings each round creates. *)
+    of propagation stages. *)
 val seminaive_increment_db :
   ?trace:Observe.Trace.ctx ->
   ?neg_db:Matcher.Db.t ->
-  ?on_delta:((string * Tuple.t list) list -> unit) ->
   prepared ->
   delta_preds:string list ->
   dom:Value.t list ->
@@ -175,15 +169,6 @@ val seminaive_increment_db :
 type dred_prepared
 
 val prepare_dred : prepared -> dred_prepared
-
-(** [dred_guard_pred p] is the synthetic guard-atom predicate for head
-    predicate [p] (["dred$" ^ p]); {!dred_guards} lists the guard plans
-    per head predicate. Exposed for the counting-maintenance path,
-    which reuses the guard plans to enumerate one-step derivations of
-    suspect facts during its well-foundedness verification. *)
-val dred_guard_pred : string -> string
-
-val dred_guards : dred_prepared -> (string * Matcher.prepared) list
 
 type dred_stats = {
   overdeleted : int;  (** facts removed in the over-deletion phase *)

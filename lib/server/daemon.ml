@@ -11,11 +11,9 @@ let op_name = function
 let via_of_string = function
   | "materialized" -> Engine.Materialized
   | "demand" -> Engine.Demand
-  | "magic" -> Engine.Magic
   | v ->
       failwith
-        (Printf.sprintf
-           "unknown via %S (expected materialized, demand or magic)" v)
+        (Printf.sprintf "unknown via %S (expected materialized or demand)" v)
 
 let stats_response trace =
   let counters =

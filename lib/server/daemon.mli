@@ -9,7 +9,7 @@
     ([serve.<assert|retract|query|stats>], nanoseconds — p50/p99 are
     exposed through the [stats] op and the CLI [--stats] summary), on
     top of whatever the engine itself records ([fixpoint.*], [dred.*],
-    [db.*], [demand.*], [magic.*]).
+    [db.*], [demand.*]).
 
     Failures of a single request — unparsable JSON, syntax errors in
     facts or atoms, arity mismatches, [Ast.Check_error],

@@ -1,8 +1,7 @@
 open Relational
 open Datalog
 
-type via = Materialized | Demand | Magic
-type maintenance = Dred | Counting
+type via = Materialized | Demand
 
 type t = {
   program : Ast.program;
@@ -13,10 +12,6 @@ type t = {
   delta_preds : string list;
   trace : Observe.Trace.ctx;
   cache : Demand.Cache.t;
-  mutable magic : Magic.session option;
-  counting : Counting.t option;
-      (* Some = counting maintenance: support counts ride along every
-         update and retraction deletes exactly the zero-support facts *)
 }
 
 (* The engine is restricted to pure Datalog, so no plan ever consults
@@ -25,7 +20,7 @@ type t = {
    without a scan, and updates pass an empty domain directly. *)
 let no_dom : Value.t list = []
 
-let create ?(trace = Observe.Trace.null) ?(maintenance = Dred) program edb =
+let create ?(trace = Observe.Trace.null) program edb =
   Ast.check_datalog program;
   let prepared = Eval_util.prepare program in
   let db = Matcher.Db.of_instance ~trace edb in
@@ -35,19 +30,10 @@ let create ?(trace = Observe.Trace.null) ?(maintenance = Dred) program edb =
   ignore
     (Eval_util.seminaive_fixpoint_db ~trace prepared
        ~delta_preds:(Ast.idb program) ~dom db);
-  let dred = Eval_util.prepare_dred prepared in
-  let counting =
-    match maintenance with
-    | Dred -> None
-    | Counting ->
-        let c = Counting.create prepared dred in
-        Counting.init c ~edb db;
-        Some c
-  in
   {
     program;
     prepared;
-    dred;
+    dred = Eval_util.prepare_dred prepared;
     db;
     edb;
     delta_preds =
@@ -55,11 +41,7 @@ let create ?(trace = Observe.Trace.null) ?(maintenance = Dred) program edb =
         (Ast.idb program @ Ast.body_preds program);
     trace;
     cache = Demand.Cache.create ();
-    magic = None;
-    counting;
   }
-
-let maintenance t = match t.counting with None -> Dred | Some _ -> Counting
 
 let program t = t.program
 let edb t = t.edb
@@ -79,15 +61,9 @@ let validate_arities t batch =
       | _ -> ())
     batch ()
 
-(* every update invalidates the magic session (it is bound to a fixed
-   base instance); the demand cache survives — its recorded answers key
-   on the physical instance and flush by themselves *)
-let invalidate t = t.magic <- None
-
 let assert_facts t batch =
   validate_arities t batch;
   let added = ref 0 in
-  let edb_added = ref [] in
   let delta =
     Instance.fold
       (fun p rel acc ->
@@ -96,7 +72,6 @@ let assert_facts t batch =
             (fun tup acc ->
               if not (Instance.mem_fact p tup t.edb) then (
                 t.edb <- Instance.add_fact p tup t.edb;
-                edb_added := (p, tup) :: !edb_added;
                 incr added);
               if Matcher.Db.mem t.db p tup then acc else tup :: acc)
             rel []
@@ -106,39 +81,15 @@ let assert_facts t batch =
   in
   let fresh = List.fold_left (fun n (_, ts) -> n + List.length ts) 0 delta in
   let before = total t in
-  (* under counting maintenance, observe each propagation round's fresh
-     facts so the new firings can be counted against the final db *)
-  let rounds : (string * Tuple.t list) list list ref = ref [] in
-  let on_delta =
-    match t.counting with
-    | None -> None
-    | Some _ -> Some (fun d -> rounds := d :: !rounds)
-  in
   let stages =
     match delta with
     | [] -> 0
     | _ ->
         snd
-          (Eval_util.seminaive_increment_db ~trace:t.trace ?on_delta t.prepared
+          (Eval_util.seminaive_increment_db ~trace:t.trace t.prepared
              ~delta_preds:t.delta_preds ~dom:no_dom t.db delta)
   in
-  (match t.counting with
-  | None -> ()
-  | Some c ->
-      (* merge the per-round deltas per predicate: rounds are disjoint
-         (each round's facts are fresh), and the firing enumeration
-         expects one binding per predicate *)
-      let merged : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (List.iter (fun (p, ts) ->
-             match Hashtbl.find_opt merged p with
-             | Some l -> l := List.rev_append ts !l
-             | None -> Hashtbl.add merged p (ref ts)))
-        !rounds;
-      let news = Hashtbl.fold (fun p l acc -> (p, !l) :: acc) merged [] in
-      Counting.on_assert c ~edb_added:!edb_added ~news t.db);
   let derived = total t - before - fresh in
-  invalidate t;
   (!added, derived, stages)
 
 let retract_facts t batch =
@@ -160,30 +111,15 @@ let retract_facts t batch =
         match ds with [] -> acc | _ -> (p, ds) :: acc)
       batch []
   in
-  let a, b =
-    match t.counting with
-    | Some c ->
-        let s = Counting.retract ~trace:t.trace c ~edb:t.edb t.db deletions in
-        (s.Counting.deleted, s.Counting.confirmed)
-    | None ->
-        let { Eval_util.overdeleted; rederived; cone_rounds = _ } =
-          Eval_util.dred ~trace:t.trace t.dred ~edb:t.edb ~dom:no_dom t.db
-            deletions
-        in
-        (overdeleted, rederived)
+  let { Eval_util.overdeleted; rederived; cone_rounds = _ } =
+    Eval_util.dred ~trace:t.trace t.dred ~edb:t.edb ~dom:no_dom t.db deletions
   in
-  invalidate t;
-  (!removed, a, b)
-
-let audit_counts t =
-  match t.counting with
-  | None -> []
-  | Some c -> Counting.audit c ~edb:t.edb t.db
+  (!removed, overdeleted, rederived)
 
 (* Materialized point lookup: constants probe a memoized hash index on
    their positions; repeated variables filter the candidates. This is
-   the same answer set as the demand paths — by construction of the
-   magic rewriting, all three agree with filtering the full fixpoint. *)
+   the same answer set as the demand path — by construction of the
+   magic rewriting, both agree with filtering the full fixpoint. *)
 let query_materialized t (q : Ast.atom) =
   let rel = Matcher.Db.relation t.db q.Ast.pred in
   if Relation.is_empty rel then Relation.empty
@@ -227,16 +163,7 @@ let query_materialized t (q : Ast.atom) =
     Relation.of_list
       (if var_groups = [] then cands else List.filter matches cands))
 
-let magic_session t =
-  match t.magic with
-  | Some s -> s
-  | None ->
-      let s = Magic.session ~trace:t.trace t.program t.edb in
-      t.magic <- Some s;
-      s
-
 let query t ?(via = Materialized) q =
   match via with
   | Materialized -> query_materialized t q
   | Demand -> Demand.answer ~trace:t.trace ~cache:t.cache t.program t.edb q
-  | Magic -> Magic.ask (magic_session t) q

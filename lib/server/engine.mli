@@ -13,8 +13,9 @@
       recompute-from-scratch oracle are defined against;
     - compiled rule plans, delta tables and DRed guard plans
       ({!Eval_util.prepare} / {!Eval_util.prepare_dred}), built once;
-    - a {!Demand.Cache} and a lazily (re)built {!Magic.session} for the
-      two demand-driven query paths, invalidated on every update. *)
+    - a {!Demand.Cache} for the demand-driven query path; it survives
+      updates, because its recorded answers key on the physical base
+      instance and flush by themselves. *)
 
 open Relational
 open Datalog
@@ -23,34 +24,15 @@ type t
 
 (** Which evaluation path a {!query} takes. [Materialized] (the default)
     filters the maintained fixpoint through the db's memoized indexes —
-    O(answer). [Demand] and [Magic] answer from the base facts through
-    the demand compiler / magic-sets session, exercising the cached
-    query paths against the same engine state. *)
-type via = Materialized | Demand | Magic
+    O(answer). [Demand] answers from the base facts through the cached
+    demand compiler ({!Demand.answer}), against the same engine state. *)
+type via = Materialized | Demand
 
-(** Which incremental-deletion algorithm maintains the materialization.
-    [Dred] (the default) over-deletes the derivation cone and
-    re-derives survivors. [Counting] keeps a support count per fact
-    ({!Datalog.Counting}): retraction deletes exactly the facts whose
-    count reaches zero, plus a well-foundedness verification localized
-    to the facts that lost support — on workloads where deletions touch
-    a small region it never visits the rest of the database. Both
-    produce the same materialization (recompute-oracle tested). *)
-type maintenance = Dred | Counting
-
-(** [create ?trace ?maintenance program edb] checks [program] is pure
-    Datalog, materializes its fixpoint over [edb] and returns the
-    resident state.
+(** [create ?trace program edb] checks [program] is pure Datalog,
+    materializes its fixpoint over [edb] and returns the resident state.
     @raise Ast.Check_error unless the program is pure Datalog (single
     positive heads, positive bodies). *)
-val create :
-  ?trace:Observe.Trace.ctx ->
-  ?maintenance:maintenance ->
-  Ast.program ->
-  Instance.t ->
-  t
-
-val maintenance : t -> maintenance
+val create : ?trace:Observe.Trace.ctx -> Ast.program -> Instance.t -> t
 
 (** [assert_facts t batch] adds the facts of [batch] to the base
     instance and propagates the genuinely new ones through the
@@ -60,25 +42,17 @@ val maintenance : t -> maintenance
 val assert_facts : t -> Instance.t -> int * int * int
 
 (** [retract_facts t batch] withdraws the facts of [batch] from the base
-    instance and maintains the materialization with the engine's
-    {!maintenance} algorithm. Returns [(removed, deleted, kept)]: facts
-    removed from the base instance, and — under [Dred] — the facts
-    over-deleted and re-derived; under [Counting] — the facts actually
-    deleted and the facts the well-foundedness verification confirmed.
-    Facts not in the base instance are ignored (a derived fact cannot
-    be retracted — withdraw its support instead). *)
+    instance and maintains the materialization by delete-and-rederive
+    ({!Eval_util.dred}). Returns [(removed, overdeleted, rederived)]:
+    facts removed from the base instance, facts over-deleted, and facts
+    re-derived. Facts not in the base instance are ignored (a derived
+    fact cannot be retracted — withdraw its support instead). *)
 val retract_facts : t -> Instance.t -> int * int * int
-
-(** [audit_counts t] is {!Datalog.Counting.audit} on the engine's
-    counting state — the count mismatches against a from-scratch
-    recount, always empty when maintenance is exact (and trivially
-    empty under [Dred]). Test hook. *)
-val audit_counts : t -> (string * Tuple.t * int * int) list
 
 (** [query t ?via atom] answers a point query: the tuples of [atom]'s
     predicate matching its constants and repeated variables.
-    @raise Ast.Check_error when [via] is [Demand] or [Magic] and the
-    predicate is not idb.
+    @raise Ast.Check_error when [via] is [Demand] and the predicate is
+    not idb.
     @raise Invalid_argument if [atom]'s arity differs from the stored
     relation's. *)
 val query : t -> ?via:via -> Ast.atom -> Relation.t

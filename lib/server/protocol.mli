@@ -20,7 +20,7 @@ type request =
   | Assert of string  (** facts source text, {!Relational.Instance.parse_facts} syntax *)
   | Retract of string
   | Query of { atom : string; via : string }
-      (** [via] is ["materialized"] (default), ["demand"] or ["magic"] *)
+      (** [via] is ["materialized"] (default) or ["demand"] *)
   | Stats
   | Shutdown
 

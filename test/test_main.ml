@@ -29,5 +29,4 @@ let () =
       ("parallel", Test_parallel.suite);
       ("serve", Test_serve.suite);
       ("semiring", Test_semiring.suite);
-      ("counting", Test_counting.suite);
     ]
