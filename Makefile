@@ -33,13 +33,14 @@ bench:
 # program-term and fact-file dialects agree on lower-identifier
 # symbols) and that --stats lists exactly one print span. The FO smoke step answers a
 # negation query through the safe-range compiler and checks that the
-# compiled path (not a fallback) produced it. The demand smoke step
-# answers a point query twice through the demand compiler and checks
-# that plans were compiled, the repeat was a cache hit, and the
-# multi-round fixpoint probed memoized stored-relation join indexes
-# (a non-zero ra.index.hits: the memo engaged). The explain
-# smoke step runs --explain on a demand TC query and checks the
-# annotated tree shows a join operator with an actual rows-out figure.
+# compiled path (not a fallback) produced it. The explain smoke step
+# runs fo --explain on a four-hop path query and checks that its joins
+# probed memoized stored-relation join indexes (a non-zero
+# ra.index.hits: the memo engaged) and that the annotated tree shows a
+# join operator with an actual rows-out figure. The query smoke step
+# answers three point queries in one magic session and checks that all
+# three ran and that the one sharing a binding pattern with an earlier
+# query reused its rewrite (magic.rewrite_memo_hits).
 # The shard smoke step runs the sharded (default) parallel path at -j 4,
 # checks byte-identity against the sequential output, and greps the
 # stats for par.exchanged_tuples — proof the exchange carried the
@@ -58,6 +59,9 @@ bench:
 # The round-trip smoke step runs a program whose string constants hold
 # a comma, an escaped quote, a '%' and a "//", reloads its printed
 # output with -f, and requires the second run to print the same bytes.
+# It then does the same for answers in program-term syntax: `run -a`
+# and `query` print symbols that are not lower identifiers quoted
+# ('Abc', with escapes), and that output must reload to the same facts.
 # The bench-diff step
 # compares the freshly regenerated e2 rows against the committed
 # BENCH_engines.json and GATES: rows from a different machine shape are
@@ -95,14 +99,15 @@ ci:
 	dune exec -- datalog-unchained run -s stratified -j 4 _ci_tc.dl --stats | grep -q 'par.domains.*4'
 	dune exec -- datalog-unchained run -s seminaive -j 4 _ci_tc.dl --stats | grep -q 'par.exchanged_tuples'
 	dune exec test/test_main.exe -- test parallel
-	printf 'G(a, b). G(b, c). G(c, d).\n' > _ci_fo.facts
+	printf 'G(a, b). G(b, c). G(c, d). G(d, e). G(e, f).\n' > _ci_fo.facts
 	dune exec -- datalog-unchained fo -f _ci_fo.facts 'G(X, Y) & !G(Y, d)' --stats | grep -q 'fo.plan.compiled'
-	dune exec -- datalog-unchained query _ci_tc.dl -q 'T(a, Y)' -q 'T(a, d)' --demand --stats > _ci_demand.out
-	grep -q 'demand.plan.compiled' _ci_demand.out
-	grep -q 'demand.cache.hits *1' _ci_demand.out
-	grep -qE 'ra\.index\.hits +[1-9]' _ci_demand.out
-	dune exec -- datalog-unchained query _ci_tc.dl -q 'T(a, Y)' --demand --explain > _ci_explain.out
+	dune exec -- datalog-unchained fo -f _ci_fo.facts \
+	  'exists Z, W, V (G(X, Z) & G(Z, W) & G(W, V) & G(V, Y)) & exists U (G(Y, U))' --stats --explain > _ci_explain.out
+	grep -qE 'ra\.index\.hits +[1-9]' _ci_explain.out
 	grep -qE 'join\[[0-9]+=[0-9]+\].* rows_out=[0-9]+' _ci_explain.out
+	dune exec -- datalog-unchained query _ci_tc.dl -q 'T(a, Y)' -q 'T(a, d)' -q 'T(b, Y)' --stats > _ci_query.out
+	grep -qE 'magic\.queries +3$$' _ci_query.out
+	grep -qE 'magic\.rewrite_memo_hits +1$$' _ci_query.out
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\n' > _ci_srv.dl
 	printf 'G(a, b). G(b, c).\n' > _ci_srv.facts
 	_build/install/default/bin/datalog-unchained serve _ci_srv.dl -f _ci_srv.facts --socket _ci_srv.sock > _ci_srv.out 2>&1 & \
@@ -122,8 +127,18 @@ ci:
 	dune exec -- datalog-unchained run _ci_rt.dl -f _ci_rt1.out > _ci_rt2.out
 	cmp _ci_rt1.out _ci_rt2.out
 	grep -c '^[QS](' _ci_rt2.out | grep -qx 8
-	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_demand.out _ci_explain.out \
-	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out
+	printf '%s\n' "P(Abc). P(_u). P('a, b. 50%'). P('it\'s'). P(x)." > _ci_rtq.facts
+	printf 'Q(X) :- P(X).\n' > _ci_rtq.dl
+	printf 'R(X) :- Q(X).\n' > _ci_rtr.dl
+	dune exec -- datalog-unchained run _ci_rtq.dl -f _ci_rtq.facts -a Q > _ci_rtq1.out
+	dune exec -- datalog-unchained query _ci_rtq.dl -f _ci_rtq.facts -q 'Q(X)' > _ci_rtq2.out
+	cmp _ci_rtq1.out _ci_rtq2.out
+	grep -qF "Q('it\'s')." _ci_rtq2.out
+	dune exec -- datalog-unchained run _ci_rtr.dl -f _ci_rtq2.out -a Q | cmp - _ci_rtq2.out
+	grep -c '^Q(' _ci_rtq2.out | grep -qx 5
+	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
+	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
+	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out
 
 clean:
 	dune clean

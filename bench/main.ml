@@ -18,7 +18,6 @@
      e15 Datalog± restricted chase and certain answers (§6)
      e16 parallel evaluation: domain-pool jobs sweep on semi-naive TC
      e17 safe-range compilation: FO calculus and while, naive vs compiled
-     e18 demand-driven compilation vs full materialization
      e19 operator-profiling overhead, disabled vs enabled
      e21 resident serve: incremental maintenance vs recompute-from-scratch
      e22 semiring annotations: Boolean guard, tropical
@@ -118,10 +117,7 @@ let metric_keys =
     "db.index_memo_hits"; "par.domains"; "par.tasks"; "par.exchange_ms";
     "par.exchanged_tuples"; "par.shard_skew"; "par.pool.fallbacks";
     "fo.plan.compiled"; "fo.plan.fallback_vars"; "fp.rounds"; "fp.fallback";
-    "ra.join.probes"; "ra.index.builds"; "ra.index.hits"; "demand.rounds";
-    "demand.tuples_derived";
-    "demand.plan.compiled"; "demand.plan.hits"; "demand.cache.hits";
-    "demand.cache.misses"; "demand.evictions"; "magic.queries";
+    "ra.join.probes"; "ra.index.builds"; "ra.index.hits"; "magic.queries";
     "magic.rewritten_rules"; "dred.batches"; "dred.overdeleted";
     "dred.rederived"; "dred.cone_rounds"; "annot.universe";
     "annot.derivations"; "annot.rounds"; "annot.forced"; "annot.infinite";
@@ -958,6 +954,24 @@ let e16 () =
 
 (* ---------------------------------------------------------------- E17 *)
 
+(* the while-language TC program: cumulate G \/ (G ; T) into T until
+   T stops changing *)
+let while_tc =
+  let tc_query =
+    {
+      While_lang.Wast.formula =
+        Fo.Or
+          ( Fo.Atom ("G", [ Fo.Var "x"; Fo.Var "y" ]),
+            Fo.Exists
+              ( [ "z" ],
+                Fo.And
+                  ( Fo.Atom ("G", [ Fo.Var "x"; Fo.Var "z" ]),
+                    Fo.Atom ("T", [ Fo.Var "z"; Fo.Var "y" ]) ) ) );
+      vars = [ "x"; "y" ];
+    }
+  in
+  [ While_lang.Wast.While_change [ While_lang.Wast.Cumulate ("T", tc_query) ] ]
+
 (* Safe-range compilation (lib/relational/fo) against the naive
    active-domain enumerators it replaced. Two workloads:
 
@@ -1013,22 +1027,6 @@ let e17 () =
       ("random-100x300", 100, Graph_gen.random ~seed:11 100 300);
       ("random-300x900", 300, Graph_gen.random ~seed:12 300 900);
     ];
-  let tc_query =
-    {
-      While_lang.Wast.formula =
-        Fo.Or
-          ( Fo.Atom ("G", [ Fo.Var "x"; Fo.Var "y" ]),
-            Fo.Exists
-              ( [ "z" ],
-                Fo.And
-                  ( Fo.Atom ("G", [ Fo.Var "x"; Fo.Var "z" ]),
-                    Fo.Atom ("T", [ Fo.Var "z"; Fo.Var "y" ]) ) ) );
-      vars = [ "x"; "y" ];
-    }
-  in
-  let while_tc =
-    [ While_lang.Wast.While_change [ While_lang.Wast.Cumulate ("T", tc_query) ] ]
-  in
   List.iter
     (fun (name, n, inst, run_naive) ->
       let case = "while-tc/" ^ name in
@@ -1064,140 +1062,46 @@ let e17 () =
        hash joins;\n  the gap widens with the domain and with every while \
        round that re-runs it\n"
 
-let e18 () =
-  header
-    "E18 | demand-driven compilation vs full materialization (point queries)";
-  (* E8's measurement re-based onto compiled plans: the same left-recursive
-     TC (magic set stays {src}), but the rewritten rules are lowered to
-     Algebra plans and answered patterns land in the subsumptive cache —
-     so the repeat query never touches the fixpoint. *)
-  let tc_program =
-    prog {|
-      T(X, Y) :- G(X, Y).
-      T(X, Y) :- T(X, Z), G(Z, Y).
-    |}
-  in
-  row "  %-18s | %10s %10s %10s | %8s %8s | %s\n" "graph" "full ms"
-    "demand ms" "repeat ms" "speedup" "|answer|" "agree";
-  List.iter
-    (fun (name, n, inst, src) ->
-      let query =
-        Datalog.Ast.atom "T" [ Datalog.Ast.sym src; Datalog.Ast.var "Y" ]
-      in
-      let full, tf =
-        time (fun () ->
-            Relation.filter
-              (fun t -> Value.equal (Tuple.get t 0) (Value.Sym src))
-              (Datalog.Seminaive.answer tc_program inst "T"))
-      in
-      (* first demand run: a cold cache and cold join-index memos every
-         rep (the global Fo plan memo still amortizes compilation, as it
-         would across live queries) *)
-      let demand, td =
-        time_on (fresh_copy inst) (fun inst ->
-            Datalog.Demand.answer
-              ~cache:(Datalog.Demand.Cache.create ())
-              tc_program inst query)
-      in
-      (* repeat run: the pattern is in the cache, the fixpoint never runs *)
-      let warm = Datalog.Demand.Cache.create () in
-      ignore (Datalog.Demand.answer ~cache:warm tc_program inst query);
-      let repeat, tr =
-        time (fun () -> Datalog.Demand.answer ~cache:warm tc_program inst query)
-      in
-      let full_all =
-        Relation.cardinal (Datalog.Seminaive.answer tc_program inst "T")
-      in
-      let full_metrics =
-        collect_metrics (fun trace ->
-            Datalog.Seminaive.answer ~trace tc_program inst "T")
-      in
-      let demand_metrics =
-        collect_metrics (fun trace ->
-            Datalog.Demand.answer ~trace
-              ~cache:(Datalog.Demand.Cache.create ())
-              tc_program (fresh_copy inst ()) query)
-      in
-      let repeat_metrics =
-        collect_metrics (fun trace ->
-            Datalog.Demand.answer ~trace ~cache:warm tc_program inst query)
-      in
-      record ~experiment:"e18" ~case:name ~n ~engine:"seminaive-full"
-        ~wall_ms:(1000. *. tf) ~stages:0 ~facts:full_all
-        ~metrics:full_metrics ();
-      record ~experiment:"e18" ~case:name ~n ~engine:"demand"
-        ~wall_ms:(1000. *. td) ~stages:0 ~facts:(Relation.cardinal demand)
-        ~metrics:demand_metrics ();
-      record ~experiment:"e18" ~case:name ~n ~engine:"demand-repeat"
-        ~wall_ms:(1000. *. tr) ~stages:0 ~facts:(Relation.cardinal repeat)
-        ~metrics:repeat_metrics ();
-      row "  %-18s | %s %s %s | %7.1fx %8d | %b\n" name (ms tf) (ms td)
-        (ms tr) (tf /. td)
-        (Relation.cardinal demand)
-        (Relation.equal full demand && Relation.equal full repeat))
-    [
-      ("chain-300", 300, Graph_gen.chain 300, "n20");
-      ("random-120x300", 120, Graph_gen.random ~seed:41 120 300, "n0");
-      ("random-1000x5000", 1000, Graph_gen.random ~seed:13 1000 5000, "n0");
-    ];
-  row "  shape: plans seeded by the demand relation evaluate the reachable \
-       cone only;\n  the cache-hit repeat is a filter over the recorded \
-       answer relation\n"
-
 (* ---------------------------------------------------------------- E19 *)
 
 (* Profiling overhead: the per-operator hooks in Algebra.eval must cost
    nothing when disabled (?profile defaults to None: one option match per
    node execution) and stay cheap enabled (a clock read, a frame push and
-   a hashtable bump per node). Times the demand-driven TC point query —
-   the deepest Algebra plan stack in the repo — with profiling off vs on.
-   The disabled path's absolute budget is the separate acceptance check:
-   tools/bench_diff of a fresh e2 run against the committed
-   BENCH_engines.json. *)
+   a hashtable bump per node). Times e17's while-language TC — the
+   deepest Algebra plan stack in the repo, re-run every loop round —
+   with profiling off vs on. The disabled path's absolute budget is the
+   separate acceptance check: tools/bench_diff of a fresh e2 run against
+   the committed BENCH_engines.json. *)
 let e19 () =
-  header "E19 | operator profiling overhead (Algebra plans, demand TC)";
-  let tc_program =
-    prog {|
-      T(X, Y) :- G(X, Y).
-      T(X, Y) :- T(X, Z), G(Z, Y).
-    |}
-  in
+  header "E19 | operator profiling overhead (Algebra plans, while TC)";
   row "  %-18s | %10s %10s | %8s | %8s\n" "graph" "off ms" "on ms"
     "overhead" "|answer|";
   List.iter
-    (fun (name, n, inst, src) ->
-      let query =
-        Datalog.Ast.atom "T" [ Datalog.Ast.sym src; Datalog.Ast.var "Y" ]
-      in
+    (fun (name, n, inst) ->
       let off, t_off =
-        time (fun () ->
-            Datalog.Demand.answer
-              ~cache:(Datalog.Demand.Cache.create ())
-              tc_program inst query)
+        time (fun () -> While_lang.Weval.answer while_tc inst "T")
       in
       let on, t_on =
         time (fun () ->
-            Datalog.Demand.answer
-              ~profile:(Algebra.profile ())
-              ~cache:(Datalog.Demand.Cache.create ())
-              tc_program inst query)
+            While_lang.Weval.answer ~profile:(Algebra.profile ()) while_tc
+              inst "T")
       in
       assert (Relation.equal off on);
-      record ~experiment:"e19" ~case:name ~n ~engine:"demand-noprofile"
+      record ~experiment:"e19" ~case:name ~n ~engine:"while-noprofile"
         ~wall_ms:(1000. *. t_off) ~stages:0 ~facts:(Relation.cardinal off) ();
-      record ~experiment:"e19" ~case:name ~n ~engine:"demand-profile"
+      record ~experiment:"e19" ~case:name ~n ~engine:"while-profile"
         ~wall_ms:(1000. *. t_on) ~stages:0 ~facts:(Relation.cardinal on) ();
       row "  %-18s | %s %s | %+7.1f%% | %8d\n" name (ms t_off) (ms t_on)
         (100. *. (t_on -. t_off) /. t_off)
         (Relation.cardinal off))
     [
-      ("chain-300", 300, Graph_gen.chain 300, "n20");
-      ("random-120x300", 120, Graph_gen.random ~seed:41 120 300, "n0");
-      ("random-300x900", 300, Graph_gen.random ~seed:12 300 900, "n0");
+      ("chain-100", 100, Graph_gen.chain 100);
+      ("random-100x300", 100, Graph_gen.random ~seed:11 100 300);
+      ("random-300x900", 300, Graph_gen.random ~seed:12 300 900);
     ];
   row
     "  overhead is per-operator-execution, so it concentrates in plans \
-     with many\n  cheap executions (fixpoint deltas); EXPERIMENTS.md E19 \
+     with many\n  cheap executions (loop rounds); EXPERIMENTS.md E19 \
      records the numbers\n"
 
 (* ---------------------------------------------------------------- E21 *)
@@ -1562,7 +1466,7 @@ let all =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19);
+    ("e16", e16); ("e17", e17); ("e19", e19);
     ("e21", e21); ("e22", e22); ("e25", e25);
   ]
 

@@ -242,22 +242,11 @@ let trace_arg =
           "Write a JSON-lines trace of the run to $(docv) (span_open / \
            span_close / event / summary lines; see lib/observe)")
 
-let explain_arg =
-  Arg.(
-    value & flag
-    & info [ "explain" ]
-        ~doc:
-          "After the answers, print the compiled plan(s) as an annotated \
-           operator tree: per executed operator, rows in/out, execution \
-           count, selectivity and self/total wall time. With $(b,--demand), \
-           one tree per (rule, adornment) plan of the magic-rewritten \
-           program plus the demand cache hit/miss breakdown")
-
 (* Build the trace context the flags ask for, run [f] inside a "run" span,
    then flush: the JSONL file is closed even on exceptions, and the stats
    report prints only after a completed run. [force] creates an enabled
-   context even without --stats/--trace (the --explain paths read
-   counters from it) but prints nothing extra. *)
+   context even without --stats/--trace (serve's stats op reads its
+   counters) but prints nothing extra. *)
 let with_observability ~name ?(force = false) stats trace_path f =
   if (not stats) && (not force) && trace_path = None then f Observe.Trace.null
   else
@@ -320,92 +309,16 @@ let semantics_name = function
   | `Stable -> "stable"
   | `Invent -> "invent"
 
-(* --explain (demand): per (rule, adornment) plan of the magic-rewritten
-   program, the annotated operator tree, then the cache breakdown read
-   back from the trace counters. [Demand.plans] returns the memoized
-   plans the preceding [answer] calls executed, so the profile recorded
-   there annotates exactly these trees. *)
-let print_demand_explain ~trace ~cache ~profile p inst qs =
-  List.iter
-    (fun q ->
-      Format.printf "%% explain %a@." Datalog.Pretty.pp_atom q;
-      List.iter
-        (fun pi ->
-          Format.printf "%% plan %s [%s]@." pi.Datalog.Demand.pi_head
-            pi.Datalog.Demand.pi_role;
-          print_string
-            (Explain.text ~inst ~profile
-               (Fo.plan_expr pi.Datalog.Demand.pi_plan)))
-        (Datalog.Demand.plans ~trace ~cache p q))
-    qs;
-  let c name = Observe.Trace.counter trace name in
-  Format.printf
-    "%% demand cache: %d answer hit(s), %d miss(es); %d plan(s) compiled, %d \
-     plan memo hit(s)@."
-    (c "demand.cache.hits") (c "demand.cache.misses")
-    (c "demand.plan.compiled") (c "demand.plan.hits")
-
-(* [run --demand -a PRED] answers the all-free query PRED(X1, ..., Xk)
-   through the demand pipeline instead of materializing the fixpoint —
-   same output as [-s seminaive -a PRED] restricted to that predicate. *)
-let run_demand p inst answer explain stats trace_path =
-  let pred =
-    match answer with
-    | Some pred -> pred
-    | None ->
-        Printf.eprintf "--demand requires --answer PRED\n";
-        exit 2
-  in
-  let arity =
-    List.find_map
-      (fun (r : Datalog.Ast.rule) ->
-        match r.Datalog.Ast.head with
-        | [ Datalog.Ast.HPos h ] when h.Datalog.Ast.pred = pred ->
-            Some (List.length h.Datalog.Ast.args)
-        | _ -> None)
-      p
-  in
-  match arity with
-  | None ->
-      Printf.eprintf "--demand: %s is not an idb predicate\n" pred;
-      exit 2
-  | Some k ->
-      let query =
-        Datalog.Ast.atom pred
-          (List.init k (fun i -> Datalog.Ast.var (Printf.sprintf "X%d" i)))
-      in
-      with_observability ~name:"demand" ~force:explain stats trace_path
-        (fun trace ->
-          let cache = Datalog.Demand.Cache.create () in
-          let profile =
-            if explain then Some (Algebra.profile ()) else None
-          in
-          let rel =
-            Datalog.Demand.answer ~trace ~cache ?profile p inst query
-          in
-          print_facts ~trace pred rel;
-          Option.iter
-            (fun profile ->
-              print_demand_explain ~trace ~cache ~profile p inst [ query ])
-            profile)
-
 let run_cmd =
-  let run semantics program facts answer ordered demand annot explain stats
-      trace_path jobs =
+  let run semantics program facts answer ordered annot stats trace_path jobs =
     set_jobs jobs;
     let annot = parse_annot annot in
     let { Datalog.Parser.program = p; _ } = load_program program in
     let inst = load_facts facts in
     let inst = if ordered then Order.adjoin inst else inst in
-    if explain && not demand then (
-      Printf.eprintf "--explain requires --demand on this subcommand\n";
-      exit 2);
     or_reject @@ fun () ->
     match annot with
     | Some tag ->
-        if demand then (
-          Printf.eprintf "--annot is incompatible with --demand\n";
-          exit 2);
         if semantics <> `Seminaive then (
           Printf.eprintf
             "--annot requires the default seminaive semantics\n";
@@ -415,12 +328,6 @@ let run_cmd =
               (Datalog.Annot_eval.run ~trace tag p inst)
               answer)
     | None ->
-    if demand then (
-      if semantics <> `Seminaive then (
-        Printf.eprintf "--demand only supports the default seminaive semantics\n";
-        exit 2);
-      run_demand p inst answer explain stats trace_path)
-    else
     with_observability ~name:(semantics_name semantics) stats trace_path
       (fun trace ->
         match semantics with
@@ -480,22 +387,16 @@ let run_cmd =
             | Datalog.Invent.Out_of_fuel { stages; _ } ->
                 Format.printf "%% out of fuel after %d stages@." stages))
   in
-  let demand_arg =
-    Arg.(
-      value & flag
-      & info [ "demand" ]
-          ~doc:
-            "Answer the $(b,--answer) predicate demand-driven (magic sets \
-             compiled to algebra plans) instead of materializing the full \
-             fixpoint; requires $(b,-a) and the default seminaive \
-             semantics")
+  let doc =
+    "Evaluate a program under a chosen semantics and print the whole \
+     result instance, or with $(b,-a) one predicate's relation; either \
+     output reloads with $(b,-f). To answer a point query without \
+     materializing the fixpoint, use $(b,query)"
   in
-  let doc = "Evaluate a program under a chosen semantics" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ semantics_arg $ program_arg $ facts_arg $ answer_arg
-      $ order_arg $ demand_arg $ annot_arg $ explain_arg $ stats_arg
-      $ trace_arg $ jobs_arg)
+      $ order_arg $ annot_arg $ stats_arg $ trace_arg $ jobs_arg)
 
 (* --- nondet ------------------------------------------------------------- *)
 
@@ -641,26 +542,12 @@ let query_atom_arg =
           "Query atom, e.g. 'T(a, Y)' (repeatable; appended to the \
            program's ?- directives)")
 
-let demand_arg =
-  Arg.(
-    value & flag
-    & info [ "demand" ]
-        ~doc:
-          "Answer through the demand-driven compiler: the magic-rewritten \
-           program is lowered to algebra plans seeded by the demand \
-           relation, and answered patterns are kept in a subsumptive \
-           cache ($(b,demand.*) counters under $(b,--stats))")
-
 let query_cmd =
-  let run program facts query_args demand annot explain stats trace_path jobs
-      =
+  let run program facts query_args annot stats trace_path jobs =
     set_jobs jobs;
     let annot = parse_annot annot in
     let { Datalog.Parser.program = p; queries } = load_program program in
     let inst = load_facts facts in
-    if explain && not demand then (
-      Printf.eprintf "--explain requires --demand on this subcommand\n";
-      exit 2);
     match queries @ List.map parse_query_atom query_args with
     | [] ->
         Printf.eprintf
@@ -670,9 +557,6 @@ let query_cmd =
         or_reject @@ fun () ->
         match annot with
         | Some tag ->
-            if demand then (
-              Printf.eprintf "--annot is incompatible with --demand\n";
-              exit 2);
             (* annotated answers come from the materialized annotated
                fixpoint: the stored relation filtered by the query's
                constants and repeated variables *)
@@ -685,33 +569,29 @@ let query_cmd =
                          (Instance.find q.Datalog.Ast.pred
                             r.Datalog.Annot_eval.instance)))
                   qs)
-        | None -> (
-        let print q rel = print_facts q.Datalog.Ast.pred rel in
-        with_observability ~name:(if demand then "demand" else "magic")
-          ~force:explain stats trace_path (fun trace ->
-            if demand then (
-              let cache = Datalog.Demand.Cache.create () in
-              let profile =
-                if explain then Some (Algebra.profile ()) else None
-              in
-              List.iter
-                (fun q ->
-                  print q
-                    (Datalog.Demand.answer ~trace ~cache ?profile p inst q))
-                qs;
-              Option.iter
-                (fun profile ->
-                  print_demand_explain ~trace ~cache ~profile p inst qs)
-                profile)
-            else
-              let s = Datalog.Magic.session ~trace p inst in
-              List.iter (fun q -> print q (Datalog.Magic.ask s q)) qs)))
+        | None ->
+            (* one session: later queries reuse the facts and indexes
+               earlier ones derived *)
+            with_observability ~name:"magic" stats trace_path (fun trace ->
+                let s = Datalog.Magic.session ~trace p inst in
+                List.iter
+                  (fun q ->
+                    print_facts q.Datalog.Ast.pred (Datalog.Magic.ask s q))
+                  qs))
   in
-  let doc = "Answer queries with magic-set rewriting" in
+  let doc =
+    "Answer queries demand-driven: each query atom is answered by magic \
+     sets (the program rewritten for the query's bound positions, then \
+     evaluated semi-naively), so only the facts the query needs are \
+     derived. All queries share one session, so a later query reuses \
+     what earlier ones derived ($(b,magic.*) counters under \
+     $(b,--stats)). With $(b,--annot), queries filter the annotated \
+     fixpoint instead"
+  in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
-      const run $ program_arg $ facts_arg $ query_atom_arg $ demand_arg
-      $ annot_arg $ explain_arg $ stats_arg $ trace_arg $ jobs_arg)
+      const run $ program_arg $ facts_arg $ query_atom_arg $ annot_arg
+      $ stats_arg $ trace_arg $ jobs_arg)
 
 (* --- fo ------------------------------------------------------------------ *)
 
@@ -735,6 +615,15 @@ let fo_cmd =
           ~doc:
             "Output columns (comma-separated; default: the formula's free \
              variables in first-occurrence order)")
+  in
+  let explain_arg =
+    Arg.(
+      value & flag
+      & info [ "explain" ]
+          ~doc:
+            "After the answers, print the compiled plan as an annotated \
+             operator tree: per executed operator, rows in/out, execution \
+             count, selectivity and self/total wall time")
   in
   let naive_arg =
     Arg.(
@@ -764,7 +653,7 @@ let fo_cmd =
       Printf.eprintf "--explain needs the compiled path (drop --naive)\n";
       exit 2);
     try
-      with_observability ~name:"fo" ~force:explain stats trace_path
+      with_observability ~name:"fo" stats trace_path
         (fun trace ->
           let profile = if explain then Some (Algebra.profile ()) else None in
           (match vars with
@@ -869,7 +758,8 @@ let client_cmd =
       & info [ "via" ] ~docv:"PATH"
           ~doc:
             "Query path: $(b,materialized) (indexed lookup on the \
-             maintained fixpoint) or $(b,demand) (demand compiler)")
+             maintained fixpoint) or $(b,demand) (magic sets over the \
+             server's current base facts)")
   in
   let run socket command payload via =
     let need what =

@@ -150,6 +150,13 @@ let tokenize src =
           if c = '\'' then (
             closed := true;
             incr i)
+          else if
+            c = '\\' && !i + 1 < n
+            && (src.[!i + 1] = '\'' || src.[!i + 1] = '\\')
+          then (
+            (* Value.render's Term dialect escapes these two *)
+            Buffer.add_char buf src.[!i + 1];
+            i := !i + 2)
           else (
             if c = '\n' then incr line;
             Buffer.add_char buf c;

@@ -90,8 +90,8 @@ type node_stats = {
 }
 
 (** [profile ()] is a fresh, empty profile. Pass the same profile to
-    several {!eval} calls (the demand engine's many rule plans, a
-    fixpoint's rounds) to aggregate across them. *)
+    several {!eval} calls (a while loop's or a fixpoint's rounds) to
+    aggregate across them. *)
 val profile : unit -> profile
 
 (** [profile_stats p e] is the accumulated stats of node [e] (physical

@@ -8,11 +8,14 @@
     scans the stored cardinality:
 
     {v
-    project[1] arity=1
-      join[1=0] arity=4
-        scan[magic_T__bf] arity=1 rows=1
-        scan[G] arity=2 rows=3
+    project[0,2] arity=2
+      project[0,1,3] arity=3
+        join[1=0] arity=4
+          scan[G] arity=2 rows=3
+          scan[G] arity=2 rows=3
     v}
+
+    (the two-step path query [exists Z (G(X, Z) & G(Z, Y))]).
 
     Hot — after evaluating the plan under a profile — each executed
     node additionally reports [rows_out]/[rows_in] (summed across

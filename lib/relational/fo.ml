@@ -12,14 +12,6 @@ type formula =
   | Exists of string list * formula
   | Forall of string list * formula
 
-let conj = function
-  | [] -> True
-  | f :: fs -> List.fold_left (fun acc g -> And (acc, g)) f fs
-
-let disj = function
-  | [] -> False
-  | f :: fs -> List.fold_left (fun acc g -> Or (acc, g)) f fs
-
 (* --- shared syntax collectors ------------------------------------------- *)
 
 (* The free-variable and constant collectors are shared with the
@@ -406,9 +398,9 @@ and compile_eq ctx a b =
 (* Natural join: equijoin on the shared columns, then project away the
    right copy of each shared column. When the right operand adds no
    columns at all it is a pure filter on the accumulator, so the plan
-   gets a semijoin instead of a join-then-project — the demand-driven
-   engine relies on this to turn magic guards into semijoins against
-   the (small) demand relations. Joining with the trivial nullary
+   gets a semijoin instead of a join-then-project: a conjunct such as
+   [exists Z (G(Y, Z))] filters the accumulator's rows without
+   materializing the wider join. Joining with the trivial nullary
    relation is the identity — the physical-equality check recognizes the
    [nullary_true] accumulator that seeds conjunctions. *)
 and natural_join acc ce =

@@ -31,11 +31,6 @@ type formula =
   | Exists of string list * formula
   | Forall of string list * formula
 
-(** Conjunction / disjunction of a list ([True]/[False] when empty). *)
-val conj : formula list -> formula
-
-val disj : formula list -> formula
-
 (** [free_vars f] lists the free variables, each once, in first-occurrence
     order. *)
 val free_vars : formula -> string list

@@ -19,7 +19,6 @@ let set name r i =
         else SMap.add name r i.rels)
 
 let add_fact name tup i = set name (Relation.add tup (find name i)) i
-let add_all name tups i = set name (Relation.add_all tups (find name i)) i
 let remove_fact name tup i = set name (Relation.remove tup (find name i)) i
 let mem_fact name tup i = Relation.mem tup (find name i)
 
@@ -217,6 +216,11 @@ let rec rtrim src s e =
 
 let fail lineno msg = failwith (Printf.sprintf "facts line %d: %s" lineno msg)
 
+(* A single quote opens a quoted symbol only where an argument starts:
+   after a '(' or a ',', blanks aside. Elsewhere it is an ordinary
+   character of a bare token ([it's]). *)
+let opens_symbol c = c = '(' || c = ','
+
 (* The argument [src.[s..e)]: its id from the cache, or parsed, interned
    and cached on its first occurrence in the load. *)
 let arg ld src s e lineno =
@@ -276,14 +280,21 @@ let fact ld src s e lineno ~rest =
     if ne = s then fail lineno "empty predicate name";
     ld.nargs <- 0;
     if ltrim src (lp + 1) (e - 1) < e - 1 then begin
-      (* the string state runs from the statement's start, as in the
-         statement scan, even when the first '(' lies inside a string *)
-      let start = ref (lp + 1) and i = ref s and in_string = ref false in
+      (* the quote state runs from the statement's start, as in the
+         statement scan, even when the first '(' lies inside a string;
+         [quote] is the open quote character, or '\000' *)
+      let start = ref (lp + 1) and i = ref s and quote = ref '\000' in
       while !i < e - 1 do
         let c = String.unsafe_get src !i in
-        if !in_string then (
-          if c = '\\' then incr i else if c = '"' then in_string := false)
-        else if c = '"' then in_string := true
+        if !quote <> '\000' then (
+          if c = '\\' then incr i else if c = !quote then quote := '\000')
+        else if
+          c = '"'
+          || c = '\''
+             &&
+             let j = rtrim src s !i in
+             j > s && opens_symbol src.[j - 1]
+        then quote := c
         else if c = ',' && !i > lp then (
           arg ld src !start !i lineno;
           start := !i + 1);
@@ -305,27 +316,37 @@ let fact ld src s e lineno ~rest =
   end
 
 (* The statement [text.[s..e)] as the statement parser must see it:
-   comments dropped and line breaks turned into spaces, strings kept
-   whole. Only a statement that spans lines or holds a comment needs it. *)
+   comments dropped and line breaks turned into spaces, strings and
+   quoted symbols kept whole (a quoted symbol keeps its line breaks too:
+   the Term dialect writes them raw). Only a statement that spans lines
+   or holds a comment needs it. *)
 let clean text s e =
   let b = Buffer.create (e - s) in
-  let i = ref s and in_string = ref false in
+  let i = ref s and quote = ref '\000' in
   let put c = Buffer.add_char b (if c = '\n' then ' ' else c) in
+  let put_quoted c = if !quote = '\'' then Buffer.add_char b c else put c in
+  (* the last non-blank byte written, as [fact] will see it *)
+  let rec last k =
+    if k > 0 && blank (Buffer.nth b (k - 1)) then last (k - 1)
+    else if k > 0 then Buffer.nth b (k - 1)
+    else ' '
+  in
   while !i < e do
     let c = text.[!i] in
-    if !in_string then (
-      put c;
+    if !quote <> '\000' then (
+      put_quoted c;
       if c = '\\' && !i + 1 < e then (
         incr i;
-        put text.[!i])
-      else if c = '"' then in_string := false;
+        put_quoted text.[!i])
+      else if c = !quote then quote := '\000';
       incr i)
     else if c = '%' || (c = '/' && !i + 1 < e && text.[!i + 1] = '/') then
       while !i < e && text.[!i] <> '\n' do
         incr i
       done
     else (
-      if c = '"' then in_string := true;
+      if c = '"' || (c = '\'' && opens_symbol (last (Buffer.length b))) then
+        quote := c;
       put c;
       incr i)
   done;
@@ -337,9 +358,10 @@ let statement ld text s e ~dirty lineno =
     fact ld src 0 (String.length src) lineno ~rest:(ld.len - e)
   else fact ld text s e lineno ~rest:(ld.len - e)
 
-(* One pass over the bytes: it tracks the line, the string state (a
-   backslash escapes the next character) and comments, and cuts the text
-   into dot-terminated statements for [fact]. *)
+(* One pass over the bytes: it tracks the line, the quote state of
+   strings and quoted symbols (a backslash escapes the next character)
+   and comments, and cuts the text into dot-terminated statements for
+   [fact]. *)
 let scan ld text =
   let len = ld.len in
   (* the current statement: its first non-blank offset (-1 while none),
@@ -347,6 +369,32 @@ let scan ld text =
      or a comment lies inside it *)
   let st = ref (-1) and st_line = ref 1 and dirty = ref false in
   let pos = ref 0 and line = ref 1 in
+  (* the last byte outside blanks, comments and quotes *)
+  let prev = ref '.' in
+  (* from the opening quote [q] at [!pos] on to its closing quote *)
+  let quoted q =
+    if !st < 0 then st := !pos;
+    st_line := !line;
+    let closed = ref false in
+    while (not !closed) && !pos + 1 < len do
+      incr pos;
+      match String.unsafe_get text !pos with
+      | '\n' ->
+          incr line;
+          dirty := true
+      | '\\' when !pos + 1 < len ->
+          st_line := !line;
+          incr pos;
+          if String.unsafe_get text !pos = '\n' then (
+            incr line;
+            dirty := true)
+      | c when c = q ->
+          st_line := !line;
+          closed := true
+      | c -> if not (blank c) then st_line := !line
+    done;
+    prev := q
+  in
   while !pos < len do
     (match String.unsafe_get text !pos with
     | '\n' ->
@@ -354,32 +402,13 @@ let scan ld text =
         if !st >= 0 then dirty := true
     | ' ' | '\t' | '\r' | '\012' -> ()
     | '.' ->
+        prev := '.';
         if !st >= 0 then (
           statement ld text !st !pos ~dirty:!dirty !line;
           st := -1;
           dirty := false)
-    | '"' ->
-        if !st < 0 then st := !pos;
-        st_line := !line;
-        (* on to the closing quote *)
-        let closed = ref false in
-        while (not !closed) && !pos + 1 < len do
-          incr pos;
-          match String.unsafe_get text !pos with
-          | '"' ->
-              st_line := !line;
-              closed := true
-          | '\n' ->
-              incr line;
-              dirty := true
-          | '\\' when !pos + 1 < len ->
-              st_line := !line;
-              incr pos;
-              if String.unsafe_get text !pos = '\n' then (
-                incr line;
-                dirty := true)
-          | c -> if not (blank c) then st_line := !line
-        done
+    | '"' -> quoted '"'
+    | '\'' when opens_symbol !prev -> quoted '\''
     | c when c = '%' || (c = '/' && !pos + 1 < len && text.[!pos + 1] = '/')
       ->
         (* a comment, to the end of the line *)
@@ -387,18 +416,19 @@ let scan ld text =
         while !pos + 1 < len && String.unsafe_get text (!pos + 1) <> '\n' do
           incr pos
         done
-    | _ ->
+    | c ->
         if !st < 0 then st := !pos;
-        st_line := !line);
+        st_line := !line;
+        prev := c);
     incr pos
   done;
   if !st >= 0 then statement ld text !st len ~dirty:!dirty !st_line
 
 (* Facts and arguments are cut as spans of the input; a '.' or ','
-   inside "..." neither ends a fact nor splits an argument, and '%' or
-   "//" inside "..." does not start a comment. Each predicate's facts
-   are deduplicated into one table, which its relation keeps
-   ({!Relation.of_loaded}): no trie is built here. *)
+   inside "..." or a quoted symbol neither ends a fact nor splits an
+   argument, and '%' or "//" there does not start a comment. Each
+   predicate's facts are deduplicated into one table, which its relation
+   keeps ({!Relation.of_loaded}): no trie is built here. *)
 let parse_facts text =
   let len = String.length text in
   let ld =

@@ -21,10 +21,6 @@ val set : string -> Relation.t -> t -> t
     @raise Invalid_argument on arity mismatch with existing tuples. *)
 val add_fact : string -> Tuple.t -> t -> t
 
-(** [add_all name tups i] inserts a batch of tuples into relation [name]
-    with a single bulk union.
-    @raise Invalid_argument on arity mismatch with existing tuples. *)
-val add_all : string -> Tuple.t list -> t -> t
 
 (** [remove_fact name tup i] deletes one tuple (no-op if absent). *)
 val remove_fact : string -> Tuple.t -> t -> t
@@ -96,11 +92,17 @@ val to_string : t -> string
 
 (** [parse_facts text] reads fact lines of the form [pred(v, ...).]
     (trailing dot optional; [%] and [//] start comments; blank lines
-    ignored; a fact may span lines). Inside a quoted string a [,] splits
-    no arguments, a [.] ends no fact, [%] and [//] start no comment, and
-    a backslash escapes the next character, so every string {!pp} prints
-    reads back unchanged (symbols print bare: one holding a [,], a [.],
-    a double quote, [%] or [//] does not).
+    ignored; a fact may span lines). An argument is an integer, a quoted
+    string, a quoted symbol (['Abc'], the program-term syntax of
+    {!Value.render}'s [Term] dialect) or a bare symbol. A single quote
+    opens a quoted symbol only where an argument starts (after [(] or
+    [,]); elsewhere it is an ordinary byte of a bare token. Inside a
+    quoted string or symbol a [,] splits no arguments, a [.] ends no
+    fact, [%] and [//] start no comment, and a backslash escapes the
+    next character, so every value {!pp} prints in a string, and every
+    value [Term] prints, reads back unchanged (symbols {!pp} prints bare:
+    one holding a [,], a [.], a double quote, [%] or [//], or starting
+    with a quote, does not).
 
     One pass over the bytes: facts and arguments are cut as spans of
     [text], each distinct token is parsed and interned once (a per-load

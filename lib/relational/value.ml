@@ -49,7 +49,13 @@ let render dialect b = function
   | Sym s when dialect = Fact || is_lower_ident s -> Buffer.add_string b s
   | Sym s ->
       Buffer.add_char b '\'';
-      Buffer.add_string b s;
+      if String.exists (fun c -> c = '\'' || c = '\\') s then
+        String.iter
+          (fun c ->
+            if c = '\'' || c = '\\' then Buffer.add_char b '\\';
+            Buffer.add_char b c)
+          s
+      else Buffer.add_string b s;
       Buffer.add_char b '\''
   | New n ->
       if dialect = Term then Buffer.add_char b '\'';
@@ -73,9 +79,36 @@ let is_int_literal s =
   let rec digits i = i = n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
   start < n && digits start
 
+(* The body of the quoted symbol [s] (['...'], as [render Term] writes
+   it): a backslash before a quote or a backslash stands for that
+   character, any other backslash for itself. [None] unless the first
+   unescaped quote after the opening one is [s]'s last byte. *)
+let unquote_sym s =
+  let n = String.length s in
+  let b = Buffer.create n in
+  let rec go i =
+    if i >= n then None
+    else
+      match s.[i] with
+      | '\'' -> if i = n - 1 then Some (Buffer.contents b) else None
+      | '\\' when i + 1 < n && (s.[i + 1] = '\'' || s.[i + 1] = '\\') ->
+          Buffer.add_char b s.[i + 1];
+          go (i + 2)
+      | c ->
+          Buffer.add_char b c;
+          go (i + 1)
+  in
+  go 1
+
 let parse s =
   let n = String.length s in
   if n = 0 then invalid_arg "Value.parse: empty string"
+  else if s.[0] = '\'' then
+    match unquote_sym s with
+    | Some v -> Sym v
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Value.parse: malformed quoted symbol %s" s)
   else if s.[0] = '"' then
     (* [%n] reports how much [%S] consumed: anything left over means the
        literal had trailing garbage (e.g. ["ab"cd]), which the former

@@ -42,11 +42,13 @@ val sym : string -> t
       between double quotes), symbols bare, invented values as [ν42];
     - [Term], the program-term syntax of [Datalog.Pretty]: like [Fact],
       except that a symbol that is not a lower identifier
-      ([[a-z][a-zA-Z0-9_]*]) is single-quoted, and an invented value
-      prints as ['ν42'].
+      ([[a-z][a-zA-Z0-9_]*]) is single-quoted, with a backslash before
+      each quote or backslash inside it, and an invented value prints
+      as ['ν42'].
 
-    Term-syntax facts do not reload through the fact loader: a quoted
-    symbol reads back as a symbol that keeps its quotes. *)
+    Both dialects reload through the fact loader ({!parse}), apart from
+    invented values, which reload as symbols, and [Fact]-dialect symbols
+    the fact syntax cannot hold bare (see {!Instance.parse_facts}). *)
 
 type dialect = Fact | Term
 
@@ -63,15 +65,18 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** [parse s] reads a value back from its surface syntax: an integer literal,
-    a quoted string, or a bare symbol. Inverse of [to_string] for
-    non-invented values. Integer literals follow the program lexer's
+    a quoted string, a quoted symbol (['...'], a backslash before a quote
+    or a backslash standing for that character), or a bare symbol.
+    Inverse of [to_string_in Term] for non-invented values; [to_string]
+    writes symbols bare, so a symbol that is empty, reads as an integer
+    or starts with a quote does not come back from it. Integer literals follow the program lexer's
     grammar, [-?[0-9]+]; anything else unquoted ([0x1F], [1_000], [+5])
     is a symbol.
     @raise Invalid_argument on the empty string, on an integer literal
     outside the native int range, and on malformed string literals — an
     input starting with ['"'] must be a complete quoted literal with
     nothing after the closing quote (["ab"cd] is rejected, not truncated
-    to [ab]). *)
+    to [ab]) — and likewise on malformed quoted symbols. *)
 val parse : string -> t
 
 (** Process-wide value interning: every constant that enters the

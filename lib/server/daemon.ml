@@ -8,6 +8,8 @@ let op_name = function
   | Protocol.Stats -> "stats"
   | Protocol.Shutdown -> "shutdown"
 
+(* the wire's query paths: "demand" answers by magic sets over the live
+   base facts ({!Engine.query}) *)
 let via_of_string = function
   | "materialized" -> Engine.Materialized
   | "demand" -> Engine.Demand

@@ -11,7 +11,6 @@ type t = {
   mutable edb : Instance.t;
   delta_preds : string list;
   trace : Observe.Trace.ctx;
-  cache : Demand.Cache.t;
 }
 
 (* The engine is restricted to pure Datalog, so no plan ever consults
@@ -40,7 +39,6 @@ let create ?(trace = Observe.Trace.null) program edb =
       List.sort_uniq String.compare
         (Ast.idb program @ Ast.body_preds program);
     trace;
-    cache = Demand.Cache.create ();
   }
 
 let program t = t.program
@@ -166,4 +164,6 @@ let query_materialized t (q : Ast.atom) =
 let query t ?(via = Materialized) q =
   match via with
   | Materialized -> query_materialized t q
-  | Demand -> Demand.answer ~trace:t.trace ~cache:t.cache t.program t.edb q
+  (* every write changes [t.edb], so a session kept between writes would
+     rarely be asked twice: each demand query opens a fresh one *)
+  | Demand -> Magic.answer ~trace:t.trace t.program t.edb q

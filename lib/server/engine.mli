@@ -1,8 +1,7 @@
 (** The resident evaluation engine: one long-lived materialized fixpoint
-    maintained incrementally across assert/retract batches, plus the
-    demand-side caches, independent of any transport. The socket daemon
-    ({!Daemon}) wraps it in a protocol; the bench harness drives it
-    directly.
+    maintained incrementally across assert/retract batches, independent
+    of any transport. The socket daemon ({!Daemon}) wraps it in a
+    protocol; the bench harness drives it directly.
 
     State held for the life of the process:
 
@@ -12,10 +11,10 @@
       what is derived), which is what retraction and the
       recompute-from-scratch oracle are defined against;
     - compiled rule plans, delta tables and DRed guard plans
-      ({!Eval_util.prepare} / {!Eval_util.prepare_dred}), built once;
-    - a {!Demand.Cache} for the demand-driven query path; it survives
-      updates, because its recorded answers key on the physical base
-      instance and flush by themselves. *)
+      ({!Eval_util.prepare} / {!Eval_util.prepare_dred}), built once.
+
+    The demand-driven query path keeps no state of its own: each demand
+    query runs magic sets over the live base instance. *)
 
 open Relational
 open Datalog
@@ -24,8 +23,9 @@ type t
 
 (** Which evaluation path a {!query} takes. [Materialized] (the default)
     filters the maintained fixpoint through the db's memoized indexes —
-    O(answer). [Demand] answers from the base facts through the cached
-    demand compiler ({!Demand.answer}), against the same engine state. *)
+    O(answer). [Demand] runs the magic-set rewriting of the query over
+    the current base instance ({!Magic.answer}, a one-shot session on
+    Matcher plans), so it derives only the facts the query needs. *)
 type via = Materialized | Demand
 
 (** [create ?trace program edb] checks [program] is pure Datalog,

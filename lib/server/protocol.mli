@@ -20,7 +20,9 @@ type request =
   | Assert of string  (** facts source text, {!Relational.Instance.parse_facts} syntax *)
   | Retract of string
   | Query of { atom : string; via : string }
-      (** [via] is ["materialized"] (default) or ["demand"] *)
+      (** [via] is ["materialized"] (default: an indexed lookup on the
+          maintained fixpoint) or ["demand"] (magic sets over the live
+          base facts) *)
   | Stats
   | Shutdown
 

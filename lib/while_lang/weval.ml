@@ -25,8 +25,8 @@ let rec compile_stmt trace = function
   | Wast.While (cond, body) ->
       CWhile (Fo.compile ~trace cond [], List.map (compile_stmt trace) body)
 
-let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?(naive = false) p inst
-    =
+let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?profile
+    ?(naive = false) p inst =
   Wast.check p;
   let iterations = ref 0 in
   let tick () =
@@ -65,11 +65,11 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?(naive = false) p inst
       let cp = List.map (compile_stmt trace) p in
       let rec exec_stmt inst = function
         | CAssign (r, pl) ->
-            Instance.set r (Fo.run_plan ~trace inst pl) inst
+            Instance.set r (Fo.run_plan ~trace ?profile inst pl) inst
         | CCumulate (r, pl) ->
             Instance.set r
               (Relation.union (Instance.find r inst)
-                 (Fo.run_plan ~trace inst pl))
+                 (Fo.run_plan ~trace ?profile inst pl))
               inst
         | CWhile_change body ->
             let rec loop inst =
@@ -80,7 +80,10 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?(naive = false) p inst
             loop inst
         | CWhile (cond, body) ->
             let rec loop inst =
-              if not (Relation.is_empty (Fo.run_plan ~trace inst cond)) then (
+              if
+                not
+                  (Relation.is_empty (Fo.run_plan ~trace ?profile inst cond))
+              then (
                 tick ();
                 loop (exec_body inst body))
               else inst
@@ -93,13 +96,13 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?(naive = false) p inst
   | result -> Completed { instance = result; iterations = !iterations }
   | exception Fuel -> Out_of_fuel { instance = inst; iterations = !iterations }
 
-let eval ?fuel ?trace ?naive p inst =
-  match run ?fuel ?trace ?naive p inst with
+let eval ?fuel ?trace ?profile ?naive p inst =
+  match run ?fuel ?trace ?profile ?naive p inst with
   | Completed { instance; _ } -> instance
   | Out_of_fuel { iterations; _ } ->
       failwith
         (Printf.sprintf "While program did not terminate within %d iterations"
            iterations)
 
-let answer ?fuel ?trace ?naive p inst pred =
-  Instance.find pred (eval ?fuel ?trace ?naive p inst)
+let answer ?fuel ?trace ?profile ?naive p inst pred =
+  Instance.find pred (eval ?fuel ?trace ?profile ?naive p inst)

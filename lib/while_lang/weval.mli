@@ -16,13 +16,15 @@ type outcome =
   | Completed of { instance : Instance.t; iterations : int }
   | Out_of_fuel of { instance : Instance.t; iterations : int }
 
-(** [run ?fuel ?trace ?naive p inst] (default fuel 100_000 loop
+(** [run ?fuel ?trace ?profile ?naive p inst] (default fuel 100_000 loop
     iterations, compiled evaluation; [trace] collects the [fo.plan.*] and
-    algebra counters).
+    algebra counters; [profile] accumulates per-operator statistics over
+    every plan execution, see {!Relational.Fo.run_plan}).
     @raise Invalid_argument via {!Wast.check} on ill-formed programs. *)
 val run :
   ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
+  ?profile:Algebra.profile ->
   ?naive:bool ->
   Wast.program ->
   Instance.t ->
@@ -33,6 +35,7 @@ val run :
 val eval :
   ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
+  ?profile:Algebra.profile ->
   ?naive:bool ->
   Wast.program ->
   Instance.t ->
@@ -42,6 +45,7 @@ val eval :
 val answer :
   ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
+  ?profile:Algebra.profile ->
   ?naive:bool ->
   Wast.program ->
   Instance.t ->

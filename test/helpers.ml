@@ -142,7 +142,14 @@ let oracle_is_lower_ident s =
 let oracle_pp_value_term ppf (v : Value.t) =
   match v with
   | Value.Sym s when oracle_is_lower_ident s -> Format.pp_print_string ppf s
-  | Value.Sym s -> Format.fprintf ppf "'%s'" s
+  | Value.Sym s ->
+      let esc = Buffer.create (String.length s) in
+      String.iter
+        (fun c ->
+          if c = '\'' || c = '\\' then Buffer.add_char esc '\\';
+          Buffer.add_char esc c)
+        s;
+      Format.fprintf ppf "'%s'" (Buffer.contents esc)
   | Value.Int n -> Format.pp_print_int ppf n
   | Value.Str s -> Format.fprintf ppf "%S" s
   | Value.New n -> Format.fprintf ppf "'\xce\xbd%d'" n

@@ -1,6 +1,8 @@
-(* The demand-driven compiler: three-engine agreement (demand ≡ magic ≡
-   filtered semi-naive) on random programs × random queries, the
-   subsumptive cache, and memo-table eviction. *)
+(* Demand-driven queries, all answered by magic sets on Matcher plans:
+   serve's [via: demand] path, a one-shot [Magic.answer] and a query
+   session that earlier queries warmed must all equal the filtered
+   unrewritten semi-naive fixpoint, on random programs × random
+   queries. *)
 open Relational
 open Helpers
 module Q = QCheck
@@ -101,111 +103,35 @@ let oracle p inst (q : Datalog.Ast.atom) =
 
 let bytes_of rel = Format.asprintf "%a" Relation.pp rel
 
-(* demand ≡ Magic.answer ≡ filtered unrewritten semi-naive, byte for
-   byte (PR 4/5 oracle discipline) *)
+(* serve's demand path ≡ Magic.answer ≡ filtered unrewritten
+   semi-naive, byte for byte *)
 let prop_three_engines_agree =
   prop "demand = magic = filtered semi-naive" scenario_arb (fun (p, i, q) ->
       Q.assume (q <> None);
       let q = Option.get q in
       let expected = bytes_of (oracle p i q) in
-      String.equal expected (bytes_of (Datalog.Demand.answer p i q))
+      let engine = Server.Engine.create p i in
+      String.equal expected
+        (bytes_of (Server.Engine.query engine ~via:Server.Engine.Demand q))
       && String.equal expected (bytes_of (Datalog.Magic.answer p i q)))
 
-(* a shared cache across random queries of one scenario never changes
-   answers (subsumption serving = recomputation) *)
+(* facts a session derived for an earlier query never change a later
+   answer: asking the all-free query first, then the specific one, on
+   one session gives the specific query's fresh answer *)
 let prop_cache_transparent =
   prop "cached answers = fresh answers" scenario_arb (fun (p, i, q) ->
       Q.assume (q <> None);
       let q = Option.get q in
-      let cache = Datalog.Demand.Cache.create () in
-      (* all-free first, so the specific query is served by subsumption *)
+      let s = Datalog.Magic.session p i in
       let free_args =
         List.mapi
           (fun j _ -> Datalog.Ast.var (Printf.sprintf "F%d" j))
           q.Datalog.Ast.args
       in
-      let qfree = Datalog.Ast.atom q.Datalog.Ast.pred free_args in
-      ignore (Datalog.Demand.answer ~cache p i qfree);
+      ignore
+        (Datalog.Magic.ask s (Datalog.Ast.atom q.Datalog.Ast.pred free_args));
       String.equal
         (bytes_of (oracle p i q))
-        (bytes_of (Datalog.Demand.answer ~cache p i q)))
+        (bytes_of (Datalog.Magic.ask s q)))
 
-(* --- subsumption: tc(a, ?) then tc(a, b) hits the cache ----------------- *)
-
-let test_subsumption_hit () =
-  let p = tc_program in
-  let inst = Graph_gen.chain 6 in
-  let trace = Observe.Trace.make ~sinks:[] () in
-  let cache = Datalog.Demand.Cache.create () in
-  let q pred args = Datalog.Ast.atom pred args in
-  let a = Graph_gen.vertex 0 and b = Graph_gen.vertex 3 in
-  let first =
-    Datalog.Demand.answer ~trace ~cache p inst
-      (q "T" [ Datalog.Ast.cst a; Datalog.Ast.var "Y" ])
-  in
-  Alcotest.(check int) "miss recorded" 1
-    (Observe.Trace.counter trace "demand.cache.misses");
-  let point =
-    Datalog.Demand.answer ~trace ~cache p inst
-      (q "T" [ Datalog.Ast.cst a; Datalog.Ast.cst b ])
-  in
-  Alcotest.(check int) "point query served from cache" 1
-    (Observe.Trace.counter trace "demand.cache.hits");
-  check_rel "point answer" (Relation.of_rows [ [ a; b ] ]) point;
-  let again =
-    Datalog.Demand.answer ~trace ~cache p inst
-      (q "T" [ Datalog.Ast.cst a; Datalog.Ast.var "Z" ])
-  in
-  Alcotest.(check int) "repeat hits too" 2
-    (Observe.Trace.counter trace "demand.cache.hits");
-  Alcotest.(check string) "identical tuples" (bytes_of first) (bytes_of again)
-
-(* --- eviction ------------------------------------------------------------ *)
-
-let test_eviction () =
-  let p = tc_program in
-  let inst = Graph_gen.chain 8 in
-  let trace = Observe.Trace.make ~sinks:[] () in
-  let cache = Datalog.Demand.Cache.create ~plan_cap:1 ~answer_cap:2 () in
-  let point i =
-    Datalog.Ast.atom "T" [ Datalog.Ast.cst (Graph_gen.vertex i); Datalog.Ast.var "Y" ]
-  in
-  (* four distinct demand patterns against answer_cap = 2 *)
-  List.iter
-    (fun i -> ignore (Datalog.Demand.answer ~trace ~cache p inst (point i)))
-    [ 0; 1; 2; 3 ];
-  Alcotest.(check bool) "answer entries evicted" true
-    (Observe.Trace.counter trace "demand.evictions" >= 2);
-  (* a second adornment against plan_cap = 1 evicts the first plan set *)
-  ignore
-    (Datalog.Demand.answer ~trace ~cache p inst
-       (Datalog.Ast.atom "T" [ Datalog.Ast.var "X"; Datalog.Ast.var "Y" ]));
-  let evictions = Observe.Trace.counter trace "demand.evictions" in
-  Alcotest.(check bool) "plan entry evicted" true (evictions >= 3);
-  (* evicted patterns still answer correctly (recomputed, not stale) *)
-  check_rel "re-query after eviction"
-    (oracle p inst (point 0))
-    (Datalog.Demand.answer ~trace ~cache p inst (point 0))
-
-let test_cache_flush_on_new_instance () =
-  let p = tc_program in
-  let cache = Datalog.Demand.Cache.create () in
-  let q =
-    Datalog.Ast.atom "T" [ Datalog.Ast.cst (Graph_gen.vertex 0); Datalog.Ast.var "Y" ]
-  in
-  let short = Graph_gen.chain 3 and long = Graph_gen.chain 5 in
-  let r1 = Datalog.Demand.answer ~cache p short q in
-  let r2 = Datalog.Demand.answer ~cache p long q in
-  check_rel "first instance" (oracle p short q) r1;
-  check_rel "second instance not served stale" (oracle p long q) r2
-
-let suite =
-  [
-    prop_three_engines_agree;
-    prop_cache_transparent;
-    Alcotest.test_case "subsumption: tc(a,?) then tc(a,b) hits" `Quick
-      test_subsumption_hit;
-    Alcotest.test_case "LRU eviction of plans and answers" `Quick test_eviction;
-    Alcotest.test_case "cache flushes on instance change" `Quick
-      test_cache_flush_on_new_instance;
-  ]
+let suite = [ prop_three_engines_agree; prop_cache_transparent ]

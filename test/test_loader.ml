@@ -54,6 +54,83 @@ let prop_roundtrip =
     instance_arb (fun i ->
       Instance.equal i (Instance.parse_facts (Instance.to_string i)))
 
+(* Term-dialect answers ([run -a], [query], serve) reload too: symbols
+   that are not lower identifiers are written quoted, with escapes, and
+   the loader's quoted-symbol token reads them back. The symbols here
+   hold every byte the scanner or the quoting treats specially. *)
+let term_sym_gen =
+  Q.Gen.(
+    string_size
+      ~gen:(oneofl [ 'a'; 'Z'; '_'; '0'; '\''; '\\'; ','; '.'; '%'; '/';
+                     '"'; '('; ')'; ' '; '\n'; '\t' ])
+      (0 -- 6))
+
+let term_instance_gen =
+  Q.Gen.(
+    let value =
+      frequency
+        [
+          (1, map (fun n -> Value.Int n) (int_range (-1000) 1000));
+          (2, map (fun s -> Value.Str s) str_gen);
+          (1, map (fun s -> Value.Sym s) sym_gen);
+          (4, map (fun s -> Value.Sym s) term_sym_gen);
+        ]
+    in
+    let rel name =
+      let* arity = 0 -- 3 in
+      let* rows = list_size (0 -- 8) (list_repeat arity value) in
+      return (name, rows)
+    in
+    let* rels = flatten_l [ rel "P"; rel "Q" ] in
+    return (Instance.of_list rels))
+
+let term_text i =
+  let b = Buffer.create 256 in
+  Instance.iter_facts
+    (fun name t ->
+      Tuple.render_fact Value.Term b name t;
+      Buffer.add_char b '\n')
+    i;
+  Buffer.contents b
+
+let prop_term_roundtrip =
+  prop "Term render -> parse round trip (quoted symbols)"
+    (Q.make ~print:term_text term_instance_gen)
+    (fun i -> Instance.equal i (Instance.parse_facts (term_text i)))
+
+let test_quoted_symbols () =
+  let one src =
+    match Instance.to_string (Instance.parse_facts src) with
+    | s -> s
+    | exception Failure msg -> "Failure: " ^ msg
+  in
+  let syms src =
+    Instance.find "P" (Instance.parse_facts src)
+    |> Relation.to_list
+    |> List.map (fun t -> Value.to_string_in Value.Term (Tuple.get t 0))
+  in
+  Alcotest.(check (list string))
+    "quoted and bare symbols are one value" [ "'Abc'"; "'_u'" ]
+    (syms "P('Abc'). P(Abc). P('_u'). P(_u).");
+  Alcotest.(check (list string))
+    "escaped quote and backslash" [ {|'a\\b'|}; {|'it\'s'|} ]
+    (syms {|P('it\'s'). P('a\\b').|});
+  Alcotest.(check string)
+    "a quote inside a bare token is a plain byte" "P(it's)." (one "P(it's).");
+  Alcotest.(check string)
+    "',' '.' and '%' inside a quoted symbol" "P(a, b. 50%, c)."
+    (one "P('a, b. 50%', c).");
+  (* the program lexer reads the same escapes *)
+  Alcotest.(check bool)
+    "program lexer agrees" true
+    (Datalog.Parser.parse_atom {|P('it\'s', 'a\\b', 'c\d')|}
+     = Datalog.Ast.atom "P"
+         (List.map Datalog.Ast.sym [ "it's"; {|a\b|}; {|c\d|} ]));
+  Alcotest.(check string)
+    "trailing bytes after the closing quote"
+    "Failure: facts line 1: Value.parse: malformed quoted symbol 'ab'cd"
+    (one "P('ab'cd).")
+
 (* --- agreement with the old parser ------------------------------------ *)
 
 (* Does [text] reach one of the two places where the loader deliberately
@@ -375,4 +452,6 @@ let suite =
       test_db_borrowed_memset;
     Alcotest.test_case "derived predicate with loaded facts, -j 1 and 4"
       `Quick test_loaded_head_predicate;
+    prop_term_roundtrip;
+    Alcotest.test_case "quoted symbols" `Quick test_quoted_symbols;
   ]

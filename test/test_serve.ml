@@ -270,10 +270,10 @@ let op_batch = function
       ("g", Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ])
   | Assert_e i | Retract_e i -> ("e", Tuple.of_list [ Graph_gen.vertex i ])
 
-(* A demand query and its immediate repeat (a cache hit) answer exactly
-   the materialized view, for every idb predicate bound at [n0] — the
-   demand plans probe memoized indexes of the stored relations, which
-   must follow every version the schedule produces. *)
+(* A demand query and its immediate repeat answer exactly the
+   materialized view, for every idb predicate bound at [n0] — each runs
+   magic sets on the engine's base facts, which must follow every
+   version the schedule produces. *)
 let demand_agrees eng p =
   List.for_all
     (fun pred ->
