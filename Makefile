@@ -16,7 +16,8 @@ bench:
 # (e2 = naive vs semi-naive transitive closure) to catch perf-path
 # breakage, an interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
-# counters), a trace smoke step (emit a JSONL trace and validate it
+# counters, and matcher.delta_first: some delta pass of the TC rule
+# started from the delta), a trace smoke step (emit a JSONL trace and validate it
 # against the schema with datalog-trace-check, then pipe a -j 4 trace
 # through the checker and require the same tally, so the sharded loop's
 # round spans are schema-checked and match the sequential ones; the
@@ -48,7 +49,8 @@ bench:
 # starts a resident server on a Unix-domain socket, asserts a batch and
 # checks the new derived fact is queryable, requires the demand query
 # path to print the same answer bytes as the materialized one
-# (--via demand cmp'd against the default), retracts it and checks the
+# (--via demand cmp'd against the default) before and after a stored
+# fact of the idb predicate T is asserted, retracts it and checks the
 # view shrank back (DRed), greps serve.requests out of the stats op,
 # and shuts the server down cleanly (the built binary is invoked
 # directly so the background server never contends for the dune lock).
@@ -77,7 +79,9 @@ ci:
 	dune exec -- datalog-bench-diff BENCH_engines.json _ci_bench.json --threshold 500
 	rm -f _ci_bench.json
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
-	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats | grep -q 'intern.values'
+	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats
+	grep -q 'intern.values' _ci_tc.stats
+	grep -q 'matcher.delta_first' _ci_tc.stats
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --trace _ci_tc.jsonl > /dev/null
 	dune exec -- datalog-trace-check _ci_tc.jsonl > _ci_seq.check
 	_build/install/default/bin/datalog-unchained run -s seminaive -j 4 _ci_tc.dl --trace /dev/fd/3 3>&1 > /dev/null \
@@ -116,6 +120,9 @@ ci:
 	client assert 'G(c, d).' | grep -q 'added 1' && \
 	client query 'T(a, Y)' > _ci_srv_mat.out && grep -q 'T(a, d).' _ci_srv_mat.out && \
 	client query --via demand 'T(a, Y)' > _ci_srv_dem.out && cmp _ci_srv_mat.out _ci_srv_dem.out && \
+	client assert 'T(d, z).' | grep -q 'added 1' && \
+	client query 'T(a, Y)' > _ci_srv_mat.out && grep -q 'T(a, z).' _ci_srv_mat.out && \
+	client query --via demand 'T(a, Y)' > _ci_srv_dem.out && cmp _ci_srv_mat.out _ci_srv_dem.out && \
 	client retract 'G(c, d).' | grep -q 'removed 1, overdeleted' && \
 	test -z "$$(client query 'T(a, d)')" && \
 	client stats | grep -q 'serve.requests' && \
@@ -136,7 +143,7 @@ ci:
 	grep -qF "Q('it\'s')." _ci_rtq2.out
 	dune exec -- datalog-unchained run _ci_rtr.dl -f _ci_rtq2.out -a Q | cmp - _ci_rtq2.out
 	grep -c '^Q(' _ci_rtq2.out | grep -qx 5
-	rm -f _ci_tc.dl _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
+	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
 	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out
 

@@ -58,6 +58,18 @@ let rewrite p (query : Ast.atom) =
     let magic_atom_of (a : Ast.atom) ad =
       Ast.atom (magic_name a.Ast.pred ad) (bound_args ad a)
     in
+    (* base facts of [pred] (an idb predicate may have stored facts of
+       its own) answer the adorned predicate too, under its guard *)
+    let stored =
+      Ast.atom pred
+        (List.init (String.length adornment) (fun i ->
+             Ast.var (Printf.sprintf "X%d" i)))
+    in
+    out_rules :=
+      Ast.rule
+        (Ast.atom (adorned_name pred adornment) stored.Ast.args)
+        [ Ast.BPos (magic_atom_of stored adornment); Ast.BPos stored ]
+      :: !out_rules;
     List.iter
       (fun (r : Ast.rule) ->
         match r.Ast.head with
@@ -176,15 +188,18 @@ type session = {
     (string * string, rewritten * Eval_util.prepared * Value.t list) Hashtbl.t;
 }
 
-let session ?(trace = Observe.Trace.null) p inst =
+let session_db ?(trace = Observe.Trace.null) p db =
   Ast.check_datalog p;
   {
     sprogram = p;
-    base = inst;
-    db = Matcher.Db.of_instance ~trace inst;
+    base = Matcher.Db.instance db;
+    db;
     strace = trace;
     rewrites = Hashtbl.create 8;
   }
+
+let session ?(trace = Observe.Trace.null) p inst =
+  session_db ~trace p (Matcher.Db.of_instance ~trace inst)
 
 let ask s (query : Ast.atom) =
   let tracing = Observe.Trace.enabled s.strace in

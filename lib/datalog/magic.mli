@@ -13,7 +13,10 @@
     - each adorned idb predicate [p^a] gets a {e magic} predicate
       [m_p^a] holding the relevant bindings;
     - original rules are specialized per adornment and guarded by their
-      magic predicate; magic rules propagate bindings through bodies.
+      magic predicate; magic rules propagate bindings through bodies;
+    - the stored facts of each adorned predicate feed it under the same
+      guard ([p__a(X̄) :- m__p__a(bound X̄), p(X̄)]), so an idb predicate
+      with base facts of its own is answered as the full fixpoint would.
 
     Benchmark E8 measures the speedup over full semi-naive evaluation on
     point-reachability queries. *)
@@ -51,6 +54,14 @@ type session
     @raise Ast.Check_error if [p] is not pure Datalog. *)
 val session :
   ?trace:Observe.Trace.ctx -> Ast.program -> Instance.t -> session
+
+(** [session_db p db] is a session that evaluates in [db] itself rather
+    than in a fresh database over an instance: the resident server
+    passes a {!Matcher.Db.sharing} view, so its queries probe the
+    engine's own indexes over the program's EDB predicates. The
+    session writes only magic and adorned predicates into [db]. *)
+val session_db :
+  ?trace:Observe.Trace.ctx -> Ast.program -> Matcher.Db.t -> session
 
 (** [ask s query] answers [query] within session [s]: the tuples of the
     query's predicate matching the query's constants and repeated

@@ -86,6 +86,32 @@ module Db = struct
             (Relation.union (Relation.of_distinct !lst) (Instance.find p db.inst))
             db.inst
 
+  let relation db p =
+    flush_pred db p;
+    Instance.find p db.inst
+
+  let pred_indexes db p =
+    match Hashtbl.find_opt db.indexes p with
+    | Some t -> t
+    | None ->
+        let t = Hashtbl.create 4 in
+        Hashtbl.add db.indexes p t;
+        t
+
+  (* A query-scoped database over [base] whose [shared] predicates are
+     [db]'s own: the flushed relation, the per-predicate index table
+     (so an index built through the view lands in [db], whose writes
+     then maintain it) and the membership set, when [db] has one. *)
+  let sharing db shared base =
+    let q = of_instance ~trace:db.trace base in
+    List.iter
+      (fun p ->
+        q.inst <- Instance.set p (relation db p) q.inst;
+        Hashtbl.replace q.indexes p (pred_indexes db p);
+        Option.iter (Hashtbl.replace q.mems p) (Hashtbl.find_opt db.mems p))
+      shared;
+    q
+
   let flush db =
     if Hashtbl.length db.pending > 0 then
       List.iter (flush_pred db)
@@ -94,10 +120,6 @@ module Db = struct
   let instance db =
     flush db;
     db.inst
-
-  let relation db p =
-    flush_pred db p;
-    Instance.find p db.inst
 
   let memset db p =
     match Hashtbl.find_opt db.mems p with
@@ -139,14 +161,6 @@ module Db = struct
     match writable db p with
     | Some tb -> KTbl.remove tb (Tuple.ids t)
     | None -> ()
-
-  let pred_indexes db p =
-    match Hashtbl.find_opt db.indexes p with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create 4 in
-        Hashtbl.add db.indexes p t;
-        t
 
   let key_of parr t = Array.map (fun i -> Tuple.id t i) parr
 
@@ -442,13 +456,23 @@ type cfilter =
   | FEq of cterm * cterm
   | FNeq of cterm * cterm
 
-type prepared = {
-  rule : Ast.rule;
-  nslots : int;
+(* One compiled join order: its steps and the filter schedule that
+   follows from it. *)
+type plan = {
   csteps : cstep array;
   filters_after : cfilter list array;
       (** [filters_after.(i)] become fully bound once steps [0..i-1] ran;
           index 0 holds the ground filters checked before any step *)
+}
+
+type prepared = {
+  rule : Ast.rule;
+  nslots : int;
+  base : plan;  (** the greedy order *)
+  delta_first : plan array;
+      (** [delta_first.(i)]: the positive atom of [base]'s step [i] moved
+          first and the rest in greedy order after it — where a delta
+          pass on that atom may start instead. Entry 0 is [base]. *)
   body_filters : cfilter list;
       (** the whole body, for re-evaluation under ∀-valuations *)
   forall_slots : int array;
@@ -471,46 +495,45 @@ let atom_vars (a : Ast.atom) =
     (function Ast.Var x -> Some x | Ast.Cst _ -> None)
     a.Ast.args
 
+module SSet = Set.Make (String)
+
+(* greedy ordering: repeatedly pick the atom sharing the most variables
+   with the already-bound set; tie-break on fewer new variables, then on
+   original position (stable). *)
+let rec order bound remaining acc =
+  match remaining with
+  | [] -> List.rev acc
+  | _ ->
+      let score a =
+        let vs = atom_vars a in
+        let b = List.length (List.filter (fun v -> SSet.mem v bound) vs) in
+        let fresh =
+          List.length
+            (List.sort_uniq String.compare
+               (List.filter (fun v -> not (SSet.mem v bound)) vs))
+        in
+        (b, -fresh)
+      in
+      let best =
+        List.fold_left
+          (fun best a ->
+            match best with
+            | None -> Some (a, score a)
+            | Some (_, sb) when score a > sb -> Some (a, score a)
+            | some -> some)
+          None remaining
+      in
+      let a, _ = Option.get best in
+      let remaining = List.filter (fun x -> x != a) remaining in
+      let bound = List.fold_left (fun s v -> SSet.add v s) bound (atom_vars a) in
+      order bound remaining (a :: acc)
+
 let prepare (rule : Ast.rule) =
   let pos_atoms =
     List.filter_map (function Ast.BPos a -> Some a | _ -> None) rule.Ast.body
   in
   let ast_filters =
     List.filter (function Ast.BPos _ -> false | _ -> true) rule.Ast.body
-  in
-  (* greedy ordering: repeatedly pick the atom sharing the most variables
-     with the already-bound set; tie-break on fewer new variables, then on
-     original position (stable). *)
-  let module SSet = Set.Make (String) in
-  let rec order bound remaining acc =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-        let score a =
-          let vs = atom_vars a in
-          let b = List.length (List.filter (fun v -> SSet.mem v bound) vs) in
-          let fresh =
-            List.length
-              (List.sort_uniq String.compare
-                 (List.filter (fun v -> not (SSet.mem v bound)) vs))
-          in
-          (b, -fresh)
-        in
-        let best =
-          List.fold_left
-            (fun best a ->
-              match best with
-              | None -> Some (a, score a)
-              | Some (_, sb) when score a > sb -> Some (a, score a)
-              | some -> some)
-            None remaining
-        in
-        let a, _ = Option.get best in
-        let remaining = List.filter (fun x -> x != a) remaining in
-        let bound =
-          List.fold_left (fun s v -> SSet.add v s) bound (atom_vars a)
-        in
-        order bound remaining (a :: acc)
   in
   let ordered_atoms = order SSet.empty pos_atoms [] in
   let bound_by_atoms = List.concat_map atom_vars ordered_atoms in
@@ -540,61 +563,6 @@ let prepare (rule : Ast.rule) =
   let slot_tbl = Hashtbl.create 16 in
   List.iteri (fun i x -> Hashtbl.replace slot_tbl x i) all_vars;
   let slot x = Hashtbl.find slot_tbl x in
-  (* compile steps, tracking static boundness; [first_bound.(s)] is the
-     1-based step index after which slot [s] is bound (0 = never) *)
-  let bound = Array.make (max nslots 1) false in
-  let first_bound = Array.make (max nslots 1) 0 in
-  let step_no = ref 0 in
-  let compile_atom (a : Ast.atom) =
-    incr step_no;
-    let args = Array.of_list a.Ast.args in
-    let n = Array.length args in
-    let keyspec = ref [] in
-    let unify = Array.make n UKey in
-    let binds = ref [] in
-    Array.iteri
-      (fun i t ->
-        match t with
-        | Ast.Cst v -> keyspec := (i, CCst (Value.Intern.id v)) :: !keyspec
-        | Ast.Var x ->
-            let s = slot x in
-            if bound.(s) then keyspec := (i, CVar s) :: !keyspec
-            else if List.mem s !binds then unify.(i) <- UCheckSlot s
-            else (
-              binds := s :: !binds;
-              unify.(i) <- UBind s))
-      args;
-    List.iter
-      (fun s ->
-        bound.(s) <- true;
-        first_bound.(s) <- !step_no)
-      !binds;
-    let spec = List.rev !keyspec in
-    CAtom
-      {
-        apred = a.Ast.pred;
-        arity = n;
-        key_positions = List.map fst spec;
-        key_terms = Array.of_list (List.map snd spec);
-        unify;
-        binds = Array.of_list (List.rev !binds);
-      }
-  in
-  let atom_steps = List.map compile_atom ordered_atoms in
-  let domain_steps =
-    List.map
-      (fun x ->
-        incr step_no;
-        let s = slot x in
-        bound.(s) <- true;
-        first_bound.(s) <- !step_no;
-        CDomain s)
-      needed
-  in
-  let csteps = Array.of_list (atom_steps @ domain_steps) in
-  let nsteps = Array.length csteps in
-  (* compile filters and schedule each at the earliest step after which
-     all its variables are bound *)
   let cterm_of = function
     | Ast.Cst v -> CCst (Value.Intern.id v)
     | Ast.Var x -> CVar (slot x)
@@ -618,25 +586,98 @@ let prepare (rule : Ast.rule) =
       (function Ast.Var x -> Some (slot x) | Ast.Cst _ -> None)
       terms
   in
-  let filters_after = Array.make (nsteps + 1) [] in
-  let undecidable = ref false in
-  List.iter
-    (fun f ->
-      let slots = blit_var_slots f in
-      if List.for_all (fun s -> first_bound.(s) > 0) slots then
-        let at = List.fold_left (fun m s -> max m first_bound.(s)) 0 slots in
-        filters_after.(at) <- filters_after.(at) @ [ cfilter_of f ]
-      else if
-        (* a filter over never-bound variables is decidable only under the
-           ∀-valuations; otherwise it can never pass *)
-        not
-          (List.for_all
-             (fun s ->
-               first_bound.(s) > 0
-               || List.exists (fun y -> slot y = s) rule.Ast.forall)
-             slots)
-      then undecidable := true)
-    ast_filters;
+  (* compile one atom order, tracking static boundness;
+     [first_bound.(s)] is the 1-based step index after which slot [s] is
+     bound (0 = never). Every order binds the same slots, so the
+     boundness-derived facts below are read off the greedy one. *)
+  let compile ordered_atoms =
+    let bound = Array.make (max nslots 1) false in
+    let first_bound = Array.make (max nslots 1) 0 in
+    let step_no = ref 0 in
+    let compile_atom (a : Ast.atom) =
+      incr step_no;
+      let args = Array.of_list a.Ast.args in
+      let n = Array.length args in
+      let keyspec = ref [] in
+      let unify = Array.make n UKey in
+      let binds = ref [] in
+      Array.iteri
+        (fun i t ->
+          match t with
+          | Ast.Cst v -> keyspec := (i, CCst (Value.Intern.id v)) :: !keyspec
+          | Ast.Var x ->
+              let s = slot x in
+              if bound.(s) then keyspec := (i, CVar s) :: !keyspec
+              else if List.mem s !binds then unify.(i) <- UCheckSlot s
+              else (
+                binds := s :: !binds;
+                unify.(i) <- UBind s))
+        args;
+      List.iter
+        (fun s ->
+          bound.(s) <- true;
+          first_bound.(s) <- !step_no)
+        !binds;
+      let spec = List.rev !keyspec in
+      CAtom
+        {
+          apred = a.Ast.pred;
+          arity = n;
+          key_positions = List.map fst spec;
+          key_terms = Array.of_list (List.map snd spec);
+          unify;
+          binds = Array.of_list (List.rev !binds);
+        }
+    in
+    let atom_steps = List.map compile_atom ordered_atoms in
+    let domain_steps =
+      List.map
+        (fun x ->
+          incr step_no;
+          let s = slot x in
+          bound.(s) <- true;
+          first_bound.(s) <- !step_no;
+          CDomain s)
+        needed
+    in
+    let csteps = Array.of_list (atom_steps @ domain_steps) in
+    (* schedule each filter at the earliest step after which all its
+       variables are bound *)
+    let filters_after = Array.make (Array.length csteps + 1) [] in
+    List.iter
+      (fun f ->
+        let slots = blit_var_slots f in
+        if List.for_all (fun s -> first_bound.(s) > 0) slots then
+          let at = List.fold_left (fun m s -> max m first_bound.(s)) 0 slots in
+          filters_after.(at) <- filters_after.(at) @ [ cfilter_of f ])
+      ast_filters;
+    ({ csteps; filters_after }, first_bound)
+  in
+  let base, first_bound = compile ordered_atoms in
+  let delta_first =
+    Array.of_list
+      (List.mapi
+         (fun i a ->
+           if i = 0 then base
+           else
+             let rest = List.filter (fun x -> x != a) ordered_atoms in
+             fst
+               (compile
+                  (a :: order (SSet.of_list (atom_vars a)) rest [])))
+         ordered_atoms)
+  in
+  (* a filter over never-bound variables is decidable only under the
+     ∀-valuations; otherwise it can never pass *)
+  let undecidable =
+    List.exists
+      (fun f ->
+        List.exists
+          (fun s ->
+            first_bound.(s) = 0
+            && not (List.exists (fun y -> slot y = s) rule.Ast.forall))
+          (blit_var_slots f))
+      ast_filters
+  in
   let keep =
     all_vars
     |> List.filter (fun x ->
@@ -669,14 +710,14 @@ let prepare (rule : Ast.rule) =
   {
     rule;
     nslots;
-    csteps;
-    filters_after;
+    base;
+    delta_first;
     body_filters = List.map cfilter_of rule.Ast.body;
     forall_slots;
-    undecidable = !undecidable;
+    undecidable;
     need_dom =
       Array.length forall_slots > 0
-      || Array.exists (function CDomain _ -> true | _ -> false) csteps;
+      || Array.exists (function CDomain _ -> true | _ -> false) base.csteps;
     keep;
     cheads;
     cbodies;
@@ -716,30 +757,37 @@ let check_filter ?neg_db db subst = function
         Some (Db.mem db a.Ast.pred tup)
       else None
 
-(* Force every lazily-built structure a plan can touch — step indexes,
-   membership sets for positive/negative filter probes (the ∀ check
-   re-evaluates the whole body, so every body literal counts), and the
-   head-dedup memsets — so that read-only workers sharing the database
-   never trigger a concurrent build. Called by the parallel engines on
-   the coordinator, between barriers. *)
+(* Force every lazily-built structure a plan can touch — step indexes
+   of the greedy plan and of every delta-first plan after its delta step
+   (which reads the delta, never the database), membership sets for
+   positive/negative filter probes (the ∀ check re-evaluates the whole
+   body, so every body literal counts), and the head-dedup memsets — so
+   that read-only workers sharing the database never trigger a
+   concurrent build. Called by the parallel engines on the coordinator,
+   between barriers. *)
 let prewarm ?neg_db prepared db =
   let ndb = Option.value neg_db ~default:db in
-  Array.iter
-    (function
-      | CAtom { apred; key_positions; _ } ->
-          ignore (Db.index db apred key_positions : Tuple.t list KTbl.t)
-      | CDomain _ -> ())
-    prepared.csteps;
+  let warm_steps from plan =
+    Array.iteri
+      (fun j -> function
+        | CAtom { apred; key_positions; _ } when j >= from ->
+            ignore (Db.index db apred key_positions : Tuple.t list KTbl.t)
+        | CAtom _ | CDomain _ -> ())
+      plan.csteps
+  in
+  warm_steps 0 prepared.base;
+  Array.iteri (fun i plan -> if i > 0 then warm_steps 1 plan) prepared.delta_first;
   let warm_filter = function
     | FPos ca -> ignore (Db.memset db ca.cpred : Db.memset)
     | FNeg ca -> ignore (Db.memset ndb ca.cpred : Db.memset)
     | FEq _ | FNeq _ -> ()
   in
-  Array.iter (List.iter warm_filter) prepared.filters_after;
   List.iter warm_filter prepared.body_filters;
   List.iter
     (fun (_, p, _) -> ignore (Db.memset db p : Db.memset))
     prepared.cheads
+
+let bucket ix key = match KTbl.find_opt ix key with Some ts -> ts | None -> []
 
 (* The join loop shared by {!run} and {!iter_firings}. [consume] is
    called once per (deduped) match with [tval] reading interned ids out
@@ -761,43 +809,18 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       else []
     in
     let ndb = Option.value neg_db ~default:db in
-    (* resolve each step's index table once per call: probes then pay a
-       single hash on the key ids, not repeated (pred, positions)
-       table hops *)
-    let resolve = function
-      | CAtom { apred; key_positions; _ } ->
-          Some (Db.index db apred key_positions)
-      | CDomain _ -> None
+    (* resolve each step's index table once per plan run: probes then pay
+       a single hash on the key ids, not repeated (pred, positions) table
+       hops. Steps before [from] are not resolved. *)
+    let resolve from plan =
+      Array.mapi
+        (fun j -> function
+          | CAtom { apred; key_positions; _ } when j >= from ->
+              Some (Db.index db apred key_positions)
+          | CAtom _ | CDomain _ -> None)
+        plan.csteps
     in
-    let main_ix = Array.map resolve prepared.csteps in
-    (* per-(pred, bound-positions) index over the delta tuples: delta
-       candidates are looked up, not scanned; built straight from the
-       list, with no intermediate relation or database. A caller holding
-       the delta in shard-owned state supplies [delta_index] to reuse
-       one memoized build across every rule sharing the positions. *)
-    let delta_ix =
-      match delta with
-      | None -> [||]
-      | Some (dpred, dtuples) ->
-          Array.map
-            (function
-              | CAtom { apred; key_positions; _ } when apred = dpred ->
-                  Some
-                    (match delta_index with
-                    | Some f -> f key_positions
-                    | None ->
-                        let parr = Array.of_list key_positions in
-                        let ix = KTbl.create 64 in
-                        List.iter
-                          (fun t ->
-                            ix_append ix
-                              (Array.map (fun i -> Tuple.id t i) parr)
-                              t)
-                          dtuples;
-                        ix)
-              | _ -> None)
-            prepared.csteps
-    in
+    let main_ix = resolve 0 prepared.base in
     (* the environment: one interned id per slot, -1 = unbound *)
     let env = Array.make (max prepared.nslots 1) (-1) in
     let tval = function
@@ -814,7 +837,6 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       | FEq (s, t) -> tval s = tval t
       | FNeq (s, t) -> tval s <> tval t
     in
-    let filters_ok k = List.for_all check_cfilter prepared.filters_after.(k) in
     (* ∀-rules: re-evaluate the whole body for every valuation of the
        ∀-variables over the domain (paper, §5.2) *)
     let check_forall () =
@@ -831,7 +853,6 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       in
       enum 0
     in
-    let nsteps = Array.length prepared.csteps in
     (* dedup: different derivations (delta passes, ∀-witnesses) can yield
        the same projected valuation — a hash set over the kept id vectors
        replaces the legacy terminal sort_uniq. *)
@@ -849,7 +870,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
               match s with
               | CAtom { apred; _ } when apred = pred -> n + 1
               | _ -> n)
-            0 prepared.csteps
+            0 prepared.base.csteps
     in
     let dedup = npasses > 1 || prepared.need_dom in
     let seen = KTbl.create (if dedup then 1024 else 1) in
@@ -872,64 +893,109 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
         incr nresults;
         consume ~tval ~vals:None)
     in
-    let rec go delta_idx i =
-      if i = nsteps then (
-        if Array.length prepared.forall_slots > 0 then (
-          if check_forall () then emit ())
-        else emit ())
-      else
-        match prepared.csteps.(i) with
-        | CDomain s ->
-            List.iter
-              (fun vid ->
-                env.(s) <- vid;
-                if filters_ok (i + 1) then go delta_idx (i + 1))
-              dom_ids;
-            env.(s) <- -1
-        | CAtom { arity; key_terms; unify; binds; _ } ->
-            let key = Array.map tval key_terms in
-            let ix = if i = delta_idx then delta_ix.(i) else main_ix.(i) in
-            let candidates =
-              match ix with
-              | None -> []
-              | Some ix -> (
-                  match KTbl.find_opt ix key with Some ts -> ts | None -> [])
-            in
-            if tracing then
-              Observe.Trace.add tr "matcher.candidates"
-                (List.length candidates);
-            let n = Array.length unify in
-            let rec unify_from tids j =
-              j >= n
-              ||
-              match Array.unsafe_get unify j with
-              | UKey -> unify_from tids (j + 1)
-              | UBind s ->
-                  Array.unsafe_set env s (Array.unsafe_get tids j);
-                  unify_from tids (j + 1)
-              | UCheckSlot s ->
-                  Array.unsafe_get env s = Array.unsafe_get tids j
-                  && unify_from tids (j + 1)
-            in
-            List.iter
-              (fun tup ->
-                if Tuple.arity tup = arity then (
-                  if unify_from (Tuple.ids tup) 0 && filters_ok (i + 1) then
-                    go delta_idx (i + 1);
-                  Array.iter (fun s -> env.(s) <- -1) binds))
-              candidates
+    (* one pass over [plan], whose indexes are [ixs]; step [didx] draws
+       its candidates from [dsrc] (the delta) instead *)
+    let run_plan plan ixs didx dsrc =
+      let csteps = plan.csteps in
+      let nsteps = Array.length csteps in
+      let filters_ok k = List.for_all check_cfilter plan.filters_after.(k) in
+      let rec go i =
+        if i = nsteps then (
+          if Array.length prepared.forall_slots > 0 then (
+            if check_forall () then emit ())
+          else emit ())
+        else
+          match csteps.(i) with
+          | CDomain s ->
+              List.iter
+                (fun vid ->
+                  env.(s) <- vid;
+                  if filters_ok (i + 1) then go (i + 1))
+                dom_ids;
+              env.(s) <- -1
+          | CAtom { arity; key_terms; unify; binds; _ } ->
+              let key = Array.map tval key_terms in
+              let candidates =
+                if i = didx then dsrc key
+                else match ixs.(i) with None -> [] | Some ix -> bucket ix key
+              in
+              if tracing then
+                Observe.Trace.add tr "matcher.candidates"
+                  (List.length candidates);
+              let n = Array.length unify in
+              let rec unify_from tids j =
+                j >= n
+                ||
+                match Array.unsafe_get unify j with
+                | UKey -> unify_from tids (j + 1)
+                | UBind s ->
+                    Array.unsafe_set env s (Array.unsafe_get tids j);
+                    unify_from tids (j + 1)
+                | UCheckSlot s ->
+                    Array.unsafe_get env s = Array.unsafe_get tids j
+                    && unify_from tids (j + 1)
+              in
+              List.iter
+                (fun tup ->
+                  if Tuple.arity tup = arity then (
+                    if unify_from (Tuple.ids tup) 0 && filters_ok (i + 1) then
+                      go (i + 1);
+                    Array.iter (fun s -> env.(s) <- -1) binds))
+                candidates
+      in
+      if filters_ok 0 then go 0
     in
-    let start delta_idx = if filters_ok 0 then go delta_idx 0 in
     (match delta with
-    | None -> start (-1)
-    | Some (pred, _) ->
-        (* one pass per positive occurrence of [pred] *)
+    | None -> run_plan prepared.base main_ix (-1) (fun _ -> [])
+    | Some (dpred, dtuples) ->
+        (* the delta's candidates at a step: the whole list when the step
+           has no key, else a per-(pred, bound-positions) index over the
+           delta tuples — looked up, not scanned, and built straight from
+           the list. A caller holding the delta in shard-owned state
+           supplies [delta_index] to reuse one memoized build across
+           every rule sharing the positions. *)
+        let delta_src = function
+          | CAtom { key_positions = []; _ } -> fun _ -> dtuples
+          | CAtom { key_positions; _ } ->
+              let ix =
+                match delta_index with
+                | Some f -> f key_positions
+                | None ->
+                    let parr = Array.of_list key_positions in
+                    let ix = KTbl.create 64 in
+                    List.iter
+                      (fun t ->
+                        ix_append ix (Array.map (fun i -> Tuple.id t i) parr) t)
+                      dtuples;
+                    ix
+              in
+              bucket ix
+          | CDomain _ -> fun _ -> []
+        in
+        (* a pass on a later occurrence starts from the delta when the
+           delta is smaller than what the greedy plan's first step would
+           enumerate: that step's bucket for its constant key *)
+        let ndelta = List.length dtuples in
+        let delta_is_smaller () =
+          match (prepared.base.csteps.(0), main_ix.(0)) with
+          | CAtom { key_terms; _ }, Some ix ->
+              List.compare_length_with (bucket ix (Array.map tval key_terms))
+                ndelta
+              > 0
+          | _ -> false
+        in
+        (* one pass per positive occurrence of [dpred] *)
         Array.iteri
           (fun i step ->
             match step with
-            | CAtom { apred; _ } when apred = pred -> start i
+            | CAtom { apred; _ } when apred = dpred ->
+                if i > 0 && delta_is_smaller () then (
+                  let plan = prepared.delta_first.(i) in
+                  if tracing then Observe.Trace.incr tr "matcher.delta_first";
+                  run_plan plan (resolve 1 plan) 0 (delta_src plan.csteps.(0)))
+                else run_plan prepared.base main_ix i (delta_src step)
             | _ -> ())
-          prepared.csteps);
+          prepared.base.csteps);
     if tracing then (
       let n = !nresults in
       Observe.Trace.incr tr "matcher.runs";

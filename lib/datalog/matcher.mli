@@ -51,6 +51,17 @@ module Db : sig
       at view-creation time). *)
   val with_trace : t -> Observe.Trace.ctx -> t
 
+  (** [sharing db shared base] is a query-scoped database over [base]
+      that reads every predicate of [shared] from [db] itself: [db]'s
+      relation (its pending buffer flushed first), its memoized index
+      table and its membership set are aliased, not copied. An index the
+      query builds on a shared predicate therefore stays in [db], and
+      [db]'s later writes maintain it. Every other predicate starts from
+      [base] and lives only in the new value, which reports to [db]'s
+      trace context. The value is valid until [db] is next written, and
+      a shared predicate must never be written through it. *)
+  val sharing : t -> string list -> Instance.t -> t
+
   (** [instance db] is the current underlying instance (a persistent
       snapshot; later mutations of [db] do not affect it). *)
   val instance : t -> Instance.t
@@ -164,11 +175,15 @@ module Shard : sig
   val delta_index : t -> string -> int list -> Tuple.t list IdTbl.t
 end
 
-(** A rule compiled to a slot-based join plan (atom ordering, index keys,
+(** A rule compiled to slot-based join plans (atom ordering, index keys,
     unification ops and filter schedule all precomputed). *)
 type prepared
 
-(** [prepare rule] plans and compiles the body join. *)
+(** [prepare rule] plans and compiles the body join, once in the greedy
+    order (most-bound atom first) and once more per positive body atom
+    that order does not put first: that atom moved first, the rest in
+    greedy order after it. A delta pass may start from those
+    {e delta-first} plans (see {!run}). *)
 val prepare : Ast.rule -> prepared
 
 (** [needs_dom prepared] holds iff executing the plan reads the [dom]
@@ -188,6 +203,14 @@ val needs_dom : prepared -> bool
     relation is indexed per (pred, bound-positions) exactly like the main
     database, so delta candidates are looked up rather than scanned. If
     the body has no positive occurrence of [pred] the result is empty.
+    A pass on an occurrence that is not first in the greedy order runs
+    that occurrence's delta-first plan when the delta has fewer tuples
+    than the greedy plan's first step would enumerate (that step's
+    index bucket for its constant key), and the greedy plan otherwise:
+    a one-fact delta against a large first relation then costs as much
+    as the delta, while a large delta against a small first relation
+    keeps the greedy order. The choice reads only sizes, so the matches
+    are the same either way.
 
     [dom]: the active domain [adom(P, K)]. Variables not bound by a
     positive atom (the paper allows head variables bound only by negative
@@ -202,7 +225,8 @@ val needs_dom : prepared -> bool
     When the database's trace context is enabled, each call updates the
     counters [matcher.runs], [matcher.candidates] (index-bucket tuples
     scanned), [matcher.substs] (substitutions produced — the ratio is the
-    join selectivity) and the gauge [matcher.substs_max].
+    join selectivity), [matcher.delta_first] (delta passes started from
+    the delta) and the gauge [matcher.substs_max].
 
     @raise Invalid_argument if the rule needs a domain (it has
     non-positively-bound or ∀ variables) and [dom] was not supplied. *)
@@ -265,8 +289,9 @@ val iter_derivations :
   int
 
 (** [prewarm prepared db] forces every lazily-built structure the plan
-    can touch — step indexes, membership sets for filter probes and head
-    dedup — so that subsequent read-only uses of [db] (directly or
+    can touch — step indexes of the greedy plan and of every
+    delta-first plan after its delta step, membership sets for filter
+    probes and head dedup — so that subsequent read-only uses of [db] (directly or
     through {!Db.with_trace} views) trigger no builds. The parallel
     engines call this between barriers, before fanning work out to
     domains; [neg_db] follows the same convention as {!iter_firings}. *)

@@ -9,6 +9,7 @@ type t = {
   dred : Eval_util.dred_prepared;
   db : Matcher.Db.t;
   mutable edb : Instance.t;
+  shared : string list;  (* the program's EDB predicates *)
   delta_preds : string list;
   trace : Observe.Trace.ctx;
 }
@@ -35,6 +36,7 @@ let create ?(trace = Observe.Trace.null) program edb =
     dred = Eval_util.prepare_dred prepared;
     db;
     edb;
+    shared = Ast.edb program;
     delta_preds =
       List.sort_uniq String.compare
         (Ast.idb program @ Ast.body_preds program);
@@ -165,5 +167,12 @@ let query t ?(via = Materialized) q =
   match via with
   | Materialized -> query_materialized t q
   (* every write changes [t.edb], so a session kept between writes would
-     rarely be asked twice: each demand query opens a fresh one *)
-  | Demand -> Magic.answer ~trace:t.trace t.program t.edb q
+     rarely be asked twice: each demand query opens a fresh one, on a Db
+     that reads the EDB predicates (and their indexes) from the engine's
+     and every other predicate from the base facts; it is dropped when
+     the query returns *)
+  | Demand ->
+      Magic.ask
+        (Magic.session_db ~trace:t.trace t.program
+           (Matcher.Db.sharing t.db t.shared t.edb))
+        q

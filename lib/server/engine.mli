@@ -14,7 +14,15 @@
       ({!Eval_util.prepare} / {!Eval_util.prepare_dred}), built once.
 
     The demand-driven query path keeps no state of its own: each demand
-    query runs magic sets over the live base instance. *)
+    query runs magic sets in a query-scoped {!Matcher.Db.sharing} view,
+    dropped when the query returns. The view reads the program's EDB
+    predicates straight from the materialization's {!Matcher.Db} (their
+    memoized indexes included, so an index a query builds there stays
+    and later writes maintain it) and every other predicate from the
+    base instance. Asserts, DRed cones and DRed propagation all run
+    delta passes, which start from the delta when it is the smaller side
+    ({!Matcher.run}), so their cost follows the change, not the size of
+    the EDB. *)
 
 open Relational
 open Datalog
@@ -24,8 +32,10 @@ type t
 (** Which evaluation path a {!query} takes. [Materialized] (the default)
     filters the maintained fixpoint through the db's memoized indexes —
     O(answer). [Demand] runs the magic-set rewriting of the query over
-    the current base instance ({!Magic.answer}, a one-shot session on
-    Matcher plans), so it derives only the facts the query needs. *)
+    the current base facts (a one-shot {!Magic.session_db} on Matcher
+    plans, in a view that shares the engine's EDB relations and
+    indexes), so it derives only the facts the query needs. Stored facts
+    of an idb predicate count as in the materialized view. *)
 type via = Materialized | Demand
 
 (** [create ?trace program edb] checks [program] is pure Datalog,

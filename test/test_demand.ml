@@ -13,7 +13,8 @@ let prop name arb f = QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name arb 
 
 (* Random positive programs over edb g/2, e/1 with idb t, s, d (binary)
    and p (unary): left/right/doubly recursive closures, a diagonal
-   selection, a projection chained through recursion. *)
+   selection, a projection chained through recursion. The instance may
+   also hold stored facts of the idb predicates. *)
 let rule_pool =
   [|
     "t(X, Y) :- g(X, Y).";
@@ -43,10 +44,20 @@ let scenario_gen =
     let* seed = 0 -- 10_000 in
     let g = Graph_gen.random ~name:"g" ~seed n edges in
     let* ne = 0 -- n in
+    (* stored facts of idb predicates: their answers must count too *)
+    let* stored =
+      list_size (0 -- 3)
+        (let* pred, arity = oneofl arities in
+         let* args = list_repeat arity (map Graph_gen.vertex (0 -- n)) in
+         return (pred, Tuple.of_list args))
+    in
     let inst =
-      Instance.set "e"
-        (Relation.of_rows (List.init ne (fun i -> [ Graph_gen.vertex i ])))
-        g
+      List.fold_left
+        (fun acc (pred, tup) -> Instance.add_fact pred tup acc)
+        (Instance.set "e"
+           (Relation.of_rows (List.init ne (fun i -> [ Graph_gen.vertex i ])))
+           g)
+        stored
     in
     let p = prog (String.concat "\n" chosen) in
     let idb = Datalog.Ast.idb p in

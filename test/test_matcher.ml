@@ -71,7 +71,32 @@ let test_delta_restriction () =
   Alcotest.(check int) "delta join" 1 (List.length substs);
   let no_delta = run ~delta:("P", Relation.of_rows [ [ v "a" ] ])
       "p(X, Z) :- G(X, Y), G(Y, Z)." in
-  Alcotest.(check int) "delta on absent pred" 0 (List.length no_delta)
+  Alcotest.(check int) "delta on absent pred" 0 (List.length no_delta);
+  (* H comes second in this rule's greedy order: a pass on H starts from
+     the delta when it has fewer tuples than the first step's G bucket
+     (3 here), and from G otherwise. Either way the answer is the full
+     evaluation restricted to substitutions whose H tuple is in the
+     delta. *)
+  let plan = M.prepare (rule "p(X, Y) :- G(X, Z), H(Z, Y).") in
+  let hs = [ ("b", "x"); ("c", "y"); ("c", "z"); ("b", "w") ] in
+  let base = Instance.set "H" (pairs hs) inst in
+  let full = M.run plan (M.Db.of_instance base) in
+  let pass name rows ~delta_first =
+    let trace = Observe.Trace.make () in
+    let delta = pairs rows in
+    let got = M.run ~delta:("H", delta) plan (M.Db.of_instance ~trace base) in
+    let expected =
+      List.filter
+        (fun s -> Relation.mem (t [ List.assoc "Z" s; List.assoc "Y" s ]) delta)
+        full
+    in
+    Alcotest.(check bool) (name ^ ": filtered full evaluation") true
+      (expected = got);
+    Alcotest.(check int) (name ^ ": matcher.delta_first") delta_first
+      (Observe.Trace.counter trace "matcher.delta_first")
+  in
+  pass "small delta" [ ("c", "y") ] ~delta_first:1;
+  pass "large delta" hs ~delta_first:0
 
 let test_neg_db_gl_primitive () =
   (* negation checked against a different instance *)
@@ -168,6 +193,27 @@ let test_remove_then_absorb_indexed () =
   Alcotest.(check int) "relation holds original 3 + 1 absorbed" 4
     (Relation.cardinal (M.Db.relation d "G"))
 
+let test_sharing () =
+  (* a sharing view reads G from [d], facts still in d's pending buffer
+     included, and an index it builds on G stays in [d], whose later
+     writes maintain it; P comes from the view's own base *)
+  let trace = Observe.Trace.make () in
+  let d = M.Db.of_instance ~trace inst in
+  M.Db.absorb_new d "G" [ t [ v "c"; v "d" ] ];
+  let q = M.Db.sharing d [ "G" ] (facts "G(z, z). P(z).") in
+  Alcotest.(check int) "shared relation, pending fact included" 4
+    (Relation.cardinal (M.Db.relation q "G"));
+  Alcotest.(check int) "index built through the view" 1
+    (List.length (M.Db.lookup q "G" [ (1, v "d") ]));
+  Alcotest.(check int) "unshared predicate from the base" 1
+    (Relation.cardinal (M.Db.relation q "P"));
+  Alcotest.(check bool) "insert into the shared db" true
+    (M.Db.insert d "G" (t [ v "e"; v "d" ]));
+  Alcotest.(check int) "the view's index is the db's, maintained" 2
+    (List.length (M.Db.lookup d "G" [ (1, v "d") ]));
+  Alcotest.(check int) "built once" 1
+    (Observe.Trace.counter trace "db.index_builds")
+
 let suite =
   [
     Alcotest.test_case "Db lookup and indexes" `Quick test_db_lookup;
@@ -189,4 +235,6 @@ let suite =
       test_remove_purges_pending;
     Alcotest.test_case "remove-then-absorb with warm indexes" `Quick
       test_remove_then_absorb_indexed;
+    Alcotest.test_case "sharing view aliases relation and indexes" `Quick
+      test_sharing;
   ]

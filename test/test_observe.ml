@@ -517,6 +517,48 @@ let test_adom_only_when_read () =
             (List.length spans))
     needs
 
+(* --- JSON string escaping ------------------------------------------ *)
+
+(* the byte-at-a-time escaper every string took before the scan-then-copy
+   fast path: the oracle for both paths *)
+let oracle_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* strings of fact-like text, with or without the bytes that need
+   escaping, so both paths of the encoder are taken *)
+let json_string_gen =
+  let open QCheck.Gen in
+  let plain = oneofl [ "T(v1, v2)."; "a"; " "; "_x"; "'Abc'"; "50%" ] in
+  let special =
+    oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x01"; "\x1f"; "\x7f";
+             "\xc3\xa9"; "\xe2\x88\x80"; "\xf0\x9f\x98\x80" ]
+  in
+  let* with_special = bool in
+  map (String.concat "")
+    (list_size (0 -- 12)
+       (if with_special then frequency [ (3, plain); (1, special) ] else plain))
+
+let prop_json_escape =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"JSON string escaping: fast = slow path"
+       (QCheck.make ~print:String.escaped json_string_gen)
+       (fun s -> String.equal (Observe.Json.to_string (Str s)) (oracle_escape s)))
+
 let suite =
   [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
@@ -547,4 +589,5 @@ let suite =
       test_trace_schema_all_engines;
     Alcotest.test_case "adom computed only when a plan reads it" `Quick
       test_adom_only_when_read;
+    prop_json_escape;
   ]

@@ -127,6 +127,8 @@ let test_query_paths_agree () =
   let eng = E.create tc_program (facts "G(a, b). G(b, c). G(c, a).") in
   ignore (E.assert_facts eng (facts "G(c, d)."));
   ignore (E.retract_facts eng (facts "G(c, a)."));
+  (* a stored fact of the idb predicate: T(a, z) and T(b, z) follow *)
+  ignore (E.assert_facts eng (facts "T(c, z)."));
   List.iter
     (fun qs ->
       let q = atom qs in
@@ -215,17 +217,22 @@ type op =
   | Retract_g of int * int
   | Assert_e of int
   | Retract_e of int
+  | Assert_t of int * int
+  | Retract_t of int * int
 
 let pp_op = function
   | Assert_g (i, j) -> Printf.sprintf "+g(%d,%d)" i j
   | Retract_g (i, j) -> Printf.sprintf "-g(%d,%d)" i j
   | Assert_e i -> Printf.sprintf "+e(%d)" i
   | Retract_e i -> Printf.sprintf "-e(%d)" i
+  | Assert_t (i, j) -> Printf.sprintf "+t(%d,%d)" i j
+  | Retract_t (i, j) -> Printf.sprintf "-t(%d,%d)" i j
 
 (* A scenario: a sampled sub-program, a small random instance, and a
    schedule of assert/retract ops over a slightly larger vertex space —
    so retractions hit present and absent facts, and asserts duplicate
-   existing facts now and then. *)
+   existing facts now and then. Some ops store facts of the idb
+   predicate t. *)
 let scenario_gen =
   Q.Gen.(
     let* mask = list_repeat (Array.length rule_pool) bool in
@@ -250,6 +257,8 @@ let scenario_gen =
           (3, map2 (fun i j -> Retract_g (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
           (1, map (fun i -> Assert_e i) (0 -- (n + 1)));
           (1, map (fun i -> Retract_e i) (0 -- (n + 1)));
+          (1, map2 (fun i j -> Assert_t (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
+          (1, map2 (fun i j -> Retract_t (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
         ]
     in
     let* nops = 1 -- 12 in
@@ -268,22 +277,40 @@ let scenario_arb =
 let op_batch = function
   | Assert_g (i, j) | Retract_g (i, j) ->
       ("g", Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ])
+  | Assert_t (i, j) | Retract_t (i, j) ->
+      ("t", Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ])
   | Assert_e i | Retract_e i -> ("e", Tuple.of_list [ Graph_gen.vertex i ])
 
-(* A demand query and its immediate repeat answer exactly the
-   materialized view, for every idb predicate bound at [n0] — each runs
-   magic sets on the engine's base facts, which must follow every
-   version the schedule produces. *)
-let demand_agrees eng p =
+let is_assert = function
+  | Assert_g _ | Assert_e _ | Assert_t _ -> true
+  | Retract_g _ | Retract_e _ | Retract_t _ -> false
+
+(* Demand queries on every idb predicate, bound at [n0] in each column,
+   answer exactly the recompute oracle filtered to the query, and so do
+   their immediate repeats and the materialized path. A demand query
+   reads the engine's own indexes over the program's edb predicates and
+   may build new ones there, which the following writes must maintain:
+   this is what catches a stale shared index. *)
+let demand_agrees eng p oracle =
+  let n0 = Graph_gen.vertex 0 in
   List.for_all
     (fun pred ->
-      let q =
-        atom
-          (if String.equal pred "p" then "p(n0)" else pred ^ "(n0, Y)")
+      let cases =
+        if String.equal pred "p" then [ ("p(n0)", 0) ]
+        else [ (pred ^ "(n0, Y)", 0); (pred ^ "(X, n0)", 1) ]
       in
-      let m = E.query eng ~via:E.Materialized q in
-      Relation.equal m (E.query eng ~via:E.Demand q)
-      && Relation.equal m (E.query eng ~via:E.Demand q))
+      List.for_all
+        (fun (qs, col) ->
+          let q = atom qs in
+          let expected =
+            Relation.filter
+              (fun t -> Value.equal (Tuple.get t col) n0)
+              (Instance.find pred oracle)
+          in
+          Relation.equal expected (E.query eng ~via:E.Demand q)
+          && Relation.equal expected (E.query eng ~via:E.Demand q)
+          && Relation.equal expected (E.query eng ~via:E.Materialized q))
+        cases)
     (Datalog.Ast.idb p)
 
 (* After every op the engine's materialization must be byte-identical to
@@ -296,19 +323,18 @@ let prop_schedule_matches_recompute (p, inst0, ops) =
     (fun op ->
       let pred, tup = op_batch op in
       let batch = Instance.add_fact pred tup Instance.empty in
-      (match op with
-      | Assert_g _ | Assert_e _ ->
-          edb := Instance.add_fact pred tup !edb;
-          ignore (E.assert_facts eng batch)
-      | Retract_g _ | Retract_e _ ->
-          if Instance.mem_fact pred tup !edb then
-            edb := Instance.remove_fact pred tup !edb;
-          ignore (E.retract_facts eng batch));
+      if is_assert op then (
+        edb := Instance.add_fact pred tup !edb;
+        ignore (E.assert_facts eng batch))
+      else (
+        if Instance.mem_fact pred tup !edb then
+          edb := Instance.remove_fact pred tup !edb;
+        ignore (E.retract_facts eng batch));
       let oracle = (Datalog.Seminaive.eval p !edb).Datalog.Seminaive.instance in
       let got = E.instance eng in
       Instance.equal got oracle
       && String.equal (Instance.to_string got) (Instance.to_string oracle)
-      && demand_agrees eng p)
+      && demand_agrees eng p oracle)
     ops
 
 (* The engine's base instance must track exactly the oracle EDB, whatever
@@ -320,14 +346,13 @@ let prop_edb_tracks_schedule (p, inst0, ops) =
     (fun op ->
       let pred, tup = op_batch op in
       let batch = Instance.add_fact pred tup Instance.empty in
-      match op with
-      | Assert_g _ | Assert_e _ ->
-          edb := Instance.add_fact pred tup !edb;
-          ignore (E.assert_facts eng batch)
-      | Retract_g _ | Retract_e _ ->
-          if Instance.mem_fact pred tup !edb then
-            edb := Instance.remove_fact pred tup !edb;
-          ignore (E.retract_facts eng batch))
+      if is_assert op then (
+        edb := Instance.add_fact pred tup !edb;
+        ignore (E.assert_facts eng batch))
+      else (
+        if Instance.mem_fact pred tup !edb then
+          edb := Instance.remove_fact pred tup !edb;
+        ignore (E.retract_facts eng batch)))
     ops;
   Instance.equal (E.edb eng) !edb
 
