@@ -63,7 +63,12 @@ bench:
 # output with -f, and requires the second run to print the same bytes.
 # It then does the same for answers in program-term syntax: `run -a`
 # and `query` print symbols that are not lower identifiers quoted
-# ('Abc', with escapes), and that output must reload to the same facts.
+# ('Abc', with escapes), and that output must reload to the same facts;
+# and for full output over symbols the fact syntax cannot hold bare
+# ('42', 'a, b. 50%', 'x.y'), which it must print quoted. The index
+# smoke step runs a stratified program whose last body atom is fully
+# bound: --stats must show the index layer (an "index" span total) and
+# count the steps the membership set answered (matcher.member_probes).
 # The bench-diff step
 # compares the freshly regenerated e2 rows against the committed
 # BENCH_engines.json and GATES: rows from a different machine shape are
@@ -143,9 +148,20 @@ ci:
 	grep -qF "Q('it\'s')." _ci_rtq2.out
 	dune exec -- datalog-unchained run _ci_rtr.dl -f _ci_rtq2.out -a Q | cmp - _ci_rtq2.out
 	grep -c '^Q(' _ci_rtq2.out | grep -qx 5
+	printf '%s\n' "E('42'). E('a, b. 50%'). E('x.y')." > _ci_rtf.facts
+	printf 'P(X) :- E(X).\n' > _ci_rtf.dl
+	dune exec -- datalog-unchained run _ci_rtf.dl -f _ci_rtf.facts > _ci_rtf1.out
+	dune exec -- datalog-unchained run _ci_rtf.dl -f _ci_rtf1.out > _ci_rtf2.out
+	cmp _ci_rtf1.out _ci_rtf2.out
+	grep -c '^[EP](' _ci_rtf2.out | grep -qx 6
+	printf 'Fof(X, Z) :- Lives(X, c0), F(X, Y), F(Y, Z), Likes(Z, t0).\nLives(a, c0). F(a, b). F(b, c). Likes(c, t0).\n' > _ci_mem.dl
+	dune exec -- datalog-unchained run -s stratified _ci_mem.dl --stats > _ci_mem.stats
+	grep -q '^  index ' _ci_mem.stats
+	grep -qE '^  matcher\.member_probes +[1-9]' _ci_mem.stats
 	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
-	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out
+	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out \
+	  _ci_rtf.facts _ci_rtf.dl _ci_rtf1.out _ci_rtf2.out _ci_mem.dl _ci_mem.stats
 
 clean:
 	dune clean

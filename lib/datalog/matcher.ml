@@ -6,27 +6,17 @@ open Relational
    no value structure walked on the hot path. *)
 module KTbl = Tuple.KTbl
 module IdTbl = KTbl
-
-(* The one index-append: cons [t] onto the bucket keyed [k], creating
-   the bucket on first use. Every secondary index in this file — main
-   database indexes, their incremental maintenance on insert/absorb,
-   shard delta indexes and the per-run delta index — appends through
-   here. *)
-let ix_append ix k t =
-  KTbl.replace ix k (t :: (try KTbl.find ix k with Not_found -> []))
+module Index = Relation.Index
 
 module Db = struct
   (* A mutable database view whose secondary indexes survive updates.
-     Indexes are memoized per (predicate, constrained positions): a hash
-     table from the interned-id vector at those positions to the matching
-     tuples. [insert]/[absorb]/[remove] keep every memoized index in sync
-     with the instance, so fixpoint engines create one Db per evaluation
-     and feed it deltas instead of re-indexing the full instance at every
-     stage. The all-tuples scan is the [positions = []] index, so it too
-     is maintained incrementally. *)
-  (* each memoized index stores its constrained positions both as the
-     memo key (list) and as a flat array, so per-tuple key extraction is
-     a single [Array.map] with no intermediate list *)
+     Indexes ({!Relation.Index}) are memoized per (predicate, constrained
+     positions). [insert]/[absorb]/[remove] keep every memoized index in
+     sync with the instance, so fixpoint engines create one Db per
+     evaluation and feed it deltas instead of re-indexing the full
+     instance at every stage. The all-tuples scan is the [positions =
+     []] index, so it too is maintained incrementally. A lookup that
+     binds every position reads the membership set instead. *)
   (* A membership set (id vector -> the tuple), [borrowed] while it is
      still the table of a loaded relation ({!Relation.loaded_set}): the
      relation value shares it, so the first write copies it. Handles
@@ -41,9 +31,7 @@ module Db = struct
            and membership sets are the authoritative structures, so the
            trie is rebuilt lazily — one bulk build per predicate on the
            next read instead of a path copy per fact per round *)
-    indexes :
-      (string, (int list, int array * Tuple.t list KTbl.t) Hashtbl.t)
-      Hashtbl.t;
+    indexes : (string, (int list, Index.t) Hashtbl.t) Hashtbl.t;
     mems : (string, memset) Hashtbl.t;
         (* per-predicate flat hash membership sets, built lazily on first
            probe (or adopted from a loaded relation) and maintained
@@ -98,29 +86,6 @@ module Db = struct
         Hashtbl.add db.indexes p t;
         t
 
-  (* A query-scoped database over [base] whose [shared] predicates are
-     [db]'s own: the flushed relation, the per-predicate index table
-     (so an index built through the view lands in [db], whose writes
-     then maintain it) and the membership set, when [db] has one. *)
-  let sharing db shared base =
-    let q = of_instance ~trace:db.trace base in
-    List.iter
-      (fun p ->
-        q.inst <- Instance.set p (relation db p) q.inst;
-        Hashtbl.replace q.indexes p (pred_indexes db p);
-        Option.iter (Hashtbl.replace q.mems p) (Hashtbl.find_opt db.mems p))
-      shared;
-    q
-
-  let flush db =
-    if Hashtbl.length db.pending > 0 then
-      List.iter (flush_pred db)
-        (Hashtbl.fold (fun p _ acc -> p :: acc) db.pending [])
-
-  let instance db =
-    flush db;
-    db.inst
-
   let memset db p =
     match Hashtbl.find_opt db.mems p with
     | Some m -> m
@@ -138,6 +103,30 @@ module Db = struct
         in
         Hashtbl.add db.mems p m;
         m
+
+  (* A query-scoped database over [base] whose [shared] predicates are
+     [db]'s own: the flushed relation, the per-predicate index table
+     (so an index built through the view lands in [db], whose writes
+     then maintain it) and the membership set, built in [db] when it
+     has none yet. *)
+  let sharing db shared base =
+    let q = of_instance ~trace:db.trace base in
+    List.iter
+      (fun p ->
+        q.inst <- Instance.set p (relation db p) q.inst;
+        Hashtbl.replace q.indexes p (pred_indexes db p);
+        Hashtbl.replace q.mems p (memset db p))
+      shared;
+    q
+
+  let flush db =
+    if Hashtbl.length db.pending > 0 then
+      List.iter (flush_pred db)
+        (Hashtbl.fold (fun p _ acc -> p :: acc) db.pending [])
+
+  let instance db =
+    flush db;
+    db.inst
 
   let memset_mem m ids = KTbl.mem m.set ids
   let mem db p tup = memset_mem (memset db p) (Tuple.ids tup)
@@ -162,28 +151,33 @@ module Db = struct
     | Some tb -> KTbl.remove tb (Tuple.ids t)
     | None -> ()
 
-  let key_of parr t = Array.map (fun i -> Tuple.id t i) parr
-
   let index db p positions =
     let per_pred = pred_indexes db p in
     match Hashtbl.find_opt per_pred positions with
-    | Some (_, ix) ->
+    | Some ix ->
         Observe.Trace.incr db.trace "db.index_memo_hits";
         ix
     | None ->
         Observe.Trace.incr db.trace "db.index_builds";
-        let parr = Array.of_list positions in
-        let ix = KTbl.create 64 in
-        Relation.unordered_iter
-          (fun t -> ix_append ix (key_of parr t) t)
-          (relation db p);
-        Hashtbl.add per_pred positions (parr, ix);
+        let rel = relation db p in
+        let build () = Index.of_relation rel (Array.of_list positions) in
+        let ix =
+          if not (Observe.Trace.enabled db.trace) then build ()
+          else
+            let cols = String.concat "," (List.map string_of_int positions) in
+            Observe.Trace.with_span db.trace ~kind:"index"
+              ~fields:
+                Observe.Trace.
+                  [
+                    fstr "pred" p;
+                    fstr "cols" cols;
+                    fint "rows" (Relation.cardinal rel);
+                  ]
+              (p ^ "[" ^ cols ^ "]")
+              build
+        in
+        Hashtbl.add per_pred positions ix;
         ix
-
-  let lookup_key db p positions key =
-    match KTbl.find_opt (index db p positions) key with
-    | Some ts -> ts
-    | None -> []
 
   (* The compiled plans below probe indexes with statically-sorted
      positions; this convenience entry point only pays a sort when handed
@@ -197,8 +191,21 @@ module Db = struct
       if bindings_sorted bindings then bindings
       else List.sort (fun (i, _) (j, _) -> Int.compare i j) bindings
     in
-    lookup_key db p (List.map fst bindings)
-      (Array.of_list (List.map (fun (_, v) -> Value.Intern.id v) bindings))
+    let key =
+      Array.of_list (List.map (fun (_, v) -> Value.Intern.id v) bindings)
+    in
+    (* bound on exactly the positions [0 .. arity - 1]: a membership test *)
+    let rec full ar i = function
+      | [] -> i = ar
+      | (j, _) :: rest -> i = j && full ar (i + 1) rest
+    in
+    match Relation.arity (relation db p) with
+    | None -> []
+    | Some ar when full ar 0 bindings -> (
+        match KTbl.find_opt (memset db p).set key with
+        | Some t -> [ t ]
+        | None -> [])
+    | Some _ -> Index.find (index db p (List.map fst bindings)) (Array.get key)
 
   let insert db p t =
     flush_pred db p;
@@ -211,10 +218,7 @@ module Db = struct
       mems_add db p t;
       (match Hashtbl.find_opt db.indexes p with
       | None -> ()
-      | Some per_pred ->
-          Hashtbl.iter
-            (fun _ (parr, ix) -> ix_append ix (key_of parr t) t)
-            per_pred);
+      | Some per_pred -> Hashtbl.iter (fun _ ix -> Index.add ix t) per_pred);
       true)
 
   (* Deletion must purge the lazy [pending] buffer too: a fact accepted
@@ -242,15 +246,7 @@ module Db = struct
       (match Hashtbl.find_opt db.indexes p with
       | None -> ()
       | Some per_pred ->
-          Hashtbl.iter
-            (fun _ (parr, ix) ->
-              let k = key_of parr t in
-              match KTbl.find_opt ix k with
-              | None -> ()
-              | Some bucket ->
-                  KTbl.replace ix k
-                    (List.filter (fun u -> not (Tuple.equal u t)) bucket))
-            per_pred);
+          Hashtbl.iter (fun _ ix -> Index.remove ix t) per_pred);
       true)
 
   let absorb db delta =
@@ -284,9 +280,7 @@ module Db = struct
                 (fun t ->
                   if dups = 0 || not (Relation.mem t cur) then (
                     mems_add db p t;
-                    Hashtbl.iter
-                      (fun _ (parr, ix) -> ix_append ix (key_of parr t) t)
-                      per_pred))
+                    Hashtbl.iter (fun _ ix -> Index.add ix t) per_pred))
                 rel))
       delta ()
 
@@ -310,10 +304,7 @@ module Db = struct
         (match Hashtbl.find_opt db.indexes p with
         | None -> ()
         | Some per_pred ->
-            Hashtbl.iter
-              (fun _ (parr, ix) ->
-                List.iter (fun t -> ix_append ix (key_of parr t) t) news)
-              per_pred)
+            Hashtbl.iter (fun _ ix -> List.iter (Index.add ix) news) per_pred)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -335,7 +326,7 @@ module Shard = struct
            (every fresh fact is routed through its owner) *)
     delta : (string, Tuple.t list) Hashtbl.t;
         (* this shard's slice of the current round's delta *)
-    dixes : (string, (int list, Tuple.t list KTbl.t) Hashtbl.t) Hashtbl.t;
+    dixes : (string, (int list, Index.t) Hashtbl.t) Hashtbl.t;
         (* (pred, positions) indexes over the delta slices, memoized for
            the round so rules sharing bound positions reuse one build *)
   }
@@ -411,11 +402,7 @@ module Shard = struct
     match Hashtbl.find_opt per positions with
     | Some ix -> ix
     | None ->
-        let parr = Array.of_list positions in
-        let ix = KTbl.create 64 in
-        List.iter
-          (fun t -> ix_append ix (Array.map (fun i -> Tuple.id t i) parr) t)
-          (delta sh p);
+        let ix = Index.of_list (Array.of_list positions) (delta sh p) in
         Hashtbl.add per positions ix;
         ix
 end
@@ -447,6 +434,9 @@ type cstep =
       key_terms : cterm array;  (** aligned with [key_positions] *)
       unify : unify_op array;  (** one op per argument position *)
       binds : int array;  (** slots first bound by this step *)
+      member : bool;
+          (** every position is bound: the step is a membership test,
+              answered by the predicate's membership set, not an index *)
     }
   | CDomain of int  (** enumerate the slot over the active domain *)
 
@@ -627,6 +617,7 @@ let prepare (rule : Ast.rule) =
           key_terms = Array.of_list (List.map snd spec);
           unify;
           binds = Array.of_list (List.rev !binds);
+          member = List.length spec = n;
         }
     in
     let atom_steps = List.map compile_atom ordered_atoms in
@@ -757,7 +748,18 @@ let check_filter ?neg_db db subst = function
         Some (Db.mem db a.Ast.pred tup)
       else None
 
-(* Force every lazily-built structure a plan can touch — step indexes
+(* Where a step's candidates come from: the predicate's membership set
+   for a step that binds every position, else its index on the bound
+   positions. Builds the structure on first use. *)
+type source = Member of Db.memset | Indexed of Index.t | Unresolved
+
+let source db = function
+  | CAtom { apred; member = true; _ } -> Member (Db.memset db apred)
+  | CAtom { apred; key_positions; _ } ->
+      Indexed (Db.index db apred key_positions)
+  | CDomain _ -> Unresolved
+
+(* Force every lazily-built structure a plan can touch — step sources
    of the greedy plan and of every delta-first plan after its delta step
    (which reads the delta, never the database), membership sets for
    positive/negative filter probes (the ∀ check re-evaluates the whole
@@ -769,10 +771,7 @@ let prewarm ?neg_db prepared db =
   let ndb = Option.value neg_db ~default:db in
   let warm_steps from plan =
     Array.iteri
-      (fun j -> function
-        | CAtom { apred; key_positions; _ } when j >= from ->
-            ignore (Db.index db apred key_positions : Tuple.t list KTbl.t)
-        | CAtom _ | CDomain _ -> ())
+      (fun j step -> if j >= from then ignore (source db step : source))
       plan.csteps
   in
   warm_steps 0 prepared.base;
@@ -786,8 +785,6 @@ let prewarm ?neg_db prepared db =
   List.iter
     (fun (_, p, _) -> ignore (Db.memset db p : Db.memset))
     prepared.cheads
-
-let bucket ix key = match KTbl.find_opt ix key with Some ts -> ts | None -> []
 
 (* The join loop shared by {!run} and {!iter_firings}. [consume] is
    called once per (deduped) match with [tval] reading interned ids out
@@ -809,18 +806,15 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       else []
     in
     let ndb = Option.value neg_db ~default:db in
-    (* resolve each step's index table once per plan run: probes then pay
-       a single hash on the key ids, not repeated (pred, positions) table
+    (* resolve each step's source once per plan run: probes then pay a
+       single hash on the key ids, not repeated (pred, positions) table
        hops. Steps before [from] are not resolved. *)
     let resolve from plan =
       Array.mapi
-        (fun j -> function
-          | CAtom { apred; key_positions; _ } when j >= from ->
-              Some (Db.index db apred key_positions)
-          | CAtom _ | CDomain _ -> None)
+        (fun j step -> if j >= from then source db step else Unresolved)
         plan.csteps
     in
-    let main_ix = resolve 0 prepared.base in
+    let main_src = resolve 0 prepared.base in
     (* the environment: one interned id per slot, -1 = unbound *)
     let env = Array.make (max prepared.nslots 1) (-1) in
     let tval = function
@@ -893,11 +887,21 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
         incr nresults;
         consume ~tval ~vals:None)
     in
-    (* one pass over [plan], whose indexes are [ixs]; step [didx] draws
+    (* the key of a step's bound positions, read from the environment *)
+    let key_of = function
+      | CAtom { key_terms; _ } -> fun j -> tval (Array.unsafe_get key_terms j)
+      | CDomain _ -> fun _ -> -1
+    in
+    let is_member m = function
+      | CAtom { key_terms; _ } -> Db.memset_mem m (Array.map tval key_terms)
+      | CDomain _ -> false
+    in
+    (* one pass over [plan], whose sources are [srcs]; step [didx] draws
        its candidates from [dsrc] (the delta) instead *)
-    let run_plan plan ixs didx dsrc =
+    let run_plan plan srcs didx dsrc =
       let csteps = plan.csteps in
       let nsteps = Array.length csteps in
+      let keys = Array.map key_of csteps in
       let filters_ok k = List.for_all check_cfilter plan.filters_after.(k) in
       let rec go i =
         if i = nsteps then (
@@ -905,19 +909,28 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
             if check_forall () then emit ())
           else emit ())
         else
-          match csteps.(i) with
-          | CDomain s ->
+          match (csteps.(i), srcs.(i)) with
+          | CDomain s, _ ->
               List.iter
                 (fun vid ->
                   env.(s) <- vid;
                   if filters_ok (i + 1) then go (i + 1))
                 dom_ids;
               env.(s) <- -1
-          | CAtom { arity; key_terms; unify; binds; _ } ->
-              let key = Array.map tval key_terms in
+          | (CAtom _ as step), Member m when i <> didx ->
+              (* every position bound: nothing to unify *)
+              let hit = is_member m step in
+              if tracing then (
+                Observe.Trace.incr tr "matcher.member_probes";
+                if hit then Observe.Trace.incr tr "matcher.candidates");
+              if hit && filters_ok (i + 1) then go (i + 1)
+          | CAtom { arity; unify; binds; _ }, src ->
               let candidates =
-                if i = didx then dsrc key
-                else match ixs.(i) with None -> [] | Some ix -> bucket ix key
+                if i = didx then dsrc keys.(i)
+                else
+                  match src with
+                  | Indexed ix -> Index.find ix keys.(i)
+                  | Member _ | Unresolved -> []
               in
               if tracing then
                 Observe.Trace.add tr "matcher.candidates"
@@ -946,7 +959,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       if filters_ok 0 then go 0
     in
     (match delta with
-    | None -> run_plan prepared.base main_ix (-1) (fun _ -> [])
+    | None -> run_plan prepared.base main_src (-1) (fun _ -> [])
     | Some (dpred, dtuples) ->
         (* the delta's candidates at a step: the whole list when the step
            has no key, else a per-(pred, bound-positions) index over the
@@ -960,29 +973,24 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
               let ix =
                 match delta_index with
                 | Some f -> f key_positions
-                | None ->
-                    let parr = Array.of_list key_positions in
-                    let ix = KTbl.create 64 in
-                    List.iter
-                      (fun t ->
-                        ix_append ix (Array.map (fun i -> Tuple.id t i) parr) t)
-                      dtuples;
-                    ix
+                | None -> Index.of_list (Array.of_list key_positions) dtuples
               in
-              bucket ix
+              Index.find ix
           | CDomain _ -> fun _ -> []
         in
         (* a pass on a later occurrence starts from the delta when the
            delta is smaller than what the greedy plan's first step would
-           enumerate: that step's bucket for its constant key *)
+           enumerate: that step's bucket for its constant key, or at most
+           the one fact of a membership test *)
         let ndelta = List.length dtuples in
         let delta_is_smaller () =
-          match (prepared.base.csteps.(0), main_ix.(0)) with
-          | CAtom { key_terms; _ }, Some ix ->
-              List.compare_length_with (bucket ix (Array.map tval key_terms))
-                ndelta
+          let first = prepared.base.csteps.(0) in
+          match main_src.(0) with
+          | Indexed ix ->
+              List.compare_length_with (Index.find ix (key_of first)) ndelta
               > 0
-          | _ -> false
+          | Member m -> ndelta = 0 && is_member m first
+          | Unresolved -> false
         in
         (* one pass per positive occurrence of [dpred] *)
         Array.iteri
@@ -993,7 +1001,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
                   let plan = prepared.delta_first.(i) in
                   if tracing then Observe.Trace.incr tr "matcher.delta_first";
                   run_plan plan (resolve 1 plan) 0 (delta_src plan.csteps.(0)))
-                else run_plan prepared.base main_ix i (delta_src step)
+                else run_plan prepared.base main_src i (delta_src step)
             | _ -> ())
           prepared.base.csteps);
     if tracing then (

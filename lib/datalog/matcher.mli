@@ -23,10 +23,13 @@ open Relational
     deduplicate deltas with the same flat hashing the matcher uses. *)
 module IdTbl : Hashtbl.S with type key = int array
 
-(** A mutable database view with memoized secondary indexes that are
-    maintained incrementally: create one [Db] per evaluation (not per
-    stage) and feed it new facts with {!Db.insert} or {!Db.absorb} —
-    every cached index is updated in place instead of being rebuilt. *)
+(** A mutable database view with memoized secondary indexes
+    ({!Relation.Index}) that are maintained incrementally: create one
+    [Db] per evaluation (not per stage) and feed it new facts with
+    {!Db.insert} or {!Db.absorb} — every cached index is updated in place
+    instead of being rebuilt. A probe that binds every argument position
+    is a membership test: it reads the predicate's membership set
+    ({!Db.memset}) and never builds an index. *)
 module Db : sig
   type t
 
@@ -34,7 +37,10 @@ module Db : sig
       {!Observe.Trace.null}) receives the database's hot-path counters:
       [db.index_builds] / [db.index_memo_hits] (secondary-index
       construction vs. memo reuse), [db.inserts] / [db.insert_dups], and
-      the matcher counters of every {!run} against this database. *)
+      the matcher counters of every {!run} against this database. Each
+      index build runs in a span of kind [index], named [pred[cols]]
+      (e.g. [G[0]]), opened with the fields [pred], [cols] and [rows]
+      (the tuples indexed). *)
   val of_instance : ?trace:Observe.Trace.ctx -> Instance.t -> t
 
   (** The trace context the database reports to. *)
@@ -54,7 +60,8 @@ module Db : sig
   (** [sharing db shared base] is a query-scoped database over [base]
       that reads every predicate of [shared] from [db] itself: [db]'s
       relation (its pending buffer flushed first), its memoized index
-      table and its membership set are aliased, not copied. An index the
+      table and its membership set (built in [db] first when missing)
+      are aliased, not copied. An index the
       query builds on a shared predicate therefore stays in [db], and
       [db]'s later writes maintain it. Every other predicate starts from
       [base] and lives only in the new value, which reports to [db]'s
@@ -71,7 +78,10 @@ module Db : sig
 
   (** [lookup db p bindings] returns the tuples of [p] agreeing with
       [bindings], a list of (position, value) constraints. Builds (and
-      caches) a hash index on the constrained positions. *)
+      caches) a hash index on the constrained positions — unless they
+      are exactly the positions [0 .. arity - 1] of [p]'s relation: a
+      ground lookup reads the membership set ({!memset}) and builds no
+      index. *)
   val lookup : t -> string -> (int * Value.t) list -> Tuple.t list
 
   (** [mem db p tup] tests a ground fact. *)
@@ -168,11 +178,11 @@ module Shard : sig
   (** [delta sh p] is the installed slice ([[]] when none). *)
   val delta : t -> string -> Tuple.t list
 
-  (** [delta_index sh p positions] is the hash index of [delta sh p] on
-      [positions], built once per (pred, positions) per round and shared
-      by every rule probing the same bound positions — pass it to
-      {!iter_firings} as [delta_index]. *)
-  val delta_index : t -> string -> int list -> Tuple.t list IdTbl.t
+  (** [delta_index sh p positions] is the index ({!Relation.Index}) of
+      [delta sh p] on [positions], built once per (pred, positions) per
+      round and shared by every rule probing the same bound positions —
+      pass it to {!iter_firings} as [delta_index]. *)
+  val delta_index : t -> string -> int list -> Relation.Index.t
 end
 
 (** A rule compiled to slot-based join plans (atom ordering, index keys,
@@ -183,7 +193,11 @@ type prepared
     order (most-bound atom first) and once more per positive body atom
     that order does not put first: that atom moved first, the rest in
     greedy order after it. A delta pass may start from those
-    {e delta-first} plans (see {!run}). *)
+    {e delta-first} plans (see {!run}). A step that binds every
+    argument position of its atom (by constants or by variables earlier
+    steps bound) is compiled as a {e membership test}: it is answered by
+    the predicate's membership set ({!Db.memset}), with 0 or 1
+    candidates, and no index is ever built for it. *)
 val prepare : Ast.rule -> prepared
 
 (** [needs_dom prepared] holds iff executing the plan reads the [dom]
@@ -210,7 +224,8 @@ val needs_dom : prepared -> bool
     a one-fact delta against a large first relation then costs as much
     as the delta, while a large delta against a small first relation
     keeps the greedy order. The choice reads only sizes, so the matches
-    are the same either way.
+    are the same either way. A membership-test first step counts as its
+    0 or 1 candidate.
 
     [dom]: the active domain [adom(P, K)]. Variables not bound by a
     positive atom (the paper allows head variables bound only by negative
@@ -226,7 +241,9 @@ val needs_dom : prepared -> bool
     counters [matcher.runs], [matcher.candidates] (index-bucket tuples
     scanned), [matcher.substs] (substitutions produced — the ratio is the
     join selectivity), [matcher.delta_first] (delta passes started from
-    the delta) and the gauge [matcher.substs_max].
+    the delta), [matcher.member_probes] (membership-test steps answered
+    by a membership set; a hit also counts as one candidate) and the
+    gauge [matcher.substs_max].
 
     @raise Invalid_argument if the rule needs a domain (it has
     non-positively-bound or ∀ variables) and [dom] was not supplied. *)
@@ -257,7 +274,7 @@ val run :
     number of matches. *)
 val iter_firings :
   ?delta:string * Tuple.t list ->
-  ?delta_index:(int list -> Tuple.t list IdTbl.t) ->
+  ?delta_index:(int list -> Relation.Index.t) ->
   ?dom:Value.t list ->
   ?neg_db:Db.t ->
   prepared ->
@@ -280,7 +297,7 @@ val iter_firings :
     calls themselves. Returns the number of matches. *)
 val iter_derivations :
   ?delta:string * Tuple.t list ->
-  ?delta_index:(int list -> Tuple.t list IdTbl.t) ->
+  ?delta_index:(int list -> Relation.Index.t) ->
   ?dom:Value.t list ->
   ?neg_db:Db.t ->
   prepared ->
@@ -290,8 +307,9 @@ val iter_derivations :
 
 (** [prewarm prepared db] forces every lazily-built structure the plan
     can touch — step indexes of the greedy plan and of every
-    delta-first plan after its delta step, membership sets for filter
-    probes and head dedup — so that subsequent read-only uses of [db] (directly or
+    delta-first plan after its delta step (the membership set instead,
+    for a membership-test step), membership sets for filter probes and
+    head dedup — so that subsequent read-only uses of [db] (directly or
     through {!Db.with_trace} views) trigger no builds. The parallel
     engines call this between barriers, before fanning work out to
     domains; [neg_db] follows the same convention as {!iter_firings}. *)

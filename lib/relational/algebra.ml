@@ -180,7 +180,7 @@ let idset_tuples s =
 let index_on ~trace stored r cols =
   match if stored then Relation.index ~trace r cols else None with
   | Some idx -> (true, idx)
-  | None -> (false, Relation.build_index r cols)
+  | None -> (false, Relation.Index.of_relation r cols)
 
 (* Hash join on the given column pairs: whether a memoized index served
    it, and an iterator over the matching (left, right) tuple pairs.
@@ -200,7 +200,7 @@ let join_matches ~trace ~stored:(ls, rs) pairs left right =
   match if b_stored then Relation.index ~trace big bcols else None with
   | Some idx ->
       Observe.Trace.add trace "ra.join.probes" (Relation.cardinal small);
-      let find = Relation.lookup idx scols in
+      let find = Relation.Index.lookup idx scols in
       ( true,
         fun f ->
           Relation.unordered_iter
@@ -210,7 +210,7 @@ let join_matches ~trace ~stored:(ls, rs) pairs left right =
   | None ->
       let memoized, idx = index_on ~trace s_stored small scols in
       Observe.Trace.add trace "ra.join.probes" (Relation.cardinal big);
-      let find = Relation.lookup idx bcols in
+      let find = Relation.Index.lookup idx bcols in
       ( memoized,
         fun f ->
           Relation.unordered_iter
@@ -301,7 +301,7 @@ let semi ~trace ~stored ~anti pairs left right =
   and rcols = Array.of_list (List.map snd pairs) in
   Observe.Trace.add trace "ra.join.probes" (Relation.cardinal left);
   let memo, idx = index_on ~trace stored right rcols in
-  let find = Relation.lookup idx lcols in
+  let find = Relation.Index.lookup idx lcols in
   (memo, Relation.filter (fun lt -> find lt <> [] <> anti) left)
 
 let adom_rel inst =

@@ -99,10 +99,9 @@ val to_string : t -> string
     [,]); elsewhere it is an ordinary byte of a bare token. Inside a
     quoted string or symbol a [,] splits no arguments, a [.] ends no
     fact, [%] and [//] start no comment, and a backslash escapes the
-    next character, so every value {!pp} prints in a string, and every
-    value [Term] prints, reads back unchanged (symbols {!pp} prints bare:
-    one holding a [,], a [.], a double quote, [%] or [//], or starting
-    with a quote, does not).
+    next character, so every value {!pp} or [Term] prints reads back
+    unchanged ({!pp} quotes a symbol whose bare text would not, see
+    {!Value.render}).
 
     One pass over the bytes: facts and arguments are cut as spans of
     [text], each distinct token is parsed and interned once (a per-load

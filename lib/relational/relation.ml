@@ -86,11 +86,14 @@ module Imap = struct
         else join p s q t
 end
 
-(* A join index: key -> the tuples carrying it. One- and two-column keys
-   are packed ints, longer keys id vectors. *)
-type index =
+(* A join index on a column set: key -> the tuples carrying it. One-
+   and two-column keys are packed ints, other keys id vectors (the empty
+   key, the full scan, among them). *)
+type table =
   | Packed of Tuple.t list Tuple.ITbl.t
   | Keyed of Tuple.t list Tuple.KTbl.t
+
+type index = { cols : int array; table : table }
 
 (* Per column set: [Marked] after the first request, [Built] after the
    second (see [index]). *)
@@ -450,47 +453,69 @@ let values r = Value.Intern.decode_distinct (fun f -> iter_ids f r)
 
 (* --- join indexes --------------------------------------------------- *)
 
-let packs cols =
-  Tuple.can_pack && (Array.length cols = 1 || Array.length cols = 2)
+(* bucket operations, one instance per table kind *)
+module Buckets (H : Hashtbl.S) = struct
+  let find tbl k = try H.find tbl k with Not_found -> []
+  let add tbl k t = H.replace tbl k (t :: find tbl k)
 
-let packed_key cols t =
-  if Array.length cols = 1 then Tuple.id t cols.(0)
-  else Tuple.pack2 (Tuple.id t cols.(0)) (Tuple.id t cols.(1))
+  let remove tbl k t =
+    match List.filter (fun u -> not (Tuple.equal u t)) (find tbl k) with
+    | [] -> H.remove tbl k
+    | b -> H.replace tbl k b
+end
 
-let key cols t = Array.map (Tuple.id t) cols
+module PB = Buckets (Tuple.ITbl)
+module KB = Buckets (Tuple.KTbl)
 
-let build_index r cols =
-  if packs cols then (
-    let tbl = Tuple.ITbl.create (max 16 r.card) in
-    unordered_iter
-      (fun t ->
-        let k = packed_key cols t in
-        Tuple.ITbl.replace tbl k
-          (t :: (try Tuple.ITbl.find tbl k with Not_found -> [])))
-      r;
-    Packed tbl)
-  else (
-    let tbl = Tuple.KTbl.create (max 16 r.card) in
-    unordered_iter
-      (fun t ->
-        let k = key cols t in
-        Tuple.KTbl.replace tbl k
-          (t :: (try Tuple.KTbl.find tbl k with Not_found -> [])))
-      r;
-    Keyed tbl)
+module Index = struct
+  type t = index
 
-let lookup idx cols =
-  match idx with
-  | Packed tbl when Array.length cols = 1 -> (
-      let c = cols.(0) in
-      fun t -> try Tuple.ITbl.find tbl (Tuple.id t c) with Not_found -> [])
-  | Packed tbl -> (
-      let c0 = cols.(0) and c1 = cols.(1) in
-      fun t ->
-        try Tuple.ITbl.find tbl (Tuple.pack2 (Tuple.id t c0) (Tuple.id t c1))
-        with Not_found -> [])
-  | Keyed tbl -> (
-      fun t -> try Tuple.KTbl.find tbl (key cols t) with Not_found -> [])
+  (* sized for [n] keys; the empty key has one *)
+  let create cols n =
+    let n = if Array.length cols = 0 then 1 else max 16 n in
+    let packs =
+      Tuple.can_pack && (Array.length cols = 1 || Array.length cols = 2)
+    in
+    {
+      cols;
+      table =
+        (if packs then Packed (Tuple.ITbl.create n)
+         else Keyed (Tuple.KTbl.create n));
+    }
+
+  (* one id, or two packed into one int *)
+  let packed_key cols t =
+    if Array.length cols = 1 then Tuple.id t cols.(0)
+    else Tuple.pack2 (Tuple.id t cols.(0)) (Tuple.id t cols.(1))
+
+  let add ix t =
+    match ix.table with
+    | Packed tbl -> PB.add tbl (packed_key ix.cols t) t
+    | Keyed tbl -> KB.add tbl (Array.map (Tuple.id t) ix.cols) t
+
+  let remove ix t =
+    match ix.table with
+    | Packed tbl -> PB.remove tbl (packed_key ix.cols t) t
+    | Keyed tbl -> KB.remove tbl (Array.map (Tuple.id t) ix.cols) t
+
+  let of_list cols ts =
+    let ix = create cols (List.length ts) in
+    List.iter (add ix) ts;
+    ix
+
+  let of_relation r cols =
+    let ix = create cols r.card in
+    unordered_iter (add ix) r;
+    ix
+
+  let find ix key =
+    match ix.table with
+    | Packed tbl when Array.length ix.cols = 1 -> PB.find tbl (key 0)
+    | Packed tbl -> PB.find tbl (Tuple.pack2 (key 0) (key 1))
+    | Keyed tbl -> KB.find tbl (Array.init (Array.length ix.cols) key)
+
+  let lookup ix cols t = find ix (fun j -> Tuple.id t (Array.unsafe_get cols j))
+end
 
 let rec update cell f =
   let old = Atomic.get cell in
@@ -518,7 +543,7 @@ let index ?(trace = Observe.Trace.null) r cols =
       Observe.Trace.incr trace "ra.index.hits";
       Some idx
   | Some Marked ->
-      let idx = build_index r cols in
+      let idx = Index.of_relation r cols in
       update cell (fun s -> (cols, Built idx) :: List.remove_assoc cols s);
       Observe.Trace.incr trace "ra.index.builds";
       Some idx

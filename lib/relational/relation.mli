@@ -127,19 +127,47 @@ val iter_ids : (int -> unit) -> t -> unit
     distinct id is decoded once ({!Value.Intern.decode_distinct}). *)
 val values : t -> Value.t list
 
-(** {1 Join indexes} *)
+(** {1 Join indexes}
 
-(** A hash index of a relation on a column set: key -> the tuples
-    carrying it. *)
-type index
+    The one join index of the engines: [Algebra]'s hash joins (through
+    the memo of {!index}), [Matcher.Db]'s maintained indexes and the
+    per-round delta indexes of the rule engines. *)
 
-(** [build_index r cols] indexes [r] on [cols], unmemoized. *)
-val build_index : t -> int array -> index
+(** A mutable hash index of tuples on a column set: key -> the tuples
+    carrying it (newest first). Its shape follows from the columns: a
+    one-column key is the id itself and a two-column key the pair
+    packed into one int ({!Tuple.pack2}), both in a {!Tuple.ITbl}, so
+    neither a build nor a probe allocates a key; any other column set
+    (three or more columns, or the empty one, whose single bucket holds
+    every tuple) keys a {!Tuple.KTbl} by the id vector. *)
+module Index : sig
+  type relation := t
+  type t
 
-(** [lookup idx cols t] is the indexed tuples whose key equals [t]'s
-    projection on [cols] (same length as the index's columns). Apply it
-    to [idx] and [cols] once, outside a probe loop. *)
-val lookup : index -> int array -> Tuple.t -> Tuple.t list
+  (** [of_relation r cols] indexes [r] on [cols], sized for [r]'s
+      cardinality. Unmemoized: see {!index}. *)
+  val of_relation : relation -> int array -> t
+
+  (** [of_list cols ts] indexes [ts] on [cols], sized for their number. *)
+  val of_list : int array -> Tuple.t list -> t
+
+  (** [add ix t] files [t] under its key. The caller keeps the indexed
+      tuples distinct. *)
+  val add : t -> Tuple.t -> unit
+
+  (** [remove ix t] drops [t] (a no-op when absent), and its bucket when
+      it empties. *)
+  val remove : t -> Tuple.t -> unit
+
+  (** [find ix key] is the bucket of the key whose component on the
+      index's [j]-th column is the id [key j]; [[]] when there is none.
+      A packed index calls [key] once or twice and builds nothing. *)
+  val find : t -> (int -> int) -> Tuple.t list
+
+  (** [lookup ix cols t] is the bucket of [t]'s projection on [cols]
+      (as many columns as the index has). *)
+  val lookup : t -> int array -> Tuple.t -> Tuple.t list
+end
 
 (** [index ?trace r cols] is [r]'s memoized index on [cols]. The first
     request for a relation value and column set only marks it and
@@ -147,7 +175,7 @@ val lookup : index -> int array -> Tuple.t -> Tuple.t list
     every later one reuses it ([ra.index.hits]). Updates return new
     values without memos, so an index never goes stale. Safe to call
     from several domains on a shared value. *)
-val index : ?trace:Observe.Trace.ctx -> t -> int array -> index option
+val index : ?trace:Observe.Trace.ctx -> t -> int array -> Index.t option
 
 (** [pp] prints [{(v1, v2), ...}] in a [hov] box, each tuple one
     Format token ({!Tuple.pp}), [",@ "] between tuples. *)

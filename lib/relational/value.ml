@@ -38,6 +38,43 @@ let is_lower_ident s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
+(* The program lexer's integer grammar, [-?[0-9]+]: [int_of_string]
+   alone would also read [0x1F], [0b11], [1_000] and [+5]. *)
+let is_int_literal s =
+  let n = String.length s in
+  let start = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let rec digits i = i = n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+  start < n && digits start
+
+(* A symbol the fact loader reads back from its bare text: not empty,
+   not an integer literal, no blank at either edge (the loader trims
+   arguments), no leading quote (it opens a quoted symbol), and none of
+   the bytes that split an argument or a fact, open a string or start a
+   comment: comma, dot, double quote, [%], [//] and line breaks. Nor
+   parentheses: a quote after a [(] opens a quoted symbol too. Every
+   symbol of a full [run] output passes through here, so the scan
+   allocates nothing. *)
+let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+
+let rec plain s n i =
+  i = n
+  ||
+  match String.unsafe_get s i with
+  | ',' | '.' | '"' | '(' | ')' | '%' | '\n' -> false
+  | '/' when i + 1 < n && String.unsafe_get s (i + 1) = '/' -> false
+  | _ -> plain s n (i + 1)
+
+let bare_in_facts s =
+  let n = String.length s in
+  n > 0
+  &&
+  let c = s.[0] in
+  c <> '\''
+  && (not (blank c))
+  && (not (blank s.[n - 1]))
+  && plain s n 0
+  && not ((c = '-' || (c >= '0' && c <= '9')) && is_int_literal s)
+
 (* [String.escaped] between double quotes is exactly what [%S] prints,
    and it returns its argument unchanged when nothing needs escaping. *)
 let render dialect b = function
@@ -46,7 +83,8 @@ let render dialect b = function
       Buffer.add_char b '"';
       Buffer.add_string b (String.escaped s);
       Buffer.add_char b '"'
-  | Sym s when dialect = Fact || is_lower_ident s -> Buffer.add_string b s
+  | Sym s when if dialect = Fact then bare_in_facts s else is_lower_ident s ->
+      Buffer.add_string b s
   | Sym s ->
       Buffer.add_char b '\'';
       if String.exists (fun c -> c = '\'' || c = '\\') s then
@@ -70,14 +108,6 @@ let to_string_in dialect v =
 
 let to_string v = to_string_in Fact v
 let pp ppf v = Format.pp_print_string ppf (to_string v)
-
-(* The program lexer's integer grammar, [-?[0-9]+]: [int_of_string]
-   alone would also read [0x1F], [0b11], [1_000] and [+5]. *)
-let is_int_literal s =
-  let n = String.length s in
-  let start = if n > 0 && s.[0] = '-' then 1 else 0 in
-  let rec digits i = i = n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
-  start < n && digits start
 
 (* The body of the quoted symbol [s] (['...'], as [render Term] writes
    it): a backslash before a quote or a backslash stands for that

@@ -39,16 +39,20 @@ val sym : string -> t
     two dialects:
     - [Fact], the fact-file syntax {!Instance.parse_facts} reads back:
       integers in decimal, strings as OCaml's [%S] prints them ([String.escaped]
-      between double quotes), symbols bare, invented values as [ν42];
+      between double quotes), symbols bare, invented values as [ν42].
+      A symbol whose bare text would not read back as itself is quoted
+      as in [Term]: the empty symbol, an integer literal (['42']), one
+      with a blank at either edge or a leading quote, and one holding a
+      comma, a dot, a double quote, a parenthesis, [%], [//] or a line
+      break;
     - [Term], the program-term syntax of [Datalog.Pretty]: like [Fact],
       except that a symbol that is not a lower identifier
       ([[a-z][a-zA-Z0-9_]*]) is single-quoted, with a backslash before
       each quote or backslash inside it, and an invented value prints
       as ['ν42'].
 
-    Both dialects reload through the fact loader ({!parse}), apart from
-    invented values, which reload as symbols, and [Fact]-dialect symbols
-    the fact syntax cannot hold bare (see {!Instance.parse_facts}). *)
+    Both dialects reload through the fact loader ({!parse}) to the same
+    values, apart from invented values, which reload as symbols. *)
 
 type dialect = Fact | Term
 
@@ -67,9 +71,8 @@ val pp : Format.formatter -> t -> unit
 (** [parse s] reads a value back from its surface syntax: an integer literal,
     a quoted string, a quoted symbol (['...'], a backslash before a quote
     or a backslash standing for that character), or a bare symbol.
-    Inverse of [to_string_in Term] for non-invented values; [to_string]
-    writes symbols bare, so a symbol that is empty, reads as an integer
-    or starts with a quote does not come back from it. Integer literals follow the program lexer's
+    Inverse of [to_string_in Term] and of [to_string] for non-invented
+    values. Integer literals follow the program lexer's
     grammar, [-?[0-9]+]; anything else unquoted ([0x1F], [1_000], [+5])
     is a symbol.
     @raise Invalid_argument on the empty string, on an integer literal

@@ -122,16 +122,12 @@ let oracle_parse_facts text =
 
 (* The Format printers the Buffer renderer ([Value.render],
    [Tuple.render_fact]) replaced, kept as its test oracles: [Value.pp]
-   (fact-file dialect), [Pretty.pp_value_term] and [Pretty.pp_fact]
-   (program-term dialect), [Tuple.pp], [Relation.pp] and [Instance.pp].
+   (fact-file dialect; a symbol the loader would not read back bare is
+   quoted as in the program-term dialect), [Pretty.pp_value_term] and
+   [Pretty.pp_fact] (program-term dialect), [Tuple.pp], [Relation.pp]
+   and [Instance.pp].
    The relation and instance oracles sort with [List.sort Tuple.compare],
    independently of the sorted view. *)
-let oracle_pp_value ppf = function
-  | Value.Int n -> Format.pp_print_int ppf n
-  | Value.Str s -> Format.fprintf ppf "%S" s
-  | Value.Sym s -> Format.pp_print_string ppf s
-  | Value.New n -> Format.fprintf ppf "\xce\xbd%d" n
-
 let oracle_is_lower_ident s =
   String.length s > 0
   && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
@@ -139,17 +135,45 @@ let oracle_is_lower_ident s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
+let oracle_pp_quoted ppf s =
+  let esc = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      if c = '\'' || c = '\\' then Buffer.add_char esc '\\';
+      Buffer.add_char esc c)
+    s;
+  Format.fprintf ppf "'%s'" (Buffer.contents esc)
+
+(* The fact-file dialect writes a symbol bare unless the loader could
+   not read it back: empty, an integer literal, a blank at an edge, a
+   leading quote, or one of the loader's separators, string and comment
+   openers inside. *)
+let oracle_reloads_bare s =
+  let n = String.length s in
+  let blank c = String.contains " \t\n\r\012" c in
+  let rec has_sub i =
+    i + 1 < n && ((s.[i] = '/' && s.[i + 1] = '/') || has_sub (i + 1))
+  in
+  n > 0
+  && (let d = if s.[0] = '-' then String.sub s 1 (n - 1) else s in
+      d = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') d))
+  && s.[0] <> '\''
+  && (not (blank s.[0]))
+  && (not (blank s.[n - 1]))
+  && (not (String.exists (fun c -> String.contains ",.\"()%\n" c) s))
+  && not (has_sub 0)
+
+let oracle_pp_value ppf = function
+  | Value.Int n -> Format.pp_print_int ppf n
+  | Value.Str s -> Format.fprintf ppf "%S" s
+  | Value.Sym s when oracle_reloads_bare s -> Format.pp_print_string ppf s
+  | Value.Sym s -> oracle_pp_quoted ppf s
+  | Value.New n -> Format.fprintf ppf "\xce\xbd%d" n
+
 let oracle_pp_value_term ppf (v : Value.t) =
   match v with
   | Value.Sym s when oracle_is_lower_ident s -> Format.pp_print_string ppf s
-  | Value.Sym s ->
-      let esc = Buffer.create (String.length s) in
-      String.iter
-        (fun c ->
-          if c = '\'' || c = '\\' then Buffer.add_char esc '\\';
-          Buffer.add_char esc c)
-        s;
-      Format.fprintf ppf "'%s'" (Buffer.contents esc)
+  | Value.Sym s -> oracle_pp_quoted ppf s
   | Value.Int n -> Format.pp_print_int ppf n
   | Value.Str s -> Format.fprintf ppf "%S" s
   | Value.New n -> Format.fprintf ppf "'\xce\xbd%d'" n

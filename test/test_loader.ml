@@ -98,6 +98,43 @@ let prop_term_roundtrip =
     (Q.make ~print:term_text term_instance_gen)
     (fun i -> Instance.equal i (Instance.parse_facts (term_text i)))
 
+(* Full [run] output is the Fact dialect ({!Instance.to_string}): it
+   writes symbols bare where the loader reads them back, and quoted
+   elsewhere. The symbols come from an alphabet of the scanner's special
+   bytes, edge blanks and digits, integer literals among them. *)
+let hostile_sym_gen =
+  Q.Gen.(
+    frequency
+      [
+        ( 4,
+          string_size
+            ~gen:(oneofl [ 'a'; 'Z'; '_'; '0'; '4'; '-'; '\''; '\\'; ',';
+                           '.'; '%'; '/'; '"'; '('; ')'; ' '; '\n'; '\t';
+                           '\r' ])
+            (0 -- 6) );
+        (1, map string_of_int (int_range (-50) 50));
+      ])
+
+let prop_fact_roundtrip =
+  prop "Fact render -> parse round trip (hostile symbols)"
+    (Q.make ~print:Instance.to_string
+       Q.Gen.(
+         let value =
+           frequency
+             [
+               (1, map (fun n -> Value.Int n) (int_range (-1000) 1000));
+               (1, map (fun s -> Value.Str s) str_gen);
+               (4, map (fun s -> Value.Sym s) hostile_sym_gen);
+             ]
+         in
+         let rel name =
+           let* arity = 0 -- 3 in
+           let* rows = list_size (0 -- 8) (list_repeat arity value) in
+           return (name, rows)
+         in
+         map Instance.of_list (flatten_l [ rel "P"; rel "Q" ])))
+    (fun i -> Instance.equal i (Instance.parse_facts (Instance.to_string i)))
+
 let test_quoted_symbols () =
   let one src =
     match Instance.to_string (Instance.parse_facts src) with
@@ -118,7 +155,8 @@ let test_quoted_symbols () =
   Alcotest.(check string)
     "a quote inside a bare token is a plain byte" "P(it's)." (one "P(it's).");
   Alcotest.(check string)
-    "',' '.' and '%' inside a quoted symbol" "P(a, b. 50%, c)."
+    "',' '.' and '%' inside a quoted symbol, printed quoted again"
+    "P('a, b. 50%', c)."
     (one "P('a, b. 50%', c).");
   (* the program lexer reads the same escapes *)
   Alcotest.(check bool)
@@ -281,7 +319,7 @@ let loaded ps =
   Instance.find "R" (Instance.parse_facts src)
 
 let sorted_lookup idx cols tup =
-  List.sort Tuple.compare (Relation.lookup idx cols tup)
+  List.sort Tuple.compare (Relation.Index.lookup idx cols tup)
 
 let agree ps qs probe =
   let reference = Relation.of_list (List.map to_tuple ps) in
@@ -312,8 +350,8 @@ let agree ps qs probe =
   && Relation.choose_opt (r ()) = Relation.choose_opt reference
   && List.for_all
        (fun cols ->
-         let a = Relation.build_index (r ()) cols
-         and b = Relation.build_index reference cols in
+         let a = Relation.Index.of_relation (r ()) cols
+         and b = Relation.Index.of_relation reference cols in
          sorted_lookup a cols p = sorted_lookup b cols p)
        [ [| 0 |]; [| 1 |]; [| 0; 1 |]; [| 1; 0 |] ]
   &&
@@ -453,5 +491,6 @@ let suite =
     Alcotest.test_case "derived predicate with loaded facts, -j 1 and 4"
       `Quick test_loaded_head_predicate;
     prop_term_roundtrip;
+    prop_fact_roundtrip;
     Alcotest.test_case "quoted symbols" `Quick test_quoted_symbols;
   ]

@@ -214,6 +214,188 @@ let test_sharing () =
   Alcotest.(check int) "built once" 1
     (Observe.Trace.counter trace "db.index_builds")
 
+(* --- index maintenance -------------------------------------------- *)
+
+module Q = QCheck
+
+let syms = [| "a"; "b"; "c" |]
+let arities = [ ("U", 1); ("B", 2); ("T", 3) ]
+
+(* every column subset of [0 .. ar - 1], ascending: [] and the full key
+   included *)
+let subsets ar =
+  List.fold_left
+    (fun acc c -> acc @ List.map (fun s -> s @ [ c ]) acc)
+    [ [] ] (List.init ar Fun.id)
+
+(* every tuple of arity [ar] over [syms] *)
+let all_tuples ar =
+  List.fold_left
+    (fun acc _ ->
+      List.concat_map
+        (fun l -> List.map (fun x -> v x :: l) (Array.to_list syms))
+        acc)
+    [ [] ] (List.init ar Fun.id)
+  |> List.map t
+
+let tuple_gen ar = Q.Gen.oneofl (all_tuples ar)
+let rows xs = List.map (fun x -> Array.to_list (Tuple.values x)) xs
+
+type op =
+  | Insert of string * Tuple.t
+  | Remove of string * Tuple.t
+  | Absorb of string * Tuple.t list
+  | Absorb_new of string * Tuple.t list
+
+let op_gen =
+  Q.Gen.(
+    let* p, ar = oneofl arities in
+    let tup = tuple_gen ar in
+    frequency
+      [
+        (3, map (fun x -> Insert (p, x)) tup);
+        (3, map (fun x -> Remove (p, x)) tup);
+        (1, map (fun xs -> Absorb (p, xs)) (list_size (0 -- 4) tup));
+        (2, map (fun xs -> Absorb_new (p, xs)) (list_size (0 -- 4) tup));
+      ])
+
+let show_op op =
+  let name, p, xs =
+    match op with
+    | Insert (p, x) -> ("insert", p, [ x ])
+    | Remove (p, x) -> ("remove", p, [ x ])
+    | Absorb (p, xs) -> ("absorb", p, xs)
+    | Absorb_new (p, xs) -> ("absorb_new", p, xs)
+  in
+  String.concat " " (name :: p :: List.map Tuple.to_string xs)
+
+(* Db.lookup on [p] for every column subset and every key over the
+   domain, against a filter over the relation *)
+let lookups_agree db (p, ar) =
+  let probes =
+    List.concat_map
+      (fun cols ->
+        List.sort_uniq compare
+          (List.map
+             (fun x -> List.map (fun c -> (c, Tuple.get x c)) cols)
+             (all_tuples ar))
+        |> List.map (fun key ->
+               (key, List.sort Tuple.compare (M.Db.lookup db p key))))
+      (subsets ar)
+  in
+  let elements = Relation.elements (M.Db.relation db p) in
+  List.for_all
+    (fun (key, got) ->
+      got
+      = List.filter
+          (fun x ->
+            List.for_all (fun (c, w) -> Value.equal (Tuple.get x c) w) key)
+          elements)
+    probes
+
+let prop_index_maintenance =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:100
+       ~name:"Db.lookup = filter over the relation after every write"
+       (Q.make
+          ~print:(fun (init, ops) ->
+            String.concat "\n"
+              (Instance.to_string init :: List.map show_op ops))
+          Q.Gen.(
+            pair
+              (map Instance.of_list
+                 (flatten_l
+                    (List.map
+                       (fun (p, ar) ->
+                         map (fun xs -> (p, rows xs))
+                           (list_size (0 -- 8) (tuple_gen ar)))
+                       arities)))
+              (list_size (1 -- 8) op_gen)))
+       (fun (init, ops) ->
+         let db = M.Db.of_instance init in
+         (* warm every index (and the membership sets) first *)
+         List.for_all (lookups_agree db) arities
+         && List.for_all
+              (fun op ->
+                (match op with
+                | Insert (p, x) -> ignore (M.Db.insert db p x : bool)
+                | Remove (p, x) -> ignore (M.Db.remove db p x : bool)
+                | Absorb (p, xs) ->
+                    M.Db.absorb db (Instance.of_list [ (p, rows xs) ])
+                | Absorb_new (p, xs) ->
+                    (* its contract: fresh and pairwise distinct *)
+                    let cur = M.Db.relation db p in
+                    M.Db.absorb_new db p
+                      (List.sort_uniq Tuple.compare
+                         (List.filter (fun x -> not (Relation.mem x cur)) xs)));
+                List.for_all (lookups_agree db) arities)
+              ops))
+
+(* A fully bound positive atom that is not the first step is a
+   membership test: same firings as a nested-loop oracle and the naive
+   engine, no index for it, and it reads the maintained membership set,
+   so a removed fact stops the rule firing. *)
+let test_full_key_step () =
+  let src = "Q(X, Z) :- A(X, Y), B(Y, Z), C(X, Z)." in
+  let inst =
+    facts
+      "A(a, b). A(a, c). A(b, c). B(b, c). B(c, a). B(c, d). C(a, c). C(a, a). \
+       C(b, d). C(b, b). C(d, d)."
+  in
+  let oracle inst =
+    let rel p = Relation.elements (Instance.find p inst) in
+    List.sort_uniq compare
+      (List.concat_map
+         (fun a ->
+           List.concat_map
+             (fun b ->
+               List.filter_map
+                 (fun c ->
+                   let g x k = Tuple.get x k in
+                   if Value.equal (g a 1) (g b 0) && Value.equal (g c 0) (g a 0)
+                      && Value.equal (g c 1) (g b 1)
+                   then Some [ ("X", g a 0); ("Y", g a 1); ("Z", g b 1) ]
+                   else None)
+                 (rel "C"))
+             (rel "B"))
+         (rel "A"))
+  in
+  let sink, recorded = Observe.Trace.memory_sink () in
+  let trace = Observe.Trace.make ~sinks:[ sink ] () in
+  let db = M.Db.of_instance ~trace inst in
+  let plan = M.prepare (rule src) in
+  let fired () = List.sort compare (M.run plan db) in
+  let want = oracle inst in
+  Alcotest.(check int) "three firings" 3 (List.length want);
+  Alcotest.(check bool) "firings = nested-loop oracle" true (fired () = want);
+  let naive =
+    Datalog.Naive.answer (Datalog.Parser.parse_program src) inst "Q"
+    |> Relation.elements
+    |> List.map (fun x -> [ ("X", Tuple.get x 0); ("Z", Tuple.get x 1) ])
+  in
+  Alcotest.(check bool) "firings = naive engine" true
+    (naive = List.sort_uniq compare (List.map (List.remove_assoc "Y") want));
+  let built =
+    List.filter_map
+      (function
+        | Observe.Trace.Closed (sp, _, _) when sp.Observe.Trace.kind = "index"
+          ->
+            Some sp.Observe.Trace.name
+        | _ -> None)
+      (recorded ())
+  in
+  Alcotest.(check (list string)) "no index on C" [ "A[]"; "B[0]" ] built;
+  Alcotest.(check int) "db.index_builds" 2
+    (Observe.Trace.counter trace "db.index_builds");
+  Alcotest.(check bool) "membership probes counted" true
+    (Observe.Trace.counter trace "matcher.member_probes" > 0);
+  let gone = t [ v "a"; v "c" ] in
+  Alcotest.(check bool) "remove C(a, c)" true (M.Db.remove db "C" gone);
+  let after = fired () in
+  Alcotest.(check bool) "no longer fires" true
+    (after = oracle (Instance.remove_fact "C" gone inst));
+  Alcotest.(check int) "two firings left" 2 (List.length after)
+
 let suite =
   [
     Alcotest.test_case "Db lookup and indexes" `Quick test_db_lookup;
@@ -237,4 +419,7 @@ let suite =
       test_remove_then_absorb_indexed;
     Alcotest.test_case "sharing view aliases relation and indexes" `Quick
       test_sharing;
+    prop_index_maintenance;
+    Alcotest.test_case "fully bound step reads the membership set" `Quick
+      test_full_key_step;
   ]
