@@ -26,7 +26,12 @@ bench:
 # the safe TC program must report no "adom" span — the domain is never
 # materialized — and the same program plus a rule whose head variable
 # only a negative literal binds must report exactly one, with its
-# values= size), and a parallel smoke
+# values= size), a materialize smoke step (the TC program's --stats
+# lists two "materialize" spans, for G, whose facts are inline rules,
+# and for T, and its trace shows T published with how=lent: no trie
+# built for it; then the CT program, whose later stratum reads the
+# lent T, must print the same bytes at -j 1 and -j 4), and a parallel
+# smoke
 # step: run the same program at -j 4, check the output is byte-identical
 # to the sequential run and carries the expected fact count, and run the
 # cross-jobs determinism property suite. The answer-print step checks
@@ -97,6 +102,13 @@ ci:
 	dune exec -- datalog-unchained run -s stratified _ci_ct.dl --stats > _ci_ct.stats
 	grep -c '^  adom ' _ci_ct.stats | grep -qx 1
 	grep -qE '^  adom .* values=4$$' _ci_ct.stats
+	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_mat.stats
+	grep -qE '^  materialize +2 spans' _ci_mat.stats
+	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --trace _ci_mat.jsonl > /dev/null
+	grep -c '"kind":"materialize","name":"T",.*"how":"lent"' _ci_mat.jsonl | grep -qx 1
+	dune exec -- datalog-unchained run -s stratified _ci_ct.dl > _ci_ct1.out
+	dune exec -- datalog-unchained run -s stratified -j 4 _ci_ct.dl > _ci_ct4.out
+	cmp _ci_ct1.out _ci_ct4.out
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl > _ci_seq.out
 	dune exec -- datalog-unchained run -s seminaive -j 4 _ci_tc.dl > _ci_par.out
 	cmp _ci_seq.out _ci_par.out
@@ -158,7 +170,8 @@ ci:
 	dune exec -- datalog-unchained run -s stratified _ci_mem.dl --stats > _ci_mem.stats
 	grep -q '^  index ' _ci_mem.stats
 	grep -qE '^  matcher\.member_probes +[1-9]' _ci_mem.stats
-	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
+	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats \
+	  _ci_mat.stats _ci_mat.jsonl _ci_ct1.out _ci_ct4.out _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
 	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out \
 	  _ci_rtf.facts _ci_rtf.dl _ci_rtf1.out _ci_rtf2.out _ci_mem.dl _ci_mem.stats

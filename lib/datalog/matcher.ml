@@ -17,10 +17,12 @@ module Db = struct
      instance at every stage. The all-tuples scan is the [positions =
      []] index, so it too is maintained incrementally. A lookup that
      binds every position reads the membership set instead. *)
-  (* A membership set (id vector -> the tuple), [borrowed] while it is
-     still the table of a loaded relation ({!Relation.loaded_set}): the
-     relation value shares it, so the first write copies it. Handles
-     stay valid across the copy: they hold this record, not the table. *)
+  (* A membership set (id vector -> the tuple), [borrowed] while a
+     relation value shares its table: a loaded relation's table it
+     adopted ({!Relation.loaded_set}), or its own table, lent by
+     [flush_pred] to the relation it published. The first write copies
+     it. Handles stay valid across the copy: they hold this record, not
+     the table. *)
   type memset = { mutable set : Tuple.t KTbl.t; mutable borrowed : bool }
 
   type t = {
@@ -29,8 +31,10 @@ module Db = struct
         (* facts accepted by [absorb_new] but not yet folded into the
            persistent instance: during a fixpoint the memoized indexes
            and membership sets are the authoritative structures, so the
-           trie is rebuilt lazily — one bulk build per predicate on the
-           next read instead of a path copy per fact per round *)
+           relation is published lazily on the next read — one bulk
+           build per predicate instead of a path copy per fact per
+           round, and no build at all when the stored relation is empty
+           (see [flush_pred]) *)
     indexes : (string, (int list, Index.t) Hashtbl.t) Hashtbl.t;
     mems : (string, memset) Hashtbl.t;
         (* per-predicate flat hash membership sets, built lazily on first
@@ -64,15 +68,49 @@ module Db = struct
      [instance] / [relation]. *)
   let with_trace db trace = { db with trace }
 
+  (* Publish [p]'s pending facts into the instance. When the stored
+     relation is empty (every idb predicate at the end of a bottom-up
+     fixpoint) the membership set holds exactly the pending facts, so it
+     is lent as a loaded relation ({!Relation.of_loaded}): no trie is
+     built until something writes to the relation, and [writable]
+     copies the set before the Db's next write, so the published value
+     never changes. Otherwise (or without a membership set) the pending
+     facts are bulk-built into a trie and unioned in. Each publish is a
+     [materialize] span. *)
   let flush_pred db p =
     match Hashtbl.find_opt db.pending p with
     | None -> ()
     | Some lst ->
         Hashtbl.remove db.pending p;
-        db.inst <-
-          Instance.set p
-            (Relation.union (Relation.of_distinct !lst) (Instance.find p db.inst))
-            db.inst
+        let rows = !lst in
+        let stored = Instance.find p db.inst in
+        let lend =
+          if Relation.is_empty stored then Hashtbl.find_opt db.mems p else None
+        in
+        let publish () =
+          match lend with
+          | Some m ->
+              m.borrowed <- true;
+              Relation.of_loaded rows m.set
+          | None -> Relation.union (Relation.of_distinct rows) stored
+        in
+        let rel =
+          match rows with
+          | [] -> stored
+          | _ when not (Observe.Trace.enabled db.trace) -> publish ()
+          | _ ->
+              Observe.Trace.with_span db.trace ~kind:"materialize"
+                ~fields:
+                  Observe.Trace.
+                    [
+                      fstr "pred" p;
+                      fint "rows" (List.length rows);
+                      fstr "how"
+                        (if Option.is_some lend then "lent" else "union");
+                    ]
+                p publish
+        in
+        db.inst <- Instance.set p rel db.inst
 
   let relation db p =
     flush_pred db p;
@@ -131,7 +169,8 @@ module Db = struct
   let memset_mem m ids = KTbl.mem m.set ids
   let mem db p tup = memset_mem (memset db p) (Tuple.ids tup)
 
-  (* [p]'s membership set for writing, if it has one *)
+  (* [p]'s membership set for writing, if it has one: a borrowed table
+     is copied first, so the relation value sharing it never changes *)
   let writable db p =
     match Hashtbl.find_opt db.mems p with
     | None -> None

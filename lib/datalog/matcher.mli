@@ -40,7 +40,10 @@ module Db : sig
       the matcher counters of every {!run} against this database. Each
       index build runs in a span of kind [index], named [pred[cols]]
       (e.g. [G[0]]), opened with the fields [pred], [cols] and [rows]
-      (the tuples indexed). *)
+      (the tuples indexed). Each publish of a predicate's pending facts
+      (see {!instance}) runs in a span of kind [materialize], named
+      after the predicate, opened with the fields [pred], [rows] (the
+      facts published) and [how] ([lent] or [union]). *)
   val of_instance : ?trace:Observe.Trace.ctx -> Instance.t -> t
 
   (** The trace context the database reports to. *)
@@ -70,10 +73,19 @@ module Db : sig
   val sharing : t -> string list -> Instance.t -> t
 
   (** [instance db] is the current underlying instance (a persistent
-      snapshot; later mutations of [db] do not affect it). *)
+      snapshot; later mutations of [db] do not affect it). Facts that
+      {!absorb_new} queued are published first. A predicate that had no
+      stored facts is published without building a trie: its relation
+      is a {!Relation.of_loaded} value over the predicate's membership
+      set ([how=lent] in the [materialize] span). That relation shares
+      the Db's table, and the Db copies the table before it next writes
+      to it, so the snapshot still never changes. A predicate with
+      stored facts gets them unioned with the new ones ([how=union]). *)
   val instance : t -> Instance.t
 
-  (** [relation db p] is the relation bound to predicate [p]. *)
+  (** [relation db p] is the relation bound to predicate [p], published
+      as in {!instance}: it may share [db]'s membership set for [p],
+      and stays unchanged by later writes all the same. *)
   val relation : t -> string -> Relation.t
 
   (** [lookup db p bindings] returns the tuples of [p] agreeing with
@@ -94,7 +106,9 @@ module Db : sig
       grows — fixpoint engines use this for their freshness checks.
       A predicate whose relation came straight from the fact loader
       adopts that relation's table ({!Relation.loaded_set}) instead of
-      building one, and copies it before its first write, so the
+      building one, and a predicate published without a trie (see
+      {!instance}) lends its table to the published relation. In both
+      cases the Db copies the table before its next write to it, so the
       relation value never changes. *)
   type memset
 

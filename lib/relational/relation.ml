@@ -100,8 +100,9 @@ type index = { cols : int array; table : table }
 type slot = Marked | Built of index
 
 (* The backing store. [Trie] is the canonical hash trie. [Loaded] is a
-   relation straight from the fact loader: its rows, pairwise distinct,
-   and the loader's dedup table (each row's id vector -> the row).
+   relation straight from the fact loader, or one a [Matcher.Db]
+   published: its rows, pairwise distinct, and a dedup table (each row's
+   id vector -> the row).
    Membership reads the table, enumeration reads the rows, and the first
    trie operation ([add]/[remove]/[union]) builds the trie and replaces
    the representation with one pointer store, so a domain reading
@@ -204,7 +205,7 @@ let sort_by_hash arr =
   in
   qs 0 n
 
-let trie_of_distinct ?(fresh = false) ts =
+let trie_of_distinct ts =
   let arr = Array.of_list ts in
   let n = Array.length arr in
   sort_by_hash arr;
@@ -223,9 +224,7 @@ let trie_of_distinct ?(fresh = false) ts =
   (* [lo, hi): at least one key, all agreeing below their lowest
      differing bit *)
   let rec build lo hi =
-    if hi - lo = 1 then
-      let b = buckets.(lo) in
-      Imap.Leaf (keys.(lo), if fresh then List.map Tuple.copy b else b)
+    if hi - lo = 1 then Imap.Leaf (keys.(lo), buckets.(lo))
     else
       let k0 = keys.(lo) in
       let d = ref 0 in
@@ -275,18 +274,15 @@ let loaded_set r =
 (* The trie, built from the loaded rows on first use. Two domains forcing
    at once each build the same canonical trie; either store wins.
 
-   The trie holds fresh copies of the rows. The loaded rows sit in
-   memory in load order, unrelated to the trie's hash order, so a walk
-   over a trie of them (every fold and index build, on every later
-   version of the relation, which shares the leaves) would jump to a
-   new cache line for almost every tuple. The copies are young: the
-   minor GC reaches them through the trie and promotes each one next to
-   its leaf. *)
+   The trie holds the rows themselves, the tuples a Db's membership set
+   and indexes already hold, so no fact is kept twice. They sit in
+   memory in load (or derivation) order, not the trie's hash order, so
+   a walk over the trie reads them out of address order. *)
 let trie r =
   match r.repr with
   | Trie b -> b
   | Loaded (rows, _) ->
-      let b = trie_of_distinct ~fresh:true rows in
+      let b = trie_of_distinct rows in
       r.repr <- Trie b;
       b
 

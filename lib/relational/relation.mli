@@ -8,9 +8,10 @@
     order, memoized per relation value; built by {!Tuple.rank_sort}, so
     each distinct value is decoded once per sort), so printed output and
     enumeration order are identical to the former [Set.Make (Tuple)]
-    representation. A relation straight from the fact loader keeps its
-    rows and the loader's dedup table instead, and builds its trie on the
-    first trie operation ({!of_loaded}).
+    representation. A relation straight from the fact loader, or a
+    derived relation a [Matcher.Db] published, keeps its rows and a
+    dedup table instead, and builds its trie on the first trie operation
+    ({!of_loaded}).
 
     All operations enforce arity homogeneity: inserting a tuple of a
     different arity than the existing ones raises
@@ -36,16 +37,20 @@ val of_list : Tuple.t list -> t
 val of_distinct : Tuple.t list -> t
 
 (** [of_loaded rows set] is the relation of [rows], as the fact loader
-    ({!Instance.parse_facts}) hands it over: [rows] pairwise distinct and
-    of one arity, [set] mapping exactly their id vectors ({!Tuple.ids},
-    the same arrays) to them. No trie is built. Membership ({!mem},
+    ({!Instance.parse_facts}) hands it over, or as [Matcher.Db] publishes
+    a derived predicate that had no stored facts (its pending facts and
+    its membership set): [rows] pairwise distinct and of one arity, [set]
+    mapping exactly their id vectors ({!Tuple.ids}, the same arrays) to
+    them. No trie is built. Membership ({!mem},
     {!mem_ids}) reads [set]; folds, index builds and the sorted view read
     [rows]. The first {!add}, {!remove} or {!union} with a non-empty
     operand builds the trie once and replaces the rows with it in one
     pointer store, so a domain that reads the relation meanwhile sees
     either the rows or the complete trie; the value never changes. The
     relation takes [set] over: the caller must not write to it
-    afterwards.
+    afterwards (a Db copies it first). The trie holds the rows
+    themselves, not copies, so a Db that adopted or lent [set] keeps
+    each fact once.
 
     [set] holds each row itself, not [()]: the minor GC promotes a
     table entry's key and value one after the other, so each tuple

@@ -73,7 +73,6 @@ let of_list vs = of_ids (Array.of_list (List.map Value.Intern.id vs))
 let to_list t = List.map Value.Intern.of_id (Array.to_list t.ids)
 let arity t = Array.length t.ids
 let ids t = t.ids
-let copy t = { t with ids = Array.copy t.ids }
 
 let id t i =
   if i < 0 || i >= Array.length t.ids then

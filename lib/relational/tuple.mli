@@ -35,11 +35,6 @@ val of_ids : int array -> t
 (** [ids t] is the underlying id array (not a copy; do not mutate). *)
 val ids : t -> int array
 
-(** [copy t] is an equal tuple in a fresh record over a fresh id array:
-    young again, so the next minor GC moves it next to the structure
-    that reaches it first. *)
-val copy : t -> t
-
 (** [id t i] is the interned id of the [i]-th component.
     @raise Invalid_argument if [i] is out of bounds. *)
 val id : t -> int -> int

@@ -331,6 +331,133 @@ let prop_index_maintenance =
                 List.for_all (lookups_agree db) arities)
               ops))
 
+(* --- published relations stay persistent --------------------------- *)
+
+(* Plans whose steps index U, B and T on several column sets: prewarming
+   them builds those indexes while the relations are still empty, so
+   every fact absorbed afterwards is filed into a maintained index. *)
+let warm_rules =
+  List.map
+    (fun src -> M.prepare (rule src))
+    [
+      "H(X) :- U(X), B(X, Y).";
+      "H(X) :- U(Y), B(X, Y).";
+      "H(X) :- B(X, Y), T(X, Y, Z).";
+      "H(Z) :- U(X), T(X, Y, Z).";
+    ]
+
+(* [model] maps each predicate to its facts, sorted *)
+let model_agrees db model (p, ar) =
+  let want = Hashtbl.find model p in
+  List.for_all (fun x -> M.Db.mem db p x = List.mem x want) (all_tuples ar)
+  && List.for_all
+       (fun cols ->
+         List.for_all
+           (fun x ->
+             let key = List.map (fun c -> (c, Tuple.get x c)) cols in
+             List.sort Tuple.compare (M.Db.lookup db p key)
+             = List.filter
+                 (fun y ->
+                   List.for_all
+                     (fun (c, w) -> Value.equal (Tuple.get y c) w)
+                     key)
+                 want)
+           (all_tuples ar))
+       (subsets ar)
+  && Relation.elements (Instance.find p (M.Db.instance db)) = want
+
+let prop_published_persistent =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:100
+       ~name:"a published instance survives every later write"
+       (Q.make
+          ~print:(fun (init, ops) ->
+            String.concat "\n"
+              (List.map
+                 (fun (p, xs) ->
+                   show_op (Absorb_new (p, List.concat xs)))
+                 init
+              @ List.map show_op ops))
+          Q.Gen.(
+            pair
+              (flatten_l
+                 (List.map
+                    (fun (p, ar) ->
+                      map
+                        (fun xs -> (p, xs))
+                        (list_size (1 -- 2)
+                           (list_size (0 -- 8) (tuple_gen ar))))
+                    arities))
+              (list_size (1 -- 8) op_gen)))
+       (fun (init, ops) ->
+         let db = M.Db.of_instance Instance.empty in
+         List.iter
+           (fun (p, _) -> ignore (M.Db.memset db p : M.Db.memset))
+           arities;
+         List.iter (fun plan -> M.prewarm plan db) warm_rules;
+         let model = Hashtbl.create 3 in
+         List.iter (fun (p, _) -> Hashtbl.replace model p []) arities;
+         (* [absorb_new]'s contract: fresh and pairwise distinct *)
+         let fresh p xs =
+           let cur = Hashtbl.find model p in
+           let xs =
+             List.sort_uniq Tuple.compare
+               (List.filter (fun x -> not (List.mem x cur)) xs)
+           in
+           Hashtbl.replace model p (List.sort Tuple.compare (xs @ cur));
+           xs
+         in
+         List.iter
+           (fun (p, batches) ->
+             List.iter (fun xs -> M.Db.absorb_new db p (fresh p xs)) batches)
+           init;
+         let s = M.Db.instance db in
+         let kept =
+           List.map
+             (fun (p, ar) ->
+               let rel = Instance.find p s in
+               ( p,
+                 rel,
+                 Relation.elements rel,
+                 List.map (fun x -> Relation.mem x rel) (all_tuples ar) ))
+             arities
+         in
+         let unchanged () =
+           List.for_all
+             (fun (p, rel, elems, mems) ->
+               Instance.find p s == rel
+               && Relation.elements rel = elems
+               && Relation.cardinal rel = List.length elems
+               && List.map
+                    (fun x -> Relation.mem x rel)
+                    (all_tuples (List.assoc p arities))
+                  = mems)
+             kept
+         in
+         (* every non-empty predicate was published without a trie *)
+         List.for_all
+           (fun (p, rel, elems, _) ->
+             elems = Hashtbl.find model p
+             && (elems = [] || Relation.loaded_set rel <> None))
+           kept
+         && List.for_all
+              (fun op ->
+                (match op with
+                | Insert (p, x) ->
+                    if M.Db.insert db p x then ignore (fresh p [ x ])
+                | Remove (p, x) ->
+                    if M.Db.remove db p x then
+                      Hashtbl.replace model p
+                        (List.filter
+                           (fun y -> not (Tuple.equal x y))
+                           (Hashtbl.find model p))
+                | Absorb (p, xs) ->
+                    M.Db.absorb db (Instance.of_list [ (p, rows xs) ]);
+                    ignore (fresh p xs)
+                | Absorb_new (p, xs) -> M.Db.absorb_new db p (fresh p xs));
+                unchanged () && List.for_all (model_agrees db model) arities)
+              ops))
+
 (* A fully bound positive atom that is not the first step is a
    membership test: same firings as a nested-loop oracle and the naive
    engine, no index for it, and it reads the maintained membership set,
@@ -420,6 +547,7 @@ let suite =
     Alcotest.test_case "sharing view aliases relation and indexes" `Quick
       test_sharing;
     prop_index_maintenance;
+    prop_published_persistent;
     Alcotest.test_case "fully bound step reads the membership set" `Quick
       test_full_key_step;
   ]

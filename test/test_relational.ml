@@ -110,6 +110,37 @@ let test_relation_set_ops () =
     (Relation.subset (pairs [ ("a", "b") ]) r1);
   Alcotest.(check bool) "not subset" false (Relation.subset r2 r1)
 
+(* [of_distinct] builds its trie in bulk; the trie is canonical, so it
+   must be the one repeated [add]s build: [union] merges two tries by
+   their shapes and double-counts a tuple the shapes disagree on. Sizes
+   run to a few thousand tuples, so the tries are a dozen levels deep. *)
+let prop_of_distinct_canonical =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"of_distinct = repeated add"
+       QCheck.(pair (int_range 0 3000) (int_range 0 10_000))
+       (fun (n, seed) ->
+         let st = Random.State.make [| seed |] in
+         let ts =
+           List.sort_uniq Tuple.compare
+             (List.init n (fun _ ->
+                  t
+                    [
+                      Value.Int (Random.State.int st 200);
+                      v (string_of_int (Random.State.int st 200));
+                    ]))
+         in
+         let bulk = Relation.of_distinct ts and added = Relation.of_list ts in
+         let half = List.filteri (fun k _ -> k mod 2 = 0) ts in
+         Relation.cardinal (Relation.union bulk added) = List.length ts
+         && Relation.cardinal (Relation.union added bulk) = List.length ts
+         && Relation.cardinal
+              (Relation.union (Relation.of_distinct half) bulk)
+            = List.length ts
+         && List.for_all (fun x -> Relation.mem x bulk) ts
+         && Relation.is_empty
+              (List.fold_left (fun r x -> Relation.remove x r) bulk ts)
+         && Relation.to_list bulk = ts))
+
 let test_relation_arity_enforced () =
   let r = unary [ "a" ] in
   Alcotest.check_raises "mixed arity"
@@ -344,6 +375,7 @@ let suite =
     Alcotest.test_case "tuple immutability" `Quick test_tuple_immutable;
     Alcotest.test_case "tuple arity order" `Quick test_tuple_compare_arities;
     Alcotest.test_case "relation set ops" `Quick test_relation_set_ops;
+    prop_of_distinct_canonical;
     Alcotest.test_case "relation arity enforced" `Quick
       test_relation_arity_enforced;
     Alcotest.test_case "relation active domain" `Quick test_relation_values;

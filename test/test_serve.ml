@@ -123,6 +123,67 @@ let test_assert_derived_then_retract () =
     (facts "G(a, b). G(b, c). G(c, d).")
     eng
 
+(* [create] publishes T without building a trie: the relation shares the
+   engine's membership set. The instance kept from right after [create]
+   must not change while the engine writes, and the engine must match
+   the recompute oracle after every write. *)
+let snapshot_survives base schedule () =
+  let eng = E.create tc_program base in
+  let snap = E.instance eng in
+  let vertices = Instance.adom base @ [ v "z" ] in
+  let pairs =
+    List.concat_map (fun x -> List.map (fun y -> t [ x; y ]) vertices) vertices
+  in
+  let t0 = Instance.find "T" snap in
+  Alcotest.(check bool) "T published without a trie" true
+    (Relation.loaded_set t0 <> None);
+  let text = Instance.to_string snap in
+  let card = Relation.cardinal t0 in
+  let mems = List.map (fun x -> Relation.mem x t0) pairs in
+  let base = ref base in
+  List.iter
+    (fun (op, src) ->
+      let batch = facts src in
+      (match op with
+      | `Assert ->
+          base := Instance.union !base batch;
+          ignore (E.assert_facts eng batch)
+      | `Retract ->
+          base := Instance.diff !base batch;
+          ignore (E.retract_facts eng batch));
+      let t0' = Instance.find "T" snap in
+      Alcotest.(check string) ("snapshot text after " ^ src) text
+        (Instance.to_string snap);
+      Alcotest.(check int) ("snapshot T size after " ^ src) card
+        (Relation.cardinal t0');
+      Alcotest.(check (list bool)) ("snapshot T membership after " ^ src) mems
+        (List.map (fun x -> Relation.mem x t0') pairs);
+      check_recompute ("maintained = recomputed after " ^ src) !base eng)
+    schedule
+
+let test_snapshot_cyclic =
+  snapshot_survives
+    (facts "G(a, b). G(b, c). G(c, a). G(c, d).")
+    [
+      (`Assert, "G(d, e).");
+      (`Retract, "G(c, a).");
+      (`Assert, "T(e, z).");
+      (`Assert, "G(c, a).");
+      (`Retract, "G(a, b). T(e, z).");
+      (`Retract, "G(b, c).");
+    ]
+
+let test_snapshot_acyclic =
+  snapshot_survives
+    (facts "G(a, b). G(b, c). G(c, d). G(a, e).")
+    [
+      (`Retract, "G(b, c).");
+      (`Assert, "G(e, c).");
+      (`Assert, "T(d, z).");
+      (`Retract, "G(a, b). G(a, e).");
+      (`Assert, "G(a, b).");
+    ]
+
 let test_query_paths_agree () =
   let eng = E.create tc_program (facts "G(a, b). G(b, c). G(c, a).") in
   ignore (E.assert_facts eng (facts "G(c, d)."));
@@ -373,6 +434,10 @@ let suite =
     Alcotest.test_case "assert a derived fact, retract its base copy" `Quick
       test_assert_derived_then_retract;
     Alcotest.test_case "query paths agree" `Quick test_query_paths_agree;
+    Alcotest.test_case "create's snapshot survives writes (cyclic)" `Quick
+      test_snapshot_cyclic;
+    Alcotest.test_case "create's snapshot survives writes (acyclic)" `Quick
+      test_snapshot_acyclic;
     Alcotest.test_case "non-Datalog rejected" `Quick test_requires_datalog;
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "malformed requests don't kill the engine" `Quick
