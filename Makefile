@@ -14,7 +14,9 @@ bench:
 
 # what a CI job runs: build, full test suite, a bench smoke run
 # (e2 = naive vs semi-naive transitive closure) to catch perf-path
-# breakage, an interning smoke step (the interned engines must still
+# breakage, a first-write smoke step (e21 must emit its in-process
+# rows for Engine.create plus the first assert and plus the first
+# retract on serve-mixed's DAG shape), an interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters, and matcher.delta_first: some delta pass of the TC rule
 # started from the delta), a trace smoke step (emit a JSONL trace and validate it
@@ -88,6 +90,10 @@ ci:
 	grep -q '"case": "chain-160".*"engine": "seminaive".*"facts": 12720' _ci_bench.json
 	dune exec -- datalog-bench-diff BENCH_engines.json _ci_bench.json --threshold 500
 	rm -f _ci_bench.json
+	dune exec bench/main.exe -- e21 --json _ci_e21.json > /dev/null
+	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+assert"' _ci_e21.json
+	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+retract"' _ci_e21.json
+	rm -f _ci_e21.json
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats
 	grep -q 'intern.values' _ci_tc.stats

@@ -50,11 +50,11 @@ let build_graph prepared ~dom instance =
   let nfacts = Instance.total_facts instance in
   let fact_pred = Array.make nfacts "" in
   let fact_tup = Array.make nfacts (Tuple.of_ids [||]) in
-  let index : (string, int Matcher.IdTbl.t) Hashtbl.t = Hashtbl.create 8 in
+  let index : (string, int Tuple.KTbl.t) Hashtbl.t = Hashtbl.create 8 in
   let next = ref 0 in
   Instance.fold
     (fun p rel () ->
-      let tb = Matcher.IdTbl.create (max 16 (2 * Relation.cardinal rel)) in
+      let tb = Tuple.KTbl.create (max 16 (2 * Relation.cardinal rel)) in
       Hashtbl.replace index p tb;
       Relation.unordered_iter
         (fun t ->
@@ -62,13 +62,13 @@ let build_graph prepared ~dom instance =
           incr next;
           fact_pred.(i) <- p;
           fact_tup.(i) <- t;
-          Matcher.IdTbl.replace tb (Tuple.ids t) i)
+          Tuple.KTbl.replace tb (Tuple.ids t) i)
         rel)
     instance ();
   let idx_of p ids =
     match Hashtbl.find_opt index p with
     | None -> None
-    | Some tb -> Matcher.IdTbl.find_opt tb ids
+    | Some tb -> Tuple.KTbl.find_opt tb ids
   in
   let db = Matcher.Db.of_instance instance in
   let firings = ref [] in

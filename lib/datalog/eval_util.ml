@@ -109,28 +109,30 @@ let with_delta_preds prepared delta_preds =
     prepared
 
 (* Round-fresh accumulator state: per-predicate list of new facts plus a
-   flat hash set for within-round dedup. The delta never takes the shape
+   flat set of them for within-round dedup. The delta never takes the shape
    of a persistent relation — building one costs a path copy per fact,
    and nothing downstream (indexing, absorbing) needs more than the
-   list. *)
-type fresh_tbl = (string, Tuple.t list ref * unit Matcher.IdTbl.t) Hashtbl.t
+   list. The sets start at 32 slots and grow: a magic session runs many
+   rounds that derive a handful of facts each, and a slot array past 256
+   words would be allocated on the major heap every round. *)
+type fresh_tbl = (string, Tuple.t list ref * Tuple.Set.t) Hashtbl.t
 
 let pred_state (tbl : fresh_tbl) p =
   match Hashtbl.find_opt tbl p with
   | Some s -> s
   | None ->
-      let s = (ref [], Matcher.IdTbl.create 256) in
+      let s = (ref [], Tuple.Set.create 16) in
       Hashtbl.add tbl p s;
       s
 
-(* Add the fact [ids] to one predicate's accumulator unless [seen]
-   already holds it. [ids] may be a matcher scratch buffer: it is copied
-   into a tuple only when the fact is new. *)
-let add_unseen lst seen ids =
-  if not (Matcher.IdTbl.mem seen ids) then (
-    let t = Tuple.of_ids (Array.copy ids) in
-    Matcher.IdTbl.replace seen (Tuple.ids t) ();
-    lst := t :: !lst)
+(* Add the fact [t] to one predicate's accumulator unless [seen] already
+   holds it: one probe. *)
+let add_unseen lst seen t = if Tuple.Set.add seen t then lst := t :: !lst
+
+(* The same for the fact [ids], a matcher scratch buffer: copied into a
+   tuple first. *)
+let add_unseen_ids lst seen ids =
+  add_unseen lst seen (Tuple.of_ids (Array.copy ids))
 
 (* drain per-predicate fact lists into an assoc list (pred-name order,
    so round processing stays deterministic) and reset the table for the
@@ -220,7 +222,7 @@ let seminaive_seq ~trace ?neg_db ?initial ~with_dps ~dom db =
             else (
               if tracing then Observe.Trace.incr trace "fixpoint.tuples_derived";
               let lst, seen = Option.get !cur_state in
-              add_unseen lst seen ids)))
+              add_unseen_ids lst seen ids)))
     in
     if tracing then count_firings db label n
   in
@@ -355,15 +357,14 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
               cur_p := p;
               cur_mem := Some (List.assoc p gmems));
             let o = Matcher.Shard.owner ~nshards:nw ids in
-            if o = w then
-              if Matcher.Shard.mem sh p ids then (
-                if tracing then Observe.Trace.incr wtr "fixpoint.tuples_deduped")
-              else (
+            if o = w then (
+              let t = Tuple.of_ids (Array.copy ids) in
+              if Matcher.Shard.add sh p t then (
                 if tracing then
                   Observe.Trace.incr wtr "fixpoint.tuples_derived";
-                let t = Tuple.of_ids (Array.copy ids) in
-                Matcher.Shard.add sh p t;
                 push_fresh w p t)
+              else if tracing then
+                Observe.Trace.incr wtr "fixpoint.tuples_deduped")
             else if Matcher.Db.memset_mem (Option.get !cur_mem) ids then (
               if tracing then Observe.Trace.incr wtr "fixpoint.tuples_deduped")
             else if
@@ -409,13 +410,11 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
     Parallel.Exchange.drain ex ~dst:w (fun ~src:_ ~pred ts ->
         List.iter
           (fun t ->
-            let ids = Tuple.ids t in
-            if Matcher.Shard.mem sh pred ids then (
-              if tracing then Observe.Trace.incr wtr "fixpoint.tuples_deduped")
-            else (
+            if Matcher.Shard.add sh pred t then (
               if tracing then Observe.Trace.incr wtr "fixpoint.tuples_derived";
-              Matcher.Shard.add sh pred t;
-              push_fresh w pred t))
+              push_fresh w pred t)
+            else if tracing then
+              Observe.Trace.incr wtr "fixpoint.tuples_deduped")
           ts);
     exch_s.(w) <- Observe.Trace.now () -. t0
   in
@@ -588,7 +587,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
           (fun t ->
             if Matcher.Db.mem db p t then (
               let lst, seen = pred_state tmp p in
-              add_unseen lst seen (Tuple.ids t)))
+              add_unseen lst seen t))
           ts)
       deletions;
     take_fresh tmp
@@ -597,14 +596,14 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
   else (
     let tracing = Observe.Trace.enabled trace in
     (* phase 1: the over-deletion cone, frontier by frontier *)
-    let seen : (string, unit Matcher.IdTbl.t) Hashtbl.t = Hashtbl.create 8 in
+    let seen : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 8 in
     let seen_of p =
       match Hashtbl.find_opt seen p with
-      | Some tb -> tb
+      | Some set -> set
       | None ->
-          let tb = Matcher.IdTbl.create 64 in
-          Hashtbl.add seen p tb;
-          tb
+          let set = Tuple.Set.create 64 in
+          Hashtbl.add seen p set;
+          set
     in
     let cone : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 8 in
     let add_cone p ts =
@@ -615,7 +614,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
     List.iter
       (fun (p, ts) ->
         List.iter
-          (fun t -> Matcher.IdTbl.replace (seen_of p) (Tuple.ids t) ())
+          (fun t -> ignore (Tuple.Set.add (seen_of p) t))
           ts;
         add_cone p ts)
       deletions;
@@ -639,8 +638,8 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                            && Matcher.Db.memset_mem (Matcher.Db.memset db p)
                                 ids
                          then
-                           add_unseen (fst (pred_state fresh p)) (seen_of p)
-                             ids))
+                           add_unseen_ids (fst (pred_state fresh p))
+                             (seen_of p) ids))
             )
             dps)
         dprep.dr_with_dps;
@@ -663,14 +662,14 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
       cone_preds;
     (* phase 3: re-derivation seed *)
     let r0 : fresh_tbl = Hashtbl.create 4 in
-    let add_r0 p ids =
+    let add_r0 p t =
       let lst, rseen = pred_state r0 p in
-      add_unseen lst rseen ids
+      add_unseen lst rseen t
     in
     List.iter
       (fun p ->
         List.iter
-          (fun t -> if Instance.mem_fact p t edb then add_r0 p (Tuple.ids t))
+          (fun t -> if Instance.mem_fact p t edb then add_r0 p t)
           !(Hashtbl.find cone p))
       cone_preds;
     List.iter
@@ -687,7 +686,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                      pos
                      && not
                           (Matcher.Db.memset_mem (Matcher.Db.memset db p) ids)
-                   then add_r0 p ids)))
+                   then add_r0 p (Tuple.of_ids (Array.copy ids)))))
       dprep.dr_guards;
     (* phase 4: propagate the survivors *)
     let seed = take_fresh r0 in

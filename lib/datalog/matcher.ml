@@ -1,11 +1,4 @@
 open Relational
-
-(* Interned-id vectors key every secondary index and the matcher's
-   dedup set: equality is int-array comparison and hashing a short
-   avalanching integer mix ({!Tuple.hash_ids}) — no polymorphic hashing,
-   no value structure walked on the hot path. *)
-module KTbl = Tuple.KTbl
-module IdTbl = KTbl
 module Index = Relation.Index
 
 module Db = struct
@@ -17,13 +10,13 @@ module Db = struct
      instance at every stage. The all-tuples scan is the [positions =
      []] index, so it too is maintained incrementally. A lookup that
      binds every position reads the membership set instead. *)
-  (* A membership set (id vector -> the tuple), [borrowed] while a
-     relation value shares its table: a loaded relation's table it
-     adopted ({!Relation.loaded_set}), or its own table, lent by
+  (* A membership set (a {!Tuple.Set}, probed by id vector), [borrowed]
+     while a relation value shares it: a loaded relation's set it
+     adopted ({!Relation.loaded_set}), or its own set, lent by
      [flush_pred] to the relation it published. The first write copies
-     it. Handles stay valid across the copy: they hold this record, not
-     the table. *)
-  type memset = { mutable set : Tuple.t KTbl.t; mutable borrowed : bool }
+     it, one array copy. Handles stay valid across the copy: they hold
+     this record, not the set. *)
+  type memset = { mutable set : Tuple.Set.t; mutable borrowed : bool }
 
   type t = {
     mutable inst : Instance.t;
@@ -37,10 +30,10 @@ module Db = struct
            (see [flush_pred]) *)
     indexes : (string, (int list, Index.t) Hashtbl.t) Hashtbl.t;
     mems : (string, memset) Hashtbl.t;
-        (* per-predicate flat hash membership sets, built lazily on first
+        (* per-predicate flat membership sets, built lazily on first
            probe (or adopted from a loaded relation) and maintained
-           incrementally ever after: a fact check is O(1) array-hash
-           probes, never a walk of the persistent trie (which goes
+           incrementally ever after: a fact check is a short linear probe
+           of one array, never a walk of the persistent trie (which goes
            cache-cold once relations outgrow the caches) *)
     trace : Observe.Trace.ctx;
   }
@@ -133,11 +126,11 @@ module Db = struct
           match Relation.loaded_set rel with
           | Some set -> { set; borrowed = true }
           | None ->
-              let tb = KTbl.create (max 64 (2 * Relation.cardinal rel)) in
+              let set = Tuple.Set.create (Relation.cardinal rel) in
               Relation.unordered_iter
-                (fun t -> KTbl.replace tb (Tuple.ids t) t)
+                (fun t -> ignore (Tuple.Set.add set t))
                 rel;
-              { set = tb; borrowed = false }
+              { set; borrowed = false }
         in
         Hashtbl.add db.mems p m;
         m
@@ -166,28 +159,29 @@ module Db = struct
     flush db;
     db.inst
 
-  let memset_mem m ids = KTbl.mem m.set ids
+  let memset_mem m ids = Tuple.Set.mem m.set ids
   let mem db p tup = memset_mem (memset db p) (Tuple.ids tup)
 
-  (* [p]'s membership set for writing, if it has one: a borrowed table
-     is copied first, so the relation value sharing it never changes *)
+  (* [p]'s membership set for writing, if it has one: a borrowed set is
+     copied first (one [Array.copy] of its slots), so the relation value
+     sharing it never changes *)
   let writable db p =
     match Hashtbl.find_opt db.mems p with
     | None -> None
     | Some m ->
         if m.borrowed then (
-          m.set <- KTbl.copy m.set;
+          m.set <- Tuple.Set.copy m.set;
           m.borrowed <- false);
         Some m.set
 
   let mems_add db p t =
     match writable db p with
-    | Some tb -> KTbl.replace tb (Tuple.ids t) t
+    | Some set -> ignore (Tuple.Set.add set t)
     | None -> ()
 
   let mems_remove db p t =
     match writable db p with
-    | Some tb -> KTbl.remove tb (Tuple.ids t)
+    | Some set -> ignore (Tuple.Set.remove set t)
     | None -> ()
 
   let index db p positions =
@@ -241,7 +235,7 @@ module Db = struct
     match Relation.arity (relation db p) with
     | None -> []
     | Some ar when full ar 0 bindings -> (
-        match KTbl.find_opt (memset db p).set key with
+        match Tuple.Set.find_opt (memset db p).set key with
         | Some t -> [ t ]
         | None -> [])
     | Some _ -> Index.find (index db p (List.map fst bindings)) (Array.get key)
@@ -338,7 +332,7 @@ module Db = struct
         | Some lst -> lst := List.rev_append news !lst
         | None -> Hashtbl.add db.pending p (ref news));
         (match writable db p with
-        | Some tb -> List.iter (fun t -> KTbl.replace tb (Tuple.ids t) t) news
+        | Some set -> List.iter (fun t -> ignore (Tuple.Set.add set t)) news
         | None -> ());
         (match Hashtbl.find_opt db.indexes p with
         | None -> ()
@@ -358,7 +352,7 @@ module Shard = struct
   type t = {
     shard : int;
     nshards : int;
-    mems : (string, unit KTbl.t) Hashtbl.t;
+    mems : (string, Tuple.Set.t) Hashtbl.t;
         (* per-predicate membership over the owned partition: seeded
            from the database, extended with every accepted fresh fact —
            complete for owned-tuple freshness checks by construction
@@ -399,24 +393,24 @@ module Shard = struct
 
   let memset sh p =
     match Hashtbl.find_opt sh.mems p with
-    | Some tb -> tb
+    | Some set -> set
     | None ->
-        let tb = KTbl.create 256 in
-        Hashtbl.add sh.mems p tb;
-        tb
+        let set = Tuple.Set.create 16 in
+        Hashtbl.add sh.mems p set;
+        set
 
-  let mem sh p ids = KTbl.mem (memset sh p) ids
-  let add sh p t = KTbl.replace (memset sh p) (Tuple.ids t) ()
+  let add sh p t = Tuple.Set.add (memset sh p) t
 
   let seed sh p rel =
-    let tb = memset sh p in
+    let set = memset sh p in
     Relation.unordered_iter
       (fun t ->
-        let ids = Tuple.ids t in
-        if owner ~nshards:sh.nshards ids = sh.shard then KTbl.replace tb ids ())
+        if owner ~nshards:sh.nshards (Tuple.ids t) = sh.shard then
+          ignore (Tuple.Set.add set t))
       rel
 
-  let total sh = Hashtbl.fold (fun _ tb n -> n + KTbl.length tb) sh.mems 0
+  let total sh =
+    Hashtbl.fold (fun _ set n -> n + Tuple.Set.length set) sh.mems 0
 
   let set_delta sh p ts =
     Hashtbl.replace sh.delta p ts;
@@ -906,7 +900,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
             0 prepared.base.csteps
     in
     let dedup = npasses > 1 || prepared.need_dom in
-    let seen = KTbl.create (if dedup then 1024 else 1) in
+    let seen = Tuple.KTbl.create (if dedup then 1024 else 1) in
     let nresults = ref 0 in
     let nkeep = Array.length prepared.keep in
     let emit () =
@@ -918,8 +912,8 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
               assert (v >= 0);
               v)
         in
-        if not (KTbl.mem seen vals) then (
-          KTbl.add seen vals ();
+        if not (Tuple.KTbl.mem seen vals) then (
+          Tuple.KTbl.add seen vals ();
           incr nresults;
           consume ~tval ~vals:(Some vals)))
       else (

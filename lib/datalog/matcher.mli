@@ -18,11 +18,6 @@
 
 open Relational
 
-(** Hash tables keyed by interned-id vectors — the representation facts
-    travel in on the fast firing path. Exposed so fixpoint engines can
-    deduplicate deltas with the same flat hashing the matcher uses. *)
-module IdTbl : Hashtbl.S with type key = int array
-
 (** A mutable database view with memoized secondary indexes
     ({!Relation.Index}) that are maintained incrementally: create one
     [Db] per evaluation (not per stage) and feed it new facts with
@@ -78,8 +73,8 @@ module Db : sig
       stored facts is published without building a trie: its relation
       is a {!Relation.of_loaded} value over the predicate's membership
       set ([how=lent] in the [materialize] span). That relation shares
-      the Db's table, and the Db copies the table before it next writes
-      to it, so the snapshot still never changes. A predicate with
+      the Db's set, and the Db copies the set before it next writes to
+      it, so the snapshot still never changes. A predicate with
       stored facts gets them unioned with the new ones ([how=union]). *)
   val instance : t -> Instance.t
 
@@ -99,17 +94,18 @@ module Db : sig
   (** [mem db p tup] tests a ground fact. *)
   val mem : t -> string -> Tuple.t -> bool
 
-  (** A per-predicate flat hash membership set: O(1) probes on interned id
-      vectors, built lazily on first use and then maintained incrementally
-      by {!insert}/{!remove}/{!absorb}. Unlike walking the persistent
-      relation trie, probes stay cache-friendly however large the relation
-      grows — fixpoint engines use this for their freshness checks.
-      A predicate whose relation came straight from the fact loader
-      adopts that relation's table ({!Relation.loaded_set}) instead of
-      building one, and a predicate published without a trie (see
-      {!instance}) lends its table to the published relation. In both
-      cases the Db copies the table before its next write to it, so the
-      relation value never changes. *)
+  (** A per-predicate membership set: a {!Tuple.Set}, probed by
+      interned id vector, built lazily on first use and then maintained
+      incrementally by {!insert}/{!remove}/{!absorb}. Unlike walking the
+      persistent relation trie, a probe is a short linear scan of one
+      array however large the relation grows — fixpoint engines use
+      this for their freshness checks. A predicate whose relation came
+      straight from the fact loader adopts that relation's set
+      ({!Relation.loaded_set}) instead of building one, and a predicate
+      published without a trie (see {!instance}) lends its set to the
+      published relation. In both cases the Db copies the set (one array
+      copy) before its next write to it, so the relation value never
+      changes. *)
   type memset
 
   (** [memset db p] is the membership set of predicate [p] (building it,
@@ -165,14 +161,12 @@ module Shard : sig
   (** [owns sh ids] is [owner ~nshards ids = id sh]. *)
   val owns : t -> int array -> bool
 
-  (** [mem sh p ids] tests membership of an owned fact. Complete for
-      facts of predicates this shard was {!seed}ed with and kept
-      up to date through {!add}. *)
-  val mem : t -> string -> int array -> bool
-
   (** [add sh p t] records an owned fact (the caller has established
-      ownership and freshness). *)
-  val add : t -> string -> Tuple.t -> unit
+      ownership) in one probe of the shard's membership set for [p]. It
+      is [true] when the fact was new to the shard: complete for facts
+      of predicates this shard was {!seed}ed with and kept up to date
+      through [add]. *)
+  val add : t -> string -> Tuple.t -> bool
 
   (** [seed sh p rel] folds this shard's partition of [rel] into its
       membership set for [p] — the per-fixpoint initialisation, run by

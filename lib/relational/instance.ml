@@ -184,18 +184,18 @@ module Tokens = struct
 end
 
 (* One predicate's facts so far: the distinct rows, newest first, and
-   the table from their id vectors to them that deduplicates them. The
-   table becomes the relation's membership set ({!Relation.of_loaded}). *)
+   the set of them that deduplicates them. The set becomes the
+   relation's membership set ({!Relation.of_loaded}). *)
 type loading = {
   name : string;
   arity : int;
-  seen : Tuple.t Tuple.KTbl.t;
+  seen : Tuple.Set.t;
   mutable rows : Tuple.t list;
 }
 
 (* the predicate before the first fact: its empty name matches no span *)
 let no_pred =
-  { name = ""; arity = 0; seen = Tuple.KTbl.create 1; rows = [] }
+  { name = ""; arity = 0; seen = Tuple.Set.create 1; rows = [] }
 
 type loader = {
   len : int;  (** input length *)
@@ -255,7 +255,7 @@ let predicate ld src s e n ~rest =
     match Hashtbl.find_opt ld.preds name with
     | Some p -> p
     | None ->
-        let seen = Tuple.KTbl.create (max 8 (rest / 32)) in
+        let seen = Tuple.Set.create (max 8 (rest / 32)) in
         let p = { name; arity = n; seen; rows = [] } in
         Hashtbl.add ld.preds name p;
         p
@@ -308,11 +308,8 @@ let fact ld src s e lineno ~rest =
     if p.arity <> n then
       fail lineno
         (Printf.sprintf "%s has arity %d, got %d argument(s)" p.name p.arity n);
-    let ids = Array.sub ld.argv 0 n in
-    if not (Tuple.KTbl.mem p.seen ids) then (
-      let t = Tuple.of_ids ids in
-      Tuple.KTbl.add p.seen ids t;
-      p.rows <- t :: p.rows)
+    let t = Tuple.of_ids (Array.sub ld.argv 0 n) in
+    if Tuple.Set.add p.seen t then p.rows <- t :: p.rows
   end
 
 (* The statement [text.[s..e)] as the statement parser must see it:
@@ -427,8 +424,8 @@ let scan ld text =
 (* Facts and arguments are cut as spans of the input; a '.' or ','
    inside "..." or a quoted symbol neither ends a fact nor splits an
    argument, and '%' or "//" there does not start a comment. Each
-   predicate's facts are deduplicated into one table, which its relation
-   keeps ({!Relation.of_loaded}): no trie is built here. *)
+   predicate's facts are deduplicated into one {!Tuple.Set}, which its
+   relation keeps ({!Relation.of_loaded}): no trie is built here. *)
 let parse_facts text =
   let len = String.length text in
   let ld =

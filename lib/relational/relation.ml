@@ -101,15 +101,14 @@ type slot = Marked | Built of index
 
 (* The backing store. [Trie] is the canonical hash trie. [Loaded] is a
    relation straight from the fact loader, or one a [Matcher.Db]
-   published: its rows, pairwise distinct, and a dedup table (each row's
-   id vector -> the row).
-   Membership reads the table, enumeration reads the rows, and the first
+   published: its rows, pairwise distinct, and the set of them.
+   Membership reads the set, enumeration reads the rows, and the first
    trie operation ([add]/[remove]/[union]) builds the trie and replaces
    the representation with one pointer store, so a domain reading
    concurrently sees either the rows or a complete trie. *)
 type repr =
   | Trie of Tuple.t list Imap.t
-  | Loaded of Tuple.t list * Tuple.t Tuple.KTbl.t
+  | Loaded of Tuple.t list * Tuple.Set.t
 
 type t = {
   mutable repr : repr;
@@ -262,7 +261,7 @@ let of_loaded rows set =
   | t0 :: _ ->
       {
         repr = Loaded (rows, set);
-        card = Tuple.KTbl.length set;
+        card = Tuple.Set.length set;
         ar = Tuple.arity t0;
         sorted = None;
         memos = None;
@@ -322,7 +321,7 @@ let mem t r =
       match Imap.find_opt (Tuple.hash t) b with
       | None -> false
       | Some bucket -> List.exists (Tuple.equal t) bucket)
-  | Loaded (_, set) -> Tuple.KTbl.mem set (Tuple.ids t)
+  | Loaded (_, set) -> Tuple.Set.mem set (Tuple.ids t)
 
 let mem_ids ids r =
   match r.repr with
@@ -330,7 +329,7 @@ let mem_ids ids r =
       match Imap.find_opt (Tuple.hash_ids ids) b with
       | None -> false
       | Some bucket -> List.exists (fun u -> Tuple.equal_ids u ids) bucket)
-  | Loaded (_, set) -> Tuple.KTbl.mem set ids
+  | Loaded (_, set) -> Tuple.Set.mem set ids
 
 let add t r =
   check_arity r t;

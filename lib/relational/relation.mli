@@ -10,8 +10,8 @@
     enumeration order are identical to the former [Set.Make (Tuple)]
     representation. A relation straight from the fact loader, or a
     derived relation a [Matcher.Db] published, keeps its rows and a
-    dedup table instead, and builds its trie on the first trie operation
-    ({!of_loaded}).
+    {!Tuple.Set} of them instead, and builds its trie on the first trie
+    operation ({!of_loaded}).
 
     All operations enforce arity homogeneity: inserting a tuple of a
     different arity than the existing ones raises
@@ -40,30 +40,23 @@ val of_distinct : Tuple.t list -> t
     ({!Instance.parse_facts}) hands it over, or as [Matcher.Db] publishes
     a derived predicate that had no stored facts (its pending facts and
     its membership set): [rows] pairwise distinct and of one arity, [set]
-    mapping exactly their id vectors ({!Tuple.ids}, the same arrays) to
-    them. No trie is built. Membership ({!mem},
-    {!mem_ids}) reads [set]; folds, index builds and the sorted view read
-    [rows]. The first {!add}, {!remove} or {!union} with a non-empty
-    operand builds the trie once and replaces the rows with it in one
-    pointer store, so a domain that reads the relation meanwhile sees
-    either the rows or the complete trie; the value never changes. The
-    relation takes [set] over: the caller must not write to it
-    afterwards (a Db copies it first). The trie holds the rows
-    themselves, not copies, so a Db that adopted or lent [set] keeps
-    each fact once.
+    holding exactly them (a {!Tuple.Set}, the same tuples). No trie is
+    built. Membership ({!mem}, {!mem_ids}) probes [set]; folds, index
+    builds and the sorted view read [rows]. The first {!add}, {!remove}
+    or {!union} with a non-empty operand builds the trie once and
+    replaces the rows with it in one pointer store, so a domain that
+    reads the relation meanwhile sees either the rows or the complete
+    trie; the value never changes. The relation takes [set] over: the
+    caller must not write to it afterwards (a Db copies it first, one
+    array copy). The set, the rows and the trie all hold the same
+    tuples, so a Db that adopted or lent [set] keeps each fact once. *)
+val of_loaded : Tuple.t list -> Tuple.Set.t -> t
 
-    [set] holds each row itself, not [()]: the minor GC promotes a
-    table entry's key and value one after the other, so each tuple
-    lands next to its id vector. A set of bare id vectors would promote
-    every id vector first (the table is old, its entries young) and the
-    tuples far from them, two cache lines per tuple read. *)
-val of_loaded : Tuple.t list -> Tuple.t Tuple.KTbl.t -> t
-
-(** [loaded_set r] is the table of a relation built by {!of_loaded}
+(** [loaded_set r] is the set of a relation built by {!of_loaded}
     whose trie has not been built yet, [None] otherwise. It is shared,
     not copied: a reader may probe it, but must copy it before writing
     (as [Matcher.Db] does for its membership sets). *)
-val loaded_set : t -> Tuple.t Tuple.KTbl.t option
+val loaded_set : t -> Tuple.Set.t option
 
 (** [of_rows rows] builds a relation from value-list rows. *)
 val of_rows : Value.t list list -> t

@@ -24,32 +24,28 @@ let hash_ids ids =
 
 let of_ids ids = { ids; h = hash_ids ids }
 
-let equal_ids t ids =
-  let la = Array.length t.ids in
-  la = Array.length ids
-  &&
-  let rec eq i =
-    i = la || (Array.unsafe_get t.ids i = Array.unsafe_get ids i && eq (i + 1))
-  in
-  eq 0
+(* [a] and [b] agree on positions [i .. n - 1]. A top-level function of
+   all it reads: a local recursive loop would allocate a closure on every
+   comparison. *)
+let rec same_from (a : int array) b i n =
+  i = n
+  || (Array.unsafe_get a i = Array.unsafe_get b i && same_from a b (i + 1) n)
+
+let same_ids a b =
+  let n = Array.length a in
+  n = Array.length b && same_from a b 0 n
+
+let equal_ids t ids = same_ids t.ids ids
 
 (* Hash tables keyed by interned ids: [KTbl] by id vectors (join keys,
-   dedup sets), [ITbl] by one int — a single id, or a pair packed by
-   [pack2]. Interned ids are dense table indices far below 2^31, so a
-   pair packs reversibly into one int on 64-bit hosts: no array
-   allocation per probe. *)
+   projected valuations), [ITbl] by one int — a single id, or a pair
+   packed by [pack2]. Interned ids are dense table indices far below
+   2^31, so a pair packs reversibly into one int on 64-bit hosts: no
+   array allocation per probe. *)
 module KTbl = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : int array) b =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec eq i =
-      i = la || (Array.unsafe_get a i = Array.unsafe_get b i && eq (i + 1))
-    in
-    eq 0
-
+  let equal = same_ids
   let hash = hash_ids
 end)
 
@@ -63,6 +59,101 @@ module ITbl = Hashtbl.Make (struct
   let equal = Int.equal
   let hash = hash_int
 end)
+
+(* A set of tuples by linear probing over one slot array, kept at most
+   half full; [absent] marks a free slot. A probe compares the stored
+   tuple's cached hash before its ids. Removal shifts the rest of the
+   probe run back into the hole, so no slot is ever a tombstone. *)
+module Set = struct
+  type tuple = t
+  type nonrec t = { mutable slots : tuple array; mutable count : int }
+
+  (* no real tuple carries a negative hash, so no probe ever matches it *)
+  let absent = { ids = [||]; h = -1 }
+
+  let create n =
+    let rec pow2 k = if k >= 2 * n then k else pow2 (2 * k) in
+    { slots = Array.make (pow2 8) absent; count = 0 }
+
+  let length s = s.count
+  let copy s = { slots = Array.copy s.slots; count = s.count }
+
+  (* The probe loops are top-level functions of all they read, so that
+     no call allocates a closure. *)
+
+  (* the slot holding a tuple with [ids] (hash [h]), or the free slot
+     ending its probe run, from slot [i] on *)
+  let rec probe slots mask ids h i =
+    let x = Array.unsafe_get slots i in
+    if x == absent || (x.h = h && equal_ids x ids) then i
+    else probe slots mask ids h ((i + 1) land mask)
+
+  let slot slots ids h =
+    let mask = Array.length slots - 1 in
+    probe slots mask ids h (h land mask)
+
+  let find_opt s ids =
+    let x = Array.unsafe_get s.slots (slot s.slots ids (hash_ids ids)) in
+    if x == absent then None else Some x
+
+  let mem s ids =
+    Array.unsafe_get s.slots (slot s.slots ids (hash_ids ids)) != absent
+
+  let rec free slots mask i =
+    if Array.unsafe_get slots i == absent then i
+    else free slots mask ((i + 1) land mask)
+
+  (* the tuples of [old] are distinct: each goes to the first free slot
+     from its home, compared with none of the tuples already moved *)
+  let grow s =
+    let old = s.slots in
+    let slots = Array.make (2 * Array.length old) absent in
+    let mask = Array.length slots - 1 in
+    for i = 0 to Array.length old - 1 do
+      let x = Array.unsafe_get old i in
+      if x != absent then
+        Array.unsafe_set slots (free slots mask (x.h land mask)) x
+    done;
+    s.slots <- slots
+
+  let add s x =
+    let i = slot s.slots x.ids x.h in
+    if Array.unsafe_get s.slots i != absent then false
+    else (
+      s.count <- s.count + 1;
+      if 2 * s.count <= Array.length s.slots then
+        Array.unsafe_set s.slots i x
+      else (
+        grow s;
+        Array.unsafe_set s.slots (slot s.slots x.ids x.h) x);
+      true)
+
+  (* [hole] is free; [j] walks the rest of its probe run. A tuple whose
+     home slot lies cyclically in (hole, j] stays, any other moves into
+     the hole, which moves to [j]. *)
+  let rec shift slots mask hole j =
+    let j = (j + 1) land mask in
+    let y = Array.unsafe_get slots j in
+    if y == absent then Array.unsafe_set slots hole absent
+    else
+      let k = y.h land mask in
+      let stays =
+        if hole <= j then hole < k && k <= j else hole < k || k <= j
+      in
+      if stays then shift slots mask hole j
+      else (
+        Array.unsafe_set slots hole y;
+        shift slots mask j j)
+
+  let remove s x =
+    let slots = s.slots in
+    let hole = slot slots x.ids x.h in
+    if Array.unsafe_get slots hole == absent then false
+    else (
+      shift slots (Array.length slots - 1) hole hole;
+      s.count <- s.count - 1;
+      true)
+end
 
 let can_pack = Sys.int_size >= 63
 let pack2 a b = (a lsl 31) lor b
@@ -100,18 +191,7 @@ let compare a b =
   let la = Array.length a.ids and lb = Array.length b.ids in
   if la <> lb then Int.compare la lb else compare_vectors a.ids b.ids
 
-let equal a b =
-  a == b
-  || a.h = b.h
-     &&
-     let la = Array.length a.ids in
-     la = Array.length b.ids
-     &&
-     let rec eq i =
-       i = la
-       || Array.unsafe_get a.ids i = Array.unsafe_get b.ids i && eq (i + 1)
-     in
-     eq 0
+let equal a b = a == b || (a.h = b.h && same_ids a.ids b.ids)
 
 let hash t = t.h
 let project t cols = of_ids (Array.of_list (List.map (fun i -> id t i) cols))

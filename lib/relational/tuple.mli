@@ -47,9 +47,58 @@ val hash_ids : int array -> int
     array. *)
 val equal_ids : t -> int array -> bool
 
+(** {1 Sets of tuples} *)
+
+(** A mutable set of tuples, flat: linear probing over one array of
+    tuples, with one shared sentinel marking the free slots. The engines'
+    membership and dedup sets (the fact loader's, [Matcher.Db]'s, the
+    semi-naive rounds', DRed's) are all of this kind.
+
+    - The array is at most half full: {!add} doubles it before it would
+      pass one half, so a probe run stays short and always ends.
+    - A lookup takes an id vector ({!ids}) and builds no tuple. It
+      compares each stored tuple's cached hash before its ids.
+    - {!remove} shifts the rest of the probe run back into the freed
+      slot, so there are no tombstones: a set that shrinks probes as
+      fast as one that never held the removed tuples.
+    - Reads ({!mem}, {!find_opt}, {!length}) may run on several domains
+      at once, but only while no domain writes ({!add}, {!remove}). *)
+module Set : sig
+  type tuple := t
+  type t
+
+  (** [create n] is an empty set with room for [n] tuples before it
+      grows. *)
+  val create : int -> t
+
+  (** The number of tuples held. *)
+  val length : t -> int
+
+  (** [mem s ids] tests whether [s] holds the tuple with id vector
+      [ids]. *)
+  val mem : t -> int array -> bool
+
+  (** [find_opt s ids] is the tuple of [s] with id vector [ids]. *)
+  val find_opt : t -> int array -> tuple option
+
+  (** [add s x] inserts [x] unless [s] holds a tuple with its ids, in one
+      probe. It is [true] when [x] was new. *)
+  val add : t -> tuple -> bool
+
+  (** [remove s x] drops the tuple with [x]'s ids. It is [true] when
+      there was one. *)
+  val remove : t -> tuple -> bool
+
+  (** [copy s] is an independent set with the same tuples (one array
+      copy; the tuples themselves are shared, being immutable). *)
+  val copy : t -> t
+end
+
 (** {1 Id-keyed tables} *)
 
-(** Hash tables keyed by id vectors, hashed like {!hash_ids}. *)
+(** Hash tables keyed by id vectors, hashed like {!hash_ids} — for keys
+    that are not the tuples themselves (join keys of three or more
+    columns, projected valuations, annotations). *)
 module KTbl : Hashtbl.S with type key = int array
 
 (** Hash tables keyed by one int: a single id, or two ids packed by

@@ -360,6 +360,73 @@ let test_reference_tc () =
     (pairs [ ("a", "b"); ("b", "c"); ("a", "c") ])
     (Graph_gen.reference_tc edges)
 
+(* Tuple.Set against a Hashtbl model. The tuples come from a pool of 24
+   over 25 id pairs, so the pool repeats id vectors (an [add] of a
+   second tuple with the same ids must keep the first), and the sets
+   start at 8 to 32 slots, so home slots collide and probe runs wrap past
+   the end of the slot array. After every operation each pool tuple's
+   membership is checked, which catches a removal that strands a tuple
+   behind a hole. Each [copy] is checked at the end against the model
+   at the time of the copy, after the original went on changing. *)
+let prop_tuple_set_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400 ~name:"Tuple.Set = Hashtbl model"
+       QCheck.(
+         triple (int_range 0 16) (int_range 0 10_000)
+           (list_of_size Gen.(int_range 0 300)
+              (pair (int_range 0 5) (int_range 0 23))))
+       (fun (cap, seed, ops) ->
+         let st = Random.State.make [| seed |] in
+         let pool =
+           Array.init 24 (fun _ ->
+               Tuple.of_list
+                 [
+                   Value.Int (Random.State.int st 5);
+                   Value.Int (Random.State.int st 5);
+                 ])
+         in
+         let key x = Array.to_list (Tuple.ids x) in
+         let s = Tuple.Set.create cap in
+         let model : (int list, Tuple.t) Hashtbl.t = Hashtbl.create 16 in
+         let agrees s model =
+           Tuple.Set.length s = Hashtbl.length model
+           && Array.for_all
+                (fun x ->
+                  let ids = Tuple.ids x in
+                  Tuple.Set.mem s ids = Hashtbl.mem model (key x)
+                  &&
+                  match
+                    (Tuple.Set.find_opt s ids, Hashtbl.find_opt model (key x))
+                  with
+                  | Some a, Some b -> a == b
+                  | None, None -> true
+                  | _ -> false)
+                pool
+         in
+         let copies = ref [] in
+         let step (op, i) =
+           let x = pool.(i) in
+           let k = key x in
+           match op with
+           | 0 | 1 ->
+               let fresh = not (Hashtbl.mem model k) in
+               if fresh then Hashtbl.replace model k x;
+               Tuple.Set.add s x = fresh
+           | 2 ->
+               let present = Hashtbl.mem model k in
+               Hashtbl.remove model k;
+               Tuple.Set.remove s x = present
+           | 3 -> Tuple.Set.mem s (Tuple.ids x) = Hashtbl.mem model k
+           | 4 ->
+               Option.map Tuple.ids (Tuple.Set.find_opt s (Tuple.ids x))
+               = Option.map Tuple.ids (Hashtbl.find_opt model k)
+           | _ ->
+               copies := (Tuple.Set.copy s, Hashtbl.copy model) :: !copies;
+               Tuple.Set.length s = Hashtbl.length model
+         in
+         List.for_all (fun o -> step o && agrees s model) ops
+         && List.for_all (fun (c, m) -> agrees c m) !copies))
+
 let suite =
   [
     Alcotest.test_case "value order" `Quick test_value_order;
@@ -401,4 +468,5 @@ let suite =
       test_graph_gen_deterministic;
     Alcotest.test_case "random DAG is acyclic" `Quick test_random_dag_acyclic;
     Alcotest.test_case "reference TC oracle" `Quick test_reference_tc;
+    prop_tuple_set_model;
   ]
