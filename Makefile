@@ -16,7 +16,8 @@ bench:
 # (e2 = naive vs semi-naive transitive closure) to catch perf-path
 # breakage, a first-write smoke step (e21 must emit its in-process
 # rows for Engine.create plus the first assert and plus the first
-# retract on serve-mixed's DAG shape), an interning smoke step (the interned engines must still
+# retract on serve-mixed's DAG shape, each with its deterministic T
+# fact count), an interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters, and matcher.delta_first: some delta pass of the TC rule
 # started from the delta), a trace smoke step (emit a JSONL trace and validate it
@@ -30,9 +31,10 @@ bench:
 # only a negative literal binds must report exactly one, with its
 # values= size), a materialize smoke step (the TC program's --stats
 # lists two "materialize" spans, for G, whose facts are inline rules,
-# and for T, and its trace shows T published with how=lent: no trie
-# built for it; then the CT program, whose later stratum reads the
-# lent T, must print the same bytes at -j 1 and -j 4), and a parallel
+# and for T, and its trace opens exactly one for T: the fixpoint's
+# membership set is lent to the published relation once; then the CT
+# program, whose later stratum reads the lent T, must print the same
+# bytes at -j 1 and -j 4), and a parallel
 # smoke
 # step: run the same program at -j 4, check the output is byte-identical
 # to the sequential run and carries the expected fact count, and run the
@@ -91,8 +93,9 @@ ci:
 	dune exec -- datalog-bench-diff BENCH_engines.json _ci_bench.json --threshold 500
 	rm -f _ci_bench.json
 	dune exec bench/main.exe -- e21 --json _ci_e21.json > /dev/null
-	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+assert"' _ci_e21.json
-	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+retract"' _ci_e21.json
+	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create".*"facts": 37692' _ci_e21.json
+	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+assert".*"facts": 39234' _ci_e21.json
+	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+retract".*"facts": 37474' _ci_e21.json
 	rm -f _ci_e21.json
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats
@@ -111,7 +114,7 @@ ci:
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_mat.stats
 	grep -qE '^  materialize +2 spans' _ci_mat.stats
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --trace _ci_mat.jsonl > /dev/null
-	grep -c '"kind":"materialize","name":"T",.*"how":"lent"' _ci_mat.jsonl | grep -qx 1
+	grep -c '"type":"span_open".*"kind":"materialize","name":"T"' _ci_mat.jsonl | grep -qx 1
 	dune exec -- datalog-unchained run -s stratified _ci_ct.dl > _ci_ct1.out
 	dune exec -- datalog-unchained run -s stratified -j 4 _ci_ct.dl > _ci_ct4.out
 	cmp _ci_ct1.out _ci_ct4.out

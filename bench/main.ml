@@ -1110,12 +1110,10 @@ let e19 () =
 (* The first write of a resident session, on serve-mixed's shape (a
    random DAG, 1000 vertices, 3000 edges, loaded from fact text as
    [serve -f] loads it): [Server.Engine.create] alone, then followed by
-   one assert, then by one retract. The fixpoint publishes T without a
-   trie, lending it the engine's membership set; the first write to T
-   copies that set and builds the trie. So each write row less the
-   create row is the one-off cost of the first write plus the write
-   itself. Every rep loads the facts afresh, untimed, after a full major
-   collection. *)
+   one assert, then by one retract. Neither [create] nor a write
+   publishes T, so no write copies T's membership set: each write row
+   less the create row is the cost of the write itself. Every rep loads
+   the facts afresh, untimed, after a full major collection. *)
 let e21_first_write () =
   let n = 1000 and m = 3000 in
   let text = Instance.to_string (Graph_gen.random_dag ~seed:21 n m) in

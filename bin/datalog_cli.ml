@@ -313,23 +313,32 @@ let run_cmd =
   let run semantics program facts answer ordered annot stats trace_path jobs =
     set_jobs jobs;
     let annot = parse_annot annot in
-    let { Datalog.Parser.program = p; _ } = load_program program in
-    let inst = load_facts facts in
-    let inst = if ordered then Order.adjoin inst else inst in
+    let name =
+      match annot with Some _ -> "annot" | None -> semantics_name semantics
+    in
     or_reject @@ fun () ->
+    with_observability ~name stats trace_path @@ fun trace ->
+    (* loading is part of the run: the program parse and the fact load
+       are spans of their own *)
+    let { Datalog.Parser.program = p; _ } =
+      Observe.Trace.with_span trace ~kind:"parse" program (fun () ->
+          load_program program)
+    in
+    let inst =
+      Observe.Trace.with_span trace ~kind:"load" "facts" (fun () ->
+          let inst = load_facts facts in
+          if ordered then Order.adjoin inst else inst)
+    in
     match annot with
     | Some tag ->
         if semantics <> `Seminaive then (
           Printf.eprintf
             "--annot requires the default seminaive semantics\n";
           exit 2);
-        with_observability ~name:"annot" stats trace_path (fun trace ->
-            print_annot_answer ~trace
-              (Datalog.Annot_eval.run ~trace tag p inst)
-              answer)
-    | None ->
-    with_observability ~name:(semantics_name semantics) stats trace_path
-      (fun trace ->
+        print_annot_answer ~trace
+          (Datalog.Annot_eval.run ~trace tag p inst)
+          answer
+    | None -> (
         match semantics with
         | `Naive ->
             print_answer ~trace

@@ -133,9 +133,11 @@ let eval ?(trace = Observe.Trace.null) layers inst =
       if tracing then (
         Observe.Trace.add trace "aggregate.rules" (List.length aggregates);
         Observe.Trace.add trace "aggregate.facts" (List.length agg_facts));
-      List.fold_left
-        (fun acc (pred, tup) -> Instance.add_fact pred tup acc)
-        current agg_facts)
+      let out = Matcher.Db.of_instance current in
+      List.iter
+        (fun (pred, tup) -> ignore (Matcher.Db.insert out pred tup))
+        agg_facts;
+      Matcher.Db.instance out)
     inst layers
 
 let answer ?trace layers inst pred = Instance.find pred (eval ?trace layers inst)

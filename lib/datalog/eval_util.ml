@@ -26,6 +26,11 @@ let program_dom ?(trace = Observe.Trace.null) p plans inst =
       ();
     dom)
 
+let db_dom ?trace p plans db =
+  if List.exists Matcher.needs_dom plans then
+    program_dom ?trace p plans (Matcher.Db.instance db)
+  else []
+
 type prepared = (Ast.rule * Matcher.prepared) list
 
 let prepare p = List.map (fun r -> (r, Matcher.prepare r)) p
@@ -61,31 +66,33 @@ let fire_rule ?delta ?neg_db ?label db dom (_rule, plan) k =
   in
   match label with Some l -> count_firings db l n | None -> ()
 
+(* The consequences accumulate in a fresh Db: one set per predicate,
+   published once. *)
 let consequences_db ?neg_db prepared db ~dom =
-  let out = ref Instance.empty in
+  let out = Matcher.Db.of_instance Instance.empty in
   List.iteri
     (fun i ((rule, _) as rp) ->
       fire_rule ?neg_db ~label:(rule_label i rule) db dom rp
         (fun (pos, pred, tup) ->
-          if pos then out := Instance.add_fact pred tup !out
+          if pos then ignore (Matcher.Db.insert out pred tup)
           else
             invalid_arg
               "Eval_util.consequences: negative head (use consequences_signed)"))
     prepared;
-  !out
+  Matcher.Db.instance out
 
 let consequences prepared inst ~dom =
   consequences_db prepared (Matcher.Db.of_instance inst) ~dom
 
 let consequences_signed_db prepared db ~dom =
-  let pos = ref Instance.empty and neg = ref Instance.empty in
+  let pos = Matcher.Db.of_instance Instance.empty
+  and neg = Matcher.Db.of_instance Instance.empty in
   List.iteri
     (fun i ((rule, _) as rp) ->
       fire_rule ~label:(rule_label i rule) db dom rp (fun (p, pred, tup) ->
-          if p then pos := Instance.add_fact pred tup !pos
-          else neg := Instance.add_fact pred tup !neg))
+          ignore (Matcher.Db.insert (if p then pos else neg) pred tup)))
     prepared;
-  (!pos, !neg)
+  (Matcher.Db.instance pos, Matcher.Db.instance neg)
 
 let consequences_signed prepared inst ~dom =
   consequences_signed_db prepared (Matcher.Db.of_instance inst) ~dom
@@ -256,8 +263,7 @@ let seminaive_seq ~trace ?neg_db ?initial ~with_dps ~dom db =
       with_dps;
     take ()
   in
-  let _, stages = rounds ~trace ~first ~step in
-  (Matcher.Db.instance db, stages)
+  snd (rounds ~trace ~first ~step)
 
 (* Shard-owned semi-naive rounds (Slog-style hash partitioning): each
    worker domain OWNS a disjoint shard of every head predicate —
@@ -307,15 +313,14 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
              rule.Ast.head)
          with_dps)
   in
-  (* coordinator-side snapshots before fanning out: [relation]/[memset]
-     flush the pending buffer, which workers must never trigger *)
-  let head_rels = List.map (fun p -> (p, Matcher.Db.relation db p)) head_preds in
+  (* coordinator-side: [memset] creates a missing store, which workers
+     must never trigger *)
   let gmems = List.map (fun p -> (p, Matcher.Db.memset db p)) head_preds in
   let shards =
     Array.init nw (fun w -> Matcher.Shard.create ~nshards:nw ~shard:w)
   in
   Parallel.Pool.run pool (fun w ->
-      List.iter (fun (p, rel) -> Matcher.Shard.seed shards.(w) p rel) head_rels);
+      List.iter (fun (p, m) -> Matcher.Shard.seed shards.(w) p m) gmems);
   let wctx =
     Array.init nw (fun _ ->
         if tracing then Observe.Trace.make ~sinks:[] () else Observe.Trace.null)
@@ -464,7 +469,6 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
         absorb_and_install per_w;
         run_round derive_delta)
   in
-  let result = (Matcher.Db.instance db, stages) in
   if tracing then (
     Observe.Trace.gauge_max trace "par.domains" nw;
     Observe.Trace.add trace "par.exchange_ms"
@@ -472,7 +476,7 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
     Observe.Trace.add trace "par.exchanged_tuples"
       (Parallel.Exchange.total_posted ex);
     Array.iter (fun c -> Observe.Trace.merge_counters trace c) wctx);
-  result
+  stages
 
 let seminaive_fixpoint_db ?(trace = Observe.Trace.null) ?neg_db prepared
     ~delta_preds ~dom db =
@@ -491,8 +495,11 @@ let seminaive_fixpoint_db ?(trace = Observe.Trace.null) ?neg_db prepared
 
 let seminaive_fixpoint ?(trace = Observe.Trace.null) ?neg_db prepared
     ~delta_preds ~dom inst =
-  seminaive_fixpoint_db ~trace ?neg_db prepared ~delta_preds ~dom
-    (Matcher.Db.of_instance ~trace inst)
+  let db = Matcher.Db.of_instance ~trace inst in
+  let stages =
+    seminaive_fixpoint_db ~trace ?neg_db prepared ~delta_preds ~dom db
+  in
+  (Matcher.Db.instance db, stages)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental view maintenance over a long-lived materialized Db: the
@@ -503,7 +510,7 @@ let seminaive_fixpoint ?(trace = Observe.Trace.null) ?neg_db prepared
 let seminaive_increment_db ?(trace = Observe.Trace.null) ?neg_db prepared
     ~delta_preds ~dom db delta =
   match List.filter (fun (_, ts) -> ts <> []) delta with
-  | [] -> (Matcher.Db.instance db, 0)
+  | [] -> 0
   | delta ->
       let with_dps = with_delta_preds prepared delta_preds in
       seminaive_seq ~trace ?neg_db ~initial:delta ~with_dps ~dom db
@@ -563,8 +570,8 @@ type dred_stats = { overdeleted : int; rederived : int; cone_rounds : int }
       delta-restricted rules against the STILL-INTACT database (so a
       derivation using two deleted facts is found too), collecting every
       present head fact reachable from a deleted fact.
-   2. Delete the whole cone from the db (indexes, membership sets and
-      the pending buffer stay in sync via [Db.remove]).
+   2. Delete the whole cone from the db (membership sets, rows and
+      indexes stay in sync via [Db.remove]).
    3. Re-derivation seed: cone facts still present in the base EDB
       (retraction only withdrew their *derived* support), plus every
       cone fact one guard plan rederives from the surviving database.
@@ -669,7 +676,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
     List.iter
       (fun p ->
         List.iter
-          (fun t -> if Instance.mem_fact p t edb then add_r0 p t)
+          (fun t -> if Matcher.Db.mem edb p t then add_r0 p t)
           !(Hashtbl.find cone p))
       cone_preds;
     List.iter
@@ -690,12 +697,12 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
       dprep.dr_guards;
     (* phase 4: propagate the survivors *)
     let seed = take_fresh r0 in
-    let before = Instance.total_facts (Matcher.Db.instance db) in
+    let before = Matcher.Db.total db in
     if total_fresh seed > 0 then
       ignore
         (seminaive_seq ~trace ~initial:seed ~with_dps:dprep.dr_with_dps ~dom
            db);
-    let rederived = Instance.total_facts (Matcher.Db.instance db) - before in
+    let rederived = Matcher.Db.total db - before in
     if tracing then (
       Observe.Trace.incr trace "dred.batches";
       Observe.Trace.add trace "dred.overdeleted" !overdeleted;

@@ -20,6 +20,17 @@ val program_dom :
   Instance.t ->
   Value.t list
 
+(** [db_dom p plans db] is {!program_dom} over [db]'s current contents
+    ({!Matcher.Db.instance}), which it publishes only when some plan
+    reads the domain: a loop that asks every step lends [db] nothing, so
+    its writes copy nothing. *)
+val db_dom :
+  ?trace:Observe.Trace.ctx ->
+  Ast.program ->
+  Matcher.prepared list ->
+  Matcher.Db.t ->
+  Value.t list
+
 (** A prepared program: matcher plans per rule, in program order. *)
 type prepared
 
@@ -125,8 +136,11 @@ val seminaive_fixpoint :
 (** [seminaive_fixpoint_db] is {!seminaive_fixpoint} against an existing
     {!Matcher.Db} — the db keeps its indexes and membership sets, and
     the fixpoint's derived facts are absorbed into it, so a long-lived
-    caller (a {!Magic} query session) pays index construction once and
-    each later fixpoint re-derives nothing it already holds. *)
+    caller (a {!Magic} query session, the resident server) pays index
+    construction once and each later fixpoint re-derives nothing it
+    already holds. Returns the number of stages; the result is read
+    from the db, which publishes nothing until asked
+    ({!Matcher.Db.relation}, {!Matcher.Db.instance}). *)
 val seminaive_fixpoint_db :
   ?trace:Observe.Trace.ctx ->
   ?neg_db:Matcher.Db.t ->
@@ -134,7 +148,7 @@ val seminaive_fixpoint_db :
   delta_preds:string list ->
   dom:Value.t list ->
   Matcher.Db.t ->
-  Instance.t * int
+  int
 
 (** {1 Incremental view maintenance}
 
@@ -148,8 +162,8 @@ val seminaive_fixpoint_db :
     rules iterate to the new fixpoint. [delta] facts must be fresh (not
     in [db]) and pairwise distinct — the caller checks with
     {!Matcher.Db.mem}. Cost is proportional to the consequences of the
-    delta, not to the database. Returns the new instance and the number
-    of propagation stages. *)
+    delta, not to the database. Returns the number of propagation
+    stages. *)
 val seminaive_increment_db :
   ?trace:Observe.Trace.ctx ->
   ?neg_db:Matcher.Db.t ->
@@ -158,7 +172,7 @@ val seminaive_increment_db :
   dom:Value.t list ->
   Matcher.Db.t ->
   (string * Tuple.t list) list ->
-  Instance.t * int
+  int
 
 (** Compiled artifacts for {!dred}: delta tables over every positive
     body predicate plus one guard plan per rule ([P(t̄) :- dred$P(t̄),
@@ -181,17 +195,17 @@ type dred_stats = {
     the derived cone of the retracted facts (computed against the intact
     database, so derivations using several deleted facts are found);
     (2) remove it; (3) seed re-derivation with cone facts still present
-    in the base instance [edb] and cone facts one guard plan rederives
+    in the base facts [edb] and cone facts one guard plan rederives
     from the surviving database; (4) propagate the seed with the
     semi-naive increment loop. The result equals recomputing the
-    fixpoint from scratch on the post-retraction EDB. [edb] is the base
-    (asserted) instance {e after} the retraction. Facts absent from [db]
+    fixpoint from scratch on the post-retraction EDB. [edb] holds the
+    base (asserted) facts {e after} the retraction. Facts absent from [db]
     are ignored. Counters (when tracing): [dred.batches],
     [dred.overdeleted], [dred.rederived], [dred.cone_rounds] (gauge). *)
 val dred :
   ?trace:Observe.Trace.ctx ->
   dred_prepared ->
-  edb:Instance.t ->
+  edb:Matcher.Db.t ->
   dom:Value.t list ->
   Matcher.Db.t ->
   (string * Tuple.t list) list ->

@@ -177,22 +177,20 @@ let restrict_to_query (query : Ast.atom) rel =
    restrict which instantiations fire), so earlier queries leave behind
    a valid partial fixpoint that later fixpoints extend incrementally —
    a repeat or overlapping query re-derives nothing it already holds.
-   Each memoized rewrite carries the domain its plans need, computed
-   over the session's input instance when the rewrite is built. *)
+   Sessions run pure Datalog, whose safe positive rules (and their
+   rewrites) never read the active domain, so every plan runs with an
+   empty one. *)
 type session = {
   sprogram : Ast.program;
-  base : Instance.t;
   db : Matcher.Db.t;
   strace : Observe.Trace.ctx;
-  rewrites :
-    (string * string, rewritten * Eval_util.prepared * Value.t list) Hashtbl.t;
+  rewrites : (string * string, rewritten * Eval_util.prepared) Hashtbl.t;
 }
 
 let session_db ?(trace = Observe.Trace.null) p db =
   Ast.check_datalog p;
   {
     sprogram = p;
-    base = Matcher.Db.instance db;
     db;
     strace = trace;
     rewrites = Hashtbl.create 8;
@@ -206,7 +204,7 @@ let ask s (query : Ast.atom) =
   if tracing then Observe.Trace.incr s.strace "magic.queries";
   let ad = adorn [] query in
   let key = (query.Ast.pred, ad) in
-  let rw, prepared, dom =
+  let rw, prepared =
     match Hashtbl.find_opt s.rewrites key with
     | Some cached ->
         if tracing then Observe.Trace.incr s.strace "magic.rewrite_memo_hits";
@@ -222,12 +220,7 @@ let ask s (query : Ast.atom) =
                 Observe.Trace.fstr "query_pred" rw.query_pred;
                 Observe.Trace.fint "rules" (List.length rw.program);
               ]);
-        let prepared = Eval_util.prepare rw.program in
-        let dom =
-          Eval_util.program_dom ~trace:s.strace s.sprogram
-            (Eval_util.plans prepared) s.base
-        in
-        let cached = (rw, prepared, dom) in
+        let cached = (rw, Eval_util.prepare rw.program) in
         Hashtbl.add s.rewrites key cached;
         cached
   in
@@ -240,11 +233,12 @@ let ask s (query : Ast.atom) =
          (bound_args ad query))
   in
   ignore (Matcher.Db.insert s.db (fst rw.seed) seed_tup);
-  let res, _stages =
-    Eval_util.seminaive_fixpoint_db ~trace:s.strace prepared
-      ~delta_preds:(Ast.idb rw.program) ~dom s.db
+  ignore
+    (Eval_util.seminaive_fixpoint_db ~trace:s.strace prepared
+       ~delta_preds:(Ast.idb rw.program) ~dom:[] s.db);
+  let answers =
+    restrict_to_query query (Matcher.Db.relation s.db rw.query_pred)
   in
-  let answers = restrict_to_query query (Instance.find rw.query_pred res) in
   if tracing then
     Observe.Trace.add s.strace "magic.answer_tuples" (Relation.cardinal answers);
   answers

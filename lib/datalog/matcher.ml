@@ -2,198 +2,153 @@ open Relational
 module Index = Relation.Index
 
 module Db = struct
-  (* A mutable database view whose secondary indexes survive updates.
-     Indexes ({!Relation.Index}) are memoized per (predicate, constrained
-     positions). [insert]/[absorb]/[remove] keep every memoized index in
-     sync with the instance, so fixpoint engines create one Db per
+  (* The engines' only mutable store. Per predicate, a [store] holds the
+     facts as one membership set (a {!Tuple.Set}, probed by id vector),
+     that set's rows, and the join indexes ({!Relation.Index}) memoized
+     per constrained positions. [insert]/[absorb]/[absorb_new]/[remove]
+     keep all of them in step, so fixpoint engines create one Db per
      evaluation and feed it deltas instead of re-indexing the full
      instance at every stage. The all-tuples scan is the [positions =
      []] index, so it too is maintained incrementally. A lookup that
-     binds every position reads the membership set instead. *)
-  (* A membership set (a {!Tuple.Set}, probed by id vector), [borrowed]
-     while a relation value shares it: a loaded relation's set it
-     adopted ({!Relation.loaded_set}), or its own set, lent by
-     [flush_pred] to the relation it published. The first write copies
-     it, one array copy. Handles stay valid across the copy: they hold
-     this record, not the set. *)
-  type memset = { mutable set : Tuple.Set.t; mutable borrowed : bool }
+     binds every position reads the membership set instead.
+
+     A store starts from the instance's relation: it adopts that
+     relation's set and rows, copying nothing. Publishing ([relation],
+     [instance]) lends them to a new relation value
+     ({!Relation.of_loaded}). While the set is [lent], the next write
+     copies it first (one array copy), so a relation value never
+     changes. Handles ({!memset}) hold the store, so they stay valid
+     across the copy. *)
+  type store = {
+    mutable set : Tuple.Set.t;
+    mutable rows : Tuple.t list;
+        (* the set's tuples, newest first; a removal drops them ([stale])
+           and the next read rebuilds them from the set *)
+    mutable stale : bool;
+    mutable ar : int;  (* the facts' arity, while the set is not empty *)
+    mutable lent : Relation.t option;
+        (* the relation sharing [set] and [rows] since the last write:
+           the one adopted, or the last one published *)
+    indexes : (int list, Index.t) Hashtbl.t;
+  }
+
+  type memset = store
 
   type t = {
     mutable inst : Instance.t;
-    pending : (string, Tuple.t list ref) Hashtbl.t;
-        (* facts accepted by [absorb_new] but not yet folded into the
-           persistent instance: during a fixpoint the memoized indexes
-           and membership sets are the authoritative structures, so the
-           relation is published lazily on the next read — one bulk
-           build per predicate instead of a path copy per fact per
-           round, and no build at all when the stored relation is empty
-           (see [flush_pred]) *)
-    indexes : (string, (int list, Index.t) Hashtbl.t) Hashtbl.t;
-    mems : (string, memset) Hashtbl.t;
-        (* per-predicate flat membership sets, built lazily on first
-           probe (or adopted from a loaded relation) and maintained
-           incrementally ever after: a fact check is a short linear probe
-           of one array, never a walk of the persistent trie (which goes
-           cache-cold once relations outgrow the caches) *)
+        (* the relation of each predicate without a store, and the last
+           published relation of each predicate with one *)
+    stores : (string, store) Hashtbl.t;
     trace : Observe.Trace.ctx;
   }
 
   let of_instance ?(trace = Observe.Trace.null) inst =
-    {
-      inst;
-      pending = Hashtbl.create 4;
-      indexes = Hashtbl.create 32;
-      mems = Hashtbl.create 8;
-      trace;
-    }
+    { inst; stores = Hashtbl.create 8; trace }
 
   let trace db = db.trace
 
-  (* A worker's view of the database: a shallow copy that shares every
-     hash table (pending, memoized indexes, membership sets) but carries
-     a private trace context, so parallel workers can count without
-     contending on one counter table. The view is read-only by
-     convention — the sharing means a lazy index/memset build through a
+  (* A worker's view of the database: a shallow copy that shares the
+     stores but carries a private trace context, so parallel workers can
+     count without contending on one counter table. The view is
+     read-only by convention — a lazy store or index build through a
      view would race with its siblings, which is why the parallel
      engines [prewarm] every structure a plan can touch before fanning
-     out. The mutable [inst] field is copied by value and does not track
-     later coordinator-side flushes — a view must not be used through
-     [instance] / [relation]. *)
+     out. *)
   let with_trace db trace = { db with trace }
 
-  (* Publish [p]'s pending facts into the instance. When the stored
-     relation is empty (every idb predicate at the end of a bottom-up
-     fixpoint) the membership set holds exactly the pending facts, so it
-     is lent as a loaded relation ({!Relation.of_loaded}): no trie is
-     built until something writes to the relation, and [writable]
-     copies the set before the Db's next write, so the published value
-     never changes. Otherwise (or without a membership set) the pending
-     facts are bulk-built into a trie and unioned in. Each publish is a
-     [materialize] span. *)
-  let flush_pred db p =
-    match Hashtbl.find_opt db.pending p with
-    | None -> ()
-    | Some lst ->
-        Hashtbl.remove db.pending p;
-        let rows = !lst in
-        let stored = Instance.find p db.inst in
-        let lend =
-          if Relation.is_empty stored then Hashtbl.find_opt db.mems p else None
+  let adopt rel =
+    {
+      set = Relation.set rel;
+      rows = Relation.rows rel;
+      stale = false;
+      ar = Option.value (Relation.arity rel) ~default:0;
+      lent = Some rel;
+      indexes = Hashtbl.create 4;
+    }
+
+  (* [p]'s store, adopted from the instance on first use; finding it
+     allocates nothing *)
+  let store db p =
+    match Hashtbl.find db.stores p with
+    | st -> st
+    | exception Not_found ->
+        let st = adopt (Instance.find p db.inst) in
+        Hashtbl.add db.stores p st;
+        st
+
+  let rows st =
+    if st.stale then (
+      let rows = ref [] in
+      Tuple.Set.iter (fun t -> rows := t :: !rows) st.set;
+      st.rows <- !rows;
+      st.stale <- false);
+    st.rows
+
+  (* [p]'s relation: the one lent [st]'s set, a new value after a write
+     (in a [materialize] span) *)
+  let publish db p st =
+    match st.lent with
+    | Some r -> r
+    | None ->
+        let make () = Relation.of_loaded (rows st) st.set in
+        let r =
+          if not (Observe.Trace.enabled db.trace) then make ()
+          else
+            Observe.Trace.with_span db.trace ~kind:"materialize"
+              ~fields:
+                Observe.Trace.
+                  [ fstr "pred" p; fint "rows" (Tuple.Set.length st.set) ]
+              p make
         in
-        let publish () =
-          match lend with
-          | Some m ->
-              m.borrowed <- true;
-              Relation.of_loaded rows m.set
-          | None -> Relation.union (Relation.of_distinct rows) stored
-        in
-        let rel =
-          match rows with
-          | [] -> stored
-          | _ when not (Observe.Trace.enabled db.trace) -> publish ()
-          | _ ->
-              Observe.Trace.with_span db.trace ~kind:"materialize"
-                ~fields:
-                  Observe.Trace.
-                    [
-                      fstr "pred" p;
-                      fint "rows" (List.length rows);
-                      fstr "how"
-                        (if Option.is_some lend then "lent" else "union");
-                    ]
-                p publish
-        in
-        db.inst <- Instance.set p rel db.inst
+        st.lent <- Some r;
+        r
 
   let relation db p =
-    flush_pred db p;
-    Instance.find p db.inst
-
-  let pred_indexes db p =
-    match Hashtbl.find_opt db.indexes p with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create 4 in
-        Hashtbl.add db.indexes p t;
-        t
-
-  let memset db p =
-    match Hashtbl.find_opt db.mems p with
-    | Some m -> m
-    | None ->
-        let rel = relation db p in
-        let m =
-          match Relation.loaded_set rel with
-          | Some set -> { set; borrowed = true }
-          | None ->
-              let set = Tuple.Set.create (Relation.cardinal rel) in
-              Relation.unordered_iter
-                (fun t -> ignore (Tuple.Set.add set t))
-                rel;
-              { set; borrowed = false }
-        in
-        Hashtbl.add db.mems p m;
-        m
-
-  (* A query-scoped database over [base] whose [shared] predicates are
-     [db]'s own: the flushed relation, the per-predicate index table
-     (so an index built through the view lands in [db], whose writes
-     then maintain it) and the membership set, built in [db] when it
-     has none yet. *)
-  let sharing db shared base =
-    let q = of_instance ~trace:db.trace base in
-    List.iter
-      (fun p ->
-        q.inst <- Instance.set p (relation db p) q.inst;
-        Hashtbl.replace q.indexes p (pred_indexes db p);
-        Hashtbl.replace q.mems p (memset db p))
-      shared;
-    q
-
-  let flush db =
-    if Hashtbl.length db.pending > 0 then
-      List.iter (flush_pred db)
-        (Hashtbl.fold (fun p _ acc -> p :: acc) db.pending [])
+    match Hashtbl.find_opt db.stores p with
+    | None -> Instance.find p db.inst
+    | Some st -> publish db p st
 
   let instance db =
-    flush db;
+    List.iter
+      (fun p ->
+        let r = publish db p (Hashtbl.find db.stores p) in
+        if Instance.find p db.inst != r then
+          db.inst <- Instance.set p r db.inst)
+      (List.sort String.compare
+         (Hashtbl.fold (fun p _ acc -> p :: acc) db.stores []));
     db.inst
 
+  (* A query-scoped database over [base] whose [shared] predicates are
+     [db]'s own stores: an index built through the view lands in [db],
+     whose writes then maintain it. *)
+  let sharing db shared base =
+    let q = of_instance ~trace:db.trace base in
+    List.iter (fun p -> Hashtbl.replace q.stores p (store db p)) shared;
+    q
+
+  let memset = store
   let memset_mem m ids = Tuple.Set.mem m.set ids
-  let mem db p tup = memset_mem (memset db p) (Tuple.ids tup)
+  let mem db p tup = memset_mem (store db p) (Tuple.ids tup)
+  let arity db p =
+    let st = store db p in
+    if Tuple.Set.length st.set = 0 then None else Some st.ar
 
-  (* [p]'s membership set for writing, if it has one: a borrowed set is
-     copied first (one [Array.copy] of its slots), so the relation value
-     sharing it never changes *)
-  let writable db p =
-    match Hashtbl.find_opt db.mems p with
-    | None -> None
-    | Some m ->
-        if m.borrowed then (
-          m.set <- Tuple.Set.copy m.set;
-          m.borrowed <- false);
-        Some m.set
-
-  let mems_add db p t =
-    match writable db p with
-    | Some set -> ignore (Tuple.Set.add set t)
-    | None -> ()
-
-  let mems_remove db p t =
-    match writable db p with
-    | Some set -> ignore (Tuple.Set.remove set t)
-    | None -> ()
+  let total db =
+    Hashtbl.fold (fun _ st n -> n + Tuple.Set.length st.set) db.stores 0
+    + Instance.fold
+        (fun p r n ->
+          if Hashtbl.mem db.stores p then n else n + Relation.cardinal r)
+        db.inst 0
 
   let index db p positions =
-    let per_pred = pred_indexes db p in
-    match Hashtbl.find_opt per_pred positions with
+    let st = store db p in
+    match Hashtbl.find_opt st.indexes positions with
     | Some ix ->
         Observe.Trace.incr db.trace "db.index_memo_hits";
         ix
     | None ->
         Observe.Trace.incr db.trace "db.index_builds";
-        let rel = relation db p in
-        let build () = Index.of_relation rel (Array.of_list positions) in
+        let build () = Index.of_list (Array.of_list positions) (rows st) in
         let ix =
           if not (Observe.Trace.enabled db.trace) then build ()
           else
@@ -204,12 +159,12 @@ module Db = struct
                   [
                     fstr "pred" p;
                     fstr "cols" cols;
-                    fint "rows" (Relation.cardinal rel);
+                    fint "rows" (Tuple.Set.length st.set);
                   ]
               (p ^ "[" ^ cols ^ "]")
               build
         in
-        Hashtbl.add per_pred positions ix;
+        Hashtbl.add st.indexes positions ix;
         ix
 
   (* The compiled plans below probe indexes with statically-sorted
@@ -232,89 +187,71 @@ module Db = struct
       | [] -> i = ar
       | (j, _) :: rest -> i = j && full ar (i + 1) rest
     in
-    match Relation.arity (relation db p) with
+    match arity db p with
     | None -> []
     | Some ar when full ar 0 bindings -> (
-        match Tuple.Set.find_opt (memset db p).set key with
+        match Tuple.Set.find_opt (store db p).set key with
         | Some t -> [ t ]
         | None -> [])
     | Some _ -> Index.find (index db p (List.map fst bindings)) (Array.get key)
 
+  (* [st] ready for a write: a lent set is copied first *)
+  let writable st =
+    if Option.is_some st.lent then (
+      st.set <- Tuple.Set.copy st.set;
+      st.lent <- None)
+
+  let check_arity st t =
+    if Tuple.Set.length st.set > 0 && Tuple.arity t <> st.ar then
+      invalid_arg
+        (Printf.sprintf
+           "Relation: arity mismatch (relation has arity %d, tuple has %d)"
+           st.ar (Tuple.arity t))
+
+  (* [t], not in [st], joins its set, rows and indexes *)
+  let add_new st t =
+    check_arity st t;
+    writable st;
+    st.ar <- Tuple.arity t;
+    ignore (Tuple.Set.add st.set t);
+    if not st.stale then st.rows <- t :: st.rows;
+    Hashtbl.iter (fun _ ix -> Index.add ix t) st.indexes
+
   let insert db p t =
-    flush_pred db p;
-    if Instance.mem_fact p t db.inst then (
+    let st = store db p in
+    if memset_mem st (Tuple.ids t) then (
       Observe.Trace.incr db.trace "db.insert_dups";
       false)
     else (
       Observe.Trace.incr db.trace "db.inserts";
-      db.inst <- Instance.add_fact p t db.inst;
-      mems_add db p t;
-      (match Hashtbl.find_opt db.indexes p with
-      | None -> ()
-      | Some per_pred -> Hashtbl.iter (fun _ ix -> Index.add ix t) per_pred);
+      add_new st t;
       true)
 
-  (* Deletion must purge the lazy [pending] buffer too: a fact accepted
-     by [absorb_new] lives only in [pending]/mems/indexes until the next
-     read flushes it into the trie, and leaving it queued would let that
-     flush resurrect it after this remove. Purging directly (instead of
-     flushing first) also keeps retraction from forcing a full per-pred
-     trie rebuild on every call — the deletion hot path of the resident
-     server. *)
   let remove db p t =
-    let in_pending =
-      match Hashtbl.find_opt db.pending p with
-      | None -> false
-      | Some lst ->
-          if List.exists (Tuple.equal t) !lst then (
-            lst := List.filter (fun u -> not (Tuple.equal u t)) !lst;
-            true)
-          else false
-    in
-    let in_inst = Instance.mem_fact p t db.inst in
-    if not (in_pending || in_inst) then false
+    let st = store db p in
+    if not (memset_mem st (Tuple.ids t)) then false
     else (
-      if in_inst then db.inst <- Instance.remove_fact p t db.inst;
-      mems_remove db p t;
-      (match Hashtbl.find_opt db.indexes p with
-      | None -> ()
-      | Some per_pred ->
-          Hashtbl.iter (fun _ ix -> Index.remove ix t) per_pred);
+      writable st;
+      ignore (Tuple.Set.remove st.set t);
+      st.rows <- [];
+      st.stale <- true;
+      Hashtbl.iter (fun _ ix -> Index.remove ix t) st.indexes;
       true)
 
   let absorb db delta =
     Instance.fold
       (fun p rel () ->
-        match Hashtbl.find_opt db.indexes p with
-        | None ->
-            (* no memoized index: bulk-union the new tuples *)
-            let news =
-              Relation.unordered_fold
-                (fun t acc -> if mem db p t then acc else t :: acc)
-                rel []
-            in
-            if news <> [] then (
-              db.inst <-
-                Instance.set p (Relation.add_all news (relation db p)) db.inst;
-              List.iter (mems_add db p) news)
-        | Some per_pred ->
-            (* indexed predicate: one structural union for the relation
-               (shared subtrees, no per-tuple instance churn), then append
-               the genuinely new tuples to every memoized index *)
-            let cur = relation db p in
-            let grown = Relation.union rel cur in
-            let added = Relation.cardinal grown - Relation.cardinal cur in
-            let dups = Relation.cardinal rel - added in
-            if added > 0 then Observe.Trace.add db.trace "db.inserts" added;
-            if dups > 0 then Observe.Trace.add db.trace "db.insert_dups" dups;
-            if added > 0 then (
-              db.inst <- Instance.set p grown db.inst;
-              Relation.unordered_iter
-                (fun t ->
-                  if dups = 0 || not (Relation.mem t cur) then (
-                    mems_add db p t;
-                    Hashtbl.iter (fun _ ix -> Index.add ix t) per_pred))
-                rel))
+        let st = store db p in
+        let added = ref 0 in
+        Relation.unordered_iter
+          (fun t ->
+            if not (memset_mem st (Tuple.ids t)) then (
+              add_new st t;
+              incr added))
+          rel;
+        let dups = Relation.cardinal rel - !added in
+        if !added > 0 then Observe.Trace.add db.trace "db.inserts" !added;
+        if dups > 0 then Observe.Trace.add db.trace "db.insert_dups" dups)
       delta ()
 
   (* Bulk insert of facts known to be fresh and pairwise distinct (the
@@ -323,21 +260,14 @@ module Db = struct
   let absorb_new db p news =
     match news with
     | [] -> ()
-    | _ ->
+    | t0 :: _ ->
         Observe.Trace.add db.trace "db.inserts" (List.length news);
-        (* defer the trie: facts queue up in [pending] and the relation
-           is bulk-rebuilt on the next read; indexes and membership sets
-           (below) stay current, which is all the join loop touches *)
-        (match Hashtbl.find_opt db.pending p with
-        | Some lst -> lst := List.rev_append news !lst
-        | None -> Hashtbl.add db.pending p (ref news));
-        (match writable db p with
-        | Some set -> List.iter (fun t -> ignore (Tuple.Set.add set t)) news
-        | None -> ());
-        (match Hashtbl.find_opt db.indexes p with
-        | None -> ()
-        | Some per_pred ->
-            Hashtbl.iter (fun _ ix -> List.iter (Index.add ix) news) per_pred)
+        let st = store db p in
+        writable st;
+        st.ar <- Tuple.arity t0;
+        List.iter (fun t -> ignore (Tuple.Set.add st.set t)) news;
+        if not st.stale then st.rows <- List.rev_append news st.rows;
+        Hashtbl.iter (fun _ ix -> List.iter (Index.add ix) news) st.indexes
 end
 
 (* ------------------------------------------------------------------ *)
@@ -401,13 +331,13 @@ module Shard = struct
 
   let add sh p t = Tuple.Set.add (memset sh p) t
 
-  let seed sh p rel =
+  let seed sh p (m : Db.memset) =
     let set = memset sh p in
-    Relation.unordered_iter
+    Tuple.Set.iter
       (fun t ->
         if owner ~nshards:sh.nshards (Tuple.ids t) = sh.shard then
           ignore (Tuple.Set.add set t))
-      rel
+      m.Db.set
 
   let total sh =
     Hashtbl.fold (fun _ set n -> n + Tuple.Set.length set) sh.mems 0
@@ -1046,13 +976,9 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
 
 let run ?delta ?dom ?neg_db prepared db =
   (* the public API takes the delta as a relation; the join loop wants
-     the plain tuple list (order is irrelevant: results are sorted) *)
-  let delta =
-    Option.map
-      (fun (p, rel) ->
-        (p, Relation.unordered_fold (fun t l -> t :: l) rel []))
-      delta
-  in
+     the plain tuple list, its rows (order is irrelevant: results are
+     sorted) *)
+  let delta = Option.map (fun (p, rel) -> (p, Relation.rows rel)) delta in
   let nkeep = Array.length prepared.keep in
   let results = ref [] in
   let (_ : int) =

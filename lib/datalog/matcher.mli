@@ -18,13 +18,22 @@
 
 open Relational
 
-(** A mutable database view with memoized secondary indexes
-    ({!Relation.Index}) that are maintained incrementally: create one
-    [Db] per evaluation (not per stage) and feed it new facts with
-    {!Db.insert} or {!Db.absorb} — every cached index is updated in place
-    instead of being rebuilt. A probe that binds every argument position
-    is a membership test: it reads the predicate's membership set
-    ({!Db.memset}) and never builds an index. *)
+(** The engines' mutable store. Per predicate a [Db] holds one
+    membership set (a {!Tuple.Set}), that set's rows, and the join
+    indexes ({!Relation.Index}) memoized per constrained positions, all
+    maintained incrementally: create one [Db] per evaluation (not per
+    stage) and feed it new facts with {!Db.insert}, {!Db.absorb} or
+    {!Db.absorb_new} — every cached index is updated in place instead of
+    being rebuilt. A probe that binds every argument position is a
+    membership test: it reads the predicate's membership set
+    ({!Db.memset}) and never builds an index.
+
+    A predicate's store starts from the wrapped instance's relation: it
+    adopts that relation's set and rows ({!Relation.set},
+    {!Relation.rows}) without copying them. {!Db.relation} and
+    {!Db.instance} publish by lending the set and rows to a relation
+    value ({!Relation.of_loaded}); the next write to a lent set copies
+    it first (one array copy), so a published relation never changes. *)
 module Db : sig
   type t
 
@@ -35,95 +44,87 @@ module Db : sig
       the matcher counters of every {!run} against this database. Each
       index build runs in a span of kind [index], named [pred[cols]]
       (e.g. [G[0]]), opened with the fields [pred], [cols] and [rows]
-      (the tuples indexed). Each publish of a predicate's pending facts
-      (see {!instance}) runs in a span of kind [materialize], named
-      after the predicate, opened with the fields [pred], [rows] (the
-      facts published) and [how] ([lent] or [union]). *)
+      (the tuples indexed). Each publish of a predicate written since
+      its last publish (see {!instance}) runs in a span of kind
+      [materialize], named after the predicate, opened with the fields
+      [pred] and [rows] (the facts of the published relation). *)
   val of_instance : ?trace:Observe.Trace.ctx -> Instance.t -> t
 
   (** The trace context the database reports to. *)
   val trace : t -> Observe.Trace.ctx
 
   (** [with_trace db ctx] is a {e view} of [db] reporting to [ctx]: it
-      shares every memoized structure (indexes, membership sets, pending
-      buffer) with [db] but counts into its own context. The parallel
-      engines hand one view per worker so counters never contend. A view
-      is read-only by convention: callers must {!prewarm} every
-      structure their plans touch before sharing views across domains,
-      must not mutate through a view, and must not use it through
-      {!instance}/{!relation} (the underlying-instance pointer is frozen
-      at view-creation time). *)
+      shares every store (membership sets, rows, indexes) with [db] but
+      counts into its own context. The parallel engines hand one view
+      per worker so counters never contend. A view is read-only by
+      convention: callers must {!prewarm} every structure their plans
+      touch before sharing views across domains, must not mutate
+      through a view, and must not use it through
+      {!instance}/{!relation}. *)
   val with_trace : t -> Observe.Trace.ctx -> t
 
   (** [sharing db shared base] is a query-scoped database over [base]
       that reads every predicate of [shared] from [db] itself: [db]'s
-      relation (its pending buffer flushed first), its memoized index
-      table and its membership set (built in [db] first when missing)
-      are aliased, not copied. An index the
-      query builds on a shared predicate therefore stays in [db], and
-      [db]'s later writes maintain it. Every other predicate starts from
-      [base] and lives only in the new value, which reports to [db]'s
-      trace context. The value is valid until [db] is next written, and
-      a shared predicate must never be written through it. *)
+      store for it (membership set, rows and memoized indexes) is
+      aliased, not copied. An index the query builds on a shared
+      predicate therefore stays in [db], and [db]'s later writes
+      maintain it. Every other predicate starts from [base] and lives
+      only in the new value, which reports to [db]'s trace context. The
+      value is valid until [db] is next written, and a shared predicate
+      must never be written through it. *)
   val sharing : t -> string list -> Instance.t -> t
 
-  (** [instance db] is the current underlying instance (a persistent
-      snapshot; later mutations of [db] do not affect it). Facts that
-      {!absorb_new} queued are published first. A predicate that had no
-      stored facts is published without building a trie: its relation
-      is a {!Relation.of_loaded} value over the predicate's membership
-      set ([how=lent] in the [materialize] span). That relation shares
-      the Db's set, and the Db copies the set before it next writes to
-      it, so the snapshot still never changes. A predicate with
-      stored facts gets them unioned with the new ones ([how=union]). *)
+  (** [instance db] is the current contents as an instance (a snapshot;
+      later writes to [db] do not affect it). Each predicate's relation
+      is lent the predicate's set and rows, so publishing copies
+      nothing; a predicate not written since its last publish keeps its
+      relation value (and that value's memoized indexes and sorted
+      view). *)
   val instance : t -> Instance.t
 
-  (** [relation db p] is the relation bound to predicate [p], published
-      as in {!instance}: it may share [db]'s membership set for [p],
-      and stays unchanged by later writes all the same. *)
+  (** [relation db p] is the relation of predicate [p], published as in
+      {!instance}. *)
   val relation : t -> string -> Relation.t
+
+  (** [arity db p] reads [p]'s set without publishing it ([None] when
+      [p] has no facts); [total db] is the number of facts across
+      predicates. Neither lends a set, so the next write copies
+      nothing. *)
+  val arity : t -> string -> int option
+  val total : t -> int
 
   (** [lookup db p bindings] returns the tuples of [p] agreeing with
       [bindings], a list of (position, value) constraints. Builds (and
       caches) a hash index on the constrained positions — unless they
-      are exactly the positions [0 .. arity - 1] of [p]'s relation: a
-      ground lookup reads the membership set ({!memset}) and builds no
-      index. *)
+      are exactly the positions [0 .. arity - 1] of [p]: a ground lookup
+      reads the membership set ({!memset}) and builds no index. *)
   val lookup : t -> string -> (int * Value.t) list -> Tuple.t list
 
   (** [mem db p tup] tests a ground fact. *)
   val mem : t -> string -> Tuple.t -> bool
 
-  (** A per-predicate membership set: a {!Tuple.Set}, probed by
-      interned id vector, built lazily on first use and then maintained
-      incrementally by {!insert}/{!remove}/{!absorb}. Unlike walking the
-      persistent relation trie, a probe is a short linear scan of one
-      array however large the relation grows — fixpoint engines use
-      this for their freshness checks. A predicate whose relation came
-      straight from the fact loader adopts that relation's set
-      ({!Relation.loaded_set}) instead of building one, and a predicate
-      published without a trie (see {!instance}) lends its set to the
-      published relation. In both cases the Db copies the set (one array
-      copy) before its next write to it, so the relation value never
-      changes. *)
+  (** A handle on one predicate's membership set, probed by interned id
+      vector: a short linear scan of one array however large the
+      relation grows — fixpoint engines use this for their freshness
+      checks. It stays valid across every write to the predicate,
+      including the copy of a lent set. *)
   type memset
 
-  (** [memset db p] is the membership set of predicate [p] (building it,
-      once, if needed). The handle stays valid across updates to [db]. *)
+  (** [memset db p] is the membership set of predicate [p]. *)
   val memset : t -> string -> memset
 
   (** [memset_mem m ids] tests the fact with argument ids [ids]. *)
   val memset_mem : memset -> int array -> bool
 
   (** [insert db p tup] adds a fact, updating every memoized index of
-      [p]. Returns [true] iff the fact was new. *)
+      [p]. Returns [true] iff the fact was new. A fact already present
+      costs one probe of the membership set and allocates nothing.
+      @raise Invalid_argument when [tup]'s arity differs from [p]'s
+      facts'. *)
   val insert : t -> string -> Tuple.t -> bool
 
   (** [remove db p tup] deletes a fact, updating every memoized index of
-      [p] {e and} the lazy pending buffer — a fact queued by
-      {!absorb_new} but not yet flushed into the persistent trie is
-      purged too, so no later read can resurrect it. Returns [true] iff
-      the fact was present. *)
+      [p]. Returns [true] iff the fact was present. *)
   val remove : t -> string -> Tuple.t -> bool
 
   (** [absorb db delta] inserts every fact of [delta] into [db],
@@ -168,10 +169,11 @@ module Shard : sig
       through [add]. *)
   val add : t -> string -> Tuple.t -> bool
 
-  (** [seed sh p rel] folds this shard's partition of [rel] into its
-      membership set for [p] — the per-fixpoint initialisation, run by
-      every worker over the same head-predicate relations. *)
-  val seed : t -> string -> Relation.t -> unit
+  (** [seed sh p m] folds this shard's partition of the membership set
+      [m] into its own membership set for [p] — the per-fixpoint
+      initialisation, run by every worker over the same head-predicate
+      sets. *)
+  val seed : t -> string -> Db.memset -> unit
 
   (** [total sh] is the number of owned facts across predicates. *)
   val total : t -> int

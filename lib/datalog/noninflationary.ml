@@ -19,11 +19,7 @@ let apply_policy policy current pos neg =
       let conflict =
         Instance.fold
           (fun p r acc ->
-            Relation.fold
-              (fun t acc ->
-                if Instance.mem_fact p t neg then Instance.add_fact p t acc
-                else acc)
-              r acc)
+            Instance.set p (Relation.inter r (Instance.find p neg)) acc)
           pos Instance.empty
       in
       let pos' = Instance.diff pos conflict

@@ -108,8 +108,7 @@ let run ?(schedule = Round_robin) ?(max_rounds = 10_000)
     | Some rules ->
         let plain = List.map (fun (r, _) -> r.rule) rules in
         let dom =
-          Datalog.Eval_util.program_dom ~trace plain (List.map snd rules)
-            (Matcher.Db.instance store)
+          Datalog.Eval_util.db_dom ~trace plain (List.map snd rules) store
         in
         let db = store in
         let derived = ref [] in
@@ -274,8 +273,7 @@ let run_bulk ?(max_supersteps = 10_000) ?(trace = Observe.Trace.null) net =
           let plain = List.map (fun (r, _) -> r.rule) rules in
           (* untraced: this runs on a pool worker *)
           let dom =
-            Datalog.Eval_util.program_dom plain (List.map snd rules)
-              (Matcher.Db.instance store)
+            Datalog.Eval_util.db_dom plain (List.map snd rules) store
           in
           let local = ref [] in
           List.iter

@@ -81,7 +81,7 @@ let eval ~seed ?(trace = Observe.Trace.null) p inst =
     if tracing then (
       Observe.Trace.open_span trace ~kind:"round" (string_of_int !round_no);
       Stdlib.incr round_no);
-    let added = ref Instance.empty in
+    let added = Matcher.Db.of_instance Instance.empty in
     let any = ref false in
     List.iter
       (fun (idx, c, plan) ->
@@ -97,15 +97,13 @@ let eval ~seed ?(trace = Observe.Trace.null) p inst =
                   if
                     pos
                     && (not (Matcher.Db.mem db pr t))
-                    && not (Instance.mem_fact pr t !added)
-                  then (
-                    added := Instance.add_fact pr t !added;
-                    any := true))
+                    && Matcher.Db.insert added pr t
+                  then any := true)
                 facts))
           substs)
       prepared;
     if tracing then (
-      let d = Instance.total_facts !added in
+      let d = Matcher.Db.total added in
       Observe.Trace.incr trace "fixpoint.rounds";
       Observe.Trace.gauge_max trace "fixpoint.delta_max" d;
       Observe.Trace.add trace "fixpoint.delta_total" d;
@@ -113,7 +111,7 @@ let eval ~seed ?(trace = Observe.Trace.null) p inst =
         ~fields:[ Observe.Trace.fint "delta" d ]
         ());
     if !any then (
-      Matcher.Db.absorb db !added;
+      Matcher.Db.absorb db (Matcher.Db.instance added);
       loop ())
     else Matcher.Db.instance db
   in

@@ -7,14 +7,18 @@ type successors = {
   bottom_applicable : bool;
 }
 
-(* Apply one grounded head to the instance. The head is consistent
-   (checked by the caller), so insertion/deletion order is irrelevant. *)
+(* Apply one grounded head to the instance, through a Db so that each
+   written relation is copied once. The head is consistent (checked by
+   the caller), so insertion/deletion order is irrelevant. *)
 let apply_heads inst facts =
-  List.fold_left
-    (fun acc (pos, pred, tup) ->
-      if pos then Instance.add_fact pred tup acc
-      else Instance.remove_fact pred tup acc)
-    inst facts
+  let db = Matcher.Db.of_instance inst in
+  List.iter
+    (fun (pos, pred, tup) ->
+      ignore
+        (if pos then Matcher.Db.insert db pred tup
+         else Matcher.Db.remove db pred tup))
+    facts;
+  Matcher.Db.instance db
 
 let head_consistent facts =
   not
@@ -92,8 +96,7 @@ let run ~seed ?(max_steps = 100_000) ?(trace = Observe.Trace.null) p inst =
       (* the state changes every step, so a plan that reads the domain
          rescans it; a range-restricted program never does *)
       let dom =
-        Datalog.Eval_util.program_dom ~trace p (List.map snd prepared)
-          (Matcher.Db.instance db)
+        Datalog.Eval_util.db_dom ~trace p (List.map snd prepared) db
       in
       (* candidate firings: state-changing or ⊥-deriving *)
       let candidates =

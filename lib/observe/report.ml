@@ -97,6 +97,30 @@ let validate_line line =
                        (String.concat ", " missing))))
       | _ -> Error "line has no \"type\" string")
 
+(* --- process memory ---------------------------------------------------- *)
+
+type memory = { peak_kb : int option; heap_words : int; top_heap_words : int }
+
+(* the kB figure of the [VmHWM:] line, e.g. "VmHWM:\t   23456 kB" *)
+let vm_hwm () =
+  let field line =
+    match String.split_on_char ':' line with
+    | [ "VmHWM"; v ] ->
+        int_of_string_opt (String.trim (List.hd (String.split_on_char 'k' v)))
+    | _ -> None
+  in
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | text -> List.find_map field (String.split_on_char '\n' text)
+  | exception Sys_error _ -> None
+
+let memory () =
+  let g = Gc.quick_stat () in
+  {
+    peak_kb = vm_hwm ();
+    heap_words = g.Gc.heap_words;
+    top_heap_words = g.Gc.top_heap_words;
+  }
+
 (* --- human-readable summary ------------------------------------------ *)
 
 let pp_fields ppf fields =
@@ -158,4 +182,11 @@ let pp_summary ppf ctx =
   if cand > 0 then
     Format.fprintf ppf "join selectivity: %d/%d (%.1f%% of scanned tuples)@."
       substs cand
-      (100. *. float_of_int substs /. float_of_int cand)
+      (100. *. float_of_int substs /. float_of_int cand);
+  let m = memory () in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1e6 in
+  Format.fprintf ppf "memory: %sheap %.2f MB, top heap %.2f MB@."
+    (match m.peak_kb with
+    | Some kb -> Printf.sprintf "peak rss %.2f MB, " (float_of_int kb /. 1024.)
+    | None -> "")
+    (mb m.heap_words) (mb m.top_heap_words)

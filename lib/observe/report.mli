@@ -27,9 +27,19 @@ val jsonl_sink : write:(string -> unit) -> Trace.sink
     Returns the line type on success. *)
 val validate_line : string -> (string, string) result
 
+(** The process's own memory, as it reports it. [peak_kb] is its peak
+    resident set ([VmHWM] in [/proc/self/status]), [None] where that
+    file cannot be read; [heap_words] and [top_heap_words] are the OCaml
+    heap's current and largest size ([Gc.quick_stat]). *)
+type memory = { peak_kb : int option; heap_words : int; top_heap_words : int }
+
+val memory : unit -> memory
+
 (** [pp_summary ppf ctx] prints the human-readable run report: retained
     spans (runs, strata, phases) with their close fields, per-kind span
     totals, all counters and latency histograms (both sorted by name, so
-    the output is deterministic up to the times themselves), and the
-    derived index hit/build and join selectivity ratios. *)
+    the output is deterministic up to the times themselves), the
+    derived index hit/build and join selectivity ratios, and a last
+    [memory:] line ({!memory}: the peak in MiB, as [ru_maxrss] readers
+    show it, the heap in MB of 10^6 bytes). *)
 val pp_summary : Format.formatter -> Trace.ctx -> unit

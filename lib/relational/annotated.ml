@@ -1,8 +1,8 @@
 (* Semiring-annotated relations: a plain [Relation.t] (the support)
    plus a side-car map from interned-id vectors to annotation values.
 
-   The side-car shape keeps the set core untouched: the trie, its
-   memoized sorted views and every set engine stay byte-identical —
+   The side-car shape keeps the set core untouched: the flat relation,
+   its memoized sorted views and every set engine stay byte-identical —
    Boolean evaluation never allocates or consults a map — while the
    annotated paths carry the same tuples with their values alongside. *)
 

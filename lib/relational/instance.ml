@@ -184,8 +184,8 @@ module Tokens = struct
 end
 
 (* One predicate's facts so far: the distinct rows, newest first, and
-   the set of them that deduplicates them. The set becomes the
-   relation's membership set ({!Relation.of_loaded}). *)
+   the set of them that deduplicates them. Rows and set become the
+   relation ({!Relation.of_loaded}). *)
 type loading = {
   name : string;
   arity : int;
@@ -424,8 +424,8 @@ let scan ld text =
 (* Facts and arguments are cut as spans of the input; a '.' or ','
    inside "..." or a quoted symbol neither ends a fact nor splits an
    argument, and '%' or "//" there does not start a comment. Each
-   predicate's facts are deduplicated into one {!Tuple.Set}, which its
-   relation keeps ({!Relation.of_loaded}): no trie is built here. *)
+   predicate's facts are deduplicated into one {!Tuple.Set}, which with
+   the rows is its relation ({!Relation.of_loaded}), copied nowhere. *)
 let parse_facts text =
   let len = String.length text in
   let ld =

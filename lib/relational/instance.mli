@@ -107,10 +107,9 @@ val to_string : t -> string
     [text], each distinct token is parsed and interned once (a per-load
     cache; its hits count into [Value.Intern.hits]), and each
     predicate's facts are deduplicated into one table from id vectors
-    to tuples. The relations are built with {!Relation.of_loaded}: they
-    keep those rows and that table and build no trie until a trie
-    operation needs one, and [Matcher.Db] adopts the table as the
-    predicate's membership set.
+    to tuples. Each relation is those rows and that table
+    ({!Relation.of_loaded}), copied nowhere, and [Matcher.Db] adopts the
+    table as the predicate's membership set.
 
     @raise Failure with a line number on malformed input — the line of
     the fact's closing dot, or of the last character of an unterminated

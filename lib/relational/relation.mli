@@ -1,17 +1,27 @@
 (** Relation instances: finite sets of constant tuples of a fixed arity.
 
-    Backed by a persistent hash trie keyed on the tuples' cached hashes
-    (see {!Tuple}): membership, insertion and set algebra cost integer
-    comparisons, never structural walks over values. Every observer that
+    A relation is an immutable flat value: a frozen {!Tuple.Set} of its
+    tuples and the list of those tuples (its rows). Membership ({!mem},
+    {!mem_ids}) is one probe of the set, which allocates nothing. The
+    unordered enumerations ({!unordered_fold}, {!unordered_iter}) and
+    index builds walk the rows, in the order the value was built in (for
+    a relation from the fact loader, load order). Every observer that
     can leak an order — {!to_list}, {!elements}, {!fold}, {!iter},
     {!pp} — reads an order-on-demand sorted view ({!Tuple.compare}
     order, memoized per relation value; built by {!Tuple.rank_sort}, so
     each distinct value is decoded once per sort), so printed output and
     enumeration order are identical to the former [Set.Make (Tuple)]
-    representation. A relation straight from the fact loader, or a
-    derived relation a [Matcher.Db] published, keeps its rows and a
-    {!Tuple.Set} of them instead, and builds its trie on the first trie
-    operation ({!of_loaded}).
+    representation.
+
+    Every operation that returns a new relation builds it in one pass
+    and shares nothing mutable with its operands. {!add} and {!remove}
+    copy the whole set, so each costs O(n): they are for one-off edits.
+    To build a relation from many tuples, collect them and call
+    {!of_list} (or {!of_distinct} when they are distinct); to apply many
+    edits to a predicate, write them through a [Matcher.Db], whose sets
+    are mutable, and publish once with [Db.relation] or [Db.instance].
+    {!union} copies the larger operand's set and adds the smaller's
+    tuples.
 
     All operations enforce arity homogeneity: inserting a tuple of a
     different arity than the existing ones raises
@@ -25,53 +35,42 @@ val empty : t
 (** [singleton t] contains exactly [t]. *)
 val singleton : Tuple.t -> t
 
-(** [of_list ts] builds a relation.
-    @raise Invalid_argument on mixed arities. *)
+(** [of_list ts] builds a relation in one pass, dropping repeated
+    tuples. @raise Invalid_argument on mixed arities. *)
 val of_list : Tuple.t list -> t
 
 (** [of_distinct ts] builds a relation from tuples the caller guarantees
-    pairwise distinct (the semi-naive delta contract). Bulk-constructs
-    the backing trie in one pass — O(n) allocation instead of one
-    root-to-leaf path copy per insertion.
-    @raise Invalid_argument on mixed arities. *)
+    pairwise distinct (the semi-naive delta contract): [ts] become its
+    rows as they are, with no filtering pass.
+    @raise Invalid_argument on mixed arities or a repeated tuple. *)
 val of_distinct : Tuple.t list -> t
 
 (** [of_loaded rows set] is the relation of [rows], as the fact loader
-    ({!Instance.parse_facts}) hands it over, or as [Matcher.Db] publishes
-    a derived predicate that had no stored facts (its pending facts and
-    its membership set): [rows] pairwise distinct and of one arity, [set]
-    holding exactly them (a {!Tuple.Set}, the same tuples). No trie is
-    built. Membership ({!mem}, {!mem_ids}) probes [set]; folds, index
-    builds and the sorted view read [rows]. The first {!add}, {!remove}
-    or {!union} with a non-empty operand builds the trie once and
-    replaces the rows with it in one pointer store, so a domain that
-    reads the relation meanwhile sees either the rows or the complete
-    trie; the value never changes. The relation takes [set] over: the
-    caller must not write to it afterwards (a Db copies it first, one
-    array copy). The set, the rows and the trie all hold the same
-    tuples, so a Db that adopted or lent [set] keeps each fact once. *)
+    ({!Instance.parse_facts}) hands it over, or as [Matcher.Db]
+    publishes a predicate: [rows] pairwise distinct and of one arity,
+    [set] holding exactly them. Nothing is copied: the relation takes
+    [set] over, and the caller must not write to it afterwards (a Db
+    copies it first, one array copy). *)
 val of_loaded : Tuple.t list -> Tuple.Set.t -> t
 
-(** [loaded_set r] is the set of a relation built by {!of_loaded}
-    whose trie has not been built yet, [None] otherwise. It is shared,
-    not copied: a reader may probe it, but must copy it before writing
-    (as [Matcher.Db] does for its membership sets). *)
-val loaded_set : t -> Tuple.Set.t option
+(** [set r] and [rows r] are [r]'s set and rows, shared, not copied: a
+    reader may probe and walk them, but must copy the set before writing
+    (as [Matcher.Db] does when it adopts a relation). *)
+val set : t -> Tuple.Set.t
+
+val rows : t -> Tuple.t list
 
 (** [of_rows rows] builds a relation from value-list rows. *)
 val of_rows : Value.t list list -> t
 
 val to_list : t -> Tuple.t list
 
-(** [add t r] inserts a tuple. @raise Invalid_argument on arity mismatch. *)
+(** [add t r] inserts a tuple: O(n), a copy of the set (see above).
+    @raise Invalid_argument on arity mismatch. *)
 val add : Tuple.t -> t -> t
 
-(** [add_all ts r] inserts all tuples of [ts] — one homogeneity sweep for
-    the batch, then constant-time hash inserts.
-    @raise Invalid_argument on arity mismatch. *)
-val add_all : Tuple.t list -> t -> t
-
-(** [remove t r] deletes a tuple (no-op if absent). *)
+(** [remove t r] deletes a tuple (no-op if absent): O(n), a copy of the
+    set. *)
 val remove : Tuple.t -> t -> t
 
 val mem : Tuple.t -> t -> bool
@@ -98,10 +97,11 @@ val compare : t -> t -> int
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit
 
-(** [unordered_fold] / [unordered_iter] enumerate in unspecified (hash
-    trie, or load) order without forcing the sorted view or the trie — for internal
-    order-insensitive consumers (index building, bulk absorption) on the
-    hot path. Do not use where enumeration order can reach output. *)
+(** [unordered_fold] / [unordered_iter] enumerate the rows, in
+    unspecified (build) order, without forcing the sorted view — for
+    internal order-insensitive consumers (index building, bulk
+    absorption) on the hot path. Do not use where enumeration order can
+    reach output. *)
 val unordered_fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val unordered_iter : (Tuple.t -> unit) -> t -> unit

@@ -8,11 +8,10 @@ type t = { ids : int array; h : int }
 (* Avalanching mix (FxHash-style): interned ids are dense small ints, so
    a plain [h*31 + id] polynomial leaves almost all entropy in a few low
    bits' worth of range — 79k two-column tuples over 300 constants would
-   share ~10k hash values, degrading every hash structure (and the
-   hash-keyed relation trie) into long collision chains. The multiply
-   spreads each id across the word; the xor-shift folds the high bits
-   back down so the low bits (trie branch bits, table masks) are well
-   distributed too. *)
+   share ~10k hash values, degrading every hash structure into long
+   collision chains. The multiply spreads each id across the word; the
+   xor-shift folds the high bits back down so the low bits (table
+   masks) are well distributed too. *)
 let hash_ids ids =
   let n = Array.length ids in
   let h = ref (n + 0x9E3779B9) in
@@ -77,6 +76,7 @@ module Set = struct
 
   let length s = s.count
   let copy s = { slots = Array.copy s.slots; count = s.count }
+  let iter f s = Array.iter (fun x -> if x != absent then f x) s.slots
 
   (* The probe loops are top-level functions of all they read, so that
      no call allocates a closure. *)

@@ -92,6 +92,9 @@ module Set : sig
   (** [copy s] is an independent set with the same tuples (one array
       copy; the tuples themselves are shared, being immutable). *)
   val copy : t -> t
+
+  (** [iter f s] calls [f] on every tuple of [s], in slot order. *)
+  val iter : (tuple -> unit) -> t -> unit
 end
 
 (** {1 Id-keyed tables} *)

@@ -34,10 +34,21 @@ let stats_response trace =
             ] ))
       (Observe.Trace.histograms trace)
   in
+  let m = Observe.Report.memory () in
+  let memory =
+    (match m.peak_kb with
+    | Some kb -> [ ("peak_rss_kb", Observe.Json.Int kb) ]
+    | None -> [])
+    @ [
+        ("heap_words", Observe.Json.Int m.heap_words);
+        ("top_heap_words", Observe.Json.Int m.top_heap_words);
+      ]
+  in
   Protocol.ok_response
     [
       ("counters", Observe.Json.Obj counters);
       ("histograms", Observe.Json.Obj histograms);
+      ("memory", Observe.Json.Obj memory);
     ]
 
 (* one request -> one response line; [false] after [shutdown]. Anything

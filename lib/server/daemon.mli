@@ -9,7 +9,8 @@
     ([serve.<assert|retract|query|stats>], nanoseconds — p50/p99 are
     exposed through the [stats] op and the CLI [--stats] summary), on
     top of whatever the engine itself records ([fixpoint.*], [dred.*],
-    [db.*], [magic.*]).
+    [db.*], [magic.*]). The [stats] op also reports the process's own
+    memory ({!Observe.Report.memory}).
 
     Failures of a single request — unparsable JSON, syntax errors in
     facts or atoms, arity mismatches, [Ast.Check_error],

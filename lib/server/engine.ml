@@ -8,7 +8,7 @@ type t = {
   prepared : Eval_util.prepared;
   dred : Eval_util.dred_prepared;
   db : Matcher.Db.t;
-  mutable edb : Instance.t;
+  edb : Matcher.Db.t;  (* the asserted facts, one set per predicate *)
   shared : string list;  (* the program's EDB predicates *)
   delta_preds : string list;
   trace : Observe.Trace.ctx;
@@ -35,7 +35,7 @@ let create ?(trace = Observe.Trace.null) program edb =
     prepared;
     dred = Eval_util.prepare_dred prepared;
     db;
-    edb;
+    edb = Matcher.Db.of_instance edb;
     shared = Ast.edb program;
     delta_preds =
       List.sort_uniq String.compare
@@ -44,9 +44,12 @@ let create ?(trace = Observe.Trace.null) program edb =
   }
 
 let program t = t.program
-let edb t = t.edb
+let edb t = Matcher.Db.instance t.edb
 let instance t = Matcher.Db.instance t.db
-let total t = Instance.total_facts (instance t)
+
+(* Requests read counts and arities straight from the Db's sets and
+   never publish a relation, so no write has to copy a lent set. *)
+let total t = Matcher.Db.total t.db
 
 (* Updates must leave the engine consistent even when a batch is
    rejected, so arity mismatches are detected against the stored
@@ -54,7 +57,7 @@ let total t = Instance.total_facts (instance t)
 let validate_arities t batch =
   Instance.fold
     (fun p rel () ->
-      match (Relation.arity rel, Relation.arity (Matcher.Db.relation t.db p)) with
+      match (Relation.arity rel, Matcher.Db.arity t.db p) with
       | Some a, Some b when a <> b ->
           invalid_arg
             (Printf.sprintf "%s has arity %d, batch fact has arity %d" p b a)
@@ -70,9 +73,7 @@ let assert_facts t batch =
         let news =
           Relation.fold
             (fun tup acc ->
-              if not (Instance.mem_fact p tup t.edb) then (
-                t.edb <- Instance.add_fact p tup t.edb;
-                incr added);
+              if Matcher.Db.insert t.edb p tup then incr added;
               if Matcher.Db.mem t.db p tup then acc else tup :: acc)
             rel []
         in
@@ -85,9 +86,8 @@ let assert_facts t batch =
     match delta with
     | [] -> 0
     | _ ->
-        snd
-          (Eval_util.seminaive_increment_db ~trace:t.trace t.prepared
-             ~delta_preds:t.delta_preds ~dom:no_dom t.db delta)
+        Eval_util.seminaive_increment_db ~trace:t.trace t.prepared
+          ~delta_preds:t.delta_preds ~dom:no_dom t.db delta
   in
   let derived = total t - before - fresh in
   (!added, derived, stages)
@@ -101,8 +101,7 @@ let retract_facts t batch =
         let ds =
           Relation.fold
             (fun tup acc ->
-              if Instance.mem_fact p tup t.edb then (
-                t.edb <- Instance.remove_fact p tup t.edb;
+              if Matcher.Db.remove t.edb p tup then (
                 incr removed;
                 tup :: acc)
               else acc)
@@ -121,47 +120,46 @@ let retract_facts t batch =
    the same answer set as the demand path — by construction of the
    magic rewriting, both agree with filtering the full fixpoint. *)
 let query_materialized t (q : Ast.atom) =
-  let rel = Matcher.Db.relation t.db q.Ast.pred in
-  if Relation.is_empty rel then Relation.empty
-  else (
-    (match Relation.arity rel with
-    | Some a when a <> List.length q.Ast.args ->
+  match Matcher.Db.arity t.db q.Ast.pred with
+  | None -> Relation.empty
+  | Some a ->
+      if a <> List.length q.Ast.args then
         invalid_arg
           (Printf.sprintf "query %s: arity %d, stored relation has arity %d"
-             q.Ast.pred (List.length q.Ast.args) a)
-    | _ -> ());
-    let bindings =
-      List.mapi (fun i a -> (i, a)) q.Ast.args
-      |> List.filter_map (function
-           | i, Ast.Cst v -> Some (i, v)
-           | _, Ast.Var _ -> None)
-    in
-    let cands = Matcher.Db.lookup t.db q.Ast.pred bindings in
-    (* positions sharing one variable must carry equal ids *)
-    let var_groups =
-      let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 4 in
-      List.iteri
-        (fun i -> function
-          | Ast.Var x -> (
-              match Hashtbl.find_opt tbl x with
-              | Some l -> l := i :: !l
-              | None -> Hashtbl.add tbl x (ref [ i ]))
-          | Ast.Cst _ -> ())
-        q.Ast.args;
-      Hashtbl.fold
-        (fun _ l acc -> match !l with _ :: _ :: _ -> !l :: acc | _ -> acc)
-        tbl []
-    in
-    let matches tup =
-      List.for_all
-        (function
-          | p0 :: rest ->
-              List.for_all (fun p -> Tuple.id tup p = Tuple.id tup p0) rest
-          | [] -> true)
-        var_groups
-    in
-    Relation.of_list
-      (if var_groups = [] then cands else List.filter matches cands))
+             q.Ast.pred (List.length q.Ast.args) a);
+      let bindings =
+        List.mapi (fun i a -> (i, a)) q.Ast.args
+        |> List.filter_map (function
+             | i, Ast.Cst v -> Some (i, v)
+             | _, Ast.Var _ -> None)
+      in
+      let cands = Matcher.Db.lookup t.db q.Ast.pred bindings in
+      (* positions sharing one variable must carry equal ids *)
+      let var_groups =
+        let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 4 in
+        List.iteri
+          (fun i -> function
+            | Ast.Var x -> (
+                match Hashtbl.find_opt tbl x with
+                | Some l -> l := i :: !l
+                | None -> Hashtbl.add tbl x (ref [ i ]))
+            | Ast.Cst _ -> ())
+          q.Ast.args;
+        Hashtbl.fold
+          (fun _ l acc -> match !l with _ :: _ :: _ -> !l :: acc | _ -> acc)
+          tbl []
+      in
+      let matches tup =
+        List.for_all
+          (function
+            | p0 :: rest ->
+                List.for_all (fun p -> Tuple.id tup p = Tuple.id tup p0) rest
+            | [] -> true)
+          var_groups
+      in
+      (* index buckets hold distinct facts *)
+      Relation.of_distinct
+        (if var_groups = [] then cands else List.filter matches cands)
 
 let query t ?(via = Materialized) q =
   match via with
@@ -169,10 +167,15 @@ let query t ?(via = Materialized) q =
   (* every write changes [t.edb], so a session kept between writes would
      rarely be asked twice: each demand query opens a fresh one, on a Db
      that reads the EDB predicates (and their indexes) from the engine's
-     and every other predicate from the base facts; it is dropped when
+     and every idb predicate from its asserted facts; it is dropped when
      the query returns *)
   | Demand ->
+      let base =
+        List.fold_left
+          (fun i p -> Instance.set p (Matcher.Db.relation t.edb p) i)
+          Instance.empty (Ast.idb t.program)
+      in
       Magic.ask
         (Magic.session_db ~trace:t.trace t.program
-           (Matcher.Db.sharing t.db t.shared t.edb))
+           (Matcher.Db.sharing t.db t.shared base))
         q

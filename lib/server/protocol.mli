@@ -12,7 +12,10 @@
     Every response carries ["ok"]: [true] with op-specific fields
     (assert: [added]/[derived]/[stages]; retract:
     [removed]/[overdeleted]/[rederived]; query: [count]/[facts], each
-    fact pre-rendered as ["T(a, b)."]; stats: [counters]/[histograms]),
+    fact pre-rendered as ["T(a, b)."]; stats: [counters]/[histograms]
+    and [memory], the process's own [peak_rss_kb] (left out where
+    [/proc/self/status] cannot be read), [heap_words] and
+    [top_heap_words]),
     or [false] with an ["error"] message — a malformed or failing
     request never kills the resident process. *)
 

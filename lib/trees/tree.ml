@@ -118,10 +118,12 @@ let to_instance t =
   let root = assign_ids t in
   add "root" [ iid root ];
   go root;
-  List.fold_left
-    (fun acc (pred, args) ->
-      Instance.add_fact pred (Tuple.of_list args) acc)
-    Instance.empty !facts
+  let db = Datalog.Matcher.Db.of_instance Instance.empty in
+  List.iter
+    (fun (pred, args) ->
+      ignore (Datalog.Matcher.Db.insert db pred (Tuple.of_list args)))
+    !facts;
+  Datalog.Matcher.Db.instance db
 
 let is_monadic p =
   let schema = Datalog.Ast.infer_schema p in

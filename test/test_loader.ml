@@ -1,7 +1,7 @@
 (* The fact loader ([Instance.parse_facts]) and the relations it builds:
    the pp -> parse round trip, agreement with the line-based parser it
-   replaced, loaded relations against trie-built ones, concurrent
-   forcing, and the membership-set hand-off to [Matcher.Db]. *)
+   replaced, loaded relations against [Relation.of_list] ones, concurrent
+   reads, and the membership-set hand-off to [Matcher.Db]. *)
 open Relational
 open Helpers
 module Q = QCheck
@@ -327,8 +327,7 @@ let agree ps qs probe =
   let p = to_tuple probe in
   let r () = loaded ps in
   let same = Relation.equal in
-  (ps = [] || Relation.loaded_set (r ()) <> None)
-  && Relation.mem p (r ()) = Relation.mem p reference
+  Relation.mem p (r ()) = Relation.mem p reference
   && Relation.mem_ids (Tuple.ids p) (r ())
      = Relation.mem_ids (Tuple.ids p) reference
   && same (Relation.add p (r ())) (Relation.add p reference)
@@ -377,27 +376,30 @@ let prop_loaded_relation =
        Q.Gen.(triple tuples_gen tuples_gen (pair (0 -- 9) (0 -- 9))))
     (fun (ps, qs, probe) -> agree ps qs probe)
 
-(* 4 domains force the trie of one loaded relation at once, each through
-   a different first trie operation *)
-let test_concurrent_force () =
+(* 4 domains read one loaded relation at once, each in a different way:
+   membership, the sorted fold, the unordered rows, an index *)
+let test_concurrent_read () =
   let ps = List.init 3000 (fun k -> (k mod 97, k mod 89)) in
   let reference = Relation.of_list (List.map to_tuple ps) in
+  let want = Relation.to_list reference in
   for _ = 1 to 5 do
     let r = loaded ps in
-    let extra = to_tuple (1000, 0) in
     let work d () =
       match d with
-      | 0 ->
-          Relation.equal (Relation.add extra r) (Relation.add extra reference)
-      | 1 ->
-          let gone = to_tuple (List.hd ps) in
-          Relation.equal (Relation.remove gone r)
-            (Relation.remove gone reference)
-      | 2 -> Relation.equal (Relation.union r (Relation.singleton extra))
-               (Relation.add extra reference)
+      | 0 -> List.for_all (fun p -> Relation.mem (to_tuple p) r) ps
+      | 1 -> List.rev (Relation.fold List.cons r []) = want
+      | 2 ->
+          List.sort Tuple.compare (Relation.unordered_fold List.cons r [])
+          = want
       | _ ->
-          List.for_all (fun p -> Relation.mem (to_tuple p) r) ps
-          && Relation.equal r reference
+          ignore (Relation.index r [| 0 |]);
+          let idx = Option.get (Relation.index r [| 0 |]) in
+          List.for_all
+            (fun p ->
+              let x = to_tuple p in
+              List.exists (Tuple.equal x)
+                (Relation.Index.lookup idx [| 0 |] x))
+            ps
     in
     let ds = List.init 3 (fun d -> Domain.spawn (work (d + 1))) in
     let here = work 0 () in
@@ -405,8 +407,7 @@ let test_concurrent_force () =
     Alcotest.(check (list bool))
       "every domain agrees" [ true; true; true; true ]
       (here :: there);
-    Alcotest.check relation "the relation is unchanged" reference r;
-    Alcotest.(check bool) "forced" true (Relation.loaded_set r = None)
+    Alcotest.check relation "the relation is unchanged" reference r
   done
 
 (* --- the Db membership hand-off --------------------------------------- *)
@@ -414,16 +415,14 @@ let test_concurrent_force () =
 let test_db_borrowed_memset () =
   let inst = facts "G(a, b). G(b, c). H(x)." in
   let g = Instance.find "G" inst in
-  Alcotest.(check bool) "loaded" true (Relation.loaded_set g <> None);
   let db = Datalog.Matcher.Db.of_instance inst in
   let m = Datalog.Matcher.Db.memset db "G" in
   let ab = t [ v "a"; v "b" ] and cd = t [ v "c"; v "d" ] in
   let ef = t [ v "e"; v "f" ] in
   Alcotest.(check bool) "adopted set answers" true
     (Datalog.Matcher.Db.memset_mem m (Tuple.ids ab));
-  (* absorbing leaves the relation loaded: its table must not grow *)
+  (* absorbing copies the adopted set: the relation's must not grow *)
   Datalog.Matcher.Db.absorb_new db "G" [ ef ];
-  Alcotest.(check bool) "still loaded" true (Relation.loaded_set g <> None);
   Alcotest.(check bool) "G(e, f) not in the loaded relation" false
     (Relation.mem ef g);
   Alcotest.(check bool) "handle sees the absorbed fact" true
@@ -484,8 +483,8 @@ let suite =
     Alcotest.test_case "intern.hits counts cached tokens" `Quick
       test_intern_hits;
     prop_loaded_relation;
-    Alcotest.test_case "4 domains force one loaded relation" `Quick
-      test_concurrent_force;
+    Alcotest.test_case "four domains read one relation" `Quick
+      test_concurrent_read;
     Alcotest.test_case "Db writes leave the loaded instance unchanged" `Quick
       test_db_borrowed_memset;
     Alcotest.test_case "derived predicate with loaded facts, -j 1 and 4"

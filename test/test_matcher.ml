@@ -155,15 +155,16 @@ let test_satisfies () =
   | _ -> Alcotest.fail "unbound variable should raise"
 
 let test_remove_purges_pending () =
-  (* regression: a fact sitting in the lazy pending buffer must not be
-     resurrected by a later absorb-triggered flush after being removed *)
+  (* regression: a fact bulk-absorbed and then removed must not come back
+     through the predicate's rows, which a removal leaves stale, when a
+     later absorb and a publish follow *)
   let d = M.Db.of_instance (facts "G(a,b).") in
   M.Db.absorb_new d "G" [ t [ v "x"; v "y" ] ];
   Alcotest.(check bool) "pending fact visible" true
     (M.Db.mem d "G" (t [ v "x"; v "y" ]));
   Alcotest.(check bool) "remove reports present" true
     (M.Db.remove d "G" (t [ v "x"; v "y" ]));
-  (* this absorb flushes the pending buffer; a stale entry would come back *)
+  (* a stale row would come back at the publish below *)
   M.Db.absorb_new d "G" [ t [ v "p"; v "q" ] ];
   Alcotest.(check bool) "not resurrected (mem)" false
     (M.Db.mem d "G" (t [ v "x"; v "y" ]));
@@ -194,9 +195,9 @@ let test_remove_then_absorb_indexed () =
     (Relation.cardinal (M.Db.relation d "G"))
 
 let test_sharing () =
-  (* a sharing view reads G from [d], facts still in d's pending buffer
-     included, and an index it builds on G stays in [d], whose later
-     writes maintain it; P comes from the view's own base *)
+  (* a sharing view reads G from [d], facts absorbed into [d] included,
+     and an index it builds on G stays in [d], whose later writes
+     maintain it; P comes from the view's own base *)
   let trace = Observe.Trace.make () in
   let d = M.Db.of_instance ~trace inst in
   M.Db.absorb_new d "G" [ t [ v "c"; v "d" ] ];
@@ -434,11 +435,8 @@ let prop_published_persistent =
                   = mems)
              kept
          in
-         (* every non-empty predicate was published without a trie *)
          List.for_all
-           (fun (p, rel, elems, _) ->
-             elems = Hashtbl.find model p
-             && (elems = [] || Relation.loaded_set rel <> None))
+           (fun (p, _, elems, _) -> elems = Hashtbl.find model p)
            kept
          && List.for_all
               (fun op ->
@@ -523,6 +521,45 @@ let test_full_key_step () =
     (after = oracle (Instance.remove_fact "C" gone inst));
   Alcotest.(check int) "two firings left" 2 (List.length after)
 
+(* Minor words per call of [f], over [n] calls. *)
+let words_per n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A membership probe reads one flat set: on a relation built with
+   [Relation.add], [mem] and [mem_ids] allocate nothing, and a
+   [Db.insert] of a fact already present allocates (next to) nothing. *)
+let test_probes_allocate_nothing () =
+  let tuples = List.init 1000 (fun k -> t [ Value.Int k; Value.Int (k * 7) ]) in
+  let r = List.fold_left (fun r x -> Relation.add x r) Relation.empty tuples in
+  let hit = List.nth tuples 500 and miss = t [ Value.Int 1; Value.Int 2 ] in
+  let hit_ids = Tuple.ids hit and miss_ids = Tuple.ids miss in
+  let n = 100_000 in
+  let mem =
+    words_per n (fun () ->
+        ignore (Sys.opaque_identity (Relation.mem hit r));
+        ignore (Sys.opaque_identity (Relation.mem miss r)))
+  in
+  let mem_ids =
+    words_per n (fun () ->
+        ignore (Sys.opaque_identity (Relation.mem_ids hit_ids r));
+        ignore (Sys.opaque_identity (Relation.mem_ids miss_ids r)))
+  in
+  let d = M.Db.of_instance (Instance.set "R" r Instance.empty) in
+  let insert =
+    words_per n (fun () ->
+        ignore (Sys.opaque_identity (M.Db.insert d "R" hit)))
+  in
+  Alcotest.(check (float 0.01)) "Relation.mem words per probe" 0. (mem /. 2.);
+  Alcotest.(check (float 0.01)) "Relation.mem_ids words per probe" 0.
+    (mem_ids /. 2.);
+  Alcotest.(check bool)
+    (Printf.sprintf "Db.insert of a present fact: %.2f words <= 2" insert)
+    true (insert <= 2.)
+
 let suite =
   [
     Alcotest.test_case "Db lookup and indexes" `Quick test_db_lookup;
@@ -550,4 +587,6 @@ let suite =
     prop_published_persistent;
     Alcotest.test_case "fully bound step reads the membership set" `Quick
       test_full_key_step;
+    Alcotest.test_case "membership probes allocate nothing" `Quick
+      test_probes_allocate_nothing;
   ]

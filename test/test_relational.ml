@@ -110,13 +110,13 @@ let test_relation_set_ops () =
     (Relation.subset (pairs [ ("a", "b") ]) r1);
   Alcotest.(check bool) "not subset" false (Relation.subset r2 r1)
 
-(* [of_distinct] builds its trie in bulk; the trie is canonical, so it
-   must be the one repeated [add]s build: [union] merges two tries by
-   their shapes and double-counts a tuple the shapes disagree on. Sizes
-   run to a few thousand tuples, so the tries are a dozen levels deep. *)
+(* The three ways to build one relation: [of_distinct] takes its rows as
+   they are, [of_list] filters them, and [union] of two halves copies the
+   larger half's set. All must hold the same set, and [remove] must take
+   exactly the tuples it is given. *)
 let prop_of_distinct_canonical =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:60 ~name:"of_distinct = repeated add"
+    (QCheck.Test.make ~count:60 ~name:"of_distinct = of_list = union"
        QCheck.(pair (int_range 0 3000) (int_range 0 10_000))
        (fun (n, seed) ->
          let st = Random.State.make [| seed |] in
@@ -129,17 +129,26 @@ let prop_of_distinct_canonical =
                       v (string_of_int (Random.State.int st 200));
                     ]))
          in
-         let bulk = Relation.of_distinct ts and added = Relation.of_list ts in
-         let half = List.filteri (fun k _ -> k mod 2 = 0) ts in
-         Relation.cardinal (Relation.union bulk added) = List.length ts
-         && Relation.cardinal (Relation.union added bulk) = List.length ts
-         && Relation.cardinal
-              (Relation.union (Relation.of_distinct half) bulk)
-            = List.length ts
-         && List.for_all (fun x -> Relation.mem x bulk) ts
-         && Relation.is_empty
-              (List.fold_left (fun r x -> Relation.remove x r) bulk ts)
-         && Relation.to_list bulk = ts))
+         let bulk = Relation.of_distinct ts and listed = Relation.of_list ts in
+         let half k = List.filteri (fun i _ -> i mod 2 = k) ts in
+         let halves =
+           Relation.union (Relation.of_distinct (half 0))
+             (Relation.of_list (half 1))
+         in
+         List.for_all
+           (fun r ->
+             Relation.equal r bulk
+             && Relation.cardinal r = List.length ts
+             && List.for_all (fun x -> Relation.mem x r) ts
+             && Relation.to_list r = ts)
+           [ bulk; listed; halves; Relation.union bulk listed ]
+         && Relation.is_empty (Relation.diff bulk listed)
+         &&
+         (* [remove] copies the set: a few dozen, not every tuple *)
+         let gone = List.filteri (fun i _ -> i mod 37 = 0) ts in
+         let r = List.fold_left (fun r x -> Relation.remove x r) bulk gone in
+         Relation.cardinal r = List.length ts - List.length gone
+         && List.for_all (fun x -> not (Relation.mem x r)) gone))
 
 let test_relation_arity_enforced () =
   let r = unary [ "a" ] in
