@@ -16,8 +16,10 @@ bench:
 # (e2 = naive vs semi-naive transitive closure) to catch perf-path
 # breakage, a first-write smoke step (e21 must emit its in-process
 # rows for Engine.create plus the first assert and plus the first
-# retract on serve-mixed's DAG shape, each with its deterministic T
-# fact count), an interning smoke step (the interned engines must still
+# retract on serve-mixed's DAG shape, the assert and the retract alone
+# after an untimed create, each with its deterministic T fact count,
+# and the steady-state write rows with the final T count of their
+# seeded schedule), an interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters, and matcher.delta_first: some delta pass of the TC rule
 # started from the delta), a trace smoke step (emit a JSONL trace and validate it
@@ -96,6 +98,10 @@ ci:
 	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create".*"facts": 37692' _ci_e21.json
 	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+assert".*"facts": 39234' _ci_e21.json
 	grep -q '"case": "first-write-dag-1000x3000".*"engine": "create+retract".*"facts": 37474' _ci_e21.json
+	grep -q '"case": "first-write-dag-1000x3000".*"engine": "assert".*"facts": 39234' _ci_e21.json
+	grep -q '"case": "first-write-dag-1000x3000".*"engine": "retract".*"facts": 37474' _ci_e21.json
+	grep -q '"case": "steady-writes-dag-1000x3000".*"engine": "assert".*"facts": 40282' _ci_e21.json
+	grep -q '"case": "steady-writes-dag-1000x3000".*"engine": "retract".*"facts": 40282' _ci_e21.json
 	rm -f _ci_e21.json
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats

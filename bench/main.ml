@@ -20,7 +20,8 @@
      e17 safe-range compilation: FO calculus and while, naive vs compiled
      e19 operator-profiling overhead, disabled vs enabled
      e21 resident serve: incremental maintenance vs recompute-from-scratch,
-         and a session's first write (create + one assert or retract)
+         a session's first write (create + one assert or retract, and
+         each write alone), and steady-state writes by serve-mixed's rule
      e22 semiring annotations: Boolean guard, tropical
      e25 fact rendering: the sorted view and the full-instance render
 
@@ -1110,49 +1111,130 @@ let e19 () =
 (* The first write of a resident session, on serve-mixed's shape (a
    random DAG, 1000 vertices, 3000 edges, loaded from fact text as
    [serve -f] loads it): [Server.Engine.create] alone, then followed by
-   one assert, then by one retract. Neither [create] nor a write
-   publishes T, so no write copies T's membership set: each write row
-   less the create row is the cost of the write itself. Every rep loads
-   the facts afresh, untimed, after a full major collection. *)
-let e21_first_write () =
-  let n = 1000 and m = 3000 in
-  let text = Instance.to_string (Graph_gen.random_dag ~seed:21 n m) in
-  let g = Instance.find "G" (Instance.parse_facts text) in
-  let edge i j = Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ] in
+   one assert, then by one retract, each rep loading the facts afresh,
+   untimed, after a full major collection. Neither [create] nor a write
+   publishes T, so no write copies T's membership set. The rows
+   "assert" and "retract" time the write alone, after an untimed
+   [create] and a full major collection. *)
+let dag_n = 1000
+let dag_m = 3000
+let dag_edge i j = Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ]
+let edge_batch t = Instance.add_fact "G" t Instance.empty
+
+let e21_first_write text g =
+  let n = dag_n and edge = dag_edge and batch = edge_batch in
   (* a DAG edge the graph lacks, from a middle vertex, and its first edge *)
   let rec absent j =
     if Relation.mem (edge (n / 2) j) g then absent (j + 1) else edge (n / 2) j
   in
-  let batch t = Instance.add_fact "G" t Instance.empty in
   let added = batch (absent ((n / 2) + 1))
   and removed = batch (List.hd (Relation.to_list g)) in
-  let case = Printf.sprintf "first-write-dag-%dx%d" n m in
-  row "\n  %-25s %-14s | %9s | %s\n" "case" "engine" "wall ms" "T facts";
+  let assert_ eng = ignore (Server.Engine.assert_facts eng added)
+  and retract eng = ignore (Server.Engine.retract_facts eng removed) in
+  let case = Printf.sprintf "first-write-dag-%dx%d" n dag_m in
+  let loaded () =
+    Gc.full_major ();
+    Instance.parse_facts text
+  and created () =
+    let eng = Server.Engine.create tc_program (Instance.parse_facts text) in
+    Gc.full_major ();
+    eng
+  and create inst = Server.Engine.create tc_program inst in
+  row "\n  %-27s %-14s | %9s | %s\n" "case" "engine" "wall ms" "T facts";
   List.iter
-    (fun (engine, write) ->
-      let eng, dt =
-        time_on
-          (fun () ->
-            Gc.full_major ();
-            Instance.parse_facts text)
-          (fun inst ->
-            let eng = Server.Engine.create tc_program inst in
-            write eng;
-            eng)
-      in
+    (fun (engine, timed) ->
+      let eng, dt = timed () in
       let facts =
         Relation.cardinal (Instance.find "T" (Server.Engine.instance eng))
       in
       record ~experiment:"e21" ~case ~n ~engine ~wall_ms:(1000. *. dt)
         ~stages:0 ~facts ();
-      row "  %-25s %-14s | %s | %d\n" case engine (ms dt) facts)
+      row "  %-27s %-14s | %s | %d\n" case engine (ms dt) facts)
     [
-      ("create", ignore);
+      ("create", fun () -> time_on loaded create);
       ( "create+assert",
-        fun eng -> ignore (Server.Engine.assert_facts eng added) );
+        fun () ->
+          time_on loaded (fun inst ->
+              let eng = create inst in
+              assert_ eng;
+              eng) );
       ( "create+retract",
-        fun eng -> ignore (Server.Engine.retract_facts eng removed) );
+        fun () ->
+          time_on loaded (fun inst ->
+              let eng = create inst in
+              retract eng;
+              eng) );
+      ( "assert",
+        fun () ->
+          time_on created (fun eng ->
+              assert_ eng;
+              eng) );
+      ( "retract",
+        fun () ->
+          time_on created (fun eng ->
+              retract eng;
+              eng) );
     ]
+
+(* Steady-state writes on the same DAG, by serve-mixed's write rule:
+   assert an absent lower-to-higher edge while fewer than 64 added edges
+   are live, retract a random live added edge while more are, and
+   either at even odds at 64. Each write is timed on its own, in
+   process; the rows report the p50 (as wall_ms) and the mean over the
+   run, and the final T count, which the seeded schedule fixes. *)
+let e21_steady text g =
+  let n = dag_n and temp = 64 and writes = 800 in
+  let edge = dag_edge and batch = edge_batch in
+  let eng = Server.Engine.create tc_program (Instance.parse_facts text) in
+  let rng = Random.State.make [| 0x5e21; n; dag_m |] in
+  let rec fresh added =
+    let i = Random.State.int rng n and j = Random.State.int rng n in
+    let e = edge (min i j) (max i j) in
+    if i = j || Relation.mem e g || List.exists (Tuple.equal e) added then
+      fresh added
+    else e
+  in
+  let timed f =
+    let t0 = Observe.Trace.now () in
+    ignore (f ());
+    Observe.Trace.now () -. t0
+  in
+  let added = ref [] and nadded = ref 0 in
+  let asserts = ref [] and retracts = ref [] in
+  for _ = 1 to writes do
+    if !nadded < temp || (!nadded = temp && Random.State.bool rng) then (
+      let e = fresh !added in
+      added := e :: !added;
+      incr nadded;
+      asserts :=
+        timed (fun () -> Server.Engine.assert_facts eng (batch e)) :: !asserts)
+    else
+      let k = Random.State.int rng !nadded in
+      let e = List.nth !added k in
+      added := List.filteri (fun i _ -> i <> k) !added;
+      decr nadded;
+      retracts :=
+        timed (fun () -> Server.Engine.retract_facts eng (batch e))
+        :: !retracts
+  done;
+  let facts =
+    Relation.cardinal (Instance.find "T" (Server.Engine.instance eng))
+  in
+  let case = Printf.sprintf "steady-writes-dag-%dx%d" n dag_m in
+  List.iter
+    (fun (engine, ts) ->
+      let sorted = Array.of_list (List.sort Float.compare ts) in
+      let ops = Array.length sorted in
+      let p50 = sorted.(ops / 2)
+      and mean = Array.fold_left ( +. ) 0. sorted /. float_of_int ops in
+      let us t = int_of_float (1e6 *. t) in
+      record ~experiment:"e21" ~case ~n ~engine ~wall_ms:(1000. *. p50)
+        ~stages:0 ~facts
+        ~metrics:[ ("ops", ops); ("p50_us", us p50); ("mean_us", us mean) ]
+        ();
+      row "  %-27s %-14s | %s | %d  (%d ops, p50 %d us, mean %d us)\n" case
+        engine (ms p50) facts ops (us p50) (us mean))
+    [ ("assert", !asserts); ("retract", !retracts) ]
 
 (* The resident server: one long-lived materialization maintained
    incrementally (semi-naive deltas for asserts, DRed for retracts —
@@ -1263,7 +1345,10 @@ let e21 () =
      a dense TC the\n  deletion cone IS the view — DRed's documented worst \
      case — so the win\n  concentrates in sparse cones and retract-light \
      mixes; EXPERIMENTS.md E21\n";
-  e21_first_write ()
+  let text = Instance.to_string (Graph_gen.random_dag ~seed:21 dag_n dag_m) in
+  let g = Instance.find "G" (Instance.parse_facts text) in
+  e21_first_write text g;
+  e21_steady text g
 
 (* ---------------------------------------------------------------- E22 *)
 

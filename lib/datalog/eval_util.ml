@@ -602,6 +602,9 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
   if deletions = [] then { overdeleted = 0; rederived = 0; cone_rounds = 0 }
   else (
     let tracing = Observe.Trace.enabled trace in
+    (* each phase is a span of its own kind: [--stats] and the serve
+       [stats] op's [span.<kind>] histograms split a retract by phase *)
+    let phase kind f = Observe.Trace.with_span trace ~kind "dred" f in
     (* phase 1: the over-deletion cone, frontier by frontier *)
     let seen : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 8 in
     let seen_of p =
@@ -628,80 +631,87 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
     let cone_rounds = ref 0 in
     let fresh : fresh_tbl = Hashtbl.create 4 in
     let frontier = ref deletions in
-    while !frontier <> [] do
-      Stdlib.incr cone_rounds;
-      List.iter
-        (fun (_rule, plan, dps, _label) ->
+    phase "cone" (fun () ->
+        while !frontier <> [] do
+          Stdlib.incr cone_rounds;
           List.iter
-            (fun pred ->
-              match List.assoc_opt pred !frontier with
-              | None | Some [] -> ()
-              | Some dts ->
-                  ignore
-                    (Matcher.iter_firings ~delta:(pred, dts) ~dom plan db
-                       (fun ~pos p ids ->
-                         if
-                           pos
-                           && Matcher.Db.memset_mem (Matcher.Db.memset db p)
-                                ids
-                         then
-                           add_unseen_ids (fst (pred_state fresh p))
-                             (seen_of p) ids))
-            )
-            dps)
-        dprep.dr_with_dps;
-      (* a predicate whose firings were all seen before leaves an empty
-         entry; dropping it keeps the loop's exit test exact *)
-      let next = List.filter (fun (_, ts) -> ts <> []) (take_fresh fresh) in
-      List.iter (fun (p, ts) -> add_cone p ts) next;
-      frontier := next
-    done;
+            (fun (_rule, plan, dps, _label) ->
+              List.iter
+                (fun pred ->
+                  match List.assoc_opt pred !frontier with
+                  | None | Some [] -> ()
+                  | Some dts ->
+                      ignore
+                        (Matcher.iter_firings ~delta:(pred, dts) ~dom plan db
+                           (fun ~pos p ids ->
+                             if
+                               pos
+                               && Matcher.Db.memset_mem
+                                    (Matcher.Db.memset db p) ids
+                             then
+                               add_unseen_ids (fst (pred_state fresh p))
+                                 (seen_of p) ids)))
+                dps)
+            dprep.dr_with_dps;
+          (* a predicate whose firings were all seen before leaves an empty
+             entry; dropping it keeps the loop's exit test exact *)
+          let next =
+            List.filter (fun (_, ts) -> ts <> []) (take_fresh fresh)
+          in
+          List.iter (fun (p, ts) -> add_cone p ts) next;
+          frontier := next
+        done);
     (* phase 2: delete the cone *)
     let cone_preds =
       List.sort String.compare (Hashtbl.fold (fun p _ acc -> p :: acc) cone [])
     in
     let overdeleted = ref 0 in
-    List.iter
-      (fun p ->
+    phase "delete" (fun () ->
         List.iter
-          (fun t -> if Matcher.Db.remove db p t then Stdlib.incr overdeleted)
-          !(Hashtbl.find cone p))
-      cone_preds;
+          (fun p ->
+            List.iter
+              (fun t ->
+                if Matcher.Db.remove db p t then Stdlib.incr overdeleted)
+              !(Hashtbl.find cone p))
+          cone_preds);
     (* phase 3: re-derivation seed *)
     let r0 : fresh_tbl = Hashtbl.create 4 in
     let add_r0 p t =
       let lst, rseen = pred_state r0 p in
       add_unseen lst rseen t
     in
-    List.iter
-      (fun p ->
+    phase "seed" (fun () ->
         List.iter
-          (fun t -> if Matcher.Db.mem edb p t then add_r0 p t)
-          !(Hashtbl.find cone p))
-      cone_preds;
-    List.iter
-      (fun (hp, gplan) ->
-        match Hashtbl.find_opt cone hp with
-        | None -> ()
-        | Some lst ->
-            ignore
-              (Matcher.iter_firings
-                 ~delta:(dred_guard_pred hp, !lst)
-                 ~dom gplan db
-                 (fun ~pos p ids ->
-                   if
-                     pos
-                     && not
-                          (Matcher.Db.memset_mem (Matcher.Db.memset db p) ids)
-                   then add_r0 p (Tuple.of_ids (Array.copy ids)))))
-      dprep.dr_guards;
+          (fun p ->
+            List.iter
+              (fun t -> if Matcher.Db.mem edb p t then add_r0 p t)
+              !(Hashtbl.find cone p))
+          cone_preds;
+        List.iter
+          (fun (hp, gplan) ->
+            match Hashtbl.find_opt cone hp with
+            | None -> ()
+            | Some lst ->
+                ignore
+                  (Matcher.iter_firings
+                     ~delta:(dred_guard_pred hp, !lst)
+                     ~dom gplan db
+                     (fun ~pos p ids ->
+                       if
+                         pos
+                         && not
+                              (Matcher.Db.memset_mem (Matcher.Db.memset db p)
+                                 ids)
+                       then add_r0 p (Tuple.of_ids (Array.copy ids)))))
+          dprep.dr_guards);
     (* phase 4: propagate the survivors *)
     let seed = take_fresh r0 in
     let before = Matcher.Db.total db in
-    if total_fresh seed > 0 then
-      ignore
-        (seminaive_seq ~trace ~initial:seed ~with_dps:dprep.dr_with_dps ~dom
-           db);
+    phase "propagate" (fun () ->
+        if total_fresh seed > 0 then
+          ignore
+            (seminaive_seq ~trace ~initial:seed ~with_dps:dprep.dr_with_dps
+               ~dom db));
     let rederived = Matcher.Db.total db - before in
     if tracing then (
       Observe.Trace.incr trace "dred.batches";

@@ -201,7 +201,11 @@ type dred_stats = {
     fixpoint from scratch on the post-retraction EDB. [edb] holds the
     base (asserted) facts {e after} the retraction. Facts absent from [db]
     are ignored. Counters (when tracing): [dred.batches],
-    [dred.overdeleted], [dred.rederived], [dred.cone_rounds] (gauge). *)
+    [dred.overdeleted], [dred.rederived], [dred.cone_rounds] (gauge).
+    Each phase runs in a span named [dred] whose kind names the phase:
+    [cone], [delete], [seed] and [propagate] (the last holds the
+    propagation's [round] spans), so each kind's [span.<kind>] histogram
+    splits retraction time by phase. *)
 val dred :
   ?trace:Observe.Trace.ctx ->
   dred_prepared ->

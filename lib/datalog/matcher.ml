@@ -193,7 +193,9 @@ module Db = struct
         match Tuple.Set.find_opt (store db p).set key with
         | Some t -> [ t ]
         | None -> [])
-    | Some _ -> Index.find (index db p (List.map fst bindings)) (Array.get key)
+    | Some _ ->
+        Index.to_list
+          (Index.find (index db p (List.map fst bindings)) (Array.get key))
 
   (* [st] ready for a write: a lent set is copied first *)
   let writable st =
@@ -859,8 +861,19 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       | CAtom { key_terms; _ } -> Db.memset_mem m (Array.map tval key_terms)
       | CDomain _ -> false
     in
-    (* one pass over [plan], whose sources are [srcs]; step [didx] draws
-       its candidates from [dsrc] (the delta) instead *)
+    (* a step's candidates, read in place: an index bucket or the delta's
+       tuples *)
+    let scan_bucket b visit =
+      if tracing then Observe.Trace.add tr "matcher.candidates" (Index.size b);
+      Index.iter visit b
+    in
+    let scan_rows ts visit =
+      if tracing then
+        Observe.Trace.add tr "matcher.candidates" (List.length ts);
+      List.iter visit ts
+    in
+    (* one pass over [plan], whose sources are [srcs]; step [didx] scans
+       its candidates with [dsrc] (the delta's) instead *)
     let run_plan plan srcs didx dsrc =
       let csteps = plan.csteps in
       let nsteps = Array.length csteps in
@@ -888,16 +901,6 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
                 if hit then Observe.Trace.incr tr "matcher.candidates");
               if hit && filters_ok (i + 1) then go (i + 1)
           | CAtom { arity; unify; binds; _ }, src ->
-              let candidates =
-                if i = didx then dsrc keys.(i)
-                else
-                  match src with
-                  | Indexed ix -> Index.find ix keys.(i)
-                  | Member _ | Unresolved -> []
-              in
-              if tracing then
-                Observe.Trace.add tr "matcher.candidates"
-                  (List.length candidates);
               let n = Array.length unify in
               let rec unify_from tids j =
                 j >= n
@@ -911,18 +914,22 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
                     Array.unsafe_get env s = Array.unsafe_get tids j
                     && unify_from tids (j + 1)
               in
-              List.iter
-                (fun tup ->
-                  if Tuple.arity tup = arity then (
-                    if unify_from (Tuple.ids tup) 0 && filters_ok (i + 1) then
-                      go (i + 1);
-                    Array.iter (fun s -> env.(s) <- -1) binds))
-                candidates
+              let visit tup =
+                if Tuple.arity tup = arity then (
+                  if unify_from (Tuple.ids tup) 0 && filters_ok (i + 1) then
+                    go (i + 1);
+                  Array.iter (fun s -> env.(s) <- -1) binds)
+              in
+              if i = didx then dsrc keys.(i) visit
+              else (
+                match src with
+                | Indexed ix -> scan_bucket (Index.find ix keys.(i)) visit
+                | Member _ | Unresolved -> ())
       in
       if filters_ok 0 then go 0
     in
     (match delta with
-    | None -> run_plan prepared.base main_src (-1) (fun _ -> [])
+    | None -> run_plan prepared.base main_src (-1) (fun _ _ -> ())
     | Some (dpred, dtuples) ->
         (* the delta's candidates at a step: the whole list when the step
            has no key, else a per-(pred, bound-positions) index over the
@@ -931,15 +938,16 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
            supplies [delta_index] to reuse one memoized build across
            every rule sharing the positions. *)
         let delta_src = function
-          | CAtom { key_positions = []; _ } -> fun _ -> dtuples
+          | CAtom { key_positions = []; _ } ->
+              fun _ visit -> scan_rows dtuples visit
           | CAtom { key_positions; _ } ->
               let ix =
                 match delta_index with
                 | Some f -> f key_positions
                 | None -> Index.of_list (Array.of_list key_positions) dtuples
               in
-              Index.find ix
-          | CDomain _ -> fun _ -> []
+              fun key visit -> scan_bucket (Index.find ix key) visit
+          | CDomain _ -> fun _ _ -> ()
         in
         (* a pass on a later occurrence starts from the delta when the
            delta is smaller than what the greedy plan's first step would
@@ -949,9 +957,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
         let delta_is_smaller () =
           let first = prepared.base.csteps.(0) in
           match main_src.(0) with
-          | Indexed ix ->
-              List.compare_length_with (Index.find ix (key_of first)) ndelta
-              > 0
+          | Indexed ix -> Index.size (Index.find ix (key_of first)) > ndelta
           | Member m -> ndelta = 0 && is_member m first
           | Unresolved -> false
         in

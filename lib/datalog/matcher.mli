@@ -97,7 +97,10 @@ module Db : sig
       [bindings], a list of (position, value) constraints. Builds (and
       caches) a hash index on the constrained positions — unless they
       are exactly the positions [0 .. arity - 1] of [p]: a ground lookup
-      reads the membership set ({!memset}) and builds no index. *)
+      reads the membership set ({!memset}) and builds no index. The list
+      is built once from the index bucket ({!Relation.Index.to_list},
+      newest first); the compiled plans read buckets in place and never
+      build it. *)
   val lookup : t -> string -> (int * Value.t) list -> Tuple.t list
 
   (** [mem db p tup] tests a ground fact. *)
@@ -124,7 +127,10 @@ module Db : sig
   val insert : t -> string -> Tuple.t -> bool
 
   (** [remove db p tup] deletes a fact, updating every memoized index of
-      [p]. Returns [true] iff the fact was present. *)
+      [p]. Returns [true] iff the fact was present. It costs one removal
+      from the membership set and, per index, one {!Relation.Index.remove}:
+      a scan of the bucket's hashes and an in-place shift, with no copy
+      of the bucket. *)
   val remove : t -> string -> Tuple.t -> bool
 
   (** [absorb db delta] inserts every fact of [delta] into [db],

@@ -205,7 +205,9 @@ let join_matches ~trace ~stored:(ls, rs) pairs left right =
         fun f ->
           Relation.unordered_iter
             (fun st ->
-              List.iter (fun bt -> if swap then f st bt else f bt st) (find st))
+              Relation.Index.iter
+                (fun bt -> if swap then f st bt else f bt st)
+                (find st))
             small )
   | None ->
       let memoized, idx = index_on ~trace s_stored small scols in
@@ -215,7 +217,9 @@ let join_matches ~trace ~stored:(ls, rs) pairs left right =
         fun f ->
           Relation.unordered_iter
             (fun bt ->
-              List.iter (fun st -> if swap then f st bt else f bt st) (find bt))
+              Relation.Index.iter
+                (fun st -> if swap then f st bt else f bt st)
+                (find bt))
             big )
 
 (* Dense-universe variant of [join_matches] for a single-pair join whose
@@ -302,7 +306,9 @@ let semi ~trace ~stored ~anti pairs left right =
   Observe.Trace.add trace "ra.join.probes" (Relation.cardinal left);
   let memo, idx = index_on ~trace stored right rcols in
   let find = Relation.Index.lookup idx lcols in
-  (memo, Relation.filter (fun lt -> find lt <> [] <> anti) left)
+  ( memo,
+    Relation.filter (fun lt -> Relation.Index.size (find lt) > 0 <> anti) left
+  )
 
 let adom_rel inst =
   Relation.of_distinct

@@ -1,9 +1,19 @@
-(* A join index on a column set: key -> the tuples carrying it. One-
-   and two-column keys are packed ints, other keys id vectors (the empty
-   key, the full scan, among them). *)
-type table =
-  | Packed of Tuple.t list Tuple.ITbl.t
-  | Keyed of Tuple.t list Tuple.KTbl.t
+(* A join index on a column set: key -> the bucket of tuples carrying
+   it. One- and two-column keys are packed ints, other keys id vectors
+   (the empty key, the full scan, among them). A bucket is a growable
+   vector: its tuples oldest first in [tups.(0 .. len - 1)], read from
+   the top down, so newest first. [hashes.(i)] is the hash of
+   [tups.(i)] for every [i < hashed]: a removal records the hashes of
+   the tuples pushed since the last one, so builds and pushes never
+   touch [hashes], and a bucket nothing is removed from has none. *)
+type bucket = {
+  mutable len : int;
+  mutable tups : Tuple.t array;
+  mutable hashes : int array;
+  mutable hashed : int;
+}
+
+type table = Packed of bucket Tuple.ITbl.t | Keyed of bucket Tuple.KTbl.t
 
 type index = { cols : int array; table : table }
 
@@ -174,15 +184,96 @@ let values r = Value.Intern.decode_distinct (fun f -> iter_ids f r)
 
 (* --- join indexes --------------------------------------------------- *)
 
-(* bucket operations, one instance per table kind *)
+module Bucket = struct
+  (* the answer for a key without tuples; never written *)
+  let empty = { len = 0; tups = [||]; hashes = [||]; hashed = 0 }
+
+  (* fills the slots above [len], so a removed tuple is not kept alive *)
+  let gap = Tuple.of_ids [||]
+
+  let push b t =
+    let n = b.len in
+    if n = Array.length b.tups then (
+      let tups = Array.make (max 4 (2 * n)) gap in
+      Array.blit b.tups 0 tups 0 n;
+      b.tups <- tups);
+    Array.unsafe_set b.tups n t;
+    b.len <- n + 1
+
+  (* record the hashes of the tuples pushed since the last removal *)
+  let hash_all b =
+    if b.hashed < b.len then (
+      if Array.length b.hashes < b.len then (
+        let hashes = Array.make (Array.length b.tups) 0 in
+        for i = 0 to b.hashed - 1 do
+          Array.unsafe_set hashes i (Array.unsafe_get b.hashes i)
+        done;
+        b.hashes <- hashes);
+      for i = b.hashed to b.len - 1 do
+        Array.unsafe_set b.hashes i (Tuple.hash (Array.unsafe_get b.tups i))
+      done;
+      b.hashed <- b.len)
+
+  (* Scan the hashes from the newest down, compare a tuple only where
+     its hash matches, then shift the newer tuples down over it: the
+     order of the rest is kept, and once the hashes are recorded
+     nothing is allocated. *)
+  let remove b t =
+    hash_all b;
+    let h = Tuple.hash t and hashes = b.hashes and tups = b.tups in
+    let i = ref (b.len - 1) in
+    while
+      !i >= 0
+      && not
+           (Array.unsafe_get hashes !i = h
+           && Tuple.equal (Array.unsafe_get tups !i) t)
+    do
+      decr i
+    done;
+    let i = !i in
+    if i >= 0 then (
+      let last = b.len - 1 in
+      for j = i to last - 1 do
+        Array.unsafe_set hashes j (Array.unsafe_get hashes (j + 1))
+      done;
+      Array.blit tups (i + 1) tups i (last - i);
+      Array.unsafe_set tups last gap;
+      b.len <- last;
+      b.hashed <- last)
+
+  let iter f b =
+    let tups = b.tups in
+    for i = b.len - 1 downto 0 do
+      f (Array.unsafe_get tups i)
+    done
+
+  let to_list b =
+    let l = ref [] in
+    for i = 0 to b.len - 1 do
+      l := Array.unsafe_get b.tups i :: !l
+    done;
+    !l
+end
+
+(* bucket tables, one instance per table kind *)
 module Buckets (H : Hashtbl.S) = struct
-  let find tbl k = try H.find tbl k with Not_found -> []
-  let add tbl k t = H.replace tbl k (t :: find tbl k)
+  let find tbl k = try H.find tbl k with Not_found -> Bucket.empty
+
+  (* one probe when [k] has a bucket *)
+  let add tbl k t =
+    match H.find tbl k with
+    | b -> Bucket.push b t
+    | exception Not_found ->
+        let b = { len = 0; tups = [||]; hashes = [||]; hashed = 0 } in
+        Bucket.push b t;
+        H.add tbl k b
 
   let remove tbl k t =
-    match List.filter (fun u -> not (Tuple.equal u t)) (find tbl k) with
-    | [] -> H.remove tbl k
-    | b -> H.replace tbl k b
+    match H.find tbl k with
+    | b ->
+        Bucket.remove b t;
+        if b.len = 0 then H.remove tbl k
+    | exception Not_found -> ()
 end
 
 module PB = Buckets (Tuple.ITbl)
@@ -190,6 +281,7 @@ module KB = Buckets (Tuple.KTbl)
 
 module Index = struct
   type t = index
+  type nonrec bucket = bucket
 
   (* sized for [n] keys; the empty key has one *)
   let create cols n =
@@ -236,6 +328,9 @@ module Index = struct
     | Keyed tbl -> KB.find tbl (Array.init (Array.length ix.cols) key)
 
   let lookup ix cols t = find ix (fun j -> Tuple.id t (Array.unsafe_get cols j))
+  let size b = b.len
+  let iter = Bucket.iter
+  let to_list = Bucket.to_list
 end
 
 let rec update cell f =

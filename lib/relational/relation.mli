@@ -131,40 +131,66 @@ val values : t -> Value.t list
     the memo of {!index}), [Matcher.Db]'s maintained indexes and the
     per-round delta indexes of the rule engines. *)
 
-(** A mutable hash index of tuples on a column set: key -> the tuples
-    carrying it (newest first). Its shape follows from the columns: a
+(** A mutable hash index of tuples on a column set: key -> the bucket
+    of tuples carrying it. Its shape follows from the columns: a
     one-column key is the id itself and a two-column key the pair
     packed into one int ({!Tuple.pack2}), both in a {!Tuple.ITbl}, so
     neither a build nor a probe allocates a key; any other column set
     (three or more columns, or the empty one, whose single bucket holds
-    every tuple) keys a {!Tuple.KTbl} by the id vector. *)
+    every tuple) keys a {!Tuple.KTbl} by the id vector.
+
+    A bucket is a flat growable vector of its tuples, with their hashes
+    in a parallel [int array]. It is read in place ({!iter}, {!size}),
+    newest first: the order of the [add]s, reversed, whatever
+    {!remove}s came between. {!add} is one table probe and a push
+    (amortized O(1)); it records no hash. {!remove} first records the
+    hashes of the tuples pushed since the bucket's last removal (the
+    first removal from a bucket allocates its hash array), then scans
+    the hashes, compares a tuple only where its hash matches, and
+    shifts the newer tuples down over it: O(bucket) int reads and
+    moves, and no further allocation on a packed index. A bucket must
+    not be read while its index is written. *)
 module Index : sig
   type relation := t
   type t
+
+  (** The tuples of one key. *)
+  type bucket
 
   (** [of_relation r cols] indexes [r] on [cols], sized for [r]'s
       cardinality. Unmemoized: see {!index}. *)
   val of_relation : relation -> int array -> t
 
-  (** [of_list cols ts] indexes [ts] on [cols], sized for their number. *)
+  (** [of_list cols ts] indexes [ts] on [cols] by [add]ing them in
+      order, sized for their number. *)
   val of_list : int array -> Tuple.t list -> t
 
-  (** [add ix t] files [t] under its key. The caller keeps the indexed
-      tuples distinct. *)
+  (** [add ix t] pushes [t] onto its key's bucket. The caller keeps the
+      indexed tuples distinct. *)
   val add : t -> Tuple.t -> unit
 
-  (** [remove ix t] drops [t] (a no-op when absent), and its bucket when
-      it empties. *)
+  (** [remove ix t] drops [t] from its bucket, keeping the order of the
+      rest (a no-op when absent), and the bucket when it empties. *)
   val remove : t -> Tuple.t -> unit
 
   (** [find ix key] is the bucket of the key whose component on the
-      index's [j]-th column is the id [key j]; [[]] when there is none.
-      A packed index calls [key] once or twice and builds nothing. *)
-  val find : t -> (int -> int) -> Tuple.t list
+      index's [j]-th column is the id [key j]; an empty bucket when there
+      is none. A packed index calls [key] once or twice and builds
+      nothing. *)
+  val find : t -> (int -> int) -> bucket
 
   (** [lookup ix cols t] is the bucket of [t]'s projection on [cols]
       (as many columns as the index has). *)
-  val lookup : t -> int array -> Tuple.t -> Tuple.t list
+  val lookup : t -> int array -> Tuple.t -> bucket
+
+  (** [size b] is the number of tuples in [b]: O(1). *)
+  val size : bucket -> int
+
+  (** [iter f b] calls [f] on [b]'s tuples, newest first. *)
+  val iter : (Tuple.t -> unit) -> bucket -> unit
+
+  (** [to_list b] is [b]'s tuples, newest first, in a fresh list. *)
+  val to_list : bucket -> Tuple.t list
 end
 
 (** [index ?trace r cols] is [r]'s memoized index on [cols]. The first

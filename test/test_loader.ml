@@ -319,7 +319,8 @@ let loaded ps =
   Instance.find "R" (Instance.parse_facts src)
 
 let sorted_lookup idx cols tup =
-  List.sort Tuple.compare (Relation.Index.lookup idx cols tup)
+  List.sort Tuple.compare
+    (Relation.Index.to_list (Relation.Index.lookup idx cols tup))
 
 let agree ps qs probe =
   let reference = Relation.of_list (List.map to_tuple ps) in
@@ -398,7 +399,7 @@ let test_concurrent_read () =
             (fun p ->
               let x = to_tuple p in
               List.exists (Tuple.equal x)
-                (Relation.Index.lookup idx [| 0 |] x))
+                (Relation.Index.to_list (Relation.Index.lookup idx [| 0 |] x)))
             ps
     in
     let ds = List.init 3 (fun d -> Domain.spawn (work (d + 1))) in

@@ -560,6 +560,29 @@ let test_probes_allocate_nothing () =
     (Printf.sprintf "Db.insert of a present fact: %.2f words <= 2" insert)
     true (insert <= 2.)
 
+(* An index bucket deletes in place: removing a tuple from a
+   1000-tuple bucket and adding it back (on top) allocates (next to)
+   nothing, where a list bucket copied on every removal. *)
+let test_bucket_writes_allocate_nothing () =
+  let tuples = List.init 1000 (fun k -> t [ Value.Int 0; Value.Int k ]) in
+  let ix = Relation.Index.of_list [| 0 |] tuples in
+  let arr = Array.of_list tuples in
+  let n = 10_000 in
+  let k = ref 0 in
+  let words =
+    words_per n (fun () ->
+        let x = arr.(!k * 7 mod 1000) in
+        incr k;
+        Relation.Index.remove ix x;
+        Relation.Index.add ix x)
+  in
+  Alcotest.(check int) "bucket size" 1000
+    (Relation.Index.size (Relation.Index.lookup ix [| 0 |] arr.(0)));
+  Alcotest.(check bool)
+    (Printf.sprintf "Index.remove/add: %.2f words per call <= 4" (words /. 2.))
+    true
+    (words /. 2. <= 4.)
+
 let suite =
   [
     Alcotest.test_case "Db lookup and indexes" `Quick test_db_lookup;
@@ -589,4 +612,6 @@ let suite =
       test_full_key_step;
     Alcotest.test_case "membership probes allocate nothing" `Quick
       test_probes_allocate_nothing;
+    Alcotest.test_case "index bucket writes allocate nothing" `Quick
+      test_bucket_writes_allocate_nothing;
   ]

@@ -436,6 +436,79 @@ let prop_tuple_set_model =
          List.for_all (fun o -> step o && agrees s model) ops
          && List.for_all (fun (c, m) -> agrees c m) !copies))
 
+(* Relation.Index against a list model: per key, the list that consing
+   on add and [List.filter] on remove would give, newest first. The
+   tuples are the 27 of arity 3 over three values, so keys collide on
+   every index shape: packed on one column, packed on two, keyed by the
+   id vector on all three. The index starts as [of_list] of an initial
+   run of distinct tuples (the count-then-fill build), then takes random
+   adds (of absent tuples only: the caller keeps them distinct) and
+   removes (present or not). After every step each key's bucket must
+   hold the model's tuples, the same values in the same order, with the
+   matching size; a key with no tuples reads as an empty bucket. *)
+let prop_index_list_model =
+  let pool =
+    Array.init 27 (fun k ->
+        Tuple.of_list
+          [ Value.Int (k mod 3); Value.Int (k / 3 mod 3); Value.Int (k / 9) ])
+  in
+  let unheld = Tuple.of_list [ Value.Int 7; Value.Int 7; Value.Int 7 ] in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"Index = list model"
+       QCheck.(
+         triple (int_range 0 2)
+           (list_of_size Gen.(int_range 0 27) (int_range 0 26))
+           (list_of_size Gen.(int_range 0 200) (pair bool (int_range 0 26))))
+       (fun (shape, init, ops) ->
+         let cols = [| [| 0 |]; [| 1; 2 |]; [| 2; 0; 1 |] |].(shape) in
+         let key x = Array.to_list (Array.map (Tuple.id x) cols) in
+         let model : (int list, Tuple.t list) Hashtbl.t = Hashtbl.create 16 in
+         let bucket x =
+           Option.value (Hashtbl.find_opt model (key x)) ~default:[]
+         in
+         let held x = List.memq x (bucket x) in
+         let add x = Hashtbl.replace model (key x) (x :: bucket x) in
+         let init =
+           List.fold_left
+             (fun acc i ->
+               let x = pool.(i) in
+               if List.memq x acc then acc else x :: acc)
+             [] init
+           |> List.rev
+         in
+         List.iter add init;
+         let ix = Relation.Index.of_list cols init in
+         let agrees () =
+           Array.for_all
+             (fun x ->
+               let b = Relation.Index.lookup ix cols x in
+               let seen = ref [] in
+               Relation.Index.iter (fun t -> seen := t :: !seen) b;
+               let l = Relation.Index.to_list b in
+               List.length l = Relation.Index.size b
+               && List.equal ( == ) l (bucket x)
+               && List.equal ( == ) (List.rev !seen) l)
+             pool
+           && Relation.Index.size (Relation.Index.lookup ix cols unheld) = 0
+         in
+         let step (is_add, i) =
+           let x = pool.(i) in
+           if is_add then (
+             if not (held x) then (
+               add x;
+               Relation.Index.add ix x))
+           else (
+             Hashtbl.replace model (key x)
+               (List.filter (fun u -> not (Tuple.equal u x)) (bucket x));
+             Relation.Index.remove ix x)
+         in
+         agrees ()
+         && List.for_all
+              (fun op ->
+                step op;
+                agrees ())
+              ops))
+
 let suite =
   [
     Alcotest.test_case "value order" `Quick test_value_order;
@@ -478,4 +551,5 @@ let suite =
     Alcotest.test_case "random DAG is acyclic" `Quick test_random_dag_acyclic;
     Alcotest.test_case "reference TC oracle" `Quick test_reference_tc;
     prop_tuple_set_model;
+    prop_index_list_model;
   ]
