@@ -24,8 +24,9 @@ bench:
 # counters, and matcher.delta_first: some delta pass of the TC rule
 # started from the delta), a trace smoke step (emit a JSONL trace and validate it
 # against the schema with datalog-trace-check, then pipe a -j 4 trace
-# through the checker and require the same tally, so the sharded loop's
-# round spans are schema-checked and match the sequential ones; the
+# through the checker and require the same tally, so the round spans of
+# the semi-naive loop on four workers are schema-checked and match the
+# one-worker ones; the
 # installed binaries are invoked directly so the pipe never contends
 # for the dune lock), an active-domain smoke step (a stratified run of
 # the safe TC program must report no "adom" span — the domain is never
@@ -53,10 +54,14 @@ bench:
 # answers three point queries in one magic session and checks that all
 # three ran and that the one sharing a binding pattern with an earlier
 # query reused its rewrite (magic.rewrite_memo_hits).
-# The shard smoke step runs the sharded (default) parallel path at -j 4,
-# checks byte-identity against the sequential output, and greps the
+# The exchange smoke step runs the semi-naive loop on four workers
+# (-j 4), checks byte-identity against the -j 1 output, and greps the
 # stats for par.exchanged_tuples — proof the exchange carried the
-# cross-shard traffic. The serve smoke step
+# cross-worker traffic. The stored-facts step runs TC at -j 1 and -j 2
+# over facts that already hold T facts, one of which the rules derive
+# again (the loop must treat them as known, from the database's
+# membership set, at every worker count), and cmp's the two outputs
+# and the two runs' round counters. The serve smoke step
 # starts a resident server on a Unix-domain socket, asserts a batch and
 # checks the new derived fact is queryable, requires the demand query
 # path to print the same answer bytes as the materialized one
@@ -134,6 +139,15 @@ ci:
 	grep -c '^  print ' _ci_print.stats | grep -qx 1
 	dune exec -- datalog-unchained run -s stratified -j 4 _ci_tc.dl --stats | grep -q 'par.domains.*4'
 	dune exec -- datalog-unchained run -s seminaive -j 4 _ci_tc.dl --stats | grep -q 'par.exchanged_tuples'
+	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\n' > _ci_tcf.dl
+	printf 'G(a, b). G(b, c). G(c, d). G(d, a). G(e, a). T(a, b). T(d, z). T(b, b). T(e, e).\n' > _ci_tcf.facts
+	dune exec -- datalog-unchained run -s seminaive _ci_tcf.dl -f _ci_tcf.facts > _ci_tcf1.out
+	dune exec -- datalog-unchained run -s seminaive -j 2 _ci_tcf.dl -f _ci_tcf.facts > _ci_tcf2.out
+	cmp _ci_tcf1.out _ci_tcf2.out
+	grep -c '^T(' _ci_tcf2.out | grep -qx 26
+	dune exec -- datalog-unchained run -s seminaive _ci_tcf.dl -f _ci_tcf.facts --stats | grep -E '^  fixpoint\.(rounds|delta_total|delta_max) ' > _ci_tcf1.shape
+	dune exec -- datalog-unchained run -s seminaive -j 2 _ci_tcf.dl -f _ci_tcf.facts --stats | grep -E '^  fixpoint\.(rounds|delta_total|delta_max) ' > _ci_tcf2.shape
+	cmp _ci_tcf1.shape _ci_tcf2.shape
 	dune exec test/test_main.exe -- test parallel
 	printf 'G(a, b). G(b, c). G(c, d). G(d, e). G(e, f).\n' > _ci_fo.facts
 	dune exec -- datalog-unchained fo -f _ci_fo.facts 'G(X, Y) & !G(Y, d)' --stats | grep -q 'fo.plan.compiled'
@@ -189,7 +203,8 @@ ci:
 	  _ci_mat.stats _ci_mat.jsonl _ci_ct1.out _ci_ct4.out _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
 	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out \
-	  _ci_rtf.facts _ci_rtf.dl _ci_rtf1.out _ci_rtf2.out _ci_mem.dl _ci_mem.stats
+	  _ci_rtf.facts _ci_rtf.dl _ci_rtf1.out _ci_rtf2.out _ci_mem.dl _ci_mem.stats \
+	  _ci_tcf.dl _ci_tcf.facts _ci_tcf1.out _ci_tcf2.out _ci_tcf1.shape _ci_tcf2.shape
 
 clean:
 	dune clean

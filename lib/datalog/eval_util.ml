@@ -193,23 +193,106 @@ let rounds ~trace ~first ~step =
   in
   loop (match first with `Round0 f -> round f () | `Delta sd -> sd) 0
 
-(* One Db for the whole fixpoint: each stage feeds its delta back with
-   [Db.absorb], so join indexes are built once and extended
-   incrementally instead of being rebuilt from the full instance. The db
-   is a parameter so long-lived callers (Magic sessions) can thread the
-   same database through many fixpoints.
+(* The worker owning the fact [ids] among [nw]: a mixed hash of its
+   first-column id. Interned ids are dense small integers, so mixing
+   first keeps ownership uncorrelated with interning order. Arity-0
+   facts belong to worker 0. *)
+let owner nw ids =
+  if nw = 1 || Array.length ids = 0 then 0
+  else
+    let x = Array.unsafe_get ids 0 in
+    let x = (x lxor (x lsr 16)) * 0x45d9f3b in
+    let x = (x lxor (x lsr 13)) land max_int in
+    x mod nw
 
-   [initial] skips the round-0 full evaluation and starts the delta loop
-   from the given fresh facts (not yet in [db], pairwise distinct) — the
-   incremental-insertion entry point of the resident server. *)
-let seminaive_seq ~trace ?neg_db ?initial ~with_dps ~dom db =
+(* One worker of the semi-naive loop: the facts it owns that are new
+   this round, and its owned slice of the previous round's delta. With
+   one worker, [db] and [tr] are the loop's own; with more, [db] is a
+   view of the loop's database counting into the private [tr]. *)
+type worker = {
+  db : Matcher.Db.t;
+  tr : Observe.Trace.ctx;
+  fresh : fresh_tbl;
+  mutable delta : (string * Tuple.t list) list;
+  dixes : (string * int list, Relation.Index.t) Hashtbl.t;
+      (* indexes over [delta] per (pred, positions), memoized for the
+         round so rules sharing bound positions share one build *)
+}
+
+let delta_index wk p dts positions =
+  match Hashtbl.find_opt wk.dixes (p, positions) with
+  | Some ix -> ix
+  | None ->
+      let ix = Relation.Index.of_list (Array.of_list positions) dts in
+      Hashtbl.add wk.dixes (p, positions) ix;
+      ix
+
+(* The semi-naive rounds on [nw] workers: the pool's size, or one when
+   there is no pool. One Db serves the whole fixpoint: each round's
+   delta is fed back with [Db.absorb_new], so join indexes are built
+   once and extended incrementally. The db is a parameter so long-lived
+   callers (Magic sessions, the resident server) thread one database
+   through many fixpoints.
+
+   Freshness is decided the same way at every [nw]. A derived fact in
+   [db]'s membership set is a duplicate; those sets change only between
+   rounds. Any other fact joins its owner's round accumulator: directly
+   when the deriving worker owns it, else posted through
+   [Parallel.Exchange] and drained by the owner in a second phase of the
+   same pool fan-out. Round 0 fires the rules round-robin over the
+   workers; a later round, each worker fires every rule against its own
+   delta slice, so ownership is the slicing. Between rounds the calling
+   domain absorbs the accumulators into [db] (pred order, then worker
+   order) and installs each as its worker's next slice.
+
+   The per-round delta set is therefore the same at every [nw], and so
+   are the round spans, the round counters, the stage count and the
+   final database. One worker runs with no prewarm, exchange, view or
+   [par.*] counter. More workers share [db] read-only ([Matcher.prewarm]
+   forces every lazy build up front), count into private traces merged
+   at the end, and report [par.exchange_ms] (the slowest drain of each
+   round, summed), [par.exchanged_tuples] and [par.shard_skew] (100 =
+   balanced, [100 * nw] = one worker owns every fresh fact).
+
+   [initial] skips round 0 and starts the delta loop from the given
+   fresh facts (not in [db], pairwise distinct): the incremental entry
+   point of the resident server and of DRed. *)
+let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
   let tracing = Observe.Trace.enabled trace in
-  let fresh_tbl : fresh_tbl = Hashtbl.create 4 in
-  let pred_state p = pred_state fresh_tbl p in
-  (* one firing pass for a rule: fresh positive consequences accumulate
-     into the round accumulator (a set, so the unspecified enumeration
-     order of [iter_firings] cannot leak) *)
-  let fire_fresh ?delta plan label =
+  let par =
+    match pool with
+    | Some p when Parallel.Pool.size p > 1 ->
+        Some (p, Parallel.Exchange.create (Parallel.Pool.size p))
+    | _ -> None
+  in
+  let nw = match par with Some (p, _) -> Parallel.Pool.size p | None -> 1 in
+  if nw > 1 then
+    List.iter
+      (fun (_rule, plan, _, _) -> Matcher.prewarm ?neg_db plan db)
+      with_dps;
+  let workers =
+    Array.init nw (fun _ ->
+        let db, tr =
+          if nw = 1 then (db, trace)
+          else
+            let tr =
+              if tracing then Observe.Trace.make ~sinks:[] ()
+              else Observe.Trace.null
+            in
+            (Matcher.Db.with_trace db tr, tr)
+        in
+        {
+          db;
+          tr;
+          fresh = Hashtbl.create 4;
+          delta = [];
+          dixes = Hashtbl.create 8;
+        })
+  in
+  (* one firing pass of a rule on worker [w] *)
+  let fire w plan label delta =
+    let wk = workers.(w) in
+    let t0 = if tracing && nw > 1 then Observe.Trace.now () else 0. in
     (* per-predicate cache: consecutive firings of the same head
        predicate (the common case) touch no string-keyed table at all *)
     let cur_p = ref "" in
@@ -217,235 +300,90 @@ let seminaive_seq ~trace ?neg_db ?initial ~with_dps ~dom db =
     let cur_state = ref None in
     let have = ref false in
     let n =
-      Matcher.iter_firings ?delta ?neg_db ~dom plan db (fun ~pos p ids ->
-          if pos then (
-            if not (!have && String.equal !cur_p p) then (
-              have := true;
-              cur_p := p;
-              cur_mem := Some (Matcher.Db.memset db p);
-              cur_state := Some (pred_state p));
-            if Matcher.Db.memset_mem (Option.get !cur_mem) ids then (
-              if tracing then Observe.Trace.incr trace "fixpoint.tuples_deduped")
-            else (
-              if tracing then Observe.Trace.incr trace "fixpoint.tuples_derived";
-              let lst, seen = Option.get !cur_state in
-              add_unseen_ids lst seen ids)))
-    in
-    if tracing then count_firings db label n
-  in
-  let take () =
-    let d = take_fresh fresh_tbl in
-    (d, total_fresh d)
-  in
-  (* round 0: full evaluation (unless a caller-supplied delta replaces
-     it); the facts not already present form Δ⁰ *)
-  let first =
-    match initial with
-    | Some d -> `Delta (d, total_fresh d)
-    | None ->
-        `Round0
-          (fun () ->
-            List.iter
-              (fun (_rule, plan, _, label) -> fire_fresh plan label)
-              with_dps;
-            take ())
-  in
-  let step delta =
-    List.iter (fun (p, ts) -> Matcher.Db.absorb_new db p ts) delta;
-    List.iter
-      (fun (_rule, plan, dps, label) ->
-        List.iter
-          (fun pred ->
-            match List.assoc_opt pred delta with
-            | None | Some [] -> ()
-            | Some dts -> fire_fresh ~delta:(pred, dts) plan label)
-          dps)
-      with_dps;
-    take ()
-  in
-  snd (rounds ~trace ~first ~step)
-
-(* Shard-owned semi-naive rounds (Slog-style hash partitioning): each
-   worker domain OWNS a disjoint shard of every head predicate —
-   ownership decided by [Matcher.Shard.owner] on the first-column id —
-   and freshness is decided locally, with no global merge:
-
-   - seed: every worker folds its partition of the head-predicate
-     relations into per-shard membership sets (one parallel pass);
-   - derive: worker [w] fires each rule restricted to its OWN delta
-     slices (the previous round's owned-fresh facts — ownership IS the
-     slicing, no repartitioning) against the shared read-only database
-     ([Matcher.prewarm] ran every lazy build up front). A derived fact
-     it owns is deduped against its shard set and kept; a fact owned
-     elsewhere is pre-filtered against the frozen global membership set
-     and posted to the owner's outbox ([Parallel.Exchange], per-edge
-     duplicate suppression);
-   - exchange (second phase of the same [Pool.run_phases] fan-out): each
-     owner drains its inboxes in deterministic source order, dedups
-     against its shard set, and appends the survivors to its fresh list;
-   - between rounds the coordinator absorbs every shard's fresh list
-     into the shared database (pred order, then worker order) and
-     installs each list as that shard's next delta slice.
-
-   The per-round delta SET equals the sequential one (every candidate is
-   routed to exactly one owner whose membership set is complete for its
-   partition), so the round structure, stage count and final instance
-   are identical to [seminaive_seq] — and the instance prints sorted, so
-   the output is byte-identical. Only the cross-shard tuples move
-   ([par.exchange_ms] critical-path time, [par.exchanged_tuples] volume,
-   [par.shard_skew] balance — 100 means perfectly balanced, [100 * nw]
-   means one shard owns everything). Trace counters are merged from the
-   workers (sums, gauges by max); derivation counts can differ from a
-   sequential run, which is why determinism is asserted on instances. *)
-let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
-  let tracing = Observe.Trace.enabled trace in
-  let nw = Parallel.Pool.size pool in
-  List.iter (fun (_rule, plan, _, _) -> Matcher.prewarm ?neg_db plan db) with_dps;
-  (* predicates whose freshness the fixpoint decides — every positive
-     compiled head (negative heads are ignored on this path, as in the
-     sequential driver) *)
-  let head_preds =
-    List.sort_uniq String.compare
-      (List.concat_map
-         (fun (rule, _, _, _) ->
-           List.filter_map
-             (fun h -> Option.map (fun a -> a.Ast.pred) (Ast.atom_of_hlit h))
-             rule.Ast.head)
-         with_dps)
-  in
-  (* coordinator-side: [memset] creates a missing store, which workers
-     must never trigger *)
-  let gmems = List.map (fun p -> (p, Matcher.Db.memset db p)) head_preds in
-  let shards =
-    Array.init nw (fun w -> Matcher.Shard.create ~nshards:nw ~shard:w)
-  in
-  Parallel.Pool.run pool (fun w ->
-      List.iter (fun (p, m) -> Matcher.Shard.seed shards.(w) p m) gmems);
-  let wctx =
-    Array.init nw (fun _ ->
-        if tracing then Observe.Trace.make ~sinks:[] () else Observe.Trace.null)
-  in
-  let wdb = Array.init nw (fun w -> Matcher.Db.with_trace db wctx.(w)) in
-  let wfresh : (string, Tuple.t list ref) Hashtbl.t array =
-    Array.init nw (fun _ -> Hashtbl.create 8)
-  in
-  let ex = Parallel.Exchange.create nw in
-  let exch_s = Array.make nw 0.0 in
-  let exchange_s = ref 0.0 in
-  let push_fresh w p t =
-    match Hashtbl.find_opt wfresh.(w) p with
-    | Some l -> l := t :: !l
-    | None -> Hashtbl.add wfresh.(w) p (ref [ t ])
-  in
-  (* one firing task on worker [w]: derive, route by owner *)
-  let fire w (plan, label, dpred) =
-    let vdb = wdb.(w) in
-    let wtr = wctx.(w) in
-    let sh = shards.(w) in
-    let t0 = if tracing then Observe.Trace.now () else 0. in
-    let delta, delta_index =
-      match dpred with
-      | None -> (None, None)
-      | Some p ->
-          ( Some (p, Matcher.Shard.delta sh p),
-            Some (fun positions -> Matcher.Shard.delta_index sh p positions) )
-    in
-    let cur_p = ref "" in
-    let cur_mem = ref None in
-    let have = ref false in
-    let n =
-      Matcher.iter_firings ?delta ?delta_index ?neg_db ~dom plan vdb
+      Matcher.iter_firings ?delta
+        ?delta_index:(Option.map (fun (p, dts) -> delta_index wk p dts) delta)
+        ?neg_db ~dom plan wk.db
         (fun ~pos p ids ->
           if pos then (
             if not (!have && String.equal !cur_p p) then (
               have := true;
               cur_p := p;
-              cur_mem := Some (List.assoc p gmems));
-            let o = Matcher.Shard.owner ~nshards:nw ids in
-            if o = w then (
-              let t = Tuple.of_ids (Array.copy ids) in
-              if Matcher.Shard.add sh p t then (
-                if tracing then
-                  Observe.Trace.incr wtr "fixpoint.tuples_derived";
-                push_fresh w p t)
-              else if tracing then
-                Observe.Trace.incr wtr "fixpoint.tuples_deduped")
-            else if Matcher.Db.memset_mem (Option.get !cur_mem) ids then (
-              if tracing then Observe.Trace.incr wtr "fixpoint.tuples_deduped")
-            else if
-              Parallel.Exchange.post ex ~src:w ~dst:o p
-                (Tuple.of_ids (Array.copy ids))
-            then (if tracing then Observe.Trace.incr wtr "par.posts")))
+              cur_mem := Some (Matcher.Db.memset wk.db p);
+              cur_state := Some (pred_state wk.fresh p));
+            if Matcher.Db.memset_mem (Option.get !cur_mem) ids then (
+              if tracing then
+                Observe.Trace.incr wk.tr "fixpoint.tuples_deduped")
+            else (
+              if tracing then
+                Observe.Trace.incr wk.tr "fixpoint.tuples_derived";
+              let o = owner nw ids in
+              if o = w then (
+                let lst, seen = Option.get !cur_state in
+                add_unseen_ids lst seen ids)
+              else
+                match par with
+                | Some (_, ex) ->
+                    ignore
+                      (Parallel.Exchange.post ex ~src:w ~dst:o p
+                         (Tuple.of_ids (Array.copy ids)))
+                | None -> ())))
     in
     if tracing then (
-      Observe.Trace.add wtr ("rule_firings." ^ label) n;
-      Observe.Trace.incr wtr "par.tasks";
-      Observe.Trace.observe_s wtr "par.task" (Observe.Trace.now () -. t0))
-  in
-  (* round 0: full evaluation, rules round-robin over workers *)
-  let rules0 =
-    Array.of_list
-      (List.map (fun (_rule, plan, _, label) -> (plan, label, None)) with_dps)
+      count_firings wk.db label n;
+      if nw > 1 then (
+        Observe.Trace.incr wk.tr "par.tasks";
+        Observe.Trace.observe_s wk.tr "par.task" (Observe.Trace.now () -. t0)))
   in
   let derive_full w =
-    let i = ref w in
-    while !i < Array.length rules0 do
-      fire w rules0.(!i);
-      i := !i + nw
-    done
+    List.iteri
+      (fun i (_rule, plan, _, label) ->
+        if i mod nw = w then fire w plan label None)
+      with_dps
   in
-  (* later rounds: worker [w] fires every (rule, delta-pred) whose OWN
-     slice is non-empty — the ownership partition is the task split *)
   let derive_delta w =
-    let sh = shards.(w) in
+    let wk = workers.(w) in
     List.iter
       (fun (_rule, plan, dps, label) ->
         List.iter
           (fun p ->
-            match Matcher.Shard.delta sh p with
-            | [] -> ()
-            | _ -> fire w (plan, label, Some p))
+            match List.assoc_opt p wk.delta with
+            | None | Some [] -> ()
+            | Some dts -> fire w plan label (Some (p, dts)))
           dps)
       with_dps
   in
-  let exchange w =
+  let exch_s = Array.make nw 0.0 in
+  let exchange_s = ref 0.0 in
+  let exchange ex w =
     let t0 = Observe.Trace.now () in
-    let sh = shards.(w) in
-    let wtr = wctx.(w) in
+    let wk = workers.(w) in
     Parallel.Exchange.drain ex ~dst:w (fun ~src:_ ~pred ts ->
-        List.iter
-          (fun t ->
-            if Matcher.Shard.add sh pred t then (
-              if tracing then Observe.Trace.incr wtr "fixpoint.tuples_derived";
-              push_fresh w pred t)
-            else if tracing then
-              Observe.Trace.incr wtr "fixpoint.tuples_deduped")
-          ts);
+        let lst, seen = pred_state wk.fresh pred in
+        List.iter (add_unseen lst seen) ts);
     exch_s.(w) <- Observe.Trace.now () -. t0
   in
-  (* one round on the pool, then drain the workers' fresh buffers into
-     per-worker sorted assoc lists and record the balance *)
+  (* one round: derive on every worker, then drain each worker's
+     accumulator into a sorted assoc list *)
   let run_round derive =
-    Parallel.Pool.run_phases pool [| derive; exchange |];
-    (* exchange cost on the critical path: the slowest worker's drain *)
-    exchange_s := !exchange_s +. Array.fold_left Float.max 0.0 exch_s;
-    Array.fill exch_s 0 nw 0.0;
-    let per_w = Array.map (fun tbl -> drain tbl ( ! )) wfresh in
+    (match par with
+    | None -> derive 0
+    | Some (pool, ex) ->
+        Parallel.Pool.run_phases pool [| derive; exchange ex |];
+        exchange_s := !exchange_s +. Array.fold_left Float.max 0.0 exch_s);
+    let per_w = Array.map (fun wk -> take_fresh wk.fresh) workers in
     let wtot = Array.map total_fresh per_w in
     let total = Array.fold_left ( + ) 0 wtot in
-    if tracing && total > 0 && nw > 1 then (
-      let mx = Array.fold_left max 0 wtot in
-      Observe.Trace.gauge_max trace "par.shard_skew" (100 * nw * mx / total));
+    if tracing && total > 0 && nw > 1 then
+      Observe.Trace.gauge_max trace "par.shard_skew"
+        (100 * nw * Array.fold_left max 0 wtot / total);
     (per_w, total)
   in
-  (* between rounds, on the coordinator: feed every shard's fresh facts
-     to the shared database (disjoint by ownership, fresh by the shard
-     dedup — exactly [absorb_new]'s contract) and install the lists as
-     the next round's delta slices *)
+  (* between rounds: the accumulators are disjoint by ownership and
+     fresh by the membership check, exactly [absorb_new]'s contract *)
   let absorb_and_install per_w =
     let preds =
       List.sort_uniq String.compare
-        (Array.to_list per_w |> List.concat_map (List.map fst))
+        (List.concat_map (List.map fst) (Array.to_list per_w))
     in
     List.iter
       (fun p ->
@@ -458,24 +396,33 @@ let seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db =
       preds;
     Array.iteri
       (fun w fr ->
-        Matcher.Shard.clear_delta shards.(w);
-        List.iter (fun (p, ts) -> Matcher.Shard.set_delta shards.(w) p ts) fr)
+        workers.(w).delta <- fr;
+        Hashtbl.reset workers.(w).dixes)
       per_w
   in
+  let first =
+    match initial with
+    | None -> `Round0 (fun () -> run_round derive_full)
+    | Some d ->
+        (* any partition of a delta is a valid slicing: the caller's
+           starts on worker 0 *)
+        `Delta
+          (Array.init nw (fun w -> if w = 0 then d else []), total_fresh d)
+  in
   let _, stages =
-    rounds ~trace
-      ~first:(`Round0 (fun () -> run_round derive_full))
-      ~step:(fun per_w ->
+    rounds ~trace ~first ~step:(fun per_w ->
         absorb_and_install per_w;
         run_round derive_delta)
   in
-  if tracing then (
-    Observe.Trace.gauge_max trace "par.domains" nw;
-    Observe.Trace.add trace "par.exchange_ms"
-      (int_of_float (!exchange_s *. 1000.));
-    Observe.Trace.add trace "par.exchanged_tuples"
-      (Parallel.Exchange.total_posted ex);
-    Array.iter (fun c -> Observe.Trace.merge_counters trace c) wctx);
+  (match par with
+  | Some (_, ex) when tracing ->
+      Observe.Trace.gauge_max trace "par.domains" nw;
+      Observe.Trace.add trace "par.exchange_ms"
+        (int_of_float (!exchange_s *. 1000.));
+      Observe.Trace.add trace "par.exchanged_tuples"
+        (Parallel.Exchange.total_posted ex);
+      Array.iter (fun wk -> Observe.Trace.merge_counters trace wk.tr) workers
+  | _ -> ());
   stages
 
 let seminaive_fixpoint_db ?(trace = Observe.Trace.null) ?neg_db prepared
@@ -485,13 +432,13 @@ let seminaive_fixpoint_db ?(trace = Observe.Trace.null) ?neg_db prepared
   | Some pool ->
       Fun.protect
         ~finally:(fun () -> Parallel.Pool.release pool)
-        (fun () -> seminaive_shard ~trace ?neg_db ~pool ~with_dps ~dom db)
+        (fun () -> seminaive ~trace ?neg_db ~pool ~with_dps ~dom db)
   | None ->
       (* jobs > 1 but the pool is held by an enclosing fixpoint: count
          the degradation instead of hiding it *)
       if Parallel.Pool.jobs () > 1 then
         Observe.Trace.incr trace "par.pool.fallbacks";
-      seminaive_seq ~trace ?neg_db ~with_dps ~dom db
+      seminaive ~trace ?neg_db ~with_dps ~dom db
 
 let seminaive_fixpoint ?(trace = Observe.Trace.null) ?neg_db prepared
     ~delta_preds ~dom inst =
@@ -513,7 +460,7 @@ let seminaive_increment_db ?(trace = Observe.Trace.null) ?neg_db prepared
   | [] -> 0
   | delta ->
       let with_dps = with_delta_preds prepared delta_preds in
-      seminaive_seq ~trace ?neg_db ~initial:delta ~with_dps ~dom db
+      seminaive ~trace ?neg_db ~initial:delta ~with_dps ~dom db
 
 (* DRed needs two compiled artifacts beyond the ordinary plans: the
    delta-pred table over every positive body predicate (the cone and the
@@ -710,7 +657,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
     phase "propagate" (fun () ->
         if total_fresh seed > 0 then
           ignore
-            (seminaive_seq ~trace ~initial:seed ~with_dps:dprep.dr_with_dps
+            (seminaive ~trace ~initial:seed ~with_dps:dprep.dr_with_dps
                ~dom db));
     let rederived = Matcher.Db.total db - before in
     if tracing then (

@@ -102,27 +102,30 @@ val consequences_signed :
     [fixpoint.tuples_derived], [fixpoint.tuples_deduped] and
     [rule_firings.<label>] are maintained.
 
-    When the global {!Parallel.Pool} is available (jobs > 1 and not held
-    by an enclosing fixpoint), each round's firing work runs on the
-    pool's domains: every worker owns a hash-partitioned shard of each
-    head predicate ({!Matcher.Shard}); it derives from its own delta
-    slices, dedups owned facts locally, and routes foreign facts through
-    a batched {!Parallel.Exchange} drained in a second phase of the same
-    fan-out — there is no global merge. Counters: [par.domains] (gauge),
-    [par.tasks], [par.exchange_ms] (critical-path drain time),
-    [par.exchanged_tuples] (cross-shard traffic) and [par.shard_skew]
-    (gauge; [100] = balanced, [100 * domains] = one shard owns every
-    fresh fact). Otherwise the rounds run sequentially.
+    One loop runs every round, on one worker or, when the global
+    {!Parallel.Pool} is available (jobs > 1 and not held by an
+    enclosing fixpoint), on one worker per pool domain. Every derived
+    fact has an owner, chosen by a hash of its first-column value, and
+    freshness is decided the same way at every worker count: a fact in
+    the database's membership set is a duplicate (those sets change
+    only between rounds); any other fact joins its owner's round
+    accumulator, directly or through a batched {!Parallel.Exchange}
+    drained in a second phase of the same fan-out. Each worker derives
+    from its owned slice of the previous round's delta. With more than
+    one worker the counters [par.domains] (gauge), [par.tasks],
+    [par.exchange_ms] (critical-path drain time), [par.exchanged_tuples]
+    (cross-worker traffic) and [par.shard_skew] (gauge; [100] =
+    balanced, [100 * domains] = one worker owns every fresh fact) are
+    reported; with one, none is.
 
-    The sharded rounds have the same structure as the sequential ones:
-    the per-round delta set, and hence the [round] spans and the
-    [fixpoint.rounds], [fixpoint.delta_max] and [fixpoint.delta_total]
-    counters, the returned instance and the stage count are identical
-    (and the printed instance byte-identical). Worker-side counters are
-    folded in at the end; derivation counts may legitimately differ
-    from a sequential run (e.g. two workers deriving a fact the routing
-    then dedups). When jobs > 1 but the pool is held by an enclosing
-    fixpoint, the run degrades to sequential and counts
+    The per-round delta set does not depend on the worker count, so the
+    [round] spans, the [fixpoint.rounds], [fixpoint.delta_max] and
+    [fixpoint.delta_total] counters, the returned instance and the stage
+    count are identical at every [-j] (and the printed instance
+    byte-identical). Worker-side counters are folded in at the end;
+    derivation counts may differ from a one-worker run, because a sliced
+    delta is matched in separate passes. When jobs > 1 but the pool is
+    held by an enclosing fixpoint, the run uses one worker and counts
     [par.pool.fallbacks] (see also {!Parallel.Pool.fallback_count}). *)
 val seminaive_fixpoint :
   ?trace:Observe.Trace.ctx ->
@@ -162,8 +165,8 @@ val seminaive_fixpoint_db :
     rules iterate to the new fixpoint. [delta] facts must be fresh (not
     in [db]) and pairwise distinct — the caller checks with
     {!Matcher.Db.mem}. Cost is proportional to the consequences of the
-    delta, not to the database. Returns the number of propagation
-    stages. *)
+    delta, not to the database. It runs {!seminaive_fixpoint}'s loop on
+    one worker. Returns the number of propagation stages. *)
 val seminaive_increment_db :
   ?trace:Observe.Trace.ctx ->
   ?neg_db:Matcher.Db.t ->

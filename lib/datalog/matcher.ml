@@ -48,12 +48,12 @@ module Db = struct
   let trace db = db.trace
 
   (* A worker's view of the database: a shallow copy that shares the
-     stores but carries a private trace context, so parallel workers can
-     count without contending on one counter table. The view is
-     read-only by convention — a lazy store or index build through a
-     view would race with its siblings, which is why the parallel
-     engines [prewarm] every structure a plan can touch before fanning
-     out. *)
+     stores but carries a private trace context, so the semi-naive
+     loop's workers can count without contending on one counter table.
+     The view is read-only by convention — a lazy store or index build
+     through a view would race with its siblings, which is why the loop
+     [prewarm]s every structure a plan can touch before it fans out to
+     more than one worker. *)
   let with_trace db trace = { db with trace }
 
   let adopt rel =
@@ -270,106 +270,6 @@ module Db = struct
         List.iter (fun t -> ignore (Tuple.Set.add st.set t)) news;
         if not st.stale then st.rows <- List.rev_append news st.rows;
         Hashtbl.iter (fun _ ix -> List.iter (Index.add ix) news) st.indexes
-end
-
-(* ------------------------------------------------------------------ *)
-
-(* Shard-owned predicate state for the partitioned parallel fixpoint
-   (Slog-style): every fact belongs to exactly one shard, decided by a
-   hash of its first-column value id, and each worker domain holds the
-   membership sets and per-round delta indexes for the facts it owns.
-   Nothing here is shared — one [Shard.t] per worker, mutated only by
-   its owner, so freshness checks need no locks and no global merge. *)
-module Shard = struct
-  type t = {
-    shard : int;
-    nshards : int;
-    mems : (string, Tuple.Set.t) Hashtbl.t;
-        (* per-predicate membership over the owned partition: seeded
-           from the database, extended with every accepted fresh fact —
-           complete for owned-tuple freshness checks by construction
-           (every fresh fact is routed through its owner) *)
-    delta : (string, Tuple.t list) Hashtbl.t;
-        (* this shard's slice of the current round's delta *)
-    dixes : (string, (int list, Index.t) Hashtbl.t) Hashtbl.t;
-        (* (pred, positions) indexes over the delta slices, memoized for
-           the round so rules sharing bound positions reuse one build *)
-  }
-
-  (* same avalanche story as [Tuple.hash_ids]: interned ids are dense
-     small integers, so a plain [mod] would put consecutive vertices in
-     consecutive shards — fine for balance, terrible as a hash contract.
-     Mix first so ownership is uncorrelated with interning order. *)
-  let owner ~nshards ids =
-    if nshards = 1 || Array.length ids = 0 then 0
-    else begin
-      let x = Array.unsafe_get ids 0 in
-      let x = (x lxor (x lsr 16)) * 0x45d9f3b in
-      let x = (x lxor (x lsr 13)) land max_int in
-      x mod nshards
-    end
-
-  let create ~nshards ~shard =
-    if nshards < 1 || shard < 0 || shard >= nshards then
-      invalid_arg "Matcher.Shard.create: shard out of range";
-    {
-      shard;
-      nshards;
-      mems = Hashtbl.create 8;
-      delta = Hashtbl.create 8;
-      dixes = Hashtbl.create 8;
-    }
-
-  let id sh = sh.shard
-  let owns sh ids = owner ~nshards:sh.nshards ids = sh.shard
-
-  let memset sh p =
-    match Hashtbl.find_opt sh.mems p with
-    | Some set -> set
-    | None ->
-        let set = Tuple.Set.create 16 in
-        Hashtbl.add sh.mems p set;
-        set
-
-  let add sh p t = Tuple.Set.add (memset sh p) t
-
-  let seed sh p (m : Db.memset) =
-    let set = memset sh p in
-    Tuple.Set.iter
-      (fun t ->
-        if owner ~nshards:sh.nshards (Tuple.ids t) = sh.shard then
-          ignore (Tuple.Set.add set t))
-      m.Db.set
-
-  let total sh =
-    Hashtbl.fold (fun _ set n -> n + Tuple.Set.length set) sh.mems 0
-
-  let set_delta sh p ts =
-    Hashtbl.replace sh.delta p ts;
-    Hashtbl.remove sh.dixes p
-
-  let clear_delta sh =
-    Hashtbl.reset sh.delta;
-    Hashtbl.reset sh.dixes
-
-  let delta sh p =
-    match Hashtbl.find_opt sh.delta p with Some ts -> ts | None -> []
-
-  let delta_index sh p positions =
-    let per =
-      match Hashtbl.find_opt sh.dixes p with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.create 4 in
-          Hashtbl.add sh.dixes p t;
-          t
-    in
-    match Hashtbl.find_opt per positions with
-    | Some ix -> ix
-    | None ->
-        let ix = Index.of_list (Array.of_list positions) (delta sh p) in
-        Hashtbl.add per positions ix;
-        ix
 end
 
 (* ------------------------------------------------------------------ *)
@@ -730,8 +630,8 @@ let source db = function
    positive/negative filter probes (the ∀ check re-evaluates the whole
    body, so every body literal counts), and the head-dedup memsets — so
    that read-only workers sharing the database never trigger a
-   concurrent build. Called by the parallel engines on the coordinator,
-   between barriers. *)
+   concurrent build. Called by the semi-naive loop before it runs a
+   fixpoint on more than one worker. *)
 let prewarm ?neg_db prepared db =
   let ndb = Option.value neg_db ~default:db in
   let warm_steps from plan =
@@ -934,9 +834,9 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
         (* the delta's candidates at a step: the whole list when the step
            has no key, else a per-(pred, bound-positions) index over the
            delta tuples — looked up, not scanned, and built straight from
-           the list. A caller holding the delta in shard-owned state
-           supplies [delta_index] to reuse one memoized build across
-           every rule sharing the positions. *)
+           the list. The semi-naive loop supplies [delta_index] to reuse
+           one build per round across every rule sharing the
+           positions. *)
         let delta_src = function
           | CAtom { key_positions = []; _ } ->
               fun _ visit -> scan_rows dtuples visit

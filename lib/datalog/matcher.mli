@@ -55,12 +55,12 @@ module Db : sig
 
   (** [with_trace db ctx] is a {e view} of [db] reporting to [ctx]: it
       shares every store (membership sets, rows, indexes) with [db] but
-      counts into its own context. The parallel engines hand one view
-      per worker so counters never contend. A view is read-only by
-      convention: callers must {!prewarm} every structure their plans
-      touch before sharing views across domains, must not mutate
-      through a view, and must not use it through
-      {!instance}/{!relation}. *)
+      counts into its own context. The semi-naive loop hands one view to
+      each of its workers when it runs on more than one, so counters
+      never contend. A view is read-only by convention: callers must
+      {!prewarm} every structure their plans touch before sharing views
+      across domains, must not mutate through a view, and must not use
+      it through {!instance}/{!relation}. *)
   val with_trace : t -> Observe.Trace.ctx -> t
 
   (** [sharing db shared base] is a query-scoped database over [base]
@@ -141,64 +141,6 @@ module Db : sig
       guarantees fresh (not in [db]) and pairwise distinct — the
       semi-naive delta contract. Skips every membership check. *)
   val absorb_new : t -> string -> Tuple.t list -> unit
-end
-
-(** Shard-owned predicate state for the hash-partitioned parallel
-    fixpoint: every fact is owned by exactly one of [nshards] shards,
-    decided by an avalanche hash of its first-column value id, and each
-    worker domain holds one [Shard.t] — membership sets over its owned
-    partition plus memoized (pred, positions) indexes over its per-round
-    delta slices. A shard is mutated only by its owning worker, so
-    freshness checks are local: no locks, no global dedup merge. *)
-module Shard : sig
-  type t
-
-  (** [owner ~nshards ids] is the shard owning the fact with argument
-      ids [ids] — a mixed hash of [ids.(0)] modulo [nshards] (arity-0
-      facts live on shard 0). Deterministic across workers and runs for
-      a fixed interning. *)
-  val owner : nshards:int -> int array -> int
-
-  (** [create ~nshards ~shard] is the empty state of shard [shard].
-      @raise Invalid_argument unless [0 <= shard < nshards]. *)
-  val create : nshards:int -> shard:int -> t
-
-  val id : t -> int
-
-  (** [owns sh ids] is [owner ~nshards ids = id sh]. *)
-  val owns : t -> int array -> bool
-
-  (** [add sh p t] records an owned fact (the caller has established
-      ownership) in one probe of the shard's membership set for [p]. It
-      is [true] when the fact was new to the shard: complete for facts
-      of predicates this shard was {!seed}ed with and kept up to date
-      through [add]. *)
-  val add : t -> string -> Tuple.t -> bool
-
-  (** [seed sh p m] folds this shard's partition of the membership set
-      [m] into its own membership set for [p] — the per-fixpoint
-      initialisation, run by every worker over the same head-predicate
-      sets. *)
-  val seed : t -> string -> Db.memset -> unit
-
-  (** [total sh] is the number of owned facts across predicates. *)
-  val total : t -> int
-
-  (** [set_delta sh p ts] installs this shard's slice of the round's
-      delta for [p], invalidating memoized indexes over the previous
-      slice; {!clear_delta} drops every slice between rounds. *)
-  val set_delta : t -> string -> Tuple.t list -> unit
-
-  val clear_delta : t -> unit
-
-  (** [delta sh p] is the installed slice ([[]] when none). *)
-  val delta : t -> string -> Tuple.t list
-
-  (** [delta_index sh p positions] is the index ({!Relation.Index}) of
-      [delta sh p] on [positions], built once per (pred, positions) per
-      round and shared by every rule probing the same bound positions —
-      pass it to {!iter_firings} as [delta_index]. *)
-  val delta_index : t -> string -> int list -> Relation.Index.t
 end
 
 (** A rule compiled to slot-based join plans (atom ordering, index keys,
@@ -284,10 +226,9 @@ val run :
     representation the fixpoint engines already hold); it is indexed per
     (pred, bound-positions) exactly like {!run}'s — unless [delta_index]
     is supplied, in which case it resolves the index for each set of
-    bound positions (the sharded fixpoint passes
-    {!Shard.delta_index}, so rules sharing positions reuse one build;
-    the function must index exactly the tuples of [delta]). Returns the
-    number of matches. *)
+    bound positions (the semi-naive loop passes its per-round memo, so
+    rules sharing positions reuse one build; the function must index
+    exactly the tuples of [delta]). Returns the number of matches. *)
 val iter_firings :
   ?delta:string * Tuple.t list ->
   ?delta_index:(int list -> Relation.Index.t) ->
@@ -326,9 +267,9 @@ val iter_derivations :
     delta-first plan after its delta step (the membership set instead,
     for a membership-test step), membership sets for filter probes and
     head dedup — so that subsequent read-only uses of [db] (directly or
-    through {!Db.with_trace} views) trigger no builds. The parallel
-    engines call this between barriers, before fanning work out to
-    domains; [neg_db] follows the same convention as {!iter_firings}. *)
+    through {!Db.with_trace} views) trigger no builds. The semi-naive
+    loop calls it before it runs a fixpoint on more than one worker
+    domain; [neg_db] follows the same convention as {!iter_firings}. *)
 val prewarm : ?neg_db:Db.t -> prepared -> Db.t -> unit
 
 (** [satisfies db subst blits] checks body literals under a full

@@ -190,7 +190,7 @@ let run ?(schedule = Round_robin) ?(max_rounds = 10_000)
    says the outcome is schedule-independent — so no per-activation
    scheduling is needed at all. [run_bulk] treats each peer as one shard
    of a partitioned fixpoint and runs supersteps with the same
-   derive/exchange structure as the shard-owned semi-naive driver:
+   derive/exchange structure as the semi-naive loop on several workers:
    every peer fires its rules against its own store, local facts are
    inserted locally, remote facts are posted into a [Parallel.Exchange]
    cell (per-edge duplicate suppression replaces the scheduled run's

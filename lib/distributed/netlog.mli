@@ -82,7 +82,7 @@ val run :
 (** [run_bulk ?max_supersteps net] evaluates a {e monotone} network in
     bulk-synchronous supersteps — the network as a sharded evaluator,
     with peers as the shards. Each superstep has two phases with the
-    same structure as the shard-owned parallel fixpoint: every peer
+    same structure as the semi-naive loop on several workers: every peer
     fires its rules against its own store (derive), routing remote facts
     through a batched {!Parallel.Exchange} with per-edge duplicate
     suppression, then every peer drains its inboxes (exchange). There is

@@ -1,6 +1,8 @@
 (** Batched cross-shard tuple routing: an [n]×[n] grid of per-predicate
-    outboxes, the communication half of the shard-owned fixpoint (and of
-    the bulk-synchronous netlog evaluator, where peers are the shards).
+    outboxes, the communication half of the semi-naive loop when it runs
+    on [n > 1] workers, a fact going from the worker that derived it to
+    the worker that owns it (and of the bulk-synchronous netlog
+    evaluator, where peers are the shards).
 
     Ownership discipline (the reason this needs no locks): cell
     [(src, dst)] is written only by the worker owning shard [src] and

@@ -1,5 +1,6 @@
 (* Shared test helpers. *)
 open Relational
+module Q = QCheck
 
 let value = Alcotest.testable Value.pp Value.equal
 let relation = Alcotest.testable Relation.pp Relation.equal
@@ -46,6 +47,120 @@ let tc_program =
   |}
 
 let check_rel msg expected actual = Alcotest.check relation msg expected actual
+
+(* Random programs for qcheck properties.
+
+   Random positive Datalog programs over a fixed schema:
+   edb e/1, g/2; idb p/1, q/2. Rules are built from a safe template pool,
+   sampled; this generates recursion, mutual recursion, projections. *)
+let rule_pool =
+  [
+    "p(X) :- e(X).";
+    "p(X) :- g(X, Y).";
+    "p(Y) :- g(X, Y), p(X).";
+    "q(X, Y) :- g(X, Y).";
+    "q(X, Y) :- g(X, Z), q(Z, Y).";
+    "q(X, Y) :- q(X, Z), q(Z, Y).";
+    "p(X) :- q(X, X).";
+    "q(X, X) :- e(X).";
+    "q(X, Y) :- g(Y, X).";
+    "p(X) :- q(X, Y), e(Y).";
+  ]
+
+(* rules with safe negation for stratified-program generation; negation
+   only on earlier-defined predicates *)
+let neg_rule_pool =
+  [
+    "r(X) :- e(X), !p(X).";
+    "r(X) :- g(X, Y), !q(X, Y).";
+    "s(X) :- e(X), !r(X).";
+    "s(X) :- p(X), !r(X).";
+    "r(X) :- p(X), e(X).";
+  ]
+
+let program_gen pool =
+  Q.Gen.(
+    let* k = 1 -- List.length pool in
+    let* idx = list_size (return k) (0 -- (List.length pool - 1)) in
+    let rules =
+      List.sort_uniq compare idx
+      |> List.map (fun i -> List.nth pool i)
+    in
+    return (prog (String.concat "\n" rules)))
+
+let inst_gen =
+  Q.Gen.(
+    let* n = 1 -- 6 in
+    let* edges = 0 -- 10 in
+    let* seed = 0 -- 10_000 in
+    let g = Graph_gen.random ~name:"g" ~seed n edges in
+    let* ne = 0 -- n in
+    let es = List.init ne (fun i -> [ Graph_gen.vertex i ]) in
+    return (Instance.set "e" (Relation.of_rows es) g))
+
+(* rules for random stratified programs *)
+let strat_pool = rule_pool @ neg_rule_pool
+
+(* rules that stress the delta engine's compiled plans: repeated
+   variables inside one atom, constants in body atoms, and bodies with
+   several positive occurrences of the same recursive (delta) predicate —
+   each occurrence needs its own delta pass, and dedup across passes must
+   not lose substitutions *)
+let delta_stress_pool =
+  [
+    "loop(X) :- g(X, X).";
+    "p(X) :- g(X, Y), g(Y, X).";
+    "t(X, Y) :- g(X, Y).";
+    "t(X, Z) :- t(X, Y), t(Y, Z).";
+    "p2(X, Z) :- t(X, Y), t(Y, Z).";
+    "c(Y) :- g(n0, Y).";
+    "c(Y) :- t(Y, n1).";
+    "d(X) :- t(X, X).";
+    "d2(X) :- t(n0, X), g(X, X).";
+    "tri(X) :- g(X, Y), g(Y, Z), g(Z, X).";
+  ]
+
+let print_prog_inst (p, i) =
+  Printf.sprintf "program:\n%s\ninstance:\n%s"
+    (Datalog.Pretty.program_to_string p)
+    (Instance.to_string i)
+
+let prog_inst_gen pool =
+  Q.Gen.(
+    let* p = program_gen pool in
+    let* i = inst_gen in
+    return (p, i))
+
+let prog_inst_arb pool = Q.make ~print:print_prog_inst (prog_inst_gen pool)
+
+(* [with_head_facts (p, inst)] adds 0–3 facts of [p]'s head predicates
+   to [inst], over the vertices [inst_gen] draws: facts of a derived
+   predicate that are stored before evaluation starts. *)
+let with_head_facts (p, inst) =
+  let heads =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (r : Datalog.Ast.rule) ->
+           List.filter_map
+             (fun h ->
+               Option.map
+                 (fun (a : Datalog.Ast.atom) -> (a.pred, List.length a.args))
+                 (Datalog.Ast.atom_of_hlit h))
+             r.head)
+         p)
+  in
+  Q.Gen.(
+    let* k = if heads = [] then return 0 else 0 -- 3 in
+    let fact =
+      let* pred, arity = oneofl heads in
+      let* vs = list_repeat arity (0 -- 5) in
+      return (pred, Tuple.of_list (List.map (fun n -> Graph_gen.vertex n) vs))
+    in
+    let* fs = list_repeat k fact in
+    return
+      ( p,
+        List.fold_left (fun i (pred, t) -> Instance.add_fact pred t i) inst fs
+      ))
 
 (* The line-based fact parser that [Instance.parse_facts] replaced, kept
    as the loader's test oracle. It differs from the loader in the two

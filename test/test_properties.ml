@@ -23,64 +23,8 @@ let graph_arb =
         (Instance.to_string i))
     small_graph_gen
 
-(* random positive Datalog programs over a fixed schema:
-   edb e/1, g/2; idb p/1, q/2. Rules are built from a safe template pool,
-   sampled; this generates recursion, mutual recursion, projections. *)
-let rule_pool =
-  [
-    "p(X) :- e(X).";
-    "p(X) :- g(X, Y).";
-    "p(Y) :- g(X, Y), p(X).";
-    "q(X, Y) :- g(X, Y).";
-    "q(X, Y) :- g(X, Z), q(Z, Y).";
-    "q(X, Y) :- q(X, Z), q(Z, Y).";
-    "p(X) :- q(X, X).";
-    "q(X, X) :- e(X).";
-    "q(X, Y) :- g(Y, X).";
-    "p(X) :- q(X, Y), e(Y).";
-  ]
-
-(* rules with safe negation for stratified-program generation; negation
-   only on earlier-defined predicates *)
-let neg_rule_pool =
-  [
-    "r(X) :- e(X), !p(X).";
-    "r(X) :- g(X, Y), !q(X, Y).";
-    "s(X) :- e(X), !r(X).";
-    "s(X) :- p(X), !r(X).";
-    "r(X) :- p(X), e(X).";
-  ]
-
-let program_gen pool =
-  Q.Gen.(
-    let* k = 1 -- List.length pool in
-    let* idx = list_size (return k) (0 -- (List.length pool - 1)) in
-    let rules =
-      List.sort_uniq compare idx
-      |> List.map (fun i -> List.nth pool i)
-    in
-    return (prog (String.concat "\n" rules)))
-
-let inst_gen =
-  Q.Gen.(
-    let* n = 1 -- 6 in
-    let* edges = 0 -- 10 in
-    let* seed = 0 -- 10_000 in
-    let g = Graph_gen.random ~name:"g" ~seed n edges in
-    let* ne = 0 -- n in
-    let es = List.init ne (fun i -> [ Graph_gen.vertex i ]) in
-    return (Instance.set "e" (Relation.of_rows es) g))
-
-let prog_inst_arb pool =
-  Q.make
-    ~print:(fun (p, i) ->
-      Printf.sprintf "program:\n%s\ninstance:\n%s"
-        (Datalog.Pretty.program_to_string p)
-        (Instance.to_string i))
-    Q.Gen.(
-      let* p = program_gen pool in
-      let* i = inst_gen in
-      return (p, i))
+(* the random program and instance generators are [Helpers]'s, shared
+   with the parallel suite *)
 
 let count = 100
 
@@ -130,25 +74,8 @@ let prop_positive_monotone =
         ((Datalog.Seminaive.eval p i).Datalog.Seminaive.instance)
         ((Datalog.Seminaive.eval p bigger).Datalog.Seminaive.instance))
 
-(* the delta engine must agree with naive evaluation on rules that stress
-   its compiled plans: repeated variables inside one atom, constants in
-   body atoms, and bodies with several positive occurrences of the same
-   recursive (delta) predicate — each occurrence needs its own delta
-   pass, and dedup across passes must not lose substitutions *)
-let delta_stress_pool =
-  [
-    "loop(X) :- g(X, X).";
-    "p(X) :- g(X, Y), g(Y, X).";
-    "t(X, Y) :- g(X, Y).";
-    "t(X, Z) :- t(X, Y), t(Y, Z).";
-    "p2(X, Z) :- t(X, Y), t(Y, Z).";
-    "c(Y) :- g(n0, Y).";
-    "c(Y) :- t(Y, n1).";
-    "d(X) :- t(X, X).";
-    "d2(X) :- t(n0, X), g(X, X).";
-    "tri(X) :- g(X, Y), g(Y, Z), g(Z, X).";
-  ]
-
+(* the delta engine must agree with naive evaluation on
+   [delta_stress_pool]'s rules *)
 let prop_seminaive_stress_agree =
   prop "naive = semi-naive (repeated vars, constants, multi-delta bodies)"
     (prog_inst_arb delta_stress_pool) (fun (p, i) ->
@@ -157,7 +84,6 @@ let prop_seminaive_stress_agree =
       Instance.equal n s)
 
 (* stratified programs: stratified = well-founded 2-valued = total *)
-let strat_pool = rule_pool @ neg_rule_pool
 
 let prop_stratified_equals_wellfounded =
   prop "stratified = well-founded on stratifiable programs"
