@@ -85,6 +85,9 @@ bench:
 # smoke step runs a stratified program whose last body atom is fully
 # bound: --stats must show the index layer (an "index" span total) and
 # count the steps the membership set answered (matcher.member_probes).
+# The fuel step walks a program that toggles a fact forever: the walk
+# must run out of fuel with exit 3, one line on stderr naming the engine
+# and its budget, and nothing on stdout.
 # The bench-diff step
 # compares the freshly regenerated e2 rows against the committed
 # BENCH_engines.json and GATES: rows from a different machine shape are
@@ -199,12 +202,19 @@ ci:
 	dune exec -- datalog-unchained run -s stratified _ci_mem.dl --stats > _ci_mem.stats
 	grep -q '^  index ' _ci_mem.stats
 	grep -qE '^  matcher\.member_probes +[1-9]' _ci_mem.stats
+	printf 'on(), !off() :- off().\noff(), !on() :- on().\n' > _ci_fuel.dl
+	printf 'on().\n' > _ci_fuel.facts
+	_build/install/default/bin/datalog-unchained nondet _ci_fuel.dl -f _ci_fuel.facts > _ci_fuel.out 2> _ci_fuel.err; test $$? -eq 3
+	test ! -s _ci_fuel.out
+	test "$$(wc -l < _ci_fuel.err)" -eq 1
+	grep -qx 'nondet.walk: out of fuel (budget 100000)' _ci_fuel.err
 	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats \
 	  _ci_mat.stats _ci_mat.jsonl _ci_ct1.out _ci_ct4.out _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
 	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out \
 	  _ci_rtf.facts _ci_rtf.dl _ci_rtf1.out _ci_rtf2.out _ci_mem.dl _ci_mem.stats \
-	  _ci_tcf.dl _ci_tcf.facts _ci_tcf1.out _ci_tcf2.out _ci_tcf1.shape _ci_tcf2.shape
+	  _ci_tcf.dl _ci_tcf.facts _ci_tcf1.out _ci_tcf2.out _ci_tcf1.shape _ci_tcf2.shape \
+	  _ci_fuel.dl _ci_fuel.facts _ci_fuel.out _ci_fuel.err
 
 clean:
 	dune clean

@@ -452,7 +452,7 @@ let e6 () =
     ]
   in
   (match While_lang.Weval.run ~fuel:64 flip (Instance.parse_facts "S(a).") with
-  | While_lang.Weval.Out_of_fuel _ ->
+  | exception Fuel.Exhausted _ ->
       row "  while flip-flop diverges (detected by fuel): yes\n"
   | _ -> row "  while flip-flop diverges: NO\n");
   row "  shape: compiled inflationary program agrees with the while \
@@ -887,7 +887,7 @@ let e15 () =
           [ ("emp", List.init n (fun i -> [ Value.Sym (Printf.sprintf "e%d" i) ])) ]
       in
       match time (fun () -> Ontology.Chase.chase onto inst) with
-      | Ontology.Chase.Terminated { steps; nulls; _ }, t ->
+      | { Ontology.Chase.steps; nulls; _ }, t ->
           let ca =
             Ontology.Chase.certain_answers onto inst
               {
@@ -899,7 +899,7 @@ let e15 () =
           assert (Relation.cardinal ca = n);
           row "  %-8d | %7d %7d | %s | %d\n" n steps nulls (ms t)
             (Relation.cardinal ca)
-      | Ontology.Chase.Out_of_fuel _, _ -> row "  %-8d | out of fuel\n" n)
+      | exception Fuel.Exhausted _ -> row "  %-8d | out of fuel\n" n)
     [ 2; 4; 8; 16; 32 ];
   row "  shape: steps and nulls grow linearly with the data; nulls never \
        leak into\n  certain answers\n"

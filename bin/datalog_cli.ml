@@ -282,10 +282,10 @@ let with_observability ~name ?(force = false) stats trace_path f =
         if stats then Format.printf "%a" Observe.Report.pp_summary ctx;
         r)
 
-(* An engine rejects a program outside its fragment (or a run past its
-   search limit) with an exception; [or_reject f] reports it like the
-   other usage errors — the message on stderr, exit 2 — instead of
-   letting it escape as an internal error. *)
+(* An engine rejects a program outside its fragment with an exception;
+   [or_reject f] reports it like the other usage errors — the message on
+   stderr, exit 2 — instead of letting it escape as an internal error.
+   An engine that can diverge and ran out of fuel exits 3. *)
 let or_reject f =
   try f () with
   | Datalog.Ast.Check_error msg
@@ -295,6 +295,9 @@ let or_reject f =
   | Failure msg ->
       Printf.eprintf "%s\n" msg;
       exit 2
+  | Fuel.Exhausted { engine; budget; _ } ->
+      Printf.eprintf "%s: out of fuel (budget %d)\n" engine budget;
+      exit 3
 
 (* --- run ---------------------------------------------------------------- *)
 
@@ -386,15 +389,13 @@ let run_cmd =
                 Format.printf "%% model %d:@." (i + 1);
                 print_answer ~trace m answer)
               models
-        | `Invent -> (
-            match Datalog.Invent.run ~trace p inst with
-            | Datalog.Invent.Fixpoint { instance; stages; invented } ->
-                Format.printf
-                  "%% fixpoint after %d stages, %d invented values@." stages
-                  invented;
-                print_answer ~trace instance answer
-            | Datalog.Invent.Out_of_fuel { stages; _ } ->
-                Format.printf "%% out of fuel after %d stages@." stages))
+        | `Invent ->
+            let { Datalog.Invent.instance; stages; invented } =
+              Datalog.Invent.run ~trace p inst
+            in
+            Format.printf "%% fixpoint after %d stages, %d invented values@."
+              stages invented;
+            print_answer ~trace instance answer)
   in
   let doc =
     "Evaluate a program under a chosen semantics and print the whole \
@@ -425,6 +426,7 @@ let nondet_cmd =
   in
   let run mode program facts answer seed stats trace_path =
     let { Datalog.Parser.program = p; _ } = load_program program in
+    or_reject @@ fun () ->
     Datalog.Ast.check_ndatalog_any p;
     let inst = load_facts facts in
     let name =
@@ -443,9 +445,7 @@ let nondet_cmd =
                 print_answer instance answer
             | Nondet.Nd_eval.Abandoned { steps } ->
                 Format.printf "%% abandoned (\xe2\x8a\xa5) after %d firings@."
-                  steps
-            | Nondet.Nd_eval.Out_of_fuel { steps; _ } ->
-                Format.printf "%% out of fuel after %d firings@." steps)
+                  steps)
         | `Enumerate ->
             let stats = Nondet.Enumerate.effect p inst in
             Format.printf "%% %d terminal instance(s), %d states explored@."
@@ -470,9 +470,9 @@ let nondet_cmd =
 let stratify_cmd =
   let run program =
     let { Datalog.Parser.program = p; _ } = load_program program in
-    match Datalog.Stratify.stratify p with
+    match or_reject (fun () -> Datalog.Stratify.stratify p) with
     | Error msg ->
-        Format.printf "not stratifiable: %s@." msg;
+        Format.printf "%s@." msg;
         exit 1
     | Ok s ->
         List.iteri

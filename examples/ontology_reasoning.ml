@@ -33,13 +33,11 @@ let () =
     (Chase.is_guarded onto)
     (Chase.weakly_acyclic onto);
 
-  (match Chase.chase onto data with
-  | Chase.Terminated { instance; steps; nulls } ->
-      Format.printf
-        "restricted chase terminated: %d trigger applications, %d nulls@.@."
-        steps nulls;
-      Format.printf "chased instance:@.%a@.@." Instance.pp instance
-  | Chase.Out_of_fuel _ -> assert false);
+  let { Chase.instance; steps; nulls } = Chase.chase onto data in
+  Format.printf
+    "restricted chase terminated: %d trigger applications, %d nulls@.@." steps
+    nulls;
+  Format.printf "chased instance:@.%a@.@." Instance.pp instance;
 
   (* Boolean conjunctive query: is somebody supervised by a manager who is
      themselves an employee? *)

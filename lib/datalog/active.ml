@@ -22,8 +22,6 @@ type log_entry = {
 
 type result = { instance : Instance.t; log : log_entry list; steps : int }
 
-exception Cascade_limit of int
-
 (* unify an event pattern against a concrete tuple *)
 let match_event pattern (pred, tup) =
   let a = match pattern with On_insert a | On_delete a -> a in
@@ -67,7 +65,7 @@ let condition_matches db dom blits =
   let plan = Matcher.prepare rule in
   Matcher.run ~dom plan db
 
-let run ?(max_steps = 10_000) ?(trace = Observe.Trace.null) rules inst
+let run ?(fuel = 10_000) ?(trace = Observe.Trace.null) rules inst
     transaction =
   let log = ref [] in
   let steps = ref 0 in
@@ -130,7 +128,14 @@ let run ?(max_steps = 10_000) ?(trace = Observe.Trace.null) rules inst
         (if changed then "active.updates_applied" else "active.updates_noop");
     if changed then (
       incr steps;
-      if !steps > max_steps then raise (Cascade_limit max_steps);
+      if !steps > fuel then
+        raise
+          (Fuel.Exhausted
+             {
+               engine = "active";
+               budget = fuel;
+               instance = Matcher.Db.instance state;
+             });
       trigger u)
   and trigger u =
     List.iter

@@ -55,21 +55,20 @@ type result = {
   steps : int;
 }
 
-exception Cascade_limit of int
-
-(** [run ?max_steps rules inst transaction] executes the transaction's
+(** [run ?fuel rules inst transaction] executes the transaction's
     updates in order with immediate rules cascading depth-first, then
-    processes deferred rules to quiescence (default budget 10_000 applied
-    updates). Only updates that actually change the database trigger
-    rules.
+    processes deferred rules to quiescence, within [fuel] applied updates
+    (default 10_000). Only updates that actually change the database
+    trigger rules.
     [trace] receives the counters [active.updates_applied],
     [active.updates_noop] and [active.triggers.<rule>] (condition matches
     per rule) plus the database's [db.*] counters.
-    @raise Cascade_limit when the budget is exhausted.
+    @raise Relational.Fuel.Exhausted (engine ["active"]) when an applied
+    update would exceed the budget, with the state after it.
     @raise Ast.Check_error on malformed patterns/conditions (unbound
     action variables). *)
 val run :
-  ?max_steps:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   rule list ->
   Instance.t ->

@@ -1,15 +1,13 @@
 open Relational
 
-type outcome =
-  | Fixpoint of { instance : Instance.t; stages : int; invented : int }
-  | Out_of_fuel of { instance : Instance.t; stages : int; invented : int }
+type result = { instance : Instance.t; stages : int; invented : int }
 
 (* A canonical key identifying one body instantiation of one rule, used to
    guarantee single firing. *)
 let firing_key rule_idx subst =
   (rule_idx, List.sort compare subst)
 
-let run ?(max_stages = 10_000) ?(trace = Observe.Trace.null) p inst =
+let run ?(fuel = 10_000) ?(trace = Observe.Trace.null) p inst =
   Ast.check_invent p;
   let tracing = Observe.Trace.enabled trace in
   let gen = Value.Gen.create () in
@@ -31,13 +29,14 @@ let run ?(max_stages = 10_000) ?(trace = Observe.Trace.null) p inst =
          (VSet.of_list (Instance.adom inst)))
   in
   let rec loop stages =
-    if stages >= max_stages then
-      Out_of_fuel
-        {
-          instance = Matcher.Db.instance db;
-          stages;
-          invented = Value.Gen.count gen;
-        }
+    if stages >= fuel then
+      raise
+        (Fuel.Exhausted
+           {
+             engine = "invent";
+             budget = fuel;
+             instance = Matcher.Db.instance db;
+           })
     else
       let dom = VSet.elements !domset in
       let additions = ref [] in
@@ -89,32 +88,21 @@ let run ?(max_stages = 10_000) ?(trace = Observe.Trace.null) p inst =
           ~fields:[ Observe.Trace.fint "delta" !inserted ]
           ());
       if not !changed then
-        Fixpoint
-          {
-            instance = Matcher.Db.instance db;
-            stages;
-            invented = Value.Gen.count gen;
-          }
+        {
+          instance = Matcher.Db.instance db;
+          stages;
+          invented = Value.Gen.count gen;
+        }
       else loop (stages + 1)
   in
   loop 0
 
-let eval ?max_stages ?trace p inst =
-  match run ?max_stages ?trace p inst with
-  | Fixpoint { instance; _ } -> instance
-  | Out_of_fuel { stages; _ } ->
-      failwith
-        (Printf.sprintf
-           "Datalog\xc2\xacnew: no fixpoint within %d stages (the language is \
-            Turing-complete; supply more fuel if the program terminates)"
-           stages)
-
-let answer ?max_stages ?trace p inst pred =
-  let r = Instance.find pred (eval ?max_stages ?trace p inst) in
+let answer ?fuel ?trace p inst pred =
+  let r = Instance.find pred (run ?fuel ?trace p inst).instance in
   Relation.filter (fun t -> not (Tuple.exists Value.is_invented t)) r
 
-let answer_exn ?max_stages p inst pred =
-  let r = Instance.find pred (eval ?max_stages p inst) in
+let answer_exn ?fuel p inst pred =
+  let r = Instance.find pred (run ?fuel p inst).instance in
   if Relation.exists (fun t -> Tuple.exists Value.is_invented t) r then
     failwith
       (Printf.sprintf

@@ -17,41 +17,29 @@
 
 open Relational
 
-type outcome =
-  | Fixpoint of {
-      instance : Instance.t;
-      stages : int;
-      invented : int;  (** how many fresh values were created *)
-    }
-  | Out_of_fuel of { instance : Instance.t; stages : int; invented : int }
+type result = {
+  instance : Instance.t;  (** the fixpoint *)
+  stages : int;
+  invented : int;  (** how many fresh values were created *)
+}
 
-(** [run ?max_stages p inst] (default fuel 10_000 stages). [trace] wraps
-    each stage in a ["round"] span (close field [delta] = facts inserted)
-    and maintains [fixpoint.*], [rule_firings.*] and [invent.values] (the
-    running number of fresh values minted).
-    @raise Ast.Check_error if [p] is not Datalog¬new syntax. *)
+(** [run ?fuel p inst] runs to the fixpoint within [fuel] stages (default
+    10_000). [trace] wraps each stage in a ["round"] span (close field
+    [delta] = facts inserted) and maintains [fixpoint.*],
+    [rule_firings.*] and [invent.values] (the running number of fresh
+    values minted).
+    @raise Ast.Check_error if [p] is not Datalog¬new syntax.
+    @raise Fuel.Exhausted (engine ["invent"]) when the stages run out. *)
 val run :
-  ?max_stages:int ->
-  ?trace:Observe.Trace.ctx ->
-  Ast.program ->
-  Instance.t ->
-  outcome
-
-(** [eval p inst] expects a fixpoint; @raise Failure when fuel runs out. *)
-val eval :
-  ?max_stages:int ->
-  ?trace:Observe.Trace.ctx ->
-  Ast.program ->
-  Instance.t ->
-  Instance.t
+  ?fuel:int -> ?trace:Observe.Trace.ctx -> Ast.program -> Instance.t -> result
 
 (** [answer p inst pred] returns [pred]'s relation {e restricted to
     invention-free tuples} — the paper's safety restriction guaranteeing a
     deterministic query: programs whose answers never contain invented
     values define deterministic queries. Use [answer_exn] to additionally
-    enforce the restriction. *)
+    enforce the restriction. @raise Fuel.Exhausted as {!run}. *)
 val answer :
-  ?max_stages:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   Ast.program ->
   Instance.t ->
@@ -61,4 +49,4 @@ val answer :
 (** [answer_exn p inst pred] like [answer] but
     @raise Failure if the relation contains an invented value. *)
 val answer_exn :
-  ?max_stages:int -> Ast.program -> Instance.t -> string -> Relation.t
+  ?fuel:int -> Ast.program -> Instance.t -> string -> Relation.t

@@ -50,7 +50,7 @@ let step ?(policy = Pos_priority) p inst =
     (Eval_util.program_dom p (Eval_util.plans prepared) inst)
     inst
 
-let run ?(policy = Pos_priority) ?(max_stages = 10_000)
+let run ?(policy = Pos_priority) ?(fuel = 10_000)
     ?(trace = Observe.Trace.null) p inst =
   Ast.check_datalog_negneg p;
   let prepared = Eval_util.prepare p in
@@ -87,11 +87,14 @@ let run ?(policy = Pos_priority) ?(max_stages = 10_000)
     else prepared_step policy prepared dom current
   in
   let rec loop current seen history stage =
-    if stage > max_stages then
-      failwith
-        (Printf.sprintf
-           "Noninflationary.run: no fixpoint or cycle within %d stages"
-           max_stages)
+    if stage > fuel then
+      raise
+        (Fuel.Exhausted
+           {
+             engine = "noninflationary";
+             budget = fuel;
+             instance = current;
+           })
     else
       match traced_step current stage with
       | Stdlib.Error (pred, tuple) ->

@@ -36,25 +36,28 @@ type outcome =
       tuple : Tuple.t;  (** witness fact derived both ways under {!Error} *)
     }
 
-(** [run ?policy ?max_stages p inst] iterates the operator from [inst].
+(** [run ?policy ?fuel p inst] iterates the operator from [inst].
     Cycle detection is exact (all visited instances are retained), bounded
-    by [max_stages] (default 10_000; exceeding it raises [Failure] —
-    with exact detection this indicates a genuinely growing state).
+    by [fuel] stages (default 10_000; with exact detection running out
+    indicates a genuinely growing state).
     [trace] wraps each operator application in a ["round"] span whose
     [delta] close field is the {e symmetric-difference} size (the state
     can shrink), and emits a [diverged] or [contradiction] event on those
     outcomes.
-    @raise Ast.Check_error if [p] is not Datalog¬¬ syntax. *)
+    @raise Ast.Check_error if [p] is not Datalog¬¬ syntax.
+    @raise Fuel.Exhausted (engine ["noninflationary"]) when the stages
+    run out. *)
 val run :
   ?policy:policy ->
-  ?max_stages:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   Ast.program ->
   Instance.t ->
   outcome
 
 (** [eval p inst] expects termination.
-    @raise Failure on divergence or contradiction. *)
+    @raise Failure on divergence or contradiction.
+    @raise Fuel.Exhausted as {!run}. *)
 val eval :
   ?policy:policy ->
   ?trace:Observe.Trace.ctx ->

@@ -75,7 +75,7 @@ let candidates prepared dom db =
         substs)
     prepared
 
-let run ?(strategy = First) ?(max_cycles = 10_000)
+let run ?(strategy = First) ?(fuel = 10_000)
     ?(trace = Observe.Trace.null) p inst =
   Ast.check_ndatalog p;
   let tracing = Observe.Trace.enabled trace in
@@ -136,10 +136,14 @@ let run ?(strategy = First) ?(max_cycles = 10_000)
      its retractions and assertions to the indexed database in place *)
   let db = Matcher.Db.of_instance ~trace inst in
   let rec cycle n fired_log =
-    if n >= max_cycles then
-      failwith
-        (Printf.sprintf "Production.run: no quiescence within %d cycles"
-           max_cycles)
+    if n >= fuel then
+      raise
+        (Fuel.Exhausted
+           {
+             engine = "production";
+             budget = fuel;
+             instance = Matcher.Db.instance db;
+           })
     else
       let cs =
         candidates prepared dom db

@@ -34,16 +34,18 @@ type result = {
   trace : fired list;  (** firings, oldest first *)
 }
 
-(** [run ?strategy ?max_cycles p inst] executes the recognize–act cycle
-    until no rule changes working memory (default strategy [First], fuel
-    10_000 cycles). [trace] receives the counters [production.cycles] and
-    [production.candidates] (conflict-set sizes summed over cycles) plus
-    the working memory's [db.*] / [matcher.*] counters.
+(** [run ?strategy ?fuel p inst] executes the recognize–act cycle until
+    no rule changes working memory (default strategy [First]), within
+    [fuel] cycles (default 10_000). [trace] receives the counters
+    [production.cycles] and [production.candidates] (conflict-set sizes
+    summed over cycles) plus the working memory's [db.*] / [matcher.*]
+    counters.
     @raise Ast.Check_error if [p] is not N-Datalog¬¬ syntax.
-    @raise Failure on fuel exhaustion. *)
+    @raise Fuel.Exhausted (engine ["production"]) when the cycles run
+    out. *)
 val run :
   ?strategy:strategy ->
-  ?max_cycles:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   Ast.program ->
   Instance.t ->

@@ -18,7 +18,6 @@ type outcome = {
   stores : (string * Instance.t) list;
   rounds : int;
   messages : int;
-  quiescent : bool;
 }
 
 exception Bad_network of string
@@ -47,7 +46,16 @@ let check net =
       if not (List.mem p net.peers) then bad "store for unknown peer %s" p)
     net.stores
 
-let run ?(schedule = Round_robin) ?(max_rounds = 10_000)
+(* every store as one instance, each predicate prefixed by its peer *)
+let global_of stores =
+  List.fold_left
+    (fun acc (peer, inst) ->
+      Instance.fold
+        (fun pred rel acc -> Instance.set (peer ^ "::" ^ pred) rel acc)
+        inst acc)
+    Instance.empty stores
+
+let run ?(schedule = Round_robin) ?(fuel = 10_000)
     ?(trace = Observe.Trace.null) net =
   check net;
   let tracing = Observe.Trace.enabled trace in
@@ -156,31 +164,30 @@ let run ?(schedule = Round_robin) ?(max_rounds = 10_000)
           !derived);
     !changed
   in
-  let quiescent = ref false in
-  (try
-     while not !quiescent do
-       if !rounds >= max_rounds then raise Exit;
-       let any =
-         List.fold_left
-           (fun acc p ->
-             if !rounds >= max_rounds then acc
-             else
-               let c = activate p in
-               acc || c)
-           false (peer_order ())
-       in
-       if not any then quiescent := true
-     done
-   with Exit -> ());
-  {
-    stores =
-      List.map
-        (fun p -> (p, Matcher.Db.instance (Hashtbl.find stores p)))
-        net.peers;
-    rounds = !rounds;
-    messages = !messages;
-    quiescent = !quiescent;
-  }
+  let snapshot () =
+    List.map
+      (fun p -> (p, Matcher.Db.instance (Hashtbl.find stores p)))
+      net.peers
+  in
+  let rec loop () =
+    let any =
+      List.fold_left
+        (fun acc p ->
+          if !rounds >= fuel then
+            raise
+              (Fuel.Exhausted
+                 {
+                   engine = "netlog";
+                   budget = fuel;
+                   instance = global_of (snapshot ());
+                 });
+          activate p || acc)
+        false (peer_order ())
+    in
+    if any then loop ()
+  in
+  loop ();
+  { stores = snapshot (); rounds = !rounds; messages = !messages }
 
 (* ------------------------------------------------------------------ *)
 
@@ -218,7 +225,7 @@ let monotone net =
         rules)
     net.programs
 
-let run_bulk ?(max_supersteps = 10_000) ?(trace = Observe.Trace.null) net =
+let run_bulk ?(fuel = 10_000) ?(trace = Observe.Trace.null) net =
   check net;
   if not (monotone net) then
     bad
@@ -336,8 +343,19 @@ let run_bulk ?(max_supersteps = 10_000) ?(trace = Observe.Trace.null) net =
       i := !i + nw
     done
   in
-  let quiescent = ref false in
-  while (not !quiescent) && !supersteps < max_supersteps do
+  let snapshot () =
+    Array.to_list
+      (Array.mapi (fun i p -> (p, Matcher.Db.instance stores.(i))) peers)
+  in
+  let rec superstep () =
+    if !supersteps >= fuel then
+      raise
+        (Fuel.Exhausted
+           {
+             engine = "netlog.bulk";
+             budget = fuel;
+             instance = global_of (snapshot ());
+           });
     incr supersteps;
     if tracing then Observe.Trace.incr trace "netlog.supersteps";
     Array.fill changed 0 nw false;
@@ -346,19 +364,17 @@ let run_bulk ?(max_supersteps = 10_000) ?(trace = Observe.Trace.null) net =
     | None ->
         derive 0;
         exchange 0);
-    if not (Array.exists Fun.id changed) then quiescent := true
-  done;
+    if Array.exists Fun.id changed then superstep ()
+  in
+  superstep ();
   if tracing then
     for w = 1 to nw - 1 do
       Observe.Trace.merge_counters trace wctx.(w)
     done;
   {
-    stores =
-      Array.to_list
-        (Array.mapi (fun i p -> (p, Matcher.Db.instance stores.(i))) peers);
+    stores = snapshot ();
     rounds = !supersteps;
     messages = Array.fold_left ( + ) 0 wmsgs;
-    quiescent = !quiescent;
   }
 
 let store outcome peer =
@@ -366,14 +382,7 @@ let store outcome peer =
   | Some i -> i
   | None -> Instance.empty
 
-let global outcome =
-  List.fold_left
-    (fun acc (peer, inst) ->
-      Instance.fold
-        (fun pred rel acc ->
-          Instance.set (peer ^ "::" ^ pred) rel acc)
-        inst acc)
-    Instance.empty outcome.stores
+let global outcome = global_of outcome.stores
 
 let confluent ?schedules net =
   let schedules =

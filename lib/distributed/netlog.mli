@@ -56,7 +56,6 @@ type outcome = {
   stores : (string * Instance.t) list;  (** final local stores *)
   rounds : int;  (** peer activations *)
   messages : int;  (** facts delivered across peers *)
-  quiescent : bool;  (** false iff the fuel ran out *)
 }
 
 exception Bad_network of string
@@ -67,19 +66,21 @@ exception Bad_network of string
     @raise Bad_network / [Datalog.Ast.Check_error] otherwise. *)
 val check : network -> unit
 
-(** [run ?schedule ?max_rounds net] (defaults: [Round_robin], fuel
-    10_000 activations). [trace] counts [netlog.activations],
-    [netlog.messages], and the per-peer message volumes
-    [netlog.sent.<peer>] / [netlog.recv.<peer>], plus the stores' [db.*]
-    counters. *)
+(** [run ?schedule ?fuel net] runs to quiescence (default schedule
+    [Round_robin]) within [fuel] peer activations (default 10_000).
+    [trace] counts [netlog.activations], [netlog.messages], and the
+    per-peer message volumes [netlog.sent.<peer>] / [netlog.recv.<peer>],
+    plus the stores' [db.*] counters.
+    @raise Relational.Fuel.Exhausted (engine ["netlog"]) when the
+    activations run out, with the {!global} snapshot of the stores. *)
 val run :
   ?schedule:schedule ->
-  ?max_rounds:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   network ->
   outcome
 
-(** [run_bulk ?max_supersteps net] evaluates a {e monotone} network in
+(** [run_bulk ?fuel net] evaluates a {e monotone} network in
     bulk-synchronous supersteps — the network as a sharded evaluator,
     with peers as the shards. Each superstep has two phases with the
     same structure as the semi-naive loop on several workers: every peer
@@ -95,14 +96,17 @@ val run :
 
     The outcome's [rounds] field counts supersteps and [messages] the
     facts shipped between peers (each fact crosses a given peer pair at
-    most once). [trace] counts [netlog.supersteps], [netlog.messages]
-    and the per-peer [netlog.sent.<peer>] / [netlog.recv.<peer>].
+    most once). [fuel] bounds the supersteps (default 10_000). [trace]
+    counts [netlog.supersteps], [netlog.messages] and the per-peer
+    [netlog.sent.<peer>] / [netlog.recv.<peer>].
 
     @raise Bad_network if the network fails {!check} or any rule body
     contains negation (or ∀) — bulk supersteps are order-insensitive
-    only for monotone programs; use {!run} for the general case. *)
+    only for monotone programs; use {!run} for the general case.
+    @raise Relational.Fuel.Exhausted (engine ["netlog.bulk"]) when the
+    supersteps run out, with the {!global} snapshot of the stores. *)
 val run_bulk :
-  ?max_supersteps:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   network ->
   outcome

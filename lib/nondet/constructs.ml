@@ -7,10 +7,10 @@ let check flavor p =
   | Bottom -> Datalog.Ast.check_ndatalog_bottom p
   | Forall -> Datalog.Ast.check_ndatalog_forall p
 
-let run flavor ~seed ?max_steps p inst =
+let run flavor ~seed ?fuel p inst =
   check flavor p;
-  Nd_eval.run ~seed ?max_steps p inst
+  Nd_eval.run ~seed ?fuel p inst
 
-let effect flavor ?max_states p inst =
+let effect flavor ?fuel p inst =
   check flavor p;
-  Enumerate.effect ?max_states p inst
+  Enumerate.effect ?fuel p inst

@@ -21,19 +21,22 @@ type flavor = Neg | Negneg | Bottom | Forall
     @raise Datalog.Ast.Check_error on violations. *)
 val check : flavor -> Datalog.Ast.program -> unit
 
-(** [run flavor ~seed p inst] — checked random walk. *)
+(** [run flavor ~seed ?fuel p inst] — checked random walk, [fuel] as
+    {!Nd_eval.run}. @raise Relational.Fuel.Exhausted as {!Nd_eval.run}. *)
 val run :
   flavor ->
   seed:int ->
-  ?max_steps:int ->
+  ?fuel:int ->
   Datalog.Ast.program ->
   Instance.t ->
   Nd_eval.outcome
 
-(** [effect flavor p inst] — checked exhaustive effect. *)
+(** [effect flavor ?fuel p inst] — checked exhaustive effect, [fuel] as
+    {!Enumerate.effect}. @raise Relational.Fuel.Exhausted as
+    {!Enumerate.effect}. *)
 val effect :
   flavor ->
-  ?max_states:int ->
+  ?fuel:int ->
   Datalog.Ast.program ->
   Instance.t ->
   Enumerate.stats

@@ -7,16 +7,15 @@ type stats = {
   abandoned_branches : int;
 }
 
-exception Too_many_states of int
-
 module ISet = Set.Make (struct
   type t = Instance.t
 
   let compare = Instance.compare
 end)
 
-let effect ?(max_states = 100_000) p inst =
+let effect ?(fuel = 100_000) p inst =
   let seen = ref ISet.empty in
+  let explored = ref 1 in
   let terminals = ref ISet.empty in
   let abandoned = ref 0 in
   let queue = Queue.create () in
@@ -34,16 +33,23 @@ let effect ?(max_states = 100_000) p inst =
       List.iter
         (fun next ->
           if not (ISet.mem next !seen) then (
-            if ISet.cardinal !seen >= max_states then
-              raise (Too_many_states max_states);
+            if !explored >= fuel then
+              raise
+                (Fuel.Exhausted
+                   {
+                     engine = "nondet.enumerate";
+                     budget = fuel;
+                     instance = state;
+                   });
             seen := ISet.add next !seen;
+            incr explored;
             Queue.add next queue))
         changed
   done;
   {
     terminals = ISet.elements !terminals;
-    explored = ISet.cardinal !seen;
+    explored = !explored;
     abandoned_branches = !abandoned;
   }
 
-let terminals ?max_states p inst = (effect ?max_states p inst).terminals
+let terminals ?fuel p inst = (effect ?fuel p inst).terminals

@@ -15,12 +15,13 @@ type stats = {
   abandoned_branches : int;  (** states with an applicable ⊥ firing *)
 }
 
-exception Too_many_states of int
+(** [effect ?fuel p inst] explores at most [fuel] distinct states
+    (default 100_000).
+    @raise Relational.Fuel.Exhausted (engine ["nondet.enumerate"]) when
+    a further state would exceed the budget, with the state being
+    expanded. *)
+val effect : ?fuel:int -> Datalog.Ast.program -> Instance.t -> stats
 
-(** [effect ?max_states p inst] (default budget 100_000 states).
-    @raise Too_many_states when the budget is exceeded. *)
-val effect : ?max_states:int -> Datalog.Ast.program -> Instance.t -> stats
-
-(** [terminals ?max_states p inst] is just the terminal instances. *)
+(** [terminals ?fuel p inst] is just the terminal instances. *)
 val terminals :
-  ?max_states:int -> Datalog.Ast.program -> Instance.t -> Instance.t list
+  ?fuel:int -> Datalog.Ast.program -> Instance.t -> Instance.t list

@@ -73,9 +73,8 @@ let is_terminal p inst =
 type outcome =
   | Terminal of { instance : Instance.t; steps : int }
   | Abandoned of { steps : int }
-  | Out_of_fuel of { instance : Instance.t; steps : int }
 
-let run ~seed ?(max_steps = 100_000) ?(trace = Observe.Trace.null) p inst =
+let run ~seed ?(fuel = 100_000) ?(trace = Observe.Trace.null) p inst =
   let rng = Random.State.make [| seed |] in
   let tracing = Observe.Trace.enabled trace in
   (* plans are compiled once; the walk mutates one indexed database,
@@ -90,8 +89,14 @@ let run ~seed ?(max_steps = 100_000) ?(trace = Observe.Trace.null) p inst =
       facts
   in
   let rec go steps =
-    if steps >= max_steps then
-      Out_of_fuel { instance = Matcher.Db.instance db; steps }
+    if steps >= fuel then
+      raise
+        (Fuel.Exhausted
+           {
+             engine = "nondet.walk";
+             budget = fuel;
+             instance = Matcher.Db.instance db;
+           })
     else
       (* the state changes every step, so a plan that reads the domain
          rescans it; a range-restricted program never does *)
@@ -127,13 +132,12 @@ let run ~seed ?(max_steps = 100_000) ?(trace = Observe.Trace.null) p inst =
   in
   go 0
 
-let run_until_terminal ~seed ?(attempts = 100) ?max_steps ?trace p inst =
+let run_until_terminal ~seed ?(attempts = 100) ?fuel ?trace p inst =
   let rec try_ k =
     if k >= attempts then None
     else
-      match run ~seed:(seed + (1_000_003 * k)) ?max_steps ?trace p inst with
+      match run ~seed:(seed + (1_000_003 * k)) ?fuel ?trace p inst with
       | Terminal { instance; _ } -> Some instance
       | Abandoned _ -> try_ (k + 1)
-      | Out_of_fuel _ -> None
   in
   try_ 0

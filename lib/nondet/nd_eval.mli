@@ -40,17 +40,18 @@ val is_terminal : Datalog.Ast.program -> Instance.t -> bool
 type outcome =
   | Terminal of { instance : Instance.t; steps : int }
   | Abandoned of { steps : int }  (** a ⊥-headed rule fired *)
-  | Out_of_fuel of { instance : Instance.t; steps : int }
 
 (** [run ~seed p inst] performs a uniform random walk: at each state one
     applicable, state-changing (or ⊥) instantiation is chosen at random.
-    Deterministic for a fixed [seed]. [max_steps] defaults to 100_000.
-    [trace] counts [nondet.steps] and [nondet.candidates] (applicable
-    firings summed over steps) and emits an [abandoned] event when a
-    ⊥-headed rule fires. *)
+    Deterministic for a fixed [seed]. The walk takes at most [fuel]
+    firings (default 100_000). [trace] counts [nondet.steps] and
+    [nondet.candidates] (applicable firings summed over steps) and emits
+    an [abandoned] event when a ⊥-headed rule fires.
+    @raise Relational.Fuel.Exhausted (engine ["nondet.walk"]) when the
+    firings run out before a terminal state. *)
 val run :
   seed:int ->
-  ?max_steps:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   Datalog.Ast.program ->
   Instance.t ->
@@ -58,11 +59,13 @@ val run :
 
 (** [run_until_terminal ~seed ?attempts p inst] retries [run] on ⊥
     abandonment (fresh derived seeds), returning the first terminal
-    instance; [None] if all [attempts] (default 100) were abandoned. *)
+    instance; [None] if all [attempts] (default 100) were abandoned.
+    @raise Relational.Fuel.Exhausted as {!run}, on the first attempt
+    whose walk runs out of fuel. *)
 val run_until_terminal :
   seed:int ->
   ?attempts:int ->
-  ?max_steps:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   Datalog.Ast.program ->
   Instance.t ->

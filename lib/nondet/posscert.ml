@@ -8,17 +8,17 @@ let intersect a b =
       if Relation.is_empty r then acc else Instance.set name r acc)
     a Instance.empty
 
-let poss ?max_states p inst =
-  let js = Enumerate.terminals ?max_states p inst in
+let poss ?fuel p inst =
+  let js = Enumerate.terminals ?fuel p inst in
   List.fold_left Instance.union Instance.empty js
 
-let cert ?max_states p inst =
-  match Enumerate.terminals ?max_states p inst with
+let cert ?fuel p inst =
+  match Enumerate.terminals ?fuel p inst with
   | [] -> Instance.empty
   | j :: js -> List.fold_left intersect j js
 
-let poss_answer ?max_states p inst pred =
-  Instance.find pred (poss ?max_states p inst)
+let poss_answer ?fuel p inst pred =
+  Instance.find pred (poss ?fuel p inst)
 
-let cert_answer ?max_states p inst pred =
-  Instance.find pred (cert ?max_states p inst)
+let cert_answer ?fuel p inst pred =
+  Instance.find pred (cert ?fuel p inst)

@@ -13,19 +13,20 @@
 
 open Relational
 
-(** [poss ?max_states p inst]. The union over an empty effect is the empty
-    instance. @raise Enumerate.Too_many_states as {!Enumerate.effect}. *)
-val poss : ?max_states:int -> Datalog.Ast.program -> Instance.t -> Instance.t
+(** [poss ?fuel p inst], enumerating at most [fuel] states as
+    {!Enumerate.effect}. The union over an empty effect is the empty
+    instance. @raise Relational.Fuel.Exhausted as {!Enumerate.effect}. *)
+val poss : ?fuel:int -> Datalog.Ast.program -> Instance.t -> Instance.t
 
-(** [cert ?max_states p inst]. The intersection over an empty effect is
-    taken to be the empty instance (the paper leaves this degenerate case
-    open; empty keeps [cert ⊆ poss]). *)
-val cert : ?max_states:int -> Datalog.Ast.program -> Instance.t -> Instance.t
+(** [cert ?fuel p inst], with the budget of {!poss}. The intersection
+    over an empty effect is taken to be the empty instance (the paper
+    leaves this degenerate case open; empty keeps [cert ⊆ poss]). *)
+val cert : ?fuel:int -> Datalog.Ast.program -> Instance.t -> Instance.t
 
 (** [poss_answer p inst pred] / [cert_answer p inst pred] project one
     relation out of the respective semantics. *)
 val poss_answer :
-  ?max_states:int -> Datalog.Ast.program -> Instance.t -> string -> Relation.t
+  ?fuel:int -> Datalog.Ast.program -> Instance.t -> string -> Relation.t
 
 val cert_answer :
-  ?max_states:int -> Datalog.Ast.program -> Instance.t -> string -> Relation.t
+  ?fuel:int -> Datalog.Ast.program -> Instance.t -> string -> Relation.t

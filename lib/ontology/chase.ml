@@ -126,9 +126,7 @@ let weakly_acyclic tgds =
        (fun (u, v) () acc -> acc || reaches v u)
        special false)
 
-type outcome =
-  | Terminated of { instance : Instance.t; steps : int; nulls : int }
-  | Out_of_fuel of { instance : Instance.t; steps : int; nulls : int }
+type result = { instance : Instance.t; steps : int; nulls : int }
 
 (* Is the tgd's head satisfiable in [db] under the (body) match σ?
    I.e. does some extension of σ to the existential variables make every
@@ -169,7 +167,7 @@ let head_satisfied db subst (r : Ast.rule) =
   in
   Matcher.run (Matcher.prepare probe) db <> []
 
-let chase ?(max_steps = 10_000) ?(trace = Observe.Trace.null) tgds inst =
+let chase ?(fuel = 10_000) ?(trace = Observe.Trace.null) tgds inst =
   check tgds;
   let tracing = Observe.Trace.enabled trace in
   let gen = Value.Gen.create () in
@@ -198,53 +196,48 @@ let chase ?(max_steps = 10_000) ?(trace = Observe.Trace.null) tgds inst =
           ~fields:[ Observe.Trace.fint "firings" !fired_count ]
           ())
     in
-    (try
-       List.iter
-         (fun ((r : Ast.rule), substs) ->
-           List.iter
-             (fun subst ->
-               (* recheck against the freshest state *)
-               if not (head_satisfied db subst r) then (
-                 if !steps >= max_steps then raise Exit;
-                 incr steps;
-                 fired := true;
-                 Stdlib.incr fired_count;
-                 let subst =
-                   List.fold_left
-                     (fun s y -> (y, Value.Gen.fresh gen) :: s)
-                     subst (existential_vars r)
-                 in
-                 List.iter
-                   (fun a ->
-                     let p, t = Ast.ground_atom subst a in
-                     ignore (Matcher.Db.insert db p t))
-                   (head_atoms r)))
-             substs)
-         triggers
-     with Exit ->
-       close_pass ();
-       raise Exit);
+    List.iter
+      (fun ((r : Ast.rule), substs) ->
+        List.iter
+          (fun subst ->
+            (* recheck against the freshest state *)
+            if not (head_satisfied db subst r) then (
+              if !steps >= fuel then (
+                close_pass ();
+                raise
+                  (Fuel.Exhausted
+                     {
+                       engine = "chase";
+                       budget = fuel;
+                       instance = Matcher.Db.instance db;
+                     }));
+              incr steps;
+              fired := true;
+              Stdlib.incr fired_count;
+              let subst =
+                List.fold_left
+                  (fun s y -> (y, Value.Gen.fresh gen) :: s)
+                  subst (existential_vars r)
+              in
+              List.iter
+                (fun a ->
+                  let p, t = Ast.ground_atom subst a in
+                  ignore (Matcher.Db.insert db p t))
+                (head_atoms r)))
+          substs)
+      triggers;
     close_pass ();
     if tracing then
       Observe.Trace.add trace "chase.nulls"
         (Value.Gen.count gen - Observe.Trace.counter trace "chase.nulls");
     if !fired then pass ()
   in
-  match pass () with
-  | () ->
-      Terminated
-        {
-          instance = Matcher.Db.instance db;
-          steps = !steps;
-          nulls = Value.Gen.count gen;
-        }
-  | exception Exit ->
-      Out_of_fuel
-        {
-          instance = Matcher.Db.instance db;
-          steps = !steps;
-          nulls = Value.Gen.count gen;
-        }
+  pass ();
+  {
+    instance = Matcher.Db.instance db;
+    steps = !steps;
+    nulls = Value.Gen.count gen;
+  }
 
 type cq = { body : Ast.atom list; answer : string list }
 
@@ -270,23 +263,14 @@ let query_matches inst (atoms : Ast.atom list) answer =
            answer))
     substs
 
-let run_chase ?max_steps ?trace tgds inst =
-  match chase ?max_steps ?trace tgds inst with
-  | Terminated { instance; _ } -> instance
-  | Out_of_fuel { steps; _ } ->
-      failwith
-        (Printf.sprintf
-           "Chase: no termination within %d steps (check weak acyclicity)"
-           steps)
-
-let certain_answers ?max_steps ?trace tgds inst q =
-  let chased = run_chase ?max_steps ?trace tgds inst in
+let certain_answers ?fuel ?trace tgds inst q =
+  let chased = (chase ?fuel ?trace tgds inst).instance in
   let tuples = query_matches chased q.body q.answer in
   Relation.of_list
     (List.filter
        (fun t -> not (Tuple.exists Value.is_invented t))
        tuples)
 
-let bcq ?max_steps tgds inst atoms =
-  let chased = run_chase ?max_steps tgds inst in
+let bcq ?fuel tgds inst atoms =
+  let chased = (chase ?fuel tgds inst).instance in
   query_matches chased atoms [] <> []

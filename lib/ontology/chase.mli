@@ -46,34 +46,35 @@ val is_guarded : tgd list -> bool
     termination in polynomially many steps. *)
 val weakly_acyclic : tgd list -> bool
 
-type outcome =
-  | Terminated of {
-      instance : Instance.t;  (** the chased instance, nulls included *)
-      steps : int;  (** trigger applications *)
-      nulls : int;  (** fresh nulls created *)
-    }
-  | Out_of_fuel of { instance : Instance.t; steps : int; nulls : int }
+type result = {
+  instance : Instance.t;  (** the chased instance, nulls included *)
+  steps : int;  (** trigger applications *)
+  nulls : int;  (** fresh nulls created *)
+}
 
-(** [chase ?max_steps tgds inst] runs the restricted chase (default fuel
-    10_000 trigger applications). [trace] wraps each pass in a ["round"]
-    span (close field [firings]) and counts [chase.firings],
-    [chase.nulls] and [fixpoint.rounds]. *)
+(** [chase ?fuel tgds inst] runs the restricted chase to termination
+    within [fuel] trigger applications (default 10_000). [trace] wraps
+    each pass in a ["round"] span (close field [firings]) and counts
+    [chase.firings], [chase.nulls] and [fixpoint.rounds].
+    @raise Relational.Fuel.Exhausted (engine ["chase"]) when the trigger
+    applications run out. *)
 val chase :
-  ?max_steps:int -> ?trace:Observe.Trace.ctx -> tgd list -> Instance.t -> outcome
+  ?fuel:int -> ?trace:Observe.Trace.ctx -> tgd list -> Instance.t -> result
 
 (** A conjunctive query: positive atoms plus answer variables. *)
 type cq = { body : Datalog.Ast.atom list; answer : string list }
 
-(** [certain_answers ?max_steps tgds inst q] — chase, match [q], keep
-    null-free tuples. @raise Failure if the chase runs out of fuel. *)
+(** [certain_answers ?fuel tgds inst q] — chase, match [q], keep
+    null-free tuples. @raise Relational.Fuel.Exhausted as {!chase}. *)
 val certain_answers :
-  ?max_steps:int ->
+  ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
   tgd list ->
   Instance.t ->
   cq ->
   Relation.t
 
-(** [bcq ?max_steps tgds inst atoms] — boolean query: is there a match of
-    [atoms] (nulls allowed as witnesses)? *)
-val bcq : ?max_steps:int -> tgd list -> Instance.t -> Datalog.Ast.atom list -> bool
+(** [bcq ?fuel tgds inst atoms] — boolean query: is there a match of
+    [atoms] (nulls allowed as witnesses)? @raise Relational.Fuel.Exhausted
+    as {!chase}. *)
+val bcq : ?fuel:int -> tgd list -> Instance.t -> Datalog.Ast.atom list -> bool

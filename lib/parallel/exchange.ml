@@ -7,23 +7,6 @@ open Relational
    the phases is the only synchronisation needed, so posting and
    draining touch no locks and no atomics. *)
 
-module Key = struct
-  type t = int array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec eq i =
-      i >= Array.length a
-      || (Array.unsafe_get a i = Array.unsafe_get b i && eq (i + 1))
-    in
-    eq 0
-
-  let hash = Tuple.hash_ids
-end
-
-module Tbl = Hashtbl.Make (Key)
-
 (* Per-cell state: tuple buffers per predicate (in first-post order, so
    draining is deterministic given the poster's derivation order), a
    per-predicate seen-set for duplicate suppression, and a cumulative
@@ -33,7 +16,7 @@ module Tbl = Hashtbl.Make (Key)
    wire. *)
 type cell = {
   mutable order : string list;  (* reversed first-post order *)
-  bufs : (string, Tuple.t list ref * unit Tbl.t) Hashtbl.t;
+  bufs : (string, Tuple.t list ref * Tuple.Set.t) Hashtbl.t;
   mutable count : int;
 }
 
@@ -61,18 +44,16 @@ let post t ~src ~dst pred tup =
     match Hashtbl.find_opt c.bufs pred with
     | Some s -> s
     | None ->
-        let s = (ref [], Tbl.create 64) in
+        let s = (ref [], Tuple.Set.create 64) in
         Hashtbl.add c.bufs pred s;
         c.order <- pred :: c.order;
         s
   in
-  let ids = Tuple.ids tup in
-  if Tbl.mem seen ids then false
-  else (
-    Tbl.replace seen ids ();
+  let fresh = Tuple.Set.add seen tup in
+  if fresh then (
     lst := tup :: !lst;
-    c.count <- c.count + 1;
-    true)
+    c.count <- c.count + 1);
+  fresh
 
 let drain t ~dst f =
   for src = 0 to t.nshards - 1 do

@@ -165,72 +165,69 @@ let decode_sym (v : Value.t) =
       String.sub s 2 (String.length s - 2)
   | other -> Value.to_string other
 
-let simulate ?(max_stages = 100_000) (m : Tm.t) input =
+let simulate ?(fuel = 100_000) (m : Tm.t) input =
   let program = compile m in
   let inst = initial_instance m input in
-  match Datalog.Invent.run ~max_stages program inst with
-  | Datalog.Invent.Out_of_fuel { stages; _ } ->
-      failwith
-        (Printf.sprintf "Tm_compile.simulate: out of fuel after %d stages"
-           stages)
-  | Datalog.Invent.Fixpoint { instance; stages; invented } ->
-      let has p = not (Relation.is_empty (Instance.find p instance)) in
-      let final_tape =
-        if not (has accepted_pred) then []
-        else
-          (* order cells by walking the tsucc chain from the leftmost *)
-          let tsucc =
-            Relation.fold
-              (fun t acc -> (Tuple.get t 0, Tuple.get t 1) :: acc)
-              (Instance.find tsucc_pred instance)
-              []
-          in
-          let cells =
-            Relation.fold
-              (fun t acc ->
-                let p = Tuple.get t 0 and s = Tuple.get t 1 in
-                (p, s) :: acc)
-              (Instance.find final_tape_pred instance)
-              []
-          in
-          let has_predecessor p =
-            List.exists (fun (_, q) -> Value.equal q p) tsucc
-          in
-          let start =
-            List.find_opt (fun (p, _) -> not (has_predecessor p)) cells
-          in
-          let rec walk p acc fuel =
-            if fuel <= 0 then acc
-            else
-              let acc =
-                match
-                  List.find_opt (fun (q, _) -> Value.equal q p) cells
-                with
-                | Some (_, s) -> (Value.to_string p, decode_sym s) :: acc
-                | None -> acc
-              in
-              match
-                List.find_opt (fun (q, _) -> Value.equal q p) tsucc
-              with
-              | Some (_, p') -> walk p' acc (fuel - 1)
-              | None -> acc
-          in
-          (match start with
-          | None -> []
-          | Some (p0, _) -> List.rev (walk p0 [] (List.length tsucc + 2)))
+  let { Datalog.Invent.instance; stages; invented } =
+    Datalog.Invent.run ~fuel program inst
+  in
+  let has p = not (Relation.is_empty (Instance.find p instance)) in
+  let final_tape =
+    if not (has accepted_pred) then []
+    else
+      (* order cells by walking the tsucc chain from the leftmost *)
+      let tsucc =
+        Relation.fold
+          (fun t acc -> (Tuple.get t 0, Tuple.get t 1) :: acc)
+          (Instance.find tsucc_pred instance)
+          []
       in
-      {
-        accepted = has accepted_pred;
-        rejected = has rejected_pred;
-        steps = Relation.cardinal (Instance.find tstep_pred instance);
-        invented;
-        stages;
-        final_tape;
-      }
+      let cells =
+        Relation.fold
+          (fun t acc ->
+            let p = Tuple.get t 0 and s = Tuple.get t 1 in
+            (p, s) :: acc)
+          (Instance.find final_tape_pred instance)
+          []
+      in
+      let has_predecessor p =
+        List.exists (fun (_, q) -> Value.equal q p) tsucc
+      in
+      let start =
+        List.find_opt (fun (p, _) -> not (has_predecessor p)) cells
+      in
+      let rec walk p acc fuel =
+        if fuel <= 0 then acc
+        else
+          let acc =
+            match
+              List.find_opt (fun (q, _) -> Value.equal q p) cells
+            with
+            | Some (_, s) -> (Value.to_string p, decode_sym s) :: acc
+            | None -> acc
+          in
+          match
+            List.find_opt (fun (q, _) -> Value.equal q p) tsucc
+          with
+          | Some (_, p') -> walk p' acc (fuel - 1)
+          | None -> acc
+      in
+      (match start with
+      | None -> []
+      | Some (p0, _) -> List.rev (walk p0 [] (List.length tsucc + 2)))
+  in
+  {
+    accepted = has accepted_pred;
+    rejected = has rejected_pred;
+    steps = Relation.cardinal (Instance.find tstep_pred instance);
+    invented;
+    stages;
+    final_tape;
+  }
 
 let agrees_with_reference ?(fuel = 10_000) (m : Tm.t) input =
   let reference = Tm.run ~fuel m input in
-  let sim = simulate ~max_stages:(20 * fuel) m input in
+  let sim = simulate ~fuel:(20 * fuel) m input in
   match reference with
   | Tm.Accepted { final; _ } ->
       sim.accepted

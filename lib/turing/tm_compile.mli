@@ -65,11 +65,15 @@ type sim_result = {
           empty unless accepted *)
 }
 
-(** [simulate ?max_stages m input] compiles, runs under {!Datalog.Invent},
-    and decodes the outcome. @raise Failure if fuel runs out. *)
-val simulate : ?max_stages:int -> Tm.t -> string list -> sim_result
+(** [simulate ?fuel m input] compiles, runs under {!Datalog.Invent}
+    within [fuel] inflationary stages (default 100_000), and decodes the
+    outcome. @raise Relational.Fuel.Exhausted (engine ["invent"]) if the
+    stages run out. *)
+val simulate : ?fuel:int -> Tm.t -> string list -> sim_result
 
 (** [agrees_with_reference ?fuel m input] runs both the direct
-    interpreter {!Tm.run} and the Datalog¬new simulation and checks they
-    agree on acceptance and on the final tape contents. *)
+    interpreter {!Tm.run} (within [fuel] machine steps, default 10_000)
+    and the Datalog¬new simulation (within [20 * fuel] stages) and checks
+    they agree on acceptance and on the final tape contents.
+    @raise Relational.Fuel.Exhausted as {!simulate}. *)
 val agrees_with_reference : ?fuel:int -> Tm.t -> string list -> bool

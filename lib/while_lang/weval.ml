@@ -1,10 +1,6 @@
 open Relational
 
-type outcome =
-  | Completed of { instance : Instance.t; iterations : int }
-  | Out_of_fuel of { instance : Instance.t; iterations : int }
-
-exception Fuel
+type result = { instance : Instance.t; iterations : int }
 
 (* A program with every query compiled to an algebra plan. Default-domain
    plans are instance-independent (the domain enters as an [Adom] leaf),
@@ -29,11 +25,19 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?profile
     ?(naive = false) p inst =
   Wast.check p;
   let iterations = ref 0 in
-  let tick () =
+  (* one loop iteration from state [inst] *)
+  let tick inst =
     incr iterations;
-    if !iterations > fuel then raise Fuel
+    if !iterations > fuel then
+      raise
+        (Fuel.Exhausted
+           {
+             engine = "while";
+             budget = fuel;
+             instance = inst;
+           })
   in
-  let result =
+  let instance =
     if naive then
       let eval_query inst { Wast.formula; vars } =
         Fo.eval_naive inst formula vars
@@ -46,7 +50,7 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?profile
               inst
         | Wast.While_change body ->
             let rec loop inst =
-              tick ();
+              tick inst;
               let next = exec_body inst body in
               if Instance.equal next inst then inst else loop next
             in
@@ -54,13 +58,13 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?profile
         | Wast.While (cond, body) ->
             let rec loop inst =
               if Fo.sentence_naive inst cond then (
-                tick ();
+                tick inst;
                 loop (exec_body inst body))
               else inst
             in
             loop inst
       and exec_body inst body = List.fold_left exec_stmt inst body in
-      fun () -> exec_body inst p
+      exec_body inst p
     else
       let cp = List.map (compile_stmt trace) p in
       let rec exec_stmt inst = function
@@ -73,7 +77,7 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?profile
               inst
         | CWhile_change body ->
             let rec loop inst =
-              tick ();
+              tick inst;
               let next = exec_body inst body in
               if Instance.equal next inst then inst else loop next
             in
@@ -84,25 +88,15 @@ let run ?(fuel = 100_000) ?(trace = Observe.Trace.null) ?profile
                 not
                   (Relation.is_empty (Fo.run_plan ~trace ?profile inst cond))
               then (
-                tick ();
+                tick inst;
                 loop (exec_body inst body))
               else inst
             in
             loop inst
       and exec_body inst body = List.fold_left exec_stmt inst body in
-      fun () -> exec_body inst cp
+      exec_body inst cp
   in
-  match result () with
-  | result -> Completed { instance = result; iterations = !iterations }
-  | exception Fuel -> Out_of_fuel { instance = inst; iterations = !iterations }
-
-let eval ?fuel ?trace ?profile ?naive p inst =
-  match run ?fuel ?trace ?profile ?naive p inst with
-  | Completed { instance; _ } -> instance
-  | Out_of_fuel { iterations; _ } ->
-      failwith
-        (Printf.sprintf "While program did not terminate within %d iterations"
-           iterations)
+  { instance; iterations = !iterations }
 
 let answer ?fuel ?trace ?profile ?naive p inst pred =
-  Instance.find pred (eval ?fuel ?trace ?profile ?naive p inst)
+  Instance.find pred (run ?fuel ?trace ?profile ?naive p inst).instance

@@ -12,15 +12,17 @@
 
 open Relational
 
-type outcome =
-  | Completed of { instance : Instance.t; iterations : int }
-  | Out_of_fuel of { instance : Instance.t; iterations : int }
+type result = { instance : Instance.t; iterations : int }
 
-(** [run ?fuel ?trace ?profile ?naive p inst] (default fuel 100_000 loop
-    iterations, compiled evaluation; [trace] collects the [fo.plan.*] and
-    algebra counters; [profile] accumulates per-operator statistics over
-    every plan execution, see {!Relational.Fo.run_plan}).
-    @raise Invalid_argument via {!Wast.check} on ill-formed programs. *)
+(** [run ?fuel ?trace ?profile ?naive p inst] runs [p] to completion
+    within [fuel] loop iterations (default 100_000; compiled evaluation;
+    [trace] collects the [fo.plan.*] and algebra counters; [profile]
+    accumulates per-operator statistics over every plan execution, see
+    {!Relational.Fo.run_plan}).
+    @raise Invalid_argument via {!Wast.check} on ill-formed programs.
+    @raise Relational.Fuel.Exhausted (engine ["while"]) when the
+    iterations run out, with the instance at the start of the loop
+    iteration that exceeded them. *)
 val run :
   ?fuel:int ->
   ?trace:Observe.Trace.ctx ->
@@ -28,20 +30,10 @@ val run :
   ?naive:bool ->
   Wast.program ->
   Instance.t ->
-  outcome
+  result
 
-(** [eval p inst] expects completion. @raise Failure on fuel
-    exhaustion. *)
-val eval :
-  ?fuel:int ->
-  ?trace:Observe.Trace.ctx ->
-  ?profile:Algebra.profile ->
-  ?naive:bool ->
-  Wast.program ->
-  Instance.t ->
-  Instance.t
-
-(** [answer p inst pred] projects one relation from the final instance. *)
+(** [answer p inst pred] projects one relation from the final instance.
+    @raise Relational.Fuel.Exhausted as {!run}. *)
 val answer :
   ?fuel:int ->
   ?trace:Observe.Trace.ctx ->

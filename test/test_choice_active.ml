@@ -253,10 +253,10 @@ let test_cascade_limit () =
     ]
   in
   match
-    Active.run ~max_steps:50 rules Instance.empty
+    Active.run ~fuel:50 rules Instance.empty
       [ Active.Ins ("ping", t [ v "a" ]) ]
   with
-  | exception Active.Cascade_limit 50 -> ()
+  | exception Fuel.Exhausted { engine = "active"; budget = 50; _ } -> ()
   | _ -> Alcotest.fail "expected cascade limit"
 
 let test_deferred_runs_after_transaction () =

@@ -90,23 +90,119 @@ let test_pretty_lowercase_variable () =
 
 let test_invent_fuel_message () =
   let p = prog "next(X, N) :- start(X). next(N, M) :- next(X, N)." in
-  match Datalog.Invent.eval ~max_stages:5 p (facts "start(a).") with
-  | exception Failure msg ->
-      Alcotest.(check bool) "mentions fuel" true
-        (String.length msg > 0)
-  | _ -> Alcotest.fail "expected failure"
+  match Datalog.Invent.run ~fuel:5 p (facts "start(a).") with
+  | exception Fuel.Exhausted { engine; budget; _ } ->
+      Alcotest.(check string) "names the engine" "invent" engine;
+      Alcotest.(check int) "names the budget" 5 budget
+  | _ -> Alcotest.fail "expected fuel exhaustion"
 
-let test_noninflationary_max_stages () =
+let test_noninflationary_fuel () =
   (* a program that keeps growing (no cycle, no fixpoint within fuel):
      impossible without invention — instead check the cycle detector's
      fuel guard with a tiny budget on a long-running program *)
   let p = prog "T(X,Y) :- G(X,Y). T(X,Y) :- G(X,Z), T(Z,Y)." in
   let inst = Graph_gen.chain 30 in
-  match Datalog.Noninflationary.run ~max_stages:3 p inst with
-  | exception Failure _ -> ()
+  match Datalog.Noninflationary.run ~fuel:3 p inst with
+  | exception Fuel.Exhausted { engine = "noninflationary"; budget = 3; _ } ->
+      ()
   | Datalog.Noninflationary.Fixpoint _ ->
       Alcotest.fail "3 stages cannot close a 30-chain"
   | _ -> Alcotest.fail "unexpected outcome"
+
+(* Every engine that can diverge, each on an input it diverges on (or
+   cannot finish within the budget), under a budget far below its
+   default: the one signal is [Fuel.Exhausted], naming the engine and
+   the budget it was given. *)
+let test_fuel_exhausted_everywhere () =
+  let grow = prog "next(X, N) :- start(X). next(N, M) :- next(X, N)." in
+  let toggle = prog "on(), !off() :- off(). off(), !on() :- on()." in
+  let orientation = prog "!G(X, Y) :- G(X, Y), G(Y, X)." in
+  let flip =
+    let not_r = Fo.Not (Fo.Atom ("R", [ Fo.Var "x" ])) in
+    While_lang.Wast.
+      [ While (Fo.True, [ Assign ("R", { formula = not_r; vars = [ "x" ] }) ]) ]
+  in
+  let ancestors =
+    [ Datalog.Parser.parse_rule "parent(X, P), person(P) :- person(X)." ]
+  in
+  let again =
+    let a = Datalog.Parser.parse_atom "p(X)" in
+    {
+      Datalog.Active.name = "again";
+      event = Datalog.Active.On_insert a;
+      condition = [];
+      actions = [ Datalog.Active.Delete a; Datalog.Active.Insert a ];
+      mode = Datalog.Active.Immediate;
+    }
+  in
+  let relay =
+    {
+      Distributed.Netlog.peers = [ "a"; "b" ];
+      programs =
+        [
+          ( "a",
+            [
+              {
+                Distributed.Netlog.location = At_peer "b";
+                rule = Datalog.Parser.parse_rule "r(X) :- e(X).";
+              };
+            ] );
+        ];
+      stores = [ ("a", facts "e(x).") ];
+    }
+  in
+  let two6 = Graph_gen.two_cycles 6 in
+  let cases =
+    [
+      ("Invent.run", "invent", 5, fun fuel ->
+        ignore (Datalog.Invent.run ~fuel grow (facts "start(a).")));
+      ("Tm_compile.simulate", "invent", 2, fun fuel ->
+        ignore
+          (Turing.Tm_compile.simulate ~fuel Turing.Tm.unary_increment [ "1" ]));
+      ("Noninflationary.run", "noninflationary", 3, fun fuel ->
+        ignore
+          (Datalog.Noninflationary.run ~fuel tc_program (Graph_gen.chain 30)));
+      ("Weval.run", "while", 7, fun fuel ->
+        ignore (While_lang.Weval.run ~fuel flip (facts "S(a).")));
+      ("Nd_eval.run", "nondet.walk", 9, fun fuel ->
+        ignore (Nondet.Nd_eval.run ~seed:1 ~fuel toggle (facts "on().")));
+      ("Constructs.run", "nondet.walk", 4, fun fuel ->
+        ignore
+          (Nondet.Constructs.run Negneg ~seed:1 ~fuel toggle (facts "on().")));
+      ("Enumerate.effect", "nondet.enumerate", 10, fun fuel ->
+        ignore (Nondet.Enumerate.effect ~fuel orientation two6));
+      ("Constructs.effect", "nondet.enumerate", 11, fun fuel ->
+        ignore (Nondet.Constructs.effect Negneg ~fuel orientation two6));
+      ("Posscert.poss", "nondet.enumerate", 12, fun fuel ->
+        ignore (Nondet.Posscert.poss ~fuel orientation two6));
+      ("Posscert.cert", "nondet.enumerate", 13, fun fuel ->
+        ignore (Nondet.Posscert.cert ~fuel orientation two6));
+      ("Chase.chase", "chase", 6, fun fuel ->
+        ignore (Ontology.Chase.chase ~fuel ancestors (facts "person(adam).")));
+      ("Chase.bcq", "chase", 8, fun fuel ->
+        ignore
+          (Ontology.Chase.bcq ~fuel ancestors (facts "person(adam).")
+             [ Datalog.Parser.parse_atom "parent(adam, P)" ]));
+      ("Active.run", "active", 50, fun fuel ->
+        ignore
+          (Datalog.Active.run ~fuel [ again ] Instance.empty
+             [ Datalog.Active.Ins ("p", t [ v "a" ]) ]));
+      ("Production.run", "production", 20, fun fuel ->
+        ignore (Datalog.Production.run ~fuel toggle (facts "on().")));
+      ("Netlog.run", "netlog", 1, fun fuel ->
+        ignore (Distributed.Netlog.run ~fuel relay));
+      ("Netlog.run_bulk", "netlog.bulk", 1, fun fuel ->
+        ignore (Distributed.Netlog.run_bulk ~fuel relay));
+    ]
+  in
+  List.iter
+    (fun (label, engine, budget, run) ->
+      match run budget with
+      | exception Fuel.Exhausted e ->
+          Alcotest.(check (pair string int))
+            label (engine, budget) (e.engine, e.budget)
+      | () -> Alcotest.failf "%s: finished within %d" label budget)
+    cases
 
 (* --- stage counting -------------------------------------------------------------- *)
 
@@ -156,7 +252,9 @@ let suite =
       test_pretty_lowercase_variable;
     Alcotest.test_case "invent fuel failure" `Quick test_invent_fuel_message;
     Alcotest.test_case "noninflationary fuel guard" `Quick
-      test_noninflationary_max_stages;
+      test_noninflationary_fuel;
+    Alcotest.test_case "every divergent engine: one fuel error" `Quick
+      test_fuel_exhausted_everywhere;
     Alcotest.test_case "naive/semi-naive stage counts" `Quick
       test_stage_counts_agree;
     Alcotest.test_case "trace length = stages + 1" `Quick

@@ -50,8 +50,9 @@ let test_effect_counts () =
     [ 0; 1; 2; 3; 4 ]
 
 let test_effect_budget () =
-  match En.effect ~max_states:10 orientation (Graph_gen.two_cycles 6) with
-  | exception En.Too_many_states 10 -> ()
+  match En.effect ~fuel:10 orientation (Graph_gen.two_cycles 6) with
+  | exception Fuel.Exhausted { engine = "nondet.enumerate"; budget = 10; _ } ->
+      ()
   | _ -> Alcotest.fail "expected budget exhaustion"
 
 (* multi-literal heads fire atomically *)

@@ -80,14 +80,14 @@ let test_retract_reassert_refires () =
     |}
   in
   (* not a precise protocol — just check quiescence without failure *)
-  let r = P.run ~max_cycles:100 p (facts "pulse(). next(a). next(b).") in
+  let r = P.run ~fuel:100 p (facts "pulse(). next(a). next(b).") in
   Alcotest.(check bool) "quiesced" true (r.P.cycles <= 100)
 
 let test_fuel_exhaustion () =
   (* two rules that keep toggling a fact never quiesce *)
   let p = prog "on() , !off() :- off(). off(), !on() :- on()." in
-  match P.run ~max_cycles:20 p (facts "on().") with
-  | exception Failure _ -> ()
+  match P.run ~fuel:20 p (facts "on().") with
+  | exception Fuel.Exhausted { engine = "production"; budget = 20; _ } -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
 let suite =

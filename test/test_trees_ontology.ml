@@ -133,14 +133,15 @@ let test_chase_terminates_despite_cycle () =
      department satisfies later triggers *)
   let inst = facts "emp(alice)." in
   match Chase.chase onto inst with
-  | Chase.Terminated { instance; nulls; _ } ->
+  | { Chase.instance; nulls; _ } ->
       Alcotest.(check bool) "created nulls" true (nulls >= 2);
       (* alice works somewhere; that department has a manager; the manager
          is an employee; the manager works somewhere (their own dept is
          satisfied by... must also chase, but restricted chase reuses) *)
       Alcotest.(check bool) "worksIn nonempty" true
         (not (Relation.is_empty (Instance.find "worksIn" instance)))
-  | Chase.Out_of_fuel _ -> Alcotest.fail "restricted chase should terminate"
+  | exception Fuel.Exhausted _ ->
+      Alcotest.fail "restricted chase should terminate"
 
 let test_bcq_and_certain_answers () =
   let inst = facts "emp(alice). emp(bob)." in
@@ -176,24 +177,26 @@ let test_chase_multi_atom_head () =
   (* ∃-head with two atoms sharing the null *)
   let tgds = [ tgd "parent(X, P), person(P) :- person(X)." ] in
   let inst = facts "person(adam)." in
-  match Chase.chase ~max_steps:6 tgds inst with
-  | Chase.Out_of_fuel { instance; steps; _ } ->
+  match Chase.chase ~fuel:6 tgds inst with
+  | exception Fuel.Exhausted { engine; budget; instance } ->
       (* genuinely infinite chase (ancestors forever): fuel stops it *)
-      Alcotest.(check int) "fuel consumed" 6 steps;
+      Alcotest.(check string) "engine" "chase" engine;
+      Alcotest.(check int) "budget" 6 budget;
+      (* each trigger application adds one parent fact *)
+      Alcotest.(check int) "fuel consumed" 6
+        (Relation.cardinal (Instance.find "parent" instance));
       Alcotest.(check bool) "parents materialized" true
         (Relation.cardinal (Instance.find "parent" instance) >= 5)
-  | Chase.Terminated _ ->
+  | _ ->
       Alcotest.fail "ancestor chase should be infinite"
 
 let test_chase_restricted_no_new_when_satisfied () =
   (* if the head is already satisfied, no null is created *)
   let tgds = [ tgd "worksIn(E, D) :- emp(E)." ] in
   let inst = facts "emp(alice). worksIn(alice, sales)." in
-  match Chase.chase tgds inst with
-  | Chase.Terminated { nulls; steps; _ } ->
-      Alcotest.(check int) "no nulls" 0 nulls;
-      Alcotest.(check int) "no steps" 0 steps
-  | _ -> Alcotest.fail "expected termination"
+  let { Chase.nulls; steps; _ } = Chase.chase tgds inst in
+  Alcotest.(check int) "no nulls" 0 nulls;
+  Alcotest.(check int) "no steps" 0 steps
 
 let test_chase_rejects_negation () =
   match Chase.check [ tgd "p(X, Y) :- q(X), !r(X)." ] with

@@ -52,10 +52,8 @@ let test_while_good_reference () =
 
 let test_while_change_terminates () =
   let inst = Graph_gen.chain 10 in
-  match Weval.run good_program inst with
-  | Weval.Completed { iterations; _ } ->
-      Alcotest.(check bool) "bounded iterations" true (iterations <= 12)
-  | _ -> Alcotest.fail "expected completion"
+  let { Weval.iterations; _ } = Weval.run good_program inst in
+  Alcotest.(check bool) "bounded iterations" true (iterations <= 12)
 
 let test_while_divergence_detected () =
   (* while true do R := ¬R — flip-flops forever *)
@@ -75,8 +73,33 @@ let test_while_divergence_detected () =
   in
   let inst = facts "S(a). S(b)." in
   match Weval.run ~fuel:50 p inst with
-  | Weval.Out_of_fuel _ -> ()
-  | Weval.Completed _ -> Alcotest.fail "expected divergence"
+  | exception Fuel.Exhausted { engine = "while"; budget = 50; _ } -> ()
+  | _ -> Alcotest.fail "expected divergence"
+
+(* The first iteration fills R, then the loop spins on T forever: the
+   state the fuel stops at holds R, the input does not. *)
+let test_fuel_carries_reached_state () =
+  let q f = { Wast.formula = f; vars = [ "x" ] } in
+  let p =
+    [
+      Wast.While
+        ( Fo.True,
+          [
+            Wast.Cumulate ("R", q (Fo.Atom ("S", [ Fo.Var "x" ])));
+            Wast.Assign ("T", q (Fo.Not (Fo.Atom ("T", [ Fo.Var "x" ]))));
+          ] );
+    ]
+  in
+  List.iter
+    (fun naive ->
+      match Weval.run ~fuel:5 ~naive p (facts "S(a). S(b).") with
+      | exception Fuel.Exhausted { instance; _ } ->
+          check_rel
+            (Printf.sprintf "R reached (naive=%b)" naive)
+            (unary [ "a"; "b" ])
+            (Instance.find "R" instance)
+      | _ -> Alcotest.fail "expected divergence")
+    [ false; true ]
 
 let test_while_assign_vs_cumulate () =
   (* destructive := replaces, += accumulates *)
@@ -209,6 +232,8 @@ let suite =
       test_while_change_terminates;
     Alcotest.test_case "divergent while detected" `Quick
       test_while_divergence_detected;
+    Alcotest.test_case "fuel error carries the reached state" `Quick
+      test_fuel_carries_reached_state;
     Alcotest.test_case ":= replaces, += accumulates" `Quick
       test_while_assign_vs_cumulate;
     Alcotest.test_case "fixpoint classification" `Quick
