@@ -88,6 +88,10 @@ bench:
 # The fuel step walks a program that toggles a fact forever: the walk
 # must run out of fuel with exit 3, one line on stderr naming the engine
 # and its budget, and nothing on stdout.
+# The wave step runs two independent TCs (two SCCs in one stratum)
+# under the stratified engine at -j 1 and -j 2: the outputs must be
+# byte-identical, and --stats at -j 2 must count par.waves, proof the
+# planner split the stratum and its groups ran as one parallel wave.
 # The bench-diff step
 # compares the freshly regenerated e2 rows against the committed
 # BENCH_engines.json and GATES: rows from a different machine shape are
@@ -208,13 +212,21 @@ ci:
 	test ! -s _ci_fuel.out
 	test "$$(wc -l < _ci_fuel.err)" -eq 1
 	grep -qx 'nondet.walk: out of fuel (budget 100000)' _ci_fuel.err
+	printf 'T1(X, Y) :- G(X, Y).\nT1(X, Y) :- G(X, Z), T1(Z, Y).\nT2(X, Y) :- H(X, Y).\nT2(X, Y) :- H(X, Z), T2(Z, Y).\n' > _ci_wave.dl
+	printf 'G(a, b). G(b, c). G(c, d). H(x, y). H(y, z). H(z, x).\n' > _ci_wave.facts
+	dune exec -- datalog-unchained run -s stratified _ci_wave.dl -f _ci_wave.facts > _ci_wave1.out
+	dune exec -- datalog-unchained run -s stratified -j 2 _ci_wave.dl -f _ci_wave.facts > _ci_wave2.out
+	cmp _ci_wave1.out _ci_wave2.out
+	grep -c '^T[12](' _ci_wave2.out | grep -qx 15
+	dune exec -- datalog-unchained run -s stratified -j 2 _ci_wave.dl -f _ci_wave.facts --stats | grep -qE '^  par\.waves +[1-9]'
 	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats \
 	  _ci_mat.stats _ci_mat.jsonl _ci_ct1.out _ci_ct4.out _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
 	  _ci_rtq.facts _ci_rtq.dl _ci_rtr.dl _ci_rtq1.out _ci_rtq2.out \
 	  _ci_rtf.facts _ci_rtf.dl _ci_rtf1.out _ci_rtf2.out _ci_mem.dl _ci_mem.stats \
 	  _ci_tcf.dl _ci_tcf.facts _ci_tcf1.out _ci_tcf2.out _ci_tcf1.shape _ci_tcf2.shape \
-	  _ci_fuel.dl _ci_fuel.facts _ci_fuel.out _ci_fuel.err
+	  _ci_fuel.dl _ci_fuel.facts _ci_fuel.out _ci_fuel.err \
+	  _ci_wave.dl _ci_wave.facts _ci_wave1.out _ci_wave2.out
 
 clean:
 	dune clean

@@ -243,10 +243,13 @@ let trace_arg =
            span_close / event / summary lines; see lib/observe)")
 
 (* Build the trace context the flags ask for, run [f] inside a "run" span,
-   then flush: the JSONL file is closed even on exceptions, and the stats
-   report prints only after a completed run. [force] creates an enabled
-   context even without --stats/--trace (serve's stats op reads its
-   counters) but prints nothing extra. *)
+   then flush. The report (intern counters, the trace's summary line, the
+   --stats summary) is written whether [f] returns or raises: on an
+   exception [Trace.finish] closes the open spans, marked aborted, and
+   the exception is re-raised for [or_reject] to report. The JSONL file
+   is closed either way. [force] creates an enabled context even without
+   --stats/--trace (serve's stats op reads its counters) but prints
+   nothing extra. *)
 let with_observability ~name ?(force = false) stats trace_path f =
   if (not stats) && (not force) && trace_path = None then f Observe.Trace.null
   else
@@ -267,20 +270,28 @@ let with_observability ~name ?(force = false) stats trace_path f =
             exit 2)
     in
     let ctx = Observe.Trace.make ~sinks () in
+    let report () =
+      (* intern table health: distinct values interned by the process
+         (parsing included) and how many [Intern.id] calls resolved to an
+         existing entry — the sharing the dense-id representation buys *)
+      Observe.Trace.add ctx "intern.values" (Value.Intern.size ());
+      Observe.Trace.add ctx "intern.hits" (Value.Intern.hits ());
+      Observe.Trace.finish ctx;
+      if stats then Format.printf "%a" Observe.Report.pp_summary ctx
+    in
     Fun.protect
       ~finally:(fun () -> Option.iter close_out_noerr oc)
       (fun () ->
         Observe.Trace.open_span ctx ~kind:"run" name;
-        let r = f ctx in
-        Observe.Trace.close_span ctx ();
-        (* intern table health: distinct values interned by the process
-           (parsing included) and how many [Intern.id] calls resolved to an
-           existing entry — the sharing the dense-id representation buys *)
-        Observe.Trace.add ctx "intern.values" (Value.Intern.size ());
-        Observe.Trace.add ctx "intern.hits" (Value.Intern.hits ());
-        Observe.Trace.finish ctx;
-        if stats then Format.printf "%a" Observe.Report.pp_summary ctx;
-        r)
+        match f ctx with
+        | r ->
+            Observe.Trace.close_span ctx ();
+            report ();
+            r
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            report ();
+            Printexc.raise_with_backtrace e bt)
 
 (* An engine rejects a program outside its fragment with an exception;
    [or_reject f] reports it like the other usage errors — the message on

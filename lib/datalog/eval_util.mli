@@ -126,7 +126,7 @@ val consequences_signed :
     derivation counts may differ from a one-worker run, because a sliced
     delta is matched in separate passes. When jobs > 1 but the pool is
     held by an enclosing fixpoint, the run uses one worker and counts
-    [par.pool.fallbacks] (see also {!Parallel.Pool.fallback_count}). *)
+    [par.pool.fallbacks]. *)
 val seminaive_fixpoint :
   ?trace:Observe.Trace.ctx ->
   ?neg_db:Matcher.Db.t ->

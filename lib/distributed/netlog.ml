@@ -189,194 +189,6 @@ let run ?(schedule = Round_robin) ?(fuel = 10_000)
   loop ();
   { stores = snapshot (); rounds = !rounds; messages = !messages }
 
-(* ------------------------------------------------------------------ *)
-
-(* Bulk-synchronous evaluation: the network as a sharded evaluator.
-
-   For monotone (negation- and ∀-free) programs the CALM observation
-   says the outcome is schedule-independent — so no per-activation
-   scheduling is needed at all. [run_bulk] treats each peer as one shard
-   of a partitioned fixpoint and runs supersteps with the same
-   derive/exchange structure as the semi-naive loop on several workers:
-   every peer fires its rules against its own store, local facts are
-   inserted locally, remote facts are posted into a [Parallel.Exchange]
-   cell (per-edge duplicate suppression replaces the scheduled run's
-   best-effort inbox check), and a second phase drains every inbox. No
-   peer ever waits on another inside a phase — coordination-free in the
-   CALM sense; the only synchronisation is the superstep barrier.
-
-   When the global pool is free, the two phases of each superstep run on
-   its domains ([Pool.run_phases]): peer [i] is handled by worker
-   [i mod nw] in BOTH phases, so each store (and its trace context) has
-   a single writer, and exchange cells follow the Exchange ownership
-   discipline exactly. The final stores are identical at every job
-   count: each superstep fires against the stores as of the superstep
-   start, and inserts are set-operations. *)
-
-let monotone net =
-  List.for_all
-    (fun (_, rules) ->
-      List.for_all
-        (fun r ->
-          r.rule.Ast.forall = []
-          && List.for_all
-               (function Ast.BNeg _ -> false | _ -> true)
-               r.rule.Ast.body)
-        rules)
-    net.programs
-
-let run_bulk ?(fuel = 10_000) ?(trace = Observe.Trace.null) net =
-  check net;
-  if not (monotone net) then
-    bad
-      "run_bulk: bulk-synchronous supersteps are order-insensitive only for \
-       monotone (negation-free) programs; use run";
-  let tracing = Observe.Trace.enabled trace in
-  let pool = Parallel.Pool.acquire () in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Parallel.Pool.release pool)
-  @@ fun () ->
-  let nw = match pool with Some p -> Parallel.Pool.size p | None -> 1 in
-  let peers = Array.of_list net.peers in
-  let npeers = Array.length peers in
-  let index = Hashtbl.create 8 in
-  Array.iteri (fun i p -> Hashtbl.replace index p i) peers;
-  (* worker-private trace contexts (worker 0 = the caller's): peer [i]
-     always counts into context [i mod nw] *)
-  let wctx =
-    Array.init nw (fun w ->
-        if w = 0 || not tracing then trace
-        else Observe.Trace.make ~sinks:[] ())
-  in
-  let stores =
-    Array.mapi
-      (fun i p ->
-        Matcher.Db.of_instance ~trace:wctx.(i mod nw)
-          (Option.value (List.assoc_opt p net.stores) ~default:Instance.empty))
-      peers
-  in
-  let prepared =
-    Array.map
-      (fun p ->
-        match List.assoc_opt p net.programs with
-        | None -> []
-        | Some rules -> List.map (fun r -> (r, Matcher.prepare r.rule)) rules)
-      peers
-  in
-  let ex = Parallel.Exchange.create npeers in
-  let changed = Array.make nw false in
-  let wmsgs = Array.make nw 0 in
-  let supersteps = ref 0 in
-  let derive w =
-    let i = ref w in
-    while !i < npeers do
-      let self = !i in
-      let p = peers.(self) in
-      let store = stores.(self) in
-      let wtr = wctx.(w) in
-      (match prepared.(self) with
-      | [] -> ()
-      | rules ->
-          let plain = List.map (fun (r, _) -> r.rule) rules in
-          (* untraced: this runs on a pool worker *)
-          let dom =
-            Datalog.Eval_util.db_dom plain (List.map snd rules) store
-          in
-          let local = ref [] in
-          List.iter
-            (fun (lr, plan) ->
-              let substs = Matcher.run ~dom plan store in
-              List.iter
-                (fun subst ->
-                  let _, facts =
-                    Matcher.instantiate_heads subst lr.rule.Ast.head
-                  in
-                  List.iter
-                    (fun (pos, pred, tup) ->
-                      if pos then
-                        let dest =
-                          match lr.location with
-                          | Local -> p
-                          | At_peer q -> q
-                          | At_var x -> (
-                              match List.assoc_opt x subst with
-                              | Some (Value.Sym s) -> s
-                              | Some v ->
-                                  bad "location variable %s bound to %s" x
-                                    (Value.to_string v)
-                              | None -> bad "location variable %s unbound" x)
-                        in
-                        if dest = p then local := (pred, tup) :: !local
-                        else
-                          let j =
-                            match Hashtbl.find_opt index dest with
-                            | Some j -> j
-                            | None -> bad "unknown destination peer %s" dest
-                          in
-                          if Parallel.Exchange.post ex ~src:self ~dst:j pred tup
-                          then (
-                            wmsgs.(w) <- wmsgs.(w) + 1;
-                            if tracing then (
-                              Observe.Trace.incr wtr "netlog.messages";
-                              Observe.Trace.incr wtr ("netlog.sent." ^ p);
-                              Observe.Trace.incr wtr ("netlog.recv." ^ dest))))
-                    facts)
-                substs)
-            rules;
-          List.iter
-            (fun (pred, tup) ->
-              if Matcher.Db.insert store pred tup then changed.(w) <- true)
-            (List.rev !local));
-      i := !i + nw
-    done
-  in
-  let exchange w =
-    let i = ref w in
-    while !i < npeers do
-      let self = !i in
-      Parallel.Exchange.drain ex ~dst:self (fun ~src:_ ~pred ts ->
-          List.iter
-            (fun t ->
-              if Matcher.Db.insert stores.(self) pred t then
-                changed.(w) <- true)
-            ts);
-      i := !i + nw
-    done
-  in
-  let snapshot () =
-    Array.to_list
-      (Array.mapi (fun i p -> (p, Matcher.Db.instance stores.(i))) peers)
-  in
-  let rec superstep () =
-    if !supersteps >= fuel then
-      raise
-        (Fuel.Exhausted
-           {
-             engine = "netlog.bulk";
-             budget = fuel;
-             instance = global_of (snapshot ());
-           });
-    incr supersteps;
-    if tracing then Observe.Trace.incr trace "netlog.supersteps";
-    Array.fill changed 0 nw false;
-    (match pool with
-    | Some pl -> Parallel.Pool.run_phases pl [| derive; exchange |]
-    | None ->
-        derive 0;
-        exchange 0);
-    if Array.exists Fun.id changed then superstep ()
-  in
-  superstep ();
-  if tracing then
-    for w = 1 to nw - 1 do
-      Observe.Trace.merge_counters trace wctx.(w)
-    done;
-  {
-    stores = snapshot ();
-    rounds = !supersteps;
-    messages = Array.fold_left ( + ) 0 wmsgs;
-  }
-
 let store outcome peer =
   match List.assoc_opt peer outcome.stores with
   | Some i -> i

@@ -80,37 +80,6 @@ val run :
   network ->
   outcome
 
-(** [run_bulk ?fuel net] evaluates a {e monotone} network in
-    bulk-synchronous supersteps — the network as a sharded evaluator,
-    with peers as the shards. Each superstep has two phases with the
-    same structure as the semi-naive loop on several workers: every peer
-    fires its rules against its own store (derive), routing remote facts
-    through a batched {!Parallel.Exchange} with per-edge duplicate
-    suppression, then every peer drains its inboxes (exchange). There is
-    no per-activation scheduling: by CALM, a monotone network converges
-    to the same stores under every schedule, so none is needed —
-    coordination-free execution. When the global {!Parallel.Pool} is
-    free, the phases of each superstep run across its domains (peer [i]
-    on worker [i mod jobs]); the final stores are identical at every job
-    count.
-
-    The outcome's [rounds] field counts supersteps and [messages] the
-    facts shipped between peers (each fact crosses a given peer pair at
-    most once). [fuel] bounds the supersteps (default 10_000). [trace]
-    counts [netlog.supersteps], [netlog.messages] and the per-peer
-    [netlog.sent.<peer>] / [netlog.recv.<peer>].
-
-    @raise Bad_network if the network fails {!check} or any rule body
-    contains negation (or ∀) — bulk supersteps are order-insensitive
-    only for monotone programs; use {!run} for the general case.
-    @raise Relational.Fuel.Exhausted (engine ["netlog.bulk"]) when the
-    supersteps run out, with the {!global} snapshot of the stores. *)
-val run_bulk :
-  ?fuel:int ->
-  ?trace:Observe.Trace.ctx ->
-  network ->
-  outcome
-
 (** [store outcome peer] is a peer's final local store. *)
 val store : outcome -> string -> Instance.t
 

@@ -391,41 +391,6 @@ let run_plan_timed ~trace inst p =
     r
   end
 
-(* Evaluate one plan per derivative; with several derivatives and a free
-   pool, spread them over the domains (workers get private trace
-   contexts, merged — counters and histograms — at the barrier). *)
-let eval_plans ~trace inst plans =
-  match plans with
-  | [] -> []
-  | [ p ] -> [ run_plan_timed ~trace inst p ]
-  | _ -> (
-      match Parallel.Pool.acquire () with
-      | None ->
-          if Parallel.Pool.jobs () > 1 then
-            Observe.Trace.incr trace "par.pool.fallbacks";
-          List.map (run_plan_timed ~trace inst) plans
-      | Some pool ->
-          Fun.protect ~finally:(fun () -> Parallel.Pool.release pool)
-          @@ fun () ->
-          let arr = Array.of_list plans in
-          let out = Array.make (Array.length arr) Relation.empty in
-          let nw = Parallel.Pool.size pool in
-          let traces =
-            Array.init nw (fun w ->
-                if w = 0 || not (Observe.Trace.enabled trace) then trace
-                else Observe.Trace.make ())
-          in
-          Parallel.Pool.run pool (fun w ->
-              let i = ref w in
-              while !i < Array.length arr do
-                out.(!i) <- run_plan_timed ~trace:traces.(w) inst arr.(!i);
-                i := !i + nw
-              done);
-          for w = 1 to nw - 1 do
-            Observe.Trace.merge_counters trace traces.(w)
-          done;
-          Array.to_list out)
-
 let run_ifp ctx recname delname vars body =
   let trace = ctx.trace in
   let body_plan = Fo.compile ~trace body vars in
@@ -451,7 +416,7 @@ let run_ifp ctx recname delname vars body =
       in
       let derived =
         List.fold_left Relation.union Relation.empty
-          (eval_plans ~trace inst dplans)
+          (List.map (run_plan_timed ~trace inst) dplans)
       in
       let d = Relation.diff derived !j in
       j := Relation.union !j d;

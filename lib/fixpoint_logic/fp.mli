@@ -24,9 +24,9 @@
     relation with its body compiled once via {!Relational.Fo.compile}
     and executed per round ([fp.rounds] counts rounds); bodies whose
     recursive relation occurs only under ∧/∨/∃ iterate {e
-    semi-naively} — per-occurrence delta derivatives, evaluated in
-    parallel on the {!Parallel.Pool} when it is free. Formulas the
-    lowering cannot handle — [W], parameterized fixpoints (body free
+    semi-naively} — one delta derivative per occurrence of the
+    relation, run one after another. Formulas the lowering cannot
+    handle — [W], parameterized fixpoints (body free
     variables beyond the column variables), a nested fixpoint reading an
     enclosing fixpoint's relation — fall back to the naive enumerators,
     which survive as [eval_naive] / [sentence_naive] reference oracles

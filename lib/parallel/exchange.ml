@@ -31,8 +31,6 @@ let create nshards =
           { order = []; bufs = Hashtbl.create 4; count = 0 });
   }
 
-let shards t = t.nshards
-
 let cell t ~src ~dst =
   if src < 0 || src >= t.nshards || dst < 0 || dst >= t.nshards then
     invalid_arg "Parallel.Exchange: shard out of range";

@@ -1,8 +1,7 @@
 (** Batched cross-shard tuple routing: an [n]×[n] grid of per-predicate
     outboxes, the communication half of the semi-naive loop when it runs
     on [n > 1] workers, a fact going from the worker that derived it to
-    the worker that owns it (and of the bulk-synchronous netlog
-    evaluator, where peers are the shards).
+    the worker that owns it.
 
     Ownership discipline (the reason this needs no locks): cell
     [(src, dst)] is written only by the worker owning shard [src] and
@@ -17,9 +16,6 @@ type t
 
 (** [create n] builds the exchange for [n] shards. *)
 val create : int -> t
-
-(** [shards t] is [n]. *)
-val shards : t -> int
 
 (** [post t ~src ~dst pred tup] enqueues [tup] for predicate [pred] on
     the [(src, dst)] edge. Returns [false] (and enqueues nothing) if the

@@ -154,19 +154,13 @@ let shutdown pool =
   pool.domains <- [||]
 
 (* Process-global pool: sized once by the CLI, checked out per fixpoint.
-   [in_use] is an atomic flag rather than a lock so a nested fixpoint
-   (stratified wave -> semi-naive, well-founded -> semi-naive) observes
-   "busy" and degrades to sequential instead of blocking. *)
+   [in_use] is an atomic flag rather than a lock so the one nested
+   fixpoint (a stratified wave group's semi-naive run) observes "busy"
+   and degrades to sequential instead of blocking. *)
 
 let global : t option ref = ref None
 let njobs = ref 1
 let in_use = Atomic.make false
-
-(* How many times [acquire] found the pool busy (a nested fixpoint
-   degrading to sequential) — process-wide, so the degradation is
-   observable instead of silent. *)
-let fallbacks = Atomic.make 0
-let fallback_count () = Atomic.get fallbacks
 
 let shutdown_global () =
   match !global with
@@ -189,10 +183,7 @@ let acquire () =
   match !global with
   | None -> None
   | Some p ->
-      if Atomic.compare_and_set in_use false true then Some p
-      else (
-        Atomic.incr fallbacks;
-        None)
+      if Atomic.compare_and_set in_use false true then Some p else None
 
 let release _p = Atomic.set in_use false
 let () = at_exit shutdown_global

@@ -9,10 +9,14 @@
 
     The pool is process-global and sized once per CLI invocation with
     {!set_jobs}; evaluation code borrows it through {!acquire} /
-    {!release} so that nested fixpoints (a stratum evaluating inside a
-    parallel wave, the well-founded alternation calling semi-naive) find
-    the pool busy and silently fall back to sequential evaluation
-    instead of deadlocking on a second barrier. *)
+    {!release}. Two callers borrow it: the semi-naive loop
+    ([Eval_util.seminaive_fixpoint]) for one fixpoint, and the
+    stratified engine for one wave of independent SCC groups. The only
+    nested acquire is a wave group's own semi-naive fixpoint: it finds
+    the pool busy and runs on one worker (counting
+    [par.pool.fallbacks]) instead of deadlocking on a second barrier.
+    Sequential callers of the semi-naive loop, such as the well-founded
+    alternation, acquire and release the pool once per fixpoint. *)
 
 type t
 
@@ -59,10 +63,3 @@ val acquire : unit -> t option
 
 (** [release p] returns the pool checked out by {!acquire}. *)
 val release : t -> unit
-
-(** [fallback_count ()] is the number of times {!acquire} found the pool
-    busy since process start — each one is a nested fixpoint that
-    degraded to sequential evaluation. Callers on the degraded path also
-    report the trace counter [par.pool.fallbacks], so the degradation is
-    visible per run, not just process-wide. *)
-val fallback_count : unit -> int

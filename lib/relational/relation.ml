@@ -26,7 +26,16 @@ type slot = Marked | Built of index
    writing), so the value never changes and several domains may read it
    at once. [rows] hold exactly the set's tuples, in the order they
    were built in: the unordered enumerations read them, so an index
-   build walks the tuples in load (or derivation) order. *)
+   build walks the tuples in load (or derivation) order.
+
+   The rows are there for locality, not as a second copy of the set.
+   The set's slots follow the hash, so walking them visits tuples in
+   an order unrelated to where they sit in the heap; the rows follow
+   build order, which for loaded facts is allocation order, so
+   neighbouring tuples are read together. Building social-ingest's
+   three join indexes walking the set in slot order took 46-58 ms (the
+   [index] span total of [--stats]); walking the rows took 15-16 ms
+   (five alternating runs each, pinned to one core). *)
 type t = {
   set : Tuple.Set.t;
   rows : Tuple.t list;

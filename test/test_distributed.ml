@@ -136,56 +136,6 @@ let test_network_validation () =
   | exception N.Bad_network _ -> ()
   | _ -> Alcotest.fail "location var must occur in body"
 
-let test_bulk_matches_scheduled () =
-  (* the bulk-synchronous evaluator reaches the same final stores as the
-     scheduled run — CALM in action: monotone, so the schedule is
-     irrelevant and none is needed *)
-  let sched = N.run tc_network in
-  let bulk = N.run_bulk tc_network in
-  List.iter
-    (fun peer ->
-      Alcotest.(check bool)
-        (Printf.sprintf "store %s agrees" peer)
-        true
-        (Instance.equal (N.store sched peer) (N.store bulk peer)))
-    tc_network.N.peers;
-  Alcotest.(check bool) "messages flowed" true (bulk.N.messages >= 4);
-  Alcotest.(check bool)
-    "supersteps bounded" true
-    (bulk.N.rounds >= 1 && bulk.N.rounds <= 10)
-
-let test_bulk_rejects_negation () =
-  let negated =
-    {
-      N.peers = [ "a" ];
-      programs = [ ("a", [ lrule "p(X) :- q(X), !r(X)." ]) ];
-      stores = [ ("a", facts "q(v).") ];
-    }
-  in
-  match N.run_bulk negated with
-  | exception N.Bad_network _ -> ()
-  | _ -> Alcotest.fail "run_bulk accepted a non-monotone network"
-
-let test_bulk_parallel_identical () =
-  (* peers sharded across pool workers: final stores byte-identical to
-     the single-domain bulk run at every job count *)
-  let render out =
-    String.concat "\n---\n"
-      (List.map
-         (fun p -> Instance.to_string (N.store out p))
-         tc_network.N.peers)
-  in
-  let baseline = render (N.run_bulk tc_network) in
-  List.iter
-    (fun j ->
-      Parallel.Pool.set_jobs j;
-      Fun.protect ~finally:(fun () -> Parallel.Pool.set_jobs 1) @@ fun () ->
-      Alcotest.(check string)
-        (Printf.sprintf "bulk at -j %d" j)
-        baseline
-        (render (N.run_bulk tc_network)))
-    [ 2; 4 ]
-
 let test_fuel () =
   (* a two-peer ping-pong that generates fresh work forever cannot exist
      without invention — facts saturate, so every network quiesces; the
@@ -204,11 +154,5 @@ let suite =
     Alcotest.test_case "variable-location routing" `Quick
       test_variable_location_routing;
     Alcotest.test_case "network validation" `Quick test_network_validation;
-    Alcotest.test_case "bulk supersteps match scheduled run" `Quick
-      test_bulk_matches_scheduled;
-    Alcotest.test_case "bulk rejects negation" `Quick
-      test_bulk_rejects_negation;
-    Alcotest.test_case "bulk parallel is deterministic" `Quick
-      test_bulk_parallel_identical;
     Alcotest.test_case "fuel bound" `Quick test_fuel;
   ]

@@ -191,8 +191,6 @@ let test_fuel_exhausted_everywhere () =
         ignore (Datalog.Production.run ~fuel toggle (facts "on().")));
       ("Netlog.run", "netlog", 1, fun fuel ->
         ignore (Distributed.Netlog.run ~fuel relay));
-      ("Netlog.run_bulk", "netlog.bulk", 1, fun fuel ->
-        ignore (Distributed.Netlog.run_bulk ~fuel relay));
     ]
   in
   List.iter

@@ -198,7 +198,7 @@ let test_fp_rounds_counter () =
   Alcotest.(check int) "no fallback" 0
     (Observe.Trace.counter trace "fp.fallback")
 
-let test_fp_fallback_counter () =
+let test_fp_witness_fallback () =
   let trace = Observe.Trace.make () in
   let w = Fp.Witness ([ "x" ], Fp.Atom ("e", [ Fp.Var "x" ])) in
   let inst = facts "e(a). e(b)." in
@@ -257,7 +257,7 @@ let suite =
       test_compiled_equals_naive_fp;
     Alcotest.test_case "fp.rounds counter" `Quick test_fp_rounds_counter;
     Alcotest.test_case "witness falls back to naive" `Quick
-      test_fp_fallback_counter;
+      test_fp_witness_fallback;
     Alcotest.test_case "parameterized fixpoint falls back" `Quick
       test_parameterized_fixpoint_falls_back;
     Alcotest.test_case "all missing free variables reported" `Quick

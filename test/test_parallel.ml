@@ -109,25 +109,6 @@ let test_set_jobs_rejects_nonpositive () =
   | () -> Alcotest.fail "set_jobs 0 should raise"
   | exception Invalid_argument _ -> ()
 
-let test_pool_fallback_count () =
-  (* A busy acquire is counted, not silent. *)
-  with_jobs 4 (fun () ->
-      match Parallel.Pool.acquire () with
-      | None -> Alcotest.fail "outer acquire failed"
-      | Some pool ->
-          Fun.protect
-            ~finally:(fun () -> Parallel.Pool.release pool)
-            (fun () ->
-              let before = Parallel.Pool.fallback_count () in
-              (match Parallel.Pool.acquire () with
-              | None -> ()
-              | Some p2 ->
-                  Parallel.Pool.release p2;
-                  Alcotest.fail "nested acquire succeeded");
-              Alcotest.(check int)
-                "fallback counted" (before + 1)
-                (Parallel.Pool.fallback_count ())))
-
 let test_run_phases_barrier () =
   (* Phase 2 on every worker must observe phase 1's writes from ALL
      workers — the inter-phase barrier is what makes that safe. *)
@@ -275,6 +256,21 @@ let with_vertices inst =
   in
   let v_rel = Relation.of_rows (List.map (fun x -> [ x ]) vs) in
   Instance.set "V" v_rel inst
+
+let test_pool_free_after_alternation () =
+  (* The well-founded alternation calls the semi-naive loop once per
+     step, from outside any worker: each call borrows the pool and
+     returns it, so no call finds it busy and the pool is free after. *)
+  with_jobs 4 (fun () ->
+      let inst = Graph_gen.random ~name:"Moves" ~seed:9 20 40 in
+      let trace = Observe.Trace.make ~sinks:[] () in
+      ignore (Datalog.Wellfounded.eval ~trace win_program inst);
+      Alcotest.(check int)
+        "no fallbacks" 0
+        (Observe.Trace.counter trace "par.pool.fallbacks");
+      match Parallel.Pool.acquire () with
+      | None -> Alcotest.fail "pool still held after the alternation"
+      | Some p -> Parallel.Pool.release p)
 
 let test_determinism_tc () =
   List.iter
@@ -506,8 +502,8 @@ let suite =
       test_pool_exception_propagates;
     Alcotest.test_case "set_jobs rejects 0" `Quick
       test_set_jobs_rejects_nonpositive;
-    Alcotest.test_case "busy acquire is counted" `Quick
-      test_pool_fallback_count;
+    Alcotest.test_case "pool free after alternation" `Quick
+      test_pool_free_after_alternation;
     Alcotest.test_case "run_phases: barrier between phases" `Quick
       test_run_phases_barrier;
     Alcotest.test_case "run_phases: exception propagates" `Quick
