@@ -19,7 +19,9 @@ bench:
 # retract on serve-mixed's DAG shape, the assert and the retract alone
 # after an untimed create, each with its deterministic T fact count,
 # and the steady-state write rows with the final T count of their
-# seeded schedule), an interning smoke step (the interned engines must still
+# seeded schedule), a loader step (e36 must load its two seeded
+# social-shaped texts, short and long value names, to their known fact
+# counts and interned-value counts), an interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters, and matcher.delta_first: some delta pass of the TC rule
 # started from the delta), a trace smoke step (emit a JSONL trace and validate it
@@ -115,6 +117,10 @@ ci:
 	grep -q '"case": "steady-writes-dag-1000x3000".*"engine": "assert".*"facts": 40282' _ci_e21.json
 	grep -q '"case": "steady-writes-dag-1000x3000".*"engine": "retract".*"facts": 40282' _ci_e21.json
 	rm -f _ci_e21.json
+	dune exec bench/main.exe -- e36 --json _ci_e36.json > /dev/null
+	grep -q '"case": "social-20000-short".*"facts": 170050, "metrics": {"intern.values": 20300,' _ci_e36.json
+	grep -q '"case": "social-20000-long".*"facts": 170050, "metrics": {"intern.values": 20300,' _ci_e36.json
+	rm -f _ci_e36.json
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats
 	grep -q 'intern.values' _ci_tc.stats

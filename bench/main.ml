@@ -24,6 +24,8 @@
          each write alone), and steady-state writes by serve-mixed's rule
      e22 semiring annotations: Boolean guard, tropical
      e25 fact rendering: the sorted view and the full-instance render
+     e36 fact loading: Instance.parse_facts on a social-shaped text,
+         short and long value names
 
    `dune exec bench/main.exe` runs everything; pass experiment ids to
    select, or `bechamel` for the micro-benchmark kernels. *)
@@ -1593,6 +1595,122 @@ let e25 () =
       ("random-1000x5000", 1000, Graph_gen.random ~seed:13 1000 5000);
     ]
 
+(* ---------------------------------------------------------------- E36 *)
+
+(* The fact loader on a seeded text of the social-ingest benchmark's
+   shape, generated here: per person 5 follows (F), a city (Lives), 2
+   topics (Likes), and a Blocked fact at even odds. The short case
+   names values as that benchmark does (p12345, c7, t42: every token at
+   most 7 bytes, the loader cache's packed keys); the long case gives
+   every value a name of at least 12 bytes. Each rep loads one case,
+   the cases alternating, after a [Gc.full_major]; the rows report the
+   median wall time, ns per fact, the input bytes, the values the first
+   load interned ([intern.values]) and the share of tokens of at most 7
+   bytes. *)
+let social_text ~seed ~people ~names:(person, city, topic) =
+  let rng = Random.State.make [| 0x36; seed; people |] in
+  let cities = max 1 (people / 200) and topics = max 2 (people / 100) in
+  let b = Buffer.create (people * 160) in
+  let fact pred args =
+    Buffer.add_string b pred;
+    Buffer.add_char b '(';
+    Buffer.add_string b (String.concat ", " args);
+    Buffer.add_string b ").\n"
+  in
+  (* [k] distinct draws from [0, n) other than [skip] *)
+  let sample k n skip =
+    let rec go acc =
+      if List.length acc = k then List.rev acc
+      else
+        let x = Random.State.int rng n in
+        go (if x = skip || List.mem x acc then acc else x :: acc)
+    in
+    go []
+  in
+  (* the follows first, as in the benchmark's text *)
+  let lives = ref [] and likes = ref [] and blocked = ref [] in
+  for p = 0 to people - 1 do
+    List.iter (fun q -> fact "F" [ person p; person q ]) (sample 5 people p);
+    lives := (p, Random.State.int rng cities) :: !lives;
+    likes := List.map (fun t -> (p, t)) (sample 2 topics (-1)) @ !likes;
+    if Random.State.bool rng then blocked := p :: !blocked
+  done;
+  List.iter (fun (p, c) -> fact "Lives" [ person p; city c ]) (List.rev !lives);
+  List.iter (fun (p, t) -> fact "Likes" [ person p; topic t ]) (List.rev !likes);
+  List.iter (fun p -> fact "Blocked" [ person p ]) (List.rev !blocked);
+  Buffer.contents b
+
+let e36 () =
+  header "E36 | fact loading: Instance.parse_facts on a social-shaped text";
+  let people = 20000 and nreps = 11 in
+  let cases =
+    [
+      ( "social-20000-short",
+        ( Printf.sprintf "p%d",
+          Printf.sprintf "c%d",
+          Printf.sprintf "t%d" ) );
+      ( "social-20000-long",
+        ( Printf.sprintf "person_%06d",
+          Printf.sprintf "city_%07d",
+          Printf.sprintf "topic_%06d" ) );
+    ]
+    |> List.map (fun (case, names) ->
+           (case, social_text ~seed:1 ~people ~names))
+  in
+  (* the first load of each case, untimed: facts, interned values, and
+     the share of tokens of at most 7 bytes *)
+  let shape =
+    List.map
+      (fun (_, text) ->
+        let v0 = Value.Intern.size () in
+        let inst = Instance.parse_facts text in
+        let short = ref 0 and tokens = ref 0 in
+        Instance.iter_facts
+          (fun _ t ->
+            Array.iter
+              (fun v ->
+                incr tokens;
+                if String.length (Value.to_string v) <= 7 then incr short)
+              (Tuple.values t))
+          inst;
+        ( Instance.total_facts inst,
+          Value.Intern.size () - v0,
+          100 * !short / max 1 !tokens ))
+      cases
+  in
+  let times = List.map (fun _ -> ref []) cases in
+  for _ = 1 to nreps do
+    List.iter2
+      (fun (_, text) ts ->
+        Gc.full_major ();
+        let t0 = Observe.Trace.now () in
+        ignore (Sys.opaque_identity (Instance.parse_facts text));
+        ts := (Observe.Trace.now () -. t0) :: !ts)
+      cases times
+  done;
+  row "  %-20s %8s %9s | %9s %11s | %7s %7s\n" "case" "facts" "bytes"
+    "median ms" "ns per fact" "values" "short %";
+  List.iteri
+    (fun k (case, text) ->
+      let facts, values, short = List.nth shape k in
+      let ts = List.sort Float.compare !(List.nth times k) in
+      let med = List.nth ts (nreps / 2) in
+      let ns_per_fact = int_of_float (med *. 1e9 /. float_of_int facts) in
+      let bytes = String.length text in
+      record ~experiment:"e36" ~case ~n:people ~engine:"parse_facts"
+        ~wall_ms:(1000. *. med) ~stages:0 ~facts
+        ~metrics:
+          [
+            ("intern.values", values);
+            ("bytes", bytes);
+            ("ns_per_fact", ns_per_fact);
+            ("short_tokens_pct", short);
+          ]
+        ();
+      row "  %-20s %8d %9d | %s %11d | %7d %7d\n" case facts bytes (ms med)
+        ns_per_fact values short)
+    cases
+
 (* ------------------------------------------------------------- driver *)
 
 let all =
@@ -1601,7 +1719,7 @@ let all =
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
     ("e16", e16); ("e17", e17); ("e19", e19);
-    ("e21", e21); ("e22", e22); ("e25", e25);
+    ("e21", e21); ("e22", e22); ("e25", e25); ("e36", e36);
   ]
 
 let () =
@@ -1648,7 +1766,7 @@ let () =
           match List.assoc_opt id all with
           | Some f -> f ()
           | None ->
-              Printf.eprintf "unknown experiment %s (e1..e22, e25, bechamel)\n"
+              Printf.eprintf "unknown experiment %s (e1..e22, e25, e36, bechamel)\n"
                 id;
               exit 2)
         ids);

@@ -18,13 +18,15 @@ let load_program path =
       Printf.eprintf "%s:%d: lex error: %s\n" path line msg;
       exit 2
 
+let load_text path text =
+  try Instance.parse_facts text
+  with Failure msg ->
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 2
+
 let load_facts = function
   | None -> Instance.empty
-  | Some path -> (
-      try Instance.parse_facts (read_file path) with
-      | Failure msg ->
-          Printf.eprintf "%s: %s\n" path msg;
-          exit 2)
+  | Some path -> load_text path (read_file path)
 
 (* --- answer output ---------------------------------------------------------
 
@@ -339,9 +341,25 @@ let run_cmd =
           load_program program)
     in
     let inst =
-      Observe.Trace.with_span trace ~kind:"load" "facts" (fun () ->
-          let inst = load_facts facts in
-          if ordered then Order.adjoin inst else inst)
+      (* the span closes with the input bytes and the facts they held,
+         so --stats reads ns per byte *)
+      Observe.Trace.open_span trace ~kind:"load" "facts";
+      let text, inst =
+        match facts with
+        | None -> ("", Instance.empty)
+        | Some path ->
+            let text = read_file path in
+            (text, load_text path text)
+      in
+      let loaded = if ordered then Order.adjoin inst else inst in
+      Observe.Trace.close_span trace
+        ~fields:
+          [
+            Observe.Trace.fint "bytes" (String.length text);
+            Observe.Trace.fint "facts" (Instance.total_facts inst);
+          ]
+        ();
+      loaded
     in
     match annot with
     | Some tag ->

@@ -141,7 +141,7 @@ let epoch = Monotonic_clock.now ()
 let now () =
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) epoch) /. 1e9
 
-let default_retain = [ "run"; "stratum"; "phase"; "adom"; "print" ]
+let default_retain = [ "run"; "stratum"; "phase"; "adom"; "load"; "print" ]
 
 let make ?(sinks = []) ?(retain = default_retain) ?(retain_cap = 1024) () =
   {

@@ -79,7 +79,7 @@ type ctx
 val null : ctx
 
 (** The span kinds a context retains by default:
-    [["run"; "stratum"; "phase"; "adom"; "print"]]. *)
+    [["run"; "stratum"; "phase"; "adom"; "load"; "print"]]. *)
 val default_retain : string list
 
 (** [make ()] is an enabled context. [retain] lists the span kinds whose

@@ -74,31 +74,28 @@ let create n =
   pool
 
 let run pool f =
-  if pool.size = 1 then f 0
-  else begin
-    Mutex.lock pool.mutex;
-    pool.job <- Some f;
-    pool.pending <- pool.size - 1;
-    pool.errors <- [];
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.work_ready;
-    Mutex.unlock pool.mutex;
-    let caller_err = (try f 0; None with e -> Some e) in
-    Mutex.lock pool.mutex;
-    while pool.pending > 0 do
-      Condition.wait pool.work_done pool.mutex
-    done;
-    pool.job <- None;
-    let errs = pool.errors in
-    pool.errors <- [];
-    Mutex.unlock pool.mutex;
-    match caller_err with
-    | Some e -> raise e
-    | None -> (
-        match List.sort (fun (a, _) (b, _) -> Int.compare a b) errs with
-        | (_, e) :: _ -> raise e
-        | [] -> ())
-  end
+  Mutex.lock pool.mutex;
+  pool.job <- Some f;
+  pool.pending <- pool.size - 1;
+  pool.errors <- [];
+  pool.generation <- pool.generation + 1;
+  Condition.broadcast pool.work_ready;
+  Mutex.unlock pool.mutex;
+  let caller_err = (try f 0; None with e -> Some e) in
+  Mutex.lock pool.mutex;
+  while pool.pending > 0 do
+    Condition.wait pool.work_done pool.mutex
+  done;
+  pool.job <- None;
+  let errs = pool.errors in
+  pool.errors <- [];
+  Mutex.unlock pool.mutex;
+  match caller_err with
+  | Some e -> raise e
+  | None -> (
+      match List.sort (fun (a, _) (b, _) -> Int.compare a b) errs with
+      | (_, e) :: _ -> raise e
+      | [] -> ())
 
 (* Barrier inside a job: every worker of the current [run] must call
    this the same number of times. All [size] workers (the caller
@@ -106,21 +103,19 @@ let run pool f =
    and everyone proceeds. The mutex doubles as the memory fence: writes
    made before the barrier are visible to every worker after it. *)
 let barrier_wait pool =
-  if pool.size > 1 then begin
-    Mutex.lock pool.mutex;
-    let gen = pool.bar_gen in
-    pool.bar_count <- pool.bar_count + 1;
-    if pool.bar_count = pool.size then begin
-      pool.bar_count <- 0;
-      pool.bar_gen <- gen + 1;
-      Condition.broadcast pool.barrier
-    end
-    else
-      while pool.bar_gen = gen do
-        Condition.wait pool.barrier pool.mutex
-      done;
-    Mutex.unlock pool.mutex
+  Mutex.lock pool.mutex;
+  let gen = pool.bar_gen in
+  pool.bar_count <- pool.bar_count + 1;
+  if pool.bar_count = pool.size then begin
+    pool.bar_count <- 0;
+    pool.bar_gen <- gen + 1;
+    Condition.broadcast pool.barrier
   end
+  else
+    while pool.bar_gen = gen do
+      Condition.wait pool.barrier pool.mutex
+    done;
+  Mutex.unlock pool.mutex
 
 (* Phased job: every worker runs phase 0, hits a barrier, runs phase 1,
    and so on — the shard-exchange discipline (derive, then drain) in one
@@ -129,21 +124,15 @@ let barrier_wait pool =
    siblings never deadlock waiting for it; the exception resurfaces
    through [run]'s normal error path once the job completes. *)
 let run_phases pool phases =
-  match Array.length phases with
-  | 0 -> ()
-  | 1 -> run pool phases.(0)
-  | nphases ->
-      if pool.size = 1 then Array.iter (fun f -> f 0) phases
-      else
-        run pool (fun w ->
-            let err = ref None in
-            Array.iteri
-              (fun i f ->
-                (if Option.is_none !err then
-                   try f w with e -> err := Some e);
-                if i < nphases - 1 then barrier_wait pool)
-              phases;
-            match !err with Some e -> raise e | None -> ())
+  let last = Array.length phases - 1 in
+  run pool (fun w ->
+      let err = ref None in
+      Array.iteri
+        (fun i f ->
+          (if Option.is_none !err then try f w with e -> err := Some e);
+          if i < last then barrier_wait pool)
+        phases;
+      match !err with Some e -> raise e | None -> ())
 
 let shutdown pool =
   Mutex.lock pool.mutex;

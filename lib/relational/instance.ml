@@ -108,37 +108,59 @@ let to_string i =
 
 (* --- fact loading ------------------------------------------------------ *)
 
-(* Per-load token cache: the bytes of a token -> its interned id. Open
-   addressing over parallel arrays, so a lookup hashes and compares the
-   token where it lies in the input, without allocating a substring;
-   [Value.parse] and [Value.Intern.id] run once per distinct token. *)
+(* Per-load token cache: the bytes of a token -> its interned id, so
+   [Value.parse] and [Value.Intern.id] run once per distinct token. Open
+   addressing over one int array of (key, id) pairs, so a probe reads a
+   key and its id side by side. A token of at most 7 bytes is its
+   own key: its length and bytes packed into an int, compared without
+   reading any string. A longer token's key is its hash with bit 59 set,
+   and a matching key is confirmed against the token's bytes, kept by
+   slot in [long]. The table grows with what it holds, at most half
+   full. *)
 module Tokens = struct
   type t = {
-    mutable keys : string array;
-    mutable hashes : int array;
-    mutable ids : int array;  (** -1 marks an empty slot *)
+    mutable cells : int array;  (** key, id; key 0 marks an empty slot *)
+    mutable long : string array;  (** the bytes of each long token *)
+    mutable shift : int;  (** 63 - log2 of the slot count *)
     mutable count : int;
   }
 
-  let create n =
-    let cap = ref 16 in
-    while !cap < 2 * n do
-      cap := 2 * !cap
-    done;
-    {
-      keys = Array.make !cap "";
-      hashes = Array.make !cap 0;
-      ids = Array.make !cap (-1);
-      count = 0;
-    }
+  (* 16 slots *)
+  let create () =
+    { cells = Array.make 32 0; long = [||]; shift = 59; count = 0 }
 
-  let hash src s e =
-    let h = ref (e - s) in
-    for i = s to e - 1 do
-      let x = (!h lxor Char.code (String.unsafe_get src i)) * 0x9E3779B1 in
-      h := x lxor (x lsr 29)
-    done;
-    !h land max_int
+  let long_key = 1 lsl 59
+
+  external get64u : string -> int -> int64 = "%caml_string_get64u"
+  external bswap64 : int64 -> int64 = "%bswap_int64"
+
+  (* the key of the token [src.[s..e)], [s < e] *)
+  let key src s e =
+    let n = e - s in
+    if n <= 7 then
+      let bytes =
+        if s + 8 <= String.length src then
+          let w = get64u src s in
+          Int64.to_int (if Sys.big_endian then bswap64 w else w)
+          land ((1 lsl (8 * n)) - 1)
+        else
+          let b = ref 0 in
+          for i = e - 1 downto s do
+            b := (!b lsl 8) lor Char.code (String.unsafe_get src i)
+          done;
+          !b
+      in
+      bytes lor (n lsl 56)
+    else
+      let h = ref n in
+      for i = s to e - 1 do
+        let x = (!h lxor Char.code (String.unsafe_get src i)) * 0x9E3779B1 in
+        h := x lxor (x lsr 29)
+      done;
+      (!h land (long_key - 1)) lor long_key
+
+  (* multiplicative hashing: the slot is the product's top bits *)
+  let home c key = (key * 0x1E3779B97F4A7C15) lsr c.shift
 
   (* [src.[s..e)] = [key] *)
   let same src s e key =
@@ -150,37 +172,46 @@ module Tokens = struct
     done;
     !i = e
 
-  (* The slot of the token [src.[s..e)] with hash [h]: its own if cached,
-     else the empty slot where it would go. *)
-  let slot c src s e h =
-    let mask = Array.length c.ids - 1 in
-    let j = ref (h land mask) in
-    while c.ids.(!j) >= 0 && not (c.hashes.(!j) = h && same src s e c.keys.(!j))
-    do
-      j := (!j + 1) land mask
-    done;
-    !j
+  (* From slot [j] on: the id of the token [src.[s..e)] with key [key]
+     if cached, else -1 - the empty slot where it would go. *)
+  let rec probe c key src s e j =
+    let k = Array.unsafe_get c.cells (2 * j) in
+    if k = 0 then -1 - j
+    else if k = key && (key < long_key || same src s e c.long.(j)) then
+      Array.unsafe_get c.cells ((2 * j) + 1)
+    else probe c key src s e ((j + 1) land ((Array.length c.cells / 2) - 1))
 
-  (* the cached id of [src.[s..e)], or -1 *)
-  let find c src s e = c.ids.(slot c src s e (hash src s e))
+  let find c key src s e = probe c key src s e (home c key)
 
-  let rec add c key id =
-    if 2 * (c.count + 1) > Array.length c.ids then (
-      let keys = c.keys and ids = c.ids in
-      let cap = 2 * Array.length ids in
-      c.keys <- Array.make cap "";
-      c.hashes <- Array.make cap 0;
-      c.ids <- Array.make cap (-1);
-      c.count <- 0;
-      Array.iteri (fun j i -> if i >= 0 then add c keys.(j) i) ids);
-    let n = String.length key in
-    let h = hash key 0 n in
-    let j = slot c key 0 n h in
-    if c.ids.(j) < 0 then (
-      c.keys.(j) <- key;
-      c.hashes.(j) <- h;
-      c.ids.(j) <- id;
-      c.count <- c.count + 1)
+  let rec free c j =
+    if c.cells.(2 * j) = 0 then j
+    else free c ((j + 1) land ((Array.length c.cells / 2) - 1))
+
+  let put c j key token id =
+    c.cells.(2 * j) <- key;
+    c.cells.((2 * j) + 1) <- id;
+    if key >= long_key then (
+      if Array.length c.long = 0 then
+        c.long <- Array.make (Array.length c.cells / 2) "";
+      c.long.(j) <- token)
+
+  (* [token] with key [key] goes to the empty slot [j] {!find} named *)
+  let add c j key token id =
+    put c j key token id;
+    c.count <- c.count + 1;
+    if 2 * c.count > Array.length c.cells / 2 then begin
+      let cells = c.cells and long = c.long in
+      c.cells <- Array.make (2 * Array.length cells) 0;
+      c.long <- [||];
+      c.shift <- c.shift - 1;
+      for j = 0 to (Array.length cells / 2) - 1 do
+        let key = cells.(2 * j) in
+        if key <> 0 then
+          put c (free c (home c key)) key
+            (if key >= long_key then long.(j) else "")
+            cells.((2 * j) + 1)
+      done
+    end
 end
 
 (* One predicate's facts so far: the distinct rows, newest first, and
@@ -204,7 +235,9 @@ type loader = {
   mutable last : loading;  (** the predicate of the previous fact *)
   mutable hits : int;  (** tokens the cache resolved *)
   mutable argv : int array;  (** the argument ids of the fact being read *)
-  mutable nargs : int;
+  mutable cuts : int array;
+      (** the offsets of the commas that split the statement being read
+          into arguments *)
 }
 
 let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
@@ -221,32 +254,38 @@ let fail lineno msg = failwith (Printf.sprintf "facts line %d: %s" lineno msg)
    character of a bare token ([it's]). *)
 let opens_symbol c = c = '(' || c = ','
 
-(* The argument [src.[s..e)]: its id from the cache, or parsed, interned
-   and cached on its first occurrence in the load. *)
-let arg ld src s e lineno =
+(* record a comma at offset [i] as the [k]th cut *)
+let cut ld k i =
+  if k = Array.length ld.cuts then (
+    let bigger = Array.make (2 * k) 0 in
+    Array.blit ld.cuts 0 bigger 0 k;
+    ld.cuts <- bigger);
+  ld.cuts.(k) <- i
+
+(* The [k]th argument, [src.[s..e)]: its id from the cache, or parsed,
+   interned and cached on its first occurrence in the load. *)
+let arg ld src s e lineno k =
   let s = ltrim src s e in
   let e = rtrim src s e in
   if s = e then fail lineno "empty argument";
-  if ld.nargs = Array.length ld.argv then (
-    let bigger = Array.make (2 * ld.nargs) 0 in
-    Array.blit ld.argv 0 bigger 0 ld.nargs;
+  if k = Array.length ld.argv then (
+    let bigger = Array.make (2 * k) 0 in
+    Array.blit ld.argv 0 bigger 0 k;
     ld.argv <- bigger);
-  let id = Tokens.find ld.tokens src s e in
-  let id =
-    if id >= 0 then (
-      ld.hits <- ld.hits + 1;
-      id)
-    else
-      let key = String.sub src s (e - s) in
-      match Value.parse key with
-      | v ->
-          let id = Value.Intern.id v in
-          Tokens.add ld.tokens key id;
-          id
-      | exception Invalid_argument msg -> fail lineno msg
-  in
-  ld.argv.(ld.nargs) <- id;
-  ld.nargs <- ld.nargs + 1
+  let key = Tokens.key src s e in
+  let id = Tokens.find ld.tokens key src s e in
+  ld.argv.(k) <-
+    (if id >= 0 then (
+       ld.hits <- ld.hits + 1;
+       id)
+     else
+       let token = String.sub src s (e - s) in
+       match Value.parse token with
+       | v ->
+           let id' = Value.Intern.id v in
+           Tokens.add ld.tokens (-1 - id) key token id';
+           id'
+       | exception Invalid_argument msg -> fail lineno msg)
 
 let predicate ld src s e n ~rest =
   if Tokens.same src s e ld.last.name then ld.last
@@ -261,48 +300,34 @@ let predicate ld src s e n ~rest =
         p
 
 (* The statement [src.[s..e)], ending on line [lineno] with [rest] input
-   bytes after it. *)
-let fact ld src s e lineno ~rest =
+   bytes after it. [lp] is the offset of its first '(' (-1 if none),
+   quoted or not, and [ld.cuts.(0 .. ncuts - 1)] are the commas after it
+   outside quotes: the arguments lie between [lp], the cuts and the
+   closing parenthesis. *)
+let fact ld src s e ~lp ~ncuts lineno ~rest =
   let s = ltrim src s e in
   let e = rtrim src s e in
   if s < e then begin
-    let lp = ref s in
-    while !lp < e && src.[!lp] <> '(' do
-      incr lp
-    done;
-    let lp = !lp in
-    if lp = e then
+    if lp < 0 then
       fail lineno
         (Printf.sprintf "expected pred(args), got %S"
            (String.sub src s (e - s)));
     if src.[e - 1] <> ')' then fail lineno "expected closing parenthesis";
     let ne = rtrim src s lp in
     if ne = s then fail lineno "empty predicate name";
-    ld.nargs <- 0;
-    if ltrim src (lp + 1) (e - 1) < e - 1 then begin
-      (* the quote state runs from the statement's start, as in the
-         statement scan, even when the first '(' lies inside a string;
-         [quote] is the open quote character, or '\000' *)
-      let start = ref (lp + 1) and i = ref s and quote = ref '\000' in
-      while !i < e - 1 do
-        let c = String.unsafe_get src !i in
-        if !quote <> '\000' then (
-          if c = '\\' then incr i else if c = !quote then quote := '\000')
-        else if
-          c = '"'
-          || c = '\''
-             &&
-             let j = rtrim src s !i in
-             j > s && opens_symbol src.[j - 1]
-        then quote := c
-        else if c = ',' && !i > lp then (
-          arg ld src !start !i lineno;
-          start := !i + 1);
-        incr i
-      done;
-      arg ld src !start (e - 1) lineno
-    end;
-    let n = ld.nargs in
+    let n =
+      if ncuts = 0 && ltrim src (lp + 1) (e - 1) = e - 1 then 0
+      else begin
+        let start = ref (lp + 1) in
+        for k = 0 to ncuts - 1 do
+          let i = ld.cuts.(k) in
+          arg ld src !start i lineno k;
+          start := i + 1
+        done;
+        arg ld src !start (e - 1) lineno ncuts;
+        ncuts + 1
+      end
+    in
     let p = predicate ld src s ne n ~rest in
     ld.last <- p;
     if p.arity <> n then
@@ -312,17 +337,22 @@ let fact ld src s e lineno ~rest =
     if Tuple.Set.add p.seen t then p.rows <- t :: p.rows
   end
 
-(* The statement [text.[s..e)] as the statement parser must see it:
-   comments dropped and line breaks turned into spaces, strings and
-   quoted symbols kept whole (a quoted symbol keeps its line breaks too:
-   the Term dialect writes them raw). Only a statement that spans lines
-   or holds a comment needs it. *)
-let clean text s e =
+(* The statement [text.[s..e)] as {!fact} must see it, with its first
+   '(' and its cuts: comments dropped and line breaks turned into spaces,
+   strings and quoted symbols kept whole (a quoted symbol keeps its line
+   breaks too: the Term dialect writes them raw). Only a statement that
+   spans lines or holds a comment needs it. *)
+let clean ld text s e =
   let b = Buffer.create (e - s) in
   let i = ref s and quote = ref '\000' in
-  let put c = Buffer.add_char b (if c = '\n' then ' ' else c) in
-  let put_quoted c = if !quote = '\'' then Buffer.add_char b c else put c in
-  (* the last non-blank byte written, as [fact] will see it *)
+  let lp = ref (-1) and ncuts = ref 0 in
+  let put c =
+    if c = '(' && !lp < 0 then lp := Buffer.length b;
+    Buffer.add_char b c
+  in
+  let put_plain c = put (if c = '\n' then ' ' else c) in
+  let put_quoted c = if !quote = '\'' then put c else put_plain c in
+  (* the last non-blank byte written *)
   let rec last k =
     if k > 0 && blank (Buffer.nth b (k - 1)) then last (k - 1)
     else if k > 0 then Buffer.nth b (k - 1)
@@ -343,55 +373,38 @@ let clean text s e =
       done
     else (
       if c = '"' || (c = '\'' && opens_symbol (last (Buffer.length b))) then
-        quote := c;
-      put c;
+        quote := c
+      else if c = ',' && !lp >= 0 then (
+        cut ld !ncuts (Buffer.length b);
+        incr ncuts);
+      put_plain c;
       incr i)
   done;
-  Buffer.contents b
+  (Buffer.contents b, !lp, !ncuts)
 
-let statement ld text s e ~dirty lineno =
+let statement ld text s e ~lp ~ncuts ~dirty lineno =
+  let rest = ld.len - e in
   if dirty then
-    let src = clean text s e in
-    fact ld src 0 (String.length src) lineno ~rest:(ld.len - e)
-  else fact ld text s e lineno ~rest:(ld.len - e)
+    let src, lp, ncuts = clean ld text s e in
+    fact ld src 0 (String.length src) ~lp ~ncuts lineno ~rest
+  else fact ld text s e ~lp ~ncuts lineno ~rest
 
 (* One pass over the bytes: it tracks the line, the quote state of
    strings and quoted symbols (a backslash escapes the next character)
    and comments, and cuts the text into dot-terminated statements for
-   [fact]. *)
+   [fact], and each statement into arguments: it notes the statement's
+   first '(' and, after it, every ',' outside quotes. *)
 let scan ld text =
   let len = ld.len in
   (* the current statement: its first non-blank offset (-1 while none),
-     the line of its last non-blank character, and whether a line break
-     or a comment lies inside it *)
+     the line of its last non-blank character, whether a line break or
+     a comment lies inside it, its first '(' (-1 while none) and its
+     cuts so far *)
   let st = ref (-1) and st_line = ref 1 and dirty = ref false in
+  let lp = ref (-1) and ncuts = ref 0 in
   let pos = ref 0 and line = ref 1 in
   (* the last byte outside blanks, comments and quotes *)
   let prev = ref '.' in
-  (* from the opening quote [q] at [!pos] on to its closing quote *)
-  let quoted q =
-    if !st < 0 then st := !pos;
-    st_line := !line;
-    let closed = ref false in
-    while (not !closed) && !pos + 1 < len do
-      incr pos;
-      match String.unsafe_get text !pos with
-      | '\n' ->
-          incr line;
-          dirty := true
-      | '\\' when !pos + 1 < len ->
-          st_line := !line;
-          incr pos;
-          if String.unsafe_get text !pos = '\n' then (
-            incr line;
-            dirty := true)
-      | c when c = q ->
-          st_line := !line;
-          closed := true
-      | c -> if not (blank c) then st_line := !line
-    done;
-    prev := q
-  in
   while !pos < len do
     (match String.unsafe_get text !pos with
     | '\n' ->
@@ -401,25 +414,64 @@ let scan ld text =
     | '.' ->
         prev := '.';
         if !st >= 0 then (
-          statement ld text !st !pos ~dirty:!dirty !line;
+          statement ld text !st !pos ~lp:!lp ~ncuts:!ncuts ~dirty:!dirty !line;
           st := -1;
-          dirty := false)
-    | '"' -> quoted '"'
-    | '\'' when opens_symbol !prev -> quoted '\''
-    | c when c = '%' || (c = '/' && !pos + 1 < len && text.[!pos + 1] = '/')
+          dirty := false;
+          lp := -1;
+          ncuts := 0)
+    | ('"' | '\'') as q when q = '"' || opens_symbol !prev ->
+        (* a string or a quoted symbol, on to its closing quote *)
+        if !st < 0 then st := !pos;
+        st_line := !line;
+        prev := q;
+        let closed = ref false in
+        while (not !closed) && !pos + 1 < len do
+          incr pos;
+          match String.unsafe_get text !pos with
+          | '\n' ->
+              incr line;
+              dirty := true
+          | '\\' when !pos + 1 < len -> (
+              st_line := !line;
+              incr pos;
+              match String.unsafe_get text !pos with
+              | '\n' ->
+                  incr line;
+                  dirty := true
+              | '(' -> if !lp < 0 then lp := !pos
+              | _ -> ())
+          | '(' ->
+              st_line := !line;
+              if !lp < 0 then lp := !pos
+          | c when c = q ->
+              st_line := !line;
+              closed := true
+          | c -> if not (blank c) then st_line := !line
+        done
+    | ('%' | '/') as c
+      when c = '%' || (!pos + 1 < len && String.unsafe_get text (!pos + 1) = '/')
       ->
         (* a comment, to the end of the line *)
         if !st >= 0 then dirty := true;
         while !pos + 1 < len && String.unsafe_get text (!pos + 1) <> '\n' do
           incr pos
         done
+    | ('(' | ',') as c ->
+        if !st < 0 then st := !pos;
+        st_line := !line;
+        prev := c;
+        if c = '(' then (if !lp < 0 then lp := !pos)
+        else if !lp >= 0 then (
+          cut ld !ncuts !pos;
+          incr ncuts)
     | c ->
         if !st < 0 then st := !pos;
         st_line := !line;
         prev := c);
     incr pos
   done;
-  if !st >= 0 then statement ld text !st len ~dirty:!dirty !st_line
+  if !st >= 0 then
+    statement ld text !st len ~lp:!lp ~ncuts:!ncuts ~dirty:!dirty !st_line
 
 (* Facts and arguments are cut as spans of the input; a '.' or ','
    inside "..." or a quoted symbol neither ends a fact nor splits an
@@ -427,16 +479,15 @@ let scan ld text =
    predicate's facts are deduplicated into one {!Tuple.Set}, which with
    the rows is its relation ({!Relation.of_loaded}), copied nowhere. *)
 let parse_facts text =
-  let len = String.length text in
   let ld =
     {
-      len;
-      tokens = Tokens.create (len / 64);
+      len = String.length text;
+      tokens = Tokens.create ();
       preds = Hashtbl.create 8;
       last = no_pred;
       hits = 0;
       argv = Array.make 8 0;
-      nargs = 0;
+      cuts = Array.make 8 0;
     }
   in
   (match scan ld text with

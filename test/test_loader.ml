@@ -26,14 +26,32 @@ let sym_gen =
       (char_range 'a' 'z')
       (string_size ~gen:(oneofl [ 'a'; 'q'; '0'; '9'; '_' ]) (0 -- 4)))
 
+(* Tokens at the loader cache's edges: the cache packs a token of at
+   most 7 bytes into an int key and hashes longer ones. These are 6 to
+   9 bytes long, several agree in their first 7 bytes, and some are
+   multi-byte UTF-8. *)
+let boundary_sym_gen =
+  Q.Gen.(
+    map2 ( ^ )
+      (oneofl [ "p12345"; "p123456"; "tok_ab"; "tok_abc"; "\xc3\xa9t\xc3\xa9";
+                "\xce\xbb\xce\xbc"; "\xe6\x97\xa5\xe6\x9c\xac" ])
+      (oneofl [ ""; "7"; "78"; "x"; "\xc3\xa9"; "\xe8\xaa\x9e" ]))
+
+let boundary_int_gen =
+  Q.Gen.oneofl
+    [ 999_999; 1_000_000; 9_999_999; 10_000_000; 99_999_999; -99_999;
+      -999_999; -1_000_000; -10_000_000 ]
+
 let value_gen =
   Q.Gen.(
     frequency
       [
         (2, map (fun n -> Value.Int n) (int_range (-1000) 1000));
         (1, map (fun n -> Value.Int n) (oneofl [ max_int; min_int ]));
+        (1, map (fun n -> Value.Int n) boundary_int_gen);
         (3, map (fun s -> Value.Str s) str_gen);
         (3, map (fun s -> Value.Sym s) sym_gen);
+        (2, map (fun s -> Value.Sym s) boundary_sym_gen);
       ])
 
 let instance_gen =
@@ -74,6 +92,8 @@ let term_instance_gen =
           (2, map (fun s -> Value.Str s) str_gen);
           (1, map (fun s -> Value.Sym s) sym_gen);
           (4, map (fun s -> Value.Sym s) term_sym_gen);
+          (2, map (fun s -> Value.Sym s) boundary_sym_gen);
+          (1, map (fun n -> Value.Int n) boundary_int_gen);
         ]
     in
     let rel name =
@@ -125,6 +145,8 @@ let prop_fact_roundtrip =
                (1, map (fun n -> Value.Int n) (int_range (-1000) 1000));
                (1, map (fun s -> Value.Str s) str_gen);
                (4, map (fun s -> Value.Sym s) hostile_sym_gen);
+               (2, map (fun s -> Value.Sym s) boundary_sym_gen);
+               (1, map (fun n -> Value.Int n) boundary_int_gen);
              ]
          in
          let rel name =
@@ -168,6 +190,34 @@ let test_quoted_symbols () =
     "trailing bytes after the closing quote"
     "Failure: facts line 1: Value.parse: malformed quoted symbol 'ab'cd"
     (one "P('ab'cd).")
+
+(* --- fuzzing ------------------------------------------------------------ *)
+
+(* Short texts over the scanner's special bytes and a few plain ones:
+   whatever the bytes, the loader returns an instance or fails with the
+   line of the bad statement, and raises nothing else. *)
+let fuzz_gen =
+  Q.Gen.(
+    string_size
+      ~gen:(oneofl [ '('; ')'; ','; '.'; '\''; '"'; '\\'; '%'; '/'; '\n';
+                     '\t'; '\r'; ' '; 'P'; 'a'; '7'; '-' ])
+      (0 -- 13))
+
+let prop_fuzz =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:2000
+       ~name:"any byte string: an instance or a facts-line failure"
+       (Q.make ~print:(Printf.sprintf "%S") fuzz_gen)
+       (fun text ->
+         match Instance.parse_facts text with
+         | _ -> true
+         | exception Failure msg ->
+             Scanf.sscanf_opt msg "facts line %u:%n" (fun line k ->
+                 line >= 1 && k < String.length msg && msg.[k] = ' ')
+             = Some true
+             || Q.Test.fail_reportf "unexpected failure %S" msg
+         | exception e ->
+             Q.Test.fail_reportf "raised %s" (Printexc.to_string e)))
 
 (* --- agreement with the old parser ------------------------------------ *)
 
@@ -493,4 +543,5 @@ let suite =
     prop_term_roundtrip;
     prop_fact_roundtrip;
     Alcotest.test_case "quoted symbols" `Quick test_quoted_symbols;
+    prop_fuzz;
   ]
