@@ -21,7 +21,10 @@ bench:
 # and the steady-state write rows with the final T count of their
 # seeded schedule), a loader step (e36 must load its two seeded
 # social-shaped texts, short and long value names, to their known fact
-# counts and interned-value counts), an interning smoke step (the interned engines must still
+# counts and interned-value counts, and their first loads must allocate
+# their known minor-heap words per fact: 8.50 and 8.62 with one block
+# per tuple, where two blocks per tuple read 10.50 and 10.62), an
+# interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters, and matcher.delta_first: some delta pass of the TC rule
 # started from the delta), a trace smoke step (emit a JSONL trace and validate it
@@ -120,6 +123,8 @@ ci:
 	dune exec bench/main.exe -- e36 --json _ci_e36.json > /dev/null
 	grep -q '"case": "social-20000-short".*"facts": 170050, "metrics": {"intern.values": 20300,' _ci_e36.json
 	grep -q '"case": "social-20000-long".*"facts": 170050, "metrics": {"intern.values": 20300,' _ci_e36.json
+	grep -q '"case": "social-20000-short".*"minor_words_per_fact": 8.50}' _ci_e36.json
+	grep -q '"case": "social-20000-long".*"minor_words_per_fact": 8.62}' _ci_e36.json
 	rm -f _ci_e36.json
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats

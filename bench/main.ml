@@ -79,15 +79,15 @@ let ms t = Printf.sprintf "%8.2f" (1000.0 *. t)
    constant-factor change. *)
 let json_rows : string list ref = ref []
 
-let record ?(metrics = []) ?annot ~experiment ~case ~n ~engine ~wall_ms
-    ~stages ~facts () =
+let record ?(metrics = []) ?(ratios = []) ?annot ~experiment ~case ~n
+    ~engine ~wall_ms ~stages ~facts () =
   let metrics_json =
-    match metrics with
+    match
+      List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) metrics
+      @ List.map (fun (k, v) -> Printf.sprintf "%S: %.2f" k v) ratios
+    with
     | [] -> ""
-    | kvs ->
-        Printf.sprintf ", \"metrics\": {%s}"
-          (String.concat ", "
-             (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) kvs))
+    | kvs -> Printf.sprintf ", \"metrics\": {%s}" (String.concat ", " kvs)
   in
   (* semiring rows carry the annotation domain; datalog-bench-diff keys
      on it so e22's bool/minplus rows stay distinct *)
@@ -1605,8 +1605,10 @@ let e25 () =
    every value a name of at least 12 bytes. Each rep loads one case,
    the cases alternating, after a [Gc.full_major]; the rows report the
    median wall time, ns per fact, the input bytes, the values the first
-   load interned ([intern.values]) and the share of tokens of at most 7
-   bytes. *)
+   load interned ([intern.values]), the minor-heap words it allocated
+   per fact loaded ([minor_words_per_fact]: deterministic, so a change
+   of what a fact costs to keep shows exactly) and the share of tokens
+   of at most 7 bytes. *)
 let social_text ~seed ~people ~names:(person, city, topic) =
   let rng = Random.State.make [| 0x36; seed; people |] in
   let cities = max 1 (people / 200) and topics = max 2 (people / 100) in
@@ -1657,13 +1659,15 @@ let e36 () =
     |> List.map (fun (case, names) ->
            (case, social_text ~seed:1 ~people ~names))
   in
-  (* the first load of each case, untimed: facts, interned values, and
-     the share of tokens of at most 7 bytes *)
+  (* the first load of each case, untimed: facts, interned values, minor
+     words per fact, and the share of tokens of at most 7 bytes *)
   let shape =
     List.map
       (fun (_, text) ->
         let v0 = Value.Intern.size () in
+        let w0 = Gc.minor_words () in
         let inst = Instance.parse_facts text in
+        let words = Gc.minor_words () -. w0 in
         let short = ref 0 and tokens = ref 0 in
         Instance.iter_facts
           (fun _ t ->
@@ -1675,6 +1679,7 @@ let e36 () =
           inst;
         ( Instance.total_facts inst,
           Value.Intern.size () - v0,
+          words /. float_of_int (Instance.total_facts inst),
           100 * !short / max 1 !tokens ))
       cases
   in
@@ -1688,11 +1693,11 @@ let e36 () =
         ts := (Observe.Trace.now () -. t0) :: !ts)
       cases times
   done;
-  row "  %-20s %8s %9s | %9s %11s | %7s %7s\n" "case" "facts" "bytes"
-    "median ms" "ns per fact" "values" "short %";
+  row "  %-20s %8s %9s | %9s %11s | %7s %10s %7s\n" "case" "facts" "bytes"
+    "median ms" "ns per fact" "values" "words/fact" "short %";
   List.iteri
     (fun k (case, text) ->
-      let facts, values, short = List.nth shape k in
+      let facts, values, words, short = List.nth shape k in
       let ts = List.sort Float.compare !(List.nth times k) in
       let med = List.nth ts (nreps / 2) in
       let ns_per_fact = int_of_float (med *. 1e9 /. float_of_int facts) in
@@ -1706,9 +1711,10 @@ let e36 () =
             ("ns_per_fact", ns_per_fact);
             ("short_tokens_pct", short);
           ]
+        ~ratios:[ ("minor_words_per_fact", words) ]
         ();
-      row "  %-20s %8d %9d | %s %11d | %7d %7d\n" case facts bytes (ms med)
-        ns_per_fact values short)
+      row "  %-20s %8d %9d | %s %11d | %7d %10.2f %7d\n" case facts bytes
+        (ms med) ns_per_fact values words short)
     cases
 
 (* ------------------------------------------------------------- driver *)

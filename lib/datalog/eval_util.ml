@@ -62,7 +62,7 @@ let count_firings db label n =
 let fire_rule ?delta ?neg_db ?label db dom (_rule, plan) k =
   let n =
     Matcher.iter_firings ?delta ~dom ?neg_db plan db (fun ~pos pred ids ->
-        k (pos, pred, Tuple.of_ids (Array.copy ids)))
+        k (pos, pred, Tuple.of_ids ids))
   in
   match label with Some l -> count_firings db l n | None -> ()
 
@@ -139,7 +139,7 @@ let add_unseen lst seen t = if Tuple.Set.add seen t then lst := t :: !lst
 (* The same for the fact [ids], a matcher scratch buffer: copied into a
    tuple first. *)
 let add_unseen_ids lst seen ids =
-  add_unseen lst seen (Tuple.of_ids (Array.copy ids))
+  add_unseen lst seen (Tuple.of_ids ids)
 
 (* drain per-predicate fact lists into an assoc list (pred-name order,
    so round processing stays deterministic) and reset the table for the
@@ -325,7 +325,7 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
                 | Some (_, ex) ->
                     ignore
                       (Parallel.Exchange.post ex ~src:w ~dst:o p
-                         (Tuple.of_ids (Array.copy ids)))
+                         (Tuple.of_ids ids))
                 | None -> ())))
     in
     if tracing then (
@@ -434,9 +434,10 @@ let seminaive_fixpoint_db ?(trace = Observe.Trace.null) ?neg_db prepared
         ~finally:(fun () -> Parallel.Pool.release pool)
         (fun () -> seminaive ~trace ?neg_db ~pool ~with_dps ~dom db)
   | None ->
-      (* jobs > 1 but the pool is held by an enclosing fixpoint: count
-         the degradation instead of hiding it *)
-      if Parallel.Pool.jobs () > 1 then
+      (* jobs > 1 but the pool is held: inside a task (a wave group)
+         this fixpoint is that worker's share of the job; outside one it
+         is a degradation, counted instead of hidden *)
+      if Parallel.Pool.jobs () > 1 && not (Parallel.Pool.in_task ()) then
         Observe.Trace.incr trace "par.pool.fallbacks";
       seminaive ~trace ?neg_db ~with_dps ~dom db
 
@@ -649,7 +650,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                          && not
                               (Matcher.Db.memset_mem (Matcher.Db.memset db p)
                                  ids)
-                       then add_r0 p (Tuple.of_ids (Array.copy ids)))))
+                       then add_r0 p (Tuple.of_ids ids))))
           dprep.dr_guards);
     (* phase 4: propagate the survivors *)
     let seed = take_fresh r0 in

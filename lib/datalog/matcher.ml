@@ -128,7 +128,7 @@ module Db = struct
 
   let memset = store
   let memset_mem m ids = Tuple.Set.mem m.set ids
-  let mem db p tup = memset_mem (store db p) (Tuple.ids tup)
+  let mem db p tup = Tuple.Set.mem_tuple (store db p).set tup
   let arity db p =
     let st = store db p in
     if Tuple.Set.length st.set = 0 then None else Some st.ar
@@ -221,7 +221,7 @@ module Db = struct
 
   let insert db p t =
     let st = store db p in
-    if memset_mem st (Tuple.ids t) then (
+    if Tuple.Set.mem_tuple st.set t then (
       Observe.Trace.incr db.trace "db.insert_dups";
       false)
     else (
@@ -231,7 +231,7 @@ module Db = struct
 
   let remove db p t =
     let st = store db p in
-    if not (memset_mem st (Tuple.ids t)) then false
+    if not (Tuple.Set.mem_tuple st.set t) then false
     else (
       writable st;
       ignore (Tuple.Set.remove st.set t);
@@ -247,7 +247,7 @@ module Db = struct
         let added = ref 0 in
         Relation.unordered_iter
           (fun t ->
-            if not (memset_mem st (Tuple.ids t)) then (
+            if not (Tuple.Set.mem_tuple st.set t) then (
               add_new st t;
               incr added))
           rel;
@@ -802,21 +802,22 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
               if hit && filters_ok (i + 1) then go (i + 1)
           | CAtom { arity; unify; binds; _ }, src ->
               let n = Array.length unify in
-              let rec unify_from tids j =
+              (* reads [tup]'s ids in place: its arity is checked *)
+              let rec unify_from tup j =
                 j >= n
                 ||
                 match Array.unsafe_get unify j with
-                | UKey -> unify_from tids (j + 1)
+                | UKey -> unify_from tup (j + 1)
                 | UBind s ->
-                    Array.unsafe_set env s (Array.unsafe_get tids j);
-                    unify_from tids (j + 1)
+                    Array.unsafe_set env s (Tuple.unsafe_id tup j);
+                    unify_from tup (j + 1)
                 | UCheckSlot s ->
-                    Array.unsafe_get env s = Array.unsafe_get tids j
-                    && unify_from tids (j + 1)
+                    Array.unsafe_get env s = Tuple.unsafe_id tup j
+                    && unify_from tup (j + 1)
               in
               let visit tup =
                 if Tuple.arity tup = arity then (
-                  if unify_from (Tuple.ids tup) 0 && filters_ok (i + 1) then
+                  if unify_from tup 0 && filters_ok (i + 1) then
                     go (i + 1);
                   Array.iter (fun s -> env.(s) <- -1) binds)
               in
@@ -904,7 +905,7 @@ let run ?delta ?dom ?neg_db prepared db =
     (fun vals ->
       List.init nkeep (fun k ->
           (fst prepared.keep.(k), Value.Intern.of_id vals.(k))))
-    (Tuple.rank_sort Fun.id !results)
+    (Tuple.rank_sort nkeep Array.unsafe_get !results)
 
 let iter_firings ?delta ?delta_index ?dom ?neg_db prepared db f =
   (* one scratch id array per head template, reused across matches — the

@@ -91,7 +91,9 @@ let waves comp_of edges stratum =
    their (disjoint) derived predicates in group order. With more than
    one group and the global pool free, groups run on separate domains:
    each worker builds a private Db over the shared persistent input —
-   nested fixpoints find the pool busy and stay sequential. *)
+   nested fixpoints find the pool busy and run on their worker. Each
+   group traces into a fork of [trace], joined back in group order, so
+   its spans nest under the stratum like a sequential run's. *)
 let eval_wave ~trace ~dom current groups =
   match groups with
   | [ rules ] ->
@@ -99,14 +101,9 @@ let eval_wave ~trace ~dom current groups =
       Eval_util.seminaive_fixpoint ~trace prepared
         ~delta_preds:(Ast.idb rules) ~dom current
   | _ ->
-      let tracing = Observe.Trace.enabled trace in
       let arr = Array.of_list groups in
       let n = Array.length arr in
-      let ctxs =
-        Array.init n (fun _ ->
-            if tracing then Observe.Trace.make ~sinks:[] ()
-            else Observe.Trace.null)
-      in
+      let ctxs = Array.init n (fun _ -> Observe.Trace.fork trace) in
       let outs = Array.make n None in
       let work i =
         let rules = arr.(i) in
@@ -129,7 +126,7 @@ let eval_wave ~trace ~dom current groups =
                     i := !i + nw
                   done))
       | None ->
-          if Parallel.Pool.jobs () > 1 then
+          if Parallel.Pool.jobs () > 1 && not (Parallel.Pool.in_task ()) then
             Observe.Trace.incr trace "par.pool.fallbacks";
           for i = 0 to n - 1 do
             work i
@@ -142,8 +139,7 @@ let eval_wave ~trace ~dom current groups =
                  st + s ))
              (current, 0)
       in
-      if tracing then
-        Array.iter (fun c -> Observe.Trace.merge_counters trace c) ctxs;
+      Array.iter (Observe.Trace.join trace) ctxs;
       (next, stages)
 
 let eval ?(trace = Observe.Trace.null) p inst =

@@ -112,6 +112,25 @@ type sink = {
   on_finish : (string * int) list -> (string * dist) list -> unit;
 }
 
+type recorded =
+  | Opened of span * fields
+  | Closed of span * float * fields
+  | Evented of int * string * fields
+  | Finished of (string * int) list * (string * dist) list
+
+(* the stock sink of tests, and the journal of a [fork] *)
+let memory_sink () =
+  let log = ref [] in
+  let sink =
+    {
+      on_open = (fun sp f -> log := Opened (sp, f) :: !log);
+      on_close = (fun sp dur f -> log := Closed (sp, dur, f) :: !log);
+      on_event = (fun sid name f -> log := Evented (sid, name, f) :: !log);
+      on_finish = (fun cs hs -> log := Finished (cs, hs) :: !log);
+    }
+  in
+  (sink, fun () -> List.rev !log)
+
 type agg = { mutable spans : int; mutable total : float }
 
 type ctx = {
@@ -128,6 +147,8 @@ type ctx = {
   span_aggs : (string, agg) Hashtbl.t;
   mutable retained : (span * float * fields) list;
   mutable retained_n : int;
+  journal : (unit -> recorded list) option;
+      (* a [fork]'s span stream, for [join] *)
 }
 
 (* Monotonic *wall* clock (clock_gettime(CLOCK_MONOTONIC) via bechamel's
@@ -157,6 +178,7 @@ let make ?(sinks = []) ?(retain = default_retain) ?(retain_cap = 1024) () =
     span_aggs = Hashtbl.create 16;
     retained = [];
     retained_n = 0;
+    journal = None;
   }
 
 let null =
@@ -173,6 +195,7 @@ let null =
     span_aggs = Hashtbl.create 1;
     retained = [];
     retained_n = 0;
+    journal = None;
   }
 
 let enabled ctx = ctx.enabled
@@ -256,6 +279,17 @@ let open_span ctx ?(fields = []) ~kind name =
     ctx.stack <- sp :: ctx.stack;
     List.iter (fun s -> s.on_open sp fields) ctx.sinks)
 
+(* a closed span's share of the span totals and the retained spans *)
+let account ctx sp dur fields =
+  (match Hashtbl.find_opt ctx.span_aggs sp.kind with
+  | Some a ->
+      a.spans <- a.spans + 1;
+      a.total <- a.total +. dur
+  | None -> Hashtbl.add ctx.span_aggs sp.kind { spans = 1; total = dur });
+  if List.mem sp.kind ctx.retain_kinds && ctx.retained_n < ctx.retain_cap then (
+    ctx.retained <- (sp, dur, fields) :: ctx.retained;
+    ctx.retained_n <- ctx.retained_n + 1)
+
 let close_span ctx ?(fields = []) () =
   if ctx.enabled then
     match ctx.stack with
@@ -263,16 +297,8 @@ let close_span ctx ?(fields = []) () =
     | sp :: rest ->
         ctx.stack <- rest;
         let dur = now () -. sp.t0 in
-        (match Hashtbl.find_opt ctx.span_aggs sp.kind with
-        | Some a ->
-            a.spans <- a.spans + 1;
-            a.total <- a.total +. dur
-        | None -> Hashtbl.add ctx.span_aggs sp.kind { spans = 1; total = dur });
+        account ctx sp dur fields;
         observe_s ctx ("span." ^ sp.kind) dur;
-        if List.mem sp.kind ctx.retain_kinds && ctx.retained_n < ctx.retain_cap
-        then (
-          ctx.retained <- (sp, dur, fields) :: ctx.retained;
-          ctx.retained_n <- ctx.retained_n + 1);
         List.iter (fun s -> s.on_close sp dur fields) ctx.sinks
 
 let with_span ctx ?fields ~kind name f =
@@ -285,6 +311,47 @@ let event ctx ?(fields = []) name =
   if ctx.enabled then (
     let sid = match ctx.stack with s :: _ -> s.sid | [] -> 0 in
     List.iter (fun s -> s.on_event sid name fields) ctx.sinks)
+
+(* A fork journals its span stream instead of sending it anywhere; a
+   [join] replays it into the parent. *)
+let fork ctx =
+  if not ctx.enabled then null
+  else
+    let sink, journal = memory_sink () in
+    {
+      (make ~sinks:[ sink ] ~retain:ctx.retain_kinds
+         ~retain_cap:ctx.retain_cap ())
+      with
+      journal = Some journal;
+    }
+
+(* The fork's spans get fresh ids in [dst]; its roots and its events
+   outside any span hang under [dst]'s innermost open span. Their
+   histogram samples travel with the counters. *)
+let join dst src =
+  match src.journal with
+  | Some journal when dst.enabled ->
+      let top = match dst.stack with s :: _ -> s.sid | [] -> 0 in
+      let ids = Hashtbl.create 16 in
+      let id sid = if sid = 0 then top else Hashtbl.find ids sid in
+      let move sp = { sp with sid = id sp.sid; parent = id sp.parent } in
+      List.iter
+        (function
+          | Opened (sp, f) ->
+              Hashtbl.add ids sp.sid dst.next_sid;
+              dst.next_sid <- dst.next_sid + 1;
+              let sp = move sp in
+              List.iter (fun s -> s.on_open sp f) dst.sinks
+          | Closed (sp, dur, f) ->
+              let sp = move sp in
+              account dst sp dur f;
+              List.iter (fun s -> s.on_close sp dur f) dst.sinks
+          | Evented (sid, name, f) ->
+              List.iter (fun s -> s.on_event (id sid) name f) dst.sinks
+          | Finished _ -> ())
+        (journal ());
+      merge_counters dst src
+  | _ -> ()
 
 let finish ctx =
   if ctx.enabled then (
@@ -302,23 +369,3 @@ let span_aggregates ctx =
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let retained_spans ctx = List.rev ctx.retained
-
-(* --- stock sinks ----------------------------------------------------- *)
-
-type recorded =
-  | Opened of span * fields
-  | Closed of span * float * fields
-  | Evented of int * string * fields
-  | Finished of (string * int) list * (string * dist) list
-
-let memory_sink () =
-  let log = ref [] in
-  let sink =
-    {
-      on_open = (fun sp f -> log := Opened (sp, f) :: !log);
-      on_close = (fun sp dur f -> log := Closed (sp, dur, f) :: !log);
-      on_event = (fun sid name f -> log := Evented (sid, name, f) :: !log);
-      on_finish = (fun cs hs -> log := Finished (cs, hs) :: !log);
-    }
-  in
-  (sink, fun () -> List.rev !log)

@@ -160,6 +160,22 @@ val with_span : ctx -> ?fields:fields -> kind:string -> string -> (unit -> 'a) -
     span. *)
 val event : ctx -> ?fields:fields -> string -> unit
 
+(** [fork ctx] is a context for one task of a parallel job run under
+    [ctx]: enabled when [ctx] is, with [ctx]'s retained kinds, and no
+    sinks — it keeps its spans and events, in order, for {!join}. The
+    fork of {!null} is {!null}. *)
+val fork : ctx -> ctx
+
+(** [join dst src] folds the fork [src] back into [dst] once its task
+    has finished: its counters and histograms as {!merge_counters} does,
+    and its spans and events, in their order, with their own open times,
+    durations and fields — renumbered, its outermost spans as children
+    of [dst]'s innermost open span — into [dst]'s sinks, span totals and
+    retained spans. Forks joined one after another appear one after
+    another, even when their tasks overlapped in time. No-op unless
+    [src] is a fork and [dst] is enabled. *)
+val join : ctx -> ctx -> unit
+
 (** [finish ctx] closes any spans left open (marked [aborted]) and
     delivers the final counter dump to every sink. Call once, after the
     traced computation. *)

@@ -24,6 +24,17 @@ type t = {
 
 let size p = p.size
 
+(* whether this domain is running a worker of some [run] *)
+let task = Domain.DLS.new_key (fun () -> false)
+
+(* [f w] as a task: [in_task ()] holds while it runs *)
+let as_task f w =
+  let outer = Domain.DLS.get task in
+  Domain.DLS.set task true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set task outer) (fun () -> f w)
+
+let in_task () = Domain.DLS.get task
+
 let worker_loop pool w =
   let gen = ref 0 in
   let running = ref true in
@@ -39,7 +50,7 @@ let worker_loop pool w =
       gen := pool.generation;
       let job = Option.get pool.job in
       Mutex.unlock pool.mutex;
-      let err = (try job w; None with e -> Some e) in
+      let err = (try as_task job w; None with e -> Some e) in
       Mutex.lock pool.mutex;
       (match err with
       | Some e -> pool.errors <- (w, e) :: pool.errors
@@ -81,7 +92,7 @@ let run pool f =
   pool.generation <- pool.generation + 1;
   Condition.broadcast pool.work_ready;
   Mutex.unlock pool.mutex;
-  let caller_err = (try f 0; None with e -> Some e) in
+  let caller_err = (try as_task f 0; None with e -> Some e) in
   Mutex.lock pool.mutex;
   while pool.pending > 0 do
     Condition.wait pool.work_done pool.mutex
@@ -144,8 +155,8 @@ let shutdown pool =
 
 (* Process-global pool: sized once by the CLI, checked out per fixpoint.
    [in_use] is an atomic flag rather than a lock so the one nested
-   fixpoint (a stratified wave group's semi-naive run) observes "busy"
-   and degrades to sequential instead of blocking. *)
+   fixpoint (a stratified wave group's semi-naive run, inside a task)
+   observes "busy" and runs on its own worker instead of blocking. *)
 
 let global : t option ref = ref None
 let njobs = ref 1

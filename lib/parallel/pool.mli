@@ -12,9 +12,12 @@
     {!release}. Two callers borrow it: the semi-naive loop
     ([Eval_util.seminaive_fixpoint]) for one fixpoint, and the
     stratified engine for one wave of independent SCC groups. The only
-    nested acquire is a wave group's own semi-naive fixpoint: it finds
-    the pool busy and runs on one worker (counting
-    [par.pool.fallbacks]) instead of deadlocking on a second barrier.
+    nested acquire is a wave group's own semi-naive fixpoint: it runs
+    inside a task ({!in_task}), finds the pool busy and runs on its own
+    worker instead of deadlocking on a second barrier. That is the
+    wave's parallelism, not a degradation: a fixpoint counts
+    [par.pool.fallbacks] only when it finds the pool busy outside any
+    task.
     Sequential callers of the semi-naive loop, such as the well-founded
     alternation, acquire and release the pool once per fixpoint. *)
 
@@ -41,6 +44,10 @@ val run : t -> (int -> unit) -> unit
     barriers, so siblings don't deadlock; the first exception (in worker
     order) is re-raised on the caller, as with {!run}. *)
 val run_phases : t -> (int -> unit) array -> unit
+
+(** [in_task ()] holds while the calling domain runs one of the workers
+    of a {!run} (the caller's worker 0 included). *)
+val in_task : unit -> bool
 
 (** {1 Process-global pool}
 

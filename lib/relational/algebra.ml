@@ -368,7 +368,7 @@ let complement_probe k dom pred =
     let out = ref [] in
     let rec fill pos =
       if pos = k then (
-        if not (pred buf) then out := Tuple.of_ids (Array.copy buf) :: !out)
+        if not (pred buf) then out := Tuple.of_ids buf :: !out)
       else
         for i = 0 to n - 1 do
           buf.(pos) <- ids.(i);

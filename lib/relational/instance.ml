@@ -333,7 +333,7 @@ let fact ld src s e ~lp ~ncuts lineno ~rest =
     if p.arity <> n then
       fail lineno
         (Printf.sprintf "%s has arity %d, got %d argument(s)" p.name p.arity n);
-    let t = Tuple.of_ids (Array.sub ld.argv 0 n) in
+    let t = Tuple.of_prefix ld.argv n in
     if Tuple.Set.add p.seen t then p.rows <- t :: p.rows
   end
 

@@ -32,7 +32,9 @@ type slot = Marked | Built of index
    The set's slots follow the hash, so walking them visits tuples in
    an order unrelated to where they sit in the heap; the rows follow
    build order, which for loaded facts is allocation order, so
-   neighbouring tuples are read together. Building social-ingest's
+   neighbouring tuples are read together. A row is one block, its ids
+   and hash side by side ({!Tuple}): a stored 2-ary fact is a 4-word
+   tuple, a 3-word list cell and a set slot. Building social-ingest's
    three join indexes walking the set in slot order took 46-58 ms (the
    [index] span total of [--stats]); walking the rows took 15-16 ms
    (five alternating runs each, pinned to one core). *)
@@ -91,14 +93,14 @@ let to_list r =
   match r.sorted with
   | Some l -> l
   | None ->
-      let l = Tuple.rank_sort Tuple.ids r.rows in
+      let l = Tuple.rank_sort r.ar Tuple.unsafe_id r.rows in
       r.sorted <- Some l;
       l
 
 let cardinal r = Tuple.Set.length r.set
 let is_empty r = cardinal r = 0
 let arity r = if is_empty r then None else Some r.ar
-let mem t r = Tuple.Set.mem r.set (Tuple.ids t)
+let mem t r = Tuple.Set.mem_tuple r.set t
 let mem_ids ids r = Tuple.Set.mem r.set ids
 
 let check_arity r t =
@@ -188,7 +190,14 @@ let choose_opt r =
           | _ -> Some t)
         r None
 
-let iter_ids f r = List.iter (fun t -> Array.iter f (Tuple.ids t)) r.rows
+let iter_ids f r =
+  List.iter
+    (fun t ->
+      for i = 0 to r.ar - 1 do
+        f (Tuple.unsafe_id t i)
+      done)
+    r.rows
+
 let values r = Value.Intern.decode_distinct (fun f -> iter_ids f r)
 
 (* --- join indexes --------------------------------------------------- *)

@@ -1,11 +1,13 @@
 (** Constant tuples.
 
-    A tuple is an immutable flat array of interned value ids (see
-    {!Value.Intern}) carrying its precomputed hash. Positions play the
-    role of attributes (the paper's named perspective is recovered by
-    {!Schema} which maps attribute names to positions). Equality and
-    hashing never walk the constants' structure; components are decoded
-    back to {!Value.t} only on demand. *)
+    A tuple is one immutable flat array: the interned value ids of its
+    components (see {!Value.Intern}) plus their precomputed hash, in the
+    last slot — [[| id0; ...; id(k-1); hash |]], one heap block of
+    [k + 2] words with its header. Positions play the role of attributes
+    (the paper's named perspective is recovered by {!Schema} which maps
+    attribute names to positions). Equality and hashing never walk the
+    constants' structure; components are decoded back to {!Value.t} only
+    on demand. *)
 
 type t
 
@@ -27,25 +29,33 @@ val get : t -> int -> Value.t
 
 (** {1 Interned view} — the relational core's fast path. *)
 
-(** [of_ids ids] builds a tuple directly from interned ids. The array is
-    owned by the tuple afterwards; every entry must have been returned by
-    {!Value.Intern.id}. *)
+(** [of_ids ids] builds a tuple directly from interned ids, in one
+    allocation. It copies [ids]: the caller keeps its array and may
+    reuse it (the engines pass their scratch buffers). Every entry must
+    have been returned by {!Value.Intern.id}. *)
 val of_ids : int array -> t
 
-(** [ids t] is the underlying id array (not a copy; do not mutate). *)
+(** [of_prefix ids n] is [of_ids (Array.sub ids 0 n)], in one
+    allocation.
+    @raise Invalid_argument if [n] is not in [0 .. Array.length ids]. *)
+val of_prefix : int array -> int -> t
+
+(** [ids t] is a fresh copy of the components' ids: one allocation per
+    call, so the engines' hot paths read positions in place ({!id},
+    {!unsafe_id}, {!Set.mem_tuple}) instead. *)
 val ids : t -> int array
 
 (** [id t i] is the interned id of the [i]-th component.
     @raise Invalid_argument if [i] is out of bounds. *)
 val id : t -> int -> int
 
+(** [unsafe_id t i] is {!id} without the bounds check, for join loops
+    that have checked the arity; [i] must be in [0 .. arity t - 1]. *)
+val unsafe_id : t -> int -> int
+
 (** [hash_ids ids] is the hash a tuple built from [ids] would carry —
     for probing hashed containers without constructing the tuple. *)
 val hash_ids : int array -> int
-
-(** [equal_ids t ids] tests component-wise id equality against a raw id
-    array. *)
-val equal_ids : t -> int array -> bool
 
 (** {1 Sets of tuples} *)
 
@@ -56,8 +66,11 @@ val equal_ids : t -> int array -> bool
 
     - The array is at most half full: {!add} doubles it before it would
       pass one half, so a probe run stays short and always ends.
-    - A lookup takes an id vector ({!ids}) and builds no tuple. It
-      compares each stored tuple's cached hash before its ids.
+    - A lookup takes an id vector ({!mem}, {!find_opt}: a matcher's
+      scratch array, no tuple built) or a tuple ({!mem_tuple}, {!add},
+      {!remove}: by the hash it carries, never recomputed). It compares
+      each stored tuple's hash before its ids, both read from the stored
+      tuple's one block, and allocates nothing.
     - {!remove} shifts the rest of the probe run back into the freed
       slot, so there are no tombstones: a set that shrinks probes as
       fast as one that never held the removed tuples.
@@ -80,6 +93,9 @@ module Set : sig
 
   (** [find_opt s ids] is the tuple of [s] with id vector [ids]. *)
   val find_opt : t -> int array -> tuple option
+
+  (** [mem_tuple s x] tests whether [s] holds a tuple with [x]'s ids. *)
+  val mem_tuple : t -> tuple -> bool
 
   (** [add s x] inserts [x] unless [s] holds a tuple with its ids, in one
       probe. It is [true] when [x] was new. *)
@@ -124,7 +140,8 @@ val compare : t -> t -> int
 (** Component-wise id equality — O(arity) int compares, hash-gated. *)
 val equal : t -> t -> bool
 
-(** The precomputed hash (a field read). *)
+(** The precomputed hash, [hash_ids] of the ids (a read of the last
+    slot). *)
 val hash : t -> int
 
 (** [project t cols] keeps components at positions [cols], in that order
@@ -146,13 +163,15 @@ val rename : t -> int array -> t
 
 (** {1 Sorting} *)
 
-(** [rank_sort key xs] sorts [xs] by their id vectors [key x] in
+(** [rank_sort ar get xs] sorts [xs], whose elements each have [ar]
+    components read in place by [get x c] (an interned id), in
     lexicographic {!Value.compare} order — {!compare}'s order — equal
-    vectors keeping their input order. Each distinct id is decoded and
+    elements keeping their input order. Each distinct id is decoded and
     ranked once per call; the sort then compares integers. The cost
     follows the length of [xs], not the size of the intern table.
-    @raise Invalid_argument if the vectors differ in length. *)
-val rank_sort : ('a -> int array) -> 'a list -> 'a list
+    [rank_sort (arity t) unsafe_id] sorts tuples of one arity,
+    [rank_sort n Array.get] id vectors of length [n]. *)
+val rank_sort : int -> ('a -> int -> int) -> 'a list -> 'a list
 
 (** {1 Rendering} — through {!Value.render}. *)
 

@@ -583,6 +583,37 @@ let test_bucket_writes_allocate_nothing () =
     true
     (words /. 2. <= 4.)
 
+(* A tuple is one block: [Tuple.of_ids] on a k-vector allocates k + 2
+   words (the header, k ids, the hash) whatever k, and a set probe by
+   tuple, hit or miss, allocates nothing. *)
+let test_tuple_one_block () =
+  List.iter
+    (fun k ->
+      let v = Array.init k (fun i -> Value.Intern.id (Value.Int i)) in
+      let words =
+        words_per 10_000 (fun () ->
+            ignore (Sys.opaque_identity (Tuple.of_ids v)))
+      in
+      Alcotest.(check (float 0.01))
+        (Printf.sprintf "Tuple.of_ids words at arity %d" k)
+        (float_of_int (k + 2))
+        words)
+    [ 0; 1; 2; 3; 4; 7 ];
+  let s = Tuple.Set.create 16 in
+  let tuples = List.init 1000 (fun k -> t [ Value.Int k; Value.Int (k * 7) ]) in
+  List.iter (fun x -> ignore (Tuple.Set.add s x)) tuples;
+  let hit = t [ Value.Int 500; Value.Int 3500 ]
+  and miss = t [ Value.Int 1; Value.Int 2 ] in
+  let words =
+    words_per 100_000 (fun () ->
+        ignore (Sys.opaque_identity (Tuple.Set.mem_tuple s hit));
+        ignore (Sys.opaque_identity (Tuple.Set.mem_tuple s miss)))
+  in
+  Alcotest.(check bool) "probe by tuple finds a copy" true
+    (Tuple.Set.mem_tuple s hit && not (Tuple.Set.mem_tuple s miss));
+  Alcotest.(check (float 0.01)) "Tuple.Set.mem_tuple words per probe" 0.
+    (words /. 2.)
+
 let suite =
   [
     Alcotest.test_case "Db lookup and indexes" `Quick test_db_lookup;
@@ -614,4 +645,6 @@ let suite =
       test_probes_allocate_nothing;
     Alcotest.test_case "index bucket writes allocate nothing" `Quick
       test_bucket_writes_allocate_nothing;
+    Alcotest.test_case "a tuple is one block; probes by tuple allocate nothing"
+      `Quick test_tuple_one_block;
   ]

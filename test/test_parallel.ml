@@ -362,9 +362,11 @@ let test_round_counters_across_jobs () =
 (* Random positive programs (multi-delta bodies included) and random
    stratified programs, over inputs that already store 0–3 facts of
    derived predicates: at -j 2 and -j 4 the printed instance equals the
-   -j 1 run's, and so does the round shape, unless the stratified SCC-wave
-   planner split a stratum into separate fixpoints ([par.waves] > 0), which
-   changes the rounds by design. *)
+   -j 1 run's, and so does the round shape. Where the stratified SCC-wave
+   planner split a stratum into separate fixpoints ([par.waves] > 0),
+   which changes the rounds by design, the groups still derive the -j 1
+   run's new facts ([fixpoint.delta_total]) and every round of theirs is
+   a round span in the report. *)
 let prop_jobs_agree name pool eval =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:100 ~name
@@ -384,7 +386,14 @@ let prop_jobs_agree name pool eval =
          List.for_all
            (fun j ->
              let out, shape, waves = with_jobs j run in
-             out = out1 && (waves > 0 || shape = shape1))
+             let get c sh = List.assoc c sh in
+             out = out1
+             &&
+             if waves = 0 then shape = shape1
+             else
+               get "fixpoint.delta_total" shape
+               = get "fixpoint.delta_total" shape1
+               && get "round spans" shape = get "fixpoint.rounds" shape)
            [ 2; 4 ]))
 
 let prop_positive_jobs_agree =

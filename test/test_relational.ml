@@ -436,6 +436,91 @@ let prop_tuple_set_model =
          List.for_all (fun o -> step o && agrees s model) ops
          && List.for_all (fun (c, m) -> agrees c m) !copies))
 
+(* A tuple is one flat block holding its ids and their hash. Sets of
+   tuples of arities 0-4 over three values (so hashes share home slots
+   and probe runs are long), against a list model: adds, removes (whose
+   backward shift must keep every later tuple of the run reachable),
+   probes by id vector and by tuple, and probes for tuples never added
+   — fresh tuples equal to pool members among them, found by value,
+   and the arity-0 tuple. *)
+let flat_value_lists =
+  QCheck.Gen.(
+    list_size (int_range 0 4)
+      (oneofl [ Value.Int 0; Value.Int 1; Value.Sym "a" ]))
+
+let prop_tuple_set_flat_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"Tuple.Set = list model, arities 0-4, flat tuples"
+       QCheck.(
+         pair (int_range 0 8)
+           (list_of_size Gen.(int_range 0 200)
+              (pair (int_range 0 4) (make flat_value_lists))))
+       (fun (cap, ops) ->
+         let s = Tuple.Set.create cap in
+         let model = ref [] in
+         let held vs = List.exists (fun t -> Tuple.to_list t = vs) !model in
+         let agrees vs =
+           let probe = Tuple.of_list vs in
+           let ids = Tuple.ids probe in
+           let b = held vs in
+           Tuple.Set.mem s ids = b
+           && Tuple.Set.mem_tuple s probe = b
+           && (match Tuple.Set.find_opt s ids with
+              | Some t -> b && Tuple.to_list t = vs
+              | None -> not b)
+           && Tuple.Set.length s = List.length !model
+         in
+         let step (op, vs) =
+           let t = Tuple.of_list vs in
+           let ok =
+             match op with
+             | 0 | 1 ->
+                 let fresh = not (held vs) in
+                 if fresh then model := t :: !model;
+                 Tuple.Set.add s t = fresh
+             | 2 | 3 ->
+                 let present = held vs in
+                 model := List.filter (fun u -> Tuple.to_list u <> vs) !model;
+                 Tuple.Set.remove s t = present
+             | _ -> true
+           in
+           ok && agrees vs
+           && List.for_all (fun u -> agrees (Tuple.to_list u)) !model
+         in
+         let all_in () =
+           let seen = ref [] in
+           Tuple.Set.iter (fun t -> seen := Tuple.to_list t :: !seen) s;
+           List.sort compare !seen
+           = List.sort compare (List.map Tuple.to_list !model)
+         in
+         List.for_all step ops && agrees [] && all_in ()))
+
+(* The hash in the block is [hash_ids] of the ids; order and equality
+   read the ids and agree with the decoded values; [ids] is a copy. *)
+let prop_tuple_flat_layout =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"Tuple: stored hash = hash_ids, compare/equal = decoded values"
+       QCheck.(pair (make flat_value_lists) (make flat_value_lists))
+       (fun (va, vb) ->
+         let a = Tuple.of_list va and b = Tuple.of_list vb in
+         let decoded_compare =
+           match Int.compare (List.length va) (List.length vb) with
+           | 0 -> List.compare Value.compare va vb
+           | c -> c
+         in
+         let sign x = Int.compare x 0 in
+         let ids = Tuple.ids a in
+         Array.fill ids 0 (Array.length ids) (-1);
+         Tuple.hash a = Tuple.hash_ids (Tuple.ids a)
+         && Tuple.arity a = List.length va
+         && Tuple.to_list a = va
+         && sign (Tuple.compare a b) = sign decoded_compare
+         && Tuple.equal a b = List.equal Value.equal va vb
+         && Tuple.equal a (Tuple.of_prefix (Array.append (Tuple.ids a) [| 7 |])
+                             (Tuple.arity a))))
+
 (* Relation.Index against a list model: per key, the list that consing
    on add and [List.filter] on remove would give, newest first. The
    tuples are the 27 of arity 3 over three values, so keys collide on
@@ -552,4 +637,6 @@ let suite =
     Alcotest.test_case "reference TC oracle" `Quick test_reference_tc;
     prop_tuple_set_model;
     prop_index_list_model;
+    prop_tuple_set_flat_model;
+    prop_tuple_flat_layout;
   ]
