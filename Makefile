@@ -23,7 +23,13 @@ bench:
 # social-shaped texts, short and long value names, to their known fact
 # counts and interned-value counts, and their first loads must allocate
 # their known minor-heap words per fact: 8.50 and 8.62 with one block
-# per tuple, where two blocks per tuple read 10.50 and 10.62), an
+# per tuple, where two blocks per tuple read 10.50 and 10.62), a trace
+# tax step (tracecost replays a seeded 600-request serve schedule on a
+# traced and an untraced engine in turn; over all requests the traced
+# engine may allocate at most 100 more minor-heap words per request
+# than the untraced one: 75 with counters by key, where counting by
+# name read 680; allocation is deterministic, so the bound cannot
+# flake), an
 # interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters, and matcher.delta_first: some delta pass of the TC rule
@@ -126,6 +132,10 @@ ci:
 	grep -q '"case": "social-20000-short".*"minor_words_per_fact": 8.50}' _ci_e36.json
 	grep -q '"case": "social-20000-long".*"minor_words_per_fact": 8.62}' _ci_e36.json
 	rm -f _ci_e36.json
+	dune exec bench/main.exe -- tracecost --json _ci_tracecost.json > /dev/null
+	sed -nE 's/.*"engine": "all".*"minor_words_tax": ([0-9.-]+).*/\1/p' _ci_tracecost.json \
+	  | awk 'NF { n++; if ($$1 > 100) bad = 1 } END { exit (n != 1 || bad) }'
+	rm -f _ci_tracecost.json
 	printf 'T(X, Y) :- G(X, Y).\nT(X, Y) :- G(X, Z), T(Z, Y).\nG(a, b). G(b, c). G(c, d).\n' > _ci_tc.dl
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats
 	grep -q 'intern.values' _ci_tc.stats

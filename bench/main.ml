@@ -26,6 +26,8 @@
      e25 fact rendering: the sorted view and the full-instance render
      e36 fact loading: Instance.parse_facts on a social-shaped text,
          short and long value names
+     tracecost  the always-on trace's cost per serve request, traced vs
+         untraced engines alternating on one schedule
 
    `dune exec bench/main.exe` runs everything; pass experiment ids to
    select, or `bechamel` for the micro-benchmark kernels. *)
@@ -1352,6 +1354,138 @@ let e21 () =
   e21_first_write text g;
   e21_steady text g
 
+(* ----------------------------------------------------------- tracecost *)
+
+(* What the always-on trace of [serve] costs each request. Two engines
+   over e21's DAG, one traced (the context [serve] runs under) and one
+   not, answer the same seeded schedule through [Daemon.handle]: 55%
+   point queries, 5% the same by demand, 40% writes by serve-mixed's
+   rule (see [e21_steady]). Each request goes to both engines back to
+   back, the traced one first on even requests, so the two states stay
+   equal and drift hits both sides alike; a read is paired five times
+   over, each side keeping its fastest run. Per op class the rows give
+   the median of the paired time ratios as [time_tax_pct] and the
+   traced side's extra minor-heap words per request as
+   [minor_words_tax]: allocation does not drift, so [make ci] bounds
+   the latter. *)
+let tracecost () =
+  header "tracecost | the always-on trace's cost per serve request";
+  let n = dag_n and temp = 64 and nreq = 600 in
+  let text = Instance.to_string (Graph_gen.random_dag ~seed:21 n dag_m) in
+  let g = Instance.find "G" (Instance.parse_facts text) in
+  let rng = Random.State.make [| 0x7c05; n; dag_m |] in
+  let rec fresh added =
+    let i = Random.State.int rng n and j = Random.State.int rng n in
+    let e = dag_edge (min i j) (max i j) in
+    if i = j || Relation.mem e g || List.exists (Tuple.equal e) added then
+      fresh added
+    else e
+  in
+  let line r = Server.Protocol.encode_request r in
+  let fact e = Tuple.fact_to_string Value.Term "G" e in
+  let point via =
+    let b = Buffer.create 16 in
+    Value.render Value.Term b (Graph_gen.vertex (Random.State.int rng n));
+    let atom = "T(" ^ Buffer.contents b ^ ", Y)" in
+    line (Server.Protocol.Query { atom; via })
+  in
+  let added = ref [] and nadded = ref 0 in
+  let schedule =
+    List.init nreq (fun _ ->
+        match Random.State.int rng 100 with
+        | d when d < 55 -> ("query", point "materialized")
+        | d when d < 60 -> ("demand", point "demand")
+        | _ ->
+            if !nadded < temp || (!nadded = temp && Random.State.bool rng)
+            then (
+              let e = fresh !added in
+              added := e :: !added;
+              incr nadded;
+              ("assert", line (Server.Protocol.Assert (fact e))))
+            else
+              let k = Random.State.int rng !nadded in
+              let e = List.nth !added k in
+              added := List.filteri (fun i _ -> i <> k) !added;
+              decr nadded;
+              ("retract", line (Server.Protocol.Retract (fact e))))
+  in
+  let side trace =
+    let eng =
+      Server.Engine.create ~trace tc_program (Instance.parse_facts text)
+    in
+    fun l ->
+      Gc.minor ();
+      let w0 = Gc.minor_words () and t0 = Observe.Trace.now () in
+      ignore (Server.Daemon.handle ~trace eng l);
+      let dt = Observe.Trace.now () -. t0 in
+      (dt, Gc.minor_words () -. w0, eng)
+  in
+  let traced = side (Observe.Trace.make ~sinks:[] ())
+  and plain = side Observe.Trace.null in
+  Gc.full_major ();
+  (* one pair of runs, the traced one first on even requests; a read
+     leaves both engines as they were, so it is paired five times and
+     each side keeps its fastest run and its first run's words *)
+  let samples =
+    List.mapi
+      (fun i (cls, l) ->
+        let pair k =
+          if (i + k) mod 2 = 0 then
+            let t = traced l in
+            (t, plain l)
+          else
+            let p = plain l in
+            (traced l, p)
+        in
+        let ((tt, tw, _), (pt, pw, eng)) = pair 0 in
+        let reps = if cls = "query" || cls = "demand" then 5 else 1 in
+        let tt = ref tt and pt = ref pt in
+        for k = 1 to reps - 1 do
+          let (t, _, _), (p, _, _) = pair k in
+          tt := Float.min !tt t;
+          pt := Float.min !pt p
+        done;
+        (cls, !tt, tw, !pt, pw, eng))
+      schedule
+  in
+  let facts =
+    match List.rev samples with
+    | (_, _, _, _, _, eng) :: _ ->
+        Relation.cardinal (Instance.find "T" (Server.Engine.instance eng))
+    | [] -> 0
+  in
+  let case = Printf.sprintf "dag-%dx%d-%dreq" n dag_m nreq in
+  row "  %-22s %-8s %5s | %9s %9s | %8s | %s\n" "case" "op" "reqs" "p50 us"
+    "traced" "time tax" "minor words tax";
+  List.iter
+    (fun cls ->
+      let mine =
+        List.filter (fun (c, _, _, _, _, _) -> cls = "all" || c = cls) samples
+      in
+      let ops = List.length mine in
+      let median xs =
+        let a = Array.of_list (List.sort Float.compare xs) in
+        a.(Array.length a / 2)
+      in
+      let pick f = median (List.map f mine) in
+      let p50 = pick (fun (_, _, _, pt, _, _) -> pt)
+      and t50 = pick (fun (_, tt, _, _, _, _) -> tt)
+      and tax =
+        100. *. (pick (fun (_, tt, _, pt, _, _) -> tt /. pt) -. 1.)
+      and words =
+        List.fold_left (fun a (_, _, tw, _, pw, _) -> a +. tw -. pw) 0. mine
+        /. float_of_int ops
+      in
+      let us t = int_of_float (1e6 *. t) in
+      record ~experiment:"tracecost" ~case ~n ~engine:cls
+        ~wall_ms:(1000. *. t50) ~stages:0 ~facts
+        ~metrics:[ ("ops", ops); ("p50_us", us p50); ("traced_p50_us", us t50) ]
+        ~ratios:[ ("time_tax_pct", tax); ("minor_words_tax", words) ]
+        ();
+      row "  %-22s %-8s %5d | %9d %9d | %7.1f%% | %.2f\n" case cls ops (us p50)
+        (us t50) tax words)
+    [ "query"; "demand"; "assert"; "retract"; "all" ]
+
 (* ---------------------------------------------------------------- E22 *)
 
 (* weighted TC for the tropical rows: the trailing Int column of a base
@@ -1726,6 +1860,7 @@ let all =
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
     ("e16", e16); ("e17", e17); ("e19", e19);
     ("e21", e21); ("e22", e22); ("e25", e25); ("e36", e36);
+    ("tracecost", tracecost);
   ]
 
 let () =
@@ -1772,7 +1907,9 @@ let () =
           match List.assoc_opt id all with
           | Some f -> f ()
           | None ->
-              Printf.eprintf "unknown experiment %s (e1..e22, e25, e36, bechamel)\n"
+              Printf.eprintf
+                "unknown experiment %s (e1..e22, e25, e36, tracecost, \
+                 bechamel)\n"
                 id;
               exit 2)
         ids);

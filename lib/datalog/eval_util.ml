@@ -1,4 +1,17 @@
 open Relational
+module Trace = Observe.Trace
+
+let k_rounds = Trace.key "fixpoint.rounds"
+let k_delta_max = Trace.key "fixpoint.delta_max"
+let k_delta_total = Trace.key "fixpoint.delta_total"
+let k_derived = Trace.key "fixpoint.tuples_derived"
+let k_deduped = Trace.key "fixpoint.tuples_deduped"
+let k_tasks = Trace.key "par.tasks"
+let k_task = Trace.key "par.task"
+let k_dred_batches = Trace.key "dred.batches"
+let k_overdeleted = Trace.key "dred.overdeleted"
+let k_rederived = Trace.key "dred.rederived"
+let k_cone_rounds = Trace.key "dred.cone_rounds"
 
 (* Union of two lists sorted by [Value.compare] without duplicates. *)
 let merge_sorted a b =
@@ -31,12 +44,6 @@ let db_dom ?trace p plans db =
     program_dom ?trace p plans (Matcher.Db.instance db)
   else []
 
-type prepared = (Ast.rule * Matcher.prepared) list
-
-let prepare p = List.map (fun r -> (r, Matcher.prepare r)) p
-let rules p = p
-let plans p = List.map snd p
-
 (* Stable per-rule counter label: position in the prepared program plus
    the head predicate(s) — "r3:T". Firing counters are reported as
    "rule_firings.<label>". *)
@@ -50,30 +57,41 @@ let rule_label i (rule : Ast.rule) =
   in
   Printf.sprintf "r%d:%s" i heads
 
-let count_firings db label n =
-  let tr = Matcher.Db.trace db in
-  if Observe.Trace.enabled tr then
-    Observe.Trace.add tr ("rule_firings." ^ label) n
+(* a rule, its plan and the key of its firing counter *)
+type entry = { rule : Ast.rule; plan : Matcher.prepared; firings : Trace.key }
+type prepared = entry list
+
+let prepare p =
+  List.mapi
+    (fun i rule ->
+      {
+        rule;
+        plan = Matcher.prepare rule;
+        firings = Trace.key ("rule_firings." ^ rule_label i rule);
+      })
+    p
+
+let rules p = List.map (fun e -> (e.rule, e.plan)) p
+let plans p = List.map (fun e -> e.plan) p
 
 (* Rules reaching this path have passed the safety checks, so every head
    variable is body-bound and the interned firing fast path applies:
    matches ground the compiled head templates directly, with no
    substitution lists and no value decode/re-intern round trip. *)
-let fire_rule ?delta ?neg_db ?label db dom (_rule, plan) k =
+let fire_rule db dom e k =
   let n =
-    Matcher.iter_firings ?delta ~dom ?neg_db plan db (fun ~pos pred ids ->
-        k (pos, pred, Tuple.of_ids ids))
+    Matcher.iter_firings ~dom e.plan db (fun ~pos pred ids ->
+        k pos pred (Tuple.of_ids ids))
   in
-  match label with Some l -> count_firings db l n | None -> ()
+  Trace.add_key (Matcher.Db.trace db) e.firings n
 
 (* The consequences accumulate in a fresh Db: one set per predicate,
    published once. *)
-let consequences_db ?neg_db prepared db ~dom =
+let consequences_db prepared db ~dom =
   let out = Matcher.Db.of_instance Instance.empty in
-  List.iteri
-    (fun i ((rule, _) as rp) ->
-      fire_rule ?neg_db ~label:(rule_label i rule) db dom rp
-        (fun (pos, pred, tup) ->
+  List.iter
+    (fun e ->
+      fire_rule db dom e (fun pos pred tup ->
           if pos then ignore (Matcher.Db.insert out pred tup)
           else
             invalid_arg
@@ -81,28 +99,23 @@ let consequences_db ?neg_db prepared db ~dom =
     prepared;
   Matcher.Db.instance out
 
-let consequences prepared inst ~dom =
-  consequences_db prepared (Matcher.Db.of_instance inst) ~dom
-
-let consequences_signed_db prepared db ~dom =
+let consequences_signed prepared inst ~dom =
+  let db = Matcher.Db.of_instance inst in
   let pos = Matcher.Db.of_instance Instance.empty
   and neg = Matcher.Db.of_instance Instance.empty in
-  List.iteri
-    (fun i ((rule, _) as rp) ->
-      fire_rule ~label:(rule_label i rule) db dom rp (fun (p, pred, tup) ->
+  List.iter
+    (fun e ->
+      fire_rule db dom e (fun p pred tup ->
           ignore (Matcher.Db.insert (if p then pos else neg) pred tup)))
     prepared;
   (Matcher.Db.instance pos, Matcher.Db.instance neg)
-
-let consequences_signed prepared inst ~dom =
-  consequences_signed_db prepared (Matcher.Db.of_instance inst) ~dom
 
 (* Per-rule delta predicates, computed once per fixpoint: the positive
    body predicates that belong to [delta_preds], i.e. the occurrences a
    semi-naive pass can restrict to the previous round's delta. *)
 let with_delta_preds prepared delta_preds =
-  List.mapi
-    (fun i (rule, plan) ->
+  List.map
+    (fun e ->
       let dps =
         List.sort_uniq String.compare
           (List.filter_map
@@ -110,9 +123,9 @@ let with_delta_preds prepared delta_preds =
                | Ast.BPos a when List.mem a.Ast.pred delta_preds ->
                    Some a.Ast.pred
                | _ -> None)
-             rule.Ast.body)
+             e.rule.Ast.body)
       in
-      (rule, plan, dps, rule_label i rule))
+      (e, dps))
     prepared
 
 (* Round-fresh accumulator state: per-predicate list of new facts plus a
@@ -156,6 +169,8 @@ let take_fresh (tbl : fresh_tbl) = drain tbl (fun (lst, _) -> !lst)
 let total_fresh delta =
   List.fold_left (fun n (_, ts) -> n + List.length ts) 0 delta
 
+let round_names = Array.init 64 string_of_int
+
 (* The round skeleton every fixpoint loop here shares. Each application
    of Γ is one "round" span whose close records the size of the delta it
    produced, and which feeds the [fixpoint.rounds], [fixpoint.delta_max]
@@ -170,28 +185,39 @@ let total_fresh delta =
    the loop: [`Round0 f] runs [f ()] as round 0 (the initial full
    evaluation), [`Delta (s, n)] is a caller-supplied delta of size [n]
    that replaces round 0 and opens no span. Returns the last state and
-   the stage count. *)
+   the stage count. Round spans follow each other on one clock reading
+   ([Trace.next_span]), and their names are made once. *)
 let rounds ~trace ~first ~step =
-  let tracing = Observe.Trace.enabled trace in
+  let tracing = Trace.enabled trace in
   let round_no = ref 0 in
-  let round f x =
-    if tracing then (
-      Observe.Trace.open_span trace ~kind:"round" (string_of_int !round_no);
-      Stdlib.incr round_no);
-    let ((_, d) as r) = f x in
-    if tracing then (
-      Observe.Trace.incr trace "fixpoint.rounds";
-      Observe.Trace.gauge_max trace "fixpoint.delta_max" d;
-      Observe.Trace.add trace "fixpoint.delta_total" d;
-      Observe.Trace.close_span trace
-        ~fields:[ Observe.Trace.fint "delta" d ]
-        ());
-    r
+  let name () =
+    let i = !round_no in
+    Stdlib.incr round_no;
+    if i < 64 then round_names.(i) else string_of_int i
   in
+  (* a round just ran and produced [d] facts: its span closes, and the
+     next round's opens on the same clock reading unless [d] is 0 *)
   let rec loop (s, d) stages =
-    if d = 0 then (s, stages) else loop (round step s) (stages + 1)
+    if tracing then (
+      Trace.incr_key trace k_rounds;
+      Trace.max_key trace k_delta_max d;
+      Trace.add_key trace k_delta_total d;
+      let fields = [ Trace.fint "delta" d ] in
+      if d = 0 then Trace.close_span trace ~fields ()
+      else Trace.next_span trace ~fields ~kind:"round" (name ()));
+    if d = 0 then (s, stages) else loop (step s) (stages + 1)
   in
-  loop (match first with `Round0 f -> round f () | `Delta sd -> sd) 0
+  let open_round () =
+    if tracing then Trace.open_span trace ~kind:"round" (name ())
+  in
+  match first with
+  | `Round0 f ->
+      open_round ();
+      loop (f ()) 0
+  | `Delta (s, 0) -> (s, 0)
+  | `Delta (s, _) ->
+      open_round ();
+      loop (step s) 1
 
 (* The worker owning the fact [ids] among [nw]: a mixed hash of its
    first-column id. Interned ids are dense small integers, so mixing
@@ -267,9 +293,7 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
   in
   let nw = match par with Some (p, _) -> Parallel.Pool.size p | None -> 1 in
   if nw > 1 then
-    List.iter
-      (fun (_rule, plan, _, _) -> Matcher.prewarm ?neg_db plan db)
-      with_dps;
+    List.iter (fun (e, _) -> Matcher.prewarm ?neg_db e.plan db) with_dps;
   let workers =
     Array.init nw (fun _ ->
         let db, tr =
@@ -289,8 +313,9 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
           dixes = Hashtbl.create 8;
         })
   in
-  (* one firing pass of a rule on worker [w] *)
-  let fire w plan label delta =
+  (* one firing pass of a rule on worker [w]; its dedup counts are
+     flushed once, after the pass *)
+  let fire w e delta =
     let wk = workers.(w) in
     let t0 = if tracing && nw > 1 then Observe.Trace.now () else 0. in
     (* per-predicate cache: consecutive firings of the same head
@@ -299,10 +324,11 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
     let cur_mem = ref None in
     let cur_state = ref None in
     let have = ref false in
+    let derived = ref 0 and deduped = ref 0 in
     let n =
       Matcher.iter_firings ?delta
         ?delta_index:(Option.map (fun (p, dts) -> delta_index wk p dts) delta)
-        ?neg_db ~dom plan wk.db
+        ?neg_db ~dom e.plan wk.db
         (fun ~pos p ids ->
           if pos then (
             if not (!have && String.equal !cur_p p) then (
@@ -310,45 +336,44 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
               cur_p := p;
               cur_mem := Some (Matcher.Db.memset wk.db p);
               cur_state := Some (pred_state wk.fresh p));
-            if Matcher.Db.memset_mem (Option.get !cur_mem) ids then (
-              if tracing then
-                Observe.Trace.incr wk.tr "fixpoint.tuples_deduped")
+            (* one hash per firing: the probe's serves the new tuple *)
+            let h = Tuple.hash_ids ids in
+            if Matcher.Db.memset_mem_hashed (Option.get !cur_mem) ids h then (
+              if tracing then Stdlib.incr deduped)
             else (
-              if tracing then
-                Observe.Trace.incr wk.tr "fixpoint.tuples_derived";
+              if tracing then Stdlib.incr derived;
               let o = owner nw ids in
               if o = w then (
                 let lst, seen = Option.get !cur_state in
-                add_unseen_ids lst seen ids)
+                add_unseen lst seen (Tuple.of_hashed ids h))
               else
                 match par with
                 | Some (_, ex) ->
                     ignore
                       (Parallel.Exchange.post ex ~src:w ~dst:o p
-                         (Tuple.of_ids ids))
+                         (Tuple.of_hashed ids h))
                 | None -> ())))
     in
     if tracing then (
-      count_firings wk.db label n;
+      if !deduped > 0 then Trace.add_key wk.tr k_deduped !deduped;
+      if !derived > 0 then Trace.add_key wk.tr k_derived !derived;
+      Trace.add_key wk.tr e.firings n;
       if nw > 1 then (
-        Observe.Trace.incr wk.tr "par.tasks";
-        Observe.Trace.observe_s wk.tr "par.task" (Observe.Trace.now () -. t0)))
+        Trace.incr_key wk.tr k_tasks;
+        Trace.observe_s_key wk.tr k_task (Observe.Trace.now () -. t0)))
   in
   let derive_full w =
-    List.iteri
-      (fun i (_rule, plan, _, label) ->
-        if i mod nw = w then fire w plan label None)
-      with_dps
+    List.iteri (fun i (e, _) -> if i mod nw = w then fire w e None) with_dps
   in
   let derive_delta w =
     let wk = workers.(w) in
     List.iter
-      (fun (_rule, plan, dps, label) ->
+      (fun (e, dps) ->
         List.iter
           (fun p ->
             match List.assoc_opt p wk.delta with
             | None | Some [] -> ()
-            | Some dts -> fire w plan label (Some (p, dts)))
+            | Some dts -> fire w e (Some (p, dts)))
           dps)
       with_dps
   in
@@ -477,7 +502,7 @@ let seminaive_increment_db ?(trace = Observe.Trace.null) ?neg_db prepared
    delta mechanism feeds the atom directly). Built once per program and
    reused across every retraction batch. *)
 type dred_prepared = {
-  dr_with_dps : (Ast.rule * Matcher.prepared * string list * string) list;
+  dr_with_dps : (entry * string list) list;
   dr_guards : (string * Matcher.prepared) list;
 }
 
@@ -487,15 +512,15 @@ let prepare_dred prepared =
   let body_preds =
     List.sort_uniq String.compare
       (List.concat_map
-         (fun (rule, _) ->
+         (fun e ->
            List.filter_map
              (function Ast.BPos a -> Some a.Ast.pred | _ -> None)
-             rule.Ast.body)
+             e.rule.Ast.body)
          prepared)
   in
   let guards =
     List.filter_map
-      (fun (rule, _) ->
+      (fun { rule; _ } ->
         match rule.Ast.head with
         | [ Ast.HPos h ] ->
             let guard =
@@ -583,14 +608,14 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
         while !frontier <> [] do
           Stdlib.incr cone_rounds;
           List.iter
-            (fun (_rule, plan, dps, _label) ->
+            (fun (e, dps) ->
               List.iter
                 (fun pred ->
                   match List.assoc_opt pred !frontier with
                   | None | Some [] -> ()
                   | Some dts ->
                       ignore
-                        (Matcher.iter_firings ~delta:(pred, dts) ~dom plan db
+                        (Matcher.iter_firings ~delta:(pred, dts) ~dom e.plan db
                            (fun ~pos p ids ->
                              if
                                pos
@@ -662,10 +687,10 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                ~dom db));
     let rederived = Matcher.Db.total db - before in
     if tracing then (
-      Observe.Trace.incr trace "dred.batches";
-      Observe.Trace.add trace "dred.overdeleted" !overdeleted;
-      Observe.Trace.add trace "dred.rederived" rederived;
-      Observe.Trace.gauge_max trace "dred.cone_rounds" !cone_rounds);
+      Trace.incr_key trace k_dred_batches;
+      Trace.add_key trace k_overdeleted !overdeleted;
+      Trace.add_key trace k_rederived rederived;
+      Trace.max_key trace k_cone_rounds !cone_rounds);
     { overdeleted = !overdeleted; rederived; cone_rounds = !cone_rounds })
 
 let naive_fixpoint ?(trace = Observe.Trace.null) prepared ~dom inst =
@@ -689,5 +714,3 @@ let stage_trace prepared ~dom inst =
   loop []
 
 type stats = { stages : int; facts_inferred : int }
-
-let restrict_idb program inst = Instance.restrict (Ast.idb program) inst

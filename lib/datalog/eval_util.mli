@@ -31,7 +31,9 @@ val db_dom :
   Matcher.Db.t ->
   Value.t list
 
-(** A prepared program: matcher plans per rule, in program order. *)
+(** A prepared program: matcher plans per rule, in program order, each
+    with the trace key of its [rule_firings.<label>] counter, so that
+    no fixpoint builds a label again. *)
 type prepared
 
 val prepare : Ast.program -> prepared
@@ -45,32 +47,10 @@ val plans : prepared -> Matcher.prepared list
     rule's position in the program. *)
 val rule_label : int -> Ast.rule -> string
 
-(** [consequences prepared inst ~dom] computes all head facts produced by
-    firing every rule with every applicable instantiation against [inst]
-    (positive heads only — engines handling retraction use
-    {!consequences_signed}). The result contains only the derived facts,
-    not [inst]. *)
-val consequences :
-  prepared -> Instance.t -> dom:Value.t list -> Instance.t
-
-(** [consequences_db prepared db ~dom] is {!consequences} against an
-    existing (persistent, index-carrying) database view. [neg_db]
-    redirects negative-literal checks, as in {!Matcher.run}. *)
-val consequences_db :
-  ?neg_db:Matcher.Db.t ->
-  prepared ->
-  Matcher.Db.t ->
-  dom:Value.t list ->
-  Instance.t
-
-(** [consequences_signed_db] is {!consequences_signed} against an
-    existing database view. *)
-val consequences_signed_db :
-  prepared -> Matcher.Db.t -> dom:Value.t list -> Instance.t * Instance.t
-
-(** [consequences_signed prepared inst ~dom] returns
-    [(asserted, retracted)] instances: facts from positive and negative
-    head literals respectively. A ⊥ head raises [Invalid_argument] (the
+(** [consequences_signed prepared inst ~dom] fires every rule with every
+    applicable instantiation against [inst] and returns
+    [(asserted, retracted)] instances: the facts of positive and negative
+    head literals respectively, without [inst]'s. A ⊥ head raises [Invalid_argument] (the
     deterministic engines reject it at check time). *)
 val consequences_signed :
   prepared -> Instance.t -> dom:Value.t list -> Instance.t * Instance.t
@@ -240,7 +220,3 @@ type stats = {
   stages : int;  (** number of applications of the consequence operator *)
   facts_inferred : int;  (** facts in the final idb *)
 }
-
-(** [restrict_idb program inst] keeps only the idb relations of the
-    program — the paper's image/answer of [P] on [I]. *)
-val restrict_idb : Ast.program -> Instance.t -> Instance.t

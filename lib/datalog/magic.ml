@@ -1,4 +1,10 @@
 open Relational
+module Trace = Observe.Trace
+
+let k_queries = Trace.key "magic.queries"
+let k_memo_hits = Trace.key "magic.rewrite_memo_hits"
+let k_rewritten = Trace.key "magic.rewritten_rules"
+let k_answers = Trace.key "magic.answer_tuples"
 
 type rewritten = {
   program : Ast.program;
@@ -179,48 +185,55 @@ let restrict_to_query (query : Ast.atom) rel =
    a repeat or overlapping query re-derives nothing it already holds.
    Sessions run pure Datalog, whose safe positive rules (and their
    rewrites) never read the active domain, so every plan runs with an
-   empty one. *)
+   empty one.
+
+   A memo entry is a rewrite, its prepared plans and its idb predicates
+   (the fixpoint's delta predicates). Nothing in it refers to a
+   database, so sessions over one program may share a memo: the
+   resident server opens a session per demand query and compiles each
+   binding pattern once. *)
+type memo =
+  (string * string, rewritten * Eval_util.prepared * string list) Hashtbl.t
+
+let memo () : memo = Hashtbl.create 8
+
 type session = {
   sprogram : Ast.program;
   db : Matcher.Db.t;
   strace : Observe.Trace.ctx;
-  rewrites : (string * string, rewritten * Eval_util.prepared) Hashtbl.t;
+  rewrites : memo;
 }
 
-let session_db ?(trace = Observe.Trace.null) p db =
+let session_db ?(trace = Observe.Trace.null) ?(memo = memo ()) p db =
   Ast.check_datalog p;
-  {
-    sprogram = p;
-    db;
-    strace = trace;
-    rewrites = Hashtbl.create 8;
-  }
+  { sprogram = p; db; strace = trace; rewrites = memo }
 
 let session ?(trace = Observe.Trace.null) p inst =
   session_db ~trace p (Matcher.Db.of_instance ~trace inst)
 
 let ask s (query : Ast.atom) =
-  let tracing = Observe.Trace.enabled s.strace in
-  if tracing then Observe.Trace.incr s.strace "magic.queries";
+  let tracing = Trace.enabled s.strace in
+  Trace.incr_key s.strace k_queries;
   let ad = adorn [] query in
   let key = (query.Ast.pred, ad) in
-  let rw, prepared =
+  let rw, prepared, delta_preds =
     match Hashtbl.find_opt s.rewrites key with
     | Some cached ->
-        if tracing then Observe.Trace.incr s.strace "magic.rewrite_memo_hits";
+        Trace.incr_key s.strace k_memo_hits;
         cached
     | None ->
         let rw = rewrite s.sprogram query in
         if tracing then (
-          Observe.Trace.add s.strace "magic.rewritten_rules"
-            (List.length rw.program);
+          Trace.add_key s.strace k_rewritten (List.length rw.program);
           Observe.Trace.event s.strace "magic.rewrite"
             ~fields:
               [
                 Observe.Trace.fstr "query_pred" rw.query_pred;
                 Observe.Trace.fint "rules" (List.length rw.program);
               ]);
-        let cached = (rw, Eval_util.prepare rw.program) in
+        let cached =
+          (rw, Eval_util.prepare rw.program, Ast.idb rw.program)
+        in
         Hashtbl.add s.rewrites key cached;
         cached
   in
@@ -234,13 +247,12 @@ let ask s (query : Ast.atom) =
   in
   ignore (Matcher.Db.insert s.db (fst rw.seed) seed_tup);
   ignore
-    (Eval_util.seminaive_fixpoint_db ~trace:s.strace prepared
-       ~delta_preds:(Ast.idb rw.program) ~dom:[] s.db);
+    (Eval_util.seminaive_fixpoint_db ~trace:s.strace prepared ~delta_preds
+       ~dom:[] s.db);
   let answers =
     restrict_to_query query (Matcher.Db.relation s.db rw.query_pred)
   in
-  if tracing then
-    Observe.Trace.add s.strace "magic.answer_tuples" (Relation.cardinal answers);
+  if tracing then Trace.add_key s.strace k_answers (Relation.cardinal answers);
   answers
 
 let answer ?(trace = Observe.Trace.null) p inst (query : Ast.atom) =

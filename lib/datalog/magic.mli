@@ -55,13 +55,29 @@ type session
 val session :
   ?trace:Observe.Trace.ctx -> Ast.program -> Instance.t -> session
 
+(** The rewrites a session memoizes, with their prepared plans: they
+    depend on the program and the binding pattern only, never on a
+    database or a query's constants. *)
+type memo
+
+(** [memo ()] is an empty memo. *)
+val memo : unit -> memo
+
 (** [session_db p db] is a session that evaluates in [db] itself rather
     than in a fresh database over an instance: the resident server
     passes a {!Matcher.Db.sharing} view, so its queries probe the
     engine's own indexes over the program's EDB predicates. The
-    session writes only magic and adorned predicates into [db]. *)
+    session writes only magic and adorned predicates into [db].
+    [memo] (a fresh one by default) holds the session's rewrites; a
+    memo shared by sessions over the same program [p] compiles each
+    binding pattern once for all of them, and its hits count as
+    [magic.rewrite_memo_hits]. *)
 val session_db :
-  ?trace:Observe.Trace.ctx -> Ast.program -> Matcher.Db.t -> session
+  ?trace:Observe.Trace.ctx ->
+  ?memo:memo ->
+  Ast.program ->
+  Matcher.Db.t ->
+  session
 
 (** [ask s query] answers [query] within session [s]: the tuples of the
     query's predicate matching the query's constants and repeated

@@ -1,5 +1,17 @@
 open Relational
 module Index = Relation.Index
+module Trace = Observe.Trace
+
+let k_memo_hits = Trace.key "db.index_memo_hits"
+let k_builds = Trace.key "db.index_builds"
+let k_inserts = Trace.key "db.inserts"
+let k_dups = Trace.key "db.insert_dups"
+let k_candidates = Trace.key "matcher.candidates"
+let k_member_probes = Trace.key "matcher.member_probes"
+let k_delta_first = Trace.key "matcher.delta_first"
+let k_runs = Trace.key "matcher.runs"
+let k_substs = Trace.key "matcher.substs"
+let k_substs_max = Trace.key "matcher.substs_max"
 
 module Db = struct
   (* The engines' only mutable store. Per predicate, a [store] holds the
@@ -128,6 +140,7 @@ module Db = struct
 
   let memset = store
   let memset_mem m ids = Tuple.Set.mem m.set ids
+  let memset_mem_hashed m ids h = Tuple.Set.mem_hashed m.set ids h
   let mem db p tup = Tuple.Set.mem_tuple (store db p).set tup
   let arity db p =
     let st = store db p in
@@ -140,19 +153,24 @@ module Db = struct
           if Hashtbl.mem db.stores p then n else n + Relation.cardinal r)
         db.inst 0
 
+  (* a column number as the [index] span writes it, made once: a traced
+     demand query builds three small indexes *)
+  let columns = Array.init 16 string_of_int
+  let column i = if i < 16 then columns.(i) else string_of_int i
+
   let index db p positions =
     let st = store db p in
     match Hashtbl.find_opt st.indexes positions with
     | Some ix ->
-        Observe.Trace.incr db.trace "db.index_memo_hits";
+        Trace.incr_key db.trace k_memo_hits;
         ix
     | None ->
-        Observe.Trace.incr db.trace "db.index_builds";
+        Trace.incr_key db.trace k_builds;
         let build () = Index.of_list (Array.of_list positions) (rows st) in
         let ix =
           if not (Observe.Trace.enabled db.trace) then build ()
           else
-            let cols = String.concat "," (List.map string_of_int positions) in
+            let cols = String.concat "," (List.map column positions) in
             Observe.Trace.with_span db.trace ~kind:"index"
               ~fields:
                 Observe.Trace.
@@ -222,10 +240,10 @@ module Db = struct
   let insert db p t =
     let st = store db p in
     if Tuple.Set.mem_tuple st.set t then (
-      Observe.Trace.incr db.trace "db.insert_dups";
+      Trace.incr_key db.trace k_dups;
       false)
     else (
-      Observe.Trace.incr db.trace "db.inserts";
+      Trace.incr_key db.trace k_inserts;
       add_new st t;
       true)
 
@@ -252,8 +270,8 @@ module Db = struct
               incr added))
           rel;
         let dups = Relation.cardinal rel - !added in
-        if !added > 0 then Observe.Trace.add db.trace "db.inserts" !added;
-        if dups > 0 then Observe.Trace.add db.trace "db.insert_dups" dups)
+        if !added > 0 then Trace.add_key db.trace k_inserts !added;
+        if dups > 0 then Trace.add_key db.trace k_dups dups)
       delta ()
 
   (* Bulk insert of facts known to be fresh and pairwise distinct (the
@@ -263,7 +281,8 @@ module Db = struct
     match news with
     | [] -> ()
     | t0 :: _ ->
-        Observe.Trace.add db.trace "db.inserts" (List.length news);
+        if Trace.enabled db.trace then
+          Trace.add_key db.trace k_inserts (List.length news);
         let st = store db p in
         writable st;
         st.ar <- Tuple.arity t0;
@@ -662,7 +681,12 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
   if prepared.undecidable then 0
   else
     let tr = Db.trace db in
-    let tracing = Observe.Trace.enabled tr in
+    let tracing = Trace.enabled tr in
+    (* per-run counts, flushed into [tr] once at the end: [scans] counts
+       the candidate sources read, so a run that read only empty ones
+       still reports its zero *)
+    let cands = ref 0 and scans = ref 0 and probes = ref 0 in
+    let delta_firsts = ref 0 in
     (* the domain is only consulted by CDomain steps and ∀-rules, both of
        which imply [need_dom]; intern it once per run *)
     let dom_ids =
@@ -764,12 +788,15 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
     (* a step's candidates, read in place: an index bucket or the delta's
        tuples *)
     let scan_bucket b visit =
-      if tracing then Observe.Trace.add tr "matcher.candidates" (Index.size b);
+      if tracing then (
+        cands := !cands + Index.size b;
+        Stdlib.incr scans);
       Index.iter visit b
     in
-    let scan_rows ts visit =
-      if tracing then
-        Observe.Trace.add tr "matcher.candidates" (List.length ts);
+    let scan_rows ts n visit =
+      if tracing then (
+        cands := !cands + n;
+        Stdlib.incr scans);
       List.iter visit ts
     in
     (* one pass over [plan], whose sources are [srcs]; step [didx] scans
@@ -797,8 +824,10 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
               (* every position bound: nothing to unify *)
               let hit = is_member m step in
               if tracing then (
-                Observe.Trace.incr tr "matcher.member_probes";
-                if hit then Observe.Trace.incr tr "matcher.candidates");
+                Stdlib.incr probes;
+                if hit then (
+                  Stdlib.incr cands;
+                  Stdlib.incr scans));
               if hit && filters_ok (i + 1) then go (i + 1)
           | CAtom { arity; unify; binds; _ }, src ->
               let n = Array.length unify in
@@ -829,56 +858,71 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       in
       if filters_ok 0 then go 0
     in
-    (match delta with
-    | None -> run_plan prepared.base main_src (-1) (fun _ _ -> ())
-    | Some (dpred, dtuples) ->
-        (* the delta's candidates at a step: the whole list when the step
-           has no key, else a per-(pred, bound-positions) index over the
-           delta tuples — looked up, not scanned, and built straight from
-           the list. The semi-naive loop supplies [delta_index] to reuse
-           one build per round across every rule sharing the
-           positions. *)
-        let delta_src = function
-          | CAtom { key_positions = []; _ } ->
-              fun _ visit -> scan_rows dtuples visit
-          | CAtom { key_positions; _ } ->
-              let ix =
-                match delta_index with
-                | Some f -> f key_positions
-                | None -> Index.of_list (Array.of_list key_positions) dtuples
-              in
-              fun key visit -> scan_bucket (Index.find ix key) visit
-          | CDomain _ -> fun _ _ -> ()
-        in
-        (* a pass on a later occurrence starts from the delta when the
-           delta is smaller than what the greedy plan's first step would
-           enumerate: that step's bucket for its constant key, or at most
-           the one fact of a membership test *)
-        let ndelta = List.length dtuples in
-        let delta_is_smaller () =
-          let first = prepared.base.csteps.(0) in
-          match main_src.(0) with
-          | Indexed ix -> Index.size (Index.find ix (key_of first)) > ndelta
-          | Member m -> ndelta = 0 && is_member m first
-          | Unresolved -> false
-        in
-        (* one pass per positive occurrence of [dpred] *)
-        Array.iteri
-          (fun i step ->
-            match step with
-            | CAtom { apred; _ } when apred = dpred ->
-                if i > 0 && delta_is_smaller () then (
-                  let plan = prepared.delta_first.(i) in
-                  if tracing then Observe.Trace.incr tr "matcher.delta_first";
-                  run_plan plan (resolve 1 plan) 0 (delta_src plan.csteps.(0)))
-                else run_plan prepared.base main_src i (delta_src step)
-            | _ -> ())
-          prepared.base.csteps);
+    let flush () =
+      if tracing then (
+        if !scans > 0 then Trace.add_key tr k_candidates !cands;
+        if !probes > 0 then Trace.add_key tr k_member_probes !probes;
+        if !delta_firsts > 0 then Trace.add_key tr k_delta_first !delta_firsts)
+    in
+    (* one pass, or one per occurrence of the delta's predicate *)
+    let passes () =
+      match delta with
+      | None -> run_plan prepared.base main_src (-1) (fun _ _ -> ())
+      | Some (dpred, dtuples) ->
+          (* the delta's candidates at a step: the whole list when the step
+             has no key, else a per-(pred, bound-positions) index over the
+             delta tuples — looked up, not scanned, and built straight from
+             the list. The semi-naive loop supplies [delta_index] to reuse
+             one build per round across every rule sharing the
+             positions. *)
+          let ndelta = List.length dtuples in
+          let delta_src = function
+            | CAtom { key_positions = []; _ } ->
+                fun _ visit -> scan_rows dtuples ndelta visit
+            | CAtom { key_positions; _ } ->
+                let ix =
+                  match delta_index with
+                  | Some f -> f key_positions
+                  | None -> Index.of_list (Array.of_list key_positions) dtuples
+                in
+                fun key visit -> scan_bucket (Index.find ix key) visit
+            | CDomain _ -> fun _ _ -> ()
+          in
+          (* a pass on a later occurrence starts from the delta when the
+             delta is smaller than what the greedy plan's first step would
+             enumerate: that step's bucket for its constant key, or at most
+             the one fact of a membership test *)
+          let delta_is_smaller () =
+            let first = prepared.base.csteps.(0) in
+            match main_src.(0) with
+            | Indexed ix -> Index.size (Index.find ix (key_of first)) > ndelta
+            | Member m -> ndelta = 0 && is_member m first
+            | Unresolved -> false
+          in
+          (* one pass per positive occurrence of [dpred] *)
+          Array.iteri
+            (fun i step ->
+              match step with
+              | CAtom { apred; _ } when apred = dpred ->
+                  if i > 0 && delta_is_smaller () then (
+                    let plan = prepared.delta_first.(i) in
+                    if tracing then Stdlib.incr delta_firsts;
+                    run_plan plan (resolve 1 plan) 0
+                      (delta_src plan.csteps.(0)))
+                  else run_plan prepared.base main_src i (delta_src step)
+              | _ -> ())
+            prepared.base.csteps
+    in
+    (match passes () with
+    | () -> flush ()
+    | exception e ->
+        flush ();
+        raise e);
     if tracing then (
       let n = !nresults in
-      Observe.Trace.incr tr "matcher.runs";
-      Observe.Trace.add tr "matcher.substs" n;
-      Observe.Trace.gauge_max tr "matcher.substs_max" n);
+      Trace.incr_key tr k_runs;
+      Trace.add_key tr k_substs n;
+      Trace.max_key tr k_substs_max n);
     !nresults
 
 let run ?delta ?dom ?neg_db prepared db =

@@ -119,6 +119,10 @@ module Db : sig
   (** [memset_mem m ids] tests the fact with argument ids [ids]. *)
   val memset_mem : memset -> int array -> bool
 
+  (** [memset_mem_hashed m ids h] is [memset_mem m ids] when
+      [h = Tuple.hash_ids ids], which it does not compute again. *)
+  val memset_mem_hashed : memset -> int array -> int -> bool
+
   (** [insert db p tup] adds a fact, updating every memoized index of
       [p]. Returns [true] iff the fact was new. A fact already present
       costs one probe of the membership set and allocates nothing.

@@ -27,9 +27,7 @@ type fields = (string * value) list
 (** Field constructors: [fint "delta" 12] etc. *)
 
 val fint : string -> int -> string * value
-val ffloat : string -> float -> string * value
 val fstr : string -> string -> string * value
-val fbool : string -> bool -> string * value
 
 type span = {
   sid : int;  (** unique within a context, 1-based *)
@@ -101,6 +99,27 @@ val add : ctx -> string -> int -> unit
 val incr : ctx -> string -> unit
 val gauge_max : ctx -> string -> int -> unit
 
+(** {2 By key}
+
+    The same counters, gauges and histograms addressed by a {!key}: a
+    name resolved once to an integer slot, so an update is an array
+    write and hashes no string. A name has one key for the life of the
+    process, and the by-name calls above resolve it on every call. Take
+    keys where a name is first known (module initialisation, plan
+    preparation), not in a loop: [key] takes a lock. *)
+
+type key
+
+val key : string -> key
+val add_key : ctx -> key -> int -> unit
+val incr_key : ctx -> key -> unit
+
+(** {!gauge_max} by key. *)
+val max_key : ctx -> key -> int -> unit
+
+(** {!observe_s} by key. *)
+val observe_s_key : ctx -> key -> float -> unit
+
 (** [counter ctx name] is the current value ([0] when absent). *)
 val counter : ctx -> string -> int
 
@@ -151,6 +170,13 @@ val merge_counters : ctx -> ctx -> unit
 val open_span : ctx -> ?fields:fields -> kind:string -> string -> unit
 
 val close_span : ctx -> ?fields:fields -> unit -> unit
+
+(** [next_span ctx ~kind name] is [close_span ctx ?fields ()] then
+    [open_span ctx ~kind name] on one reading of the clock: the new
+    span starts when the closed one ends. For loops whose steps are
+    spans back to back, such as a fixpoint's rounds; a clock reading
+    is most of what a span costs. *)
+val next_span : ctx -> ?fields:fields -> kind:string -> string -> unit
 
 (** [with_span ctx ~kind name f] wraps [f] in a span, closing it even if
     [f] raises. *)

@@ -2,12 +2,15 @@
    it. One- and two-column keys are packed ints, other keys id vectors
    (the empty key, the full scan, among them). A bucket is a growable
    vector: its tuples oldest first in [tups.(0 .. len - 1)], read from
-   the top down, so newest first. [hashes.(i)] is the hash of
-   [tups.(i)] for every [i < hashed]: a removal records the hashes of
-   the tuples pushed since the last one, so builds and pushes never
+   the top down, so newest first. A removed tuple leaves a tombstone
+   ([Bucket.gap]) in its slot, skipped by every read; [dead] counts
+   them, so a push touches no count. [hashes.(i)] is the hash of [tups.(i)] for
+   every [i < hashed], -1 at a tombstone: a removal records the hashes
+   of the tuples pushed since the last one, so builds and pushes never
    touch [hashes], and a bucket nothing is removed from has none. *)
 type bucket = {
   mutable len : int;
+  mutable dead : int;
   mutable tups : Tuple.t array;
   mutable hashes : int array;
   mutable hashed : int;
@@ -203,20 +206,16 @@ let values r = Value.Intern.decode_distinct (fun f -> iter_ids f r)
 (* --- join indexes --------------------------------------------------- *)
 
 module Bucket = struct
+  let create () = { len = 0; dead = 0; tups = [||]; hashes = [||]; hashed = 0 }
+
+  let live b = b.len - b.dead
+
   (* the answer for a key without tuples; never written *)
-  let empty = { len = 0; tups = [||]; hashes = [||]; hashed = 0 }
+  let empty = create ()
 
-  (* fills the slots above [len], so a removed tuple is not kept alive *)
+  (* the tombstone, and the filler of the slots above [len], so a removed
+     tuple is not kept alive *)
   let gap = Tuple.of_ids [||]
-
-  let push b t =
-    let n = b.len in
-    if n = Array.length b.tups then (
-      let tups = Array.make (max 4 (2 * n)) gap in
-      Array.blit b.tups 0 tups 0 n;
-      b.tups <- tups);
-    Array.unsafe_set b.tups n t;
-    b.len <- n + 1
 
   (* record the hashes of the tuples pushed since the last removal *)
   let hash_all b =
@@ -232,10 +231,60 @@ module Bucket = struct
       done;
       b.hashed <- b.len)
 
-  (* Scan the hashes from the newest down, compare a tuple only where
-     its hash matches, then shift the newer tuples down over it: the
-     order of the rest is kept, and once the hashes are recorded
-     nothing is allocated. *)
+  (* Move the live tuples down over the tombstones, in order: in place,
+     or into arrays sized for them when they fill under a quarter of the
+     bucket. Every hash is recorded. *)
+  let compact b =
+    let live = live b in
+    let cap =
+      if 4 * live < Array.length b.tups then max 4 (2 * live)
+      else Array.length b.tups
+    in
+    let tups, hashes =
+      if cap = Array.length b.tups then (b.tups, b.hashes)
+      else (Array.make cap gap, Array.make cap 0)
+    in
+    let k = ref 0 in
+    for i = 0 to b.len - 1 do
+      let t = Array.unsafe_get b.tups i in
+      if t != gap then (
+        if tups != b.tups || !k < i then (
+          Array.unsafe_set tups !k t;
+          Array.unsafe_set hashes !k (Array.unsafe_get b.hashes i));
+        incr k)
+    done;
+    if tups == b.tups then Array.fill tups !k (b.len - !k) gap;
+    b.tups <- tups;
+    b.hashes <- hashes;
+    b.len <- !k;
+    b.dead <- 0;
+    b.hashed <- !k
+
+  (* Room in a full bucket: one with a quarter of its slots tombstones
+     is compacted, which pays for as many pushes as it moves tuples;
+     any other doubles. *)
+  let make_room b =
+    let n = b.len in
+    if 4 * b.dead >= n && n > 0 then (
+      hash_all b;
+      compact b)
+    else
+      let tups = Array.make (max 4 (2 * n)) gap in
+      Array.blit b.tups 0 tups 0 n;
+      b.tups <- tups
+
+  let push b t =
+    if b.len = Array.length b.tups then make_room b;
+    Array.unsafe_set b.tups b.len t;
+    b.len <- b.len + 1
+
+  (* Scan the hashes from the newest down and compare a tuple only where
+     its hash matches; a hit becomes a tombstone. Trailing tombstones
+     are dropped and an emptied bucket lets go of its arrays. A bucket
+     that is half tombstones, or whose tuples fill under a quarter of
+     it, is compacted: each removal pays for at most one move, and the
+     order of the rest is kept. Once the hashes are recorded, a removal
+     that does not shrink the bucket allocates nothing. *)
   let remove b t =
     hash_all b;
     let h = Tuple.hash t and hashes = b.hashes and tups = b.tups in
@@ -250,25 +299,42 @@ module Bucket = struct
     done;
     let i = !i in
     if i >= 0 then (
-      let last = b.len - 1 in
-      for j = i to last - 1 do
-        Array.unsafe_set hashes j (Array.unsafe_get hashes (j + 1))
-      done;
-      Array.blit tups (i + 1) tups i (last - i);
-      Array.unsafe_set tups last gap;
-      b.len <- last;
-      b.hashed <- last)
+      Array.unsafe_set tups i gap;
+      Array.unsafe_set hashes i (-1);
+      b.dead <- b.dead + 1;
+      if b.dead = b.len then (
+        b.len <- 0;
+        b.dead <- 0;
+        b.tups <- [||];
+        b.hashes <- [||];
+        b.hashed <- 0)
+      else (
+        while Array.unsafe_get tups (b.len - 1) == gap do
+          b.len <- b.len - 1;
+          b.dead <- b.dead - 1
+        done;
+        b.hashed <- b.len;
+        let live = live b in
+        if 2 * live <= b.len || 4 * live < Array.length b.tups then compact b))
 
+  (* a bucket without tombstones, the common case, is read unchecked *)
   let iter f b =
     let tups = b.tups in
-    for i = b.len - 1 downto 0 do
-      f (Array.unsafe_get tups i)
-    done
+    if b.dead = 0 then
+      for i = b.len - 1 downto 0 do
+        f (Array.unsafe_get tups i)
+      done
+    else
+      for i = b.len - 1 downto 0 do
+        let t = Array.unsafe_get tups i in
+        if t != gap then f t
+      done
 
   let to_list b =
     let l = ref [] in
     for i = 0 to b.len - 1 do
-      l := Array.unsafe_get b.tups i :: !l
+      let t = Array.unsafe_get b.tups i in
+      if t != gap then l := t :: !l
     done;
     !l
 end
@@ -282,7 +348,7 @@ module Buckets (H : Hashtbl.S) = struct
     match H.find tbl k with
     | b -> Bucket.push b t
     | exception Not_found ->
-        let b = { len = 0; tups = [||]; hashes = [||]; hashed = 0 } in
+        let b = Bucket.create () in
         Bucket.push b t;
         H.add tbl k b
 
@@ -346,7 +412,7 @@ module Index = struct
     | Keyed tbl -> KB.find tbl (Array.init (Array.length ix.cols) key)
 
   let lookup ix cols t = find ix (fun j -> Tuple.id t (Array.unsafe_get cols j))
-  let size b = b.len
+  let size = Bucket.live
   let iter = Bucket.iter
   let to_list = Bucket.to_list
 end

@@ -150,9 +150,14 @@ val values : t -> Value.t list
     hashes of the tuples pushed since the bucket's last removal (the
     first removal from a bucket allocates its hash array), then scans
     the hashes, compares a tuple only where its hash matches, and
-    shifts the newer tuples down over it: O(bucket) int reads and
-    moves, and no further allocation on a packed index. A bucket must
-    not be read while its index is written. *)
+    leaves a tombstone in its slot, which every read skips: O(bucket)
+    int reads and no moves. A bucket is compacted in order (amortized
+    O(1) moves per removal) once half its slots are tombstones, or
+    when it is full and a quarter tombstones instead of growing, and
+    into arrays sized for its tuples when they fill under a quarter of
+    it; an emptied bucket is dropped. A removal allocates only when it
+    shrinks its bucket. A bucket must not be read while its index is
+    written. *)
 module Index : sig
   type relation := t
   type t

@@ -28,10 +28,8 @@ let arity t = Array.length t - 1
 let hash t = Array.unsafe_get t (Array.length t - 1)
 
 (* One allocation: the common arities are array literals, allocated in
-   line; wider tuples are filled in place. *)
-let of_prefix ids n =
-  if n < 0 || n > Array.length ids then invalid_arg "Tuple.of_prefix";
-  let h = hash_prefix ids n in
+   line; wider tuples are filled in place. [h] is the ids' hash. *)
+let build ids n h =
   match n with
   | 0 -> [| h |]
   | 1 -> [| Array.unsafe_get ids 0; h |]
@@ -46,7 +44,12 @@ let of_prefix ids n =
       done;
       t
 
+let of_prefix ids n =
+  if n < 0 || n > Array.length ids then invalid_arg "Tuple.of_prefix";
+  build ids n (hash_prefix ids n)
+
 let of_ids ids = of_prefix ids (Array.length ids)
+let of_hashed ids h = build ids (Array.length ids) h
 let ids t = Array.sub t 0 (arity t)
 let unsafe_id t i = Array.unsafe_get t i
 
@@ -129,10 +132,11 @@ module Set = struct
     then i
     else probe slots mask ids n h ((i + 1) land mask)
 
-  let slot slots ids =
-    let n = Array.length ids and mask = Array.length slots - 1 in
-    let h = hash_ids ids in
-    probe slots mask ids n h (h land mask)
+  let slot_hashed slots ids h =
+    let mask = Array.length slots - 1 in
+    probe slots mask ids (Array.length ids) h (h land mask)
+
+  let slot slots ids = slot_hashed slots ids (hash_ids ids)
 
   (* the same for the tuple [t], by its stored hash *)
   let rec probe_tuple slots mask t i =
@@ -149,6 +153,9 @@ module Set = struct
     if x == absent then None else Some x
 
   let mem s ids = Array.unsafe_get s.slots (slot s.slots ids) != absent
+
+  let mem_hashed s ids h =
+    Array.unsafe_get s.slots (slot_hashed s.slots ids h) != absent
 
   let mem_tuple s t =
     Array.unsafe_get s.slots (slot_tuple s.slots t) != absent

@@ -40,6 +40,11 @@ val of_ids : int array -> t
     @raise Invalid_argument if [n] is not in [0 .. Array.length ids]. *)
 val of_prefix : int array -> int -> t
 
+(** [of_hashed ids h] is [of_ids ids] when [h = hash_ids ids], which it
+    does not compute again: for a caller that has just probed a set
+    with that hash ({!Set.mem_hashed}). *)
+val of_hashed : int array -> int -> t
+
 (** [ids t] is a fresh copy of the components' ids: one allocation per
     call, so the engines' hot paths read positions in place ({!id},
     {!unsafe_id}, {!Set.mem_tuple}) instead. *)
@@ -93,6 +98,9 @@ module Set : sig
 
   (** [find_opt s ids] is the tuple of [s] with id vector [ids]. *)
   val find_opt : t -> int array -> tuple option
+
+  (** [mem_hashed s ids h] is [mem s ids] when [h = hash_ids ids]. *)
+  val mem_hashed : t -> int array -> int -> bool
 
   (** [mem_tuple s x] tests whether [s] holds a tuple with [x]'s ids. *)
   val mem_tuple : t -> tuple -> bool

@@ -1,12 +1,31 @@
 open Relational
 open Datalog
+module Trace = Observe.Trace
 
-let op_name = function
-  | Protocol.Assert _ -> "assert"
-  | Protocol.Retract _ -> "retract"
-  | Protocol.Query _ -> "query"
-  | Protocol.Stats -> "stats"
-  | Protocol.Shutdown -> "shutdown"
+let k_requests = Trace.key "serve.requests"
+let k_errors = Trace.key "serve.errors"
+
+(* an op's counter and latency histogram *)
+type op = { count : Trace.key; latency : Trace.key }
+
+let op name =
+  {
+    count = Trace.key ("serve.op." ^ name);
+    latency = Trace.key ("serve." ^ name);
+  }
+
+let op_assert = op "assert"
+and op_retract = op "retract"
+and op_query = op "query"
+and op_stats = op "stats"
+and op_shutdown = op "shutdown"
+
+let op_of = function
+  | Protocol.Assert _ -> op_assert
+  | Protocol.Retract _ -> op_retract
+  | Protocol.Query _ -> op_query
+  | Protocol.Stats -> op_stats
+  | Protocol.Shutdown -> op_shutdown
 
 (* the wire's query paths: "demand" answers by magic sets over the live
    base facts ({!Engine.query}) *)
@@ -51,19 +70,33 @@ let stats_response trace =
       ("memory", Observe.Json.Obj memory);
     ]
 
-(* one request -> one response line; [false] after [shutdown]. Anything
-   a bad request can raise becomes a protocol-level error — the resident
+let error_message ?(trace = Trace.null) = function
+  | Failure msg | Invalid_argument msg | Ast.Check_error msg
+  | Aggregate.Agg_error msg ->
+      msg
+  | Parser.Parse_error (l, msg) ->
+      Printf.sprintf "parse error at line %d: %s" l msg
+  | Lexer.Lex_error (l, msg) -> Printf.sprintf "lex error at line %d: %s" l msg
+  | e ->
+      Trace.incr trace ("serve.exn." ^ Printexc.exn_slot_name e);
+      "internal: " ^ Printexc.to_string e
+
+let error_reply trace msg =
+  Trace.incr_key trace k_errors;
+  (Protocol.error_response msg, true)
+
+(* one request -> one response line; [false] after [shutdown]. Whatever
+   a request raises becomes a protocol-level error — the resident
    process must survive its clients. *)
-let handle ?(trace = Observe.Trace.null) engine line =
-  let tracing = Observe.Trace.enabled trace in
-  if tracing then Observe.Trace.incr trace "serve.requests";
+let handle ?(trace = Trace.null) engine line =
+  let tracing = Trace.enabled trace in
+  Trace.incr_key trace k_requests;
   match Protocol.parse_request line with
-  | Error e ->
-      if tracing then Observe.Trace.incr trace "serve.errors";
-      (Protocol.error_response e, true)
+  | exception e -> error_reply trace (error_message ~trace e)
+  | Error e -> error_reply trace e
   | Ok req -> (
-      let op = op_name req in
-      let t0 = if tracing then Observe.Trace.now () else 0. in
+      let op = op_of req in
+      let t0 = if tracing then Trace.now () else 0. in
       let result =
         try
           Ok
@@ -113,26 +146,13 @@ let handle ?(trace = Observe.Trace.null) engine line =
             | Protocol.Stats -> (stats_response trace, true)
             | Protocol.Shutdown ->
                 (Protocol.ok_response [ ("stopping", Observe.Json.Bool true) ], false))
-        with
-        | Failure msg -> Error msg
-        | Invalid_argument msg -> Error msg
-        | Ast.Check_error msg -> Error msg
-        | Aggregate.Agg_error msg -> Error msg
-        | Parser.Parse_error (l, msg) ->
-            Error (Printf.sprintf "parse error at line %d: %s" l msg)
-        | Lexer.Lex_error (l, msg) ->
-            Error (Printf.sprintf "lex error at line %d: %s" l msg)
+        with e -> Error (error_message ~trace e)
       in
       if tracing then (
-        Observe.Trace.incr trace ("serve.op." ^ op);
-        if op <> "shutdown" then
-          Observe.Trace.observe_s trace ("serve." ^ op)
-            (Observe.Trace.now () -. t0));
-      match result with
-      | Ok r -> r
-      | Error msg ->
-          if tracing then Observe.Trace.incr trace "serve.errors";
-          (Protocol.error_response msg, true))
+        Trace.incr_key trace op.count;
+        if op != op_shutdown then
+          Trace.observe_s_key trace op.latency (Trace.now () -. t0));
+      match result with Ok r -> r | Error msg -> error_reply trace msg)
 
 let serve ?(trace = Observe.Trace.null) ~socket engine =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

@@ -10,7 +10,9 @@ type t = {
   db : Matcher.Db.t;
   edb : Matcher.Db.t;  (* the asserted facts, one set per predicate *)
   shared : string list;  (* the program's EDB predicates *)
+  idb : string list;
   delta_preds : string list;
+  demand : Magic.memo;  (* the demand path's rewrites, for the engine's life *)
   trace : Observe.Trace.ctx;
 }
 
@@ -37,6 +39,8 @@ let create ?(trace = Observe.Trace.null) program edb =
     db;
     edb = Matcher.Db.of_instance edb;
     shared = Ast.edb program;
+    idb = Ast.idb program;
+    demand = Magic.memo ();
     delta_preds =
       List.sort_uniq String.compare
         (Ast.idb program @ Ast.body_preds program);
@@ -168,14 +172,15 @@ let query t ?(via = Materialized) q =
      rarely be asked twice: each demand query opens a fresh one, on a Db
      that reads the EDB predicates (and their indexes) from the engine's
      and every idb predicate from its asserted facts; it is dropped when
-     the query returns *)
+     the query returns. Its compiled magic programs are not: the
+     engine's memo keeps them, one per binding pattern. *)
   | Demand ->
       let base =
         List.fold_left
           (fun i p -> Instance.set p (Matcher.Db.relation t.edb p) i)
-          Instance.empty (Ast.idb t.program)
+          Instance.empty t.idb
       in
       Magic.ask
-        (Magic.session_db ~trace:t.trace t.program
+        (Magic.session_db ~trace:t.trace ~memo:t.demand t.program
            (Matcher.Db.sharing t.db t.shared base))
         q

@@ -11,9 +11,11 @@
       what is derived), which is what retraction and the
       recompute-from-scratch oracle are defined against;
     - compiled rule plans, delta tables and DRed guard plans
-      ({!Eval_util.prepare} / {!Eval_util.prepare_dred}), built once.
+      ({!Eval_util.prepare} / {!Eval_util.prepare_dred}), built once;
+    - the demand path's magic programs, rewritten and prepared once per
+      (predicate, adornment) on first use ({!Magic.memo}).
 
-    The demand-driven query path keeps no state of its own: each demand
+    The demand-driven query path keeps no facts of its own: each demand
     query runs magic sets in a query-scoped {!Matcher.Db.sharing} view,
     dropped when the query returns. The view reads the program's EDB
     predicates straight from the materialization's {!Matcher.Db} (their

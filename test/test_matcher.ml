@@ -583,6 +583,28 @@ let test_bucket_writes_allocate_nothing () =
     true
     (words /. 2. <= 4.)
 
+(* A bucket whose tuples are removed lets go of its slots: after 990 of
+   1000 removals it holds about what ten tuples need, and reads see the
+   ten that are left, newest first. *)
+let test_bucket_shrinks () =
+  let tuples = List.init 1000 (fun k -> t [ Value.Int 0; Value.Int k ]) in
+  let ix = Relation.Index.of_list [| 0 |] tuples in
+  let bucket () = Relation.Index.lookup ix [| 0 |] (List.hd tuples) in
+  let full = Obj.reachable_words (Obj.repr (bucket ())) in
+  List.iteri
+    (fun k x -> if k mod 100 <> 7 then Relation.Index.remove ix x)
+    tuples;
+  let b = bucket () in
+  Alcotest.(check int) "ten left" 10 (Relation.Index.size b);
+  Alcotest.(check bool) "newest first" true
+    (List.equal ( == ) (Relation.Index.to_list b)
+       (List.rev (List.filteri (fun k _ -> k mod 100 = 7) tuples)));
+  let left = Obj.reachable_words (Obj.repr b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "bucket words %d -> %d" full left)
+    true
+    (left < full / 20)
+
 (* A tuple is one block: [Tuple.of_ids] on a k-vector allocates k + 2
    words (the header, k ids, the hash) whatever k, and a set probe by
    tuple, hit or miss, allocates nothing. *)
@@ -645,6 +667,8 @@ let suite =
       test_probes_allocate_nothing;
     Alcotest.test_case "index bucket writes allocate nothing" `Quick
       test_bucket_writes_allocate_nothing;
+    Alcotest.test_case "an emptied index bucket shrinks" `Quick
+      test_bucket_shrinks;
     Alcotest.test_case "a tuple is one block; probes by tuple allocate nothing"
       `Quick test_tuple_one_block;
   ]

@@ -97,6 +97,70 @@ let test_counter_aggregation () =
     [ ("a.count", 2); ("b.count", 4); ("z.max", 9) ]
     (T.counters ctx)
 
+(* A counter, gauge or histogram by key is the same entry as by name,
+   and merges the same way. *)
+let test_keys () =
+  let ctx = T.make () in
+  let k = T.key "k.count" and g = T.key "k.max" and h = T.key "k.lat" in
+  Alcotest.(check bool) "one key per name" true (T.key "k.count" = k);
+  T.add_key ctx k 3;
+  T.incr ctx "k.count";
+  T.incr_key ctx k;
+  T.max_key ctx g 4;
+  T.gauge_max ctx "k.max" 2;
+  T.add_key ctx (T.key "k.zero") 0;
+  T.observe_s_key ctx h 1e-6;
+  T.observe_s ctx "k.lat" 2e-6;
+  Alcotest.(check (list (pair string int)))
+    "keyed and named updates meet"
+    [ ("k.count", 5); ("k.max", 4); ("k.zero", 0) ]
+    (T.counters ctx);
+  (match T.histogram ctx "k.lat" with
+  | Some d -> Alcotest.(check int) "two samples" 2 d.T.n
+  | None -> Alcotest.fail "histogram missing");
+  let other = T.make () in
+  T.max_key other g 9;
+  T.add_key other k 1;
+  T.merge_counters ctx other;
+  Alcotest.(check int) "counters add" 6 (T.counter ctx "k.count");
+  Alcotest.(check int) "gauges max" 9 (T.counter ctx "k.max");
+  T.add_key T.null k 1;
+  Alcotest.(check int) "null keeps nothing" 0 (T.counter T.null "k.count")
+
+(* [next_span] closes the innermost span and opens the next at the same
+   instant: the stream reads close then open, and the spans tile. *)
+let test_next_span () =
+  let sink, recorded = T.memory_sink () in
+  let ctx = T.make ~sinks:[ sink ] () in
+  T.open_span ctx ~kind:"run" "r";
+  T.open_span ctx ~kind:"round" "0";
+  T.next_span ctx ~fields:[ T.fint "delta" 2 ] ~kind:"round" "1";
+  T.close_span ctx ~fields:[ T.fint "delta" 0 ] ();
+  T.close_span ctx ();
+  T.finish ctx;
+  let stream =
+    List.filter (function T.Finished _ -> false | _ -> true) (recorded ())
+  in
+  (match stream with
+  | [
+   T.Opened (run, _);
+   T.Opened (r0, _);
+   T.Closed (c0, d0, [ ("delta", T.Int 2) ]);
+   T.Opened (r1, _);
+   T.Closed (c1, _, [ ("delta", T.Int 0) ]);
+   T.Closed (c2, _, _);
+  ] ->
+      Alcotest.(check int) "round 0 closed first" r0.T.sid c0.T.sid;
+      Alcotest.(check int) "round 1 is round 0's sibling" run.T.sid r1.T.parent;
+      Alcotest.(check (float 0.)) "round 1 starts as round 0 ends"
+        (r0.T.t0 +. d0) r1.T.t0;
+      Alcotest.(check int) "then round 1" r1.T.sid c1.T.sid;
+      Alcotest.(check int) "then the run" run.T.sid c2.T.sid
+  | _ -> Alcotest.fail "unexpected span stream");
+  match T.histogram ctx "span.round" with
+  | Some d -> Alcotest.(check int) "two round samples" 2 d.T.n
+  | None -> Alcotest.fail "span.round missing"
+
 let test_finish_reaches_sink () =
   let sink, recorded = T.memory_sink () in
   let ctx = T.make ~sinks:[ sink ] () in
@@ -568,6 +632,8 @@ let suite =
       test_unbalanced_close_ignored;
     Alcotest.test_case "null context is inert" `Quick test_null_ctx_inert;
     Alcotest.test_case "counter aggregation" `Quick test_counter_aggregation;
+    Alcotest.test_case "counters by key" `Quick test_keys;
+    Alcotest.test_case "next_span tiles spans" `Quick test_next_span;
     Alcotest.test_case "finish reaches the sink" `Quick test_finish_reaches_sink;
     Alcotest.test_case "histogram: single value exact" `Quick
       test_hist_single_value_exact;

@@ -464,7 +464,10 @@ let prop_tuple_set_flat_model =
            let probe = Tuple.of_list vs in
            let ids = Tuple.ids probe in
            let b = held vs in
+           let h = Tuple.hash_ids ids in
            Tuple.Set.mem s ids = b
+           && Tuple.Set.mem_hashed s ids h = b
+           && Tuple.equal (Tuple.of_hashed ids h) probe
            && Tuple.Set.mem_tuple s probe = b
            && (match Tuple.Set.find_opt s ids with
               | Some t -> b && Tuple.to_list t = vs

@@ -254,6 +254,62 @@ let test_handle_errors () =
       | _ -> Alcotest.fail "expected one answer")
   | Error e -> Alcotest.fail e
 
+(* Every exception a request can raise becomes an error reply: the
+   expected failures keep their own message, any other is "internal"
+   and counted under its constructor, never under the errors count's
+   name. *)
+let test_exceptions_become_errors () =
+  let tr = Observe.Trace.make () in
+  let msg e = Server.Daemon.error_message ~trace:tr e in
+  Alcotest.(check string) "Failure keeps its message" "boom"
+    (msg (Failure "boom"));
+  Alcotest.(check string) "Invalid_argument keeps its message" "arity"
+    (msg (Invalid_argument "arity"));
+  Alcotest.(check (list (pair string int))) "expected failures count nothing"
+    [] (Observe.Trace.counters tr);
+  Alcotest.(check string) "Not_found" "internal: Not_found" (msg Not_found);
+  Alcotest.(check string) "Stack_overflow" "internal: Stack overflow"
+    (msg Stack_overflow);
+  Alcotest.(check string) "Out_of_memory" "internal: Out of memory"
+    (msg Out_of_memory);
+  ignore (msg Not_found);
+  Alcotest.(check (list (pair string int)))
+    "one counter per constructor"
+    [
+      ("serve.exn.Not_found", 2);
+      ("serve.exn.Out_of_memory", 1);
+      ("serve.exn.Stack_overflow", 1);
+    ]
+    (Observe.Trace.counters tr);
+  (* a reply built from one is a protocol error, and the loop goes on *)
+  match
+    P.parse_response (P.error_response (Server.Daemon.error_message Not_found))
+  with
+  | Error e -> Alcotest.(check string) "reply" "internal: Not_found" e
+  | Ok _ -> Alcotest.fail "expected an error reply"
+
+(* The demand path compiles a binding pattern once for the engine's
+   life: a later query with the same pattern, after a write, reuses it
+   and still answers from the live facts. *)
+let test_demand_reuses_programs () =
+  let tr = Observe.Trace.make () in
+  let eng = E.create ~trace:tr tc_program (facts "G(a, b). G(b, c).") in
+  let demand s = E.query eng ~via:E.Demand (atom s) in
+  check_rel "first" (pairs [ ("a", "b"); ("a", "c") ]) (demand "T(a, Y)");
+  let rules = Observe.Trace.counter tr "magic.rewritten_rules" in
+  ignore (E.assert_facts eng (facts "G(c, d)."));
+  check_rel "after a write"
+    (pairs [ ("b", "c"); ("b", "d") ])
+    (demand "T(b, Y)");
+  Alcotest.(check int) "one hit" 1
+    (Observe.Trace.counter tr "magic.rewrite_memo_hits");
+  Alcotest.(check int) "nothing rewritten again" rules
+    (Observe.Trace.counter tr "magic.rewritten_rules");
+  check_rel "another pattern" (pairs [ ("a", "d"); ("b", "d"); ("c", "d") ])
+    (demand "T(X, d)");
+  Alcotest.(check bool) "a new pattern is rewritten" true
+    (Observe.Trace.counter tr "magic.rewritten_rules" > rules)
+
 (* --- property: random schedules vs recompute-from-scratch ---------------- *)
 
 (* Same rule pool as the demand suite: closures over edb g/2, e/1 with
@@ -440,6 +496,10 @@ let suite =
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "malformed requests don't kill the engine" `Quick
       test_handle_errors;
+    Alcotest.test_case "every exception becomes an error reply" `Quick
+      test_exceptions_become_errors;
+    Alcotest.test_case "demand programs compiled once per pattern" `Quick
+      test_demand_reuses_programs;
     prop "random schedules ≡ recompute-from-scratch" scenario_arb
       prop_schedule_matches_recompute;
     prop "base instance tracks the schedule" scenario_arb
