@@ -22,8 +22,10 @@ bench:
 # seeded schedule), a loader step (e36 must load its two seeded
 # social-shaped texts, short and long value names, to their known fact
 # counts and interned-value counts, and their first loads must allocate
-# their known minor-heap words per fact: 8.50 and 8.62 with one block
-# per tuple, where two blocks per tuple read 10.50 and 10.62), a trace
+# their known minor-heap words per fact: 5.51 and 5.63 with one block
+# per tuple and no list of rows beside each predicate's set, where a
+# row list read 8.50 and 8.62 and two blocks per tuple 10.50 and
+# 10.62), a trace
 # tax step (tracecost replays a seeded 600-request serve schedule on a
 # traced and an untraced engine in turn; over all requests the traced
 # engine may allocate at most 100 more minor-heap words per request
@@ -33,7 +35,9 @@ bench:
 # interning smoke step (the interned engines must still
 # derive the known TC fact counts, and the CLI must report intern
 # counters, and matcher.delta_first: some delta pass of the TC rule
-# started from the delta), a trace smoke step (emit a JSONL trace and validate it
+# started from the delta, and db.index_builds 2: T[0] and G[1], while
+# the keyless first step of the TC rule walks G's set and builds no
+# index), a trace smoke step (emit a JSONL trace and validate it
 # against the schema with datalog-trace-check, then pipe a -j 4 trace
 # through the checker and require the same tally, so the round spans of
 # the semi-naive loop on four workers are schema-checked and match the
@@ -129,8 +133,8 @@ ci:
 	dune exec bench/main.exe -- e36 --json _ci_e36.json > /dev/null
 	grep -q '"case": "social-20000-short".*"facts": 170050, "metrics": {"intern.values": 20300,' _ci_e36.json
 	grep -q '"case": "social-20000-long".*"facts": 170050, "metrics": {"intern.values": 20300,' _ci_e36.json
-	grep -q '"case": "social-20000-short".*"minor_words_per_fact": 8.50}' _ci_e36.json
-	grep -q '"case": "social-20000-long".*"minor_words_per_fact": 8.62}' _ci_e36.json
+	grep -q '"case": "social-20000-short".*"minor_words_per_fact": 5.51}' _ci_e36.json
+	grep -q '"case": "social-20000-long".*"minor_words_per_fact": 5.63}' _ci_e36.json
 	rm -f _ci_e36.json
 	dune exec bench/main.exe -- tracecost --json _ci_tracecost.json > /dev/null
 	sed -nE 's/.*"engine": "all".*"minor_words_tax": ([0-9.-]+).*/\1/p' _ci_tracecost.json \
@@ -140,6 +144,7 @@ ci:
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --stats > _ci_tc.stats
 	grep -q 'intern.values' _ci_tc.stats
 	grep -q 'matcher.delta_first' _ci_tc.stats
+	grep -qE '^  db\.index_builds +2$$' _ci_tc.stats
 	dune exec -- datalog-unchained run -s seminaive _ci_tc.dl --trace _ci_tc.jsonl > /dev/null
 	dune exec -- datalog-trace-check _ci_tc.jsonl > _ci_seq.check
 	_build/install/default/bin/datalog-unchained run -s seminaive -j 4 _ci_tc.dl --trace /dev/fd/3 3>&1 > /dev/null \

@@ -247,7 +247,7 @@ let run ?(trace = Observe.Trace.null) tag program edb =
   in
   let maps : (string, Annotated.map) Hashtbl.t = Hashtbl.create 8 in
   (* Bool builds no side-cars at all — the support IS the annotation,
-     so [annotation]/[annotated_rel] read membership directly and the
+     so [annotation] reads membership directly and the
      --annot bool path stays byte-for-byte the plain engine run *)
   if tag <> Semiring.Bool then
     for i = 0 to g.nfacts - 1 do
@@ -288,11 +288,3 @@ let annotation r p tup =
          predicate with no support facts under any other semiring *)
       if Instance.mem_fact p tup r.instance then r.sr.Semiring.one
       else r.sr.Semiring.zero
-
-let annotated_rel r p =
-  let rel = Instance.find p r.instance in
-  match Hashtbl.find_opt r.maps p with
-  (* mapless: every fact present in [rel] is annotated [one] — exact for
-     Bool, and vacuous otherwise ([rel] is empty when no map was built) *)
-  | None -> Annotated.of_relation r.sr rel (fun _ -> r.sr.Semiring.one)
-  | Some ann -> { Annotated.rel; ann }

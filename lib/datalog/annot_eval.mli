@@ -62,7 +62,3 @@ val run :
 (** [annotation r pred tup] is the fact's annotation ([zero] when the
     fact is not in the support). *)
 val annotation : t -> string -> Tuple.t -> Semiring.v
-
-(** [annotated_rel r pred] is the support relation of [pred] with its
-    annotation map — the {!Annotated.rel} view used by printers. *)
-val annotated_rel : t -> string -> Annotated.rel

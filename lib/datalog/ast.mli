@@ -58,17 +58,11 @@ val rule : atom -> blit list -> rule
 (** [fact a] is a body-less rule. *)
 val fact : atom -> rule
 
-(** [nrule heads body] builds a (possibly multi-head) rule. *)
-val nrule : hlit list -> blit list -> rule
-
 (** {1 Structural queries} *)
 
 val atom_of_hlit : hlit -> atom option
 
-(** [head_preds p] / [body_preds p]: predicate names occurring in heads /
-    bodies. *)
-val head_preds : program -> string list
-
+(** [body_preds p]: predicate names occurring in bodies. *)
 val body_preds : program -> string list
 
 (** [idb p] is the set of intensional predicates (those in some head);
@@ -157,8 +151,6 @@ val is_datalog_neg_syntax : program -> bool
 (** {1 Substitution} *)
 
 type subst = (string * Value.t) list
-
-val apply_term : subst -> term -> Value.t option
 
 (** [ground_atom s a] instantiates an atom; @raise Check_error if a variable
     is unbound. *)

@@ -128,43 +128,38 @@ let with_delta_preds prepared delta_preds =
       (e, dps))
     prepared
 
-(* Round-fresh accumulator state: per-predicate list of new facts plus a
-   flat set of them for within-round dedup. The delta never takes the shape
-   of a persistent relation — building one costs a path copy per fact,
-   and nothing downstream (indexing, absorbing) needs more than the
-   list. The sets start at 32 slots and grow: a magic session runs many
-   rounds that derive a handful of facts each, and a slot array past 256
-   words would be allocated on the major heap every round. *)
-type fresh_tbl = (string, Tuple.t list ref * Tuple.Set.t) Hashtbl.t
+(* Round-fresh accumulator state: per predicate, the set of its new
+   facts, which dedups them within the round and keeps them in the order
+   they were found. The delta never takes the shape of a persistent
+   relation: nothing downstream (indexing, absorbing) needs more than
+   the list of the set's tuples. The sets start at 32 slots and grow: a
+   magic session runs many rounds that derive a handful of facts each,
+   and a slot array past 256 words would be allocated on the major heap
+   every round. *)
+type fresh_tbl = (string, Tuple.Set.t) Hashtbl.t
 
 let pred_state (tbl : fresh_tbl) p =
   match Hashtbl.find_opt tbl p with
   | Some s -> s
   | None ->
-      let s = (ref [], Tuple.Set.create 16) in
+      let s = Tuple.Set.create 16 in
       Hashtbl.add tbl p s;
       s
 
-(* Add the fact [t] to one predicate's accumulator unless [seen] already
+(* Add the fact [t] to one predicate's accumulator unless it already
    holds it: one probe. *)
-let add_unseen lst seen t = if Tuple.Set.add seen t then lst := t :: !lst
-
-(* The same for the fact [ids], a matcher scratch buffer: copied into a
-   tuple first. *)
-let add_unseen_ids lst seen ids =
-  add_unseen lst seen (Tuple.of_ids ids)
+let add_unseen seen t = ignore (Tuple.Set.add seen t : bool)
 
 (* drain per-predicate fact lists into an assoc list (pred-name order,
    so round processing stays deterministic) and reset the table for the
-   next round; [facts] reads one predicate's list out of its entry *)
+   next round; [facts] reads one predicate's list, in order, out of its
+   entry *)
 let drain (tbl : (string, 'a) Hashtbl.t) facts =
-  let per =
-    Hashtbl.fold (fun p s acc -> (p, List.rev (facts s)) :: acc) tbl []
-  in
+  let per = Hashtbl.fold (fun p s acc -> (p, facts s) :: acc) tbl [] in
   Hashtbl.reset tbl;
   List.sort (fun (a, _) (b, _) -> String.compare a b) per
 
-let take_fresh (tbl : fresh_tbl) = drain tbl (fun (lst, _) -> !lst)
+let take_fresh (tbl : fresh_tbl) = drain tbl Tuple.Set.to_list
 
 let total_fresh delta =
   List.fold_left (fun n (_, ts) -> n + List.length ts) 0 delta
@@ -343,9 +338,8 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
             else (
               if tracing then Stdlib.incr derived;
               let o = owner nw ids in
-              if o = w then (
-                let lst, seen = Option.get !cur_state in
-                add_unseen lst seen (Tuple.of_hashed ids h))
+              if o = w then
+                add_unseen (Option.get !cur_state) (Tuple.of_hashed ids h)
               else
                 match par with
                 | Some (_, ex) ->
@@ -383,8 +377,7 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
     let t0 = Observe.Trace.now () in
     let wk = workers.(w) in
     Parallel.Exchange.drain ex ~dst:w (fun ~src:_ ~pred ts ->
-        let lst, seen = pred_state wk.fresh pred in
-        List.iter (add_unseen lst seen) ts);
+        List.iter (add_unseen (pred_state wk.fresh pred)) ts);
     exch_s.(w) <- Observe.Trace.now () -. t0
   in
   (* one round: derive on every worker, then drain each worker's
@@ -543,8 +536,8 @@ type dred_stats = { overdeleted : int; rederived : int; cone_rounds : int }
       delta-restricted rules against the STILL-INTACT database (so a
       derivation using two deleted facts is found too), collecting every
       present head fact reachable from a deleted fact.
-   2. Delete the whole cone from the db (membership sets, rows and
-      indexes stay in sync via [Db.remove]).
+   2. Delete the whole cone from the db (membership sets and indexes
+      stay in sync via [Db.remove]).
    3. Re-derivation seed: cone facts still present in the base EDB
       (retraction only withdrew their *derived* support), plus every
       cone fact one guard plan rederives from the surviving database.
@@ -558,52 +551,36 @@ type dred_stats = { overdeleted : int; rederived : int; cone_rounds : int }
    post-retraction EDB (the property suite checks byte-identity against
    exactly that oracle). *)
 let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
-  (* distinct retracted facts actually present in the materialization *)
-  let deletions =
-    let tmp : fresh_tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (p, ts) ->
-        List.iter
-          (fun t ->
-            if Matcher.Db.mem db p t then (
-              let lst, seen = pred_state tmp p in
-              add_unseen lst seen t))
-          ts)
-      deletions;
-    take_fresh tmp
-  in
-  if deletions = [] then { overdeleted = 0; rederived = 0; cone_rounds = 0 }
+  (* the over-deletion cone: per predicate, the set of its facts met so
+     far, in the order met — the distinct retracted facts actually
+     present in the materialization, then frontier after frontier *)
+  let cone : fresh_tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (p, ts) ->
+      List.iter
+        (fun t -> if Matcher.Db.mem db p t then add_unseen (pred_state cone p) t)
+        ts)
+    deletions;
+  if Hashtbl.length cone = 0 then
+    { overdeleted = 0; rederived = 0; cone_rounds = 0 }
   else (
     let tracing = Observe.Trace.enabled trace in
     (* each phase is a span of its own kind: [--stats] and the serve
        [stats] op's [span.<kind>] histograms split a retract by phase *)
     let phase kind f = Observe.Trace.with_span trace ~kind "dred" f in
-    (* phase 1: the over-deletion cone, frontier by frontier *)
-    let seen : (string, Tuple.Set.t) Hashtbl.t = Hashtbl.create 8 in
-    let seen_of p =
-      match Hashtbl.find_opt seen p with
-      | Some set -> set
-      | None ->
-          let set = Tuple.Set.create 64 in
-          Hashtbl.add seen p set;
-          set
+    let cone_preds () =
+      List.sort String.compare (Hashtbl.fold (fun p _ acc -> p :: acc) cone [])
     in
-    let cone : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 8 in
-    let add_cone p ts =
-      match Hashtbl.find_opt cone p with
-      | Some l -> l := List.rev_append ts !l
-      | None -> Hashtbl.add cone p (ref ts)
-    in
-    List.iter
-      (fun (p, ts) ->
-        List.iter
-          (fun t -> ignore (Tuple.Set.add (seen_of p) t))
-          ts;
-        add_cone p ts)
-      deletions;
+    (* phase 1: the cone, frontier by frontier; [next] collects the facts
+       the current round adds to it *)
     let cone_rounds = ref 0 in
-    let fresh : fresh_tbl = Hashtbl.create 4 in
-    let frontier = ref deletions in
+    let next : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 4 in
+    let frontier =
+      ref
+        (List.map
+           (fun p -> (p, Tuple.Set.to_list (Hashtbl.find cone p)))
+           (cone_preds ()))
+    in
     phase "cone" (fun () ->
         while !frontier <> [] do
           Stdlib.incr cone_rounds;
@@ -622,52 +599,44 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                                && Matcher.Db.memset_mem
                                     (Matcher.Db.memset db p) ids
                              then
-                               add_unseen_ids (fst (pred_state fresh p))
-                                 (seen_of p) ids)))
+                               let t = Tuple.of_ids ids in
+                               if Tuple.Set.add (pred_state cone p) t then
+                                 match Hashtbl.find_opt next p with
+                                 | Some l -> l := t :: !l
+                                 | None -> Hashtbl.add next p (ref [ t ]))))
                 dps)
             dprep.dr_with_dps;
-          (* a predicate whose firings were all seen before leaves an empty
-             entry; dropping it keeps the loop's exit test exact *)
-          let next =
-            List.filter (fun (_, ts) -> ts <> []) (take_fresh fresh)
-          in
-          List.iter (fun (p, ts) -> add_cone p ts) next;
-          frontier := next
+          frontier := drain next (fun l -> List.rev !l)
         done);
+    let cone_preds = cone_preds () in
     (* phase 2: delete the cone *)
-    let cone_preds =
-      List.sort String.compare (Hashtbl.fold (fun p _ acc -> p :: acc) cone [])
-    in
     let overdeleted = ref 0 in
     phase "delete" (fun () ->
         List.iter
           (fun p ->
-            List.iter
+            Tuple.Set.iter
               (fun t ->
                 if Matcher.Db.remove db p t then Stdlib.incr overdeleted)
-              !(Hashtbl.find cone p))
+              (Hashtbl.find cone p))
           cone_preds);
     (* phase 3: re-derivation seed *)
     let r0 : fresh_tbl = Hashtbl.create 4 in
-    let add_r0 p t =
-      let lst, rseen = pred_state r0 p in
-      add_unseen lst rseen t
-    in
     phase "seed" (fun () ->
         List.iter
           (fun p ->
-            List.iter
-              (fun t -> if Matcher.Db.mem edb p t then add_r0 p t)
-              !(Hashtbl.find cone p))
+            Tuple.Set.iter
+              (fun t ->
+                if Matcher.Db.mem edb p t then add_unseen (pred_state r0 p) t)
+              (Hashtbl.find cone p))
           cone_preds;
         List.iter
           (fun (hp, gplan) ->
             match Hashtbl.find_opt cone hp with
             | None -> ()
-            | Some lst ->
+            | Some set ->
                 ignore
                   (Matcher.iter_firings
-                     ~delta:(dred_guard_pred hp, !lst)
+                     ~delta:(dred_guard_pred hp, Tuple.Set.to_list set)
                      ~dom gplan db
                      (fun ~pos p ids ->
                        if
@@ -675,7 +644,7 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                          && not
                               (Matcher.Db.memset_mem (Matcher.Db.memset db p)
                                  ids)
-                       then add_r0 p (Tuple.of_ids ids))))
+                       then add_unseen (pred_state r0 p) (Tuple.of_ids ids))))
           dprep.dr_guards);
     (* phase 4: propagate the survivors *)
     let seed = take_fresh r0 in

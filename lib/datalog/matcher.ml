@@ -15,32 +15,27 @@ let k_substs_max = Trace.key "matcher.substs_max"
 
 module Db = struct
   (* The engines' only mutable store. Per predicate, a [store] holds the
-     facts as one membership set (a {!Tuple.Set}, probed by id vector),
-     that set's rows, and the join indexes ({!Relation.Index}) memoized
-     per constrained positions. [insert]/[absorb]/[absorb_new]/[remove]
-     keep all of them in step, so fixpoint engines create one Db per
-     evaluation and feed it deltas instead of re-indexing the full
-     instance at every stage. The all-tuples scan is the [positions =
-     []] index, so it too is maintained incrementally. A lookup that
-     binds every position reads the membership set instead.
+     facts as one membership set (a {!Tuple.Set}, probed by id vector,
+     and walked in its own order by a step that binds no position), and
+     the join indexes ({!Relation.Index}) memoized per constrained
+     positions, never on none. [insert]/[absorb]/[absorb_new]/[remove]
+     keep them in step, so fixpoint engines create one Db per evaluation
+     and feed it deltas instead of re-indexing the full instance at
+     every stage. A lookup that binds every position reads the
+     membership set.
 
      A store starts from the instance's relation: it adopts that
-     relation's set and rows, copying nothing. Publishing ([relation],
-     [instance]) lends them to a new relation value
-     ({!Relation.of_loaded}). While the set is [lent], the next write
-     copies it first (one array copy), so a relation value never
-     changes. Handles ({!memset}) hold the store, so they stay valid
-     across the copy. *)
+     relation's set, copying nothing. Publishing ([relation],
+     [instance]) lends it to a new relation value
+     ({!Relation.of_set}). While the set is [lent], the next write
+     copies it first, so a relation value never changes. Handles
+     ({!memset}) hold the store, so they stay valid across the copy. *)
   type store = {
     mutable set : Tuple.Set.t;
-    mutable rows : Tuple.t list;
-        (* the set's tuples, newest first; a removal drops them ([stale])
-           and the next read rebuilds them from the set *)
-    mutable stale : bool;
     mutable ar : int;  (* the facts' arity, while the set is not empty *)
     mutable lent : Relation.t option;
-        (* the relation sharing [set] and [rows] since the last write:
-           the one adopted, or the last one published *)
+        (* the relation sharing [set] since the last write: the one
+           adopted, or the last one published *)
     indexes : (int list, Index.t) Hashtbl.t;
   }
 
@@ -71,8 +66,6 @@ module Db = struct
   let adopt rel =
     {
       set = Relation.set rel;
-      rows = Relation.rows rel;
-      stale = false;
       ar = Option.value (Relation.arity rel) ~default:0;
       lent = Some rel;
       indexes = Hashtbl.create 4;
@@ -88,21 +81,13 @@ module Db = struct
         Hashtbl.add db.stores p st;
         st
 
-  let rows st =
-    if st.stale then (
-      let rows = ref [] in
-      Tuple.Set.iter (fun t -> rows := t :: !rows) st.set;
-      st.rows <- !rows;
-      st.stale <- false);
-    st.rows
-
   (* [p]'s relation: the one lent [st]'s set, a new value after a write
      (in a [materialize] span) *)
   let publish db p st =
     match st.lent with
     | Some r -> r
     | None ->
-        let make () = Relation.of_loaded (rows st) st.set in
+        let make () = Relation.of_set st.set in
         let r =
           if not (Observe.Trace.enabled db.trace) then make ()
           else
@@ -166,7 +151,7 @@ module Db = struct
         ix
     | None ->
         Trace.incr_key db.trace k_builds;
-        let build () = Index.of_list (Array.of_list positions) (rows st) in
+        let build () = Index.of_set (Array.of_list positions) st.set in
         let ix =
           if not (Observe.Trace.enabled db.trace) then build ()
           else
@@ -211,6 +196,7 @@ module Db = struct
         match Tuple.Set.find_opt (store db p).set key with
         | Some t -> [ t ]
         | None -> [])
+    | Some _ when bindings = [] -> Tuple.Set.to_list (store db p).set
     | Some _ ->
         Index.to_list
           (Index.find (index db p (List.map fst bindings)) (Array.get key))
@@ -228,13 +214,12 @@ module Db = struct
            "Relation: arity mismatch (relation has arity %d, tuple has %d)"
            st.ar (Tuple.arity t))
 
-  (* [t], not in [st], joins its set, rows and indexes *)
+  (* [t], not in [st], joins its set and indexes *)
   let add_new st t =
     check_arity st t;
     writable st;
     st.ar <- Tuple.arity t;
     ignore (Tuple.Set.add st.set t);
-    if not st.stale then st.rows <- t :: st.rows;
     Hashtbl.iter (fun _ ix -> Index.add ix t) st.indexes
 
   let insert db p t =
@@ -253,8 +238,6 @@ module Db = struct
     else (
       writable st;
       ignore (Tuple.Set.remove st.set t);
-      st.rows <- [];
-      st.stale <- true;
       Hashtbl.iter (fun _ ix -> Index.remove ix t) st.indexes;
       true)
 
@@ -287,7 +270,6 @@ module Db = struct
         writable st;
         st.ar <- Tuple.arity t0;
         List.iter (fun t -> ignore (Tuple.Set.add st.set t)) news;
-        if not st.stale then st.rows <- List.rev_append news st.rows;
         Hashtbl.iter (fun _ ix -> List.iter (Index.add ix) news) st.indexes
 end
 
@@ -633,19 +615,27 @@ let check_filter ?neg_db db subst = function
       else None
 
 (* Where a step's candidates come from: the predicate's membership set
-   for a step that binds every position, else its index on the bound
-   positions. Builds the structure on first use. *)
-type source = Member of Db.memset | Indexed of Index.t | Unresolved
+   for a step that binds every position, its set walked in order for a
+   step that binds none, else its index on the bound positions, built
+   on first use. A walk settles a stale order ({!Tuple.Set.settle}) only
+   when it runs. *)
+type source =
+  | Member of Db.memset
+  | Scan of Db.memset
+  | Indexed of Index.t
+  | Unresolved
 
 let source db = function
   | CAtom { apred; member = true; _ } -> Member (Db.memset db apred)
+  | CAtom { apred; key_positions = []; _ } -> Scan (Db.memset db apred)
   | CAtom { apred; key_positions; _ } ->
       Indexed (Db.index db apred key_positions)
   | CDomain _ -> Unresolved
 
 (* Force every lazily-built structure a plan can touch — step sources
    of the greedy plan and of every delta-first plan after its delta step
-   (which reads the delta, never the database), membership sets for
+   (which reads the delta, never the database), with the order of every
+   set a keyless step walks settled, membership sets for
    positive/negative filter probes (the ∀ check re-evaluates the whole
    body, so every body literal counts), and the head-dedup memsets — so
    that read-only workers sharing the database never trigger a
@@ -655,7 +645,11 @@ let prewarm ?neg_db prepared db =
   let ndb = Option.value neg_db ~default:db in
   let warm_steps from plan =
     Array.iteri
-      (fun j step -> if j >= from then ignore (source db step : source))
+      (fun j step ->
+        if j >= from then
+          match source db step with
+          | Scan m -> Tuple.Set.settle m.set
+          | Member _ | Indexed _ | Unresolved -> ())
       plan.csteps
   in
   warm_steps 0 prepared.base;
@@ -799,6 +793,12 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
         Stdlib.incr scans);
       List.iter visit ts
     in
+    let scan_set (m : Db.memset) visit =
+      if tracing then (
+        cands := !cands + Tuple.Set.length m.set;
+        Stdlib.incr scans);
+      Tuple.Set.iter visit m.set
+    in
     (* one pass over [plan], whose sources are [srcs]; step [didx] scans
        its candidates with [dsrc] (the delta's) instead *)
     let run_plan plan srcs didx dsrc =
@@ -854,6 +854,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
               else (
                 match src with
                 | Indexed ix -> scan_bucket (Index.find ix keys.(i)) visit
+                | Scan m -> scan_set m visit
                 | Member _ | Unresolved -> ())
       in
       if filters_ok 0 then go 0
@@ -896,6 +897,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
             let first = prepared.base.csteps.(0) in
             match main_src.(0) with
             | Indexed ix -> Index.size (Index.find ix (key_of first)) > ndelta
+            | Scan m -> Tuple.Set.length m.set > ndelta
             | Member m -> ndelta = 0 && is_member m first
             | Unresolved -> false
           in
@@ -927,9 +929,10 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
 
 let run ?delta ?dom ?neg_db prepared db =
   (* the public API takes the delta as a relation; the join loop wants
-     the plain tuple list, its rows (order is irrelevant: results are
-     sorted) *)
-  let delta = Option.map (fun (p, rel) -> (p, Relation.rows rel)) delta in
+     the plain tuple list (order is irrelevant: results are sorted) *)
+  let delta =
+    Option.map (fun (p, rel) -> (p, Tuple.Set.to_list (Relation.set rel))) delta
+  in
   let nkeep = Array.length prepared.keep in
   let results = ref [] in
   let (_ : int) =

@@ -19,21 +19,22 @@
 open Relational
 
 (** The engines' mutable store. Per predicate a [Db] holds one
-    membership set (a {!Tuple.Set}), that set's rows, and the join
-    indexes ({!Relation.Index}) memoized per constrained positions, all
-    maintained incrementally: create one [Db] per evaluation (not per
-    stage) and feed it new facts with {!Db.insert}, {!Db.absorb} or
-    {!Db.absorb_new} — every cached index is updated in place instead of
-    being rebuilt. A probe that binds every argument position is a
-    membership test: it reads the predicate's membership set
-    ({!Db.memset}) and never builds an index.
+    membership set (a {!Tuple.Set}, which keeps its facts in insertion
+    order too) and the join indexes ({!Relation.Index}) memoized per
+    constrained positions, all maintained incrementally: create one [Db]
+    per evaluation (not per stage) and feed it new facts with
+    {!Db.insert}, {!Db.absorb} or {!Db.absorb_new} — every cached index
+    is updated in place instead of being rebuilt. A probe that binds
+    every argument position is a membership test: it reads the
+    predicate's membership set ({!Db.memset}) and never builds an index.
+    A probe that binds none walks the set in its order and never builds
+    an index either: there is no index on no columns.
 
     A predicate's store starts from the wrapped instance's relation: it
-    adopts that relation's set and rows ({!Relation.set},
-    {!Relation.rows}) without copying them. {!Db.relation} and
-    {!Db.instance} publish by lending the set and rows to a relation
-    value ({!Relation.of_loaded}); the next write to a lent set copies
-    it first (one array copy), so a published relation never changes. *)
+    adopts that relation's set ({!Relation.set}) without copying it.
+    {!Db.relation} and {!Db.instance} publish by lending the set to a
+    relation value ({!Relation.of_set}); the next write to a lent set
+    copies it first, so a published relation never changes. *)
 module Db : sig
   type t
 
@@ -54,7 +55,7 @@ module Db : sig
   val trace : t -> Observe.Trace.ctx
 
   (** [with_trace db ctx] is a {e view} of [db] reporting to [ctx]: it
-      shares every store (membership sets, rows, indexes) with [db] but
+      shares every store (membership sets and indexes) with [db] but
       counts into its own context. The semi-naive loop hands one view to
       each of its workers when it runs on more than one, so counters
       never contend. A view is read-only by convention: callers must
@@ -65,7 +66,7 @@ module Db : sig
 
   (** [sharing db shared base] is a query-scoped database over [base]
       that reads every predicate of [shared] from [db] itself: [db]'s
-      store for it (membership set, rows and memoized indexes) is
+      store for it (membership set and memoized indexes) is
       aliased, not copied. An index the query builds on a shared
       predicate therefore stays in [db], and [db]'s later writes
       maintain it. Every other predicate starts from [base] and lives
@@ -76,7 +77,7 @@ module Db : sig
 
   (** [instance db] is the current contents as an instance (a snapshot;
       later writes to [db] do not affect it). Each predicate's relation
-      is lent the predicate's set and rows, so publishing copies
+      is lent the predicate's set, so publishing copies
       nothing; a predicate not written since its last publish keeps its
       relation value (and that value's memoized indexes and sorted
       view). *)
@@ -97,10 +98,11 @@ module Db : sig
       [bindings], a list of (position, value) constraints. Builds (and
       caches) a hash index on the constrained positions — unless they
       are exactly the positions [0 .. arity - 1] of [p]: a ground lookup
-      reads the membership set ({!memset}) and builds no index. The list
-      is built once from the index bucket ({!Relation.Index.to_list},
-      newest first); the compiled plans read buckets in place and never
-      build it. *)
+      reads the membership set ({!memset}) and builds no index; nor does
+      a lookup with no constraint, which lists the set in its order. The
+      list is built once from the index bucket
+      ({!Relation.Index.to_list}, newest first); the compiled plans read
+      buckets in place and never build it. *)
   val lookup : t -> string -> (int * Value.t) list -> Tuple.t list
 
   (** [mem db p tup] tests a ground fact. *)
@@ -159,7 +161,9 @@ type prepared
     argument position of its atom (by constants or by variables earlier
     steps bound) is compiled as a {e membership test}: it is answered by
     the predicate's membership set ({!Db.memset}), with 0 or 1
-    candidates, and no index is ever built for it. *)
+    candidates, and no index is ever built for it. A step that binds no
+    position walks the predicate's set in its order, and no index is
+    built for it either. *)
 val prepare : Ast.rule -> prepared
 
 (** [needs_dom prepared] holds iff executing the plan reads the [dom]
@@ -182,7 +186,8 @@ val needs_dom : prepared -> bool
     A pass on an occurrence that is not first in the greedy order runs
     that occurrence's delta-first plan when the delta has fewer tuples
     than the greedy plan's first step would enumerate (that step's
-    index bucket for its constant key), and the greedy plan otherwise:
+    index bucket for its constant key, or the whole set of a keyless
+    step), and the greedy plan otherwise:
     a one-fact delta against a large first relation then costs as much
     as the delta, while a large delta against a small first relation
     keeps the greedy order. The choice reads only sizes, so the matches
@@ -269,8 +274,9 @@ val iter_derivations :
 (** [prewarm prepared db] forces every lazily-built structure the plan
     can touch — step indexes of the greedy plan and of every
     delta-first plan after its delta step (the membership set instead,
-    for a membership-test step), membership sets for filter probes and
-    head dedup — so that subsequent read-only uses of [db] (directly or
+    for a membership-test step, and the set's settled order,
+    {!Tuple.Set.settle}, for a keyless one), membership sets for filter
+    probes and head dedup — so that subsequent read-only uses of [db] (directly or
     through {!Db.with_trace} views) trigger no builds. The semi-naive
     loop calls it before it runs a fixpoint on more than one worker
     domain; [neg_db] follows the same convention as {!iter_firings}. *)

@@ -1,8 +1,7 @@
 (** Concrete-syntax printer for programs.
 
     Prints the same surface syntax {!Parser} reads, so that
-    [Parser.parse_program (Format.asprintf "%a" Pretty.pp_program p)]
-    round-trips (tested by property). Conventions:
+    [Parser.parse_program (Pretty.program_to_string p)] round-trips (tested by property). Conventions:
 
     - variables print bare when they start with an uppercase letter or
       [_], and as [?x] otherwise;
@@ -18,8 +17,6 @@ val pp_term : Format.formatter -> Ast.term -> unit
 val pp_atom : Format.formatter -> Ast.atom -> unit
 val pp_hlit : Format.formatter -> Ast.hlit -> unit
 val pp_blit : Format.formatter -> Ast.blit -> unit
-val pp_rule : Format.formatter -> Ast.rule -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 val program_to_string : Ast.program -> string
 val rule_to_string : Ast.rule -> string
 

@@ -88,7 +88,7 @@ val store : outcome -> string -> Instance.t
     for comparing runs. *)
 val global : outcome -> Instance.t
 
-(** [confluent ?schedules net] runs under several schedules (default:
-    round-robin plus 5 seeded random ones) and reports whether all global
-    outcomes coincide — the executable CALM check. *)
-val confluent : ?schedules:schedule list -> network -> bool
+(** [confluent net] runs under round-robin and 5 seeded random schedules
+    and reports whether all global outcomes coincide — the executable
+    CALM check. *)
+val confluent : network -> bool

@@ -86,15 +86,12 @@ type policy = int -> Value.t list -> Tuple.t list -> Tuple.t
 (** [seeded_policy seed] — deterministic pseudo-random pick. *)
 val seeded_policy : int -> policy
 
-(** [first_policy] — always the smallest candidate (deterministic
-    skolemization). *)
-val first_policy : policy
-
 (** [eval ?policy ?trace inst f vars] evaluates [f] with output columns
     [vars] over the active domain of [inst] (plus [f]'s constants),
     through the compiled path where possible (see above). Without
     [Witness] subformulas the result is deterministic and [policy] is
-    irrelevant (default {!first_policy}).
+    irrelevant (default: always the smallest candidate, a deterministic
+    skolemization).
     @raise Undefined on diverging PFP
     @raise Type_error on arity mismatches
     @raise Invalid_argument listing {e all} free variables missing from

@@ -16,9 +16,3 @@ let cert ?fuel p inst =
   match Enumerate.terminals ?fuel p inst with
   | [] -> Instance.empty
   | j :: js -> List.fold_left intersect j js
-
-let poss_answer ?fuel p inst pred =
-  Instance.find pred (poss ?fuel p inst)
-
-let cert_answer ?fuel p inst pred =
-  Instance.find pred (cert ?fuel p inst)

@@ -22,11 +22,3 @@ val poss : ?fuel:int -> Datalog.Ast.program -> Instance.t -> Instance.t
     over an empty effect is taken to be the empty instance (the paper
     leaves this degenerate case open; empty keeps [cert ⊆ poss]). *)
 val cert : ?fuel:int -> Datalog.Ast.program -> Instance.t -> Instance.t
-
-(** [poss_answer p inst pred] / [cert_answer p inst pred] project one
-    relation out of the respective semantics. *)
-val poss_answer :
-  ?fuel:int -> Datalog.Ast.program -> Instance.t -> string -> Relation.t
-
-val cert_answer :
-  ?fuel:int -> Datalog.Ast.program -> Instance.t -> string -> Relation.t

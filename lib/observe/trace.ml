@@ -199,7 +199,6 @@ type ctx = {
   enabled : bool;
   sinks : sink list;
   retain_kinds : string list;
-  retain_cap : int;
   mutable next_sid : int;
   mutable stack : frame list;
   mutable vals : int array;  (* counter and gauge values, by key *)
@@ -227,13 +226,15 @@ let now () =
 
 let default_retain = [ "run"; "stratum"; "phase"; "adom"; "load"; "print" ]
 
-let make ?(sinks = []) ?(retain = default_retain) ?(retain_cap = 1024) () =
+(* at most this many closed spans are retained *)
+let retain_cap = 1024
+
+let make ?(sinks = []) ?(retain = default_retain) () =
   let n = max 64 (Atomic.get registered) in
   {
     enabled = true;
     sinks;
     retain_kinds = retain;
-    retain_cap;
     next_sid = 1;
     stack = [];
     vals = Array.make n 0;
@@ -250,7 +251,6 @@ let null =
     enabled = false;
     sinks = [];
     retain_kinds = [];
-    retain_cap = 0;
     next_sid = 1;
     stack = [];
     vals = [||];
@@ -418,7 +418,7 @@ let open_span ctx ?(fields = []) ~kind name =
 let account ctx cell sp dur fields =
   cell.spans <- cell.spans + 1;
   cell.total.(0) <- cell.total.(0) +. dur;
-  if cell.retain && ctx.retained_n < ctx.retain_cap then (
+  if cell.retain && ctx.retained_n < retain_cap then (
     ctx.retained <- (sp, dur, fields) :: ctx.retained;
     ctx.retained_n <- ctx.retained_n + 1)
 
@@ -469,8 +469,7 @@ let fork ctx =
   else
     let sink, journal = memory_sink () in
     {
-      (make ~sinks:[ sink ] ~retain:ctx.retain_kinds
-         ~retain_cap:ctx.retain_cap ())
+      (make ~sinks:[ sink ] ~retain:ctx.retain_kinds ())
       with
       journal = Some journal;
     }

@@ -82,10 +82,8 @@ val default_retain : string list
 
 (** [make ()] is an enabled context. [retain] lists the span kinds whose
     closed spans are kept (with close fields) for the human-readable
-    summary, capped at [retain_cap] spans; defaults to
-    {!default_retain}. *)
-val make :
-  ?sinks:sink list -> ?retain:string list -> ?retain_cap:int -> unit -> ctx
+    summary, at most 1024 spans; defaults to {!default_retain}. *)
+val make : ?sinks:sink list -> ?retain:string list -> unit -> ctx
 
 val enabled : ctx -> bool
 

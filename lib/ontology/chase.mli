@@ -31,9 +31,6 @@ type tgd = Datalog.Ast.rule
     body. @raise Datalog.Ast.Check_error otherwise. *)
 val check : tgd list -> unit
 
-(** [existential_vars t] — the head-only variables. *)
-val existential_vars : tgd -> string list
-
 (** [is_linear tgds] — every body is a single atom. *)
 val is_linear : tgd list -> bool
 

@@ -10,7 +10,7 @@ module KTbl = Tuple.KTbl
 
 type map = Semiring.v KTbl.t
 
-let create_map ?(size = 64) () : map = KTbl.create size
+let create_map () : map = KTbl.create 64
 let set (m : map) ids v = KTbl.replace m ids v
 
 let find (sr : Semiring.t) (m : map) ids =

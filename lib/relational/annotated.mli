@@ -9,7 +9,7 @@ type map
 (** Mutable annotation map keyed by interned-id vectors. Tuples absent
     from the map are implicitly [zero]. *)
 
-val create_map : ?size:int -> unit -> map
+val create_map : unit -> map
 val set : map -> int array -> Semiring.v -> unit
 
 (** [find sr m ids] is the annotation of [ids], or [sr.zero]. *)

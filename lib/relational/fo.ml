@@ -595,14 +595,12 @@ and compile_and ctx conjs =
 type plan = {
   pexpr : A.expr;
   patoms : (string * int) list;
-  pfallback : int;
   pformula : formula;
   pvars : string list;
   pdom : Value.t list option;
 }
 
 let plan_expr p = p.pexpr
-let plan_fallback_vars p = p.pfallback
 
 let dedup_pairs ps =
   List.fold_left (fun acc p -> if List.mem p acc then acc else p :: acc) [] ps
@@ -633,7 +631,6 @@ let build_plan ?(trace = Observe.Trace.null) ?dom f vars =
   {
     pexpr;
     patoms = dedup_pairs ctx.catoms;
-    pfallback = ctx.fallbacks;
     pformula = f;
     pvars = vars;
     pdom = dom;

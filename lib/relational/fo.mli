@@ -128,7 +128,4 @@ val run_plan :
 (** The compiled algebra expression (inspection/debugging). *)
 val plan_expr : plan -> Algebra.expr
 
-(** Columns bound by bounded active-domain expansion during compilation. *)
-val plan_fallback_vars : plan -> int
-
 val pp : Format.formatter -> formula -> unit

@@ -214,19 +214,14 @@ module Tokens = struct
     end
 end
 
-(* One predicate's facts so far: the distinct rows, newest first, and
-   the set of them that deduplicates them. Rows and set become the
-   relation ({!Relation.of_loaded}). *)
-type loading = {
-  name : string;
-  arity : int;
-  seen : Tuple.Set.t;
-  mutable rows : Tuple.t list;
-}
+(* One predicate's facts so far: the set that deduplicates them and
+   keeps them in load order. It becomes the relation
+   ({!Relation.of_set}). *)
+type loading = { name : string; arity : int; seen : Tuple.Set.t }
 
 (* the predicate before the first fact: its empty name matches no span *)
 let no_pred =
-  { name = ""; arity = 0; seen = Tuple.Set.create 1; rows = [] }
+  { name = ""; arity = 0; seen = Tuple.Set.create 1 }
 
 type loader = {
   len : int;  (** input length *)
@@ -295,7 +290,7 @@ let predicate ld src s e n ~rest =
     | Some p -> p
     | None ->
         let seen = Tuple.Set.create (max 8 (rest / 32)) in
-        let p = { name; arity = n; seen; rows = [] } in
+        let p = { name; arity = n; seen } in
         Hashtbl.add ld.preds name p;
         p
 
@@ -334,7 +329,7 @@ let fact ld src s e ~lp ~ncuts lineno ~rest =
       fail lineno
         (Printf.sprintf "%s has arity %d, got %d argument(s)" p.name p.arity n);
     let t = Tuple.of_prefix ld.argv n in
-    if Tuple.Set.add p.seen t then p.rows <- t :: p.rows
+    ignore (Tuple.Set.add p.seen t : bool)
   end
 
 (* The statement [text.[s..e)] as {!fact} must see it, with its first
@@ -476,8 +471,8 @@ let scan ld text =
 (* Facts and arguments are cut as spans of the input; a '.' or ','
    inside "..." or a quoted symbol neither ends a fact nor splits an
    argument, and '%' or "//" there does not start a comment. Each
-   predicate's facts are deduplicated into one {!Tuple.Set}, which with
-   the rows is its relation ({!Relation.of_loaded}), copied nowhere. *)
+   predicate's facts are deduplicated into one {!Tuple.Set}, which is
+   its relation ({!Relation.of_set}), copied nowhere. *)
 let parse_facts text =
   let ld =
     {
@@ -500,5 +495,5 @@ let parse_facts text =
     make
       (Hashtbl.fold
          (fun name p acc ->
-           SMap.add name (Relation.of_loaded p.rows p.seen) acc)
+           SMap.add name (Relation.of_set p.seen) acc)
          ld.preds SMap.empty)

@@ -106,10 +106,10 @@ val to_string : t -> string
     One pass over the bytes: facts and arguments are cut as spans of
     [text], each distinct token is parsed and interned once (a per-load
     cache; its hits count into [Value.Intern.hits]), and each
-    predicate's facts are deduplicated into one table from id vectors
-    to tuples. Each relation is those rows and that table
-    ({!Relation.of_loaded}), copied nowhere, and [Matcher.Db] adopts the
-    table as the predicate's membership set.
+    predicate's facts are deduplicated into one {!Tuple.Set}, which
+    keeps them in load order. Each relation is that set
+    ({!Relation.of_set}), copied nowhere, and [Matcher.Db] adopts it as
+    the predicate's membership set.
 
     @raise Failure with a line number on malformed input — the line of
     the fact's closing dot, or of the last character of an unterminated

@@ -1,10 +1,4 @@
-type naming = { lt : string; succ : string; first : string; last : string }
-
-let default_naming = { lt = "lt"; succ = "succ"; first = "first"; last = "last" }
-
-let order_relations n = [ n.lt; n.succ; n.first; n.last ]
-
-let adjoin ?(naming = default_naming) ?(include_lt = true) inst =
+let adjoin ?(include_lt = true) inst =
   let dom = Instance.adom inst in
   match dom with
   | [] -> inst
@@ -29,21 +23,18 @@ let adjoin ?(naming = default_naming) ?(include_lt = true) inst =
                 dom)
             dom
       in
-      let inst = Instance.set naming.succ (Relation.of_rows succ_rows) inst in
+      let inst = Instance.set "succ" (Relation.of_rows succ_rows) inst in
       let inst =
-        if include_lt then
-          Instance.set naming.lt (Relation.of_rows lt_rows) inst
+        if include_lt then Instance.set "lt" (Relation.of_rows lt_rows) inst
         else inst
       in
-      let inst =
-        Instance.set naming.first (Relation.of_rows [ [ d0 ] ]) inst
-      in
-      Instance.set naming.last (Relation.of_rows [ [ dlast ] ]) inst
+      let inst = Instance.set "first" (Relation.of_rows [ [ d0 ] ]) inst in
+      Instance.set "last" (Relation.of_rows [ [ dlast ] ]) inst
 
-let is_ordered ?(naming = default_naming) inst =
-  let succ = Instance.find naming.succ inst in
-  let first = Instance.find naming.first inst in
-  let last = Instance.find naming.last inst in
+let is_ordered inst =
+  let succ = Instance.find "succ" inst in
+  let first = Instance.find "first" inst in
+  let last = Instance.find "last" inst in
   if Relation.is_empty succ && Relation.is_empty first && Relation.is_empty last
   then true
   else

@@ -13,28 +13,15 @@
     The order used is {!Value.compare} restricted to the active domain, so
     it is deterministic for a given instance. *)
 
-(** Names of the adjoined relations, overridable in [adjoin]. *)
-type naming = {
-  lt : string;
-  succ : string;
-  first : string;
-  last : string;
-}
+(** [adjoin ?include_lt inst] returns [inst] extended with the order
+    relations [lt], [succ], [first] and [last] over [adom inst].
+    [include_lt] (default [true]) controls whether the quadratic [lt]
+    relation is materialized. On an instance with an empty active domain
+    the order relations are all empty. *)
+val adjoin : ?include_lt:bool -> Instance.t -> Instance.t
 
-val default_naming : naming
-
-(** [adjoin ?naming ?include_lt inst] returns [inst] extended with the order
-    relations over [adom inst]. [include_lt] (default [true]) controls
-    whether the quadratic [lt] relation is materialized. On an instance with
-    an empty active domain the order relations are all empty. *)
-val adjoin : ?naming:naming -> ?include_lt:bool -> Instance.t -> Instance.t
-
-(** [order_relations naming] lists the relation names added by [adjoin] —
-    useful for restricting answers back to the original schema. *)
-val order_relations : naming -> string list
-
-(** [is_ordered ?naming inst] checks that [inst] contains succ/first/last
+(** [is_ordered inst] checks that [inst] contains succ/first/last
     relations forming a valid successor structure on some subset of its
     domain: exactly one [first] and one [last] (or all empty on empty
     domain), and [succ] a chain from first to last. *)
-val is_ordered : ?naming:naming -> Instance.t -> bool
+val is_ordered : Instance.t -> bool

@@ -24,26 +24,23 @@ type index = { cols : int array; table : table }
    second (see [index]). *)
 type slot = Marked | Built of index
 
-(* A relation is a frozen tuple set and its rows. [set] is never written
-   once the value exists (a [Matcher.Db] that shares it copies it before
-   writing), so the value never changes and several domains may read it
-   at once. [rows] hold exactly the set's tuples, in the order they
-   were built in: the unordered enumerations read them, so an index
-   build walks the tuples in load (or derivation) order.
+(* A relation is a frozen tuple set. [set] is never written once the
+   value exists (a [Matcher.Db] that shares it copies it before writing),
+   and its order is settled when the value is made, so the value never
+   changes and several domains may read it at once. The unordered
+   enumerations walk the set's order: the order its tuples were added
+   in, so an index build walks the tuples in load (or derivation) order.
 
-   The rows are there for locality, not as a second copy of the set.
-   The set's slots follow the hash, so walking them visits tuples in
-   an order unrelated to where they sit in the heap; the rows follow
-   build order, which for loaded facts is allocation order, so
-   neighbouring tuples are read together. A row is one block, its ids
-   and hash side by side ({!Tuple}): a stored 2-ary fact is a 4-word
-   tuple, a 3-word list cell and a set slot. Building social-ingest's
-   three join indexes walking the set in slot order took 46-58 ms (the
-   [index] span total of [--stats]); walking the rows took 15-16 ms
-   (five alternating runs each, pinned to one core). *)
+   Walking that order rather than the slots is for locality. The slots
+   follow the hash, so walking them visits tuples in an order unrelated
+   to where they sit in the heap; the order follows build order, which
+   for loaded facts is allocation order, so neighbouring tuples are read
+   together. Building social-ingest's three join indexes walking the
+   slots took 46-58 ms (the [index] span total of [--stats]); walking
+   build order took 15-16 ms (five alternating runs each, pinned to one
+   core). *)
 type t = {
   set : Tuple.Set.t;
-  rows : Tuple.t list;
   ar : int;  (** tuple arity; meaningful only when the set is non-empty *)
   mutable sorted : Tuple.t list option;
       (** memoized order-on-demand view: every observer that can leak an
@@ -56,15 +53,14 @@ type t = {
 }
 
 let empty =
-  { set = Tuple.Set.create 0; rows = []; ar = 0; sorted = Some []; memos = None }
+  { set = Tuple.Set.create 0; ar = 0; sorted = Some []; memos = None }
 
-let of_loaded rows set =
-  match rows with
-  | [] -> empty
-  | t0 :: _ -> { set; rows; ar = Tuple.arity t0; sorted = None; memos = None }
+let of_set set =
+  match Tuple.Set.choose set with
+  | None -> empty
+  | Some t0 -> { set; ar = Tuple.arity t0; sorted = None; memos = None }
 
 let set r = r.set
-let rows r = r.rows
 
 let check_homogeneous ts =
   match ts with
@@ -74,29 +70,29 @@ let check_homogeneous ts =
       if List.exists (fun u -> Tuple.arity u <> a) rest then
         invalid_arg "Relation: arity mismatch"
 
-let of_distinct ts =
-  check_homogeneous ts;
-  let n = List.length ts in
-  let set = Tuple.Set.create n in
-  List.iter (fun t -> ignore (Tuple.Set.add set t)) ts;
-  if Tuple.Set.length set < n then
-    invalid_arg "Relation.of_distinct: repeated tuple";
-  of_loaded ts set
-
-let of_list ts =
+(* the set of [ts], in their order *)
+let set_of ts =
   check_homogeneous ts;
   let set = Tuple.Set.create (List.length ts) in
-  of_loaded (List.filter (Tuple.Set.add set) ts) set
+  List.iter (fun t -> ignore (Tuple.Set.add set t)) ts;
+  set
+
+let of_list ts = of_set (set_of ts)
+
+let of_distinct ts =
+  let set = set_of ts in
+  if Tuple.Set.length set < List.length ts then
+    invalid_arg "Relation.of_distinct: repeated tuple";
+  of_set set
 
 let singleton t = of_distinct [ t ]
 let of_rows rows = of_list (List.map Tuple.of_list rows)
-let raw_fold f r acc = List.fold_left (fun a t -> f t a) acc r.rows
 
 let to_list r =
   match r.sorted with
   | Some l -> l
   | None ->
-      let l = Tuple.rank_sort r.ar Tuple.unsafe_id r.rows in
+      let l = Tuple.rank_sort r.ar Tuple.unsafe_id (Tuple.Set.to_list r.set) in
       r.sorted <- Some l;
       l
 
@@ -120,21 +116,24 @@ let add t r =
   else
     let set = Tuple.Set.copy r.set in
     ignore (Tuple.Set.add set t);
-    of_loaded (t :: r.rows) set
+    of_set set
 
 let remove t r =
   if not (mem t r) then r
   else
     let set = Tuple.Set.copy r.set in
     ignore (Tuple.Set.remove set t);
-    of_loaded (List.filter (fun u -> not (Tuple.equal u t)) r.rows) set
+    of_set set
+
+let unordered_fold f r acc = Tuple.Set.fold f r.set acc
+let unordered_iter f r = Tuple.Set.iter f r.set
 
 let subset a b =
-  cardinal a <= cardinal b && List.for_all (fun t -> mem t b) a.rows
+  cardinal a <= cardinal b && unordered_fold (fun t ok -> ok && mem t b) a true
 
 let equal a b = a == b || (cardinal a = cardinal b && subset a b)
 
-(* the larger operand's set, copied once, takes the smaller's rows *)
+(* the larger operand's set, copied once, takes the smaller's tuples *)
 let union a b =
   if (not (is_empty a)) && (not (is_empty b)) && a.ar <> b.ar then
     invalid_arg "Relation.union: arity mismatch";
@@ -143,19 +142,21 @@ let union a b =
   else
     let big, small = if cardinal a >= cardinal b then (a, b) else (b, a) in
     let set = Tuple.Set.copy big.set in
-    of_loaded
-      (raw_fold
-         (fun t rows -> if Tuple.Set.add set t then t :: rows else rows)
-         small big.rows)
-      set
+    unordered_iter (fun t -> ignore (Tuple.Set.add set t)) small;
+    of_set set
+
+(* the tuples of [a] that [keep] accepts *)
+let select keep a =
+  let set = Tuple.Set.create 0 in
+  unordered_iter (fun t -> if keep t then ignore (Tuple.Set.add set t)) a;
+  of_set set
 
 let inter a b =
   let small, big = if cardinal a <= cardinal b then (a, b) else (b, a) in
-  of_distinct (List.filter (fun t -> mem t big) small.rows)
+  select (fun t -> mem t big) small
 
 let diff a b =
-  if is_empty a || is_empty b then a
-  else of_distinct (List.filter (fun t -> not (mem t b)) a.rows)
+  if is_empty a || is_empty b then a else select (fun t -> not (mem t b)) a
 
 (* Total order consistent with [equal]: lexicographic over the sorted
    element sequences, exactly the order [Set.Make(Tuple).compare]
@@ -165,18 +166,17 @@ let compare a b =
 
 let fold f r acc = List.fold_left (fun acc t -> f t acc) acc (to_list r)
 let iter f r = List.iter f (to_list r)
-let unordered_fold = raw_fold
-let unordered_iter f r = List.iter f r.rows
 
 (* a sub-list of the sorted view is sorted: it is the new value's view *)
 let filter p r =
-  let r' = of_distinct (List.filter p (to_list r)) in
-  if r'.sorted = None then r'.sorted <- Some r'.rows;
+  let l = List.filter p (to_list r) in
+  let r' = of_distinct l in
+  if r'.sorted = None then r'.sorted <- Some l;
   r'
 
 let exists p r = List.exists p (to_list r)
 let for_all p r = List.for_all p (to_list r)
-let map f r = of_list (List.map f r.rows)
+let map f r = of_list (unordered_fold (fun t acc -> f t :: acc) r [])
 let elements = to_list
 
 let choose_opt r =
@@ -186,7 +186,7 @@ let choose_opt r =
   | None ->
       (* minimum element, matching [Set.choose_opt], without forcing the
          full sorted view *)
-      raw_fold
+      unordered_fold
         (fun t best ->
           match best with
           | Some u when Tuple.compare u t <= 0 -> best
@@ -194,12 +194,12 @@ let choose_opt r =
         r None
 
 let iter_ids f r =
-  List.iter
+  unordered_iter
     (fun t ->
       for i = 0 to r.ar - 1 do
         f (Tuple.unsafe_id t i)
       done)
-    r.rows
+    r
 
 let values r = Value.Intern.decode_distinct (fun f -> iter_ids f r)
 
@@ -400,10 +400,12 @@ module Index = struct
     List.iter (add ix) ts;
     ix
 
-  let of_relation r cols =
-    let ix = create cols (cardinal r) in
-    unordered_iter (add ix) r;
+  let of_set cols set =
+    let ix = create cols (Tuple.Set.length set) in
+    Tuple.Set.iter (add ix) set;
     ix
+
+  let of_relation r cols = of_set cols r.set
 
   let find ix key =
     match ix.table with

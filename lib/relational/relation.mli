@@ -1,20 +1,19 @@
 (** Relation instances: finite sets of constant tuples of a fixed arity.
 
     A relation is an immutable flat value: a frozen {!Tuple.Set} of its
-    tuples and the list of those tuples (its rows). Membership ({!mem},
-    {!mem_ids}) is one probe of the set, which allocates nothing. The
-    unordered enumerations ({!unordered_fold}, {!unordered_iter}) and
-    index builds walk the rows, in the order the value was built in (for
-    a relation from the fact loader, load order). The rows are kept for
-    locality: they follow allocation order where the set's slots follow
-    the hash, and walking them builds social-ingest's join indexes about
-    three times faster than walking the set. Every observer that
-    can leak an order — {!to_list}, {!elements}, {!fold}, {!iter},
-    {!pp} — reads an order-on-demand sorted view ({!Tuple.compare}
-    order, memoized per relation value; built by {!Tuple.rank_sort}, so
-    each distinct value is decoded once per sort), so printed output and
-    enumeration order are identical to the former [Set.Make (Tuple)]
-    representation.
+    tuples. Membership ({!mem}, {!mem_ids}) is one probe of the set,
+    which allocates nothing. The unordered enumerations
+    ({!unordered_fold}, {!unordered_iter}) and index builds walk the
+    set's own order, the order the value was built in (for a relation
+    from the fact loader, load order): it follows allocation order
+    where the set's slots follow the hash, and walking it builds
+    social-ingest's join indexes about three times faster than walking
+    the slots. Every observer that can leak an order — {!to_list},
+    {!elements}, {!fold}, {!iter}, {!pp} — reads an order-on-demand
+    sorted view ({!Tuple.compare} order, memoized per relation value;
+    built by {!Tuple.rank_sort}, so each distinct value is decoded once
+    per sort), so printed output and enumeration order are identical to
+    the former [Set.Make (Tuple)] representation.
 
     Every operation that returns a new relation builds it in one pass
     and shares nothing mutable with its operands. {!add} and {!remove}
@@ -43,25 +42,22 @@ val singleton : Tuple.t -> t
 val of_list : Tuple.t list -> t
 
 (** [of_distinct ts] builds a relation from tuples the caller guarantees
-    pairwise distinct (the semi-naive delta contract): [ts] become its
-    rows as they are, with no filtering pass.
+    pairwise distinct (the semi-naive delta contract), in their order.
     @raise Invalid_argument on mixed arities or a repeated tuple. *)
 val of_distinct : Tuple.t list -> t
 
-(** [of_loaded rows set] is the relation of [rows], as the fact loader
+(** [of_set set] is the relation of [set]'s tuples, as the fact loader
     ({!Instance.parse_facts}) hands it over, or as [Matcher.Db]
-    publishes a predicate: [rows] pairwise distinct and of one arity,
-    [set] holding exactly them. Nothing is copied: the relation takes
-    [set] over, and the caller must not write to it afterwards (a Db
-    copies it first, one array copy). *)
-val of_loaded : Tuple.t list -> Tuple.Set.t -> t
+    publishes a predicate: its tuples of one arity. Nothing is copied:
+    the relation takes [set] over (settling its order, {!Tuple.Set.settle}),
+    and the caller must not write to it afterwards (a Db copies it
+    first). *)
+val of_set : Tuple.Set.t -> t
 
-(** [set r] and [rows r] are [r]'s set and rows, shared, not copied: a
-    reader may probe and walk them, but must copy the set before writing
-    (as [Matcher.Db] does when it adopts a relation). *)
+(** [set r] is [r]'s set, shared, not copied: a reader may probe and
+    walk it, but must copy it before writing (as [Matcher.Db] does when
+    it adopts a relation). *)
 val set : t -> Tuple.Set.t
-
-val rows : t -> Tuple.t list
 
 (** [of_rows rows] builds a relation from value-list rows. *)
 val of_rows : Value.t list list -> t
@@ -100,8 +96,8 @@ val compare : t -> t -> int
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit
 
-(** [unordered_fold] / [unordered_iter] enumerate the rows, in
-    unspecified (build) order, without forcing the sorted view — for
+(** [unordered_fold] / [unordered_iter] enumerate the tuples in the
+    set's order (build order, unspecified to callers), without forcing the sorted view — for
     internal order-insensitive consumers (index building, bulk
     absorption) on the hot path. Do not use where enumeration order can
     reach output. *)
@@ -168,6 +164,10 @@ module Index : sig
   (** [of_relation r cols] indexes [r] on [cols], sized for [r]'s
       cardinality. Unmemoized: see {!index}. *)
   val of_relation : relation -> int array -> t
+
+  (** [of_set cols s] indexes the tuples of [s] on [cols], in [s]'s
+      order, sized for their number. *)
+  val of_set : int array -> Tuple.Set.t -> t
 
   (** [of_list cols ts] indexes [ts] on [cols] by [add]ing them in
       order, sized for their number. *)

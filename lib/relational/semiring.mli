@@ -24,11 +24,6 @@ val name_of : tag -> string
     valid spellings for the CLI's exit-2 diagnostic. *)
 val of_string : string -> (tag, string) result
 
-(** Truncation bounds of the why-provenance polynomials. *)
-val max_monomials : int
-
-val max_factors : int
-
 type why = private { monos : string list list; more : bool }
 (** A bounded polynomial: monomials are duplicate-free sorted sets of
     base-fact labels, listed in (length, lex) order; [more] records

@@ -100,10 +100,22 @@ end)
    half full; [absent] marks a free slot. A probe compares the stored
    tuple's hash before its ids, both read from the tuple's one block.
    Removal shifts the rest of the probe run back into the hole, so no
-   slot is ever a tombstone. *)
+   slot is ever a tombstone.
+
+   Beside the slots, [order.(0 .. count - 1)] holds the members in the
+   order they were added, for walks in build order: [add] appends, and
+   the array doubles from what the set holds, never from [create]'s
+   estimate. [remove] drops the order, so that it keeps no removed tuple
+   alive: an order shorter than [count] is stale, [add] leaves it so,
+   and the next ordered read rebuilds it from the slots ([settle]). *)
 module Set = struct
   type tuple = t
-  type nonrec t = { mutable slots : tuple array; mutable count : int }
+
+  type nonrec t = {
+    mutable slots : tuple array;
+    mutable count : int;
+    mutable order : tuple array;
+  }
 
   (* a free slot; probes test for it by address before reading a slot,
      and its hash, -1, is no real tuple's *)
@@ -111,11 +123,59 @@ module Set = struct
 
   let create n =
     let rec pow2 k = if k >= 2 * n then k else pow2 (2 * k) in
-    { slots = Array.make (pow2 8) absent; count = 0 }
+    { slots = Array.make (pow2 8) absent; count = 0; order = [||] }
 
   let length s = s.count
-  let copy s = { slots = Array.copy s.slots; count = s.count }
-  let iter f s = Array.iter (fun x -> if x != absent then f x) s.slots
+
+  let copy s =
+    {
+      slots = Array.copy s.slots;
+      count = s.count;
+      order = Array.sub s.order 0 (min s.count (Array.length s.order));
+    }
+
+  (* the members in slot order, as the order of a set a removal left
+     stale, in a fresh array: a write over a tuple of a major-heap array
+     costs the write barrier's darkening of the tuple it replaces, a
+     write over [absent] does not *)
+  let settle s =
+    if Array.length s.order < s.count then (
+      let order = Array.make s.count absent in
+      let slots = s.slots and k = ref 0 in
+      for i = 0 to Array.length slots - 1 do
+        let x = Array.unsafe_get slots i in
+        if x != absent then (
+          Array.unsafe_set order !k x;
+          incr k)
+      done;
+      s.order <- order)
+
+  let iter f s =
+    settle s;
+    let order = s.order in
+    for i = 0 to s.count - 1 do
+      f (Array.unsafe_get order i)
+    done
+
+  let fold f s acc =
+    settle s;
+    let acc = ref acc in
+    for i = 0 to s.count - 1 do
+      acc := f (Array.unsafe_get s.order i) !acc
+    done;
+    !acc
+
+  let to_list s =
+    settle s;
+    let l = ref [] in
+    for i = s.count - 1 downto 0 do
+      l := Array.unsafe_get s.order i :: !l
+    done;
+    !l
+
+  let choose s =
+    settle s;
+    if s.count = 0 then None else Some (Array.unsafe_get s.order 0)
 
   (* The probe loops are top-level functions of all they read, so that
      no call allocates a closure. *)
@@ -177,10 +237,20 @@ module Set = struct
     done;
     s.slots <- slots
 
+  (* [x] is the [n]th member in order, unless the order is stale *)
+  let append s x n =
+    let cap = Array.length s.order in
+    if n = cap then (
+      let order = Array.make (max 8 (2 * n)) absent in
+      Array.blit s.order 0 order 0 n;
+      s.order <- order);
+    if n <= cap then Array.unsafe_set s.order n x
+
   let add s x =
     let i = slot_tuple s.slots x in
     if Array.unsafe_get s.slots i != absent then false
     else (
+      append s x s.count;
       s.count <- s.count + 1;
       if 2 * s.count <= Array.length s.slots then
         Array.unsafe_set s.slots i x
@@ -213,6 +283,7 @@ module Set = struct
     else (
       shift slots (Array.length slots - 1) hole hole;
       s.count <- s.count - 1;
+      s.order <- [||];
       true)
 end
 

@@ -65,12 +65,14 @@ val hash_ids : int array -> int
 (** {1 Sets of tuples} *)
 
 (** A mutable set of tuples, flat: linear probing over one array of
-    tuples, with one shared sentinel marking the free slots. The engines'
-    membership and dedup sets (the fact loader's, [Matcher.Db]'s, the
-    semi-naive rounds', DRed's) are all of this kind.
+    tuples, with one shared sentinel marking the free slots, and beside
+    it a dense array of the same tuples in the order they were added.
+    The engines' sets of tuples (a relation's, the fact loader's,
+    [Matcher.Db]'s, the semi-naive rounds', DRed's) are all of this
+    kind, and none keeps a list of its tuples beside it.
 
-    - The array is at most half full: {!add} doubles it before it would
-      pass one half, so a probe run stays short and always ends.
+    - The slot array is at most half full: {!add} doubles it before it
+      would pass one half, so a probe run stays short and always ends.
     - A lookup takes an id vector ({!mem}, {!find_opt}: a matcher's
       scratch array, no tuple built) or a tuple ({!mem_tuple}, {!add},
       {!remove}: by the hash it carries, never recomputed). It compares
@@ -79,14 +81,21 @@ val hash_ids : int array -> int
     - {!remove} shifts the rest of the probe run back into the freed
       slot, so there are no tombstones: a set that shrinks probes as
       fast as one that never held the removed tuples.
-    - Reads ({!mem}, {!find_opt}, {!length}) may run on several domains
-      at once, but only while no domain writes ({!add}, {!remove}). *)
+    - The ordered reads ({!iter}, {!fold}, {!to_list}, {!choose}) walk
+      the members in insertion order while nothing was removed: {!add}
+      appends to the dense array, which doubles from what the set holds.
+      A removal reorders: it leaves the order stale, and the next ordered
+      read ({!settle}) rebuilds it from the slots, each member once, in
+      slot order; later additions follow it in order.
+    - Reads ({!mem}, {!find_opt}, {!length}, and the ordered reads of a
+      settled set) may run on several domains at once, but only while
+      no domain writes ({!add}, {!remove}, {!settle} of a stale set). *)
 module Set : sig
   type tuple := t
   type t
 
-  (** [create n] is an empty set with room for [n] tuples before it
-      grows. *)
+  (** [create n] is an empty set with room for [n] tuples before its
+      slot array grows. *)
   val create : int -> t
 
   (** The number of tuples held. *)
@@ -106,19 +115,35 @@ module Set : sig
   val mem_tuple : t -> tuple -> bool
 
   (** [add s x] inserts [x] unless [s] holds a tuple with its ids, in one
-      probe. It is [true] when [x] was new. *)
+      probe, and appends it to the order. It is [true] when [x] was
+      new. *)
   val add : t -> tuple -> bool
 
-  (** [remove s x] drops the tuple with [x]'s ids. It is [true] when
-      there was one. *)
+  (** [remove s x] drops the tuple with [x]'s ids, leaving the order
+      stale. It is [true] when there was one. *)
   val remove : t -> tuple -> bool
 
-  (** [copy s] is an independent set with the same tuples (one array
-      copy; the tuples themselves are shared, being immutable). *)
+  (** [copy s] is an independent set with the same tuples in the same
+      order (two array copies; the tuples themselves are shared, being
+      immutable). *)
   val copy : t -> t
 
-  (** [iter f s] calls [f] on every tuple of [s], in slot order. *)
+  (** [settle s] rebuilds the order a removal left stale, in O(slots);
+      on a set with no pending removal it does nothing. Every ordered
+      read settles first. *)
+  val settle : t -> unit
+
+  (** [iter f s] calls [f] on every tuple of [s], in order. *)
   val iter : (tuple -> unit) -> t -> unit
+
+  (** [fold f s acc] folds [f] over the tuples of [s], in order. *)
+  val fold : (tuple -> 'a -> 'a) -> t -> 'a -> 'a
+
+  (** [to_list s] is the tuples of [s], in order, in a fresh list. *)
+  val to_list : t -> tuple list
+
+  (** [choose s] is the first tuple of [s] in order. *)
+  val choose : t -> tuple option
 end
 
 (** {1 Id-keyed tables} *)

@@ -7,7 +7,3 @@
     [{"ok":false}] errors. *)
 val request :
   socket:string -> Protocol.request -> (Observe.Json.t, string) result
-
-(** [request_line ~socket line] sends a raw request line verbatim —
-    the malformed-request test path. *)
-val request_line : socket:string -> string -> (Observe.Json.t, string) result

@@ -17,13 +17,6 @@ let rec stmt_is_fixpoint = function
 
 let is_fixpoint p = List.for_all stmt_is_fixpoint p
 
-let assigned_relations p =
-  let rec go acc = function
-    | Assign (r, _) | Cumulate (r, _) -> r :: acc
-    | While_change body | While (_, body) -> List.fold_left go acc body
-  in
-  List.sort_uniq String.compare (List.fold_left go [] p)
-
 let check p =
   let check_query r { formula; vars } =
     match

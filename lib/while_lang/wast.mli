@@ -27,9 +27,6 @@ type program = stmt list
     sublanguage, guaranteed to terminate. *)
 val is_fixpoint : program -> bool
 
-(** [assigned_relations p] lists the relation variables written by [p]. *)
-val assigned_relations : program -> string list
-
 (** [check p] validates that every query's [vars] covers its formula's
     free variables and that [While] conditions are sentences.
     @raise Invalid_argument otherwise. *)

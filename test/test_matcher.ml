@@ -245,6 +245,8 @@ let rows xs = List.map (fun x -> Array.to_list (Tuple.values x)) xs
 type op =
   | Insert of string * Tuple.t
   | Remove of string * Tuple.t
+  | Replace of string * Tuple.t * Tuple.t
+  | Scan of string
   | Absorb of string * Tuple.t list
   | Absorb_new of string * Tuple.t list
 
@@ -256,6 +258,8 @@ let op_gen =
       [
         (3, map (fun x -> Insert (p, x)) tup);
         (3, map (fun x -> Remove (p, x)) tup);
+        (2, map2 (fun x y -> Replace (p, x, y)) tup tup);
+        (2, return (Scan p));
         (1, map (fun xs -> Absorb (p, xs)) (list_size (0 -- 4) tup));
         (2, map (fun xs -> Absorb_new (p, xs)) (list_size (0 -- 4) tup));
       ])
@@ -265,6 +269,8 @@ let show_op op =
     match op with
     | Insert (p, x) -> ("insert", p, [ x ])
     | Remove (p, x) -> ("remove", p, [ x ])
+    | Replace (p, x, y) -> ("replace", p, [ x; y ])
+    | Scan p -> ("scan", p, [])
     | Absorb (p, xs) -> ("absorb", p, xs)
     | Absorb_new (p, xs) -> ("absorb_new", p, xs)
   in
@@ -321,6 +327,19 @@ let prop_index_maintenance =
                 (match op with
                 | Insert (p, x) -> ignore (M.Db.insert db p x : bool)
                 | Remove (p, x) -> ignore (M.Db.remove db p x : bool)
+                | Replace (p, x, y) ->
+                    (* the insert follows the removal with no read
+                       between, while the set's order is stale *)
+                    ignore (M.Db.remove db p x : bool);
+                    ignore (M.Db.insert db p y : bool)
+                | Scan p ->
+                    (* a keyless lookup reads the set in its order:
+                       each fact once *)
+                    let all = M.Db.lookup db p [] in
+                    if
+                      List.sort Tuple.compare all
+                      <> List.sort_uniq Tuple.compare all
+                    then failwith "a keyless lookup repeats a fact"
                 | Absorb (p, xs) ->
                     M.Db.absorb db (Instance.of_list [ (p, rows xs) ])
                 | Absorb_new (p, xs) ->
@@ -408,6 +427,13 @@ let prop_published_persistent =
            Hashtbl.replace model p (List.sort Tuple.compare (xs @ cur));
            xs
          in
+         let remove p x =
+           if M.Db.remove db p x then
+             Hashtbl.replace model p
+               (List.filter
+                  (fun y -> not (Tuple.equal x y))
+                  (Hashtbl.find model p))
+         in
          List.iter
            (fun (p, batches) ->
              List.iter (fun xs -> M.Db.absorb_new db p (fresh p xs)) batches)
@@ -443,12 +469,15 @@ let prop_published_persistent =
                 (match op with
                 | Insert (p, x) ->
                     if M.Db.insert db p x then ignore (fresh p [ x ])
-                | Remove (p, x) ->
-                    if M.Db.remove db p x then
-                      Hashtbl.replace model p
-                        (List.filter
-                           (fun y -> not (Tuple.equal x y))
-                           (Hashtbl.find model p))
+                | Remove (p, x) -> remove p x
+                | Replace (p, x, y) ->
+                    remove p x;
+                    if M.Db.insert db p y then ignore (fresh p [ y ])
+                | Scan p ->
+                    if
+                      List.sort Tuple.compare (M.Db.lookup db p [])
+                      <> Hashtbl.find model p
+                    then failwith "a keyless lookup disagrees with the model"
                 | Absorb (p, xs) ->
                     M.Db.absorb db (Instance.of_list [ (p, rows xs) ]);
                     ignore (fresh p xs)
@@ -458,7 +487,8 @@ let prop_published_persistent =
 
 (* A fully bound positive atom that is not the first step is a
    membership test: same firings as a nested-loop oracle and the naive
-   engine, no index for it, and it reads the maintained membership set,
+   engine, no index for it (nor for the keyless first step, which walks
+   [A]'s set), and it reads the maintained membership set,
    so a removed fact stops the rule firing. *)
 let test_full_key_step () =
   let src = "Q(X, Z) :- A(X, Y), B(Y, Z), C(X, Z)." in
@@ -509,8 +539,8 @@ let test_full_key_step () =
         | _ -> None)
       (recorded ())
   in
-  Alcotest.(check (list string)) "no index on C" [ "A[]"; "B[0]" ] built;
-  Alcotest.(check int) "db.index_builds" 2
+  Alcotest.(check (list string)) "no index on C" [ "B[0]" ] built;
+  Alcotest.(check int) "db.index_builds" 1
     (Observe.Trace.counter trace "db.index_builds");
   Alcotest.(check bool) "membership probes counted" true
     (Observe.Trace.counter trace "matcher.member_probes" > 0);

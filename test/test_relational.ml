@@ -442,7 +442,11 @@ let prop_tuple_set_model =
    backward shift must keep every later tuple of the run reachable),
    probes by id vector and by tuple, and probes for tuples never added
    — fresh tuples equal to pool members among them, found by value,
-   and the arity-0 tuple. *)
+   and the arity-0 tuple. The model is ordered: with no removal, the
+   ordered reads yield insertion order; a removal frees the order of
+   every member up to the next ordered read, which yields each member
+   once, and later additions follow in order. A copy reads in the same
+   order as its set. *)
 let flat_value_lists =
   QCheck.Gen.(
     list_size (int_range 0 4)
@@ -455,10 +459,12 @@ let prop_tuple_set_flat_model =
        QCheck.(
          pair (int_range 0 8)
            (list_of_size Gen.(int_range 0 200)
-              (pair (int_range 0 4) (make flat_value_lists))))
+              (pair (int_range 0 5) (make flat_value_lists))))
        (fun (cap, ops) ->
          let s = Tuple.Set.create cap in
-         let model = ref [] in
+         (* the members in order; the first [!free] of them in any order,
+            and all of them while a removal is pending ([stale]) *)
+         let model = ref [] and free = ref 0 and stale = ref false in
          let held vs = List.exists (fun t -> Tuple.to_list t = vs) !model in
          let agrees vs =
            let probe = Tuple.of_list vs in
@@ -474,30 +480,62 @@ let prop_tuple_set_flat_model =
               | None -> not b)
            && Tuple.Set.length s = List.length !model
          in
+         let rec split k l =
+           if k = 0 then ([], l)
+           else
+             match l with
+             | [] -> ([], [])
+             | x :: rest ->
+                 let a, b = split (k - 1) rest in
+                 (x :: a, b)
+         in
+         (* [got], an ordered read, against the model *)
+         let in_order got =
+           let keys l = List.map Tuple.to_list l in
+           let gf, gr = split !free got and mf, mr = split !free !model in
+           List.sort compare (keys gf) = List.sort compare (keys mf)
+           && keys gr = keys mr
+         in
+         let read () =
+           let got = ref [] in
+           Tuple.Set.iter (fun t -> got := t :: !got) s;
+           let got = List.rev !got in
+           let same = List.equal ( == ) in
+           let ok =
+             in_order got
+             && same (Tuple.Set.to_list s) got
+             && same (Tuple.Set.fold (fun t acc -> t :: acc) s []) (List.rev got)
+             && Option.equal ( == ) (Tuple.Set.choose s) (List.nth_opt got 0)
+           in
+           model := got;
+           free := 0;
+           stale := false;
+           ok
+         in
          let step (op, vs) =
            let t = Tuple.of_list vs in
            let ok =
              match op with
              | 0 | 1 ->
                  let fresh = not (held vs) in
-                 if fresh then model := t :: !model;
+                 if fresh then (
+                   model := !model @ [ t ];
+                   if !stale then free := List.length !model);
                  Tuple.Set.add s t = fresh
              | 2 | 3 ->
                  let present = held vs in
                  model := List.filter (fun u -> Tuple.to_list u <> vs) !model;
+                 if present then (
+                   stale := true;
+                   free := List.length !model);
                  Tuple.Set.remove s t = present
-             | _ -> true
+             | 4 -> read ()
+             | _ -> in_order (Tuple.Set.to_list (Tuple.Set.copy s))
            in
            ok && agrees vs
            && List.for_all (fun u -> agrees (Tuple.to_list u)) !model
          in
-         let all_in () =
-           let seen = ref [] in
-           Tuple.Set.iter (fun t -> seen := Tuple.to_list t :: !seen) s;
-           List.sort compare !seen
-           = List.sort compare (List.map Tuple.to_list !model)
-         in
-         List.for_all step ops && agrees [] && all_in ()))
+         List.for_all step ops && agrees [] && read ()))
 
 (* The hash in the block is [hash_ids] of the ids; order and equality
    read the ids and agree with the decoded values; [ids] is a copy. *)
