@@ -26,36 +26,47 @@ type stats = {
   stages : int;
 }
 
+(* a numbering of facts: per predicate, a fact's id vector -> its
+   number *)
+type numbering = (string, int Tuple.KTbl.t) Hashtbl.t
+
 type t = {
   sr : Semiring.t;
   instance : Instance.t;
   stats : stats;
-  maps : (string, Annotated.map) Hashtbl.t;
+  numbering : numbering;
+  value : Semiring.v array;
 }
 
 (* The materialized derivation graph: the universe as a fact array
-   (index ↔ (pred, tuple)) and every (rule, body valuation) firing as
-   (head index, body index array). One [iter_derivations] sweep per
-   rule against the closed database enumerates each firing exactly
-   once — no delta, no dedup set, scratch arrays resolved to indexes
-   on the spot. *)
+   (number ↔ (pred, tuple), and [numbering] back) and every (rule, body
+   valuation) firing as (head number, body number array). One
+   [iter_derivations] sweep per rule against the closed database
+   enumerates each firing exactly once — no delta, no dedup set,
+   scratch arrays resolved to numbers on the spot. *)
 type graph = {
   nfacts : int;
   fact_pred : string array;
   fact_tup : Tuple.t array;
+  numbering : numbering;
   firings : (int * int array) array;
 }
+
+let number (numbering : numbering) p ids =
+  match Hashtbl.find_opt numbering p with
+  | None -> None
+  | Some tb -> Tuple.KTbl.find_opt tb ids
 
 let build_graph prepared ~dom instance =
   let nfacts = Instance.total_facts instance in
   let fact_pred = Array.make nfacts "" in
   let fact_tup = Array.make nfacts (Tuple.of_ids [||]) in
-  let index : (string, int Tuple.KTbl.t) Hashtbl.t = Hashtbl.create 8 in
+  let numbering = Hashtbl.create 8 in
   let next = ref 0 in
   Instance.fold
     (fun p rel () ->
       let tb = Tuple.KTbl.create (max 16 (2 * Relation.cardinal rel)) in
-      Hashtbl.replace index p tb;
+      Hashtbl.replace numbering p tb;
       Relation.unordered_iter
         (fun t ->
           let i = !next in
@@ -65,11 +76,6 @@ let build_graph prepared ~dom instance =
           Tuple.KTbl.replace tb (Tuple.ids t) i)
         rel)
     instance ();
-  let idx_of p ids =
-    match Hashtbl.find_opt index p with
-    | None -> None
-    | Some tb -> Tuple.KTbl.find_opt tb ids
-  in
   let db = Matcher.Db.of_instance instance in
   let firings = ref [] in
   List.iter
@@ -80,13 +86,13 @@ let build_graph prepared ~dom instance =
              (* the database is closed under the rules, so every head
                 (and a fortiori every body fact) resolves *)
              if pos then
-               match idx_of pred head_ids with
+               match number numbering pred head_ids with
                | None -> ()
                | Some h ->
                    let body =
                      Array.map
                        (fun (bp, bids) ->
-                         match idx_of bp bids with
+                         match number numbering bp bids with
                          | Some b -> b
                          | None -> raise Not_found)
                        bodies
@@ -94,7 +100,7 @@ let build_graph prepared ~dom instance =
                    firings := (h, body) :: !firings)
           : int))
     (Eval_util.rules prepared);
-  { nfacts; fact_pred; fact_tup; firings = Array.of_list !firings }
+  { nfacts; fact_pred; fact_tup; numbering; firings = Array.of_list !firings }
 
 (* Exact counting, no iteration: Kahn's scheme over the derivation
    graph. A firing completes when all its body facts are determined; a
@@ -218,12 +224,15 @@ let run ?(trace = Observe.Trace.null) tag program edb =
     Observe.Trace.incr trace "annot.par.fallbacks";
   let g, (value, rounds, forced, infinite) =
     if tag = Semiring.Bool then
-      (* the set semantics IS the Boolean instance: no graph, no rounds *)
+      (* the set semantics IS the Boolean instance: no graph, no rounds,
+         no numbering — [annotation] reads membership, so the --annot
+         bool path stays byte-for-byte the plain engine run *)
       let g =
         {
           nfacts = Instance.total_facts instance;
           fact_pred = [||];
           fact_tup = [||];
+          numbering = Hashtbl.create 1;
           firings = [||];
         }
       in
@@ -245,23 +254,6 @@ let run ?(trace = Observe.Trace.null) tag program edb =
           let value, rounds, forced = eval_kleene sr g base in
           (g, (value, rounds, forced, 0))
   in
-  let maps : (string, Annotated.map) Hashtbl.t = Hashtbl.create 8 in
-  (* Bool builds no side-cars at all — the support IS the annotation,
-     so [annotation] reads membership directly and the
-     --annot bool path stays byte-for-byte the plain engine run *)
-  if tag <> Semiring.Bool then
-    for i = 0 to g.nfacts - 1 do
-      let p = g.fact_pred.(i) in
-      let m =
-        match Hashtbl.find_opt maps p with
-        | Some m -> m
-        | None ->
-            let m = Annotated.create_map () in
-            Hashtbl.add maps p m;
-            m
-      in
-      Annotated.set m (Tuple.ids g.fact_tup.(i)) value.(i)
-    done;
   let stats =
     {
       universe = Instance.total_facts instance;
@@ -278,13 +270,15 @@ let run ?(trace = Observe.Trace.null) tag program edb =
     Observe.Trace.add trace "annot.rounds" stats.rounds;
     Observe.Trace.add trace "annot.forced" stats.forced;
     Observe.Trace.add trace "annot.infinite" stats.infinite);
-  { sr; instance; stats; maps }
+  { sr; instance; stats; numbering = g.numbering; value }
 
-let annotation r p tup =
-  match Hashtbl.find_opt r.maps p with
-  | Some m -> Annotated.find r.sr m (Tuple.ids tup)
-  | None ->
-      (* no side-car: Bool (membership is the annotation), or a
-         predicate with no support facts under any other semiring *)
-      if Instance.mem_fact p tup r.instance then r.sr.Semiring.one
-      else r.sr.Semiring.zero
+(* one probe of the numbering; Bool numbers nothing: there membership
+   in the support is the annotation *)
+let annotation (r : t) p tup =
+  if r.sr.Semiring.tag = Semiring.Bool then
+    if Instance.mem_fact p tup r.instance then r.sr.Semiring.one
+    else r.sr.Semiring.zero
+  else
+    match number r.numbering p (Tuple.ids tup) with
+    | Some i -> r.value.(i)
+    | None -> r.sr.Semiring.zero

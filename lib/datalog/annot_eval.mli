@@ -45,10 +45,12 @@ type t = {
   sr : Semiring.t;
   instance : Instance.t;  (** the support — the ordinary fixpoint *)
   stats : stats;
-  maps : (string, Annotated.map) Hashtbl.t;
-      (** per-predicate annotation side-cars over the support; empty
-          under [Bool], where membership in the support is the
-          annotation and no side-car is materialized *)
+  numbering : (string, int Tuple.KTbl.t) Hashtbl.t;
+      (** the derivation graph's numbering of the support's facts: per
+          predicate, a fact's id vector -> its number; empty under
+          [Bool], where membership in the support is the annotation and
+          no graph is built *)
+  value : Semiring.v array;  (** the annotation of each numbered fact *)
 }
 
 (** [run tag program edb] evaluates [program] on [edb] under the [tag]

@@ -288,7 +288,9 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
   in
   let nw = match par with Some (p, _) -> Parallel.Pool.size p | None -> 1 in
   if nw > 1 then
-    List.iter (fun (e, _) -> Matcher.prewarm ?neg_db e.plan db) with_dps;
+    List.iter
+      (fun (e, delta_preds) -> Matcher.prewarm ?neg_db ~delta_preds e.plan db)
+      with_dps;
   let workers =
     Array.init nw (fun _ ->
         let db, tr =

@@ -134,43 +134,31 @@ let rewrite p (query : Ast.atom) =
     query_pred = adorned_name query.Ast.pred query_adornment;
   }
 
-(* Keep only the tuples of the (full-arity) answer relation that match
-   the query atom: equal constants at constant positions, and equal
-   values wherever the query repeats a variable — T(X, X) selects the
-   diagonal, not all of T. *)
-let restrict_to_query (query : Ast.atom) rel =
-  let args = Array.of_list query.Ast.args in
-  let consts = ref [] and groups : (string, int list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  Array.iteri
-    (fun i arg ->
-      match arg with
-      | Ast.Cst c -> consts := (i, c) :: !consts
+(* The test a tuple of the query atom's predicate passes when it
+   matches the atom, on interned ids: [query]'s constants at their
+   positions, unless [keyed] (the candidates came from an index lookup
+   on those positions), and one id at every position of a repeated
+   variable — T(X, X) selects the diagonal, not all of T. [None] when
+   there is nothing to test. *)
+let query_filter ~keyed (query : Ast.atom) =
+  let first = Hashtbl.create 4 in
+  let consts = ref [] and repeats = ref [] in
+  List.iteri
+    (fun i -> function
+      | Ast.Cst c ->
+          if not keyed then consts := (i, Value.Intern.id c) :: !consts
       | Ast.Var x -> (
-          match Hashtbl.find_opt groups x with
-          | Some ps -> ps := i :: !ps
-          | None -> Hashtbl.add groups x (ref [ i ])))
-    args;
-  let consts = !consts in
-  let repeats =
-    Hashtbl.fold
-      (fun _ ps acc -> match !ps with _ :: _ :: _ -> !ps :: acc | _ -> acc)
-      groups []
-  in
-  if consts = [] && repeats = [] then rel
-  else
-    Relation.filter
-      (fun t ->
-        List.for_all (fun (i, c) -> Value.equal c (Tuple.get t i)) consts
-        && List.for_all
-             (function
-               | p0 :: ps ->
-                   let v = Tuple.get t p0 in
-                   List.for_all (fun p -> Value.equal v (Tuple.get t p)) ps
-               | [] -> true)
-             repeats)
-      rel
+          match Hashtbl.find_opt first x with
+          | Some p -> repeats := (i, p) :: !repeats
+          | None -> Hashtbl.add first x i))
+    query.Ast.args;
+  match (!consts, !repeats) with
+  | [], [] -> None
+  | consts, repeats ->
+      Some
+        (fun t ->
+          List.for_all (fun (i, id) -> Tuple.id t i = id) consts
+          && List.for_all (fun (i, p) -> Tuple.id t i = Tuple.id t p) repeats)
 
 (* --- query sessions ------------------------------------------------------ *)
 
@@ -250,7 +238,10 @@ let ask s (query : Ast.atom) =
     (Eval_util.seminaive_fixpoint_db ~trace:s.strace prepared ~delta_preds
        ~dom:[] s.db);
   let answers =
-    restrict_to_query query (Matcher.Db.relation s.db rw.query_pred)
+    let rel = Matcher.Db.relation s.db rw.query_pred in
+    match query_filter ~keyed:false query with
+    | None -> rel
+    | Some ok -> Relation.filter ok rel
   in
   if tracing then Trace.add_key s.strace k_answers (Relation.cardinal answers);
   answers

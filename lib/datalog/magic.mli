@@ -39,6 +39,15 @@ type rewritten = {
     from the predicate's. *)
 val rewrite : Ast.program -> Ast.atom -> rewritten
 
+(** [query_filter ~keyed q] is the test a tuple of [q]'s predicate
+    passes when it matches [q], comparing interned ids: it carries
+    [q]'s constants at their positions (not tested when [keyed], for
+    candidates an index lookup on those positions returned) and one id
+    at every position of a variable [q] repeats. [None] when nothing is
+    left to test. Both query paths filter their answers with it: a
+    session's {!ask} and the resident server's materialized lookup. *)
+val query_filter : keyed:bool -> Ast.atom -> (Tuple.t -> bool) option
+
 (** A query session: one persistent {!Matcher.Db} plus rewrites memoized
     per (predicate, adornment). Each {!ask} inserts the query's seed and
     resumes semi-naive evaluation on the shared database, so indexes and

@@ -584,36 +584,6 @@ let needs_dom prepared = prepared.need_dom
 
 (* ------------------------------------------------------------------ *)
 
-(* Association-list helpers retained for [satisfies] (the nondeterministic
-   engines re-check applicability of a grounded rule). *)
-
-let term_value subst = function
-  | Ast.Cst v -> Some v
-  | Ast.Var x -> List.assoc_opt x subst
-
-let check_filter ?neg_db db subst = function
-  | Ast.BNeg a ->
-      let vs = atom_vars a in
-      if List.for_all (fun v -> List.assoc_opt v subst <> None) vs then
-        let ndb = Option.value neg_db ~default:db in
-        let _, tup = Ast.ground_atom subst a in
-        Some (not (Db.mem ndb a.Ast.pred tup))
-      else None
-  | Ast.BEq (s, t) -> (
-      match (term_value subst s, term_value subst t) with
-      | Some a, Some b -> Some (Value.equal a b)
-      | _ -> None)
-  | Ast.BNeq (s, t) -> (
-      match (term_value subst s, term_value subst t) with
-      | Some a, Some b -> Some (not (Value.equal a b))
-      | _ -> None)
-  | Ast.BPos a ->
-      let vs = atom_vars a in
-      if List.for_all (fun v -> List.assoc_opt v subst <> None) vs then
-        let _, tup = Ast.ground_atom subst a in
-        Some (Db.mem db a.Ast.pred tup)
-      else None
-
 (* Where a step's candidates come from: the predicate's membership set
    for a step that binds every position, its set walked in order for a
    step that binds none, else its index on the bound positions, built
@@ -633,15 +603,16 @@ let source db = function
   | CDomain _ -> Unresolved
 
 (* Force every lazily-built structure a plan can touch — step sources
-   of the greedy plan and of every delta-first plan after its delta step
-   (which reads the delta, never the database), with the order of every
+   of the greedy plan and, after its delta step (which reads the delta,
+   never the database), of every delta-first plan that starts from one
+   of [delta_preds] (no other can run), with the order of every
    set a keyless step walks settled, membership sets for
    positive/negative filter probes (the ∀ check re-evaluates the whole
    body, so every body literal counts), and the head-dedup memsets — so
    that read-only workers sharing the database never trigger a
    concurrent build. Called by the semi-naive loop before it runs a
    fixpoint on more than one worker. *)
-let prewarm ?neg_db prepared db =
+let prewarm ?neg_db ~delta_preds prepared db =
   let ndb = Option.value neg_db ~default:db in
   let warm_steps from plan =
     Array.iteri
@@ -653,7 +624,13 @@ let prewarm ?neg_db prepared db =
       plan.csteps
   in
   warm_steps 0 prepared.base;
-  Array.iteri (fun i plan -> if i > 0 then warm_steps 1 plan) prepared.delta_first;
+  Array.iteri
+    (fun i plan ->
+      match plan.csteps.(0) with
+      | CAtom { apred; _ } when i > 0 && List.mem apred delta_preds ->
+          warm_steps 1 plan
+      | CAtom _ | CDomain _ -> ())
+    prepared.delta_first;
   let warm_filter = function
     | FPos ca -> ignore (Db.memset db ca.cpred : Db.memset)
     | FNeg ca -> ignore (Db.memset ndb ca.cpred : Db.memset)
@@ -666,8 +643,7 @@ let prewarm ?neg_db prepared db =
 
 (* The join loop shared by {!run} and {!iter_firings}. [consume] is
    called once per (deduped) match with [tval] reading interned ids out
-   of the live environment, and [vals] holding the projected id vector
-   when dedup forced its construction. Returns the match count. *)
+   of the live environment. Returns the match count. *)
 let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
   (if prepared.need_dom && dom = None then
      invalid_arg
@@ -731,11 +707,11 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       enum 0
     in
     (* dedup: different derivations (delta passes, ∀-witnesses) can yield
-       the same projected valuation — a hash set over the kept id vectors
-       replaces the legacy terminal sort_uniq. *)
-    (* Within one pass, distinct derivation paths always differ at some
+       the same projected valuation, so the kept slots' ids are read into
+       a scratch buffer and only a new member of [seen] is consumed.
+       Within one pass, distinct derivation paths always differ at some
        bound slot and [keep] covers every bound slot, so emits are already
-       unique: the hash set is needed only when several delta passes can
+       unique: the set is needed only when several delta passes can
        re-find the same valuation, or when a caller-supplied domain list
        might contain repeats. *)
     let npasses =
@@ -750,25 +726,23 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
             0 prepared.base.csteps
     in
     let dedup = npasses > 1 || prepared.need_dom in
-    let seen = Tuple.KTbl.create (if dedup then 1024 else 1) in
-    let nresults = ref 0 in
     let nkeep = Array.length prepared.keep in
+    let seen = Tuple.Set.create (if dedup then 512 else 0) in
+    let vals = Array.make nkeep 0 in
+    let nresults = ref 0 in
     let emit () =
       if dedup then (
-        let vals =
-          Array.init nkeep (fun k ->
-              let _, s = prepared.keep.(k) in
-              let v = env.(s) in
-              assert (v >= 0);
-              v)
-        in
-        if not (Tuple.KTbl.mem seen vals) then (
-          Tuple.KTbl.add seen vals ();
+        for k = 0 to nkeep - 1 do
+          let v = env.(snd prepared.keep.(k)) in
+          assert (v >= 0);
+          vals.(k) <- v
+        done;
+        if Tuple.Set.add_ids seen vals then (
           incr nresults;
-          consume ~tval ~vals:(Some vals)))
+          consume ~tval))
       else (
         incr nresults;
-        consume ~tval ~vals:None)
+        consume ~tval)
     in
     (* the key of a step's bound positions, read from the environment *)
     let key_of = function
@@ -936,14 +910,10 @@ let run ?delta ?dom ?neg_db prepared db =
   let nkeep = Array.length prepared.keep in
   let results = ref [] in
   let (_ : int) =
-    exec ?delta ?dom ?neg_db prepared db ~consume:(fun ~tval ~vals ->
-        let vals =
-          match vals with
-          | Some v -> v
-          | None ->
-              Array.init nkeep (fun k -> tval (CVar (snd prepared.keep.(k))))
-        in
-        results := vals :: !results)
+    exec ?delta ?dom ?neg_db prepared db ~consume:(fun ~tval ->
+        results :=
+          Array.init nkeep (fun k -> tval (CVar (snd prepared.keep.(k))))
+          :: !results)
   in
   (* value-order sort of the id vectors: the kept slots are name-sorted
      and identical across results, so it reproduces the legacy
@@ -963,7 +933,7 @@ let iter_firings ?delta ?delta_index ?dom ?neg_db prepared db f =
         (pos, pred, cargs, Array.make (Array.length cargs) 0))
       prepared.cheads
   in
-  exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume:(fun ~tval ~vals:_ ->
+  exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume:(fun ~tval ->
       List.iter
         (fun (pos, pred, cargs, scratch) ->
           for i = 0 to Array.length cargs - 1 do
@@ -990,7 +960,7 @@ let iter_derivations ?delta ?delta_index ?dom ?neg_db prepared db f =
       prepared.cbodies
   in
   let body_view = Array.map (fun (pred, _, scratch) -> (pred, scratch)) bodies in
-  exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume:(fun ~tval ~vals:_ ->
+  exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume:(fun ~tval ->
       Array.iter
         (fun (_, cargs, scratch) ->
           for i = 0 to Array.length cargs - 1 do
@@ -1004,14 +974,6 @@ let iter_derivations ?delta ?delta_index ?dom ?neg_db prepared db f =
           done;
           f ~pos pred scratch body_view)
         heads)
-
-let satisfies db subst blits =
-  List.for_all
-    (fun l ->
-      match check_filter db subst l with
-      | Some b -> b
-      | None -> raise (Ast.Check_error "Matcher.satisfies: unbound variable"))
-    blits
 
 let instantiate_heads subst heads =
   let bottom = ref false in

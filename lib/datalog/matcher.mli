@@ -271,22 +271,19 @@ val iter_derivations :
   (pos:bool -> string -> int array -> (string * int array) array -> unit) ->
   int
 
-(** [prewarm prepared db] forces every lazily-built structure the plan
-    can touch — step indexes of the greedy plan and of every
-    delta-first plan after its delta step (the membership set instead,
+(** [prewarm ~delta_preds prepared db] forces every lazily-built
+    structure the plan can touch — step indexes of the greedy plan and,
+    after its delta step, of every delta-first plan that starts from one
+    of [delta_preds], the predicates whose deltas the plan will be run
+    on (the membership set instead,
     for a membership-test step, and the set's settled order,
     {!Tuple.Set.settle}, for a keyless one), membership sets for filter
     probes and head dedup — so that subsequent read-only uses of [db] (directly or
     through {!Db.with_trace} views) trigger no builds. The semi-naive
     loop calls it before it runs a fixpoint on more than one worker
     domain; [neg_db] follows the same convention as {!iter_firings}. *)
-val prewarm : ?neg_db:Db.t -> prepared -> Db.t -> unit
-
-(** [satisfies db subst blits] checks body literals under a full
-    substitution (quantifier-free). Used by the nondeterministic engines
-    to re-check applicability.
-    @raise Ast.Check_error on unbound variables. *)
-val satisfies : Db.t -> Ast.subst -> Ast.blit list -> bool
+val prewarm :
+  ?neg_db:Db.t -> delta_preds:string list -> prepared -> Db.t -> unit
 
 (** [instantiate_heads subst heads] grounds head literals into
     [(polarity, pred, tuple)] triples where polarity [true] asserts and

@@ -142,38 +142,6 @@ let rec holds_cond c t =
   | And (a, b) -> holds_cond a t && holds_cond b t
   | Or (a, b) -> holds_cond a t || holds_cond b t
 
-module KTbl = Tuple.KTbl
-module ITbl = Tuple.ITbl
-
-(* Deduplicating collector for bulk-built results: id arrays go through a
-   hash set, the relation is constructed in one [of_distinct] pass. *)
-let dedup_to_relation collect =
-  let seen : unit KTbl.t = KTbl.create 256 in
-  collect (fun ids -> KTbl.replace seen ids ());
-  Relation.of_distinct
-    (KTbl.fold (fun ids () acc -> Tuple.of_ids ids :: acc) seen [])
-
-(* A deduplicated set of projected join outputs, represented by output
-   arity. Probing answers membership without building a relation (see
-   the complement fusion in [eval]). *)
-type idset =
-  | Packed1 of unit ITbl.t
-  | Packed2 of unit ITbl.t
-  | Keyed of unit KTbl.t
-
-let idset_mem s ids =
-  match s with
-  | Packed1 t -> ITbl.mem t ids.(0)
-  | Packed2 t -> ITbl.mem t (Tuple.pack2 ids.(0) ids.(1))
-  | Keyed t -> KTbl.mem t ids
-
-let idset_tuples s =
-  match s with
-  | Packed1 t -> ITbl.fold (fun k () acc -> Tuple.of_ids [| k |] :: acc) t []
-  | Packed2 t ->
-      ITbl.fold (fun k () acc -> Tuple.of_ids (Tuple.unpack2 k) :: acc) t []
-  | Keyed t -> KTbl.fold (fun ids () acc -> Tuple.of_ids ids :: acc) t []
-
 (* [r]'s index on [cols], and whether it is a memo: [r]'s memoized one
    when [r] is a stored leaf and the memo is available, else built
    afresh. *)
@@ -253,33 +221,24 @@ let dense_join_matches ~trace ~b (lc, rc) left right =
           probed)
   end
 
-(* Projection fused into the join's probe loop, deduplicated into an
-   [idset]; [cols] indexes the concatenation of left and right. The
-   full-width join result is never materialized, and for outputs of one
-   or two columns neither are per-tuple key arrays. *)
+(* Projection fused into the join's probe loop, deduplicated into a
+   {!Tuple.Set}; [cols] indexes the concatenation of left and right. The
+   full-width join result is never materialized: each match's output ids
+   go into one scratch buffer, and a tuple is built only for a new
+   member. *)
 let join_col ~al lt rt c =
   if c < al then Tuple.id lt c else Tuple.id rt (c - al)
 
 let join_set ~trace ~stored ~al pairs cols left right =
   let memo, each = join_matches ~trace ~stored pairs left right in
-  let k = Array.length cols in
-  let get = join_col ~al in
-  ( memo,
-    if Tuple.can_pack && k = 1 then (
-      let s = ITbl.create 256 in
-      let c0 = cols.(0) in
-      each (fun lt rt -> ITbl.replace s (get lt rt c0) ());
-      Packed1 s)
-    else if Tuple.can_pack && k = 2 then (
-      let s = ITbl.create 256 in
-      let c0 = cols.(0) and c1 = cols.(1) in
-      each (fun lt rt ->
-          ITbl.replace s (Tuple.pack2 (get lt rt c0) (get lt rt c1)) ());
-      Packed2 s)
-    else (
-      let s = KTbl.create 256 in
-      each (fun lt rt -> KTbl.replace s (Array.map (get lt rt) cols) ());
-      Keyed s) )
+  let buf = Array.make (Array.length cols) 0 in
+  let set = Tuple.Set.create 64 in
+  each (fun lt rt ->
+      for i = 0 to Array.length cols - 1 do
+        buf.(i) <- join_col ~al lt rt cols.(i)
+      done;
+      ignore (Tuple.Set.add_ids set buf : bool));
+  (memo, set)
 
 let equijoin ~trace ~stored ?proj pairs left right =
   match proj with
@@ -292,7 +251,7 @@ let equijoin ~trace ~stored ?proj pairs left right =
   | Some cols ->
       let al = match Relation.arity left with Some a -> a | None -> 0 in
       let memo, set = join_set ~trace ~stored ~al pairs cols left right in
-      (memo, Relation.of_distinct (idset_tuples set))
+      (memo, Relation.of_set set)
 
 (* Hash semi/antijoin: keep the left tuples that do (resp. do not) find
    a match in the right side's index, the memo of a stored right operand
@@ -597,7 +556,7 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
                 let ids = dom_id_array dom in
                 let b = Array.fold_left max (-1) ids + 1 in
                 let cols = Array.of_list cols in
-                if Tuple.can_pack && k = 2 && b <= dense_bound then (
+                if k = 2 && b <= dense_bound then (
                   let c0 = cols.(0) and c1 = cols.(1) in
                   complement2_bitset ~ids ~b ~mark:(fun set ->
                       Relation.unordered_iter
@@ -620,7 +579,7 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
                     noted j (join_set ~trace ~stored ~al jpairs cols rl rr)
                   in
                   complement_probe k dom (fun buf ->
-                      Relation.mem_ids buf base || idset_mem set buf))
+                      Relation.mem_ids buf base || Tuple.Set.mem set buf))
             | _ -> ev_complement c k dome base (* empty join *))
         | None -> (
             let rr = ev r in
@@ -684,10 +643,16 @@ let eval ?(trace = Observe.Trace.null) ?profile:prof inst e =
             if cols = List.init a Fun.id then r (* identity *)
             else
               let cols = Array.of_list cols in
-              dedup_to_relation (fun emit ->
-                  Relation.unordered_iter
-                    (fun t -> emit (Array.map (fun c -> Tuple.id t c) cols))
-                    r)
+              let buf = Array.make (Array.length cols) 0 in
+              let set = Tuple.Set.create (Relation.cardinal r) in
+              Relation.unordered_iter
+                (fun t ->
+                  for i = 0 to Array.length cols - 1 do
+                    buf.(i) <- Tuple.id t cols.(i)
+                  done;
+                  ignore (Tuple.Set.add_ids set buf : bool))
+                r;
+              Relation.of_set set
         | None -> Relation.empty)
   in
   ev e

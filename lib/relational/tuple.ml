@@ -73,11 +73,11 @@ let equal a b =
   && Array.unsafe_get a (n - 1) = Array.unsafe_get b (n - 1)
   && same_from a b 0 (n - 1)
 
-(* Hash tables keyed by interned ids: [KTbl] by id vectors (join keys,
-   projected valuations), [ITbl] by one int — a single id, or a pair
-   packed by [pack2]. Interned ids are dense table indices far below
-   2^31, so a pair packs reversibly into one int on 64-bit hosts: no
-   array allocation per probe. *)
+(* Hash tables keyed by interned ids: [KTbl] by id vectors (join keys
+   of three or more columns, [Annot_eval]'s fact numbering), [ITbl] by
+   one int — a single id, or a pair packed by [pack2]. Interned ids are
+   dense table indices far below 2^31, so distinct pairs pack into
+   distinct ints on 64-bit hosts: no array allocation per probe. *)
 module KTbl = Hashtbl.Make (struct
   type t = int array
 
@@ -246,18 +246,27 @@ module Set = struct
       s.order <- order);
     if n <= cap then Array.unsafe_set s.order n x
 
+  (* [x] is new, and [i] the free slot its probe run ended in *)
+  let insert s x i =
+    append s x s.count;
+    s.count <- s.count + 1;
+    if 2 * s.count <= Array.length s.slots then Array.unsafe_set s.slots i x
+    else (
+      grow s;
+      Array.unsafe_set s.slots (slot_tuple s.slots x) x)
+
   let add s x =
     let i = slot_tuple s.slots x in
-    if Array.unsafe_get s.slots i != absent then false
-    else (
-      append s x s.count;
-      s.count <- s.count + 1;
-      if 2 * s.count <= Array.length s.slots then
-        Array.unsafe_set s.slots i x
-      else (
-        grow s;
-        Array.unsafe_set s.slots (slot_tuple s.slots x) x);
-      true)
+    Array.unsafe_get s.slots i == absent
+    && (insert s x i;
+        true)
+
+  let add_ids s ids =
+    let h = hash_ids ids in
+    let i = slot_hashed s.slots ids h in
+    Array.unsafe_get s.slots i == absent
+    && (insert s (of_hashed ids h) i;
+        true)
 
   (* [hole] is free; [j] walks the rest of its probe run. A tuple whose
      home slot lies cyclically in (hole, j] stays, any other moves into
@@ -289,7 +298,6 @@ end
 
 let can_pack = Sys.int_size >= 63
 let pack2 a b = (a lsl 31) lor b
-let unpack2 k = [| k lsr 31; k land 0x7FFFFFFF |]
 
 let make vs = of_ids (Array.map Value.Intern.id vs)
 let of_list vs = of_ids (Array.of_list (List.map Value.Intern.id vs))

@@ -68,13 +68,14 @@ val hash_ids : int array -> int
     tuples, with one shared sentinel marking the free slots, and beside
     it a dense array of the same tuples in the order they were added.
     The engines' sets of tuples (a relation's, the fact loader's,
-    [Matcher.Db]'s, the semi-naive rounds', DRed's) are all of this
-    kind, and none keeps a list of its tuples beside it.
+    [Matcher.Db]'s, the semi-naive rounds', DRed's, the matcher's
+    dedup of a run's valuations, [Algebra]'s projections) are all of
+    this kind, and none keeps a list of its tuples beside it.
 
     - The slot array is at most half full: {!add} doubles it before it
       would pass one half, so a probe run stays short and always ends.
-    - A lookup takes an id vector ({!mem}, {!find_opt}: a matcher's
-      scratch array, no tuple built) or a tuple ({!mem_tuple}, {!add},
+    - A lookup takes an id vector ({!mem}, {!find_opt}, {!add_ids}: a
+      scratch array, no tuple built unless {!add_ids} adds it) or a tuple ({!mem_tuple}, {!add},
       {!remove}: by the hash it carries, never recomputed). It compares
       each stored tuple's hash before its ids, both read from the stored
       tuple's one block, and allocates nothing.
@@ -119,6 +120,11 @@ module Set : sig
       new. *)
   val add : t -> tuple -> bool
 
+  (** [add_ids s ids] is [add s (of_ids ids)], in one probe by the id
+      vector, building the tuple only when it is new: for collecting
+      from a reused scratch buffer. *)
+  val add_ids : t -> int array -> bool
+
   (** [remove s x] drops the tuple with [x]'s ids, leaving the order
       stale. It is [true] when there was one. *)
   val remove : t -> tuple -> bool
@@ -149,8 +155,9 @@ end
 (** {1 Id-keyed tables} *)
 
 (** Hash tables keyed by id vectors, hashed like {!hash_ids} — for keys
-    that are not the tuples themselves (join keys of three or more
-    columns, projected valuations, annotations). *)
+    that are not tuples of a set: {!Relation.Index}'s join keys of three
+    or more columns, and [Annot_eval]'s numbering of the facts of its
+    derivation graph. Sets of tuples are {!Set}s. *)
 module KTbl : Hashtbl.S with type key = int array
 
 (** Hash tables keyed by one int: a single id, or two ids packed by
@@ -160,11 +167,9 @@ module ITbl : Hashtbl.S with type key = int
 (** [can_pack] holds on hosts whose ints fit two ids ({!pack2}). *)
 val can_pack : bool
 
-(** [pack2 a b] packs two ids into one int, reversibly when
-    {!can_pack}; [unpack2] recovers them as an id array. *)
+(** [pack2 a b] packs two ids into one int, distinct pairs into
+    distinct ints when {!can_pack}. *)
 val pack2 : int -> int -> int
-
-val unpack2 : int -> int array
 
 (** Lexicographic {!Value.compare} order; tuples of different arities are
     ordered by arity first so that mixed sets behave sanely. *)

@@ -120,7 +120,8 @@ let retract_facts t batch =
   (!removed, overdeleted, rederived)
 
 (* Materialized point lookup: constants probe a memoized hash index on
-   their positions; repeated variables filter the candidates. This is
+   their positions; repeated variables filter the candidates
+   ({!Magic.query_filter}, the demand path's filter). This is
    the same answer set as the demand path — by construction of the
    magic rewriting, both agree with filtering the full fixpoint. *)
 let query_materialized t (q : Ast.atom) =
@@ -138,32 +139,11 @@ let query_materialized t (q : Ast.atom) =
              | _, Ast.Var _ -> None)
       in
       let cands = Matcher.Db.lookup t.db q.Ast.pred bindings in
-      (* positions sharing one variable must carry equal ids *)
-      let var_groups =
-        let tbl : (string, int list ref) Hashtbl.t = Hashtbl.create 4 in
-        List.iteri
-          (fun i -> function
-            | Ast.Var x -> (
-                match Hashtbl.find_opt tbl x with
-                | Some l -> l := i :: !l
-                | None -> Hashtbl.add tbl x (ref [ i ]))
-            | Ast.Cst _ -> ())
-          q.Ast.args;
-        Hashtbl.fold
-          (fun _ l acc -> match !l with _ :: _ :: _ -> !l :: acc | _ -> acc)
-          tbl []
-      in
-      let matches tup =
-        List.for_all
-          (function
-            | p0 :: rest ->
-                List.for_all (fun p -> Tuple.id tup p = Tuple.id tup p0) rest
-            | [] -> true)
-          var_groups
-      in
-      (* index buckets hold distinct facts *)
+      (* index buckets hold distinct facts, carrying the constants *)
       Relation.of_distinct
-        (if var_groups = [] then cands else List.filter matches cands)
+        (match Magic.query_filter ~keyed:true q with
+        | None -> cands
+        | Some ok -> List.filter ok cands)
 
 let query t ?(via = Materialized) q =
   match via with

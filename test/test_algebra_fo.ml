@@ -375,6 +375,81 @@ let prop_memo_runs_equal_naive =
            (fun _ -> Relation.equal expected (Fo.eval i f vars))
            [ 1; 2; 3 ]))
 
+(* --- projected joins and the fused complement ------------------------- *)
+
+(* A projected join, π[cols](L ⋈ R), collects its output in one tuple set,
+   and the fusion (dom^k − B) ▷ π[cols](L ⋈ R) probes that set; both must
+   equal the unfused composition: the full join projected tuple by tuple,
+   and dom^k enumerated, minus B, minus that projection. k = 2 over a
+   small domain takes the bitset, k = 1 and k = 3 the set. *)
+let pj_arb =
+  let open QCheck.Gen in
+  let value = map (fun i -> v (String.make 1 "abcde".[i])) (int_bound 4) in
+  let rel ar = list_size (0 -- 10) (list_repeat ar value) in
+  let gen =
+    let* l = rel 2 and* r = rel 2 and* b1 = rel 1 and* b2 = rel 2 in
+    let* b3 = rel 3 in
+    let* pairs = oneofl [ [ (1, 0) ]; [ (0, 1) ]; [ (0, 0); (1, 1) ] ] in
+    let* k = 1 -- 3 in
+    let* cols = list_repeat k (int_bound 3) in
+    let inst =
+      List.fold_left
+        (fun i (n, rows) -> Instance.set n (Relation.of_rows rows) i)
+        Instance.empty
+        [ ("L", l); ("R", r); ("B1", b1); ("B2", b2); ("B3", b3) ]
+    in
+    return (inst, pairs, cols)
+  in
+  QCheck.make
+    ~print:(fun (i, pairs, cols) ->
+      Printf.sprintf "%s, join on %s, columns %s" (Instance.to_string i)
+        (String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d=%d" a b) pairs))
+        (String.concat "," (List.map string_of_int cols)))
+    gen
+
+let prop_projected_join_unfused =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"projected join and fused complement = unfused composition"
+       pj_arb (fun (inst, pairs, cols) ->
+         let k = List.length cols in
+         let join = A.Join (pairs, A.Rel "L", A.Rel "R") in
+         let projected =
+           Relation.of_list
+             (List.map
+                (fun t -> Tuple.project t cols)
+                (Relation.to_list (A.eval inst join)))
+         in
+         let base = A.Rel (Printf.sprintf "B%d" k) in
+         let dom = Relation.to_list (A.eval inst A.Adom) in
+         let rec tuples n =
+           if n = 0 then [ [] ]
+           else
+             List.concat_map
+               (fun d -> List.map (fun rest -> Tuple.get d 0 :: rest) (tuples (n - 1)))
+               dom
+         in
+         let complement =
+           Relation.of_list
+             (List.filter
+                (fun t ->
+                  not (Relation.mem t (A.eval inst base) || Relation.mem t projected))
+                (List.map Tuple.of_list (tuples k)))
+         in
+         let fused =
+           A.Antijoin
+             ( List.init k (fun i -> (i, i)),
+               A.Complement (k, A.Adom, base),
+               A.Project (cols, join) )
+         in
+         (* three runs: the first marks the stored operands, the second
+            builds their memoized indexes, the third probes them *)
+         List.for_all
+           (fun _ ->
+             Relation.equal projected (A.eval inst (A.Project (cols, join)))
+             && Relation.equal complement (A.eval inst fused))
+           [ 1; 2; 3 ]))
+
 let test_memo_domains () =
   let g = Graph_gen.random ~name:"G" ~seed:7 60 240 in
   let inst = Instance.set "S" (Relation.of_rows [ [ Graph_gen.vertex 0 ] ]) g in
@@ -450,4 +525,5 @@ let suite =
       test_memo_domains;
     Alcotest.test_case "plans survive arity mismatches" `Quick
       test_arity_mismatch_plan;
+    prop_projected_join_unfused;
   ]

@@ -142,18 +142,6 @@ let test_instantiate_heads () =
   Alcotest.(check bool) "bottom" true bottom2;
   Alcotest.(check int) "no facts" 0 (List.length facts2)
 
-let test_satisfies () =
-  let d = db () in
-  Alcotest.(check bool) "positive ok" true
-    (M.satisfies d [ ("X", v "a") ]
-       [ Ast.BPos (Ast.atom "P" [ Ast.var "X" ]) ]);
-  Alcotest.(check bool) "negation ok" true
-    (M.satisfies d [ ("X", v "c") ]
-       [ Ast.BNeg (Ast.atom "P" [ Ast.var "X" ]) ]);
-  match M.satisfies d [] [ Ast.BPos (Ast.atom "P" [ Ast.var "X" ]) ] with
-  | exception Ast.Check_error _ -> ()
-  | _ -> Alcotest.fail "unbound variable should raise"
-
 let test_remove_purges_pending () =
   (* regression: a fact bulk-absorbed and then removed must not come back
      through the predicate's rows, which a removal leaves stale, when a
@@ -414,7 +402,9 @@ let prop_published_persistent =
          List.iter
            (fun (p, _) -> ignore (M.Db.memset db p : M.Db.memset))
            arities;
-         List.iter (fun plan -> M.prewarm plan db) warm_rules;
+         List.iter
+           (fun plan -> M.prewarm ~delta_preds:[ "U"; "B"; "T" ] plan db)
+           warm_rules;
          let model = Hashtbl.create 3 in
          List.iter (fun (p, _) -> Hashtbl.replace model p []) arities;
          (* [absorb_new]'s contract: fresh and pairwise distinct *)
@@ -682,7 +672,6 @@ let suite =
     Alcotest.test_case "forall bodies" `Quick test_forall;
     Alcotest.test_case "substitution dedup" `Quick test_dedup;
     Alcotest.test_case "head instantiation" `Quick test_instantiate_heads;
-    Alcotest.test_case "satisfies" `Quick test_satisfies;
     Alcotest.test_case "remove purges the pending buffer" `Quick
       test_remove_purges_pending;
     Alcotest.test_case "remove-then-absorb with warm indexes" `Quick
