@@ -182,8 +182,8 @@ ci:
 	dune exec -- datalog-unchained run -s seminaive -j 2 _ci_tcf.dl -f _ci_tcf.facts > _ci_tcf2.out
 	cmp _ci_tcf1.out _ci_tcf2.out
 	grep -c '^T(' _ci_tcf2.out | grep -qx 26
-	dune exec -- datalog-unchained run -s seminaive _ci_tcf.dl -f _ci_tcf.facts --stats | grep -E '^  fixpoint\.(rounds|delta_total|delta_max) ' > _ci_tcf1.shape
-	dune exec -- datalog-unchained run -s seminaive -j 2 _ci_tcf.dl -f _ci_tcf.facts --stats | grep -E '^  fixpoint\.(rounds|delta_total|delta_max) ' > _ci_tcf2.shape
+	dune exec -- datalog-unchained run -s seminaive _ci_tcf.dl -f _ci_tcf.facts --stats | grep -E '^  (fixpoint\.(rounds|delta_total|delta_max|tuples_derived|tuples_deduped)|matcher\.substs) ' > _ci_tcf1.shape
+	dune exec -- datalog-unchained run -s seminaive -j 2 _ci_tcf.dl -f _ci_tcf.facts --stats | grep -E '^  (fixpoint\.(rounds|delta_total|delta_max|tuples_derived|tuples_deduped)|matcher\.substs) ' > _ci_tcf2.shape
 	cmp _ci_tcf1.shape _ci_tcf2.shape
 	dune exec test/test_main.exe -- test parallel
 	printf 'G(a, b). G(b, c). G(c, d). G(d, e). G(e, f).\n' > _ci_fo.facts

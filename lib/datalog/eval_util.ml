@@ -128,41 +128,12 @@ let with_delta_preds prepared delta_preds =
       (e, dps))
     prepared
 
-(* Round-fresh accumulator state: per predicate, the set of its new
-   facts, which dedups them within the round and keeps them in the order
-   they were found. The delta never takes the shape of a persistent
-   relation: nothing downstream (indexing, absorbing) needs more than
-   the list of the set's tuples. The sets start at 32 slots and grow: a
-   magic session runs many rounds that derive a handful of facts each,
-   and a slot array past 256 words would be allocated on the major heap
-   every round. *)
-type fresh_tbl = (string, Tuple.Set.t) Hashtbl.t
-
-let pred_state (tbl : fresh_tbl) p =
-  match Hashtbl.find_opt tbl p with
-  | Some s -> s
-  | None ->
-      let s = Tuple.Set.create 16 in
-      Hashtbl.add tbl p s;
-      s
-
-(* Add the fact [t] to one predicate's accumulator unless it already
-   holds it: one probe. *)
-let add_unseen seen t = ignore (Tuple.Set.add seen t : bool)
-
-(* drain per-predicate fact lists into an assoc list (pred-name order,
-   so round processing stays deterministic) and reset the table for the
-   next round; [facts] reads one predicate's list, in order, out of its
-   entry *)
-let drain (tbl : (string, 'a) Hashtbl.t) facts =
-  let per = Hashtbl.fold (fun p s acc -> (p, facts s) :: acc) tbl [] in
-  Hashtbl.reset tbl;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) per
-
-let take_fresh (tbl : fresh_tbl) = drain tbl Tuple.Set.to_list
-
-let total_fresh delta =
-  List.fold_left (fun n (_, ts) -> n + List.length ts) 0 delta
+(* A set of facts fed back as a delta — a worker's round accumulator,
+   a DRed cone or frontier — is a Db of its own, which counts nothing.
+   Its stores start at 16 slots and grow: a magic session runs many
+   rounds that derive a handful of facts each, and a slot array past 256
+   words would be allocated on the major heap every round. *)
+let delta_db () = Matcher.Db.of_instance Instance.empty
 
 let round_names = Array.init 64 string_of_int
 
@@ -227,26 +198,19 @@ let owner nw ids =
     x mod nw
 
 (* One worker of the semi-naive loop: the facts it owns that are new
-   this round, and its owned slice of the previous round's delta. With
-   one worker, [db] and [tr] are the loop's own; with more, [db] is a
-   view of the loop's database counting into the private [tr]. *)
+   this round, which dedup them within the round and keep them in the
+   order they were found, and its owned slice of the previous round's
+   delta (last round's [fresh]), whose stores memoize the indexes the
+   delta passes read, one build per round for every rule sharing the
+   bound positions. With one worker, [db] and [tr] are the loop's own;
+   with more, [db] is a view of the loop's database counting into the
+   private [tr]. *)
 type worker = {
   db : Matcher.Db.t;
   tr : Observe.Trace.ctx;
-  fresh : fresh_tbl;
-  mutable delta : (string * Tuple.t list) list;
-  dixes : (string * int list, Relation.Index.t) Hashtbl.t;
-      (* indexes over [delta] per (pred, positions), memoized for the
-         round so rules sharing bound positions share one build *)
+  mutable fresh : Matcher.Db.t;
+  mutable delta : Matcher.Db.t;
 }
-
-let delta_index wk p dts positions =
-  match Hashtbl.find_opt wk.dixes (p, positions) with
-  | Some ix -> ix
-  | None ->
-      let ix = Relation.Index.of_list (Array.of_list positions) dts in
-      Hashtbl.add wk.dixes (p, positions) ix;
-      ix
 
 (* The semi-naive rounds on [nw] workers: the pool's size, or one when
    there is no pool. One Db serves the whole fixpoint: each round's
@@ -263,8 +227,9 @@ let delta_index wk p dts positions =
    same pool fan-out. Round 0 fires the rules round-robin over the
    workers; a later round, each worker fires every rule against its own
    delta slice, so ownership is the slicing. Between rounds the calling
-   domain absorbs the accumulators into [db] (pred order, then worker
-   order) and installs each as its worker's next slice.
+   domain absorbs the accumulators into [db] (worker by worker, which
+   is each predicate's worker order) and installs each as its worker's
+   next slice.
 
    The per-round delta set is therefore the same at every [nw], and so
    are the round spans, the round counters, the stage count and the
@@ -275,9 +240,9 @@ let delta_index wk p dts positions =
    round, summed), [par.exchanged_tuples] and [par.shard_skew] (100 =
    balanced, [100 * nw] = one worker owns every fresh fact).
 
-   [initial] skips round 0 and starts the delta loop from the given
-   fresh facts (not in [db], pairwise distinct): the incremental entry
-   point of the resident server and of DRed. *)
+   [initial] skips round 0 and starts the delta loop from the facts of
+   the given Db (none in [db]): the incremental entry point of the
+   resident server and of DRed. *)
 let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
   let tracing = Observe.Trace.enabled trace in
   let par =
@@ -302,13 +267,7 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
             in
             (Matcher.Db.with_trace db tr, tr)
         in
-        {
-          db;
-          tr;
-          fresh = Hashtbl.create 4;
-          delta = [];
-          dixes = Hashtbl.create 8;
-        })
+        { db; tr; fresh = delta_db (); delta = delta_db () })
   in
   (* one firing pass of a rule on worker [w]; its dedup counts are
      flushed once, after the pass *)
@@ -319,20 +278,18 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
        predicate (the common case) touch no string-keyed table at all *)
     let cur_p = ref "" in
     let cur_mem = ref None in
-    let cur_state = ref None in
+    let cur_acc = ref None in
     let have = ref false in
     let derived = ref 0 and deduped = ref 0 in
     let n =
-      Matcher.iter_firings ?delta
-        ?delta_index:(Option.map (fun (p, dts) -> delta_index wk p dts) delta)
-        ?neg_db ~dom e.plan wk.db
+      Matcher.iter_firings ?delta ?neg_db ~dom e.plan wk.db
         (fun ~pos p ids ->
           if pos then (
             if not (!have && String.equal !cur_p p) then (
               have := true;
               cur_p := p;
               cur_mem := Some (Matcher.Db.memset wk.db p);
-              cur_state := Some (pred_state wk.fresh p));
+              cur_acc := Some (Matcher.Db.memset wk.fresh p));
             (* one hash per firing: the probe's serves the new tuple *)
             let h = Tuple.hash_ids ids in
             if Matcher.Db.memset_mem_hashed (Option.get !cur_mem) ids h then (
@@ -341,7 +298,9 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
               if tracing then Stdlib.incr derived;
               let o = owner nw ids in
               if o = w then
-                add_unseen (Option.get !cur_state) (Tuple.of_hashed ids h)
+                ignore
+                  (Matcher.Db.memset_add (Option.get !cur_acc)
+                     (Tuple.of_hashed ids h))
               else
                 match par with
                 | Some (_, ex) ->
@@ -367,9 +326,9 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
       (fun (e, dps) ->
         List.iter
           (fun p ->
-            match List.assoc_opt p wk.delta with
-            | None | Some [] -> ()
-            | Some dts -> fire w e (Some (p, dts)))
+            match Matcher.Db.memset_opt wk.delta p with
+            | None -> ()
+            | Some d -> fire w e (Some (p, d)))
           dps)
       with_dps
   in
@@ -379,19 +338,20 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
     let t0 = Observe.Trace.now () in
     let wk = workers.(w) in
     Parallel.Exchange.drain ex ~dst:w (fun ~src:_ ~pred ts ->
-        List.iter (add_unseen (pred_state wk.fresh pred)) ts);
+        let acc = Matcher.Db.memset wk.fresh pred in
+        List.iter (fun t -> ignore (Matcher.Db.memset_add acc t)) ts);
     exch_s.(w) <- Observe.Trace.now () -. t0
   in
-  (* one round: derive on every worker, then drain each worker's
-     accumulator into a sorted assoc list *)
+  (* one round: derive on every worker, which leaves the round's facts
+     in the workers' accumulators *)
   let run_round derive =
     (match par with
     | None -> derive 0
     | Some (pool, ex) ->
         Parallel.Pool.run_phases pool [| derive; exchange ex |];
         exchange_s := !exchange_s +. Array.fold_left Float.max 0.0 exch_s);
-    let per_w = Array.map (fun wk -> take_fresh wk.fresh) workers in
-    let wtot = Array.map total_fresh per_w in
+    let per_w = Array.map (fun wk -> wk.fresh) workers in
+    let wtot = Array.map Matcher.Db.total per_w in
     let total = Array.fold_left ( + ) 0 wtot in
     if tracing && total > 0 && nw > 1 then
       Observe.Trace.gauge_max trace "par.shard_skew"
@@ -401,23 +361,11 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
   (* between rounds: the accumulators are disjoint by ownership and
      fresh by the membership check, exactly [absorb_new]'s contract *)
   let absorb_and_install per_w =
-    let preds =
-      List.sort_uniq String.compare
-        (List.concat_map (List.map fst) (Array.to_list per_w))
-    in
-    List.iter
-      (fun p ->
-        Array.iter
-          (fun fr ->
-            match List.assoc_opt p fr with
-            | None | Some [] -> ()
-            | Some ts -> Matcher.Db.absorb_new db p ts)
-          per_w)
-      preds;
+    Array.iter (Matcher.Db.absorb_new db) per_w;
     Array.iteri
       (fun w fr ->
         workers.(w).delta <- fr;
-        Hashtbl.reset workers.(w).dixes)
+        workers.(w).fresh <- delta_db ())
       per_w
   in
   let first =
@@ -427,7 +375,8 @@ let seminaive ~trace ?neg_db ?pool ?initial ~with_dps ~dom db =
         (* any partition of a delta is a valid slicing: the caller's
            starts on worker 0 *)
         `Delta
-          (Array.init nw (fun w -> if w = 0 then d else []), total_fresh d)
+          ( Array.init nw (fun w -> if w = 0 then d else delta_db ()),
+            Matcher.Db.total d )
   in
   let _, stages =
     rounds ~trace ~first ~step:(fun per_w ->
@@ -477,11 +426,10 @@ let seminaive_fixpoint ?(trace = Observe.Trace.null) ?neg_db prepared
 
 let seminaive_increment_db ?(trace = Observe.Trace.null) ?neg_db prepared
     ~delta_preds ~dom db delta =
-  match List.filter (fun (_, ts) -> ts <> []) delta with
-  | [] -> 0
-  | delta ->
-      let with_dps = with_delta_preds prepared delta_preds in
-      seminaive ~trace ?neg_db ~initial:delta ~with_dps ~dom db
+  if Matcher.Db.total delta = 0 then 0
+  else
+    let with_dps = with_delta_preds prepared delta_preds in
+    seminaive ~trace ?neg_db ~initial:delta ~with_dps ~dom db
 
 (* DRed needs two compiled artifacts beyond the ordinary plans: the
    delta-pred table over every positive body predicate (the cone and the
@@ -491,10 +439,11 @@ let seminaive_increment_db ?(trace = Observe.Trace.null) ?neg_db prepared
      P(t̄) :- dred$P(t̄), body
 
    — whose synthetic first atom ranges over the deleted facts of the
-   rule's own head. Firing it with [~delta:(dred$P, D_P)] enumerates
-   exactly the one-step rederivations of deleted facts from the
-   surviving database, without materializing any dred$ relation (the
-   delta mechanism feeds the atom directly). Built once per program and
+   rule's own head. Firing it with [~delta:(dred$P, C_P)], where [C_P]
+   is the cone's store for [P], enumerates exactly the one-step
+   rederivations of deleted facts from the surviving database, without
+   materializing any dred$ relation (the delta mechanism feeds the atom
+   directly). Built once per program and
    reused across every retraction batch. *)
 type dred_prepared = {
   dr_with_dps : (entry * string list) list;
@@ -553,48 +502,38 @@ type dred_stats = { overdeleted : int; rederived : int; cone_rounds : int }
    post-retraction EDB (the property suite checks byte-identity against
    exactly that oracle). *)
 let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
-  (* the over-deletion cone: per predicate, the set of its facts met so
-     far, in the order met — the distinct retracted facts actually
-     present in the materialization, then frontier after frontier *)
-  let cone : fresh_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (p, ts) ->
-      List.iter
-        (fun t -> if Matcher.Db.mem db p t then add_unseen (pred_state cone p) t)
-        ts)
+  (* the over-deletion cone: per predicate, the facts met so far, in the
+     order met — the retracted facts actually present in the
+     materialization, then frontier after frontier *)
+  let cone = delta_db () and frontier = ref (delta_db ()) in
+  Matcher.Db.iter
+    (fun p t ->
+      if Matcher.Db.mem db p t && Matcher.Db.insert cone p t then
+        ignore (Matcher.Db.insert !frontier p t))
     deletions;
-  if Hashtbl.length cone = 0 then
+  if Matcher.Db.total cone = 0 then
     { overdeleted = 0; rederived = 0; cone_rounds = 0 }
   else (
     let tracing = Observe.Trace.enabled trace in
     (* each phase is a span of its own kind: [--stats] and the serve
        [stats] op's [span.<kind>] histograms split a retract by phase *)
     let phase kind f = Observe.Trace.with_span trace ~kind "dred" f in
-    let cone_preds () =
-      List.sort String.compare (Hashtbl.fold (fun p _ acc -> p :: acc) cone [])
-    in
     (* phase 1: the cone, frontier by frontier; [next] collects the facts
        the current round adds to it *)
     let cone_rounds = ref 0 in
-    let next : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 4 in
-    let frontier =
-      ref
-        (List.map
-           (fun p -> (p, Tuple.Set.to_list (Hashtbl.find cone p)))
-           (cone_preds ()))
-    in
     phase "cone" (fun () ->
-        while !frontier <> [] do
+        while Matcher.Db.total !frontier > 0 do
           Stdlib.incr cone_rounds;
+          let next = delta_db () in
           List.iter
             (fun (e, dps) ->
               List.iter
                 (fun pred ->
-                  match List.assoc_opt pred !frontier with
-                  | None | Some [] -> ()
-                  | Some dts ->
+                  match Matcher.Db.memset_opt !frontier pred with
+                  | None -> ()
+                  | Some d ->
                       ignore
-                        (Matcher.iter_firings ~delta:(pred, dts) ~dom e.plan db
+                        (Matcher.iter_firings ~delta:(pred, d) ~dom e.plan db
                            (fun ~pos p ids ->
                              if
                                pos
@@ -602,60 +541,49 @@ let dred ?(trace = Observe.Trace.null) dprep ~edb ~dom db deletions =
                                     (Matcher.Db.memset db p) ids
                              then
                                let t = Tuple.of_ids ids in
-                               if Tuple.Set.add (pred_state cone p) t then
-                                 match Hashtbl.find_opt next p with
-                                 | Some l -> l := t :: !l
-                                 | None -> Hashtbl.add next p (ref [ t ]))))
+                               if Matcher.Db.insert cone p t then
+                                 ignore (Matcher.Db.insert next p t))))
                 dps)
             dprep.dr_with_dps;
-          frontier := drain next (fun l -> List.rev !l)
+          frontier := next
         done);
-    let cone_preds = cone_preds () in
     (* phase 2: delete the cone *)
     let overdeleted = ref 0 in
     phase "delete" (fun () ->
-        List.iter
-          (fun p ->
-            Tuple.Set.iter
-              (fun t ->
-                if Matcher.Db.remove db p t then Stdlib.incr overdeleted)
-              (Hashtbl.find cone p))
-          cone_preds);
+        Matcher.Db.iter
+          (fun p t -> if Matcher.Db.remove db p t then Stdlib.incr overdeleted)
+          cone);
     (* phase 3: re-derivation seed *)
-    let r0 : fresh_tbl = Hashtbl.create 4 in
+    let seed = delta_db () in
     phase "seed" (fun () ->
-        List.iter
-          (fun p ->
-            Tuple.Set.iter
-              (fun t ->
-                if Matcher.Db.mem edb p t then add_unseen (pred_state r0 p) t)
-              (Hashtbl.find cone p))
-          cone_preds;
+        Matcher.Db.iter
+          (fun p t ->
+            if Matcher.Db.mem edb p t then ignore (Matcher.Db.insert seed p t))
+          cone;
         List.iter
           (fun (hp, gplan) ->
-            match Hashtbl.find_opt cone hp with
+            match Matcher.Db.memset_opt cone hp with
             | None -> ()
-            | Some set ->
+            | Some c ->
                 ignore
-                  (Matcher.iter_firings
-                     ~delta:(dred_guard_pred hp, Tuple.Set.to_list set)
-                     ~dom gplan db
-                     (fun ~pos p ids ->
+                  (Matcher.iter_firings ~delta:(dred_guard_pred hp, c) ~dom
+                     gplan db (fun ~pos p ids ->
                        if
                          pos
                          && not
                               (Matcher.Db.memset_mem (Matcher.Db.memset db p)
                                  ids)
-                       then add_unseen (pred_state r0 p) (Tuple.of_ids ids))))
+                       then
+                         ignore
+                           (Matcher.Db.insert seed p (Tuple.of_ids ids)))))
           dprep.dr_guards);
     (* phase 4: propagate the survivors *)
-    let seed = take_fresh r0 in
     let before = Matcher.Db.total db in
     phase "propagate" (fun () ->
-        if total_fresh seed > 0 then
+        if Matcher.Db.total seed > 0 then
           ignore
-            (seminaive ~trace ~initial:seed ~with_dps:dprep.dr_with_dps
-               ~dom db));
+            (seminaive ~trace ~initial:seed ~with_dps:dprep.dr_with_dps ~dom
+               db));
     let rederived = Matcher.Db.total db - before in
     if tracing then (
       Trace.incr_key trace k_dred_batches;
@@ -679,7 +607,9 @@ let stage_trace prepared ~dom inst =
     let derived = consequences_db prepared db ~dom in
     if Instance.subset derived current then List.rev (current :: acc)
     else (
-      Matcher.Db.absorb db derived;
+      Instance.iter_facts
+        (fun p t -> ignore (Matcher.Db.insert db p t))
+        derived;
       loop (current :: acc))
   in
   loop []

@@ -69,7 +69,10 @@ val consequences_signed :
     the immediate-consequence operator, i.e. the paper's "stages").
 
     One {!Matcher.Db} is created for the whole run and fed each stage's
-    delta via {!Matcher.Db.absorb} — indexes persist across rounds.
+    delta via {!Matcher.Db.absorb_new} — indexes persist across rounds.
+    Each stage's delta is itself a {!Matcher.Db} per worker, counting
+    nothing, and the delta passes read it through its own memoized
+    indexes.
 
     [neg_db]: check negative literals against this fixed database instead
     of the growing one — makes the fixpoint the Gelfond–Lifschitz
@@ -89,9 +92,10 @@ val consequences_signed :
     freshness is decided the same way at every worker count: a fact in
     the database's membership set is a duplicate (those sets change
     only between rounds); any other fact joins its owner's round
-    accumulator, directly or through a batched {!Parallel.Exchange}
-    drained in a second phase of the same fan-out. Each worker derives
-    from its owned slice of the previous round's delta. With more than
+    accumulator (a delta {!Matcher.Db}), directly or through a batched
+    {!Parallel.Exchange} drained into it in a second phase of the same
+    fan-out. Each worker derives from its owned slice of the previous
+    round's delta: its previous accumulator. With more than
     one worker the counters [par.domains] (gauge), [par.tasks],
     [par.exchange_ms] (critical-path drain time), [par.exchanged_tuples]
     (cross-worker traffic) and [par.shard_skew] (gauge; [100] =
@@ -140,13 +144,15 @@ val seminaive_fixpoint_db :
     updated in place, never recomputed. *)
 
 (** [seminaive_increment_db prepared ~delta_preds ~dom db delta] resumes
-    the semi-naive loop on an already-materialized [db] with [delta] as
-    the round-0 delta: the facts are absorbed and the delta-restricted
-    rules iterate to the new fixpoint. [delta] facts must be fresh (not
-    in [db]) and pairwise distinct — the caller checks with
-    {!Matcher.Db.mem}. Cost is proportional to the consequences of the
-    delta, not to the database. It runs {!seminaive_fixpoint}'s loop on
-    one worker. Returns the number of propagation stages. *)
+    the semi-naive loop on an already-materialized [db] with the facts of
+    the [Db] [delta] (a write batch, see {!Matcher.Db}) as the round-0
+    delta: they are absorbed and the delta-restricted rules iterate to
+    the new fixpoint. No fact of [delta] may be in [db] — the caller
+    checks with {!Matcher.Db.mem}. [delta] becomes the loop's first
+    delta slice: the caller must not use it afterwards. Cost is
+    proportional to the consequences of the delta, not to the database.
+    It runs {!seminaive_fixpoint}'s loop on one worker. Returns the
+    number of propagation stages ([0] for an empty [delta]). *)
 val seminaive_increment_db :
   ?trace:Observe.Trace.ctx ->
   ?neg_db:Matcher.Db.t ->
@@ -154,15 +160,15 @@ val seminaive_increment_db :
   delta_preds:string list ->
   dom:Value.t list ->
   Matcher.Db.t ->
-  (string * Tuple.t list) list ->
+  Matcher.Db.t ->
   int
 
 (** Compiled artifacts for {!dred}: delta tables over every positive
     body predicate plus one guard plan per rule ([P(t̄) :- dred$P(t̄),
-    body] — the synthetic atom is fed through the delta mechanism, so no
-    [dred$] relation ever exists). Build once per program, reuse across
-    retraction batches. Only single-positive-head rules (pure Datalog)
-    participate. *)
+    body] — the synthetic atom reads the cone's store for [P] through
+    the delta mechanism, so no [dred$] relation ever exists). Build once
+    per program, reuse across retraction batches. Only
+    single-positive-head rules (pure Datalog) participate. *)
 type dred_prepared
 
 val prepare_dred : prepared -> dred_prepared
@@ -173,18 +179,21 @@ type dred_stats = {
   cone_rounds : int;  (** frontier expansions of the deletion cone *)
 }
 
-(** [dred dprep ~edb ~dom db deletions] retracts [deletions] from the
-    materialized fixpoint [db] by delete-and-rederive: (1) over-delete
-    the derived cone of the retracted facts (computed against the intact
-    database, so derivations using several deleted facts are found);
-    (2) remove it; (3) seed re-derivation with cone facts still present
-    in the base facts [edb] and cone facts one guard plan rederives
-    from the surviving database; (4) propagate the seed with the
-    semi-naive increment loop. The result equals recomputing the
-    fixpoint from scratch on the post-retraction EDB. [edb] holds the
-    base (asserted) facts {e after} the retraction. Facts absent from [db]
-    are ignored. Counters (when tracing): [dred.batches],
-    [dred.overdeleted], [dred.rederived], [dred.cone_rounds] (gauge).
+(** [dred dprep ~edb ~dom db deletions] retracts the facts of the [Db]
+    [deletions] (a write batch, see {!Matcher.Db}) from the materialized
+    fixpoint [db] by delete-and-rederive: (1) over-delete the derived
+    cone of the retracted facts (computed against the intact database,
+    so derivations using several deleted facts are found); (2) remove
+    it; (3) seed re-derivation with cone facts still present in the base
+    facts [edb] and cone facts one guard plan rederives from the
+    surviving database; (4) propagate the seed with the semi-naive
+    increment loop. The cone, each of its frontiers and the seed are
+    delta [Db]s, which the delta passes read through their own memoized
+    indexes. The result equals recomputing the fixpoint from scratch on
+    the post-retraction EDB. [edb] holds the base (asserted) facts
+    {e after} the retraction. Facts absent from [db] are ignored.
+    Counters (when tracing): [dred.batches], [dred.overdeleted],
+    [dred.rederived], [dred.cone_rounds] (gauge).
     Each phase runs in a span named [dred] whose kind names the phase:
     [cone], [delete], [seed] and [propagate] (the last holds the
     propagation's [round] spans), so each kind's [span.<kind>] histogram
@@ -195,7 +204,7 @@ val dred :
   edb:Matcher.Db.t ->
   dom:Value.t list ->
   Matcher.Db.t ->
-  (string * Tuple.t list) list ->
+  Matcher.Db.t ->
   dred_stats
 
 (** [naive_fixpoint prepared ~dom inst] is the same fixpoint computed by

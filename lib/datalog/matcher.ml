@@ -18,24 +18,28 @@ module Db = struct
      facts as one membership set (a {!Tuple.Set}, probed by id vector,
      and walked in its own order by a step that binds no position), and
      the join indexes ({!Relation.Index}) memoized per constrained
-     positions, never on none. [insert]/[absorb]/[absorb_new]/[remove]
-     keep them in step, so fixpoint engines create one Db per evaluation
+     positions, never on none. [insert]/[absorb_new]/[remove] keep them
+     in step, so fixpoint engines create one Db per evaluation
      and feed it deltas instead of re-indexing the full instance at
      every stage. A lookup that binds every position reads the
-     membership set.
+     membership set. The deltas themselves are Dbs too (a round's new
+     facts, a DRed cone, a write batch), so an index over a delta is a
+     store's memoized index like any other.
 
      A store starts from the instance's relation: it adopts that
      relation's set, copying nothing. Publishing ([relation],
      [instance]) lends it to a new relation value
      ({!Relation.of_set}). While the set is [lent], the next write
-     copies it first, so a relation value never changes. Handles
+     copies it first, so a relation value never changes. A store for a
+     predicate the instance lacks owns a fresh set from the start. Handles
      ({!memset}) hold the store, so they stay valid across the copy. *)
   type store = {
     mutable set : Tuple.Set.t;
     mutable ar : int;  (* the facts' arity, while the set is not empty *)
     mutable lent : Relation.t option;
-        (* the relation sharing [set] since the last write: the one
-           adopted, or the last one published *)
+        (* the relation published for [set] since the last write: the
+           one adopted, or the last one published; it shares [set]
+           unless it is the empty relation of a fresh store *)
     indexes : (int list, Index.t) Hashtbl.t;
   }
 
@@ -63,9 +67,13 @@ module Db = struct
      more than one worker. *)
   let with_trace db trace = { db with trace }
 
+  (* [rel]'s store: its set adopted, or a fresh small one for the empty
+     relation, whose publish is still [rel] *)
   let adopt rel =
     {
-      set = Relation.set rel;
+      set =
+        (if Relation.is_empty rel then Tuple.Set.create 16
+         else Relation.set rel);
       ar = Option.value (Relation.arity rel) ~default:0;
       lent = Some rel;
       indexes = Hashtbl.create 4;
@@ -80,6 +88,28 @@ module Db = struct
         let st = adopt (Instance.find p db.inst) in
         Hashtbl.add db.stores p st;
         st
+
+  (* [p]'s store when [p] has a fact; a predicate without one gets no
+     store *)
+  let memset_opt db p =
+    match Hashtbl.find_opt db.stores p with
+    | Some st -> if Tuple.Set.length st.set = 0 then None else Some st
+    | None ->
+        if Relation.is_empty (Instance.find p db.inst) then None
+        else Some (store db p)
+
+  (* the predicates with a store or a relation, in name order *)
+  let preds db =
+    List.sort_uniq String.compare
+      (Hashtbl.fold
+         (fun p _ acc -> p :: acc)
+         db.stores (Instance.names db.inst))
+
+  let iter f db =
+    List.iter
+      (fun p ->
+        Option.iter (fun st -> Tuple.Set.iter (f p) st.set) (memset_opt db p))
+      (preds db)
 
   (* [p]'s relation: the one lent [st]'s set, a new value after a write
      (in a [materialize] span) *)
@@ -143,20 +173,22 @@ module Db = struct
   let columns = Array.init 16 string_of_int
   let column i = if i < 16 then columns.(i) else string_of_int i
 
-  let index db p positions =
-    let st = store db p in
+  (* [st]'s index on [positions], counted into [tr]: a build, in an
+     [index] span named after [p], or a reuse — unless [warm], a
+     prewarm's own call, which no plan has read yet *)
+  let store_index ?(warm = false) tr p st positions =
     match Hashtbl.find_opt st.indexes positions with
     | Some ix ->
-        Trace.incr_key db.trace k_memo_hits;
+        if not warm then Trace.incr_key tr k_memo_hits;
         ix
     | None ->
-        Trace.incr_key db.trace k_builds;
+        Trace.incr_key tr k_builds;
         let build () = Index.of_set (Array.of_list positions) st.set in
         let ix =
-          if not (Observe.Trace.enabled db.trace) then build ()
+          if not (Observe.Trace.enabled tr) then build ()
           else
             let cols = String.concat "," (List.map column positions) in
-            Observe.Trace.with_span db.trace ~kind:"index"
+            Observe.Trace.with_span tr ~kind:"index"
               ~fields:
                 Observe.Trace.
                   [
@@ -169,6 +201,8 @@ module Db = struct
         in
         Hashtbl.add st.indexes positions ix;
         ix
+
+  let index db p positions = store_index db.trace p (store db p) positions
 
   (* The compiled plans below probe indexes with statically-sorted
      positions; this convenience entry point only pays a sort when handed
@@ -201,11 +235,13 @@ module Db = struct
         Index.to_list
           (Index.find (index db p (List.map fst bindings)) (Array.get key))
 
-  (* [st] ready for a write: a lent set is copied first *)
+  (* [st] ready for a write: a set a relation shares is copied first *)
   let writable st =
-    if Option.is_some st.lent then (
-      st.set <- Tuple.Set.copy st.set;
-      st.lent <- None)
+    match st.lent with
+    | None -> ()
+    | Some r ->
+        if Relation.set r == st.set then st.set <- Tuple.Set.copy st.set;
+        st.lent <- None
 
   let check_arity st t =
     if Tuple.Set.length st.set > 0 && Tuple.arity t <> st.ar then
@@ -214,23 +250,24 @@ module Db = struct
            "Relation: arity mismatch (relation has arity %d, tuple has %d)"
            st.ar (Tuple.arity t))
 
-  (* [t], not in [st], joins its set and indexes *)
-  let add_new st t =
+  (* [t] joins [st]'s set, unless there, and its indexes: one probe of
+     the set (two while it is lent, which only a new fact copies), and
+     no closure while [st] has no index *)
+  let memset_add st t =
     check_arity st t;
-    writable st;
-    st.ar <- Tuple.arity t;
-    ignore (Tuple.Set.add st.set t);
-    Hashtbl.iter (fun _ ix -> Index.add ix t) st.indexes
+    if Option.is_some st.lent && Tuple.Set.mem_tuple st.set t then false
+    else (
+      writable st;
+      Tuple.Set.add st.set t
+      && (st.ar <- Tuple.arity t;
+          if Hashtbl.length st.indexes > 0 then
+            Hashtbl.iter (fun _ ix -> Index.add ix t) st.indexes;
+          true))
 
   let insert db p t =
-    let st = store db p in
-    if Tuple.Set.mem_tuple st.set t then (
-      Trace.incr_key db.trace k_dups;
-      false)
-    else (
-      Trace.incr_key db.trace k_inserts;
-      add_new st t;
-      true)
+    let fresh = memset_add (store db p) t in
+    Trace.incr_key db.trace (if fresh then k_inserts else k_dups);
+    fresh
 
   let remove db p t =
     let st = store db p in
@@ -241,36 +278,24 @@ module Db = struct
       Hashtbl.iter (fun _ ix -> Index.remove ix t) st.indexes;
       true)
 
-  let absorb db delta =
-    Instance.fold
-      (fun p rel () ->
-        let st = store db p in
-        let added = ref 0 in
-        Relation.unordered_iter
-          (fun t ->
-            if not (Tuple.Set.mem_tuple st.set t) then (
-              add_new st t;
-              incr added))
-          rel;
-        let dups = Relation.cardinal rel - !added in
-        if !added > 0 then Trace.add_key db.trace k_inserts !added;
-        if dups > 0 then Trace.add_key db.trace k_dups dups)
-      delta ()
-
-  (* Bulk insert of facts known to be fresh and pairwise distinct (the
-     semi-naive delta, already deduplicated against the database by the
-     firing loop): no membership checks, one traversal per structure. *)
-  let absorb_new db p news =
-    match news with
-    | [] -> ()
-    | t0 :: _ ->
-        if Trace.enabled db.trace then
-          Trace.add_key db.trace k_inserts (List.length news);
-        let st = store db p in
-        writable st;
-        st.ar <- Tuple.arity t0;
-        List.iter (fun t -> ignore (Tuple.Set.add st.set t)) news;
-        Hashtbl.iter (fun _ ix -> List.iter (Index.add ix) news) st.indexes
+  (* Bulk insert of facts known to be fresh (the semi-naive delta,
+     already deduplicated against the database by the firing loop): no
+     membership checks, one traversal per structure. *)
+  let absorb_new db delta =
+    List.iter
+      (fun p ->
+        match memset_opt delta p with
+        | None -> ()
+        | Some d ->
+            if Trace.enabled db.trace then
+              Trace.add_key db.trace k_inserts (Tuple.Set.length d.set);
+            let st = store db p in
+            writable st;
+            st.ar <- d.ar;
+            Tuple.Set.iter (fun t -> ignore (Tuple.Set.add st.set t)) d.set;
+            Hashtbl.iter (fun _ ix -> Tuple.Set.iter (Index.add ix) d.set)
+              st.indexes)
+      (preds delta)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -584,22 +609,28 @@ let needs_dom prepared = prepared.need_dom
 
 (* ------------------------------------------------------------------ *)
 
-(* Where a step's candidates come from: the predicate's membership set
-   for a step that binds every position, its set walked in order for a
-   step that binds none, else its index on the bound positions, built
-   on first use. A walk settles a stale order ({!Tuple.Set.settle}) only
-   when it runs. *)
+(* Where a step's candidates come from, in the store [st] of its
+   predicate (or of the delta standing for it): the membership set for a
+   step that binds every position, the set walked in order for a step
+   that binds none, else the store's index on the bound positions, built
+   on first use and counted into [tr]. A walk settles a stale order
+   ({!Tuple.Set.settle}) only when it runs. *)
 type source =
   | Member of Db.memset
   | Scan of Db.memset
   | Indexed of Index.t
   | Unresolved
 
-let source db = function
-  | CAtom { apred; member = true; _ } -> Member (Db.memset db apred)
-  | CAtom { apred; key_positions = []; _ } -> Scan (Db.memset db apred)
+let store_source ?warm tr (st : Db.memset) = function
+  | CAtom { member = true; _ } -> Member st
+  | CAtom { key_positions = []; _ } -> Scan st
   | CAtom { apred; key_positions; _ } ->
-      Indexed (Db.index db apred key_positions)
+      Indexed (Db.store_index ?warm tr apred st key_positions)
+  | CDomain _ -> Unresolved
+
+let source ?warm db = function
+  | CAtom { apred; _ } as step ->
+      store_source ?warm (Db.trace db) (Db.memset db apred) step
   | CDomain _ -> Unresolved
 
 (* Force every lazily-built structure a plan can touch — step sources
@@ -611,14 +642,15 @@ let source db = function
    body, so every body literal counts), and the head-dedup memsets — so
    that read-only workers sharing the database never trigger a
    concurrent build. Called by the semi-naive loop before it runs a
-   fixpoint on more than one worker. *)
+   fixpoint on more than one worker. Its reuse of an index counts no
+   [db.index_memo_hits]: only a plan's reads do. *)
 let prewarm ?neg_db ~delta_preds prepared db =
   let ndb = Option.value neg_db ~default:db in
   let warm_steps from plan =
     Array.iteri
       (fun j step ->
         if j >= from then
-          match source db step with
+          match source ~warm:true db step with
           | Scan m -> Tuple.Set.settle m.set
           | Member _ | Indexed _ | Unresolved -> ())
       plan.csteps
@@ -644,7 +676,7 @@ let prewarm ?neg_db ~delta_preds prepared db =
 (* The join loop shared by {!run} and {!iter_firings}. [consume] is
    called once per (deduped) match with [tval] reading interned ids out
    of the live environment. Returns the match count. *)
-let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
+let exec ?delta ?dom ?neg_db prepared db ~consume =
   (if prepared.need_dom && dom = None then
      invalid_arg
        "Matcher.run: rule has domain-bound or \xe2\x88\x80 variables; supply ~dom");
@@ -753,19 +785,12 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       | CAtom { key_terms; _ } -> Db.memset_mem m (Array.map tval key_terms)
       | CDomain _ -> false
     in
-    (* a step's candidates, read in place: an index bucket or the delta's
-       tuples *)
+    (* a step's candidates, read in place: an index bucket or a set *)
     let scan_bucket b visit =
       if tracing then (
         cands := !cands + Index.size b;
         Stdlib.incr scans);
       Index.iter visit b
-    in
-    let scan_rows ts n visit =
-      if tracing then (
-        cands := !cands + n;
-        Stdlib.incr scans);
-      List.iter visit ts
     in
     let scan_set (m : Db.memset) visit =
       if tracing then (
@@ -773,9 +798,8 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
         Stdlib.incr scans);
       Tuple.Set.iter visit m.set
     in
-    (* one pass over [plan], whose sources are [srcs]; step [didx] scans
-       its candidates with [dsrc] (the delta's) instead *)
-    let run_plan plan srcs didx dsrc =
+    (* one pass over [plan], whose sources are [srcs] *)
+    let run_plan plan srcs =
       let csteps = plan.csteps in
       let nsteps = Array.length csteps in
       let keys = Array.map key_of csteps in
@@ -794,7 +818,7 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
                   if filters_ok (i + 1) then go (i + 1))
                 dom_ids;
               env.(s) <- -1
-          | (CAtom _ as step), Member m when i <> didx ->
+          | (CAtom _ as step), Member m ->
               (* every position bound: nothing to unify *)
               let hit = is_member m step in
               if tracing then (
@@ -824,12 +848,10 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
                     go (i + 1);
                   Array.iter (fun s -> env.(s) <- -1) binds)
               in
-              if i = didx then dsrc keys.(i) visit
-              else (
-                match src with
-                | Indexed ix -> scan_bucket (Index.find ix keys.(i)) visit
-                | Scan m -> scan_set m visit
-                | Member _ | Unresolved -> ())
+              match src with
+              | Indexed ix -> scan_bucket (Index.find ix keys.(i)) visit
+              | Scan m -> scan_set m visit
+              | Member _ | Unresolved -> ()
       in
       if filters_ok 0 then go 0
     in
@@ -842,26 +864,15 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
     (* one pass, or one per occurrence of the delta's predicate *)
     let passes () =
       match delta with
-      | None -> run_plan prepared.base main_src (-1) (fun _ _ -> ())
-      | Some (dpred, dtuples) ->
-          (* the delta's candidates at a step: the whole list when the step
-             has no key, else a per-(pred, bound-positions) index over the
-             delta tuples — looked up, not scanned, and built straight from
-             the list. The semi-naive loop supplies [delta_index] to reuse
-             one build per round across every rule sharing the
-             positions. *)
-          let ndelta = List.length dtuples in
-          let delta_src = function
-            | CAtom { key_positions = []; _ } ->
-                fun _ visit -> scan_rows dtuples ndelta visit
-            | CAtom { key_positions; _ } ->
-                let ix =
-                  match delta_index with
-                  | Some f -> f key_positions
-                  | None -> Index.of_list (Array.of_list key_positions) dtuples
-                in
-                fun key visit -> scan_bucket (Index.find ix key) visit
-            | CDomain _ -> fun _ _ -> ()
+      | None -> run_plan prepared.base main_src
+      | Some (dpred, (dst : Db.memset)) ->
+          (* [srcs] with the delta's store read at step [i]: its source is
+             resolved as any other step's, and its index memoized on the
+             delta's store, uncounted *)
+          let ndelta = Tuple.Set.length dst.set in
+          let with_delta srcs i step =
+            srcs.(i) <- store_source Trace.null dst step;
+            srcs
           in
           (* a pass on a later occurrence starts from the delta when the
              delta is smaller than what the greedy plan's first step would
@@ -883,9 +894,11 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
                   if i > 0 && delta_is_smaller () then (
                     let plan = prepared.delta_first.(i) in
                     if tracing then Stdlib.incr delta_firsts;
-                    run_plan plan (resolve 1 plan) 0
-                      (delta_src plan.csteps.(0)))
-                  else run_plan prepared.base main_src i (delta_src step)
+                    run_plan plan
+                      (with_delta (resolve 1 plan) 0 plan.csteps.(0)))
+                  else
+                    run_plan prepared.base
+                      (with_delta (Array.copy main_src) i step)
               | _ -> ())
             prepared.base.csteps
     in
@@ -901,16 +914,11 @@ let exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume =
       Trace.max_key tr k_substs_max n);
     !nresults
 
-let run ?delta ?dom ?neg_db prepared db =
-  (* the public API takes the delta as a relation; the join loop wants
-     the plain tuple list (order is irrelevant: results are sorted) *)
-  let delta =
-    Option.map (fun (p, rel) -> (p, Tuple.Set.to_list (Relation.set rel))) delta
-  in
+let run ?dom ?neg_db prepared db =
   let nkeep = Array.length prepared.keep in
   let results = ref [] in
   let (_ : int) =
-    exec ?delta ?dom ?neg_db prepared db ~consume:(fun ~tval ->
+    exec ?dom ?neg_db prepared db ~consume:(fun ~tval ->
         results :=
           Array.init nkeep (fun k -> tval (CVar (snd prepared.keep.(k))))
           :: !results)
@@ -924,56 +932,45 @@ let run ?delta ?dom ?neg_db prepared db =
           (fst prepared.keep.(k), Value.Intern.of_id vals.(k))))
     (Tuple.rank_sort nkeep Array.unsafe_get !results)
 
-let iter_firings ?delta ?delta_index ?dom ?neg_db prepared db f =
-  (* one scratch id array per head template, reused across matches — the
-     callback copies it only when it actually retains the fact *)
+(* One scratch id array per compiled atom, reused across matches — the
+   callback copies it only when it actually retains the fact — and its
+   grounding under the match [tval] reads. *)
+let scratch cargs = Array.make (Array.length cargs) 0
+
+let ground tval cargs ids =
+  for i = 0 to Array.length cargs - 1 do
+    Array.unsafe_set ids i (tval (Array.unsafe_get cargs i))
+  done
+
+let iter_heads ?delta ?dom ?neg_db prepared db ~before f =
   let heads =
-    List.map
-      (fun (pos, pred, cargs) ->
-        (pos, pred, cargs, Array.make (Array.length cargs) 0))
+    List.map (fun (pos, pred, cargs) -> (pos, pred, cargs, scratch cargs))
       prepared.cheads
   in
-  exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume:(fun ~tval ->
+  exec ?delta ?dom ?neg_db prepared db ~consume:(fun ~tval ->
+      before tval;
       List.iter
-        (fun (pos, pred, cargs, scratch) ->
-          for i = 0 to Array.length cargs - 1 do
-            Array.unsafe_set scratch i (tval (Array.unsafe_get cargs i))
-          done;
-          f ~pos pred scratch)
+        (fun (pos, pred, cargs, ids) ->
+          ground tval cargs ids;
+          f ~pos pred ids)
         heads)
 
-let iter_derivations ?delta ?delta_index ?dom ?neg_db prepared db f =
-  (* like [iter_firings], but each match also instantiates the rule's
-     positive body atoms, so the callback sees the whole firing — head
-     fact plus the body facts its annotation multiplies over. All id
-     arrays (head and body sides) are scratch, reused across matches:
-     callbacks copy what they retain. *)
-  let heads =
-    List.map
-      (fun (pos, pred, cargs) ->
-        (pos, pred, cargs, Array.make (Array.length cargs) 0))
-      prepared.cheads
-  in
+let iter_firings ?delta ?dom ?neg_db prepared db f =
+  iter_heads ?delta ?dom ?neg_db prepared db ~before:ignore f
+
+(* like [iter_firings], but each match also grounds the rule's positive
+   body atoms, so the callback sees the whole firing — head fact plus
+   the body facts its annotation multiplies over *)
+let iter_derivations ?dom ?neg_db prepared db f =
   let bodies =
-    Array.map
-      (fun (pred, cargs) -> (pred, cargs, Array.make (Array.length cargs) 0))
-      prepared.cbodies
+    Array.map (fun (pred, cargs) -> (pred, scratch cargs)) prepared.cbodies
   in
-  let body_view = Array.map (fun (pred, _, scratch) -> (pred, scratch)) bodies in
-  exec ?delta ?delta_index ?dom ?neg_db prepared db ~consume:(fun ~tval ->
-      Array.iter
-        (fun (_, cargs, scratch) ->
-          for i = 0 to Array.length cargs - 1 do
-            Array.unsafe_set scratch i (tval (Array.unsafe_get cargs i))
-          done)
-        bodies;
-      List.iter
-        (fun (pos, pred, cargs, scratch) ->
-          for i = 0 to Array.length cargs - 1 do
-            Array.unsafe_set scratch i (tval (Array.unsafe_get cargs i))
-          done;
-          f ~pos pred scratch body_view)
-        heads)
+  iter_heads ?dom ?neg_db prepared db
+    ~before:(fun tval ->
+      Array.iteri
+        (fun b (_, cargs) -> ground tval cargs (snd bodies.(b)))
+        prepared.cbodies)
+    (fun ~pos pred ids -> f ~pos pred ids bodies)
 
 let instantiate_heads subst heads =
   let bottom = ref false in

@@ -23,7 +23,7 @@ open Relational
     order too) and the join indexes ({!Relation.Index}) memoized per
     constrained positions, all maintained incrementally: create one [Db]
     per evaluation (not per stage) and feed it new facts with
-    {!Db.insert}, {!Db.absorb} or {!Db.absorb_new} — every cached index
+    {!Db.insert} or {!Db.absorb_new} — every cached index
     is updated in place instead of being rebuilt. A probe that binds
     every argument position is a membership test: it reads the
     predicate's membership set ({!Db.memset}) and never builds an index.
@@ -34,7 +34,21 @@ open Relational
     adopts that relation's set ({!Relation.set}) without copying it.
     {!Db.relation} and {!Db.instance} publish by lending the set to a
     relation value ({!Relation.of_set}); the next write to a lent set
-    copies it first, so a published relation never changes. *)
+    copies it first, so a published relation never changes. A store for
+    a predicate the instance lacks starts from a fresh small set of its
+    own, which no write has to copy.
+
+    A [Db] also holds every set of facts an engine feeds back as a
+    delta: a semi-naive round's new facts (each worker's round
+    accumulator, which becomes its next delta slice), a DRed
+    over-deletion cone and its frontiers, and a write batch of the
+    resident server. Such a Db wraps {!Instance.empty} and reports to
+    {!Observe.Trace.null}, so it moves no counter and opens no span. A
+    delta pass ({!iter_firings}'s [delta]) reads one of its stores
+    ({!Db.memset}) the way a plan reads the database: the membership
+    set, a walk of the set, or an index memoized on the store. An index
+    over a delta is therefore a [Db] index, built at most once per
+    store and positions, whichever rules read it. *)
 module Db : sig
   type t
 
@@ -108,6 +122,10 @@ module Db : sig
   (** [mem db p tup] tests a ground fact. *)
   val mem : t -> string -> Tuple.t -> bool
 
+  (** [iter f db] calls [f p tup] on every fact, predicate by predicate
+      in name order, each predicate's facts in its set's order. *)
+  val iter : (string -> Tuple.t -> unit) -> t -> unit
+
   (** A handle on one predicate's membership set, probed by interned id
       vector: a short linear scan of one array however large the
       relation grows — fixpoint engines use this for their freshness
@@ -118,12 +136,23 @@ module Db : sig
   (** [memset db p] is the membership set of predicate [p]. *)
   val memset : t -> string -> memset
 
+  (** [memset_opt db p] is [Some (memset db p)] when [p] has a fact,
+      else [None]; asking about a predicate without facts creates no
+      store. *)
+  val memset_opt : t -> string -> memset option
+
   (** [memset_mem m ids] tests the fact with argument ids [ids]. *)
   val memset_mem : memset -> int array -> bool
 
   (** [memset_mem_hashed m ids h] is [memset_mem m ids] when
       [h = Tuple.hash_ids ids], which it does not compute again. *)
   val memset_mem_hashed : memset -> int array -> int -> bool
+
+  (** [memset_add m tup] is {!insert} through the handle: it finds no
+      store and counts nothing — the semi-naive loop's path into its
+      round accumulators, which report to {!Observe.Trace.null}
+      anyway. *)
+  val memset_add : memset -> Tuple.t -> bool
 
   (** [insert db p tup] adds a fact, updating every memoized index of
       [p]. Returns [true] iff the fact was new. A fact already present
@@ -139,14 +168,11 @@ module Db : sig
       of the bucket. *)
   val remove : t -> string -> Tuple.t -> bool
 
-  (** [absorb db delta] inserts every fact of [delta] into [db],
-      maintaining all memoized indexes incrementally. *)
-  val absorb : t -> Instance.t -> unit
-
-  (** [absorb_new db p news] bulk-inserts facts of [p] that the caller
-      guarantees fresh (not in [db]) and pairwise distinct — the
-      semi-naive delta contract. Skips every membership check. *)
-  val absorb_new : t -> string -> Tuple.t list -> unit
+  (** [absorb_new db delta] bulk-inserts every fact of [delta], each
+      predicate's set in its order, facts the caller guarantees are not
+      in [db] — the semi-naive delta contract. Skips every membership
+      check. *)
+  val absorb_new : t -> t -> unit
 end
 
 (** A rule compiled to slot-based join plans (atom ordering, index keys,
@@ -157,7 +183,7 @@ type prepared
     order (most-bound atom first) and once more per positive body atom
     that order does not put first: that atom moved first, the rest in
     greedy order after it. A delta pass may start from those
-    {e delta-first} plans (see {!run}). A step that binds every
+    {e delta-first} plans (see {!iter_firings}). A step that binds every
     argument position of its atom (by constants or by variables earlier
     steps bound) is compiled as a {e membership test}: it is answered by
     the predicate's membership set ({!Db.memset}), with 0 or 1
@@ -177,23 +203,6 @@ val needs_dom : prepared -> bool
     Each substitution binds every body variable (and hence every head
     variable of a safe rule).
 
-    [delta]: when [Some (pred, rel)], restricts one positive occurrence of
-    [pred] at a time to range over [rel] instead of its full relation, and
-    unions the results — the semi-naive evaluation primitive. The delta
-    relation is indexed per (pred, bound-positions) exactly like the main
-    database, so delta candidates are looked up rather than scanned. If
-    the body has no positive occurrence of [pred] the result is empty.
-    A pass on an occurrence that is not first in the greedy order runs
-    that occurrence's delta-first plan when the delta has fewer tuples
-    than the greedy plan's first step would enumerate (that step's
-    index bucket for its constant key, or the whole set of a keyless
-    step), and the greedy plan otherwise:
-    a one-fact delta against a large first relation then costs as much
-    as the delta, while a large delta against a small first relation
-    keeps the greedy order. The choice reads only sizes, so the matches
-    are the same either way. A membership-test first step counts as its
-    0 or 1 candidate.
-
     [dom]: the active domain [adom(P, K)]. Variables not bound by a
     positive atom (the paper allows head variables bound only by negative
     literals, cf. Example 4.4) range over [dom], as do ∀-quantified
@@ -210,12 +219,15 @@ val needs_dom : prepared -> bool
     join selectivity), [matcher.delta_first] (delta passes started from
     the delta), [matcher.member_probes] (membership-test steps answered
     by a membership set; a hit also counts as one candidate) and the
-    gauge [matcher.substs_max].
+    gauge [matcher.substs_max]. [db.index_memo_hits] counts every plan
+    read of an index already built, which depends on which structures
+    exist before the plan runs: compare it only between runs at one job
+    count (a run on several workers {!prewarm}s the indexes, and the
+    plans then reuse what a one-worker run builds on first read).
 
     @raise Invalid_argument if the rule needs a domain (it has
     non-positively-bound or ∀ variables) and [dom] was not supplied. *)
 val run :
-  ?delta:string * Relation.t ->
   ?dom:Value.t list ->
   ?neg_db:Db.t ->
   prepared ->
@@ -223,24 +235,36 @@ val run :
   Ast.subst list
 
 (** [iter_firings prepared db f] enumerates the same matches as {!run}
-    (same [delta]/[dom]/[neg_db] semantics, same dedup, same trace
-    counters) but stays on the interned fast path end to end: instead of
-    decoding substitutions, each match instantiates the rule's compiled
-    head templates directly and calls [f ~pos pred ids] per head fact
-    ([pos] = polarity; ⊥ heads are skipped). [ids] is a scratch array
-    reused across calls — probe it with {!Relation.mem_ids} and copy it
+    (same [dom]/[neg_db] semantics, same trace counters) but stays on
+    the interned fast path end to end: instead of decoding
+    substitutions, each match instantiates the rule's compiled head
+    templates directly and calls [f ~pos pred ids] per head fact ([pos]
+    = polarity; ⊥ heads are skipped). [ids] is a scratch array reused
+    across calls — probe it with {!Relation.mem_ids} and copy it
     ([Tuple.of_ids (Array.copy ids)]) before retaining. Enumeration
     order is unspecified — callers must be order-insensitive (fixpoint
-    engines accumulate into sets). The delta is a plain tuple list (the
-    representation the fixpoint engines already hold); it is indexed per
-    (pred, bound-positions) exactly like {!run}'s — unless [delta_index]
-    is supplied, in which case it resolves the index for each set of
-    bound positions (the semi-naive loop passes its per-round memo, so
-    rules sharing positions reuse one build; the function must index
-    exactly the tuples of [delta]). Returns the number of matches. *)
+    engines accumulate into sets). Returns the number of matches.
+
+    [delta]: when [Some (pred, d)], restricts one positive occurrence of
+    [pred] at a time to range over the facts of the store [d] (a delta
+    [Db]'s, see {!Db}) instead of [pred]'s relation in [db], and unions
+    the matches — the semi-naive evaluation primitive. The occurrence
+    reads [d] as any step reads [db]: by membership when it binds every
+    position, by a walk when it binds none, else through [d]'s index on
+    the bound positions, built once per store and positions. If the body
+    has no positive occurrence of [pred] there is no match; when several
+    occurrences re-find one valuation, it is reported once. A pass on an
+    occurrence that is not first in the greedy order runs that
+    occurrence's delta-first plan when [d] has fewer facts than the
+    greedy plan's first step would enumerate (that step's index bucket
+    for its constant key, or the whole set of a keyless step), and the
+    greedy plan otherwise: a one-fact delta against a large first
+    relation then costs as much as the delta, while a large delta
+    against a small first relation keeps the greedy order. The choice
+    reads only sizes, so the matches are the same either way. A
+    membership-test first step counts as its 0 or 1 candidate. *)
 val iter_firings :
-  ?delta:string * Tuple.t list ->
-  ?delta_index:(int list -> Relation.Index.t) ->
+  ?delta:string * Db.memset ->
   ?dom:Value.t list ->
   ?neg_db:Db.t ->
   prepared ->
@@ -256,14 +280,9 @@ val iter_firings :
     is the primitive the semiring-annotated engines iterate: a firing's
     annotation is the ⊗-product of its body facts' annotations, ⊕-added
     into the head fact. Every id array (head and body sides) is scratch
-    reused across matches — copy before retaining. Dedup semantics
-    follow {!run}: within one call a (rule, body valuation) pair is
-    reported once per delta pass set, so callers summing over multiple
-    calls (e.g. per-delta-predicate passes) must dedup firings across
-    calls themselves. Returns the number of matches. *)
+    reused across matches — copy before retaining. Returns the number
+    of matches. *)
 val iter_derivations :
-  ?delta:string * Tuple.t list ->
-  ?delta_index:(int list -> Relation.Index.t) ->
   ?dom:Value.t list ->
   ?neg_db:Db.t ->
   prepared ->
@@ -281,7 +300,9 @@ val iter_derivations :
     probes and head dedup — so that subsequent read-only uses of [db] (directly or
     through {!Db.with_trace} views) trigger no builds. The semi-naive
     loop calls it before it runs a fixpoint on more than one worker
-    domain; [neg_db] follows the same convention as {!iter_firings}. *)
+    domain; [neg_db] follows the same convention as {!iter_firings}. Its
+    own calls count every build ([db.index_builds]) but no
+    [db.index_memo_hits]. *)
 val prewarm :
   ?neg_db:Db.t -> delta_preds:string list -> prepared -> Db.t -> unit
 

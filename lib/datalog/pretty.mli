@@ -14,9 +14,6 @@
 open Relational
 
 val pp_term : Format.formatter -> Ast.term -> unit
-val pp_atom : Format.formatter -> Ast.atom -> unit
-val pp_hlit : Format.formatter -> Ast.hlit -> unit
-val pp_blit : Format.formatter -> Ast.blit -> unit
 val program_to_string : Ast.program -> string
 val rule_to_string : Ast.rule -> string
 

@@ -111,7 +111,7 @@ let eval ~seed ?(trace = Observe.Trace.null) p inst =
         ~fields:[ Observe.Trace.fint "delta" d ]
         ());
     if !any then (
-      Matcher.Db.absorb db (Matcher.Db.instance added);
+      Matcher.Db.absorb_new db added;
       loop ())
     else Matcher.Db.instance db
   in

@@ -395,11 +395,6 @@ module Index = struct
     | Packed tbl -> PB.remove tbl (packed_key ix.cols t) t
     | Keyed tbl -> KB.remove tbl (Array.map (Tuple.id t) ix.cols) t
 
-  let of_list cols ts =
-    let ix = create cols (List.length ts) in
-    List.iter (add ix) ts;
-    ix
-
   let of_set cols set =
     let ix = create cols (Tuple.Set.length set) in
     Tuple.Set.iter (add ix) set;

@@ -169,10 +169,6 @@ module Index : sig
       order, sized for their number. *)
   val of_set : int array -> Tuple.Set.t -> t
 
-  (** [of_list cols ts] indexes [ts] on [cols] by [add]ing them in
-      order, sized for their number. *)
-  val of_list : int array -> Tuple.t list -> t
-
   (** [add ix t] pushes [t] onto its key's bucket. The caller keeps the
       indexed tuples distinct. *)
   val add : t -> Tuple.t -> unit

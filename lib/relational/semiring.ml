@@ -232,8 +232,6 @@ let equal_v a b =
   | P x, P y -> x.more = y.more && x.monos = y.monos
   | _ -> false
 
-let is_zero sr v = equal_v sr.zero v
-
 (* [is_idempotent] decides the annotation fixpoint's update rule: an
    idempotent ⊕ (a ⊕ a = a) supports the inflationary "old ⊕ new"
    update; Count's + would double-count and recomputes each round. *)

@@ -56,7 +56,6 @@ val get : tag -> t
 val top : tag -> v
 
 val equal_v : v -> v -> bool
-val is_zero : t -> v -> bool
 
 (** a ⊕ a = a: decides whether the annotation fixpoint may use the
     inflationary [old ⊕ new] update (Count may not — + double-counts). *)

@@ -68,30 +68,32 @@ let validate_arities t batch =
       | _ -> ())
     batch ()
 
+(* A write batch is a Db of its own, counting nothing: the facts an
+   assert adds to the view, or the facts a retract withdraws from the
+   base facts. *)
+let write_batch batch keep =
+  let d = Matcher.Db.of_instance Instance.empty in
+  Instance.fold
+    (fun p rel () ->
+      Relation.unordered_iter
+        (fun tup -> if keep p tup then ignore (Matcher.Db.insert d p tup))
+        rel)
+    batch ();
+  d
+
 let assert_facts t batch =
   validate_arities t batch;
   let added = ref 0 in
   let delta =
-    Instance.fold
-      (fun p rel acc ->
-        let news =
-          Relation.fold
-            (fun tup acc ->
-              if Matcher.Db.insert t.edb p tup then incr added;
-              if Matcher.Db.mem t.db p tup then acc else tup :: acc)
-            rel []
-        in
-        match news with [] -> acc | _ -> (p, List.rev news) :: acc)
-      batch []
+    write_batch batch (fun p tup ->
+        if Matcher.Db.insert t.edb p tup then incr added;
+        not (Matcher.Db.mem t.db p tup))
   in
-  let fresh = List.fold_left (fun n (_, ts) -> n + List.length ts) 0 delta in
+  let fresh = Matcher.Db.total delta in
   let before = total t in
   let stages =
-    match delta with
-    | [] -> 0
-    | _ ->
-        Eval_util.seminaive_increment_db ~trace:t.trace t.prepared
-          ~delta_preds:t.delta_preds ~dom:no_dom t.db delta
+    Eval_util.seminaive_increment_db ~trace:t.trace t.prepared
+      ~delta_preds:t.delta_preds ~dom:no_dom t.db delta
   in
   let derived = total t - before - fresh in
   (!added, derived, stages)
@@ -100,19 +102,10 @@ let retract_facts t batch =
   validate_arities t batch;
   let removed = ref 0 in
   let deletions =
-    Instance.fold
-      (fun p rel acc ->
-        let ds =
-          Relation.fold
-            (fun tup acc ->
-              if Matcher.Db.remove t.edb p tup then (
-                incr removed;
-                tup :: acc)
-              else acc)
-            rel []
-        in
-        match ds with [] -> acc | _ -> (p, ds) :: acc)
-      batch []
+    write_batch batch (fun p tup ->
+        let gone = Matcher.Db.remove t.edb p tup in
+        if gone then incr removed;
+        gone)
   in
   let { Eval_util.overdeleted; rederived; cone_rounds = _ } =
     Eval_util.dred ~trace:t.trace t.dred ~edb:t.edb ~dom:no_dom t.db deletions

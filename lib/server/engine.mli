@@ -21,10 +21,11 @@
     predicates straight from the materialization's {!Matcher.Db} (their
     memoized indexes included, so an index a query builds there stays
     and later writes maintain it) and every other predicate from the
-    base instance. Asserts, DRed cones and DRed propagation all run
-    delta passes, which start from the delta when it is the smaller side
-    ({!Matcher.run}), so their cost follows the change, not the size of
-    the EDB. *)
+    base instance. Each write batch is a {!Matcher.Db} of its own, and
+    asserts, DRed cones and DRed propagation all run delta passes over
+    such Dbs, which start from the delta when it is the smaller side
+    ({!Matcher.iter_firings}), so their cost follows the change, not the
+    size of the EDB. *)
 
 open Relational
 open Datalog

@@ -20,39 +20,8 @@
     neither [accepted] nor [rejected] derived; machines with explicit
     reject transitions derive [rejected]. *)
 
-
-
-(** Predicate names used by the compilation (also the interface for
-    inspecting results). *)
-val state_pred : string  (** [state(T, Q)] *)
-
-val head_pred : string
-(** [head(T, P)] *)
-
-val tape_pred : string
-(** [tape(T, P, S)] *)
-
-val tsucc_pred : string
-(** [tsucc(P, P')]: cell [P'] is right of [P] *)
-
-val tstep_pred : string
-(** [tstep(T, T')]: step relation on times *)
-
-val accepted_pred : string
-(** 0-ary: derived on acceptance *)
-
-val rejected_pred : string
-(** 0-ary: derived on explicit rejection *)
-
-val final_tape_pred : string
-(** [final_tape(P, S)] at acceptance *)
-
 (** [compile m] produces the Datalog¬new program simulating [m]. *)
 val compile : Tm.t -> Datalog.Ast.program
-
-(** [initial_instance m input] encodes the machine's initial configuration
-    (input written on cells [p0, p1, ...], head on [p0], time [t0]). *)
-val initial_instance : Tm.t -> string list -> Relational.Instance.t
 
 type sim_result = {
   accepted : bool;

@@ -29,6 +29,13 @@ let prog src =
 let facts src =
   try Instance.parse_facts src with Failure msg -> Alcotest.fail msg
 
+(* A Db holding [ts] as facts of [p]: a delta for [Db.absorb_new] or for
+   a delta pass. *)
+let delta_db p ts =
+  let d = Datalog.Matcher.Db.of_instance Instance.empty in
+  List.iter (fun x -> ignore (Datalog.Matcher.Db.insert d p x : bool)) ts;
+  d
+
 (* [contains ~sub s]: [sub] occurs in [s]. *)
 let contains ~sub s =
   let n = String.length sub and m = String.length s in

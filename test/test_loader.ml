@@ -473,7 +473,7 @@ let test_db_borrowed_memset () =
   Alcotest.(check bool) "adopted set answers" true
     (Datalog.Matcher.Db.memset_mem m (Tuple.ids ab));
   (* absorbing copies the adopted set: the relation's must not grow *)
-  Datalog.Matcher.Db.absorb_new db "G" [ ef ];
+  Datalog.Matcher.Db.absorb_new db (delta_db "G" [ ef ]);
   Alcotest.(check bool) "G(e, f) not in the loaded relation" false
     (Relation.mem ef g);
   Alcotest.(check bool) "handle sees the absorbed fact" true

@@ -8,7 +8,20 @@ let inst = facts "G(a,b). G(b,c). G(a,c). P(a). P(b)."
 let db () = M.Db.of_instance inst
 
 let rule src = Datalog.Parser.parse_rule src
-let run ?delta ?dom ?neg_db src = M.run ?delta ?dom ?neg_db (M.prepare (rule src)) (db ())
+let run ?dom ?neg_db src = M.run ?dom ?neg_db (M.prepare (rule src)) (db ())
+
+(* the head facts of a delta pass of [plan] over [d]'s facts of [p],
+   sorted *)
+let firings ?trace plan base p d =
+  let got = ref [] in
+  ignore
+    (M.iter_firings
+       ~delta:(p, M.Db.memset d p)
+       plan
+       (M.Db.of_instance ?trace base)
+       (fun ~pos:_ _ ids -> got := Tuple.of_ids ids :: !got)
+      : int);
+  List.sort Tuple.compare !got
 
 let test_db_lookup () =
   let d = db () in
@@ -64,34 +77,34 @@ let test_domain_requires_dom () =
   | _ -> Alcotest.fail "expected Invalid_argument without ~dom"
 
 let test_delta_restriction () =
-  let delta = Relation.of_rows [ [ v "a"; v "b" ] ] in
-  let substs = run ~delta:("G", delta) "p(X, Z) :- G(X, Y), G(Y, Z)." in
+  let path = M.prepare (rule "p(X, Y, Z) :- G(X, Y), G(Y, Z).") in
+  let got = firings path inst "G" (delta_db "G" [ t [ v "a"; v "b" ] ]) in
   (* occurrences: first G in delta: (a,b) ∘ G(b,·) = (a,b,c);
      second G in delta: G(·,a)=none. => 1 *)
-  Alcotest.(check int) "delta join" 1 (List.length substs);
-  let no_delta = run ~delta:("P", Relation.of_rows [ [ v "a" ] ])
-      "p(X, Z) :- G(X, Y), G(Y, Z)." in
+  Alcotest.(check (list tuple)) "delta join" [ t [ v "a"; v "b"; v "c" ] ] got;
+  let no_delta = firings path inst "P" (delta_db "P" [ t [ v "a" ] ]) in
   Alcotest.(check int) "delta on absent pred" 0 (List.length no_delta);
   (* H comes second in this rule's greedy order: a pass on H starts from
      the delta when it has fewer tuples than the first step's G bucket
      (3 here), and from G otherwise. Either way the answer is the full
-     evaluation restricted to substitutions whose H tuple is in the
-     delta. *)
-  let plan = M.prepare (rule "p(X, Y) :- G(X, Z), H(Z, Y).") in
+     evaluation restricted to matches whose H tuple is in the delta. *)
+  let plan = M.prepare (rule "p(X, Z, Y) :- G(X, Z), H(Z, Y).") in
   let hs = [ ("b", "x"); ("c", "y"); ("c", "z"); ("b", "w") ] in
   let base = Instance.set "H" (pairs hs) inst in
-  let full = M.run plan (M.Db.of_instance base) in
+  let full = firings plan base "H" (M.Db.of_instance base) in
   let pass name rows ~delta_first =
     let trace = Observe.Trace.make () in
     let delta = pairs rows in
-    let got = M.run ~delta:("H", delta) plan (M.Db.of_instance ~trace base) in
+    let got =
+      firings ~trace plan base "H" (delta_db "H" (Relation.elements delta))
+    in
     let expected =
       List.filter
-        (fun s -> Relation.mem (t [ List.assoc "Z" s; List.assoc "Y" s ]) delta)
+        (fun x -> Relation.mem (t [ Tuple.get x 1; Tuple.get x 2 ]) delta)
         full
     in
-    Alcotest.(check bool) (name ^ ": filtered full evaluation") true
-      (expected = got);
+    Alcotest.(check (list tuple)) (name ^ ": filtered full evaluation")
+      expected got;
     Alcotest.(check int) (name ^ ": matcher.delta_first") delta_first
       (Observe.Trace.counter trace "matcher.delta_first")
   in
@@ -147,13 +160,13 @@ let test_remove_purges_pending () =
      through the predicate's rows, which a removal leaves stale, when a
      later absorb and a publish follow *)
   let d = M.Db.of_instance (facts "G(a,b).") in
-  M.Db.absorb_new d "G" [ t [ v "x"; v "y" ] ];
+  M.Db.absorb_new d (delta_db "G" [ t [ v "x"; v "y" ] ]);
   Alcotest.(check bool) "pending fact visible" true
     (M.Db.mem d "G" (t [ v "x"; v "y" ]));
   Alcotest.(check bool) "remove reports present" true
     (M.Db.remove d "G" (t [ v "x"; v "y" ]));
   (* a stale row would come back at the publish below *)
-  M.Db.absorb_new d "G" [ t [ v "p"; v "q" ] ];
+  M.Db.absorb_new d (delta_db "G" [ t [ v "p"; v "q" ] ]);
   Alcotest.(check bool) "not resurrected (mem)" false
     (M.Db.mem d "G" (t [ v "x"; v "y" ]));
   Alcotest.(check int) "not resurrected (relation)" 2
@@ -169,12 +182,12 @@ let test_remove_then_absorb_indexed () =
   let d = db () in
   ignore (M.Db.lookup d "G" [ (0, v "a") ]);
   Alcotest.(check bool) "warm mem" true (M.Db.mem d "G" (t [ v "a"; v "b" ]));
-  M.Db.absorb_new d "G" [ t [ v "c"; v "d" ] ];
+  M.Db.absorb_new d (delta_db "G" [ t [ v "c"; v "d" ] ]);
   Alcotest.(check int) "index sees pending" 1
     (List.length (M.Db.lookup d "G" [ (0, v "c") ]));
   Alcotest.(check bool) "remove pending" true
     (M.Db.remove d "G" (t [ v "c"; v "d" ]));
-  M.Db.absorb_new d "G" [ t [ v "c"; v "e" ] ];
+  M.Db.absorb_new d (delta_db "G" [ t [ v "c"; v "e" ] ]);
   Alcotest.(check int) "index purged" 0
     (List.length (M.Db.lookup d "G" [ (1, v "d") ]));
   Alcotest.(check bool) "membership purged" false
@@ -188,7 +201,7 @@ let test_sharing () =
      maintain it; P comes from the view's own base *)
   let trace = Observe.Trace.make () in
   let d = M.Db.of_instance ~trace inst in
-  M.Db.absorb_new d "G" [ t [ v "c"; v "d" ] ];
+  M.Db.absorb_new d (delta_db "G" [ t [ v "c"; v "d" ] ]);
   let q = M.Db.sharing d [ "G" ] (facts "G(z, z). P(z).") in
   Alcotest.(check int) "shared relation, pending fact included" 4
     (Relation.cardinal (M.Db.relation q "G"));
@@ -235,7 +248,6 @@ type op =
   | Remove of string * Tuple.t
   | Replace of string * Tuple.t * Tuple.t
   | Scan of string
-  | Absorb of string * Tuple.t list
   | Absorb_new of string * Tuple.t list
 
 let op_gen =
@@ -248,7 +260,6 @@ let op_gen =
         (3, map (fun x -> Remove (p, x)) tup);
         (2, map2 (fun x y -> Replace (p, x, y)) tup tup);
         (2, return (Scan p));
-        (1, map (fun xs -> Absorb (p, xs)) (list_size (0 -- 4) tup));
         (2, map (fun xs -> Absorb_new (p, xs)) (list_size (0 -- 4) tup));
       ])
 
@@ -259,7 +270,6 @@ let show_op op =
     | Remove (p, x) -> ("remove", p, [ x ])
     | Replace (p, x, y) -> ("replace", p, [ x; y ])
     | Scan p -> ("scan", p, [])
-    | Absorb (p, xs) -> ("absorb", p, xs)
     | Absorb_new (p, xs) -> ("absorb_new", p, xs)
   in
   String.concat " " (name :: p :: List.map Tuple.to_string xs)
@@ -328,13 +338,11 @@ let prop_index_maintenance =
                       List.sort Tuple.compare all
                       <> List.sort_uniq Tuple.compare all
                     then failwith "a keyless lookup repeats a fact"
-                | Absorb (p, xs) ->
-                    M.Db.absorb db (Instance.of_list [ (p, rows xs) ])
                 | Absorb_new (p, xs) ->
-                    (* its contract: fresh and pairwise distinct *)
+                    (* its contract: fresh *)
                     let cur = M.Db.relation db p in
-                    M.Db.absorb_new db p
-                      (List.sort_uniq Tuple.compare
+                    M.Db.absorb_new db
+                      (delta_db p
                          (List.filter (fun x -> not (Relation.mem x cur)) xs)));
                 List.for_all (lookups_agree db) arities)
               ops))
@@ -407,7 +415,7 @@ let prop_published_persistent =
            warm_rules;
          let model = Hashtbl.create 3 in
          List.iter (fun (p, _) -> Hashtbl.replace model p []) arities;
-         (* [absorb_new]'s contract: fresh and pairwise distinct *)
+         (* [absorb_new]'s contract: fresh *)
          let fresh p xs =
            let cur = Hashtbl.find model p in
            let xs =
@@ -426,7 +434,9 @@ let prop_published_persistent =
          in
          List.iter
            (fun (p, batches) ->
-             List.iter (fun xs -> M.Db.absorb_new db p (fresh p xs)) batches)
+             List.iter
+               (fun xs -> M.Db.absorb_new db (delta_db p (fresh p xs)))
+               batches)
            init;
          let s = M.Db.instance db in
          let kept =
@@ -468,10 +478,8 @@ let prop_published_persistent =
                       List.sort Tuple.compare (M.Db.lookup db p [])
                       <> Hashtbl.find model p
                     then failwith "a keyless lookup disagrees with the model"
-                | Absorb (p, xs) ->
-                    M.Db.absorb db (Instance.of_list [ (p, rows xs) ]);
-                    ignore (fresh p xs)
-                | Absorb_new (p, xs) -> M.Db.absorb_new db p (fresh p xs));
+                | Absorb_new (p, xs) ->
+                    M.Db.absorb_new db (delta_db p (fresh p xs)));
                 unchanged () && List.for_all (model_agrees db model) arities)
               ops))
 
@@ -585,7 +593,9 @@ let test_probes_allocate_nothing () =
    nothing, where a list bucket copied on every removal. *)
 let test_bucket_writes_allocate_nothing () =
   let tuples = List.init 1000 (fun k -> t [ Value.Int 0; Value.Int k ]) in
-  let ix = Relation.Index.of_list [| 0 |] tuples in
+  let ix =
+    Relation.Index.of_set [| 0 |] (Relation.set (Relation.of_list tuples))
+  in
   let arr = Array.of_list tuples in
   let n = 10_000 in
   let k = ref 0 in
@@ -608,7 +618,9 @@ let test_bucket_writes_allocate_nothing () =
    ten that are left, newest first. *)
 let test_bucket_shrinks () =
   let tuples = List.init 1000 (fun k -> t [ Value.Int 0; Value.Int k ]) in
-  let ix = Relation.Index.of_list [| 0 |] tuples in
+  let ix =
+    Relation.Index.of_set [| 0 |] (Relation.set (Relation.of_list tuples))
+  in
   let bucket () = Relation.Index.lookup ix [| 0 |] (List.hd tuples) in
   let full = Obj.reachable_words (Obj.repr (bucket ())) in
   List.iteri

@@ -566,7 +566,7 @@ let prop_tuple_flat_layout =
    on add and [List.filter] on remove would give, newest first. The
    tuples are the 27 of arity 3 over three values, so keys collide on
    every index shape: packed on one column, packed on two, keyed by the
-   id vector on all three. The index starts as [of_list] of an initial
+   id vector on all three. The index starts as [of_set] of an initial
    run of distinct tuples (the count-then-fill build), then takes random
    adds (of absent tuples only: the caller keeps them distinct) and
    removes (present or not). After every step each key's bucket must
@@ -603,7 +603,9 @@ let prop_index_list_model =
            |> List.rev
          in
          List.iter add init;
-         let ix = Relation.Index.of_list cols init in
+         let ix =
+           Relation.Index.of_set cols (Relation.set (Relation.of_list init))
+         in
          let agrees () =
            Array.for_all
              (fun x ->

@@ -327,27 +327,29 @@ let rule_pool =
     "p(X) :- e(X).";
   |]
 
-type op =
-  | Assert_g of int * int
-  | Retract_g of int * int
-  | Assert_e of int
-  | Retract_e of int
-  | Assert_t of int * int
-  | Retract_t of int * int
+type fact = G of int * int | E of int | T of int * int
 
-let pp_op = function
-  | Assert_g (i, j) -> Printf.sprintf "+g(%d,%d)" i j
-  | Retract_g (i, j) -> Printf.sprintf "-g(%d,%d)" i j
-  | Assert_e i -> Printf.sprintf "+e(%d)" i
-  | Retract_e i -> Printf.sprintf "-e(%d)" i
-  | Assert_t (i, j) -> Printf.sprintf "+t(%d,%d)" i j
-  | Retract_t (i, j) -> Printf.sprintf "-t(%d,%d)" i j
+(* one write: a batch of facts, asserted or retracted together *)
+type op = Assert of fact list | Retract of fact list
+
+let pp_fact = function
+  | G (i, j) -> Printf.sprintf "g(%d,%d)" i j
+  | E i -> Printf.sprintf "e(%d)" i
+  | T (i, j) -> Printf.sprintf "t(%d,%d)" i j
+
+let pp_op op =
+  let sign, fs =
+    match op with Assert fs -> ("+", fs) | Retract fs -> ("-", fs)
+  in
+  sign ^ "[" ^ String.concat " " (List.map pp_fact fs) ^ "]"
 
 (* A scenario: a sampled sub-program, a small random instance, and a
-   schedule of assert/retract ops over a slightly larger vertex space —
-   so retractions hit present and absent facts, and asserts duplicate
-   existing facts now and then. Some ops store facts of the idb
-   predicate t. *)
+   schedule of writes over a slightly larger vertex space — so
+   retractions hit present and absent facts, and asserts duplicate
+   existing facts now and then. A write is a batch of one to four facts
+   mixing g, e and t (facts stored for the idb predicate t), and now and
+   then names one fact twice: one batch then seeds a semi-naive
+   increment or a DRed cone from several predicates at once. *)
 let scenario_gen =
   Q.Gen.(
     let* mask = list_repeat (Array.length rule_pool) bool in
@@ -365,16 +367,27 @@ let scenario_gen =
         (Relation.of_rows (List.init ne (fun i -> [ Graph_gen.vertex i ])))
         g
     in
-    let op_gen =
+    let fact_gen =
       frequency
         [
-          (3, map2 (fun i j -> Assert_g (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
-          (3, map2 (fun i j -> Retract_g (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
-          (1, map (fun i -> Assert_e i) (0 -- (n + 1)));
-          (1, map (fun i -> Retract_e i) (0 -- (n + 1)));
-          (1, map2 (fun i j -> Assert_t (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
-          (1, map2 (fun i j -> Retract_t (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
+          (3, map2 (fun i j -> G (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
+          (1, map (fun i -> E i) (0 -- (n + 1)));
+          (1, map2 (fun i j -> T (i, j)) (0 -- (n + 1)) (0 -- (n + 1)));
         ]
+    in
+    let batch_gen =
+      let* fs = list_size (1 -- 4) fact_gen in
+      let* repeat = 0 -- 4 in
+      (* one time in five, the batch's last fact is its first again *)
+      return
+        (match List.rev fs with
+        | _ :: (_ :: _ as rest) when repeat = 0 ->
+            List.rev (List.hd fs :: rest)
+        | _ -> fs)
+    in
+    let op_gen =
+      let* fs = batch_gen in
+      map (fun a -> if a then Assert fs else Retract fs) bool
     in
     let* nops = 1 -- 12 in
     let* ops = list_repeat nops op_gen in
@@ -389,16 +402,29 @@ let scenario_arb =
         (String.concat " " (List.map pp_op ops)))
     scenario_gen
 
-let op_batch = function
-  | Assert_g (i, j) | Retract_g (i, j) ->
-      ("g", Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ])
-  | Assert_t (i, j) | Retract_t (i, j) ->
-      ("t", Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ])
-  | Assert_e i | Retract_e i -> ("e", Tuple.of_list [ Graph_gen.vertex i ])
+let fact_of = function
+  | G (i, j) -> ("g", Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ])
+  | T (i, j) -> ("t", Tuple.of_list [ Graph_gen.vertex i; Graph_gen.vertex j ])
+  | E i -> ("e", Tuple.of_list [ Graph_gen.vertex i ])
 
-let is_assert = function
-  | Assert_g _ | Assert_e _ | Assert_t _ -> true
-  | Retract_g _ | Retract_e _ | Retract_t _ -> false
+let op_batch = function
+  | Assert fs | Retract fs ->
+      List.fold_left
+        (fun b f ->
+          let pred, tup = fact_of f in
+          Instance.add_fact pred tup b)
+        Instance.empty fs
+
+(* applies [op] to the engine and to the oracle's base instance *)
+let apply eng edb op =
+  let batch = op_batch op in
+  match op with
+  | Assert _ ->
+      edb := Instance.union !edb batch;
+      ignore (E.assert_facts eng batch)
+  | Retract _ ->
+      edb := Instance.diff !edb batch;
+      ignore (E.retract_facts eng batch)
 
 (* Demand queries on every idb predicate, bound at [n0] in each column,
    answer exactly the recompute oracle filtered to the query, and so do
@@ -436,15 +462,7 @@ let prop_schedule_matches_recompute (p, inst0, ops) =
   let edb = ref inst0 in
   List.for_all
     (fun op ->
-      let pred, tup = op_batch op in
-      let batch = Instance.add_fact pred tup Instance.empty in
-      if is_assert op then (
-        edb := Instance.add_fact pred tup !edb;
-        ignore (E.assert_facts eng batch))
-      else (
-        if Instance.mem_fact pred tup !edb then
-          edb := Instance.remove_fact pred tup !edb;
-        ignore (E.retract_facts eng batch));
+      apply eng edb op;
       let oracle = (Datalog.Seminaive.eval p !edb).Datalog.Seminaive.instance in
       let got = E.instance eng in
       Instance.equal got oracle
@@ -457,18 +475,7 @@ let prop_schedule_matches_recompute (p, inst0, ops) =
 let prop_edb_tracks_schedule (p, inst0, ops) =
   let eng = E.create p inst0 in
   let edb = ref inst0 in
-  List.iter
-    (fun op ->
-      let pred, tup = op_batch op in
-      let batch = Instance.add_fact pred tup Instance.empty in
-      if is_assert op then (
-        edb := Instance.add_fact pred tup !edb;
-        ignore (E.assert_facts eng batch))
-      else (
-        if Instance.mem_fact pred tup !edb then
-          edb := Instance.remove_fact pred tup !edb;
-        ignore (E.retract_facts eng batch)))
-    ops;
+  List.iter (apply eng edb) ops;
   Instance.equal (E.edb eng) !edb
 
 let suite =
