@@ -111,6 +111,10 @@ bench:
 # program at -j 1 and -j 2: both must report the same db.index_builds,
 # so warming a plan for parallel workers builds no index that only a
 # delta pass could read when the rule has no delta predicate.
+# The selection step runs the same program with -a Rec over facts that
+# hold Lives and Likes facts no body atom reads: the answer must be the
+# Rec lines of the full run, which loads every fact, and --stats must
+# count the facts the selected load dropped (load.dropped).
 # The bench-diff step
 # compares the freshly regenerated e2 rows against the committed
 # BENCH_engines.json and GATES: rows from a different machine shape are
@@ -254,6 +258,13 @@ ci:
 	dune exec -- datalog-unchained run -s stratified _ci_soc.dl -f _ci_soc.facts --stats | grep -E '^  db\.index_builds ' > _ci_soc1.builds
 	dune exec -- datalog-unchained run -s stratified -j 2 _ci_soc.dl -f _ci_soc.facts --stats | grep -E '^  db\.index_builds ' > _ci_soc2.builds
 	cmp _ci_soc1.builds _ci_soc2.builds
+	printf 'Fof(X, Z) :- Lives(X, c0), F(X, Y), F(Y, Z), Likes(Z, t0).\nRec(X, Z) :- Fof(X, Z), !F(X, Z), !Blocked(Z).\n' > _ci_sel.dl
+	printf 'Lives(a, c0). Lives(b, c0). Lives(c, c1). Lives(e, c2). F(a, b). F(b, c). F(c, d). F(b, e). F(e, d).\nLikes(c, t0). Likes(d, t0). Likes(d, t1). Likes(e, t2). Blocked(c).\n' > _ci_sel.facts
+	dune exec -- datalog-unchained run -s stratified _ci_sel.dl -f _ci_sel.facts > _ci_sel_full.out
+	dune exec -- datalog-unchained run -s stratified _ci_sel.dl -f _ci_sel.facts -a Rec > _ci_sel_rec.out
+	grep '^Rec(' _ci_sel_full.out | cmp - _ci_sel_rec.out
+	grep -c '^Rec(' _ci_sel_rec.out | grep -qx 1
+	dune exec -- datalog-unchained run -s stratified _ci_sel.dl -f _ci_sel.facts -a Rec --stats | grep -qE '^  load\.dropped +[1-9]'
 	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats \
 	  _ci_mat.stats _ci_mat.jsonl _ci_ct1.out _ci_ct4.out _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
@@ -262,7 +273,8 @@ ci:
 	  _ci_tcf.dl _ci_tcf.facts _ci_tcf1.out _ci_tcf2.out _ci_tcf1.shape _ci_tcf2.shape \
 	  _ci_fuel.dl _ci_fuel.facts _ci_fuel.out _ci_fuel.err \
 	  _ci_wave.dl _ci_wave.facts _ci_wave1.out _ci_wave2.out \
-	  _ci_soc.dl _ci_soc.facts _ci_soc1.builds _ci_soc2.builds
+	  _ci_soc.dl _ci_soc.facts _ci_soc1.builds _ci_soc2.builds \
+	  _ci_sel.dl _ci_sel.facts _ci_sel_full.out _ci_sel_rec.out
 
 clean:
 	dune clean

@@ -18,8 +18,8 @@ let load_program path =
       Printf.eprintf "%s:%d: lex error: %s\n" path line msg;
       exit 2
 
-let load_text path text =
-  try Instance.parse_facts text
+let load_text ?select path text =
+  try Instance.parse_facts ?select text
   with Failure msg ->
     Printf.eprintf "%s: %s\n" path msg;
     exit 2
@@ -340,6 +340,22 @@ let run_cmd =
       Observe.Trace.with_span trace ~kind:"parse" program (fun () ->
           load_program program)
     in
+    (* With -a, the load drops the facts no body atom can read: they
+       cannot reach the answer (DESIGN.md, section 3). Not when the run
+       reads the active domain, to which every fact adds (--ordered, a
+       rule that needs it, invent), nor when a rule may delete an input
+       fact (noninflationary); stable and --annot runs are not under
+       test_select's oracle. *)
+    let select =
+      match (answer, annot, semantics) with
+      | ( Some keep,
+          None,
+          ( `Naive | `Seminaive | `Stratified | `Semipositive | `Inflationary
+          | `Wellfounded ) )
+        when not ordered ->
+          Datalog.Eval_util.fact_selection p ~keep
+      | _ -> None
+    in
     let inst =
       (* the span closes with the input bytes and the facts they held,
          so --stats reads ns per byte *)
@@ -349,8 +365,13 @@ let run_cmd =
         | None -> ("", Instance.empty)
         | Some path ->
             let text = read_file path in
-            (text, load_text path text)
+            (text, load_text ?select path text)
       in
+      Option.iter
+        (fun sel ->
+          let n = Instance.Select.dropped sel in
+          if n > 0 then Observe.Trace.add trace "load.dropped" n)
+        select;
       let loaded = if ordered then Order.adjoin inst else inst in
       Observe.Trace.close_span trace
         ~fields:

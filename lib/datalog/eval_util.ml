@@ -44,6 +44,25 @@ let db_dom ?trace p plans db =
     program_dom ?trace p plans (Matcher.Db.instance db)
   else []
 
+let fact_selection p ~keep =
+  if List.exists (fun r -> Matcher.needs_dom (Matcher.prepare r)) p then None
+  else
+    let pattern (a : Ast.atom) =
+      ( a.Ast.pred,
+        List.map (function Ast.Cst v -> Some v | Ast.Var _ -> None) a.Ast.args
+      )
+    in
+    Some
+      (Instance.Select.make ~keep
+         (List.concat_map
+            (fun (r : Ast.rule) ->
+              List.filter_map
+                (function
+                  | Ast.BPos a | Ast.BNeg a -> Some (pattern a)
+                  | Ast.BEq _ | Ast.BNeq _ -> None)
+                r.Ast.body)
+            p))
+
 (* Stable per-rule counter label: position in the prepared program plus
    the head predicate(s) — "r3:T". Firing counters are reported as
    "rule_firings.<label>". *)

@@ -31,6 +31,14 @@ val db_dom :
   Matcher.Db.t ->
   Value.t list
 
+(** [fact_selection p ~keep] is what a fact load for [p] needs to keep
+    when only [keep] is read after the run ({!Instance.Select}): the
+    facts some body atom of [p], positive or negated, can match. A fact
+    no body atom matches never changes a stage of Γ, so no fact of
+    [keep] changes. [None] when some rule reads the active domain
+    ({!Matcher.needs_dom}), to which every fact adds its values. *)
+val fact_selection : Ast.program -> keep:string -> Instance.Select.t option
+
 (** A prepared program: matcher plans per rule, in program order, each
     with the trace key of its [rule_firings.<label>] counter, so that
     no fixpoint builds a label again. *)

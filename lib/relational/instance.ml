@@ -214,17 +214,83 @@ module Tokens = struct
     end
 end
 
-(* One predicate's facts so far: the set that deduplicates them and
-   keeps them in load order. It becomes the relation
-   ({!Relation.of_set}). *)
-type loading = { name : string; arity : int; seen : Tuple.Set.t }
+(* --- selections ---------------------------------------------------------- *)
+
+(* What a load keeps of one predicate's facts: all, or those that match
+   some pattern (none if there is none): the pattern's arity, and at
+   each of its constant positions [pos.(k)] the id [ids.(k)]. *)
+type pattern = { parity : int; pos : int array; ids : int array }
+type filter = Keep | Match of pattern array
+
+module Select = struct
+  type t = { filters : (string, filter) Hashtbl.t; mutable dropped : int }
+
+  let make ~keep atoms =
+    let filters = Hashtbl.create 8 in
+    List.iter
+      (fun (pred, args) ->
+        let consts =
+          List.concat
+            (List.mapi
+               (fun k -> function
+                 | Some v -> [ (k, Value.Intern.id v) ] | None -> [])
+               args)
+        in
+        let pat =
+          {
+            parity = List.length args;
+            pos = Array.of_list (List.map fst consts);
+            ids = Array.of_list (List.map snd consts);
+          }
+        in
+        Hashtbl.replace filters pred
+          (match Hashtbl.find_opt filters pred with
+          | Some Keep -> Keep
+          | _ when consts = [] -> Keep
+          | Some (Match ps) -> Match (Array.append ps [| pat |])
+          | None -> Match [| pat |]))
+      atoms;
+    Hashtbl.replace filters keep Keep;
+    { filters; dropped = 0 }
+
+  let filter sel pred =
+    Option.value (Hashtbl.find_opt sel.filters pred) ~default:(Match [||])
+
+  let dropped sel = sel.dropped
+end
+
+(* [argv.(0 .. n - 1)] matches the pattern *)
+let matches argv n p =
+  p.parity = n
+  &&
+  let k = ref 0 in
+  while !k < Array.length p.pos && argv.(p.pos.(!k)) = p.ids.(!k) do
+    incr k
+  done;
+  !k = Array.length p.pos
+
+let kept filter argv n =
+  match filter with
+  | Keep -> true
+  | Match ps -> Array.exists (matches argv n) ps
+
+(* One predicate's facts so far: the set that deduplicates the kept ones
+   and keeps them in load order, and the filter that keeps them. The
+   set becomes the relation ({!Relation.of_set}). *)
+type loading = {
+  name : string;
+  arity : int;
+  seen : Tuple.Set.t;
+  filter : filter;
+}
 
 (* the predicate before the first fact: its empty name matches no span *)
 let no_pred =
-  { name = ""; arity = 0; seen = Tuple.Set.create 1 }
+  { name = ""; arity = 0; seen = Tuple.Set.create 1; filter = Keep }
 
 type loader = {
   len : int;  (** input length *)
+  select : Select.t option;
   tokens : Tokens.t;
   preds : (string, loading) Hashtbl.t;
   mutable last : loading;  (** the predicate of the previous fact *)
@@ -289,8 +355,15 @@ let predicate ld src s e n ~rest =
     match Hashtbl.find_opt ld.preds name with
     | Some p -> p
     | None ->
-        let seen = Tuple.Set.create (max 8 (rest / 32)) in
-        let p = { name; arity = n; seen } in
+        (* a set that keeps every fact is sized from the input left; one
+           that keeps some starts small and grows with what it keeps *)
+        let filter =
+          match ld.select with None -> Keep | Some sel -> Select.filter sel name
+        in
+        let seen =
+          Tuple.Set.create (if filter = Keep then max 8 (rest / 32) else 8)
+        in
+        let p = { name; arity = n; seen; filter } in
         Hashtbl.add ld.preds name p;
         p
 
@@ -328,8 +401,11 @@ let fact ld src s e ~lp ~ncuts lineno ~rest =
     if p.arity <> n then
       fail lineno
         (Printf.sprintf "%s has arity %d, got %d argument(s)" p.name p.arity n);
-    let t = Tuple.of_prefix ld.argv n in
-    ignore (Tuple.Set.add p.seen t : bool)
+    if kept p.filter ld.argv n then
+      ignore (Tuple.Set.add p.seen (Tuple.of_prefix ld.argv n) : bool)
+    else
+      Option.iter (fun (sel : Select.t) -> sel.dropped <- sel.dropped + 1)
+        ld.select
   end
 
 (* The statement [text.[s..e)] as {!fact} must see it, with its first
@@ -472,11 +548,13 @@ let scan ld text =
    inside "..." or a quoted symbol neither ends a fact nor splits an
    argument, and '%' or "//" there does not start a comment. Each
    predicate's facts are deduplicated into one {!Tuple.Set}, which is
-   its relation ({!Relation.of_set}), copied nowhere. *)
-let parse_facts text =
+   its relation ({!Relation.of_set}), copied nowhere. A fact the
+   selection drops is read and checked like any other, then left out. *)
+let parse_facts ?select text =
   let ld =
     {
       len = String.length text;
+      select;
       tokens = Tokens.create ();
       preds = Hashtbl.create 8;
       last = no_pred;
@@ -495,5 +573,6 @@ let parse_facts text =
     make
       (Hashtbl.fold
          (fun name p acc ->
-           SMap.add name (Relation.of_set p.seen) acc)
+           if Tuple.Set.length p.seen = 0 then acc
+           else SMap.add name (Relation.of_set p.seen) acc)
          ld.preds SMap.empty)

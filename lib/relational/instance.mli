@@ -90,6 +90,25 @@ val pp : Format.formatter -> t -> unit
 (** [to_string i] is {!pp}'s output: the facts joined by newlines. *)
 val to_string : t -> string
 
+(** What a fact load keeps: the facts some body atom of a program could
+    read, for every predicate but one printed in full. *)
+module Select : sig
+  type t
+
+  (** [make ~keep atoms] keeps every fact of [keep]. Of any other
+      predicate, it keeps a fact iff some [(pred, args)] of [atoms] could
+      match it: [args] has the fact's arity, and the fact holds the value
+      [v] at each position where [args] has [Some v] ([None] is a
+      variable). A predicate with an atom that has no constant keeps
+      every fact, unchecked; a predicate in no atom keeps none. Values
+      are compared by interned id, so [make] interns the constants. *)
+  val make : keep:string -> (string * Value.t option list) list -> t
+
+  (** [dropped sel] counts the fact statements that loads with [sel]
+      read and left out, duplicates included. *)
+  val dropped : t -> int
+end
+
 (** [parse_facts text] reads fact lines of the form [pred(v, ...).]
     (trailing dot optional; [%] and [//] start comments; blank lines
     ignored; a fact may span lines). An argument is an integer, a quoted
@@ -114,5 +133,11 @@ val to_string : t -> string
     @raise Failure with a line number on malformed input — the line of
     the fact's closing dot, or of the last character of an unterminated
     last fact — including a fact whose argument count disagrees with an
-    earlier fact of the same predicate. *)
-val parse_facts : string -> t
+    earlier fact of the same predicate.
+
+    With [select], a fact that the selection does not keep is still
+    read whole, its tokens interned and its arity checked, so an input
+    fails the same way with or without it; it is then counted
+    ({!Select.dropped}) and not stored. A predicate none of whose facts
+    is kept has no relation. *)
+val parse_facts : ?select:Select.t -> string -> t

@@ -4,6 +4,7 @@ let () =
       ("relational", Test_relational.suite);
       ("render", Test_render.suite);
       ("loader", Test_loader.suite);
+      ("select", Test_select.suite);
       ("intern", Test_intern.suite);
       ("algebra-fo", Test_algebra_fo.suite);
       ("parser", Test_parser.suite);
