@@ -115,6 +115,12 @@ bench:
 # hold Lives and Likes facts no body atom reads: the answer must be the
 # Rec lines of the full run, which loads every fact, and --stats must
 # count the facts the selected load dropped (load.dropped).
+# The arity step runs a program over a fact whose arity is not its
+# predicate's, with and without -a R: each run must exit 2 with one
+# stderr line and print nothing, so an input fault never surfaces as
+# an internal error (exit 125). The golden step fails when a cram test
+# expects exit 125 or an internal error, so such a fault can never be
+# pinned as expected output.
 # The bench-diff step
 # compares the freshly regenerated e2 rows against the committed
 # BENCH_engines.json and GATES: rows from a different machine shape are
@@ -265,6 +271,15 @@ ci:
 	grep '^Rec(' _ci_sel_full.out | cmp - _ci_sel_rec.out
 	grep -c '^Rec(' _ci_sel_rec.out | grep -qx 1
 	dune exec -- datalog-unchained run -s stratified _ci_sel.dl -f _ci_sel.facts -a Rec --stats | grep -qE '^  load\.dropped +[1-9]'
+	printf 'G(X, Y, Z) :- H(X, Y, Z).\nR(X) :- G(X, c, d).\n' > _ci_ar.dl
+	printf 'G(a, b).\nH(a, c, d).\n' > _ci_ar.facts
+	_build/install/default/bin/datalog-unchained run -s stratified _ci_ar.dl -f _ci_ar.facts > _ci_ar.out 2> _ci_ar.err; test $$? -eq 2
+	test ! -s _ci_ar.out
+	test "$$(wc -l < _ci_ar.err)" -eq 1
+	_build/install/default/bin/datalog-unchained run -s stratified _ci_ar.dl -f _ci_ar.facts -a R > _ci_ar.out 2> _ci_ar.err; test $$? -eq 2
+	test ! -s _ci_ar.out
+	test "$$(wc -l < _ci_ar.err)" -eq 1
+	! grep -nE '^  \[125\]$$|internal error' test/cli/*.t
 	rm -f _ci_tc.dl _ci_tc.stats _ci_tc.jsonl _ci_seq.check _ci_safe.stats _ci_ct.dl _ci_ct.stats \
 	  _ci_mat.stats _ci_mat.jsonl _ci_ct1.out _ci_ct4.out _ci_seq.out _ci_par.out _ci_ans.out _ci_print.stats _ci_fo.facts _ci_explain.out _ci_query.out \
 	  _ci_srv.dl _ci_srv.facts _ci_srv.sock _ci_srv.out _ci_srv_mat.out _ci_srv_dem.out _ci_rt.dl _ci_rt1.out _ci_rt2.out \
@@ -274,7 +289,8 @@ ci:
 	  _ci_fuel.dl _ci_fuel.facts _ci_fuel.out _ci_fuel.err \
 	  _ci_wave.dl _ci_wave.facts _ci_wave1.out _ci_wave2.out \
 	  _ci_soc.dl _ci_soc.facts _ci_soc1.builds _ci_soc2.builds \
-	  _ci_sel.dl _ci_sel.facts _ci_sel_full.out _ci_sel_rec.out
+	  _ci_sel.dl _ci_sel.facts _ci_sel_full.out _ci_sel_rec.out \
+	  _ci_ar.dl _ci_ar.facts _ci_ar.out _ci_ar.err
 
 clean:
 	dune clean

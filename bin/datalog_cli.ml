@@ -155,26 +155,6 @@ let print_annot_answer ~trace (r : Datalog.Annot_eval.t) = function
       printing ~trace (fun () ->
           Instance.iter_facts (emit_annotated r) r.Datalog.Annot_eval.instance)
 
-(* point-query match against a stored relation: constants filter their
-   positions, repeated variables force equal ids (same shape as the
-   server's materialized lookup) *)
-let atom_matches (q : Datalog.Ast.atom) tup =
-  Tuple.arity tup = List.length q.Datalog.Ast.args
-  &&
-  let env : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let ok = ref true in
-  List.iteri
-    (fun i arg ->
-      match arg with
-      | Datalog.Ast.Cst v ->
-          if not (Value.equal v (Tuple.get tup i)) then ok := false
-      | Datalog.Ast.Var x -> (
-          match Hashtbl.find_opt env x with
-          | Some j -> if Tuple.id tup i <> Tuple.id tup j then ok := false
-          | None -> Hashtbl.add env x i))
-    q.Datalog.Ast.args;
-  !ok
-
 let order_arg =
   Arg.(
     value & flag
@@ -312,6 +292,12 @@ let or_reject f =
       Printf.eprintf "%s: out of fuel (budget %d)\n" engine budget;
       exit 3
 
+(* Every loaded fact must have its predicate's arity in the program:
+   a mismatch is an input fault (exit 2 through [or_reject]), found
+   before anything evaluates. *)
+let check_facts p inst =
+  Datalog.Ast.check_facts (Datalog.Ast.infer_schema p) inst
+
 (* --- run ---------------------------------------------------------------- *)
 
 let semantics_name = function
@@ -380,6 +366,7 @@ let run_cmd =
             Observe.Trace.fint "facts" (Instance.total_facts inst);
           ]
         ();
+      check_facts p inst;
       loaded
     in
     match annot with
@@ -479,6 +466,7 @@ let nondet_cmd =
     or_reject @@ fun () ->
     Datalog.Ast.check_ndatalog_any p;
     let inst = load_facts facts in
+    check_facts p inst;
     let name =
       match mode with
       | `Walk -> "nondet.walk"
@@ -614,19 +602,38 @@ let query_cmd =
         exit 2
     | qs -> (
         or_reject @@ fun () ->
+        check_facts p inst;
         match annot with
         | Some tag ->
             (* annotated answers come from the materialized annotated
-               fixpoint: the stored relation filtered by the query's
-               constants and repeated variables *)
+               fixpoint: the stored relation filtered as the magic path
+               filters its answers. A query atom must have its
+               predicate's arity, as the magic rewrite requires. *)
+            let schema = Datalog.Ast.infer_schema p in
+            List.iter
+              (fun (q : Datalog.Ast.atom) ->
+                match Schema.find q.Datalog.Ast.pred schema with
+                | Some { Schema.arity; _ }
+                  when arity <> List.length q.Datalog.Ast.args ->
+                    raise
+                      (Datalog.Ast.Check_error
+                         (Printf.sprintf "query: %s has arity %d, query gives %d"
+                            q.Datalog.Ast.pred arity
+                            (List.length q.Datalog.Ast.args)))
+                | _ -> ())
+              qs;
             with_observability ~name:"annot" stats trace_path (fun trace ->
                 let r = Datalog.Annot_eval.run ~trace tag p inst in
                 List.iter
                   (fun (q : Datalog.Ast.atom) ->
+                    let rel =
+                      Instance.find q.Datalog.Ast.pred
+                        r.Datalog.Annot_eval.instance
+                    in
                     print_annotated r q.Datalog.Ast.pred
-                      (Relation.filter (atom_matches q)
-                         (Instance.find q.Datalog.Ast.pred
-                            r.Datalog.Annot_eval.instance)))
+                      (match Datalog.Magic.query_filter ~keyed:false q with
+                      | None -> rel
+                      | Some ok -> Relation.filter ok rel))
                   qs)
         | None ->
             (* one session: later queries reuse the facts and indexes
@@ -758,6 +765,7 @@ let serve_cmd =
   let run program facts socket stats trace_path =
     let { Datalog.Parser.program = p; _ } = load_program program in
     let inst = load_facts facts in
+    or_reject (fun () -> check_facts p inst);
     (* force an enabled context even without --stats: the protocol's
        [stats] op reports these counters over the socket *)
     with_observability ~name:"serve" ~force:true stats trace_path

@@ -175,6 +175,16 @@ let infer_schema p =
   Hashtbl.fold (fun name a acc -> Schema.add (Schema.rel name a) acc) tbl
     Schema.empty
 
+let check_facts schema inst =
+  Instance.fold
+    (fun p r () ->
+      match (Schema.find p schema, Relation.arity r) with
+      | Some { Schema.arity; _ }, Some a when a <> arity ->
+          check_error "%s has arity %d in the program, %d in the facts" p
+            arity a
+      | _ -> ())
+    inst ()
+
 (* --- fragment validation -------------------------------------------------- *)
 
 let pp_rule_head ppf r =

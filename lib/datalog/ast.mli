@@ -100,6 +100,13 @@ val positive_body_vars : rule -> string list
     @raise Check_error on inconsistent arities. *)
 val infer_schema : program -> Schema.t
 
+(** [check_facts schema inst] checks that every predicate of [inst]
+    that [schema] names has its arity there: the check a load of facts
+    for a program passes before anything evaluates or stores them.
+    @raise Check_error naming the first predicate, by name, that does
+    not. *)
+val check_facts : Schema.t -> Instance.t -> unit
+
 (** {1 Fragment validation}
 
     Each check raises {!Check_error} with a readable message naming the rule

@@ -53,7 +53,7 @@ let fact_selection p ~keep =
       )
     in
     Some
-      (Instance.Select.make ~keep
+      (Instance.Select.make ~keep (Ast.infer_schema p)
          (List.concat_map
             (fun (r : Ast.rule) ->
               List.filter_map

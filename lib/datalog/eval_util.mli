@@ -35,8 +35,12 @@ val db_dom :
     when only [keep] is read after the run ({!Instance.Select}): the
     facts some body atom of [p], positive or negated, can match. A fact
     no body atom matches never changes a stage of Γ, so no fact of
-    [keep] changes. [None] when some rule reads the active domain
-    ({!Matcher.needs_dom}), to which every fact adds its values. *)
+    [keep] changes. A fact whose arity is not its predicate's in [p] is
+    kept too, so the check of the loaded facts ({!Ast.check_facts})
+    rejects it as it does without a selection. [None] when some rule
+    reads the active domain ({!Matcher.needs_dom}), to which every fact
+    adds its values.
+    @raise Ast.Check_error when [p] uses a predicate with two arities. *)
 val fact_selection : Ast.program -> keep:string -> Instance.Select.t option
 
 (** A prepared program: matcher plans per rule, in program order, each

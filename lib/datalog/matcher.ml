@@ -269,14 +269,18 @@ module Db = struct
     Trace.incr_key db.trace (if fresh then k_inserts else k_dups);
     fresh
 
+  (* the indexes hold the set's own tuples: each drops the one the set
+     held *)
   let remove db p t =
     let st = store db p in
     if not (Tuple.Set.mem_tuple st.set t) then false
     else (
       writable st;
-      ignore (Tuple.Set.remove st.set t);
-      Hashtbl.iter (fun _ ix -> Index.remove ix t) st.indexes;
-      true)
+      match Tuple.Set.remove st.set t with
+      | None -> false
+      | Some held ->
+          Hashtbl.iter (fun _ ix -> Index.remove ix held) st.indexes;
+          true)
 
   (* Bulk insert of facts known to be fresh (the semi-naive delta,
      already deduplicated against the database by the firing loop): no

@@ -115,7 +115,7 @@ module Db : sig
       reads the membership set ({!memset}) and builds no index; nor does
       a lookup with no constraint, which lists the set in its order. The
       list is built once from the index bucket
-      ({!Relation.Index.to_list}, newest first); the compiled plans read
+      ({!Relation.Index.to_list}, in the bucket's order); the compiled plans read
       buckets in place and never build it. *)
   val lookup : t -> string -> (int * Value.t) list -> Tuple.t list
 
@@ -163,9 +163,9 @@ module Db : sig
 
   (** [remove db p tup] deletes a fact, updating every memoized index of
       [p]. Returns [true] iff the fact was present. It costs one removal
-      from the membership set and, per index, one {!Relation.Index.remove}:
-      a scan of the bucket's hashes and an in-place shift, with no copy
-      of the bucket. *)
+      from the membership set, which returns the tuple the set held, and
+      per index one {!Relation.Index.remove} of that tuple: a scan of its
+      bucket and one move, with no copy of the bucket unless it shrinks. *)
   val remove : t -> string -> Tuple.t -> bool
 
   (** [absorb_new db delta] bulk-inserts every fact of [delta], each

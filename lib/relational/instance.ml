@@ -217,15 +217,19 @@ end
 (* --- selections ---------------------------------------------------------- *)
 
 (* What a load keeps of one predicate's facts: all, or those that match
-   some pattern (none if there is none): the pattern's arity, and at
-   each of its constant positions [pos.(k)] the id [ids.(k)]. *)
-type pattern = { parity : int; pos : int array; ids : int array }
+   some pattern (none if there is none): at each of its constant
+   positions [pos.(k)] the id [ids.(k)]. *)
+type pattern = { pos : int array; ids : int array }
 type filter = Keep | Match of pattern array
 
 module Select = struct
-  type t = { filters : (string, filter) Hashtbl.t; mutable dropped : int }
+  type t = {
+    schema : Schema.t;
+    filters : (string, filter) Hashtbl.t;
+    mutable dropped : int;
+  }
 
-  let make ~keep atoms =
+  let make ~keep schema atoms =
     let filters = Hashtbl.create 8 in
     List.iter
       (fun (pred, args) ->
@@ -238,7 +242,6 @@ module Select = struct
         in
         let pat =
           {
-            parity = List.length args;
             pos = Array.of_list (List.map fst consts);
             ids = Array.of_list (List.map snd consts);
           }
@@ -251,28 +254,28 @@ module Select = struct
           | None -> Match [| pat |]))
       atoms;
     Hashtbl.replace filters keep Keep;
-    { filters; dropped = 0 }
+    { schema; filters; dropped = 0 }
 
-  let filter sel pred =
-    Option.value (Hashtbl.find_opt sel.filters pred) ~default:(Match [||])
+  (* the filter of [pred]'s facts of arity [n]: a fact the schema gives
+     another arity is kept for the caller's check to reject *)
+  let filter sel pred n =
+    match Schema.find pred sel.schema with
+    | Some r when r.Schema.arity <> n -> Keep
+    | _ -> Option.value (Hashtbl.find_opt sel.filters pred) ~default:(Match [||])
 
   let dropped sel = sel.dropped
 end
 
-(* [argv.(0 .. n - 1)] matches the pattern *)
-let matches argv n p =
-  p.parity = n
-  &&
+(* the argument ids [argv] match the pattern *)
+let matches argv p =
   let k = ref 0 in
   while !k < Array.length p.pos && argv.(p.pos.(!k)) = p.ids.(!k) do
     incr k
   done;
   !k = Array.length p.pos
 
-let kept filter argv n =
-  match filter with
-  | Keep -> true
-  | Match ps -> Array.exists (matches argv n) ps
+let kept filter argv =
+  match filter with Keep -> true | Match ps -> Array.exists (matches argv) ps
 
 (* One predicate's facts so far: the set that deduplicates the kept ones
    and keeps them in load order, and the filter that keeps them. The
@@ -358,7 +361,9 @@ let predicate ld src s e n ~rest =
         (* a set that keeps every fact is sized from the input left; one
            that keeps some starts small and grows with what it keeps *)
         let filter =
-          match ld.select with None -> Keep | Some sel -> Select.filter sel name
+          match ld.select with
+          | None -> Keep
+          | Some sel -> Select.filter sel name n
         in
         let seen =
           Tuple.Set.create (if filter = Keep then max 8 (rest / 32) else 8)
@@ -401,7 +406,7 @@ let fact ld src s e ~lp ~ncuts lineno ~rest =
     if p.arity <> n then
       fail lineno
         (Printf.sprintf "%s has arity %d, got %d argument(s)" p.name p.arity n);
-    if kept p.filter ld.argv n then
+    if kept p.filter ld.argv then
       ignore (Tuple.Set.add p.seen (Tuple.of_prefix ld.argv n) : bool)
     else
       Option.iter (fun (sel : Select.t) -> sel.dropped <- sel.dropped + 1)

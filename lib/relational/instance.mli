@@ -95,14 +95,17 @@ val to_string : t -> string
 module Select : sig
   type t
 
-  (** [make ~keep atoms] keeps every fact of [keep]. Of any other
-      predicate, it keeps a fact iff some [(pred, args)] of [atoms] could
-      match it: [args] has the fact's arity, and the fact holds the value
-      [v] at each position where [args] has [Some v] ([None] is a
-      variable). A predicate with an atom that has no constant keeps
+  (** [make ~keep schema atoms] keeps every fact of [keep], and every
+      fact whose arity differs from its predicate's in [schema], for the
+      caller's arity check to reject. Of any other predicate, it keeps
+      a fact iff some [(pred, args)] of [atoms] could match it: the fact
+      holds the value [v] at each position where [args] has [Some v]
+      ([None] is a variable); each atom has its predicate's arity in
+      [schema]. A predicate with an atom that has no constant keeps
       every fact, unchecked; a predicate in no atom keeps none. Values
       are compared by interned id, so [make] interns the constants. *)
-  val make : keep:string -> (string * Value.t option list) list -> t
+  val make :
+    keep:string -> Schema.t -> (string * Value.t option list) list -> t
 
   (** [dropped sel] counts the fact statements that loads with [sel]
       read and left out, duplicates included. *)

@@ -1,20 +1,10 @@
 (* A join index on a column set: key -> the bucket of tuples carrying
    it. One- and two-column keys are packed ints, other keys id vectors
    (the empty key, the full scan, among them). A bucket is a growable
-   vector: its tuples oldest first in [tups.(0 .. len - 1)], read from
-   the top down, so newest first. A removed tuple leaves a tombstone
-   ([Bucket.gap]) in its slot, skipped by every read; [dead] counts
-   them, so a push touches no count. [hashes.(i)] is the hash of [tups.(i)] for
-   every [i < hashed], -1 at a tombstone: a removal records the hashes
-   of the tuples pushed since the last one, so builds and pushes never
-   touch [hashes], and a bucket nothing is removed from has none. *)
-type bucket = {
-  mutable len : int;
-  mutable dead : int;
-  mutable tups : Tuple.t array;
-  mutable hashes : int array;
-  mutable hashed : int;
-}
+   vector: its tuples in [tups.(0 .. len - 1)], read from the top down,
+   so newest first until a removal, which moves the top tuple into the
+   hole. *)
+type bucket = { mutable len : int; mutable tups : Tuple.t array }
 
 type table = Packed of bucket Tuple.ITbl.t | Keyed of bucket Tuple.KTbl.t
 
@@ -122,7 +112,7 @@ let remove t r =
   if not (mem t r) then r
   else
     let set = Tuple.Set.copy r.set in
-    ignore (Tuple.Set.remove set t);
+    ignore (Tuple.Set.remove set t : Tuple.t option);
     of_set set
 
 let unordered_fold f r acc = Tuple.Set.fold f r.set acc
@@ -206,135 +196,52 @@ let values r = Value.Intern.decode_distinct (fun f -> iter_ids f r)
 (* --- join indexes --------------------------------------------------- *)
 
 module Bucket = struct
-  let create () = { len = 0; dead = 0; tups = [||]; hashes = [||]; hashed = 0 }
-
-  let live b = b.len - b.dead
+  let create () = { len = 0; tups = [||] }
 
   (* the answer for a key without tuples; never written *)
   let empty = create ()
 
-  (* the tombstone, and the filler of the slots above [len], so a removed
-     tuple is not kept alive *)
+  (* the filler of the slots above [len], so a removed tuple is not kept
+     alive *)
   let gap = Tuple.of_ids [||]
 
-  (* record the hashes of the tuples pushed since the last removal *)
-  let hash_all b =
-    if b.hashed < b.len then (
-      if Array.length b.hashes < b.len then (
-        let hashes = Array.make (Array.length b.tups) 0 in
-        for i = 0 to b.hashed - 1 do
-          Array.unsafe_set hashes i (Array.unsafe_get b.hashes i)
-        done;
-        b.hashes <- hashes);
-      for i = b.hashed to b.len - 1 do
-        Array.unsafe_set b.hashes i (Tuple.hash (Array.unsafe_get b.tups i))
-      done;
-      b.hashed <- b.len)
-
-  (* Move the live tuples down over the tombstones, in order: in place,
-     or into arrays sized for them when they fill under a quarter of the
-     bucket. Every hash is recorded. *)
-  let compact b =
-    let live = live b in
-    let cap =
-      if 4 * live < Array.length b.tups then max 4 (2 * live)
-      else Array.length b.tups
-    in
-    let tups, hashes =
-      if cap = Array.length b.tups then (b.tups, b.hashes)
-      else (Array.make cap gap, Array.make cap 0)
-    in
-    let k = ref 0 in
-    for i = 0 to b.len - 1 do
-      let t = Array.unsafe_get b.tups i in
-      if t != gap then (
-        if tups != b.tups || !k < i then (
-          Array.unsafe_set tups !k t;
-          Array.unsafe_set hashes !k (Array.unsafe_get b.hashes i));
-        incr k)
-    done;
-    if tups == b.tups then Array.fill tups !k (b.len - !k) gap;
-    b.tups <- tups;
-    b.hashes <- hashes;
-    b.len <- !k;
-    b.dead <- 0;
-    b.hashed <- !k
-
-  (* Room in a full bucket: one with a quarter of its slots tombstones
-     is compacted, which pays for as many pushes as it moves tuples;
-     any other doubles. *)
-  let make_room b =
+  let push b t =
     let n = b.len in
-    if 4 * b.dead >= n && n > 0 then (
-      hash_all b;
-      compact b)
-    else
+    if n = Array.length b.tups then (
       let tups = Array.make (max 4 (2 * n)) gap in
       Array.blit b.tups 0 tups 0 n;
-      b.tups <- tups
+      b.tups <- tups);
+    Array.unsafe_set b.tups n t;
+    b.len <- n + 1
 
-  let push b t =
-    if b.len = Array.length b.tups then make_room b;
-    Array.unsafe_set b.tups b.len t;
-    b.len <- b.len + 1
-
-  (* Scan the hashes from the newest down and compare a tuple only where
-     its hash matches; a hit becomes a tombstone. Trailing tombstones
-     are dropped and an emptied bucket lets go of its arrays. A bucket
-     that is half tombstones, or whose tuples fill under a quarter of
-     it, is compacted: each removal pays for at most one move, and the
-     order of the rest is kept. Once the hashes are recorded, a removal
-     that does not shrink the bucket allocates nothing. *)
+  (* Scan from the newest down for [t] itself (the index holds its
+     store's own tuples), move the top tuple into its slot and free the
+     top. Tuples filling under a quarter of the array move into one
+     twice their number, so a removal allocates only when it shrinks
+     the bucket. *)
   let remove b t =
-    hash_all b;
-    let h = Tuple.hash t and hashes = b.hashes and tups = b.tups in
+    let tups = b.tups in
     let i = ref (b.len - 1) in
-    while
-      !i >= 0
-      && not
-           (Array.unsafe_get hashes !i = h
-           && Tuple.equal (Array.unsafe_get tups !i) t)
-    do
+    while !i >= 0 && Array.unsafe_get tups !i != t do
       decr i
     done;
-    let i = !i in
-    if i >= 0 then (
-      Array.unsafe_set tups i gap;
-      Array.unsafe_set hashes i (-1);
-      b.dead <- b.dead + 1;
-      if b.dead = b.len then (
-        b.len <- 0;
-        b.dead <- 0;
-        b.tups <- [||];
-        b.hashes <- [||];
-        b.hashed <- 0)
-      else (
-        while Array.unsafe_get tups (b.len - 1) == gap do
-          b.len <- b.len - 1;
-          b.dead <- b.dead - 1
-        done;
-        b.hashed <- b.len;
-        let live = live b in
-        if 2 * live <= b.len || 4 * live < Array.length b.tups then compact b))
+    if !i >= 0 then (
+      let top = b.len - 1 in
+      Array.unsafe_set tups !i (Array.unsafe_get tups top);
+      Array.unsafe_set tups top gap;
+      b.len <- top;
+      if 4 * top < Array.length tups then b.tups <- Array.sub tups 0 (2 * top))
 
-  (* a bucket without tombstones, the common case, is read unchecked *)
   let iter f b =
     let tups = b.tups in
-    if b.dead = 0 then
-      for i = b.len - 1 downto 0 do
-        f (Array.unsafe_get tups i)
-      done
-    else
-      for i = b.len - 1 downto 0 do
-        let t = Array.unsafe_get tups i in
-        if t != gap then f t
-      done
+    for i = b.len - 1 downto 0 do
+      f (Array.unsafe_get tups i)
+    done
 
   let to_list b =
     let l = ref [] in
     for i = 0 to b.len - 1 do
-      let t = Array.unsafe_get b.tups i in
-      if t != gap then l := t :: !l
+      l := Array.unsafe_get b.tups i :: !l
     done;
     !l
 end
@@ -409,7 +316,7 @@ module Index = struct
     | Keyed tbl -> KB.find tbl (Array.init (Array.length ix.cols) key)
 
   let lookup ix cols t = find ix (fun j -> Tuple.id t (Array.unsafe_get cols j))
-  let size = Bucket.live
+  let size b = b.len
   let iter = Bucket.iter
   let to_list = Bucket.to_list
 end

@@ -138,20 +138,14 @@ val values : t -> Value.t list
     (three or more columns, or the empty one, whose single bucket holds
     every tuple) keys a {!Tuple.KTbl} by the id vector.
 
-    A bucket is a flat growable vector of its tuples, with their hashes
-    in a parallel [int array]. It is read in place ({!iter}, {!size}),
-    newest first: the order of the [add]s, reversed, whatever
-    {!remove}s came between. {!add} is one table probe and a push
-    (amortized O(1)); it records no hash. {!remove} first records the
-    hashes of the tuples pushed since the bucket's last removal (the
-    first removal from a bucket allocates its hash array), then scans
-    the hashes, compares a tuple only where its hash matches, and
-    leaves a tombstone in its slot, which every read skips: O(bucket)
-    int reads and no moves. A bucket is compacted in order (amortized
-    O(1) moves per removal) once half its slots are tombstones, or
-    when it is full and a quarter tombstones instead of growing, and
-    into arrays sized for its tuples when they fill under a quarter of
-    it; an emptied bucket is dropped. A removal allocates only when it
+    A bucket is a growable vector of its tuples, read in place
+    ({!iter}, {!size}): newest first while only {!add}s reached it,
+    in any order after a {!remove}. {!add} is one table probe and a
+    push (amortized O(1)). {!remove} scans the bucket for the tuple
+    itself, by physical identity, and moves the last tuple into its
+    slot: O(bucket) reads and one move. Tuples that fill under a
+    quarter of the vector are copied into one twice their number, and
+    an emptied bucket is dropped, so a removal allocates only when it
     shrinks its bucket. A bucket must not be read while its index is
     written. *)
 module Index : sig
@@ -173,8 +167,9 @@ module Index : sig
       indexed tuples distinct. *)
   val add : t -> Tuple.t -> unit
 
-  (** [remove ix t] drops [t] from its bucket, keeping the order of the
-      rest (a no-op when absent), and the bucket when it empties. *)
+  (** [remove ix t] drops [t] from its bucket (a no-op when the bucket
+      does not hold [t] itself: pass the tuple that was added, as
+      [Tuple.Set.remove] returns it), and the bucket when it empties. *)
   val remove : t -> Tuple.t -> unit
 
   (** [find ix key] is the bucket of the key whose component on the
@@ -190,10 +185,11 @@ module Index : sig
   (** [size b] is the number of tuples in [b]: O(1). *)
   val size : bucket -> int
 
-  (** [iter f b] calls [f] on [b]'s tuples, newest first. *)
+  (** [iter f b] calls [f] on [b]'s tuples, in the bucket's order. *)
   val iter : (Tuple.t -> unit) -> bucket -> unit
 
-  (** [to_list b] is [b]'s tuples, newest first, in a fresh list. *)
+  (** [to_list b] is [b]'s tuples, in the order {!iter} reads them, in a
+      fresh list. *)
   val to_list : bucket -> Tuple.t list
 end
 

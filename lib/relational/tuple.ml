@@ -288,12 +288,13 @@ module Set = struct
   let remove s x =
     let slots = s.slots in
     let hole = slot_tuple slots x in
-    if Array.unsafe_get slots hole == absent then false
+    let y = Array.unsafe_get slots hole in
+    if y == absent then None
     else (
       shift slots (Array.length slots - 1) hole hole;
       s.count <- s.count - 1;
       s.order <- [||];
-      true)
+      Some y)
 end
 
 let can_pack = Sys.int_size >= 63

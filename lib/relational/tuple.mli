@@ -126,8 +126,8 @@ module Set : sig
   val add_ids : t -> int array -> bool
 
   (** [remove s x] drops the tuple with [x]'s ids, leaving the order
-      stale. It is [true] when there was one. *)
-  val remove : t -> tuple -> bool
+      stale. It is the tuple [s] held, [None] when there was none. *)
+  val remove : t -> tuple -> tuple option
 
   (** [copy s] is an independent set with the same tuples in the same
       order (two array copies; the tuples themselves are shared, being

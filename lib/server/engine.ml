@@ -5,6 +5,7 @@ type via = Materialized | Demand
 
 type t = {
   program : Ast.program;
+  schema : Schema.t;  (* the program's arities, which every fact has *)
   prepared : Eval_util.prepared;
   dred : Eval_util.dred_prepared;
   db : Matcher.Db.t;
@@ -24,6 +25,8 @@ let no_dom : Value.t list = []
 
 let create ?(trace = Observe.Trace.null) program edb =
   Ast.check_datalog program;
+  let schema = Ast.infer_schema program in
+  Ast.check_facts schema edb;
   let prepared = Eval_util.prepare program in
   let db = Matcher.Db.of_instance ~trace edb in
   let dom =
@@ -34,6 +37,7 @@ let create ?(trace = Observe.Trace.null) program edb =
        ~delta_preds:(Ast.idb program) ~dom db);
   {
     program;
+    schema;
     prepared;
     dred = Eval_util.prepare_dred prepared;
     db;
@@ -56,8 +60,8 @@ let instance t = Matcher.Db.instance t.db
 let total t = Matcher.Db.total t.db
 
 (* Updates must leave the engine consistent even when a batch is
-   rejected, so arity mismatches are detected against the stored
-   relations before any mutation. *)
+   rejected, so arity mismatches are detected against the program and
+   the stored relations before any mutation. *)
 let validate_arities t batch =
   Instance.fold
     (fun p rel () ->
@@ -66,7 +70,8 @@ let validate_arities t batch =
           invalid_arg
             (Printf.sprintf "%s has arity %d, batch fact has arity %d" p b a)
       | _ -> ())
-    batch ()
+    batch ();
+  Ast.check_facts t.schema batch
 
 (* A write batch is a Db of its own, counting nothing: the facts an
    assert adds to the view, or the facts a retract withdraws from the

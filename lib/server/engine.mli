@@ -44,14 +44,18 @@ type via = Materialized | Demand
 (** [create ?trace program edb] checks [program] is pure Datalog,
     materializes its fixpoint over [edb] and returns the resident state.
     @raise Ast.Check_error unless the program is pure Datalog (single
-    positive heads, positive bodies). *)
+    positive heads, positive bodies) and every fact of [edb] has its
+    predicate's arity in it ({!Ast.check_facts}). *)
 val create : ?trace:Observe.Trace.ctx -> Ast.program -> Instance.t -> t
 
 (** [assert_facts t batch] adds the facts of [batch] to the base
     instance and propagates the genuinely new ones through the
     semi-naive increment loop. Returns [(added, derived, stages)]:
     facts new to the base instance, additional facts derived from them,
-    and propagation stages. Idempotent on duplicates. *)
+    and propagation stages. Idempotent on duplicates. A batch with a
+    fact whose arity is not its predicate's, in the program or in the
+    stored facts, raises before anything changes ([Ast.Check_error] or
+    [Invalid_argument]); so does {!retract_facts}. *)
 val assert_facts : t -> Instance.t -> int * int * int
 
 (** [retract_facts t batch] withdraws the facts of [batch] from the base

@@ -615,7 +615,7 @@ let test_bucket_writes_allocate_nothing () =
 
 (* A bucket whose tuples are removed lets go of its slots: after 990 of
    1000 removals it holds about what ten tuples need, and reads see the
-   ten that are left, newest first. *)
+   ten that are left, in some order. *)
 let test_bucket_shrinks () =
   let tuples = List.init 1000 (fun k -> t [ Value.Int 0; Value.Int k ]) in
   let ix =
@@ -628,9 +628,11 @@ let test_bucket_shrinks () =
     tuples;
   let b = bucket () in
   Alcotest.(check int) "ten left" 10 (Relation.Index.size b);
-  Alcotest.(check bool) "newest first" true
-    (List.equal ( == ) (Relation.Index.to_list b)
-       (List.rev (List.filteri (fun k _ -> k mod 100 = 7) tuples)));
+  let sorted l = List.sort Tuple.compare l in
+  Alcotest.(check bool) "the ten survivors" true
+    (List.equal ( == )
+       (sorted (Relation.Index.to_list b))
+       (List.filteri (fun k _ -> k mod 100 = 7) tuples));
   let left = Obj.reachable_words (Obj.repr b) in
   Alcotest.(check bool)
     (Printf.sprintf "bucket words %d -> %d" full left)

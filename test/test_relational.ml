@@ -422,9 +422,9 @@ let prop_tuple_set_model =
                if fresh then Hashtbl.replace model k x;
                Tuple.Set.add s x = fresh
            | 2 ->
-               let present = Hashtbl.mem model k in
+               let held = Hashtbl.find_opt model k in
                Hashtbl.remove model k;
-               Tuple.Set.remove s x = present
+               Option.equal ( == ) (Tuple.Set.remove s x) held
            | 3 -> Tuple.Set.mem s (Tuple.ids x) = Hashtbl.mem model k
            | 4 ->
                Option.map Tuple.ids (Tuple.Set.find_opt s (Tuple.ids x))
@@ -523,12 +523,14 @@ let prop_tuple_set_flat_model =
                    if !stale then free := List.length !model);
                  Tuple.Set.add s t = fresh
              | 2 | 3 ->
-                 let present = held vs in
+                 let was =
+                   List.find_opt (fun u -> Tuple.to_list u = vs) !model
+                 in
                  model := List.filter (fun u -> Tuple.to_list u <> vs) !model;
-                 if present then (
+                 if was <> None then (
                    stale := true;
                    free := List.length !model);
-                 Tuple.Set.remove s t = present
+                 Option.equal ( == ) (Tuple.Set.remove s t) was
              | 4 -> read ()
              | _ -> in_order (Tuple.Set.to_list (Tuple.Set.copy s))
            in
@@ -570,8 +572,10 @@ let prop_tuple_flat_layout =
    run of distinct tuples (the count-then-fill build), then takes random
    adds (of absent tuples only: the caller keeps them distinct) and
    removes (present or not). After every step each key's bucket must
-   hold the model's tuples, the same values in the same order, with the
-   matching size; a key with no tuples reads as an empty bucket. *)
+   hold the model's tuples, with the matching size, in the model's
+   order while only adds reached the key since it was last empty (a
+   removal may reorder the rest: there the two must hold the same
+   tuples); a key with no tuples reads as an empty bucket. *)
 let prop_index_list_model =
   let pool =
     Array.init 27 (fun k ->
@@ -594,6 +598,9 @@ let prop_index_list_model =
          in
          let held x = List.memq x (bucket x) in
          let add x = Hashtbl.replace model (key x) (x :: bucket x) in
+         (* the keys a removal reached since their bucket was last empty *)
+         let reordered = Hashtbl.create 16 in
+         let sorted l = List.sort Tuple.compare l in
          let init =
            List.fold_left
              (fun acc i ->
@@ -614,7 +621,9 @@ let prop_index_list_model =
                Relation.Index.iter (fun t -> seen := t :: !seen) b;
                let l = Relation.Index.to_list b in
                List.length l = Relation.Index.size b
-               && List.equal ( == ) l (bucket x)
+               && (if Hashtbl.mem reordered (key x) then
+                     List.equal ( == ) (sorted l) (sorted (bucket x))
+                   else List.equal ( == ) l (bucket x))
                && List.equal ( == ) (List.rev !seen) l)
              pool
            && Relation.Index.size (Relation.Index.lookup ix cols unheld) = 0
@@ -626,8 +635,10 @@ let prop_index_list_model =
                add x;
                Relation.Index.add ix x))
            else (
-             Hashtbl.replace model (key x)
-               (List.filter (fun u -> not (Tuple.equal u x)) (bucket x));
+             let rest = List.filter (fun u -> u != x) (bucket x) in
+             if rest = [] then Hashtbl.remove reordered (key x)
+             else if held x then Hashtbl.replace reordered (key x) ();
+             Hashtbl.replace model (key x) rest;
              Relation.Index.remove ix x)
          in
          agrees ()

@@ -254,6 +254,23 @@ let test_values () =
     (Instance.to_string inst);
   Alcotest.(check int) "dropped" 2 dropped
 
+(* a fact whose arity is not its predicate's in the program is kept,
+   read by a body atom or not, so the load's arity check sees it as it
+   does without a selection; [h], in no atom, still keeps nothing *)
+let test_wrong_arity_kept () =
+  let inst, dropped =
+    load ~keep:"R" "G(X, Y, Z) :- H(X, Y, Z).\nR(X) :- G(X, c, d)."
+      "G(a, b). H(a, c, d). H(a, b, b). h(x)."
+  in
+  Alcotest.(check string) "kept" "G(a, b).\nH(a, b, b).\nH(a, c, d)."
+    (Instance.to_string inst);
+  Alcotest.(check int) "dropped" 1 dropped;
+  let inst, dropped =
+    load ~keep:"R" "R(X) :- G(X, c, d).\nT(X) :- R(X)." "T(a, b). T(c, d)."
+  in
+  Alcotest.(check int) "head-only T kept" 2 (Instance.total_facts inst);
+  Alcotest.(check int) "none dropped" 0 dropped
+
 (* a rule that reads the active domain reads every fact: no selection *)
 let test_needs_dom () =
   Alcotest.(check bool) "none" true
@@ -262,14 +279,19 @@ let test_needs_dom () =
 
 (* A selection changes nothing about how a text fails: a fault in a
    fact it would drop fails the load as it does without it. Where both
-   load, the selected instance holds the facts of [P] with [a] first
-   and every fact of [Q]. *)
+   load, the selected instance holds the facts of [P] with [a] first,
+   every fact of [P] whose arity is not the schema's 2 (for the
+   caller's arity check) and every fact of [Q]. *)
 let prop_same_failures =
   QCheck_alcotest.to_alcotest
     (Q.Test.make ~count:1000 ~name:"a selection fails where the loader fails"
        (Q.make ~print:(Printf.sprintf "%S") Test_loader.fact_text_gen)
        (fun text ->
-         let select = Instance.Select.make ~keep:"Q" [ ("P", [ Some (v "a"); None ]) ] in
+         let select =
+           Instance.Select.make ~keep:"Q"
+             (Schema.of_list [ Schema.rel "P" 2 ])
+             [ ("P", [ Some (v "a"); None ]) ]
+         in
          let outcome f = match f () with i -> Ok i | exception Failure m -> Error m in
          match
            ( outcome (fun () -> Instance.parse_facts text),
@@ -284,8 +306,9 @@ let prop_same_failures =
                      (fun t acc ->
                        if
                          pred = "Q"
-                         || pred = "P" && Tuple.arity t = 2
-                            && Value.equal (Tuple.get t 0) (v "a")
+                         || pred = "P"
+                            && (Tuple.arity t <> 2
+                               || Value.equal (Tuple.get t 0) (v "a"))
                        then Instance.add_fact pred t acc
                        else acc)
                      r acc)
@@ -307,5 +330,7 @@ let suite =
     Alcotest.test_case "constants compare as values" `Quick test_values;
     Alcotest.test_case "a rule reading the domain selects nothing" `Quick
       test_needs_dom;
+    Alcotest.test_case "a fact of another arity is kept for the check"
+      `Quick test_wrong_arity_kept;
     prop_same_failures;
   ]

@@ -200,6 +200,33 @@ let test_requires_datalog () =
   | exception Datalog.Ast.Check_error _ -> ()
   | _ -> Alcotest.fail "negation must be rejected at create"
 
+(* A fact whose arity is not its predicate's in the program is refused
+   before anything changes, also while the predicate has no facts to
+   compare with: the base facts and the view stay as they were, and a
+   fact of the program's arity is accepted after. So are base facts at
+   create. *)
+let test_batch_arity_against_program () =
+  let p = prog "R(X) :- G(X, c, d)." in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted a G fact of arity 2" what
+    | exception Datalog.Ast.Check_error m ->
+        Alcotest.(check string) what
+          "G has arity 3 in the program, 2 in the facts" m
+  in
+  refused "create" (fun () -> ignore (E.create p (facts "G(b, c).")));
+  let eng = E.create p Instance.empty in
+  let edb0 = E.edb eng and view0 = E.instance eng in
+  refused "assert" (fun () -> ignore (E.assert_facts eng (facts "G(b, c).")));
+  refused "retract" (fun () -> ignore (E.retract_facts eng (facts "G(b, c).")));
+  Alcotest.(check bool) "edb unchanged" true (Instance.equal edb0 (E.edb eng));
+  Alcotest.(check bool) "view unchanged" true
+    (Instance.equal view0 (E.instance eng));
+  let added, derived, _ = E.assert_facts eng (facts "G(e, c, d).") in
+  Alcotest.(check (pair int int)) "added, derived" (1, 1) (added, derived);
+  Alcotest.(check string) "R" "R(e)."
+    (Instance.to_string (Instance.restrict [ "R" ] (E.instance eng)))
+
 (* --- the wire protocol --------------------------------------------------- *)
 
 let test_protocol_roundtrip () =
@@ -500,6 +527,8 @@ let suite =
     Alcotest.test_case "create's snapshot survives writes (acyclic)" `Quick
       test_snapshot_acyclic;
     Alcotest.test_case "non-Datalog rejected" `Quick test_requires_datalog;
+    Alcotest.test_case "batch arities checked against the program" `Quick
+      test_batch_arity_against_program;
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "malformed requests don't kill the engine" `Quick
       test_handle_errors;
